@@ -10,19 +10,27 @@
 // place is owned elsewhere. One event logger per rank records activity
 // changes (Section III), so log files shard naturally across ranks.
 //
+// The simulation steps hourly, but like the logger an agent acts only
+// when its activity changes: each rank files its residents in an agenda
+// keyed by the hour their current segment stops, so an hour costs time in
+// proportion to the agents that move in it, not to the population.
+//
 // Because schedules are deterministic per (person, day) and independent
 // of rank layout, the multiset of logged events — and therefore every
 // network derived from the logs — is identical for any rank count and
-// any place assignment. Tests rely on this invariant.
+// any place assignment, and the entries of one hour are written in
+// person order, which makes a resumed rank's log bit-identical to an
+// uninterrupted one. Tests rely on both invariants.
 package abm
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/eventlog"
@@ -160,7 +168,7 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 	}
 	assign := cfg.Assign
 	if assign == nil {
-		edges, loads := partition.TransitionGraph(cfg.Pop, cfg.Gen, minInt(cfg.Days, 7), cfg.Pop.NumPersons())
+		edges, loads := partition.TransitionGraph(cfg.Pop, cfg.Gen, min(cfg.Days, 7), cfg.Pop.NumPersons())
 		assign = partition.Spatial(cfg.Pop, edges, loads, cfg.Ranks)
 	}
 	if len(assign) != cfg.Pop.NumPlaces() {
@@ -337,38 +345,38 @@ func DecodeRankResult(b []byte) (RankResult, error) {
 // four segment words.
 const agentBytes = 20
 
-func encodeAgents(agents []agent) []byte {
-	out := make([]byte, 0, len(agents)*agentBytes)
-	var u [4]byte
+func appendAgent(b []byte, a agent) []byte {
 	le := binary.LittleEndian
-	for _, a := range agents {
-		for _, v := range [5]uint32{a.person, a.seg.Start, a.seg.Stop, a.seg.Activity, a.seg.Place} {
-			le.PutUint32(u[:], v)
-			out = append(out, u[:]...)
-		}
-	}
-	return out
+	b = le.AppendUint32(b, a.person)
+	b = le.AppendUint32(b, a.seg.Start)
+	b = le.AppendUint32(b, a.seg.Stop)
+	b = le.AppendUint32(b, a.seg.Activity)
+	return le.AppendUint32(b, a.seg.Place)
 }
 
-func decodeAgents(b []byte) ([]agent, error) {
-	if len(b)%agentBytes != 0 {
-		return nil, fmt.Errorf("abm: agent batch of %d bytes is not a multiple of %d", len(b), agentBytes)
-	}
+// decodeAgent reads the agent at the head of b, which must hold at least
+// agentBytes.
+func decodeAgent(b []byte) agent {
 	le := binary.LittleEndian
-	out := make([]agent, 0, len(b)/agentBytes)
-	for off := 0; off < len(b); off += agentBytes {
-		out = append(out, agent{
-			person: le.Uint32(b[off:]),
-			seg: schedule.Segment{
-				Start:    le.Uint32(b[off+4:]),
-				Stop:     le.Uint32(b[off+8:]),
-				Activity: le.Uint32(b[off+12:]),
-				Place:    le.Uint32(b[off+16:]),
-			},
-		})
+	return agent{
+		person: le.Uint32(b[0:]),
+		seg: schedule.Segment{
+			Start:    le.Uint32(b[4:]),
+			Stop:     le.Uint32(b[8:]),
+			Activity: le.Uint32(b[12:]),
+			Place:    le.Uint32(b[16:]),
+		},
 	}
-	return out, nil
 }
+
+// agendaSlots is the ring size of a rank's agenda, which files every
+// resident under the hour its current segment stops. A day's segments tile
+// that day, so a segment picked up at hour h stops at one of h+1 … h+24:
+// HoursPerDay+1 slots indexed by Stop mod agendaSlots keep those 24 hours
+// apart from each other and from the slot of hour h being drained.
+const agendaSlots = schedule.HoursPerDay + 1
+
+func byPerson(a, b agent) int { return cmp.Compare(a.person, b.person) }
 
 // RunRank executes one rank of the simulation over any Transport — the
 // in-process mpi world or the TCP-based mpinet for true multi-process
@@ -454,9 +462,10 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}, ext...)
 	}
 
+	var day []schedule.Segment // nextSegment's scratch
 	nextSegment := func(person uint32, hour uint32) schedule.Segment {
-		day := int(hour) / schedule.HoursPerDay
-		for _, s := range cfg.Gen.Day(person, day) {
+		day = cfg.Gen.AppendDay(day[:0], person, int(hour)/schedule.HoursPerDay)
+		for _, s := range day {
 			if hour >= s.Start && hour < s.Stop {
 				return s
 			}
@@ -465,31 +474,11 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		panic(fmt.Sprintf("abm: person %d has no segment at hour %d", person, hour))
 	}
 
-	// Initial residency: each rank claims the agents whose current
-	// segment is at one of its places. For a fresh run that is the first
-	// segment of day 0; for a resumed run it is the segment active at
-	// hour StartHour-1, which fully reconstructs the pre-crash state
-	// because schedules are deterministic per (person, day).
-	baseHour := uint32(0)
-	if cfg.StartHour > 0 {
-		baseHour = cfg.StartHour - 1
-	}
-	var local []agent
-	for p := range cfg.Pop.Persons {
-		seg := nextSegment(uint32(p), baseHour)
-		if assign[seg.Place] == rank {
-			local = append(local, agent{person: uint32(p), seg: seg})
-		}
-	}
-
 	// Per-place occupancy, maintained incrementally only when an
 	// interaction hook needs it.
 	var occupants map[uint32][]uint32
 	if cfg.Interact != nil {
 		occupants = make(map[uint32][]uint32)
-		for _, a := range local {
-			occupants[a.seg.Place] = append(occupants[a.seg.Place], a.person)
-		}
 	}
 	removeOccupant := func(place, person uint32) {
 		if occupants == nil {
@@ -505,22 +494,50 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}
 	}
 
+	// The agenda: residents filed under the hour their segment stops, so
+	// hour h serves slot h and touches nobody else. enter files an agent
+	// that starts a segment at one of this rank's places.
+	var agenda [agendaSlots][]agent
+	enter := func(a agent) {
+		slot := &agenda[a.seg.Stop%agendaSlots]
+		*slot = append(*slot, a)
+		if occupants != nil {
+			occupants[a.seg.Place] = append(occupants[a.seg.Place], a.person)
+		}
+	}
+	// residents gathers the whole agenda in person order, for the two
+	// passes that visit everyone: FullStateLog's hourly dump and the
+	// close-out of the segments in progress when the run ends.
+	var everyone []agent
+	residents := func() []agent {
+		everyone = everyone[:0]
+		for _, slot := range agenda {
+			everyone = append(everyone, slot...)
+		}
+		slices.SortFunc(everyone, byPerson)
+		return everyone
+	}
+
+	// Initial residency: each rank claims the agents whose current
+	// segment is at one of its places. For a fresh run that is the first
+	// segment of day 0; for a resumed run it is the segment active at
+	// hour StartHour-1, which fully reconstructs the pre-crash state
+	// because schedules are deterministic per (person, day).
+	baseHour := uint32(0)
+	if cfg.StartHour > 0 {
+		baseHour = cfg.StartHour - 1
+	}
+	for p := range cfg.Pop.Persons {
+		if seg := nextSegment(uint32(p), baseHour); assign[seg.Place] == rank {
+			enter(agent{person: uint32(p), seg: seg})
+		}
+	}
+
 	// Under FullStateLog the event-based segment logging is replaced
 	// by one entry per agent per hour, emitted at the bottom of the
 	// hour loop.
 	if cfg.FullStateLog {
 		logSegment = func(uint32, schedule.Segment, uint32) error { return nil }
-	}
-
-	// Canonical per-hour iteration order. Agents arriving by migration
-	// are appended to local in arrival order, which encodes the entire
-	// migration history; a resumed rank rebuilds local from scratch and
-	// would interleave the same hour's log entries differently. Sorting
-	// by person at the top of every hour makes the entry order within an
-	// hour a pure function of the simulation state, so resumed logs are
-	// bit-identical in content to uninterrupted ones.
-	sortLocal := func() {
-		sort.Slice(local, func(i, j int) bool { return local[i].person < local[j].person })
 	}
 
 	// Cancellation and graceful stops share one alignment mechanism: a
@@ -534,9 +551,22 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	stopped := false
 	canceled := false
 	pollFlags := cfg.Stop != nil || ctx.Done() != nil
+	// One immutable blob set per flag value: the hourly alignment
+	// allocates nothing and never rewrites a byte a peer may be reading.
+	var flagOut [3][][]byte
+	if pollFlags {
+		for f := range flagOut {
+			flagOut[f] = make([][]byte, size)
+			for r := range flagOut[f] {
+				flagOut[f][r] = []byte{byte(f)}
+			}
+		}
+	}
+	// Migration send buffers, reused by hour parity: Transport.Exchange
+	// may keep reading one hour's blobs until the next collective returns.
+	send := [2][][]byte{make([][]byte, size), make([][]byte, size)}
 	rr.StoppedAt = endHour
 	for hour := cfg.StartHour; hour < endHour; hour++ {
-		sortLocal()
 		if cfg.HourDelay > 0 {
 			time.Sleep(cfg.HourDelay)
 		}
@@ -556,12 +586,8 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			if ctx.Err() != nil {
 				flag = 2
 			}
-			blobs := make([][]byte, size)
-			for r := range blobs {
-				blobs[r] = []byte{flag}
-			}
 			sw := telemetry.Clock()
-			in, err := t.Exchange(alignCtx, blobs)
+			in, err := t.Exchange(alignCtx, flagOut[flag])
 			sw.Observe(mExchangeSeconds)
 			if err != nil {
 				return rr, err
@@ -579,56 +605,46 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			}
 		}
 		if hour > 0 {
-			// Agents whose segment expired decide their next
-			// activity and location.
-			outbox := make([][]agent, size)
-			kept := local[:0]
-			for _, a := range local {
-				if a.seg.Stop != hour {
-					kept = append(kept, a)
-					continue
-				}
+			// The agents whose segment expires this hour decide their
+			// next activity and location. Arrivals were appended to the
+			// slot in migration order, which a resumed rank would not
+			// reproduce; serving the movers in person order makes the
+			// entry order within an hour a pure function of the
+			// simulation state, so resumed logs are bit-identical in
+			// content to uninterrupted ones.
+			due := &agenda[hour%agendaSlots]
+			slices.SortFunc(*due, byPerson)
+			out := send[hour%2]
+			for r := range out {
+				out[r] = out[r][:0]
+			}
+			for _, a := range *due {
 				if err := logSegment(a.person, a.seg, a.seg.Stop); err != nil {
 					return rr, err
 				}
 				removeOccupant(a.seg.Place, a.person)
-				next := nextSegment(a.person, hour)
-				owner := assign[next.Place]
-				a.seg = next
-				if owner == rank {
-					kept = append(kept, a)
+				a.seg = nextSegment(a.person, hour)
+				if owner := assign[a.seg.Place]; owner == rank {
+					enter(a) // never into *due: the new Stop lies in (hour, hour+24]
 					rr.LocalMoves++
-					if occupants != nil {
-						occupants[next.Place] = append(occupants[next.Place], a.person)
-					}
 				} else {
-					outbox[owner] = append(outbox[owner], a)
+					out[owner] = appendAgent(out[owner], a)
 					rr.Migrations++
 				}
 			}
-			local = kept
-			blobs := make([][]byte, size)
-			for r := range outbox {
-				if len(outbox[r]) > 0 {
-					blobs[r] = encodeAgents(outbox[r])
-				}
-			}
+			*due = (*due)[:0]
 			sw := telemetry.Clock()
-			incoming, err := t.Exchange(alignCtx, blobs)
+			incoming, err := t.Exchange(alignCtx, out)
 			sw.Observe(mExchangeSeconds)
 			if err != nil {
 				return rr, err
 			}
 			for _, blob := range incoming {
-				batch, err := decodeAgents(blob)
-				if err != nil {
-					return rr, err
+				if len(blob)%agentBytes != 0 {
+					return rr, fmt.Errorf("abm: agent batch of %d bytes is not a multiple of %d", len(blob), agentBytes)
 				}
-				for _, a := range batch {
-					local = append(local, a)
-					if occupants != nil {
-						occupants[a.seg.Place] = append(occupants[a.seg.Place], a.person)
-					}
+				for ; len(blob) > 0; blob = blob[agentBytes:] {
+					enter(decodeAgent(blob))
 				}
 			}
 		}
@@ -642,7 +658,7 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}
 
 		if cfg.FullStateLog && logger != nil {
-			for _, a := range local {
+			for _, a := range residents() {
 				e := eventlog.Entry{
 					Start:    hour,
 					Stop:     hour + 1,
@@ -669,13 +685,8 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	// the in-progress segments are NOT logged: the log then ends at an
 	// hour boundary, exactly the shape ResumeRank restarts from.
 	if !cfg.FullStateLog && !stopped {
-		sortLocal()
-		for _, a := range local {
-			stop := a.seg.Stop
-			if stop > endHour {
-				stop = endHour
-			}
-			if err := logSegment(a.person, a.seg, stop); err != nil {
+		for _, a := range residents() {
+			if err := logSegment(a.person, a.seg, min(a.seg.Stop, endHour)); err != nil {
 				return rr, err
 			}
 		}
@@ -704,11 +715,4 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		return rr, fmt.Errorf("abm: run canceled at hour %d: %w", rr.StoppedAt, cause)
 	}
 	return rr, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -330,16 +330,32 @@ func TestSingleRankRuns(t *testing.T) {
 	}
 }
 
-func BenchmarkSimWeek5kPersons4Ranks(b *testing.B) {
-	pop, err := synthpop.Generate(synthpop.Config{Persons: 5000, Seed: 5})
+// benchSim runs the whole simulation b.N times and reports agent-steps/s
+// (persons × simulated hours over wall), the first link of the sim→serve
+// ledger. With logging on, each iteration writes its logs to a fresh
+// directory, as one cold batch chain does.
+func benchSim(b *testing.B, persons, days, ranks int, logging bool) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: persons, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := schedule.NewGenerator(pop, 5)
+	cfg := Config{Pop: pop, Gen: schedule.NewGenerator(pop, 5), Ranks: ranks, Days: days}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), Config{Pop: pop, Gen: gen, Ranks: 4, Days: 7}); err != nil {
+		if logging {
+			cfg.LogDir = b.TempDir()
+		}
+		if _, err := Run(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	steps := float64(persons) * float64(days*schedule.HoursPerDay) * float64(b.N)
+	b.ReportMetric(steps/b.Elapsed().Seconds(), "agent-steps/s")
 }
+
+func BenchmarkSimWeek5kPersons4Ranks(b *testing.B) { benchSim(b, 5000, 7, 4, false) }
+
+// BenchmarkSimFortnight20kPersons2RanksLogged has the shape of the
+// simulation inside the bench module's batch.slice-20k chain.
+func BenchmarkSimFortnight20kPersons2RanksLogged(b *testing.B) { benchSim(b, 20000, 14, 2, true) }

@@ -149,15 +149,16 @@ func (l *Logger) Log(e Entry, ext ...uint32) error {
 	if len(ext) != len(l.cfg.ExtColumns) {
 		return fmt.Errorf("eventlog: %d ext values for %d ext columns", len(ext), len(l.cfg.ExtColumns))
 	}
-	var rec [4]byte
-	for _, v := range [5]uint32{e.Start, e.Stop, e.Person, e.Activity, e.Place} {
-		le.PutUint32(rec[:], v)
-		l.cache = append(l.cache, rec[:]...)
-	}
+	c := l.cache
+	c = le.AppendUint32(c, e.Start)
+	c = le.AppendUint32(c, e.Stop)
+	c = le.AppendUint32(c, e.Person)
+	c = le.AppendUint32(c, e.Activity)
+	c = le.AppendUint32(c, e.Place)
 	for _, v := range ext {
-		le.PutUint32(rec[:], v)
-		l.cache = append(l.cache, rec[:]...)
+		c = le.AppendUint32(c, v)
 	}
+	l.cache = c
 	l.n++
 	l.logged++
 	if l.n >= l.cfg.cacheEntries() {

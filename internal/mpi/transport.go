@@ -37,7 +37,12 @@ type Transport interface {
 	// Exchange performs a personalized all-to-all: out[i] is delivered
 	// to rank i, and the result's element j is the blob rank j sent to
 	// this rank. len(out) must equal Size. A nil blob is delivered as a
-	// nil or empty slice.
+	// nil or empty slice. The transport may go on reading out and its
+	// blobs after Exchange has returned — in-process peers are handed the
+	// sender's own slices, and mpinet's coordinator forwards rank 0's
+	// after replying to it — so the caller must leave them unmodified
+	// until its next collective has returned, which no rank's does before
+	// every rank has entered it.
 	Exchange(ctx context.Context, out [][]byte) ([][]byte, error)
 	// Gather collects every rank's blob on rank 0 (result indexed by
 	// rank, nil on other ranks).

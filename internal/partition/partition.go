@@ -64,10 +64,12 @@ func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sa
 	loads := make([]uint64, pop.NumPlaces())
 	type pair struct{ a, b uint32 }
 	trans := make(map[pair]uint64)
+	var day []schedule.Segment // scratch, reused across every (person, day)
 	for p := 0; p < sample; p++ {
 		prev := synthpop.NoPlace
 		for d := 0; d < days; d++ {
-			for _, s := range gen.Day(uint32(p), d) {
+			day = gen.AppendDay(day[:0], uint32(p), d)
+			for _, s := range day {
 				loads[s.Place] += uint64(s.Stop - s.Start)
 				if prev != synthpop.NoPlace && prev != s.Place {
 					a, b := prev, s.Place

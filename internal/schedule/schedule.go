@@ -69,15 +69,17 @@ func NewGenerator(pop *synthpop.Population, seed uint64) *Generator {
 	return &Generator{pop: pop, seed: seed}
 }
 
-// dayRNG derives the independent stream for (person, day).
-func (g *Generator) dayRNG(person uint32, day int) *rng.Source {
+// dayRNG derives the independent stream for (person, day). It returns the
+// source by value so a caller's copy can stay on its stack.
+func (g *Generator) dayRNG(person uint32, day int) (r rng.Source) {
 	// SplitMix-style mixing of the three coordinates.
 	h := g.seed
 	h ^= uint64(person) * 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h ^= uint64(day) * 0x94d049bb133111eb
 	h = (h ^ (h >> 27)) * 0xff51afd7ed558ccd
-	return rng.New(h ^ (h >> 31))
+	r.Reseed(h ^ (h >> 31))
+	return r
 }
 
 // homebodyShare is the fraction of persons without a daytime anchor who
@@ -121,28 +123,36 @@ func IsWeekend(day int) bool {
 }
 
 // Day returns person's schedule for the given day as contiguous segments
-// covering [day*24, (day+1)*24).
+// covering [day*24, (day+1)*24), in a freshly allocated slice.
 func (g *Generator) Day(person uint32, day int) []Segment {
+	return g.AppendDay(nil, person, day)
+}
+
+// AppendDay appends person's schedule for the given day to dst and returns
+// the extended slice, like Day but into caller-owned scratch: once dst has
+// capacity for a day's segments it does not allocate, which is what the
+// simulation's per-transition lookups need.
+func (g *Generator) AppendDay(dst []Segment, person uint32, day int) []Segment {
 	p := &g.pop.Persons[person]
-	r := g.dayRNG(person, day)
 	base := uint32(day * HoursPerDay)
 
 	homeType := g.pop.Places[p.Home].Type
 	if homeType == synthpop.Prison || homeType == synthpop.RetirementHome {
-		return []Segment{{Start: base, Stop: base + HoursPerDay, Activity: ActInstitution, Place: p.Home}}
+		return append(dst, Segment{Start: base, Stop: base + HoursPerDay, Activity: ActInstitution, Place: p.Home})
 	}
 	// Children below school age have no independent schedule: they stay
 	// home. Their weekly contacts are exactly their household, which is
 	// one of the sources of the clustering-coefficient-1 population in
 	// the paper's Figure 4.
 	if p.Age < 5 {
-		return []Segment{{Start: base, Stop: base + HoursPerDay, Activity: ActHome, Place: p.Home}}
+		return append(dst, Segment{Start: base, Stop: base + HoursPerDay, Activity: ActHome, Place: p.Home})
 	}
 
-	var segs []Segment
+	r := g.dayRNG(person, day)
+	first, segs := len(dst), dst
 	add := func(stop uint32, act uint32, place uint32) {
 		start := base
-		if n := len(segs); n > 0 {
+		if n := len(segs); n > first {
 			start = segs[n-1].Stop
 		}
 		if stop <= start {
@@ -150,7 +160,7 @@ func (g *Generator) Day(person uint32, day int) []Segment {
 		}
 		// Merge with the previous segment when activity and place repeat,
 		// mirroring the event-based logger's "log only changes" rule.
-		if n := len(segs); n > 0 && segs[n-1].Activity == act && segs[n-1].Place == place {
+		if n := len(segs); n > first && segs[n-1].Activity == act && segs[n-1].Place == place {
 			segs[n-1].Stop = stop
 			return
 		}
@@ -232,7 +242,7 @@ func (g *Generator) Day(person uint32, day int) []Segment {
 			act, dest := ActShop, uint32(0)
 			switch {
 			case homebody && r.Bool(0.6):
-				act, dest = ActLeisure, g.visitHome(person, r)
+				act, dest = ActLeisure, g.visitHome(person, &r)
 			case r.Bool(0.4):
 				act, dest = ActLeisure, retail()
 			default:

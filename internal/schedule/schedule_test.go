@@ -280,6 +280,40 @@ func TestQuickPlacesAndActivitiesValid(t *testing.T) {
 	}
 }
 
+// AppendDay is Day into caller scratch: the same segments, placed after
+// whatever dst already holds (the merge rule must not reach back into
+// it), and no allocation once the scratch has grown to a day's size.
+func TestAppendDayMatchesDayWithoutAllocating(t *testing.T) {
+	pop := testPop(t, 2000)
+	g := NewGenerator(pop, 29)
+	var scratch []Segment
+	for p := 0; p < pop.NumPersons(); p++ {
+		for d := 0; d < 8; d++ {
+			want := g.Day(uint32(p), d)
+			// Seed dst with the segment most likely to be merged into: the
+			// person at home.
+			scratch = append(scratch[:0], Segment{Stop: uint32(d * HoursPerDay), Activity: ActHome, Place: pop.Persons[p].Home})
+			scratch = g.AppendDay(scratch, uint32(p), d)
+			if len(scratch) != len(want)+1 || scratch[0].Start != 0 || scratch[0].Stop != uint32(d*HoursPerDay) {
+				t.Fatalf("person %d day %d: AppendDay touched dst's prefix: %+v", p, d, scratch)
+			}
+			for i, s := range want {
+				if scratch[i+1] != s {
+					t.Fatalf("person %d day %d segment %d: %+v, Day gives %+v", p, d, i, scratch[i+1], s)
+				}
+			}
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		scratch = g.AppendDay(scratch[:0], uint32(i%pop.NumPersons()), i%28)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendDay into warm scratch: %v allocs/call, want 0", allocs)
+	}
+}
+
 func BenchmarkDay(b *testing.B) {
 	pop, err := synthpop.Generate(synthpop.Config{Persons: 10000, Seed: 1})
 	if err != nil {
@@ -289,5 +323,19 @@ func BenchmarkDay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Day(uint32(i%10000), i%28)
+	}
+}
+
+func BenchmarkAppendDay(b *testing.B) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 10000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := NewGenerator(pop, 1)
+	var scratch []Segment
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch = g.AppendDay(scratch[:0], uint32(i%10000), i%28)
 	}
 }

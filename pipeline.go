@@ -144,6 +144,22 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}, nil
 }
 
+// simConfig is the one place the pipeline's configuration becomes an
+// abm.Config, so Simulate, SimulateUntil, SimulateWith and Resume run the
+// same simulation; each then sets only what is its own (Stop, Interact).
+func (p *Pipeline) simConfig(logDir string) abm.Config {
+	return abm.Config{
+		Pop:        p.Pop,
+		Gen:        p.Gen,
+		Ranks:      p.cfg.ranks(),
+		Days:       p.cfg.Days,
+		LogDir:     logDir,
+		Log:        eventlog.Config{CacheEntries: p.cfg.CacheEntries, Compress: p.cfg.Compress},
+		HourDelay:  p.cfg.HourDelay,
+		FlushEvery: uint32(p.cfg.FlushEvery),
+	}
+}
+
 // Simulate runs the ABM for the configured duration, writing one event
 // log per rank into logDir, and returns the run statistics. Cancelling
 // ctx stops the run at the next hour boundary with resumable logs and
@@ -151,16 +167,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
 	defer sp.End()
-	return abm.Run(ctx, abm.Config{
-		Pop:        p.Pop,
-		Gen:        p.Gen,
-		Ranks:      p.cfg.ranks(),
-		Days:       p.cfg.Days,
-		LogDir:     logDir,
-		Log:        eventlog.Config{CacheEntries: p.cfg.CacheEntries, Compress: p.cfg.Compress},
-		HourDelay:  p.cfg.HourDelay,
-		FlushEvery: uint32(p.cfg.FlushEvery),
-	})
+	return abm.Run(ctx, p.simConfig(logDir))
 }
 
 // SimulateUntil runs the ABM like Simulate but stops gracefully at the
@@ -168,17 +175,11 @@ func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, er
 // footers and the run can be continued later with Resume. The returned
 // result's StoppedAt reports where the run ended.
 func (p *Pipeline) SimulateUntil(ctx context.Context, logDir string, stop <-chan struct{}) (*abm.Result, error) {
-	return abm.Run(ctx, abm.Config{
-		Pop:        p.Pop,
-		Gen:        p.Gen,
-		Ranks:      p.cfg.ranks(),
-		Days:       p.cfg.Days,
-		LogDir:     logDir,
-		Log:        eventlog.Config{CacheEntries: p.cfg.CacheEntries, Compress: p.cfg.Compress},
-		Stop:       stop,
-		HourDelay:  p.cfg.HourDelay,
-		FlushEvery: uint32(p.cfg.FlushEvery),
-	})
+	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
+	defer sp.End()
+	cfg := p.simConfig(logDir)
+	cfg.Stop = stop
+	return abm.Run(ctx, cfg)
 }
 
 // Resume continues a crashed or gracefully-stopped simulation whose
@@ -188,31 +189,21 @@ func (p *Pipeline) SimulateUntil(ctx context.Context, logDir string, stop <-chan
 // run's. A further graceful stop may be requested via stop (may be
 // nil).
 func (p *Pipeline) Resume(ctx context.Context, logDir string, stop <-chan struct{}) (*abm.Result, []*abm.ResumeReport, error) {
-	return abm.Resume(ctx, abm.Config{
-		Pop:        p.Pop,
-		Gen:        p.Gen,
-		Ranks:      p.cfg.ranks(),
-		Days:       p.cfg.Days,
-		LogDir:     logDir,
-		Log:        eventlog.Config{CacheEntries: p.cfg.CacheEntries, Compress: p.cfg.Compress},
-		Stop:       stop,
-		HourDelay:  p.cfg.HourDelay,
-		FlushEvery: uint32(p.cfg.FlushEvery),
-	})
+	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
+	defer sp.End()
+	cfg := p.simConfig(logDir)
+	cfg.Stop = stop
+	return abm.Resume(ctx, cfg)
 }
 
 // SimulateWith runs the ABM with an interaction hook (e.g. a disease
 // model) and optional logging.
 func (p *Pipeline) SimulateWith(ctx context.Context, logDir string, interact abm.InteractFunc) (*abm.Result, error) {
-	return abm.Run(ctx, abm.Config{
-		Pop:      p.Pop,
-		Gen:      p.Gen,
-		Ranks:    p.cfg.ranks(),
-		Days:     p.cfg.Days,
-		LogDir:   logDir,
-		Log:      eventlog.Config{CacheEntries: p.cfg.CacheEntries, Compress: p.cfg.Compress},
-		Interact: interact,
-	})
+	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
+	defer sp.End()
+	cfg := p.simConfig(logDir)
+	cfg.Interact = interact
+	return abm.Run(ctx, cfg)
 }
 
 // Network is a synthesized collocation network together with the person
@@ -344,13 +335,6 @@ func (p *Pipeline) Days() int { return p.cfg.Days }
 // SpatialAssignment computes the locality-aware place partition used by
 // default when simulating; exposed for the partitioning experiments.
 func (p *Pipeline) SpatialAssignment(ranks int) partition.Assignment {
-	edges, loads := partition.TransitionGraph(p.Pop, p.Gen, minInt(p.cfg.Days, 7), p.Pop.NumPersons())
+	edges, loads := partition.TransitionGraph(p.Pop, p.Gen, min(p.cfg.Days, 7), p.Pop.NumPersons())
 	return partition.Spatial(p.Pop, edges, loads, ranks)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

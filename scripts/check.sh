@@ -410,6 +410,28 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 	rm -rf "$sc_dir"
 fi
 
+# Benchmark smoke (bench/README.md): the sim->serve benchmark is a module
+# of its own, so the `go test ./...` above never compiles it and a change
+# to pipeline.go or internal/* can break it unseen. Run its tests, then one
+# tiny traced batch chain (1k persons, 2 days) whose result line must
+# report every correctness check as passed. Read-only use of bench/: the
+# build and the run write under .bench_build/ and bench/out/, both
+# ignored. Skip with BENCHSMOKE=0.
+if [ "${BENCHSMOKE:-1}" = "1" ]; then
+	echo "== bench smoke (bench module tests; tiny batch.slice-20k chain must be correct)"
+	(cd bench && go test ./...)
+	bench_line=$(bash bench/run.sh --workload batch.slice-20k -shape tiny \
+		--seed 7 --seconds 2 --trace 1 | tail -n 1)
+	case "$bench_line" in
+	*'"correct":true'*) echo "bench smoke correct" ;;
+	*)
+		echo "FAIL: bench smoke did not report \"correct\":true"
+		echo "  $bench_line" | cut -c1-300
+		exit 1
+		;;
+	esac
+fi
+
 if [ "${BENCH:-0}" = "1" ]; then
 	echo "== scripts/bench.sh (BENCH=1)"
 	./scripts/bench.sh
