@@ -90,7 +90,7 @@ func main() {
 	snapshot := flag.String("snapshot", "", "also write a binary .gsnap snapshot here (servable by netserve)")
 	workers := flag.Int("workers", 0, "synthesis workers (0 = all CPUs)")
 	balance := flag.String("balance", "nnz", "load balancing: nnz (paper) or none (naive)")
-	memBudget := flag.String("mem-budget", "", "cap on materialized log-entry bytes, e.g. 64M or 2G (empty = unlimited); larger slices spill to place-sharded temp files")
+	memBudget := flag.String("mem-budget", "", "cap on buffered log-entry bytes, e.g. 64M or 2G (empty = unlimited), with and without -follow; entries beyond it spill to place-sorted temp files")
 	distHost := flag.String("dist-host", "", "host the TCP coordinator on this address (this process becomes rank 0)")
 	distJoin := flag.String("dist-join", "", "join a TCP coordinator at this address or @file (rank assigned by coordinator unless -dist-rank is set)")
 	distSize := flag.Int("dist-size", 0, "total process count when hosting")
@@ -178,7 +178,7 @@ func main() {
 	cfg := core.Config{Workers: *workers, Balance: mode, MemBudgetBytes: budget}
 
 	// SIGINT/SIGTERM cancel the synthesis: it aborts within one work
-	// unit (or spill batch) and returns an error wrapping
+	// unit (or log batch) and returns an error wrapping
 	// context.Canceled. A second signal kills the process outright
 	// (signal.NotifyContext restores default handling once canceled).
 	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -232,10 +232,7 @@ func main() {
 		elapsed.Round(time.Millisecond))
 	fmt.Printf("worker cost imbalance %.2f, idle fraction %.3f → %s\n",
 		stats.CostImbalance(), stats.IdleFraction(), *out)
-	if stats.Shards > 0 {
-		fmt.Printf("mem budget %s: spilled %d bytes across %d place shards (spill wall %s)\n",
-			*memBudget, stats.SpilledBytes, stats.Shards, stats.Spill.Round(time.Millisecond))
-	}
+	printSpill(stats)
 	if *showStats {
 		printStats(stats)
 	}
@@ -250,6 +247,15 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("run report → %s\n", *reportPath)
+	}
+}
+
+// printSpill reports what the memory budget cost a slice or window, when
+// it made the synthesis spill.
+func printSpill(s *core.Stats) {
+	if s.Shards > 0 {
+		fmt.Printf("mem budget: spilled %d bytes, synthesized as %d place shards (spill wall %s)\n",
+			s.SpilledBytes, s.Shards, s.Spill.Round(time.Millisecond))
 	}
 }
 
@@ -331,7 +337,7 @@ func runDistributed(ctx context.Context, paths []string, t0, t1 uint32, cfg core
 	defer node.Close()
 
 	start := time.Now()
-	tri, rep, err := core.SynthesizeDistributedReport(ctx, node, paths, t0, t1, cfg)
+	tri, rep, err := core.SynthesizeDistributed(ctx, node, paths, t0, t1, cfg)
 	if err != nil {
 		exitCanceled(err)
 		fatal(err)
@@ -434,6 +440,7 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 			fmt.Printf("published generation %d: window [%d,%d) — %d entries, net %d vertices %d edges, %d bytes in %s\n",
 				info.Generation, w.W0, w.W1, w.Stats.Entries,
 				w.Net.Vertices(), w.Net.NNZ(), info.Bytes, info.Elapsed.Round(time.Millisecond))
+			printSpill(w.Stats)
 			return nil
 		},
 	})

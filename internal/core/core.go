@@ -21,14 +21,17 @@
 // processes. The result is provably independent of the worker count; the
 // tests check bit-for-bit equality across worker counts and against a
 // brute-force simulator trace.
+//
+// This file holds the kernels (stages 1b–4 over one batch of entries),
+// their statistics, and the entry points. Everything that reads log
+// files — one slice, a series of slices, a live stream, with or without
+// a memory budget — runs through the one engine in stream.go, which
+// feeds the kernels a segment of a window at a time.
 package core
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -106,18 +109,18 @@ type Config struct {
 	// transport size (every peer may die once); negative disables
 	// failure tolerance entirely.
 	MaxRankRetries int
-	// MemBudgetBytes caps the approximate bytes of log-entry data the
-	// file-based synthesis entry points materialize at once. Zero means
-	// unlimited — the in-memory fast path. When the [t0, t1) slice of
-	// the input files exceeds the budget, entries are spilled to
-	// place-sharded temporary files, each shard is synthesized
-	// independently, and the shard networks are merged; the output is
-	// bit-identical to the in-memory path (places partition across
-	// shards and weight summation commutes). Negative is invalid.
+	// MemBudgetBytes caps the approximate bytes of log-entry data a
+	// WindowAccumulator — and so every file-based or streamed synthesis —
+	// keeps in memory at once. Zero means unlimited. Once the buffered
+	// entries outgrow their share of the budget they are spilled to
+	// place-sorted temporary run files, and a closing window merges the
+	// runs back and synthesizes them one place-complete group at a time;
+	// the output is bit-identical to the unbudgeted one (groups partition
+	// the place set and weight summation commutes). Negative is invalid.
 	MemBudgetBytes int64
-	// SpillDir is the directory the budgeted path creates its shard
-	// spill files under; empty selects the OS temp dir. The spill
-	// directory is removed when synthesis finishes.
+	// SpillDir is the directory the spill run files are created under
+	// (in a temporary sub-directory, removed when the synthesis
+	// finishes); empty selects the OS temp dir.
 	SpillDir string
 }
 
@@ -175,17 +178,17 @@ type Stats struct {
 	// WorkUnits is the total number of stage-4 work units after
 	// splitting (≥ Places when places were split).
 	WorkUnits int
-	// Load, Build, Gram, Reduce are per-stage wall times.
+	// Load, Build, Gram, Reduce are per-stage wall times. Load includes
+	// reading the entries from their sources when Stream did the reading.
 	Load, Build, Gram, Reduce time.Duration
-	// Shards is the number of place shards the budgeted spill path
-	// synthesized independently; zero when no Config.MemBudgetBytes was
-	// set or the whole slice fit within it.
+	// Shards is the number of place-complete groups synthesized from
+	// spilled runs; zero when no Config.MemBudgetBytes was set or the
+	// buffered entries never outgrew it.
 	Shards int
-	// SpilledBytes is the total size of the shard spill files written
-	// by the budgeted path.
+	// SpilledBytes is the total size of the spill run files written.
 	SpilledBytes uint64
-	// Spill is the wall time spent counting, routing and re-reading
-	// spilled entries (zero on the in-memory path).
+	// Spill is the wall time spent writing spilled entries and reading
+	// them back (zero when nothing spilled).
 	Spill time.Duration
 }
 
@@ -349,9 +352,10 @@ func SynthesizeEntries(ctx context.Context, entries []eventlog.Entry, t0, t1 uin
 // synthesizeEntriesInto runs stages 1b–4 of the synthesis for one batch
 // of log entries, appending the resulting raw pair entries to dst
 // instead of coalescing them. Callers coalesce with TriFromEntries —
-// once per batch (SynthesizeEntries) or once across many batches
-// (SynthesizeFiles), which is what makes the cross-file reduction a
-// single radix pass instead of a k-way merge of per-file matrices.
+// once per batch (SynthesizeEntries) or once across all segments of a
+// window (WindowAccumulator.Advance), which is what makes the cross-file
+// reduction a single radix pass instead of a k-way merge of per-file
+// matrices.
 func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []eventlog.Entry, t0, t1 uint32, cfg Config) ([]sparse.Entry, *Stats, error) {
 	if t1 <= t0 {
 		return dst, nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
@@ -392,28 +396,26 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 		counts[d]++
 		entryIdx = append(entryIdx, d)
 	}
-	perm := make([]int32, len(placeIDs))
+	perm := make([]int32, len(placeIDs)) // sorted position -> dense index
 	for k := range perm {
 		perm[k] = int32(k)
 	}
 	sort.Slice(perm, func(a, b int) bool { return placeIDs[perm[a]] < placeIDs[perm[b]] })
 	backing := make([]eventlog.Entry, stats.Entries)
-	buckets := make([][]eventlog.Entry, len(placeIDs)) // dense-index order
+	buckets := make([][]eventlog.Entry, len(placeIDs)) // sorted-place order
 	sortedIDs := make([]uint32, len(placeIDs))
+	rank := make([]int32, len(placeIDs)) // dense index -> sorted position
 	off := 0
 	for k, d := range perm {
 		sortedIDs[k] = placeIDs[d]
-		buckets[d] = backing[off : off : off+counts[d]]
+		rank[d] = int32(k)
+		buckets[k] = backing[off : off : off+counts[d]]
 		off += counts[d]
 	}
 	for k, e := range entries {
 		if d := entryIdx[k]; d >= 0 {
-			buckets[d] = append(buckets[d], e)
+			buckets[rank[d]] = append(buckets[rank[d]], e)
 		}
-	}
-	byPlace := make(map[uint32][]eventlog.Entry, len(placeIDs))
-	for d, p := range placeIDs {
-		byPlace[p] = buckets[d]
 	}
 	placeIDs = sortedIDs
 	stats.Places = len(placeIDs)
@@ -424,7 +426,7 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 
 	// Stage 2: per-place collocation matrices, built in parallel.
 	_, spBuild := telemetry.StartSpan(ctx, "synth/build")
-	mats, err := buildCollocationMatrices(ctx, byPlace, placeIDs, t0, t1, cfg.workers())
+	mats, err := buildCollocationMatrices(ctx, buckets, placeIDs, t0, t1, cfg.workers())
 	if err != nil {
 		spBuild.End()
 		return dst, nil, err
@@ -531,11 +533,12 @@ type placeMatrix struct {
 	cost  int
 }
 
-// buildCollocationMatrices runs stage 2 with a bounded worker pool.
+// buildCollocationMatrices runs stage 2 with a bounded worker pool over
+// the per-place entry buckets (buckets[i] holds placeIDs[i]'s entries).
 // Cancellation is observed between places: on a dead ctx the pool stops
 // handing out work, the matrices built so far are recycled, and a
 // wrapped cancellation error is returned.
-func buildCollocationMatrices(ctx context.Context, byPlace map[uint32][]eventlog.Entry, placeIDs []uint32, t0, t1 uint32, workers int) ([]placeMatrix, error) {
+func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, placeIDs []uint32, t0, t1 uint32, workers int) ([]placeMatrix, error) {
 	mats := make([]placeMatrix, len(placeIDs))
 	var canceled atomic.Bool
 	var next int
@@ -560,9 +563,8 @@ func buildCollocationMatrices(ctx context.Context, byPlace map[uint32][]eventlog
 				if i >= len(placeIDs) {
 					return
 				}
-				place := placeIDs[i]
 				bm := sparse.GetBitMatrix(int(t1 - t0))
-				for _, e := range byPlace[place] {
+				for _, e := range buckets[i] {
 					lo, hi := e.Start, e.Stop
 					if lo < t0 {
 						lo = t0
@@ -575,7 +577,7 @@ func buildCollocationMatrices(ctx context.Context, byPlace map[uint32][]eventlog
 				// GramCost triggers the clique compression here, inside
 				// the per-place build worker, so stage 4 can share the
 				// cached compression across goroutines safely.
-				mats[i] = placeMatrix{place: place, bm: bm, nnz: bm.NNZ(), cost: bm.GramCost()}
+				mats[i] = placeMatrix{place: placeIDs[i], bm: bm, nnz: bm.NNZ(), cost: bm.GramCost()}
 			}
 		}()
 	}
@@ -702,20 +704,13 @@ func balance(mats []placeMatrix, workers int, mode BalanceMode) ([][]workUnit, i
 	return out, splits
 }
 
-// SynthesizeFile builds the collocation network for [t0, t1) from one
-// log file. It honors Config.MemBudgetBytes exactly as SynthesizeFiles
-// does.
-func SynthesizeFile(ctx context.Context, path string, t0, t1 uint32, cfg Config) (*sparse.Tri, *Stats, error) {
-	return SynthesizeFiles(ctx, []string{path}, t0, t1, cfg)
-}
-
 // SynthesizeDistributed runs the synthesis across the ranks of a
 // Transport: with all ranks healthy, rank r processes the log files
 // paths[r], paths[r+size], ... (the paper's batching of log files across
 // cluster jobs), each rank reduces its files to one partial adjacency
 // matrix, and rank 0 gathers and merges the partials into the complete
 // network. Only rank 0 receives the result; other ranks return
-// (nil, nil).
+// (nil, nil, nil).
 //
 // Every rank must pass the identical paths slice; files a rank cannot
 // reach locally are simply assigned to the ranks that can reach them by
@@ -744,21 +739,17 @@ func SynthesizeFile(ctx context.Context, path string, t0, t1 uint32, cfg Config)
 // the gather collective at the transport's cancellation granularity;
 // the resulting error wraps context.Canceled and is NOT treated as a
 // rank failure (no re-striping).
-func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, error) {
-	tri, _, err := SynthesizeDistributedReport(ctx, t, paths, t0, t1, cfg)
-	return tri, err
-}
-
-// SynthesizeDistributedReport is SynthesizeDistributed plus
-// observability: after the result gather succeeds, every live rank
-// contributes a telemetry.RankReport (wall, busy, comm, idle, entries,
-// faults) through one extra best-effort gather, and rank 0 assembles
-// them — together with its own stage walls and the process-local
-// registry snapshot — into a run report. The report gather is
-// best-effort: a failure there never fails a synthesis whose result was
-// already gathered, it only yields a nil report. Non-zero ranks return
-// (nil, nil, nil).
-func SynthesizeDistributedReport(ctx context.Context, t mpi.Transport, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *telemetry.Report, error) {
+//
+// # Run report
+//
+// After the result gather succeeds, every live rank contributes a
+// telemetry.RankReport (wall, busy, comm, idle, entries, faults) through
+// one extra gather, and rank 0 assembles them — together with its own
+// stage walls and the process-local registry snapshot — into a run
+// report. That gather is best-effort: a failure there never fails a
+// synthesis whose result was already gathered, it only yields a nil
+// report.
+func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *telemetry.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -959,56 +950,13 @@ func SynthesizeDistributedReport(ctx context.Context, t mpi.Transport, paths []s
 // time granularity, e.g., hourly, daily, weekly or monthly aggregates".
 // The final slice is clipped at t1. Summing the returned networks (for
 // example with sparse.MergeTris) equals a single synthesis over the full
-// window.
-//
-// The series is a client of the streaming engine (see stream.go): each
-// log file is read from disk exactly once into accumulator segments,
-// and every slice is one window Advance, with buffered entries evicted
-// as slices close. Windows decay to nothing between slices (decay 0) —
-// each returned network covers its slice alone.
-//
-// Cancellation is observed between slices, between batches and within a
-// slice's synthesis at work-unit granularity.
+// window. Config.MemBudgetBytes and cancellation are honored as in
+// SynthesizeFiles.
 func SynthesizeSeries(ctx context.Context, paths []string, t0, t1, sliceHours uint32, cfg Config) ([]*sparse.Tri, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if sliceHours == 0 {
-		return nil, fmt.Errorf("core: sliceHours must be positive")
-	}
-	if t1 <= t0 {
-		return nil, fmt.Errorf("core: empty window [%d,%d)", t0, t1)
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("core: no log files given")
-	}
-	srcs := make([]eventlog.EntrySource, len(paths))
-	for i, p := range paths {
-		src, err := eventlog.OpenSource(p, t0, t1)
-		if err != nil {
-			for _, s := range srcs[:i] {
-				s.Close()
-			}
-			return nil, fmt.Errorf("core: %s: %w", p, err)
-		}
-		srcs[i] = src
-	}
 	var out []*sparse.Tri
-	_, err := Stream(ctx, srcs, StreamConfig{
-		T0:          t0,
-		T1:          t1,
-		WindowHours: sliceHours,
-		// Windows are independent slices, and closed files carry no
-		// ordering guarantee, so decay to nothing between windows and
-		// close windows only at EOF (exact for any entry order).
-		DecayNum:     0,
-		DecayDen:     1,
-		HorizonHours: HorizonEOF,
-		Synth:        cfg,
-		OnWindow: func(w WindowResult) error {
-			out = append(out, w.Window)
-			return nil
-		},
+	err := streamFiles(ctx, paths, t0, t1, sliceHours, cfg, func(w WindowResult) error {
+		out = append(out, w.Window)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -1016,337 +964,56 @@ func SynthesizeSeries(ctx context.Context, paths []string, t0, t1, sliceHours ui
 	return out, nil
 }
 
-// SynthesizeFiles processes each log file independently (the paper's
-// per-file batching) and sums the per-file adjacency matrices into the
-// complete network. Files are processed sequentially; parallelism lives
-// inside each file's synthesis, matching the paper's batch structure.
-// The returned Stats aggregates all files.
+// SynthesizeFiles builds the collocation network for [t0, t1) from a
+// set of log files: each file is its own dedup domain (the paper's
+// per-file batching), parallelism lives inside each file's synthesis,
+// and one coalesce sums the per-file adjacency matrices into the
+// complete network. The returned Stats aggregates all files.
 //
-// When Config.MemBudgetBytes is set and the [t0, t1) slice exceeds it,
-// entries are spilled to place-sharded temporary files and each shard
-// is synthesized independently under the budget; see the package
-// DESIGN notes. The output is bit-identical either way. Cancelling ctx
-// aborts within one stage-4 work unit (in-memory) or one shard/batch
-// (spill) with an error wrapping context.Canceled.
+// Config.MemBudgetBytes bounds the entries held in memory (see there);
+// the output is bit-identical with or without it. Cancelling ctx aborts
+// before the next log batch is read or within one stage-4 work unit,
+// with an error wrapping context.Canceled.
 func SynthesizeFiles(ctx context.Context, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("core: no log files given")
-	}
-	if t1 <= t0 {
-		return nil, nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
-	}
-	if cfg.MemBudgetBytes > 0 {
-		return synthesizeFilesBudgeted(ctx, paths, t0, t1, cfg)
-	}
-	return synthesizeFilesInMemory(ctx, paths, t0, t1, cfg)
-}
-
-// synthesizeFilesInMemory is the fast path: a one-window stream. Each
-// file's slice is streamed batch-wise into a WindowAccumulator segment
-// and a single Advance over [t0, t1) runs the synthesis — per file,
-// with one radix coalesce across all files, exactly the shape the
-// one-shot batch loop had before it was extracted into the accumulator.
-func synthesizeFilesInMemory(ctx context.Context, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *Stats, error) {
-	acc, err := NewWindowAccumulator(len(paths), 1, 1, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var load time.Duration
-	for i, p := range paths {
-		err := func() error {
-			src, err := eventlog.OpenSource(p, t0, t1)
-			if err != nil {
-				return err
-			}
-			defer src.Close()
-			loadStart := time.Now()
-			for {
-				batch, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				if err := acc.Ingest(i, batch); err != nil {
-					return err
-				}
-			}
-			load += time.Since(loadStart)
-			return nil
-		}()
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", p, err)
-		}
-	}
-	total, stats, err := acc.Advance(ctx, t0, t1)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Load += load
-	return total, stats, nil
-}
-
-// spillCacheEntries sizes the spill writers' in-memory caches. Small:
-// with S shards open at once during routing, cache memory is
-// S * spillCacheEntries * 20 bytes.
-const spillCacheEntries = 4096
-
-// shardTargetBytes derives the per-shard entry-byte target from the
-// budget. Materialized shard entries are only part of the working set —
-// collocation bitsets, clique compressions and raw pair entries ride on
-// top — so a shard gets a quarter of the budget, keeping the whole
-// synthesis comfortably inside it.
-func shardTargetBytes(budget int64) int64 {
-	t := budget / 4
-	if t < eventlog.BaseEntrySize {
-		t = eventlog.BaseEntrySize
-	}
-	return t
-}
-
-// planShards groups places into shards whose summed entry bytes stay
-// near target, first-fit-decreasing: places are sorted by entry count
-// (descending, place ID ascending on ties — deterministic) and each is
-// placed in the first shard with room, or a new shard. A single place
-// larger than the target gets its own shard; it will materialize over
-// target but there is no smaller unit of work (a place's matrix is
-// indivisible). Returns the place→shard map and the shard count.
-func planShards(counts map[uint32]int64, target int64) (map[uint32]int, int) {
-	places := make([]uint32, 0, len(counts))
-	for p := range counts {
-		places = append(places, p)
-	}
-	sort.Slice(places, func(a, b int) bool {
-		ca, cb := counts[places[a]], counts[places[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		return places[a] < places[b]
+	var tri *sparse.Tri
+	var stats *Stats
+	err := streamFiles(ctx, paths, t0, t1, t1-t0, cfg, func(w WindowResult) error {
+		tri, stats = w.Window, w.Stats
+		return nil
 	})
-	shardOf := make(map[uint32]int, len(places))
-	var loads []int64
-	for _, p := range places {
-		need := counts[p] * eventlog.BaseEntrySize
-		s := -1
-		for i, l := range loads {
-			if l+need <= target {
-				s = i
-				break
-			}
-		}
-		if s < 0 {
-			s = len(loads)
-			loads = append(loads, 0)
-		}
-		loads[s] += need
-		shardOf[p] = s
+	if err != nil {
+		return nil, nil, err
 	}
-	return shardOf, len(loads)
+	return tri, stats, nil
 }
 
-// synthesizeFilesBudgeted is the bounded-memory path. Three passes:
-//
-//  1. Count — stream every file's slice once, tallying entries per
-//     place (O(places) memory).
-//  2. Route — if the whole slice fits the budget, fall back to the
-//     in-memory path; otherwise stream again, appending each entry to
-//     its place-shard's spill file (an ordinary eventlog file, checksums
-//     off) and recording per-(shard, file) entry counts.
-//  3. Synthesize — each shard is read back (≤ the shard target),
-//     resegmented by originating file, and synthesized segment by
-//     segment exactly as the in-memory path synthesizes files. The
-//     per-file segmentation is what keeps the output bit-identical: a
-//     collocation bit dedupes within one file's matrix but not across
-//     files, so shard synthesis must see the same (file, place) entry
-//     groups the in-memory path sees.
-//
-// Shard networks are merged with the tournament merge; since shards
-// partition the place set and edge-weight summation is commutative and
-// associative, the merged network equals the single-coalesce result
-// bit for bit.
-func synthesizeFilesBudgeted(ctx context.Context, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *Stats, error) {
-	// The spill span covers passes 1 and 2 (count + route); the pass-3
-	// re-reads are charged to Stats.Spill and the synth_spill_seconds
-	// histogram per shard below.
-	_, spSpill := telemetry.StartSpan(ctx, "synth/spill")
-
-	// Pass 1: per-place entry counts for the slice.
-	counts := make(map[uint32]int64)
-	var totalEntries int64
-	for _, p := range paths {
-		src, err := eventlog.OpenSource(p, t0, t1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", p, err)
-		}
-		for {
-			batch, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				src.Close()
-				return nil, nil, fmt.Errorf("core: %s: %w", p, err)
-			}
-			if err := ctxErr(ctx, "spill count"); err != nil {
-				src.Close()
-				return nil, nil, err
-			}
-			totalEntries += int64(len(batch))
-			for _, e := range batch {
-				counts[e.Place]++
-			}
-		}
-		if err := src.Close(); err != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", p, err)
-		}
+// streamFiles is how the file-based entry points use the streaming
+// engine (stream.go): every log file is one source — read from disk
+// exactly once, opened only when Stream reaches it — and [t0, t1) is cut
+// into windows of `window` hours (the last clipped at t1), each handed
+// to onWindow. Windows are independent slices, and closed files carry no
+// ordering guarantee, so the running network decays to nothing between
+// windows and windows close only at EOF, which is exact for any entry
+// order.
+func streamFiles(ctx context.Context, paths []string, t0, t1, window uint32, cfg Config, onWindow func(WindowResult) error) error {
+	if len(paths) == 0 {
+		return fmt.Errorf("core: no log files given")
 	}
-	if totalEntries*eventlog.BaseEntrySize <= cfg.MemBudgetBytes {
-		// Everything fits: take the fast path, charging the counting
-		// pass to Spill so the budget machinery's cost stays visible.
-		elapsed := spSpill.End()
-		tri, stats, err := synthesizeFilesInMemory(ctx, paths, t0, t1, cfg)
-		if stats != nil {
-			stats.Spill += elapsed
-		}
-		return tri, stats, err
+	srcs := make([]eventlog.EntrySource, len(paths))
+	for i, p := range paths {
+		// A one-file OpenFilesSource: it opens lazily and names the path
+		// in every error.
+		srcs[i] = eventlog.OpenFilesSource([]string{p}, t0, t1)
 	}
-
-	shardOf, nShards := planShards(counts, shardTargetBytes(cfg.MemBudgetBytes))
-
-	// Pass 2: route entries to per-shard spill files.
-	dir, err := os.MkdirTemp(cfg.SpillDir, "core-spill-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: spill dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	shardPath := func(s int) string {
-		return filepath.Join(dir, fmt.Sprintf("shard%04d.h5l", s))
-	}
-	writers := make([]*eventlog.Logger, nShards)
-	closeWriters := func() {
-		for i, w := range writers {
-			if w != nil {
-				w.Close()
-				writers[i] = nil
-			}
-		}
-	}
-	defer closeWriters()
-	for s := range writers {
-		writers[s], err = eventlog.Create(shardPath(s), eventlog.Config{
-			CacheEntries:     spillCacheEntries,
-			DisableChecksums: true,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: spill shard %d: %w", s, err)
-		}
-	}
-	// segs[s][f] is how many entries of shard s came from paths[f], in
-	// file order — the resegmentation boundaries for pass 3.
-	segs := make([][]int64, nShards)
-	for s := range segs {
-		segs[s] = make([]int64, len(paths))
-	}
-	for fi, p := range paths {
-		src, err := eventlog.OpenSource(p, t0, t1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", p, err)
-		}
-		ferr := func() error {
-			for {
-				batch, err := src.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if err := ctxErr(ctx, "spill route"); err != nil {
-					return err
-				}
-				for _, e := range batch {
-					s := shardOf[e.Place]
-					if err := writers[s].Log(e); err != nil {
-						return err
-					}
-					segs[s][fi]++
-				}
-			}
-		}()
-		cerr := src.Close()
-		if ferr == nil {
-			ferr = cerr
-		}
-		if ferr != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", p, ferr)
-		}
-	}
-	agg := &Stats{SliceHours: int(t1 - t0), Shards: nShards}
-	for s, w := range writers {
-		if err := w.Close(); err != nil {
-			return nil, nil, fmt.Errorf("core: spill shard %d: %w", s, err)
-		}
-		writers[s] = nil
-		if st, err := os.Stat(shardPath(s)); err == nil {
-			agg.SpilledBytes += uint64(st.Size())
-		}
-	}
-	spSpill.AddCount(int64(nShards))
-	spSpill.AddBytes(int64(agg.SpilledBytes))
-	agg.Spill = spSpill.End()
-	mShards.Add(int64(nShards))
-	mSpillBytes.Add(int64(agg.SpilledBytes))
-
-	// Pass 3: synthesize each shard independently, then merge.
-	tris := make([]*sparse.Tri, 0, nShards)
-	for s := 0; s < nShards; s++ {
-		readStart := time.Now()
-		src, err := eventlog.OpenSource(shardPath(s), 0, t1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: spill shard %d: %w", s, err)
-		}
-		entries, err := eventlog.ReadAll(src)
-		cerr := src.Close()
-		if err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: spill shard %d: %w", s, err)
-		}
-		os.Remove(shardPath(s))
-		readWall := time.Since(readStart)
-		agg.Spill += readWall
-		mSpillSeconds.Observe(readWall)
-		dst := sparse.GetEntries()
-		var off int64
-		for fi := range paths {
-			n := segs[s][fi]
-			if n == 0 {
-				continue
-			}
-			seg := entries[off : off+n]
-			off += n
-			var st *Stats
-			dst, st, err = synthesizeEntriesInto(ctx, dst, seg, t0, t1, cfg)
-			if err != nil {
-				sparse.PutEntries(dst)
-				return nil, nil, fmt.Errorf("core: %s (shard %d): %w", paths[fi], s, err)
-			}
-			agg.add(st)
-		}
-		start := time.Now()
-		tris = append(tris, sparse.TriFromEntries(dst))
-		sparse.PutEntries(dst)
-		agg.Reduce += time.Since(start)
-	}
-	start := time.Now()
-	total := sparse.MergeTrisParallel(cfg.workers(), tris...)
-	merge := time.Since(start)
-	agg.Reduce += merge
-	mMergeSeconds.Observe(merge)
-	return total, agg, nil
+	_, err := Stream(ctx, srcs, StreamConfig{
+		T0:           t0,
+		T1:           t1,
+		WindowHours:  window,
+		DecayNum:     0,
+		DecayDen:     1,
+		HorizonHours: HorizonEOF,
+		Synth:        cfg,
+		OnWindow:     onWindow,
+	})
+	return err
 }

@@ -500,7 +500,7 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 	world := mpi.NewWorld(3)
 	results := make([]*sparse.Tri, 3)
 	err = world.Run(func(c *mpi.Comm) error {
-		tri, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 48, Config{Workers: 1})
+		tri, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 48, Config{Workers: 1})
 		if err != nil {
 			return err
 		}
@@ -521,7 +521,7 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 func TestSynthesizeDistributedEmptyPaths(t *testing.T) {
 	world := mpi.NewWorld(1)
 	err := world.Run(func(c *mpi.Comm) error {
-		_, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), nil, 0, 24, Config{})
+		_, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), nil, 0, 24, Config{})
 		if err == nil {
 			t.Error("empty path list accepted")
 		}
@@ -550,7 +550,7 @@ func TestSynthesizeDistributedMoreRanksThanFiles(t *testing.T) {
 	world := mpi.NewWorld(6)
 	var got *sparse.Tri
 	err = world.Run(func(c *mpi.Comm) error {
-		tri, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 24, Config{Workers: 1})
+		tri, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 24, Config{Workers: 1})
 		if err != nil {
 			return err
 		}

@@ -71,11 +71,11 @@ func TestSynthesizeDistributedSurvivesRankDeath(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		hostTri, hostErr = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1})
+		hostTri, _, hostErr = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1})
 	}()
 	go func() {
 		defer wg.Done()
-		survTri, survErr = SynthesizeDistributed(context.Background(), survivor, paths, 0, 48, Config{Workers: 1})
+		survTri, _, survErr = SynthesizeDistributed(context.Background(), survivor, paths, 0, 48, Config{Workers: 1})
 	}()
 	wg.Wait()
 
@@ -136,15 +136,15 @@ func TestSynthesizeDistributedSurvivesMidGatherDeath(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		hostTri, hostErr = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1})
+		hostTri, _, hostErr = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1})
 	}()
 	go func() {
 		defer wg.Done()
-		_, survErr = SynthesizeDistributed(context.Background(), survivor, paths, 0, 48, Config{Workers: 1})
+		_, _, survErr = SynthesizeDistributed(context.Background(), survivor, paths, 0, 48, Config{Workers: 1})
 	}()
 	go func() {
 		defer wg.Done()
-		_, vicErr = SynthesizeDistributed(context.Background(), victim, paths, 0, 48, Config{Workers: 1})
+		_, _, vicErr = SynthesizeDistributed(context.Background(), victim, paths, 0, 48, Config{Workers: 1})
 	}()
 	wg.Wait()
 
@@ -182,7 +182,7 @@ func TestSynthesizeDistributedRetriesDisabled(t *testing.T) {
 	}
 	victim.Close()
 
-	_, err = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1, MaxRankRetries: -1})
+	_, _, err = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1, MaxRankRetries: -1})
 	if err == nil {
 		t.Fatal("synthesis succeeded with retries disabled and a dead peer")
 	}
@@ -265,7 +265,7 @@ func TestSynthesizeDistributedAbsorbsRejoin(t *testing.T) {
 		wg.Add(1)
 		go func(i int, n *mpinet.Node) {
 			defer wg.Done()
-			tris[i], errs[i] = SynthesizeDistributed(context.Background(), n, paths, 0, 48, Config{Workers: 1})
+			tris[i], _, errs[i] = SynthesizeDistributed(context.Background(), n, paths, 0, 48, Config{Workers: 1})
 		}(i, n)
 	}
 	wg.Wait()

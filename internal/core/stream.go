@@ -1,45 +1,52 @@
 package core
 
-// Streaming synthesis: the batch pipeline's one-shot Gram/coalesce
-// accumulation, refactored into an incremental consumer.
+// Streaming synthesis — the package's one synthesis engine.
 //
-// The batch entry points (SynthesizeFiles, SynthesizeEntries) read a
-// closed time slice and emit exactly one network. A live pipeline
-// inverts both assumptions: entries arrive as the simulation emits
-// them, and a new network generation must be published every window of
-// simulated time. This file provides the two pieces:
+// Every file-based entry point (SynthesizeFiles, SynthesizeSeries,
+// Pipeline.Stream, netsynth with and without -follow) is a client of the
+// two pieces in this file:
 //
-//   - Accumulator: the windowed state machine. Ingest buffers entries
-//     per source segment (the per-file dedup domain of the batch path),
-//     Advance closes one time window — synthesizing exactly the batch
-//     pipeline's stages over the buffered entries restricted to that
-//     window, then folding the window network into an exponentially
-//     decaying running network — and Emit returns the current running
-//     network. Decay is deterministic fixed-point arithmetic
-//     (floor(w·num/den) per window), so streamed outputs admit the same
-//     bit-identity oracles as the batch path: decay 1 makes the running
-//     network after window k bit-identical to a batch synthesis of
-//     [t0, w1_k), and decay 0 makes each window bit-identical to an
-//     independent batch synthesis of that window.
+//   - WindowAccumulator: the windowed state machine. Ingest buffers
+//     entries per source segment (the per-file dedup domain), Advance
+//     closes one time window — synthesizing the batch stages over the
+//     buffered entries restricted to that window, then folding the
+//     window network into an exponentially decaying running network —
+//     and Emit returns the current running network. Decay is
+//     deterministic fixed-point arithmetic (floor(w·num/den) per
+//     window), so decay 1 makes the running network after window k
+//     bit-identical to a one-shot synthesis of [t0, w1_k), and decay 0
+//     makes each window bit-identical to an independent synthesis of
+//     that window.
 //
-//   - Stream: the driver. It round-robins over a set of EntrySources
-//     (closed files or live eventlog.OpenTail tails), ingests batches,
-//     and closes window [w0, w1) exactly when it is provably complete:
-//     either every source has reported an entry with Stop ≥ w1 +
-//     horizon — sound because event logs are written in nondecreasing
-//     Stop order and no activity spans more than horizon hours — or
-//     every source hit EOF, which is exact regardless of order or
-//     horizon. Entries that can no longer contribute to any future
-//     window (Stop ≤ w1) are evicted as windows close, so a stream's
-//     resident entry set is bounded by the window+horizon span, not the
-//     log size — the whole-file materialization of the old batch path
-//     is gone (SynthesizeFiles and SynthesizeSeries are now thin
-//     clients of this machinery).
+//     The memory budget (Config.MemBudgetBytes) is a tier of the
+//     accumulator, not a second engine: once the resident buffers
+//     outgrow an eighth of the budget, each segment's buffer is written
+//     out as one place-sorted run, and Advance merges the runs back in
+//     place order, synthesizing place-complete groups of about that
+//     size one at a time. A slice that never outgrows its share never
+//     touches the disk. Segments stay the dedup domain and a place never
+//     straddles two groups, so the output is bit-identical for any
+//     budget (see DESIGN.md §9).
+//
+//   - Stream: the driver. It pulls a set of EntrySources (closed files
+//     or live eventlog.OpenTail tails), ingests batches, and closes
+//     window [w0, w1) exactly when it is provably complete: either
+//     every source has reported an entry with Stop ≥ w1 + horizon —
+//     sound because event logs are written in nondecreasing Stop order
+//     and no activity spans more than horizon hours — or every source
+//     hit EOF, which is exact regardless of order or horizon. Entries
+//     that can no longer contribute to any future window (Stop ≤ w1)
+//     are evicted as windows close, so a stream's resident entry set is
+//     bounded by the window+horizon span (and by the budget, when one
+//     is set), not the log size.
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/eventlog"
@@ -55,50 +62,57 @@ var (
 	mWindowSeconds  = telemetry.H("stream_window_seconds")
 )
 
-// An Accumulator consumes log-entry batches incrementally and emits a
-// collocation network per closed time window. Implementations maintain
-// whatever per-segment state the dedup domain requires; the contract
-// every implementation shares:
-//
-//	Ingest(seg, batch)  buffer entries from source segment seg (copied;
-//	                    the batch may be reused by the caller).
-//	Advance(ctx, w0, w1) close window [w0, w1): synthesize the buffered
-//	                    entries restricted to it, fold the result into
-//	                    the running network, release entries that no
-//	                    future window can see, and return the window's
-//	                    own network.
-//	Emit()              the running (decayed) network as of the last
-//	                    Advance. The returned matrix is never mutated by
-//	                    later calls — callers may retain it.
-type Accumulator interface {
-	Ingest(seg int, batch []eventlog.Entry) error
-	Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error)
-	Emit() *sparse.Tri
-}
-
-// WindowAccumulator is the standard Accumulator: per-segment entry
-// buffers (segments are the batch pipeline's per-file dedup domains, so
-// streamed windows coalesce exactly like batch runs), windowed
-// synthesis through the same stage 1b–4 kernels as the batch path, and
-// deterministic fixed-point exponential decay of the running network.
+// WindowAccumulator buffers entries per segment (segments are the
+// per-file dedup domains, so streamed windows coalesce exactly like
+// one-shot runs), synthesizes each closed window through the stage 1b–4
+// kernels, and folds it into the running network with deterministic
+// fixed-point exponential decay. Under a memory budget the buffers have
+// a disk tier; see spill and drain.
 type WindowAccumulator struct {
 	cfg                Config
 	decayNum, decayDen uint64
-	segs               [][]eventlog.Entry
-	net                *sparse.Tri // running decayed network; nil before the first Advance
-	frontier           uint32      // end of the last advanced window
+	segs               [][]eventlog.Entry // resident entries per segment
+	buffered           int                // resident entries across all segments
+	net                *sparse.Tri        // running decayed network; nil before the first Advance
+	frontier           uint32             // end of the last advanced window
 	late               uint64
-	buffered           int
+
+	// The spill tier; groupBytes is zero without a budget and nothing
+	// below is ever touched.
+	groupBytes   int64            // resident bytes that trigger a spill, and the size of a merged-back group
+	spillDir     string           // created by the first spill, removed by Close
+	runs         []run            // spilled runs the next Advance merges back
+	written      int              // runs written so far; names the next run file
+	spilledBytes uint64           // run file bytes written since the last Advance
+	spillWall    time.Duration    // wall spent writing them
+	spare        []eventlog.Entry // largest buffer the last spill emptied, for the next segment to fill
 }
+
+// run is one spilled run: a segment's resident entries at the moment of
+// a spill, sorted by place. While Advance merges it back, src reads the
+// file and rest is the unread remainder of its current chunk.
+type run struct {
+	path string
+	seg  int
+	src  eventlog.EntrySource
+	rest []eventlog.Entry
+}
+
+// spillChunkEntries sizes the chunks of a run file. Small, because
+// merging the runs back holds one chunk per run.
+const spillChunkEntries = 256
 
 // NewWindowAccumulator returns a WindowAccumulator over `segments`
 // entry sources. The running network decays by floor(w·decayNum/
 // decayDen) each Advance before the new window is added: num==den keeps
-// the cumulative sum (bit-identical to batch synthesis of the full
+// the cumulative sum (bit-identical to a one-shot synthesis of the full
 // advanced range), num==0 makes every window independent, and anything
 // in between is an exponential half-life in window units. Weights that
 // decay to zero are dropped from the running network (the pair is
 // forgotten). decayNum > decayDen (amplification) is rejected.
+//
+// With cfg.MemBudgetBytes set the accumulator may create a spill
+// directory; Close removes it.
 func NewWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (*WindowAccumulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -112,13 +126,27 @@ func NewWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (
 	if decayNum > decayDen {
 		return nil, fmt.Errorf("core: decay %d/%d would amplify weights", decayNum, decayDen)
 	}
-	return &WindowAccumulator{
+	a := &WindowAccumulator{
 		cfg:      cfg,
 		decayNum: decayNum,
 		decayDen: decayDen,
 		segs:     make([][]eventlog.Entry, segments),
-	}, nil
+	}
+	if cfg.MemBudgetBytes > 0 {
+		// An eighth of the budget: a closing window holds a group, the
+		// kernel's per-place copy of it and the entries carried over to
+		// the next window at once, besides whatever arrived since — half
+		// the budget in entries. The other half is for what rides on top:
+		// collocation bitsets, clique compressions, raw pair entries, the
+		// merge's one chunk per run, and the collector's slack.
+		a.groupBytes = max(cfg.MemBudgetBytes/8, eventlog.BaseEntrySize)
+	}
+	return a, nil
 }
+
+// Close removes the spill directory, if a budget ever made the
+// accumulator create one. The accumulator must not be used afterwards.
+func (a *WindowAccumulator) Close() error { return os.RemoveAll(a.spillDir) }
 
 // Ingest buffers a batch of entries from segment seg. The batch is
 // copied, honoring the EntrySource contract that batches are only valid
@@ -137,20 +165,198 @@ func (a *WindowAccumulator) Ingest(seg int, batch []eventlog.Entry) error {
 			mStreamLate.Inc()
 		}
 	}
-	a.segs[seg] = append(a.segs[seg], batch...)
-	a.buffered += len(batch)
 	mStreamIngested.Add(int64(len(batch)))
+	return a.hold(seg, batch)
+}
+
+// hold appends a copy of entries to segment seg's resident buffer —
+// fresh from a source or carried over from a closed window alike — and,
+// under a budget, spills the resident set once it outgrows its share.
+func (a *WindowAccumulator) hold(seg int, entries []eventlog.Entry) error {
+	if a.segs[seg] == nil {
+		a.segs[seg], a.spare = a.spare, nil
+	}
+	a.segs[seg] = append(a.segs[seg], entries...)
+	a.buffered += len(entries)
 	mStreamBuffered.Set(int64(a.buffered))
+	if a.groupBytes > 0 && int64(a.buffered)*eventlog.BaseEntrySize > a.groupBytes {
+		return a.spill()
+	}
+	return nil
+}
+
+// spill writes every resident segment buffer out as one place-sorted
+// run and releases it — all but the largest, which the next segment to
+// receive entries fills again (Stream pulls one source at a time, so
+// that is usually the only one of any size, and reusing it spares
+// regrowing a buffer per spill).
+func (a *WindowAccumulator) spill() error {
+	start := time.Now()
+	if a.spillDir == "" {
+		dir, err := os.MkdirTemp(a.cfg.SpillDir, "core-spill-*")
+		if err != nil {
+			return fmt.Errorf("core: spill dir: %w", err)
+		}
+		a.spillDir = dir
+	}
+	var size int64
+	for seg, entries := range a.segs {
+		if len(entries) == 0 {
+			continue
+		}
+		path := filepath.Join(a.spillDir, fmt.Sprintf("run%06d.h5l", a.written))
+		a.written++
+		if err := writeRun(path, entries); err != nil {
+			return fmt.Errorf("core: spill run: %w", err)
+		}
+		if fi, err := os.Stat(path); err == nil {
+			size += fi.Size()
+		}
+		a.runs = append(a.runs, run{path: path, seg: seg})
+		if cap(entries) > cap(a.spare) {
+			a.spare = entries[:0]
+		}
+		a.segs[seg] = nil
+	}
+	a.buffered = 0
+	mStreamBuffered.Set(0)
+	wall := time.Since(start)
+	a.spilledBytes += uint64(size)
+	a.spillWall += wall
+	mSpillBytes.Add(size)
+	mSpillSeconds.Observe(wall)
+	return nil
+}
+
+// writeRun writes entries to a new run file at path in place order.
+// Sorting place<<32|index keys instead of the 20-byte entries keeps the
+// sort cheap and each place's entries in arrival order.
+func writeRun(path string, entries []eventlog.Entry) error {
+	keys := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i] = uint64(e.Place)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	w, err := eventlog.Create(path, eventlog.Config{CacheEntries: spillChunkEntries, DisableChecksums: true})
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := w.Log(entries[uint32(k)]); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// drain hands fn everything buffered as place-complete groups, one at a
+// time, with the accumulator's own buffers already emptied so that fn
+// can hold entries over for the next window. With nothing spilled the
+// resident buffers are the one group. Otherwise the resident tail
+// becomes the last run and the runs are merged back in place order —
+// each is place-sorted, so taking the smallest unread place from every
+// run in turn yields that place's entries whole, per segment and in
+// arrival order — cutting a group whenever groupBytes have gathered.
+// Each gather is one synth/spill span, charged to agg.Spill.
+func (a *WindowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group [][]eventlog.Entry) error) error {
+	if len(a.runs) > 0 {
+		if err := a.spill(); err != nil {
+			return err
+		}
+	}
+	runs, group := a.runs, a.segs
+	a.runs, a.segs, a.buffered = nil, make([][]eventlog.Entry, len(group)), 0
+	a.spare = nil // a closing window needs the memory more than the next spill does
+	agg.SpilledBytes, agg.Spill = a.spilledBytes, a.spillWall
+	a.spilledBytes, a.spillWall = 0, 0
+	if len(runs) == 0 {
+		return fn(group)
+	}
+
+	// One span per gather; the first also covers opening the runs.
+	_, sp := telemetry.StartSpan(ctx, "synth/spill")
+	defer func() {
+		sp.End()
+		for _, r := range runs {
+			if r.src != nil {
+				r.src.Close()
+			}
+			os.Remove(r.path)
+		}
+	}()
+	// refill loads r's next chunk, leaving rest empty at the run's end.
+	refill := func(r *run) (err error) {
+		if r.rest, err = pull(ctx, r.src); err == io.EOF {
+			err = nil
+		}
+		return err
+	}
+	for i := range runs {
+		r := &runs[i]
+		var err error
+		if r.src, err = eventlog.OpenSource(r.path, 0, ^uint32(0)); err == nil {
+			err = refill(r)
+		}
+		if err != nil {
+			return fmt.Errorf("core: spill run: %w", err)
+		}
+	}
+	// next returns the smallest place any run has yet to deliver.
+	next := func() (place uint32, live bool) {
+		for _, r := range runs {
+			if len(r.rest) > 0 && (!live || r.rest[0].Place < place) {
+				place, live = r.rest[0].Place, true
+			}
+		}
+		return place, live
+	}
+	for place, live := next(); live; {
+		if sp == nil {
+			_, sp = telemetry.StartSpan(ctx, "synth/spill")
+		}
+		var size int64
+		for ; live && size < a.groupBytes; place, live = next() {
+			for i := range runs {
+				r := &runs[i]
+				for len(r.rest) > 0 && r.rest[0].Place == place {
+					n := 1
+					for n < len(r.rest) && r.rest[n].Place == place {
+						n++
+					}
+					group[r.seg] = append(group[r.seg], r.rest[:n]...)
+					size += int64(n) * eventlog.BaseEntrySize
+					if r.rest = r.rest[n:]; len(r.rest) == 0 {
+						if err := refill(r); err != nil {
+							return fmt.Errorf("core: spill run: %w", err)
+						}
+					}
+				}
+			}
+		}
+		sp.AddCount(1)
+		sp.AddBytes(size)
+		agg.Spill += sp.End()
+		sp = nil
+		agg.Shards++
+		mShards.Inc()
+		if err := fn(group); err != nil {
+			return err
+		}
+		for seg := range group {
+			group[seg] = group[seg][:0]
+		}
+	}
 	return nil
 }
 
 // Advance closes the window [w0, w1): it synthesizes the buffered
-// entries restricted to the window (per segment, coalesced once across
-// segments — the exact shape of the batch per-file loop, so the result
-// is bit-identical to SynthesizeFiles over the same entries and
-// window), folds it into the decayed running network, and evicts
-// entries no future window can overlap. Windows must advance
-// monotonically: w0 ≥ the previous w1.
+// entries restricted to the window — group by group, per segment within
+// a group, one radix coalesce per group and one merge across groups, so
+// the result is bit-identical however the entries were grouped — folds
+// it into the decayed running network, and holds over only the entries
+// a later window can still overlap. Windows must advance monotonically:
+// w0 ≥ the previous w1.
 func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error) {
 	if w1 <= w0 {
 		return nil, nil, fmt.Errorf("core: empty window [%d,%d)", w0, w1)
@@ -159,20 +365,57 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 		return nil, nil, fmt.Errorf("core: window [%d,%d) starts before frontier %d", w0, w1, a.frontier)
 	}
 	sw := telemetry.Clock()
-	all := sparse.GetEntries()
 	agg := &Stats{SliceHours: int(w1 - w0)}
-	for seg, entries := range a.segs {
-		var stats *Stats
-		var err error
-		all, stats, err = synthesizeEntriesInto(ctx, all, entries, w0, w1, a.cfg)
-		if err != nil {
-			sparse.PutEntries(all)
-			return nil, nil, fmt.Errorf("core: window [%d,%d) segment %d: %w", w0, w1, seg, err)
+	var tris []*sparse.Tri
+	err := a.drain(ctx, agg, func(group [][]eventlog.Entry) error {
+		all := sparse.GetEntries()
+		defer func() { sparse.PutEntries(all) }()
+		for seg, entries := range group {
+			if len(entries) == 0 {
+				continue
+			}
+			var stats *Stats
+			var err error
+			all, stats, err = synthesizeEntriesInto(ctx, all, entries, w0, w1, a.cfg)
+			if err != nil {
+				return fmt.Errorf("core: window [%d,%d) segment %d: %w", w0, w1, seg, err)
+			}
+			agg.add(stats)
 		}
-		agg.add(stats)
+		start := time.Now()
+		tris = append(tris, sparse.TriFromEntries(all))
+		agg.Reduce += time.Since(start)
+		// Entries that stopped at or before w1 are dropped: no window
+		// [w1, ∞) can overlap them. This eviction is what bounds a
+		// stream's resident set by the window+horizon span.
+		for seg, entries := range group {
+			kept := entries[:0]
+			for _, e := range entries {
+				if e.Stop > w1 {
+					kept = append(kept, e)
+				}
+			}
+			if err := a.hold(seg, kept); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	win := sparse.TriFromEntries(all)
-	sparse.PutEntries(all)
+	// Groups partition the place set and weight summation commutes, so
+	// the merged network equals a single coalesce bit for bit.
+	var win *sparse.Tri
+	if len(tris) == 1 {
+		win = tris[0]
+	} else {
+		start := time.Now()
+		win = sparse.MergeTrisParallel(a.cfg.workers(), tris...)
+		merge := time.Since(start)
+		agg.Reduce += merge
+		mMergeSeconds.Observe(merge)
+	}
 
 	// Fold into the running network: decay, then add. The fold is pure —
 	// previously emitted networks are never mutated.
@@ -184,23 +427,7 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	default:
 		a.net = sparse.MergeTris(scaleTri(a.net, a.decayNum, a.decayDen), win)
 	}
-
-	// Evict entries that stopped at or before the new frontier: no
-	// window [w1, ∞) can overlap them. This is the bound that replaces
-	// the batch path's whole-slice materialization.
 	a.frontier = w1
-	a.buffered = 0
-	for seg, entries := range a.segs {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.Stop > w1 {
-				kept = append(kept, e)
-			}
-		}
-		a.segs[seg] = kept
-		a.buffered += len(kept)
-	}
-	mStreamBuffered.Set(int64(a.buffered))
 	mStreamWindows.Inc()
 	sw.Observe(mWindowSeconds)
 	return win, agg, nil
@@ -321,15 +548,28 @@ type StreamStats struct {
 	MaxStop uint32
 }
 
+// pull is the one place a source's Next is called — log sources by
+// Stream, spilled runs by the accumulator — so cancellation is observed
+// once per pulled batch everywhere.
+func pull(ctx context.Context, src eventlog.EntrySource) ([]eventlog.Entry, error) {
+	if err := ctxErr(ctx, "stream"); err != nil {
+		return nil, err
+	}
+	return src.Next()
+}
+
 // Stream drives a set of entry sources through a WindowAccumulator,
 // invoking cfg.OnWindow once per closed window. Sources may be closed
 // files or live tails (eventlog.OpenTail); Stream closes every source
-// before returning. A window [w0, w1) closes when every source has
-// either reported an entry with Stop ≥ w1 + horizon (sound for
+// before returning and leaves no spill files behind, however it
+// returns. A window [w0, w1) closes when every source has either
+// reported an entry with Stop ≥ w1 + horizon (sound for
 // nondecreasing-Stop logs, which is how the simulator writes them) or
-// reached EOF. Cancelling ctx aborts between batches — and, because a
-// live tail's Next observes the same ctx, also while blocked waiting
-// for simulation output — with an error wrapping context.Canceled.
+// reached EOF. The wall of the source reads is charged to the Load of
+// the window they close into. Cancelling ctx aborts before the next
+// batch is pulled — and, because a live tail's Next observes the same
+// ctx, also while blocked waiting for simulation output — with an error
+// wrapping context.Canceled.
 func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) (*StreamStats, error) {
 	defer func() {
 		for _, s := range srcs {
@@ -339,11 +579,11 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("core: no entry sources given")
 	}
-	if cfg.WindowHours == 0 {
-		return nil, fmt.Errorf("core: WindowHours must be positive")
-	}
 	if cfg.T1 <= cfg.T0 {
 		return nil, fmt.Errorf("core: empty stream range [%d,%d)", cfg.T0, cfg.T1)
+	}
+	if cfg.WindowHours == 0 {
+		return nil, fmt.Errorf("core: WindowHours must be positive")
 	}
 	horizon := cfg.HorizonHours
 	if horizon == 0 {
@@ -357,6 +597,7 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 	if err != nil {
 		return nil, err
 	}
+	defer acc.Close()
 
 	st := &StreamStats{}
 	alive := make([]bool, len(srcs))
@@ -366,6 +607,7 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 		alive[i] = true
 	}
 
+	var load time.Duration // source reads since the last window closed
 	lo := cfg.T0
 	for lo < cfg.T1 {
 		if live == 0 && cfg.T1 == StreamOpenEnd && st.MaxStop <= lo {
@@ -383,7 +625,9 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 		// [lo, hi): it has logged past the horizon, or it ended.
 		for si, src := range srcs {
 			for alive[si] && (horizon == HorizonEOF || maxStop[si] < closeAt) {
-				batch, nerr := src.Next()
+				start := time.Now()
+				batch, nerr := pull(ctx, src)
+				load += time.Since(start)
 				if nerr == io.EOF {
 					alive[si] = false
 					live--
@@ -391,6 +635,10 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 				}
 				if nerr != nil {
 					return st, fmt.Errorf("core: stream source %d: %w", si, nerr)
+				}
+				// Measured before Ingest, which may spill what it buffers.
+				if b := acc.Buffered() + len(batch); b > st.PeakBuffered {
+					st.PeakBuffered = b
 				}
 				if ierr := acc.Ingest(si, batch); ierr != nil {
 					return st, ierr
@@ -404,9 +652,6 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 				if maxStop[si] > st.MaxStop {
 					st.MaxStop = maxStop[si]
 				}
-				if b := acc.Buffered(); b > st.PeakBuffered {
-					st.PeakBuffered = b
-				}
 			}
 		}
 		closedAt := time.Now()
@@ -414,6 +659,8 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 		if aerr != nil {
 			return st, aerr
 		}
+		wstats.Load += load
+		load = 0
 		st.Windows++
 		st.LateEntries = acc.LateEntries()
 		if cfg.OnWindow != nil {

@@ -19,7 +19,6 @@ package eventlog
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/h5"
@@ -282,27 +281,4 @@ func (r *Reader) TimeSlice(t0, t1 uint32) ([]Entry, error) {
 	src := r.Source(t0, t1)
 	defer src.Close()
 	return ReadAll(src)
-}
-
-// GroupByPlace buckets entries by place ID.
-func GroupByPlace(entries []Entry) map[uint32][]Entry {
-	m := make(map[uint32][]Entry)
-	for _, e := range entries {
-		m[e.Place] = append(m[e.Place], e)
-	}
-	return m
-}
-
-// Places returns the sorted-unique place IDs occurring in entries.
-func Places(entries []Entry) []uint32 {
-	seen := make(map[uint32]struct{})
-	for _, e := range entries {
-		seen[e.Place] = struct{}{}
-	}
-	out := make([]uint32, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -242,22 +242,6 @@ func TestTimeSlice(t *testing.T) {
 	}
 }
 
-func TestGroupByPlaceAndPlaces(t *testing.T) {
-	entries := []Entry{
-		{Place: 5, Person: 1},
-		{Place: 3, Person: 2},
-		{Place: 5, Person: 3},
-	}
-	g := GroupByPlace(entries)
-	if len(g) != 2 || len(g[5]) != 2 || len(g[3]) != 1 {
-		t.Fatalf("GroupByPlace = %v", g)
-	}
-	p := Places(entries)
-	if len(p) != 2 || p[0] != 3 || p[1] != 5 {
-		t.Fatalf("Places = %v", p)
-	}
-}
-
 func TestOpenRejectsWrongSchema(t *testing.T) {
 	// A raw h5 file with a record size that is not 4-aligned above 20.
 	path := tmpLog(t)

@@ -160,6 +160,13 @@ func (p *Pipeline) simConfig(logDir string) abm.Config {
 	}
 }
 
+// synthConfig is the one place the pipeline's configuration becomes a
+// core.Config, so Synthesize and Stream run under the same workers and
+// memory budget.
+func (p *Pipeline) synthConfig() core.Config {
+	return core.Config{Workers: p.cfg.Workers, MemBudgetBytes: p.cfg.MemBudgetBytes}
+}
+
 // Simulate runs the ABM for the configured duration, writing one event
 // log per rank into logDir, and returns the run statistics. Cancelling
 // ctx stops the run at the next hour boundary with resumable logs and
@@ -220,16 +227,13 @@ type Network struct {
 }
 
 // Synthesize builds the collocation network for hours [t0, t1) from the
-// given per-rank log files, honoring Config.MemBudgetBytes (the
-// budgeted place-sharded spill path when the slice exceeds it).
+// given per-rank log files, honoring Config.MemBudgetBytes (entries
+// beyond the budget spill to disk; the network is the same either way).
 // Cancelling ctx aborts within one work unit.
 func (p *Pipeline) Synthesize(ctx context.Context, logPaths []string, t0, t1 uint32) (*Network, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "pipeline/synthesize")
 	defer sp.End()
-	tri, stats, err := core.SynthesizeFiles(ctx, logPaths, t0, t1, core.Config{
-		Workers:        p.cfg.Workers,
-		MemBudgetBytes: p.cfg.MemBudgetBytes,
-	})
+	tri, stats, err := core.SynthesizeFiles(ctx, logPaths, t0, t1, p.synthConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -268,6 +272,7 @@ type StreamConfig struct {
 // paths (set Config.FlushEvery so entries become durable at a bounded
 // simulated lag), or after the fact on closed logs, where the emitted
 // windows are bit-identical to batch syntheses of the same windows.
+// Config.MemBudgetBytes bounds the buffered entries as in Synthesize.
 // Cancelling ctx aborts the stream, including while blocked waiting for
 // simulation output, with an error wrapping context.Canceled.
 func (p *Pipeline) Stream(ctx context.Context, logPaths []string, cfg StreamConfig) (*core.StreamStats, error) {
@@ -289,7 +294,7 @@ func (p *Pipeline) Stream(ctx context.Context, logPaths []string, cfg StreamConf
 		HorizonHours: cfg.HorizonHours,
 		DecayNum:     cfg.DecayNum,
 		DecayDen:     cfg.DecayDen,
-		Synth:        core.Config{Workers: p.cfg.Workers},
+		Synth:        p.synthConfig(),
 		OnWindow:     cfg.OnWindow,
 	})
 	if st != nil {

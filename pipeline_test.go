@@ -267,3 +267,55 @@ func TestPipelineBudgetedSynthesis(t *testing.T) {
 		t.Fatal("budgeted pipeline network differs from unbudgeted")
 	}
 }
+
+// TestPipelineStreamHonoursMemBudget: Stream used to build its own
+// core.Config and drop MemBudgetBytes. Under a tiny budget some window
+// must spill, and every window's own and running network must equal the
+// unbudgeted stream's.
+func TestPipelineStreamHonoursMemBudget(t *testing.T) {
+	stream := func(budget int64, paths []string) (wins []core.WindowResult, logs []string) {
+		p, err := NewPipeline(Config{
+			Persons: 800, Days: 2, Seed: 23, Ranks: 2, Workers: 2,
+			MemBudgetBytes: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if paths == nil {
+			sim, err := p.Simulate(context.Background(), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = sim.LogPaths
+		}
+		_, err = p.Stream(context.Background(), paths, StreamConfig{
+			T1: 48, WindowHours: 12, DecayNum: 1, DecayDen: 2,
+			OnWindow: func(w core.WindowResult) error {
+				wins = append(wins, w)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wins, paths
+	}
+	want, paths := stream(0, nil)
+	got, _ := stream(8<<10, paths)
+	if len(got) != len(want) || len(want) != 4 {
+		t.Fatalf("%d budgeted windows, %d unbudgeted, want 4 each", len(got), len(want))
+	}
+	spilled := false
+	for i, w := range got {
+		spilled = spilled || w.Stats.Shards > 0
+		if want[i].Stats.Shards != 0 {
+			t.Fatalf("window %d: unbudgeted stream spilled", i)
+		}
+		if !w.Window.Equal(want[i].Window) || !w.Net.Equal(want[i].Net) {
+			t.Fatalf("window [%d,%d): budgeted stream differs from unbudgeted", w.W0, w.W1)
+		}
+	}
+	if !spilled {
+		t.Fatal("no window of the budgeted stream spilled: Stream ignores MemBudgetBytes")
+	}
+}

@@ -193,7 +193,9 @@ fi
 # generations. Requires: >= 2 generations published, netserve's served
 # generation advanced past its boot generation with zero failed
 # requests, and the final streamed snapshot + edge list bit-identical
-# to a batch synthesis of the same window. Skip with STREAMSMOKE=0.
+# to a batch synthesis of the same window — as are a streamed and a
+# one-shot replay of the closed logs under -mem-budget, which must both
+# spill. Skip with STREAMSMOKE=0.
 if [ "${STREAMSMOKE:-1}" = "1" ]; then
 	echo "== streaming smoke (chisim -flush-every | netsynth -follow | netserve hot reload)"
 	str_dir=$(mktemp -d)
@@ -284,6 +286,34 @@ if [ "${STREAMSMOKE:-1}" = "1" ]; then
 		exit 1
 	fi
 	echo "streamed $gens generations; final snapshot bit-identical to batch (served gen $served)"
+	# The memory budget is a tier of the one synthesis engine: replaying
+	# the closed logs under a budget far below the slice, streamed and in
+	# one shot, must spill and still reproduce the oracle byte for byte.
+	echo "-- budgeted replays (netsynth -follow -mem-budget 64K, netsynth -mem-budget 64K)"
+	"$str_dir/netsynth" -follow -mem-budget 64K -t0 0 -t1 72 -window 24 -poll 50ms \
+		-o "$str_dir/follow-budget.tsv" -snapshot "$str_dir/follow-budget.gsnap" \
+		"$str_dir"/logs/*.h5l >"$str_dir/follow-budget.log"
+	"$str_dir/netsynth" -mem-budget 64K -t0 0 -t1 72 \
+		-o "$str_dir/batch-budget.tsv" -snapshot "$str_dir/batch-budget.gsnap" \
+		"$str_dir"/logs/*.h5l >"$str_dir/batch-budget.log"
+	for run in follow-budget batch-budget; do
+		snap=$(cksum "$str_dir/$run.gsnap" | cut -d' ' -f1-2)
+		tsv=$(cksum "$str_dir/$run.tsv" | cut -d' ' -f1-2)
+		if [ "$snap" != "$batch_hash" ] || [ "$tsv" != "$tsv_batch" ]; then
+			echo "FAIL: $run diverged from the unbudgeted batch synthesis"
+			echo "  snapshot:  $snap vs $batch_hash"
+			echo "  edge list: $tsv vs $tsv_batch"
+			rm -rf "$str_dir"
+			exit 1
+		fi
+		if ! grep -q '^mem budget: spilled' "$str_dir/$run.log"; then
+			echo "FAIL: $run never spilled: -mem-budget was ignored"
+			cat "$str_dir/$run.log"
+			rm -rf "$str_dir"
+			exit 1
+		fi
+	done
+	echo "budgeted replays spilled and stayed bit-identical to batch"
 	rm -rf "$str_dir"
 fi
 
