@@ -12,6 +12,13 @@
 // Interact callbacks run concurrently across ranks, but any person
 // occupies exactly one place per hour, so per-person state is touched by
 // exactly one goroutine per hour.
+//
+// Spread over a static, already synthesized contact network is not
+// modelled here: that is internal/scenario's one process kernel
+// (scenario.Point.Run), which experiment E5 runs too. The hook stays a
+// separate model because its draws are keyed per person and it runs
+// concurrently across ranks, where the kernel's lazily filled
+// per-weight probability table would need a lock.
 package disease
 
 import (

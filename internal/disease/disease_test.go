@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/abm"
-	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/schedule"
-	"repro/internal/sparse"
 	"repro/internal/synthpop"
 )
 
@@ -215,130 +212,5 @@ func BenchmarkEpidemicWeek(b *testing.B) {
 		if _, err := abm.Run(context.Background(), abm.Config{Pop: pop, Gen: gen, Ranks: 4, Days: 7, Interact: m.Hook()}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func graphFromEdges(edges [][3]uint32, n int) *graph.Graph {
-	acc := sparse.NewAccum()
-	for _, e := range edges {
-		acc.Add(e[0], e[1], e[2])
-	}
-	return graph.FromTri(acc.Tri(), n)
-}
-
-func TestSpreadOnGraphChain(t *testing.T) {
-	// Chain with overwhelming weights: infection marches one hop per day.
-	g := graphFromEdges([][3]uint32{{0, 1, 1000}, {1, 2, 1000}, {2, 3, 1000}}, 4)
-	res := SpreadOnGraph(g, GraphSpreadConfig{Beta: 0.9, InfectiousDays: 2, Steps: 10, Seed: 1}, []uint32{0})
-	if res.TotalInfected != 4 {
-		t.Fatalf("infected %d of 4", res.TotalInfected)
-	}
-	if res.NewPerStep[0] != 1 || res.NewPerStep[1] != 1 {
-		t.Fatalf("per-step = %v", res.NewPerStep)
-	}
-}
-
-func TestSpreadOnGraphZeroBeta(t *testing.T) {
-	g := graphFromEdges([][3]uint32{{0, 1, 10}}, 2)
-	res := SpreadOnGraph(g, GraphSpreadConfig{Beta: 0, InfectiousDays: 3, Steps: 10, Seed: 1}, []uint32{0})
-	if res.TotalInfected != 1 {
-		t.Fatalf("beta=0 infected %d", res.TotalInfected)
-	}
-}
-
-func TestSpreadOnGraphIsolatedSeed(t *testing.T) {
-	g := graphFromEdges([][3]uint32{{1, 2, 5}}, 3)
-	res := SpreadOnGraph(g, GraphSpreadConfig{Beta: 0.5, InfectiousDays: 3, Steps: 10, Seed: 1}, []uint32{0})
-	if res.TotalInfected != 1 {
-		t.Fatalf("isolated seed infected %d", res.TotalInfected)
-	}
-}
-
-func TestSpreadOnGraphDeterministic(t *testing.T) {
-	g := graphFromEdges([][3]uint32{
-		{0, 1, 3}, {1, 2, 2}, {2, 3, 4}, {0, 3, 1}, {1, 3, 2},
-	}, 4)
-	cfg := GraphSpreadConfig{Beta: 0.2, InfectiousDays: 2, Steps: 20, Seed: 9}
-	a := SpreadOnGraph(g, cfg, []uint32{0})
-	b := SpreadOnGraph(g, cfg, []uint32{0})
-	if a.TotalInfected != b.TotalInfected || a.PeakStep != b.PeakStep {
-		t.Fatal("graph spread not deterministic")
-	}
-}
-
-func TestSpreadOnGraphDuplicateSeeds(t *testing.T) {
-	g := graphFromEdges([][3]uint32{{0, 1, 1}}, 2)
-	res := SpreadOnGraph(g, GraphSpreadConfig{Beta: 0, InfectiousDays: 1, Steps: 5, Seed: 1}, []uint32{0, 0})
-	if res.TotalInfected != 1 {
-		t.Fatalf("duplicate seed double-counted: %d", res.TotalInfected)
-	}
-}
-
-// TestSpreadOnGraphDuplicateSeedsStochastic is the regression test for
-// the duplicate-seed bug: a repeated id used to enter the active list
-// twice, double-decrementing daysLeft (early recovery) and drawing
-// twice per neighbor (shifted rng stream). A duplicated seed list must
-// behave exactly like the deduplicated one under stochastic spread.
-func TestSpreadOnGraphDuplicateSeedsStochastic(t *testing.T) {
-	var edges [][3]uint32
-	const n = 80
-	src := rng.New(5)
-	for i := uint32(1); i < n; i++ {
-		edges = append(edges, [3]uint32{uint32(src.Intn(int(i))), i, uint32(src.Intn(30) + 1)})
-	}
-	g := graphFromEdges(edges, n)
-	cfg := GraphSpreadConfig{Beta: 0.05, InfectiousDays: 3, Steps: 25, Seed: 17}
-	want := SpreadOnGraph(g, cfg, []uint32{0})
-	got := SpreadOnGraph(g, cfg, []uint32{0, 0})
-	if got.TotalInfected != want.TotalInfected || got.PeakStep != want.PeakStep {
-		t.Fatalf("duplicate seeds changed the epidemic: %+v vs %+v", got, want)
-	}
-	for i := range want.NewPerStep {
-		if got.NewPerStep[i] != want.NewPerStep[i] {
-			t.Fatalf("curves diverge at step %d:\n[0,0] %v\n[0]   %v", i, got.NewPerStep, want.NewPerStep)
-		}
-	}
-}
-
-// BenchmarkSpreadOnGraph exercises the hot transmission loop; the
-// per-weight probability cache turned its math.Pow into a slice read.
-func BenchmarkSpreadOnGraph(b *testing.B) {
-	var edges [][3]uint32
-	const n = 5000
-	src := rng.New(9)
-	for i := uint32(1); i < n; i++ {
-		for k := 0; k < 4; k++ {
-			edges = append(edges, [3]uint32{uint32(src.Intn(int(i))), i, uint32(src.Intn(500) + 1)})
-		}
-	}
-	g := graphFromEdges(edges, n)
-	cfg := GraphSpreadConfig{Beta: 0.002, InfectiousDays: 4, Steps: 50, Seed: 23}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SpreadOnGraph(g, cfg, []uint32{0, 1, 2})
-	}
-}
-
-func TestSpreadHigherOnDenserGraph(t *testing.T) {
-	src := rng.New(31)
-	// Sparse: ring. Dense: ring + many chords.
-	var ring, dense [][3]uint32
-	const n = 200
-	for i := uint32(0); i < n; i++ {
-		ring = append(ring, [3]uint32{i, (i + 1) % n, 2})
-	}
-	dense = append(dense, ring...)
-	for k := 0; k < 400; k++ {
-		a, b := uint32(src.Intn(n)), uint32(src.Intn(n))
-		if a != b {
-			dense = append(dense, [3]uint32{a, b, 2})
-		}
-	}
-	cfg := GraphSpreadConfig{Beta: 0.15, InfectiousDays: 3, Steps: 40, Seed: 5}
-	sparse := SpreadOnGraph(graphFromEdges(ring, n), cfg, []uint32{0})
-	rich := SpreadOnGraph(graphFromEdges(dense, n), cfg, []uint32{0})
-	if rich.TotalInfected <= sparse.TotalInfected {
-		t.Fatalf("dense graph infected %d, ring %d", rich.TotalInfected, sparse.TotalInfected)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,28 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 				t.Errorf("%s: artifact %s missing or empty", rep.ID, f)
 			}
 		}
+	}
+}
+
+// TestE5RowsPinned pins E5's table at the tiny scale. The rows were
+// recorded when E5 still ran its own SIR loop, so they hold the scenario
+// kernel to it draw for draw.
+func TestE5RowsPinned(t *testing.T) {
+	r, err := NewRunner(tinyScale(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run("E5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"chiSIM collocation (real)", "0.933", "5.00", "298.00"},
+		{"configuration model (degree-matched)", "0.082", "18.33", "6.00"},
+		{"Erdős–Rényi (size-matched)", "0.007", "0.00", "3.00"},
+	}
+	if !reflect.DeepEqual(rep.Rows, want) {
+		t.Fatalf("E5 rows drifted:\n got %q\nwant %q", rep.Rows, want)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 	"repro/internal/community"
 	"repro/internal/core"
-	"repro/internal/disease"
 	"repro/internal/gennet"
 	"repro/internal/graph"
 	"repro/internal/netstat"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sparse"
 	"repro/internal/synthpop"
 )
@@ -294,9 +294,10 @@ func (r *Runner) E4TemporalGranularity() (*Report, error) {
 // represent social networks in theoretical epidemiology simulation
 // models also needs to be examined in light of the differences between
 // those networks and the empirically-based networks presented here."
-// The identical SIR process runs on the simulated collocation network
-// and on size- or degree-matched random networks; outbreak size and
-// timing differ substantially.
+// The identical SIR process — the scenario engine's kernel on a bare
+// view — runs on the simulated collocation network and on size- or
+// degree-matched random networks; outbreak size and timing differ
+// substantially.
 func (r *Runner) E5EpidemicOnNetworks() (*Report, error) {
 	net, err := r.EnsureNetwork()
 	if err != nil {
@@ -314,7 +315,8 @@ func (r *Runner) E5EpidemicOnNetworks() (*Report, error) {
 		return nil, err
 	}
 
-	cfg := disease.GraphSpreadConfig{Beta: 0.004, InfectiousDays: 4, Steps: 60}
+	sir := scenario.Point{Beta: 0.004, InfectiousDays: 4}
+	const steps = 60
 	seeds := []uint32{0, 1, 2}
 	rep := &Report{
 		ID:    "E5",
@@ -335,11 +337,10 @@ func (r *Runner) E5EpidemicOnNetworks() (*Report, error) {
 		// Average over a few seeds for stability.
 		var attack, peak, peakN float64
 		const trials = 3
+		view := scenario.NewView(cand.g, nil)
 		for trial := 0; trial < trials; trial++ {
-			runCfg := cfg
-			runCfg.Seed = r.Scale.Seed + uint64(trial)
-			res := disease.SpreadOnGraph(cand.g, runCfg, seeds)
-			attack += float64(res.TotalInfected) / float64(r.Scale.Persons)
+			res := sir.Run(view, nil, seeds, rng.New(r.Scale.Seed+uint64(trial)), steps, nil)
+			attack += float64(res.Total) / float64(r.Scale.Persons)
 			peak += float64(res.PeakStep)
 			peakN += float64(res.NewPerStep[res.PeakStep])
 		}

@@ -15,6 +15,7 @@ package gennet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -71,16 +72,20 @@ func BarabasiAlbert(n, m int, src *rng.Source) (*sparse.Tri, error) {
 			ends = append(ends, i, j)
 		}
 	}
+	// chosen keeps the targets in draw order: they feed ends, so ranging
+	// over a map here would make every later pick, and the graph, differ
+	// from one call to the next.
+	chosen := make([]uint32, 0, m)
 	for v := uint32(m + 1); v < uint32(n); v++ {
-		chosen := make(map[uint32]bool, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			u := ends[src.Intn(len(ends))]
-			if u == v || chosen[u] {
+			if u == v || slices.Contains(chosen, u) {
 				continue
 			}
-			chosen[u] = true
+			chosen = append(chosen, u)
 		}
-		for u := range chosen {
+		for _, u := range chosen {
 			acc.Add(v, u, 1)
 			ends = append(ends, v, u)
 		}

@@ -81,6 +81,23 @@ func TestBarabasiAlbertProperties(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertReproducible: the same seed must give the same graph
+// on every call; the targets once came out of a map, whose iteration
+// order fed every later preferential pick.
+func TestBarabasiAlbertReproducible(t *testing.T) {
+	a, err := BarabasiAlbert(3000, 3, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BarabasiAlbert(3000, 3, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Equal(b) {
+		t.Fatal("two BarabasiAlbert(3000, 3, rng.New(5)) calls built different graphs")
+	}
+}
+
 func TestBarabasiAlbertValidation(t *testing.T) {
 	r := rng.New(1)
 	if _, err := BarabasiAlbert(5, 0, r); err == nil {

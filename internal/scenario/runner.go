@@ -106,10 +106,8 @@ func aggregate(xs []float64) AggFloat {
 
 // PointResult aggregates the replications at one sweep point.
 type PointResult struct {
-	Beta           float64 `json:"beta"`
-	InfectiousDays int     `json:"infectious_days,omitempty"`
-	IncubationDays int     `json:"incubation_days,omitempty"`
-	Replications   int     `json:"replications"`
+	Point
+	Replications int `json:"replications"`
 
 	// MeanCurve is the per-step mean of new events (infections or
 	// adoptions), index 0 = the seeding step.
@@ -355,8 +353,7 @@ func Run(ctx context.Context, g *graph.Graph, spec Spec, cfg Config) (*Result, e
 				if immuneByRep != nil {
 					immune = immuneByRep[rep]
 				}
-				proc := spec.process(points[point])
-				out := proc.Run(view, immune, seeds, rng.New(key(spec.Seed, tagRun, point, rep)), spec.Steps,
+				out := points[point].Run(view, immune, seeds, rng.New(key(spec.Seed, tagRun, point, rep)), spec.Steps,
 					func() bool { return ctx.Err() != nil })
 				repsOut[j] = out
 				stepsRun.Add(int64(out.StepsRun))
@@ -372,17 +369,7 @@ func Run(ctx context.Context, g *graph.Graph, spec Spec, cfg Config) (*Result, e
 	// Aggregate per sweep point, in grid order.
 	outPoints := make([]PointResult, len(points))
 	for p, pt := range points {
-		pr := PointResult{
-			Beta:         pt.Beta,
-			Replications: reps,
-			MeanCurve:    make([]float64, spec.Steps),
-		}
-		if spec.Process != ProcessDiffusion {
-			pr.InfectiousDays = pt.InfectiousDays
-		}
-		if spec.Process == ProcessSEIR {
-			pr.IncubationDays = pt.IncubationDays
-		}
+		pr := PointResult{Point: pt, Replications: reps, MeanCurve: make([]float64, spec.Steps)}
 		attack := make([]float64, reps)
 		peak := make([]float64, reps)
 		for r := 0; r < reps; r++ {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/disease"
 	"repro/internal/gennet"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -167,23 +166,97 @@ func TestRunSlotsInvariant(t *testing.T) {
 	}
 }
 
-// TestSIRParityWithSpreadOnGraph pins the scenario SIR process
-// draw-for-draw to disease.SpreadOnGraph: same graph, same rng seed,
-// identical curves.
+// referenceSIR is the straight-line SIR the kernel replaced (it was
+// disease.SpreadOnGraph, E5's own loop): no view, no intervention, no
+// probability cache, its own seed handling and its own recovery loop.
+// It is the independent oracle the kernel is pinned to draw for draw.
+func referenceSIR(g *graph.Graph, beta float64, infectiousDays, steps int, seed uint64, seeds []uint32) Rep {
+	src := rng.New(seed)
+	const (
+		susceptible = 0
+		infectious  = 1
+		recovered   = 2
+	)
+	state := make([]uint8, g.NumVertices())
+	daysLeft := make([]int, g.NumVertices())
+	res := Rep{NewPerStep: make([]int, steps)}
+	var active []uint32
+	for _, s := range seeds {
+		// The state check also dedupes: a repeated seed id is already
+		// infectious on its second appearance, so it joins the active
+		// list exactly once and its daysLeft clock ticks once per step.
+		if state[s] == susceptible {
+			state[s] = infectious
+			daysLeft[s] = infectiousDays
+			res.Total++
+			res.NewPerStep[0]++
+			active = append(active, s)
+		}
+	}
+	for step := 1; step < steps; step++ {
+		var newlyInfected []uint32
+		for _, v := range active {
+			row, wts := g.Neighbors(v)
+			for k, u := range row {
+				if state[u] != susceptible {
+					continue
+				}
+				if src.Bool(1 - math.Pow(1-beta, float64(wts[k]))) {
+					state[u] = infectious
+					daysLeft[u] = infectiousDays
+					newlyInfected = append(newlyInfected, u)
+				}
+			}
+		}
+		res.NewPerStep[step] = len(newlyInfected)
+		res.Total += len(newlyInfected)
+		kept := active[:0]
+		for _, v := range active {
+			daysLeft[v]--
+			if daysLeft[v] > 0 {
+				kept = append(kept, v)
+			} else {
+				state[v] = recovered
+			}
+		}
+		active = append(kept, newlyInfected...)
+		if len(active) == 0 {
+			break
+		}
+	}
+	for step, n := range res.NewPerStep {
+		if n > res.NewPerStep[res.PeakStep] {
+			res.PeakStep = step
+		}
+	}
+	return res
+}
+
+// TestSIRParityWithSpreadOnGraph pins the kernel draw-for-draw to the
+// straight-line reference: same graph, same rng seed, identical curves.
+// Diffusion is SIR in which nobody recovers within the run, so the
+// reference with InfectiousDays ≥ steps must equal the kernel with
+// InfectiousDays 0.
 func TestSIRParityWithSpreadOnGraph(t *testing.T) {
 	g := baGraph(t, 300)
-	cfg := disease.GraphSpreadConfig{Beta: 0.03, InfectiousDays: 3, Steps: 40, Seed: 42}
+	const steps = 40
 	seeds := []uint32{0, 5, 9}
-	ref := disease.SpreadOnGraph(g, cfg, seeds)
-
-	proc := SIR{Beta: cfg.Beta, InfectiousDays: cfg.InfectiousDays}
-	got := proc.Run(NewView(g, nil), nil, seeds, rng.New(cfg.Seed), cfg.Steps, nil)
-
-	if !reflect.DeepEqual(got.NewPerStep, ref.NewPerStep) {
-		t.Fatalf("curves diverge:\nscenario %v\ndisease  %v", got.NewPerStep, ref.NewPerStep)
-	}
-	if got.Total != ref.TotalInfected || got.PeakStep != ref.PeakStep {
-		t.Fatalf("total/peak = %d/%d want %d/%d", got.Total, got.PeakStep, ref.TotalInfected, ref.PeakStep)
+	for _, tc := range []struct {
+		name   string
+		refInf int
+		p      Point
+	}{
+		{"sir", 3, Point{Beta: 0.03, InfectiousDays: 3}},
+		{"diffusion", steps, Point{Beta: 0.0005}},
+	} {
+		ref := referenceSIR(g, tc.p.Beta, tc.refInf, steps, 42, seeds)
+		got := tc.p.Run(NewView(g, nil), nil, seeds, rng.New(42), steps, nil)
+		if !reflect.DeepEqual(got.NewPerStep, ref.NewPerStep) {
+			t.Fatalf("%s: curves diverge:\nkernel    %v\nreference %v", tc.name, got.NewPerStep, ref.NewPerStep)
+		}
+		if got.Total != ref.Total || got.PeakStep != ref.PeakStep {
+			t.Fatalf("%s: total/peak = %d/%d want %d/%d", tc.name, got.Total, got.PeakStep, ref.Total, ref.PeakStep)
+		}
 	}
 }
 
@@ -192,8 +265,8 @@ func TestSIRParityWithSpreadOnGraph(t *testing.T) {
 func TestSEIRZeroIncubationMatchesSIR(t *testing.T) {
 	g := baGraph(t, 200)
 	seeds := []uint32{1, 7}
-	sir := SIR{Beta: 0.04, InfectiousDays: 3}.Run(NewView(g, nil), nil, seeds, rng.New(9), 30, nil)
-	seir := SEIR{Beta: 0.04, IncubationDays: 0, InfectiousDays: 3}.Run(NewView(g, nil), nil, seeds, rng.New(9), 30, nil)
+	sir := referenceSIR(g, 0.04, 3, 30, 9, seeds)
+	seir := Point{Beta: 0.04, IncubationDays: 0, InfectiousDays: 3}.Run(NewView(g, nil), nil, seeds, rng.New(9), 30, nil)
 	if !reflect.DeepEqual(sir.NewPerStep, seir.NewPerStep) || sir.Total != seir.Total {
 		t.Fatalf("seir(inc=0) != sir:\n%v\n%v", seir.NewPerStep, sir.NewPerStep)
 	}
@@ -203,7 +276,7 @@ func TestSEIRZeroIncubationMatchesSIR(t *testing.T) {
 // incubation k makes the front advance every k+1 steps.
 func TestSEIRIncubationDelaysSpread(t *testing.T) {
 	g := graphFromEdges([][3]uint32{{0, 1, 100000}, {1, 2, 100000}, {2, 3, 100000}}, 4)
-	rep := SEIR{Beta: 0.9, IncubationDays: 2, InfectiousDays: 9}.Run(NewView(g, nil), nil, []uint32{0}, rng.New(1), 12, nil)
+	rep := Point{Beta: 0.9, IncubationDays: 2, InfectiousDays: 9}.Run(NewView(g, nil), nil, []uint32{0}, rng.New(1), 12, nil)
 	if rep.Total != 4 {
 		t.Fatalf("total = %d want 4 (curve %v)", rep.Total, rep.NewPerStep)
 	}
@@ -220,7 +293,7 @@ func TestSEIRIncubationDelaysSpread(t *testing.T) {
 // running all steps (no burn-out).
 func TestDiffusionAdoptersPersist(t *testing.T) {
 	g := graphFromEdges([][3]uint32{{0, 1, 100000}, {1, 2, 100000}}, 3)
-	rep := Diffusion{Beta: 0.9}.Run(NewView(g, nil), nil, []uint32{0}, rng.New(1), 20, nil)
+	rep := Point{Beta: 0.9}.Run(NewView(g, nil), nil, []uint32{0}, rng.New(1), 20, nil)
 	if rep.Total != 3 {
 		t.Fatalf("total = %d want 3", rep.Total)
 	}
@@ -419,5 +492,35 @@ func TestStoreIDsMonotonic(t *testing.T) {
 	bID, _ := st.Add(1)
 	if a == bID || st.Len() != 2 {
 		t.Fatalf("ids %s %s len %d", a, bID, st.Len())
+	}
+}
+
+// BenchmarkKernel exercises the hot transmission loop in each mode on
+// the graph disease.SpreadOnGraph's benchmark used; the per-weight
+// probability cache turned its math.Pow into a slice read.
+func BenchmarkKernel(b *testing.B) {
+	var edges [][3]uint32
+	const n = 5000
+	src := rng.New(9)
+	for i := uint32(1); i < n; i++ {
+		for k := 0; k < 4; k++ {
+			edges = append(edges, [3]uint32{uint32(src.Intn(int(i))), i, uint32(src.Intn(500) + 1)})
+		}
+	}
+	v := NewView(graphFromEdges(edges, n), nil)
+	for _, tc := range []struct {
+		name string
+		p    Point
+	}{
+		{"sir", Point{Beta: 0.002, InfectiousDays: 4}},
+		{"seir", Point{Beta: 0.002, IncubationDays: 2, InfectiousDays: 4}},
+		{"diffusion", Point{Beta: 0.002}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.p.Run(v, nil, []uint32{0, 1, 2}, rng.New(23), 50, nil)
+			}
+		})
 	}
 }

@@ -250,7 +250,10 @@ func (s Spec) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// Point is one concrete parameter assignment in the sweep grid.
+// Point is one concrete parameter assignment in the sweep grid, and the
+// process it selects: Run (process.go) reads a zero IncubationDays as
+// sir and a zero InfectiousDays as diffusion. Its JSON tags are the
+// leading fields of every PointResult.
 type Point struct {
 	Beta           float64 `json:"beta"`
 	InfectiousDays int     `json:"infectious_days,omitempty"`

@@ -338,15 +338,15 @@ if [ "${ALLOCGUARD:-1}" = "1" ]; then
 fi
 
 # Scenario smoke (DESIGN.md §16): convert the testdata edge list, serve
-# it, submit an SIR sweep over HTTP twice plus an SEIR intervention
-# variant, poll all three to completion, and require digest parity: the
-# resubmitted sweep must return the identical outcome digest, and the
-# offline netscenario CLI must reproduce both HTTP digests exactly at
-# -slots 1 and -slots 8 (worker-count invariance, HTTP-vs-CLI
-# invariance, and submission idempotence in one pass). Skip with
-# SCENARIO=0.
+# it, submit an SIR sweep, an SEIR intervention variant and a
+# community-seeded diffusion over HTTP, poll each to completion, rerun
+# each with the offline netscenario CLI at -slots 1 and -slots 8, and
+# require every digest to equal its pinned value. The pins were recorded
+# before SIR, SEIR and diffusion became one kernel, so they catch drift
+# in the kernel as well as disagreement between HTTP and CLI or between
+# worker counts. Skip with SCENARIO=0.
 if [ "${SCENARIO:-1}" = "1" ]; then
-	echo "== scenario smoke (serve -> submit sweeps -> poll -> HTTP/CLI digest parity)"
+	echo "== scenario smoke (serve -> submit sweeps -> poll -> HTTP/CLI digests == pinned)"
 	sc_dir=$(mktemp -d)
 	go build -o "$sc_dir/" ./cmd/netserve ./cmd/netscenario
 	"$sc_dir/netserve" -convert cmd/netserve/testdata/smoke.tsv -snapshot "$sc_dir/smoke.gsnap"
@@ -361,6 +361,9 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 	 "seeds": {"policy": "random", "count": 2},
 	 "intervention": {"close_top_degree": 1, "vaccinate_fraction": 0.2,
 	                  "dampen": {"num": 1, "den": 2}}}
+	EOF
+	cat >"$sc_dir/diffuse.json" <<-'EOF'
+	{"process":"diffusion","steps":10,"seed":7,"replications":4,"beta":[0.1,0.3],"seeds":{"policy":"community","count":2}}
 	EOF
 	"$sc_dir/netserve" -snapshot "$sc_dir/smoke.gsnap" \
 		-addr 127.0.0.1:0 -addr-file "$sc_dir/addr" -watch 0 &
@@ -400,44 +403,36 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 		done
 		printf '%s' "$sjob" | sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p'
 	}
-	http1=$(sc_submit "$sc_dir/sweep.json") || http1=""
-	http2=$(sc_submit "$sc_dir/sweep.json") || http2=""
-	httpiv=$(sc_submit "$sc_dir/intervene.json") || httpiv=""
+	# <spec> <pinned digest>; the sweep is listed twice because a
+	# resubmission must be idempotent.
+	cat >"$sc_dir/pins" <<-'EOF'
+	sweep 3e5988d5e8db32dfe5163cb4aab79fc1c2671b9ec036280db0b58f7195ee0cb6
+	intervene 6d2ba06c6f4a0c6312e25154fe8f877dcc1e7cce29e6e5d0df5ec3b91f7dfce5
+	diffuse b1eb5a8fe0f6760415c8797fe620b0e39cc0a1334b026a4b040f45771fc79c10
+	sweep 3e5988d5e8db32dfe5163cb4aab79fc1c2671b9ec036280db0b58f7195ee0cb6
+	EOF
+	# Each line of got: <spec> <pinned> <path> <digest>.
+	while read -r spec pin; do
+		http=$(sc_submit "$sc_dir/$spec.json" </dev/null) || http=""
+		echo "$spec $pin http $http" >>"$sc_dir/got"
+	done <"$sc_dir/pins"
 	kill -TERM "$sc_pid"
 	wait "$sc_pid" # graceful drain must exit 0
-	cli1=$("$sc_dir/netscenario" -snapshot "$sc_dir/smoke.gsnap" \
-		-spec "$sc_dir/sweep.json" -slots 1 | sed -n 's/^digest //p')
-	cli8=$("$sc_dir/netscenario" -snapshot "$sc_dir/smoke.gsnap" \
-		-spec "$sc_dir/sweep.json" -slots 8 | sed -n 's/^digest //p')
-	cliiv=$("$sc_dir/netscenario" -snapshot "$sc_dir/smoke.gsnap" \
-		-spec "$sc_dir/intervene.json" -slots 8 | sed -n 's/^digest //p')
-	if [ -z "$http1" ] || [ -z "$httpiv" ]; then
-		echo "FAIL: scenario submission produced no digest (sweep='$http1' intervene='$httpiv')"
-		rm -rf "$sc_dir"
-		exit 1
-	fi
-	if [ "$http1" != "$http2" ] || [ "$http1" != "$cli1" ] || [ "$http1" != "$cli8" ]; then
-		echo "FAIL: sweep digests diverged"
-		echo "  HTTP run 1:        $http1"
-		echo "  HTTP run 2:        $http2"
-		echo "  CLI -slots 1:      $cli1"
-		echo "  CLI -slots 8:      $cli8"
-		rm -rf "$sc_dir"
-		exit 1
-	fi
-	if [ "$httpiv" != "$cliiv" ]; then
-		echo "FAIL: intervention digests diverged: HTTP $httpiv vs CLI $cliiv"
-		rm -rf "$sc_dir"
-		exit 1
-	fi
-	if [ "$http1" = "$httpiv" ]; then
-		echo "FAIL: intervention variant returned the baseline digest $http1"
-		rm -rf "$sc_dir"
-		exit 1
-	fi
-	echo "scenario digests agree: HTTPx2 == CLI slots 1 == CLI slots 8 ($http1)"
-	echo "intervention variant agrees HTTP vs CLI ($httpiv)"
+	while read -r spec pin; do
+		for slots in 1 8; do
+			cli=$("$sc_dir/netscenario" -snapshot "$sc_dir/smoke.gsnap" \
+				-spec "$sc_dir/$spec.json" -slots "$slots" </dev/null | sed -n 's/^digest //p')
+			echo "$spec $pin cli-slots-$slots $cli" >>"$sc_dir/got"
+		done
+	done <"$sc_dir/pins"
+	sc_bad=$(awk '$4 != $2' "$sc_dir/got")
 	rm -rf "$sc_dir"
+	if [ -n "$sc_bad" ]; then
+		echo "FAIL: scenario digests differ from the pinned values (spec pinned path got):"
+		echo "$sc_bad" | sed 's/^/  /'
+		exit 1
+	fi
+	echo "scenario digests == pinned for sweep, intervene, diffuse (HTTP, HTTP again, CLI slots 1 and 8)"
 fi
 
 # Benchmark smoke (bench/README.md): the sim->serve benchmark is a module
