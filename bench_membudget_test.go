@@ -114,7 +114,7 @@ func (w *heapWatcher) Stop() uint64 {
 //	shards        place shards the budgeted run spilled into
 //
 // The acceptance bar is peak-heap-B ≤ 2 × budget-B for the budgeted
-// case; scripts/bench.sh records both into BENCH_synthesis.json.
+// case, and the benchmark fails itself when it is missed.
 func BenchmarkT4MemBudget(b *testing.B) {
 	dir := b.TempDir()
 	// 2000 places × 10 persons × 50 sessions = 1M entries ≈ 20 MB

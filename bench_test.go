@@ -152,8 +152,7 @@ func BenchmarkT3Synthesis(b *testing.B) {
 // BenchmarkT3SynthesisTelemetry is BenchmarkT3Synthesis with telemetry
 // enabled: identical work, plus live metric publication and span
 // retention. scripts/check.sh compares the two and fails if enabled
-// telemetry costs more than 5% (DESIGN.md §10's overhead budget);
-// scripts/bench.sh records the ratio in BENCH_synthesis.json.
+// telemetry costs more than 5% (DESIGN.md §10's overhead budget).
 func BenchmarkT3SynthesisTelemetry(b *testing.B) {
 	_, logs := setupWorld(b)
 	t0, t1 := sliceBounds()

@@ -23,7 +23,8 @@
 //
 // A SIGINT or SIGTERM stops the run gracefully at the next simulated
 // hour: every rank flushes and closes its log with a valid footer, and
-// the run can be continued later with -resume. -resume also recovers
+// the run can be continued later with -resume (a second signal kills
+// the process, exit 1). -resume also recovers
 // from hard crashes (kill -9, power loss): each rank salvages the
 // intact prefix of its log, the ranks agree on a common resume hour,
 // and the finished logs match an uninterrupted run.
@@ -39,31 +40,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/abm"
+	"repro/internal/cmdrun"
 	"repro/internal/eventlog"
 	"repro/internal/mpi"
-	"repro/internal/mpinet"
 	"repro/internal/schedule"
-	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
-
-// distOptions bundles the supervisor-facing distributed flags so
-// runDistributed's signature stays readable.
-type distOptions struct {
-	Host         string
-	Join         string
-	Rank         int
-	Token        uint64
-	AddrFile     string
-	RoundTimeout time.Duration
-}
 
 func main() {
 	persons := flag.Int("persons", 20000, "synthetic population size")
@@ -75,147 +62,92 @@ func main() {
 	compress := flag.Bool("compress", false, "DEFLATE-compress log chunks")
 	flushEvery := flag.Int("flush-every", 0, "make each rank's log durable every N simulated hours (0 = only when the cache fills); lets netsynth -follow tail a running simulation")
 	resume := flag.Bool("resume", false, "continue a crashed or interrupted run from the logs in -logdir")
-	distHost := flag.String("dist-host", "", "host the TCP coordinator on this address (this process becomes rank 0)")
-	distJoin := flag.String("dist-join", "", "join a TCP coordinator at this address or @file (rank assigned by coordinator unless -dist-rank is set)")
-	distRank := flag.Int("dist-rank", 0, "claim this specific rank when joining (0 = let the coordinator assign)")
-	distToken := flag.Uint64("dist-token", 0, "rank claim token; a restarted process presenting the same token reclaims its slot")
-	distAddrFile := flag.String("dist-addr-file", "", "rank 0: publish the coordinator's bound address to this file (for -dist-join @file)")
-	distRoundTimeout := flag.Duration("dist-round-timeout", 0, "rank 0: declare the slowest rank failed when a collective stalls this long (0 = off)")
 	hourDelay := flag.Duration("hour-delay", 0, "sleep this long per simulated hour (chaos/testing aid)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics (Prometheus), /snapshot, /debug/vars and /debug/pprof on this address and enable telemetry")
-	telemetryAddrFile := flag.String("telemetry-addr-file", "", "publish the telemetry server's bound address to this file (for a supervisor's scraper)")
-	reportPath := flag.String("report", "", "write a JSON run report to this path (render it with `netstat report`)")
+	dist := cmdrun.DistFlags()
+	tel := cmdrun.TelemetryFlags("chisim", true)
 	flag.Parse()
 
-	telemetry.InstallFlightRecorder("chisim", os.Stderr)
-	if *telemetryAddr != "" {
-		srv, err := telemetry.Default.Serve(*telemetryAddr)
+	cmdrun.Main("chisim", func(ctx context.Context) error {
+		stopTel, err := tel.Start()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics\n", srv.Addr())
-		if *telemetryAddrFile != "" {
-			if err := supervise.WriteAddrFile(*telemetryAddrFile, srv.Addr()); err != nil {
-				fatal(err)
-			}
+		defer stopTel()
+		p, err := repro.NewPipeline(repro.Config{
+			Persons: *persons, Days: *days, Seed: *seed, Ranks: *ranks,
+			CacheEntries: *cache, Compress: *compress, HourDelay: *hourDelay,
+			FlushEvery: *flushEvery,
+		})
+		if err != nil {
+			return err
 		}
-	}
-	if *reportPath != "" {
-		telemetry.SetEnabled(true)
-	}
-
-	p, err := repro.NewPipeline(repro.Config{
-		Persons: *persons, Days: *days, Seed: *seed, Ranks: *ranks,
-		CacheEntries: *cache, Compress: *compress, HourDelay: *hourDelay,
-		FlushEvery: *flushEvery,
+		fmt.Printf("population: %d persons, %d places, %d neighborhoods\n",
+			p.Pop.NumPersons(), p.Pop.NumPlaces(), p.Pop.Neighborhoods())
+		if dist.Enabled() {
+			err = runDistributed(ctx, p, dist, tel, *ranks, *logdir, *resume, abm.RankConfig{
+				Log:        eventlog.Config{CacheEntries: *cache, Compress: *compress},
+				HourDelay:  *hourDelay,
+				FlushEvery: uint32(*flushEvery),
+			})
+		} else {
+			err = runLocal(ctx, p, tel, *logdir, *resume)
+		}
+		if errors.Is(err, context.Canceled) {
+			// An interrupted run is a stopped run: every log has a valid
+			// footer, so the supervisor must not charge it as a failure.
+			return fmt.Errorf("logs in %s are intact — rerun with -resume to continue: %w", *logdir, err)
+		}
+		return err
 	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("population: %d persons, %d places, %d neighborhoods\n",
-		p.Pop.NumPersons(), p.Pop.NumPlaces(), p.Pop.Neighborhoods())
+}
 
-	ctx := signalContext()
-
-	if *distHost != "" || *distJoin != "" {
-		runDistributed(ctx, p, distOptions{
-			Host: *distHost, Join: *distJoin,
-			Rank: *distRank, Token: *distToken,
-			AddrFile: *distAddrFile, RoundTimeout: *distRoundTimeout,
-		}, *ranks, *logdir, *resume, *hourDelay, uint32(*flushEvery), eventlog.Config{
-			CacheEntries: *cache, Compress: *compress,
-		}, *reportPath)
-		return
-	}
-
+// runLocal simulates every rank as a goroutine of this process.
+func runLocal(ctx context.Context, p *repro.Pipeline, tel *cmdrun.Telemetry, logdir string, resume bool) error {
 	start := time.Now()
 	var res *abm.Result
-	if *resume {
+	var err error
+	if resume {
 		var reports []*abm.ResumeReport
-		res, reports, err = p.Resume(ctx, *logdir, nil)
+		res, reports, err = p.Resume(ctx, logdir, nil)
 		if err != nil {
-			exitCanceled(err, *logdir)
-			fatal(err)
+			return err
 		}
 		printResumeReport(reports)
-	} else {
-		res, err = p.Simulate(ctx, *logdir)
-		if err != nil {
-			exitCanceled(err, *logdir)
-			fatal(err)
-		}
+	} else if res, err = p.Simulate(ctx, logdir); err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
-	endHour := uint32(*days * schedule.HoursPerDay)
+	endHour := uint32(p.Days() * schedule.HoursPerDay)
 	if res.StoppedAt < endHour {
 		fmt.Printf("stopped gracefully at hour %d of %d; rerun with -resume to continue\n",
 			res.StoppedAt, endHour)
 	}
-	fmt.Printf("simulated %d hours on %d ranks in %s\n", res.Steps, *ranks, elapsed.Round(time.Millisecond))
+	fmt.Printf("simulated %d hours on %d ranks in %s\n", res.Steps, len(res.PerRank), elapsed.Round(time.Millisecond))
 	fmt.Printf("events logged: %d (%.2f per person-day), %d chunked writes\n",
-		res.Entries, float64(res.Entries)/float64(*persons**days), res.Flushes)
+		res.Entries, float64(res.Entries)/float64(p.Pop.NumPersons()*p.Days()), res.Flushes)
 	fmt.Printf("log volume: %.2f MB across %d files in %s\n",
-		float64(res.LogBytes)/(1<<20), len(res.LogPaths), *logdir)
+		float64(res.LogBytes)/(1<<20), len(res.LogPaths), logdir)
 	fmt.Printf("agent moves: %d local, %d inter-rank migrations\n", res.LocalMoves, res.Migrations)
-
-	if *reportPath != "" {
-		rep := telemetry.Default.Report("chisim")
-		rep.Ranks = rankReports(res.PerRank)
-		if err := rep.WriteFile(*reportPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run report → %s\n", *reportPath)
-	}
+	return tel.WriteReport(runReport(res.PerRank))
 }
 
-// rankReports converts the simulation's per-rank counters into the
-// report's rank roll-ups. Simulated ranks interleave computation with
-// the hourly exchange, so the whole wall counts as busy; the exchange
-// walls are visible separately in the abm_exchange_seconds series.
-func rankReports(per []abm.RankResult) []telemetry.RankReport {
-	out := make([]telemetry.RankReport, len(per))
+// runReport is the chisim run report with the per-rank roll-ups.
+// Simulated ranks interleave computation with the hourly exchange, so
+// the whole wall counts as busy; the exchange walls are visible
+// separately in the abm_exchange_seconds series.
+func runReport(per []abm.RankResult) *telemetry.Report {
+	rep := telemetry.Default.Report("chisim")
+	rep.Ranks = make([]telemetry.RankReport, len(per))
 	for i, rr := range per {
-		out[i] = telemetry.RankReport{
+		rep.Ranks[i] = telemetry.RankReport{
 			Rank:    i,
 			WallNs:  int64(rr.WallNs),
 			BusyNs:  int64(rr.WallNs),
 			Entries: int64(rr.Entries),
 		}
 	}
-	return out
-}
-
-// signalContext converts the first SIGINT/SIGTERM into a context
-// cancellation — the simulation then stops at the next simulated hour
-// with valid, resumable log footers — and lets a second signal kill the
-// process the traditional way.
-func signalContext() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		s := <-sigs
-		fmt.Fprintf(os.Stderr, "chisim: %v: stopping at the next simulated hour (repeat to kill)\n", s)
-		cancel()
-		<-sigs
-		os.Exit(1)
-	}()
-	return ctx
-}
-
-// exitCanceled recognizes the cooperative-cancellation error, prints
-// the resume hint, and exits with the dedicated drain code so a
-// supervisor (cmd/netlaunch) can tell a deliberate interruption from a
-// real failure: an interrupted run is a stopped run — the logs have
-// valid footers — and must not consume the restart budget.
-func exitCanceled(err error, logdir string) {
-	if !errors.Is(err, context.Canceled) {
-		return
-	}
-	fmt.Printf("interrupted; logs in %s are intact — rerun with -resume to continue (%v)\n", logdir, err)
-	os.Exit(supervise.ExitCanceled)
+	return rep
 }
 
 func printResumeReport(reports []*abm.ResumeReport) {
@@ -237,52 +169,23 @@ func printResumeReport(reports []*abm.ResumeReport) {
 
 // runDistributed executes one rank of the simulation in this process
 // over the TCP transport, then gathers and prints the combined summary
-// on rank 0.
-func runDistributed(ctx context.Context, p *repro.Pipeline, dist distOptions, ranks int, logdir string, resume bool, hourDelay time.Duration, flushEvery uint32, logCfg eventlog.Config, reportPath string) {
-	var node *mpinet.Node
-	var err error
-	if dist.Host != "" {
-		node, err = mpinet.Host(dist.Host, ranks, mpinet.Options{RoundTimeout: dist.RoundTimeout})
-		if err == nil {
-			fmt.Printf("rank 0 hosting on %s, waiting for %d peers\n", node.Addr(), ranks-1)
-			if dist.AddrFile != "" {
-				if werr := supervise.WriteAddrFile(dist.AddrFile, node.Addr()); werr != nil {
-					node.Close()
-					fatal(werr)
-				}
-			}
-		}
-	} else {
-		addr, rerr := supervise.ResolveAddr(dist.Join, 30*time.Second)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		node, err = mpinet.Join(addr, mpinet.Options{
-			ClaimRank:  dist.Rank,
-			ClaimToken: dist.Token,
-		})
-		if err == nil {
-			fmt.Printf("joined as rank %d of %d\n", node.Rank(), node.Size())
-		}
-	}
+// on rank 0. cfg carries the logging and pacing options; the rest of
+// the rank's configuration is derived here.
+func runDistributed(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, tel *cmdrun.Telemetry, ranks int, logdir string, resume bool, cfg abm.RankConfig) error {
+	node, err := dist.Open(ranks)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer node.Close()
 
 	if err := os.MkdirAll(logdir, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	// Every process derives the identical spatial partition from the
 	// shared seed; no partition data crosses the wire.
-	assign := p.SpatialAssignment(node.Size())
-	cfg := abm.RankConfig{
-		Pop: p.Pop, Gen: p.Gen, Days: p.Days(), Assign: assign,
-		LogPath:    filepath.Join(logdir, fmt.Sprintf("rank%04d.h5l", node.Rank())),
-		Log:        logCfg,
-		HourDelay:  hourDelay,
-		FlushEvery: flushEvery,
-	}
+	cfg.Pop, cfg.Gen, cfg.Days = p.Pop, p.Gen, p.Days()
+	cfg.Assign = p.SpatialAssignment(node.Size())
+	cfg.LogPath = filepath.Join(logdir, fmt.Sprintf("rank%04d.h5l", node.Rank()))
 	start := time.Now()
 	var rr abm.RankResult
 	if resume {
@@ -298,8 +201,7 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist distOptions, ra
 		// A cooperative cancellation still leaves every rank's log with
 		// a valid footer; skipping the summary gather is consistent
 		// across ranks because they all observed the same cancel flag.
-		exitCanceled(err, logdir)
-		fatal(err)
+		return err
 	}
 	endHour := uint32(p.Days() * schedule.HoursPerDay)
 	if rr.StoppedAt < endHour {
@@ -310,18 +212,15 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist distOptions, ra
 		node.Rank(), rr.Entries, rr.Migrations, time.Since(start).Round(time.Millisecond))
 
 	all, err := node.Gather(ctx, rr.Encode())
-	if err != nil {
-		fatal(err)
-	}
-	if node.Rank() != 0 {
-		return
+	if err != nil || node.Rank() != 0 {
+		return err
 	}
 	var entries, bytes, migrations uint64
 	perRank := make([]abm.RankResult, 0, len(all))
 	for _, blob := range all {
 		r, err := abm.DecodeRankResult(blob)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		entries += r.Entries
 		bytes += r.LogBytes
@@ -330,18 +229,5 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist distOptions, ra
 	}
 	fmt.Printf("cluster total: %d entries, %.2f MB of logs, %d migrations across %d ranks\n",
 		entries, float64(bytes)/(1<<20), migrations, node.Size())
-
-	if reportPath != "" {
-		rep := telemetry.Default.Report("chisim")
-		rep.Ranks = rankReports(perRank)
-		if err := rep.WriteFile(reportPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run report → %s\n", reportPath)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chisim:", err)
-	os.Exit(1)
+	return tel.WriteReport(runReport(perRank))
 }

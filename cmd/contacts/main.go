@@ -9,10 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 
+	"repro/internal/cmdrun"
 	"repro/internal/schedule"
 	"repro/internal/trace"
 )
@@ -23,28 +24,31 @@ func main() {
 	t1 := flag.Uint("t1", 168, "window end hour (exclusive)")
 	top := flag.Int("top", 20, "show the N strongest contacts (0 = all)")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fatal(fmt.Errorf("no log files given; usage: contacts [flags] logs/rank*.h5l"))
-	}
+	cmdrun.Exit("contacts", run(uint32(*person), uint32(*t0), uint32(*t1), *top))
+}
 
+func run(person, t0, t1 uint32, top int) error {
+	if flag.NArg() == 0 {
+		return errors.New("no log files given; usage: contacts [flags] logs/rank*.h5l")
+	}
 	ix, err := trace.FromFiles(flag.Args())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	entries := ix.Entries(uint32(*person), uint32(*t0), uint32(*t1))
+	entries := ix.Entries(person, t0, t1)
 	fmt.Printf("person %d: %d activity segments in window [%d,%d)\n",
-		*person, len(entries), *t0, *t1)
+		person, len(entries), t0, t1)
 	for _, e := range entries {
 		fmt.Printf("  hours %3d-%-3d  %-12s place %d\n",
 			e.Start, e.Stop, schedule.ActivityName(e.Activity), e.Place)
 	}
 
-	cs := ix.Contacts(uint32(*person), uint32(*t0), uint32(*t1))
+	cs := ix.Contacts(person, t0, t1)
 	fmt.Printf("\n%d distinct contacts:\n", len(cs))
 	shown := cs
-	if *top > 0 && len(shown) > *top {
-		shown = shown[:*top]
+	if top > 0 && len(shown) > top {
+		shown = shown[:top]
 	}
 	for _, c := range shown {
 		fmt.Printf("  person %-7d %3d shared hours (first at hour %d, place %d)\n",
@@ -53,9 +57,5 @@ func main() {
 	if len(cs) > len(shown) {
 		fmt.Printf("  ... and %d more\n", len(cs)-len(shown))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "contacts:", err)
-	os.Exit(1)
+	return nil
 }

@@ -15,12 +15,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"time"
 
+	"repro/internal/cmdrun"
 	"repro/internal/gstore"
 	"repro/internal/layout"
 )
@@ -32,23 +34,26 @@ func main() {
 	iters := flag.Int("iters", 150, "layout iterations")
 	seed := flag.Uint64("seed", 1, "layout random seed")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fatal(fmt.Errorf("usage: egoviz [flags] network.tsv|net.gsnap"))
-	}
+	cmdrun.Exit("egoviz", run(*person, *radius, *out, *iters, *seed))
+}
 
+func run(person, radius int, out string, iters int, seed uint64) error {
+	if flag.NArg() != 1 {
+		return errors.New("usage: egoviz [flags] network.tsv|net.gsnap")
+	}
 	snap, err := gstore.LoadGraphFile(flag.Arg(0), 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer snap.Close()
 	g := snap.Graph()
 
 	center := uint32(0)
-	if *person >= 0 {
-		if *person >= g.NumVertices() {
-			fatal(fmt.Errorf("person %d not in network (max %d)", *person, g.NumVertices()-1))
+	if person >= 0 {
+		if person >= g.NumVertices() {
+			return fmt.Errorf("person %d not in network (max %d)", person, g.NumVertices()-1)
 		}
-		center = uint32(*person)
+		center = uint32(person)
 	} else {
 		// Median-degree vertex among those with edges.
 		type dv struct {
@@ -62,37 +67,34 @@ func main() {
 			}
 		}
 		if len(ds) == 0 {
-			fatal(fmt.Errorf("network has no edges"))
+			return errors.New("network has no edges")
 		}
 		sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
 		center = ds[len(ds)/2].v
 	}
 
-	ego := g.Ego(center, *radius)
+	ego := g.Ego(center, radius)
 	sub, orig := g.Induced(ego)
 	fmt.Printf("ego network of person %d (radius %d): %d nodes, %d edges\n",
-		center, *radius, sub.NumVertices(), sub.NumEdges())
+		center, radius, sub.NumVertices(), sub.NumEdges())
 
 	start := time.Now()
-	pos := layout.Layout(sub, layout.Config{Iterations: *iters, Seed: *seed})
-	fmt.Printf("layout: %d iterations in %s\n", *iters, time.Since(start).Round(time.Millisecond))
+	pos := layout.Layout(sub, layout.Config{Iterations: iters, Seed: seed})
+	fmt.Printf("layout: %d iterations in %s\n", iters, time.Since(start).Round(time.Millisecond))
 
-	of, err := os.Create(*out)
+	of, err := os.Create(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	title := fmt.Sprintf("Ego network of person %d (radius %d): %d nodes, %d edges",
-		center, *radius, sub.NumVertices(), sub.NumEdges())
+		center, radius, sub.NumVertices(), sub.NumEdges())
 	if err := layout.WriteSVG(of, sub, pos, layout.SVGOptions{Title: title}); err != nil {
-		fatal(err)
+		of.Close()
+		return err
 	}
 	if err := of.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s (%d original IDs preserved in node order)\n", *out, len(orig))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "egoviz:", err)
-	os.Exit(1)
+	fmt.Printf("wrote %s (%d original IDs preserved in node order)\n", out, len(orig))
+	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cmdrun"
 	"repro/internal/experiments"
 )
 
@@ -34,17 +35,17 @@ func main() {
 	flag.Parse()
 
 	scale.Persons, scale.Days, scale.Ranks, scale.Workers, scale.Seed = *persons, *days, *ranks, *workers, *seed
-
-	runner, err := experiments.NewRunner(scale, *out)
-	if err != nil {
-		fatal(err)
-	}
-
-	var ids []string
-	if *exp == "" {
-		ids = experiments.IDs()
-	} else {
+	ids := experiments.IDs()
+	if *exp != "" {
 		ids = strings.Split(*exp, ",")
+	}
+	cmdrun.Exit("experiments", run(scale, *out, ids, *mdPath))
+}
+
+func run(scale experiments.Scale, out string, ids []string, mdPath string) error {
+	runner, err := experiments.NewRunner(scale, out)
+	if err != nil {
+		return err
 	}
 
 	var combined strings.Builder
@@ -55,7 +56,7 @@ func main() {
 		repStart := time.Now()
 		rep, err := runner.Run(strings.TrimSpace(id))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		text := rep.Render()
 		fmt.Print(text)
@@ -64,18 +65,15 @@ func main() {
 	}
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Millisecond))
 
-	if *mdPath != "" {
-		if err := os.MkdirAll(filepath.Dir(*mdPath), 0o755); err != nil && filepath.Dir(*mdPath) != "." {
-			fatal(err)
-		}
-		if err := os.WriteFile(*mdPath, []byte(combined.String()), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("report written to %s\n", *mdPath)
+	if mdPath == "" {
+		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	if err := os.MkdirAll(filepath.Dir(mdPath), 0o755); err != nil && filepath.Dir(mdPath) != "." {
+		return err
+	}
+	if err := os.WriteFile(mdPath, []byte(combined.String()), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("report written to %s\n", mdPath)
+	return nil
 }

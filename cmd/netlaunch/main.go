@@ -28,18 +28,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
-	"syscall"
 	"time"
 
+	"repro/internal/cmdrun"
 	"repro/internal/faultinject"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
@@ -73,145 +71,142 @@ func main() {
 	scrapeInterval := flag.Duration("scrape-interval", time.Second, "how often the observe plane scrapes each rank's telemetry /snapshot")
 	flag.Parse()
 
-	if *ranks < 1 {
-		fatal(fmt.Errorf("-ranks must be ≥ 1, got %d", *ranks))
-	}
-	if *killPhase != "sim" && *killPhase != "synth" {
-		fatal(fmt.Errorf("-kill-phase must be sim or synth, got %q", *killPhase))
-	}
-	if *t1 == 0 {
-		*t1 = uint(*days) * 24
-	}
-	if *out == "" {
-		*out = filepath.Join(*workdir, "network.tsv")
-	}
-	if *snapshot == "" {
-		*snapshot = filepath.Join(*workdir, "network.gsnap")
-	}
-	logsDir := filepath.Join(*workdir, "logs")
-	if err := os.MkdirAll(logsDir, 0o755); err != nil {
-		fatal(err)
-	}
-	simBin, err := resolveBin(*chisimBin, "chisim")
-	if err != nil {
-		fatal(err)
-	}
-	synthBin, err := resolveBin(*netsynthBin, "netsynth")
-	if err != nil {
-		fatal(err)
-	}
-	if *reportPath != "" {
-		telemetry.SetEnabled(true)
-	}
-
-	// The observe plane: one scrape target for the whole run. Each
-	// supervised rank gets a telemetry server plus an address file; the
-	// observer merges their /snapshot scrapes into labeled /metrics and
-	// a /cluster summary.
-	var obs *observer
-	if *observeAddr != "" {
-		telemetry.SetEnabled(true)
-		obs = newObserver(*workdir, *ranks, *scrapeInterval)
-		if err := obs.start(*observeAddr, *observeAddrFile); err != nil {
-			fatal(err)
+	cmdrun.Main("netlaunch", func(ctx context.Context) error {
+		if *ranks < 1 {
+			return fmt.Errorf("-ranks must be ≥ 1, got %d", *ranks)
 		}
-		defer obs.close()
-	}
-
-	// First SIGINT/SIGTERM propagates to the children as a cooperative
-	// drain (they exit ExitCanceled); a second one kills netlaunch.
-	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancelSignals()
-
-	chaos := &chaosKiller{phase: *killPhase, rank: *killRank, after: *killAfter}
-	pol := supervise.Policy{
-		MaxRestartsPerRank: *maxRestarts,
-		BackoffBase:        *backoffBase,
-		BackoffCap:         *backoffCap,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "netlaunch: "+format+"\n", args...)
-		},
-	}
-
-	var supervision []telemetry.SupervisionReport
-	var simWall time.Duration
-
-	if !*skipSim {
-		if obs != nil {
-			obs.setPhase("sim")
+		if *killPhase != "sim" && *killPhase != "synth" {
+			return fmt.Errorf("-kill-phase must be sim or synth, got %q", *killPhase)
 		}
-		simStart := time.Now()
-		simRes, err := runSimPhase(ctx, simBin, logsDir, *workdir, simArgs{
-			Persons: *persons, Days: *days, Seed: *seed, Ranks: *ranks,
-			HourDelay: *hourDelay, RoundTimeout: *roundTimeout,
-		}, pol, chaos, obs)
-		simWall = time.Since(simStart)
-		if simRes != nil {
-			supervision = append(supervision, simRes.Report())
+		if *t1 == 0 {
+			*t1 = uint(*days) * 24
+		}
+		if *out == "" {
+			*out = filepath.Join(*workdir, "network.tsv")
+		}
+		if *snapshot == "" {
+			*snapshot = filepath.Join(*workdir, "network.gsnap")
+		}
+		logsDir := filepath.Join(*workdir, "logs")
+		if err := os.MkdirAll(logsDir, 0o755); err != nil {
+			return err
+		}
+		simBin, err := resolveBin(*chisimBin, "chisim")
+		if err != nil {
+			return err
+		}
+		synthBin, err := resolveBin(*netsynthBin, "netsynth")
+		if err != nil {
+			return err
+		}
+		if *reportPath != "" {
+			telemetry.SetEnabled(true)
+		}
+
+		// The observe plane: one scrape target for the whole run. Each
+		// supervised rank gets a telemetry server plus an address file;
+		// the observer merges their /snapshot scrapes into labeled
+		// /metrics and a /cluster summary.
+		var obs *observer
+		if *observeAddr != "" {
+			telemetry.SetEnabled(true)
+			obs = newObserver(*workdir, *ranks, *scrapeInterval)
+			if err := obs.start(*observeAddr, *observeAddrFile); err != nil {
+				return err
+			}
+			defer obs.close()
+		}
+
+		// A canceled ctx (the first SIGINT/SIGTERM) propagates to the
+		// children as a cooperative drain: they exit ExitCanceled.
+		chaos := &chaosKiller{phase: *killPhase, rank: *killRank, after: *killAfter}
+		pol := supervise.Policy{
+			MaxRestartsPerRank: *maxRestarts,
+			BackoffBase:        *backoffBase,
+			BackoffCap:         *backoffCap,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "netlaunch: "+format+"\n", args...)
+			},
+		}
+
+		var supervision []telemetry.SupervisionReport
+		var simWall time.Duration
+
+		if !*skipSim {
 			if obs != nil {
-				obs.addSupervision(simRes.Report())
+				obs.setPhase("sim")
+			}
+			simStart := time.Now()
+			simRes, err := runSimPhase(ctx, simBin, logsDir, *workdir, simArgs{
+				Persons: *persons, Days: *days, Seed: *seed, Ranks: *ranks,
+				HourDelay: *hourDelay, RoundTimeout: *roundTimeout,
+			}, pol, chaos, obs)
+			simWall = time.Since(simStart)
+			if simRes != nil {
+				supervision = append(supervision, simRes.Report())
+				if obs != nil {
+					obs.addSupervision(simRes.Report())
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("simulation phase: %w", err)
+			}
+			fmt.Printf("netlaunch: simulation phase done in %s (%d gang restart(s))\n",
+				simWall.Round(time.Millisecond), simRes.GangRestarts)
+		}
+
+		paths, err := filepath.Glob(filepath.Join(logsDir, "rank*.h5l"))
+		if err != nil || len(paths) == 0 {
+			return fmt.Errorf("no event logs in %s (err=%v)", logsDir, err)
+		}
+		sort.Strings(paths)
+
+		if obs != nil {
+			obs.setPhase("synth")
+		}
+		// Rank 0 of the synthesis writes its run report — per-rank
+		// busy/comm/idle walls, the cluster trace id, and every rank's
+		// span trees — which netlaunch folds into its own report and
+		// /cluster summary after the phase.
+		synthReportPath := ""
+		if obs != nil || *reportPath != "" {
+			synthReportPath = filepath.Join(*workdir, "synth-report.json")
+			os.Remove(synthReportPath)
+		}
+		synthStart := time.Now()
+		synthRes, err := runSynthPhase(ctx, synthBin, *workdir, paths, synthArgs{
+			T0: uint32(*t0), T1: uint32(*t1), Ranks: *ranks, Seed: *seed,
+			Out: *out, Snapshot: *snapshot, RoundTimeout: *roundTimeout,
+			ReportPath: synthReportPath,
+		}, pol, chaos, obs)
+		synthWall := time.Since(synthStart)
+		if synthRes != nil {
+			supervision = append(supervision, synthRes.Report())
+			if obs != nil {
+				obs.addSupervision(synthRes.Report())
 			}
 		}
-		if err != nil {
-			exitPhase("simulation", err)
+		synthRep := readSynthReport(synthReportPath)
+		if obs != nil && synthRep != nil {
+			obs.setSynthReport(synthRep)
 		}
-		fmt.Printf("netlaunch: simulation phase done in %s (%d gang restart(s))\n",
-			simWall.Round(time.Millisecond), simRes.GangRestarts)
-	}
-
-	paths, err := filepath.Glob(filepath.Join(logsDir, "rank*.h5l"))
-	if err != nil || len(paths) == 0 {
-		fatal(fmt.Errorf("no event logs in %s (err=%v)", logsDir, err))
-	}
-	sort.Strings(paths)
-
-	if obs != nil {
-		obs.setPhase("synth")
-	}
-	// Rank 0 of the synthesis writes its run report — per-rank
-	// busy/comm/idle walls, the cluster trace id, and every rank's span
-	// trees — which netlaunch folds into its own report and /cluster
-	// summary after the phase.
-	synthReportPath := ""
-	if obs != nil || *reportPath != "" {
-		synthReportPath = filepath.Join(*workdir, "synth-report.json")
-		os.Remove(synthReportPath)
-	}
-	synthStart := time.Now()
-	synthRes, err := runSynthPhase(ctx, synthBin, *workdir, paths, synthArgs{
-		T0: uint32(*t0), T1: uint32(*t1), Ranks: *ranks, Seed: *seed,
-		Out: *out, Snapshot: *snapshot, RoundTimeout: *roundTimeout,
-		ReportPath: synthReportPath,
-	}, pol, chaos, obs)
-	synthWall := time.Since(synthStart)
-	if synthRes != nil {
-		supervision = append(supervision, synthRes.Report())
-		if obs != nil {
-			obs.addSupervision(synthRes.Report())
-		}
-	}
-	synthRep := readSynthReport(synthReportPath)
-	if obs != nil && synthRep != nil {
-		obs.setSynthReport(synthRep)
-	}
-	if err != nil {
+		// The artifacts are written on synthesis failure too, so a chaos
+		// run that degrades still leaves its record.
 		writeArtifacts(*benchPath, *reportPath, supervision, synthRep, benchInputs{
 			Persons: *persons, Days: *days, Ranks: *ranks,
 			SimWall: simWall, SynthWall: synthWall, SkippedSim: *skipSim,
 		})
-		exitPhase("synthesis", err)
-	}
-	fmt.Printf("netlaunch: synthesis phase done in %s (%d restart(s), degraded ranks %v)\n",
-		synthWall.Round(time.Millisecond), synthRes.Restarts(), synthRes.DegradedRanks())
-	fmt.Printf("netlaunch: network → %s (snapshot %s)\n", *out, *snapshot)
-
-	writeArtifacts(*benchPath, *reportPath, supervision, synthRep, benchInputs{
-		Persons: *persons, Days: *days, Ranks: *ranks,
-		SimWall: simWall, SynthWall: synthWall, SkippedSim: *skipSim,
+		if err != nil {
+			return fmt.Errorf("synthesis phase: %w", err)
+		}
+		fmt.Printf("netlaunch: synthesis phase done in %s (%d restart(s), degraded ranks %v)\n",
+			synthWall.Round(time.Millisecond), synthRes.Restarts(), synthRes.DegradedRanks())
+		fmt.Printf("netlaunch: network → %s (snapshot %s)\n", *out, *snapshot)
+		if obs != nil {
+			obs.setPhase("done")
+		}
+		return nil
 	})
-	if obs != nil {
-		obs.setPhase("done")
-	}
 }
 
 // readSynthReport loads rank 0's synthesis run report, nil when the
@@ -413,8 +408,7 @@ type benchRecord struct {
 }
 
 // writeArtifacts writes the -bench and -report outputs (either may be
-// disabled); called on both success and synthesis failure so a chaos
-// run that degrades still leaves its record.
+// disabled).
 func writeArtifacts(benchPath, reportPath string, supervision []telemetry.SupervisionReport, synthRep *telemetry.Report, in benchInputs) {
 	if benchPath != "" {
 		rec := benchRecord{
@@ -480,22 +474,7 @@ func resolveBin(explicit, name string) (string, error) {
 	}
 	path, err := exec.LookPath(name)
 	if err != nil {
-		return "", fmt.Errorf("netlaunch: %s not found next to this executable or in $PATH (use -%s)", name, name)
+		return "", fmt.Errorf("%s not found next to this executable or in $PATH (use -%s)", name, name)
 	}
 	return path, nil
-}
-
-// exitPhase reports a phase outcome and exits with the matching code:
-// a cooperative cancellation is a drain (exit 2), not a failure.
-func exitPhase(phase string, err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "netlaunch: %s phase interrupted\n", phase)
-		os.Exit(supervise.ExitCanceled)
-	}
-	fatal(fmt.Errorf("%s phase: %w", phase, err))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netlaunch:", err)
-	os.Exit(supervise.ExitFailure)
 }

@@ -95,7 +95,7 @@ func (o *observer) telemetryAddrFile(rank int) string {
 func (o *observer) start(addr, addrFile string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("netlaunch: observe listen %s: %w", addr, err)
+		return fmt.Errorf("observe listen %s: %w", addr, err)
 	}
 	if addrFile != "" {
 		if err := supervise.WriteAddrFile(addrFile, ln.Addr().String()); err != nil {

@@ -9,200 +9,80 @@
 //
 //	netscenario -snapshot net.gsnap -spec sweep.json -slots 8 -out result.json
 //	netscenario -snapshot net.gsnap -spec - < sweep.json
-//	netscenario -bench -bench-out BENCH_scenario.json
 //
 // The last line on stdout is always "digest <hex>" — the sha256 of the
-// aggregated outcome, the handle scripts use to compare runs.
+// aggregated outcome, the handle scripts use to compare runs. A SIGINT
+// or SIGTERM cancels the sweep (exit 2).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"strconv"
-	"syscall"
-	"time"
 
-	"repro/internal/gennet"
-	"repro/internal/graph"
+	"repro/internal/cmdrun"
 	"repro/internal/gstore"
-	"repro/internal/rng"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netscenario:", err)
-	os.Exit(1)
-}
 
 func main() {
 	snapshot := flag.String("snapshot", "", "snapshot (.gsnap) or TSV edge list to run against")
 	specPath := flag.String("spec", "", "scenario spec JSON file ('-' = stdin)")
 	slots := flag.Int("slots", runtime.NumCPU(), "concurrent replications")
 	out := flag.String("out", "", "write the full result JSON here (default stdout summary only)")
-
-	bench := flag.Bool("bench", false, "run the sweep benchmark suite and exit")
-	benchOut := flag.String("bench-out", "BENCH_scenario.json", "bench: write the JSON report here")
-	benchVertices := flag.Int("bench-vertices", 100_000, "bench: synthetic graph size when no -snapshot is given")
-	benchSeed := flag.Int64("bench-seed", 1, "bench: graph + sweep seed")
 	flag.Parse()
 
-	// SIGINT/SIGTERM cancel a running sweep cleanly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	cmdrun.Main("netscenario", func(ctx context.Context) error {
+		return run(ctx, *snapshot, *specPath, *slots, *out)
+	})
+}
 
-	if *bench {
-		runBench(ctx, *snapshot, *benchOut, *benchVertices, *benchSeed, *slots)
-		return
+func run(ctx context.Context, snapshot, specPath string, slots int, out string) error {
+	if snapshot == "" || specPath == "" {
+		return errors.New("usage: netscenario -snapshot net.gsnap -spec sweep.json")
 	}
-	if *snapshot == "" || *specPath == "" {
-		fatal(fmt.Errorf("usage: netscenario -snapshot net.gsnap -spec sweep.json (or -bench)"))
-	}
-
 	var raw []byte
 	var err error
-	if *specPath == "-" {
+	if specPath == "-" {
 		raw, err = io.ReadAll(os.Stdin)
 	} else {
-		raw, err = os.ReadFile(*specPath)
+		raw, err = os.ReadFile(specPath)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var spec scenario.Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		fatal(fmt.Errorf("parsing spec: %w", err))
+		return fmt.Errorf("parsing spec: %w", err)
 	}
 
-	snap, err := gstore.LoadGraphFile(*snapshot, 0)
+	snap, err := gstore.LoadGraphFile(snapshot, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer snap.Close()
-	g := snap.Graph()
 
-	res, err := scenario.Run(ctx, g, spec, scenario.Config{Slots: *slots})
+	res, err := scenario.Run(ctx, snap.Graph(), spec, scenario.Config{Slots: slots})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *out != "" {
-		b, merr := json.MarshalIndent(res, "", "  ")
-		if merr != nil {
-			fatal(merr)
+	if out != "" {
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			return err
 		}
-		if werr := os.WriteFile(*out, append(b, '\n'), 0o644); werr != nil {
-			fatal(werr)
+		if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+			return err
 		}
 	}
 	fmt.Printf("%s sweep: %d jobs, %d steps in %.3fs (%.0f steps/s) over %d vertices\n",
 		res.Outcome.Process, res.Jobs, res.StepsRun, res.WallSeconds, res.StepsPerSec,
 		res.Outcome.Vertices)
 	fmt.Printf("digest %s\n", res.Digest)
-}
-
-// benchProcess is the per-process section of BENCH_scenario.json.
-type benchProcess struct {
-	Process     string  `json:"process"`
-	Jobs        int     `json:"jobs"`
-	StepsRun    int64   `json:"steps_run"`
-	WallSeconds float64 `json:"wall_seconds"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	Digest      string  `json:"digest"`
-}
-
-// benchReport is the BENCH_scenario.json schema.
-type benchReport struct {
-	Meta             telemetry.BenchMeta `json:"meta"`
-	Vertices         int                 `json:"vertices"`
-	Edges            int                 `json:"edges"`
-	Jobs             int                 `json:"jobs"`
-	StepsRun         int64               `json:"steps_run"`
-	SweepWallSeconds float64             `json:"sweep_wall_seconds"`
-	StepsPerSec      float64             `json:"scenario_steps_per_sec"`
-	PerProcess       []benchProcess      `json:"per_process"`
-}
-
-// runBench sweeps all three processes over a snapshot (or a synthetic
-// scale-free network) and writes the throughput report.
-func runBench(ctx context.Context, snapshot, out string, vertices int, seed int64, slots int) {
-	var g *graph.Graph
-	if snapshot != "" {
-		snap, err := gstore.LoadGraphFile(snapshot, 0)
-		if err != nil {
-			fatal(err)
-		}
-		defer snap.Close()
-		g = snap.Graph()
-	} else {
-		// Same synthetic stand-in network the netserve selfbench uses:
-		// Barabási–Albert topology, weights 1..500.
-		tri, err := gennet.BarabasiAlbert(vertices, 4, rng.New(uint64(seed)))
-		if err != nil {
-			fatal(err)
-		}
-		src := rng.New(uint64(seed) + 1)
-		for k := range tri.W {
-			tri.W[k] = uint32(src.Intn(500) + 1)
-		}
-		g = graph.FromTri(tri, vertices)
-	}
-	fmt.Printf("bench graph: %d vertices, %d edges, %d slots\n", g.NumVertices(), g.NumEdges(), slots)
-
-	seeds := scenario.Seeds{Policy: scenario.SeedTopDegree, Count: 5}
-	specs := []scenario.Spec{
-		{Process: scenario.ProcessSIR, Steps: 100, Seed: uint64(seed), Replications: 8,
-			Beta: []float64{0.002, 0.005, 0.01}, InfectiousDays: []int{3, 6}, Seeds: seeds},
-		{Process: scenario.ProcessSEIR, Steps: 100, Seed: uint64(seed), Replications: 8,
-			Beta: []float64{0.005, 0.01}, InfectiousDays: []int{4}, IncubationDays: []int{0, 3}, Seeds: seeds},
-		{Process: scenario.ProcessDiffusion, Steps: 40, Seed: uint64(seed), Replications: 8,
-			Beta: []float64{0.001, 0.003}, Seeds: seeds},
-	}
-
-	report := benchReport{
-		Meta: telemetry.NewBenchMeta("netscenario", map[string]string{
-			"bench-vertices": strconv.Itoa(vertices),
-			"bench-seed":     strconv.FormatInt(seed, 10),
-			"slots":          strconv.Itoa(slots),
-			"snapshot":       snapshot,
-		}),
-		Vertices: g.NumVertices(),
-		Edges:    g.NumEdges(),
-	}
-	t0 := time.Now()
-	for _, spec := range specs {
-		res, err := scenario.Run(ctx, g, spec, scenario.Config{Slots: slots})
-		if err != nil {
-			fatal(err)
-		}
-		report.PerProcess = append(report.PerProcess, benchProcess{
-			Process:     spec.Process,
-			Jobs:        res.Jobs,
-			StepsRun:    res.StepsRun,
-			WallSeconds: res.WallSeconds,
-			StepsPerSec: res.StepsPerSec,
-			Digest:      res.Digest,
-		})
-		report.Jobs += res.Jobs
-		report.StepsRun += res.StepsRun
-		fmt.Printf("  %-9s %3d jobs  %8d steps  %7.3fs  %10.0f steps/s\n",
-			spec.Process, res.Jobs, res.StepsRun, res.WallSeconds, res.StepsPerSec)
-	}
-	report.SweepWallSeconds = time.Since(t0).Seconds()
-	if report.SweepWallSeconds > 0 {
-		report.StepsPerSec = float64(report.StepsRun) / report.SweepWallSeconds
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d jobs, %.0f steps/s overall)\n", out, report.Jobs, report.StepsPerSec)
+	return nil
 }

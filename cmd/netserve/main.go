@@ -19,7 +19,6 @@
 //
 //	netserve -convert network.tsv -snapshot net.gsnap   # TSV → indexed v2 snapshot
 //	netserve -reindex net.gsnap                         # upgrade v1 → v2 in place (atomic)
-//	netserve -selfbench -bench-out BENCH_serve.json     # load generator
 //	netserve -get http://host:8355/v1/stats             # curl-free fetch
 //
 // Converted and reindexed snapshots carry the precomputed v2 index
@@ -29,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,12 +40,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/gennet"
-	"repro/internal/graph"
+	"repro/internal/cmdrun"
 	"repro/internal/gstore"
 	"repro/internal/netserve"
-	"repro/internal/rng"
-	"repro/internal/telemetry"
+	"repro/internal/supervise"
 
 	// Register every pipeline stage's telemetry series so the first
 	// /metrics scrape shows the full inventory.
@@ -61,7 +59,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 32<<20, "result cache budget in bytes (negative disables)")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
 	watch := flag.Duration("watch", 2*time.Second, "snapshot mtime poll interval for hot reload (0 disables)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /debug/vars and /debug/pprof on this address and enable telemetry")
+	tel := cmdrun.TelemetryFlags("netserve", false)
 	accessLog := flag.String("access-log", "", "append one structured JSON line per request to this file ('-' = stderr; empty disables)")
 	slowMs := flag.Int("slow-ms", 500, "flag access-log requests at or above this duration with \"slow\":true")
 
@@ -70,87 +68,74 @@ func main() {
 	get := flag.String("get", "", "fetch this URL, print the body, and exit (curl-free smoke tests)")
 	post := flag.String("post", "", "POST -body to this URL, print the body, and exit (curl-free smoke tests)")
 	postBody := flag.String("body", "", "request body file for -post ('-' = stdin)")
-
-	selfbench := flag.Bool("selfbench", false, "run the mixed-query load generator against an in-process server and exit")
-	benchOut := flag.String("bench-out", "BENCH_serve.json", "selfbench: write the JSON report here")
-	benchDur := flag.Duration("bench-duration", 5*time.Second, "selfbench: load duration")
-	benchConc := flag.Int("bench-concurrency", 16, "selfbench: concurrent clients")
-	benchVertices := flag.Int("bench-vertices", 1_000_000, "selfbench: synthetic graph size when no -snapshot is given")
-	benchSeed := flag.Int64("bench-seed", 1, "selfbench: workload seed")
 	flag.Parse()
 
 	switch {
 	case *get != "":
-		runGet(*get)
+		cmdrun.Exit("netserve", fetch(http.MethodGet, *get, ""))
 	case *post != "":
-		runPost(*post, *postBody)
+		cmdrun.Exit("netserve", fetch(http.MethodPost, *post, *postBody))
 	case *convert != "":
-		runConvert(*convert, *snapshot)
+		cmdrun.Exit("netserve", runConvert(*convert, *snapshot))
 	case *reindex != "":
-		runReindex(*reindex)
-	case *selfbench:
-		runSelfbench(*snapshot, *benchOut, *benchDur, *benchConc, *benchVertices, *benchSeed,
-			*workers, *cacheBytes, *reqTimeout, *telemetryAddr)
-	default:
-		runServe(*snapshot, *addr, *addrFile, *workers, *cacheBytes, *reqTimeout, *watch,
-			*telemetryAddr, *accessLog, time.Duration(*slowMs)*time.Millisecond)
+		cmdrun.Exit("netserve", runReindex(*reindex))
 	}
+	cmdrun.Main("netserve", func(ctx context.Context) error {
+		accessW, err := openAccessLog(*accessLog)
+		if err != nil {
+			return err
+		}
+		return runServe(ctx, *snapshot, *addr, *addrFile, tel, netserve.Options{
+			Workers:        *workers,
+			CacheBytes:     *cacheBytes,
+			RequestTimeout: *reqTimeout,
+			WatchInterval:  *watch,
+			AccessLog:      accessW,
+			SlowThreshold:  time.Duration(*slowMs) * time.Millisecond,
+		})
+	})
 }
 
 // openAccessLog resolves the -access-log flag: empty disables, "-"
 // logs to stderr, anything else appends to that file.
-func openAccessLog(path string) io.Writer {
+func openAccessLog(path string) (io.Writer, error) {
 	switch path {
 	case "":
-		return nil
+		return nil, nil
 	case "-":
-		return os.Stderr
+		return os.Stderr, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		fatal(err)
-	}
-	return f
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// runServe is the daemon mode.
-func runServe(snapshot, addr, addrFile string, workers int, cacheBytes int64,
-	reqTimeout, watch time.Duration, telemetryAddr, accessLog string, slowThreshold time.Duration) {
+// runServe is the daemon mode: it serves until ctx is canceled, then
+// drains in-flight requests.
+func runServe(ctx context.Context, snapshot, addr, addrFile string, tel *cmdrun.Telemetry, opts netserve.Options) error {
 	if snapshot == "" {
-		fatal(fmt.Errorf("no -snapshot given; usage: netserve -snapshot net.gsnap -addr :8355"))
+		return errors.New("no -snapshot given; usage: netserve -snapshot net.gsnap -addr :8355")
 	}
-	telemetry.InstallFlightRecorder("netserve", os.Stderr)
-	if telemetryAddr != "" {
-		tsrv, err := telemetry.Default.Serve(telemetryAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer tsrv.Close()
-		fmt.Printf("telemetry: http://%s/metrics\n", tsrv.Addr())
+	stopTel, err := tel.Start()
+	if err != nil {
+		return err
 	}
+	defer stopTel()
 
 	start := time.Now()
-	srv, err := netserve.New(snapshot, netserve.Options{
-		Workers:        workers,
-		CacheBytes:     cacheBytes,
-		RequestTimeout: reqTimeout,
-		WatchInterval:  watch,
-		AccessLog:      openAccessLog(accessLog),
-		SlowThreshold:  slowThreshold,
-	})
+	srv, err := netserve.New(snapshot, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 	fmt.Printf("loaded %s in %s\n", snapshot, time.Since(start).Round(time.Millisecond))
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fatal(err)
+		if err := supervise.WriteAddrFile(addrFile, ln.Addr().String()); err != nil {
+			ln.Close()
+			return err
 		}
 	}
 	g, gen, release := srv.Acquire()
@@ -158,11 +143,7 @@ func runServe(snapshot, addr, addrFile string, workers int, cacheBytes int64,
 		g.NumVertices(), g.NumEdges(), ln.Addr(), gen)
 	release()
 
-	// HardenedHandler adds the http.TimeoutHandler backstop for wedged
-	// handlers and the Retry-After hint on 503 saturation responses.
-	httpSrv := &http.Server{Handler: srv.HardenedHandler(), ReadHeaderTimeout: 5 * time.Second}
-
-	// SIGHUP → hot reload; SIGTERM/SIGINT → graceful drain.
+	// SIGHUP → hot reload.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
@@ -174,99 +155,84 @@ func runServe(snapshot, addr, addrFile string, workers int, cacheBytes int64,
 			fmt.Printf("reloaded snapshot (generation %d)\n", srv.Generation())
 		}
 	}()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+
+	// HardenedHandler adds the http.TimeoutHandler backstop for wedged
+	// handlers and the Retry-After hint on 503 saturation responses.
+	httpSrv := &http.Server{Handler: srv.HardenedHandler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
-	case sig := <-stop:
-		fmt.Printf("caught %s: draining\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			fatal(err)
-		}
-		fmt.Println("drained; bye")
 	case err := <-errc:
-		if err != http.ErrServerClosed {
-			fatal(err)
-		}
+		return err
+	case <-ctx.Done():
 	}
+	fmt.Println("draining")
+	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		return err
+	}
+	fmt.Println("drained; bye")
+	return nil
 }
 
 // runConvert rewrites an edge list (or snapshot) as an indexed v2
 // .gsnap snapshot.
-func runConvert(in, out string) {
+func runConvert(in, out string) error {
 	if out == "" {
-		fatal(fmt.Errorf("-convert requires -snapshot OUT.gsnap"))
+		return errors.New("-convert requires -snapshot OUT.gsnap")
 	}
 	snap, err := gstore.LoadGraphFile(in, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer snap.Close()
 	g := snap.Graph()
 	if err := gstore.WriteFileIndexed(out, g, gstore.IndexOptions{}); err != nil {
-		fatal(err)
+		return err
 	}
 	fi, err := os.Stat(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("%s: %d vertices, %d edges → %s (%d bytes, v%d + index)\n",
 		in, g.NumVertices(), g.NumEdges(), out, fi.Size(), gstore.Version)
+	return nil
 }
 
 // runReindex upgrades a snapshot in place to v2 with baked index
 // sections. The write goes through the store's temp+fsync+rename path,
 // so a crash mid-upgrade leaves the original file untouched, and a
 // daemon watching the file mtime hot-reloads the indexed version.
-func runReindex(path string) {
+func runReindex(path string) error {
 	snap, err := gstore.LoadGraphFile(path, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	g := snap.Graph()
 	before := snap.SizeBytes()
 	fromVersion := snap.Version()
 	sections := snap.Index().Sections()
-	if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
-		snap.Close()
-		fatal(err)
-	}
+	err = gstore.WriteFileIndexed(path, snap.Graph(), gstore.IndexOptions{})
 	snap.Close()
+	if err != nil {
+		return err
+	}
 	re, err := gstore.LoadGraphFile(path, 0)
 	if err != nil {
-		fatal(fmt.Errorf("reindexed snapshot failed verification: %w", err))
+		return fmt.Errorf("reindexed snapshot failed verification: %w", err)
 	}
 	defer re.Close()
 	fmt.Printf("%s: v%d (%d sections, %d bytes) → v%d (%d sections, %d bytes)\n",
 		path, fromVersion, len(sections), before,
 		re.Version(), len(re.Index().Sections()), re.SizeBytes())
+	return nil
 }
 
-// runGet is a dependency-free HTTP GET for smoke tests on boxes
-// without curl.
-func runGet(url string) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(body)
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("GET %s: %s", url, resp.Status))
-	}
-}
-
-// runPost is the POST counterpart of runGet: body from a file (or
-// stdin with "-"), response to stdout, non-200 is fatal.
-func runPost(url, bodyPath string) {
+// fetch is a dependency-free HTTP client for smoke tests on boxes
+// without curl: a GET, or a POST whose body comes from bodyPath (a
+// file, "-" for stdin, "" for none). The response body goes to stdout;
+// a non-200 status is an error.
+func fetch(method, url, bodyPath string) error {
 	var body io.Reader = strings.NewReader("")
 	switch bodyPath {
 	case "":
@@ -275,113 +241,30 @@ func runPost(url, bodyPath string) {
 	default:
 		f, err := os.Open(bodyPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		body = f
 	}
-	client := &http.Client{Timeout: 10 * time.Minute}
-	resp, err := client.Post(url, "application/json", body)
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	timeout := 10 * time.Second
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+		timeout = 10 * time.Minute
+	}
+	resp, err := (&http.Client{Timeout: timeout}).Do(req)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(err)
+	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
+		return err
 	}
-	os.Stdout.Write(out)
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("POST %s: %s", url, resp.Status))
+		return fmt.Errorf("%s %s: %s", method, url, resp.Status)
 	}
-}
-
-// runSelfbench starts an in-process server on an ephemeral port and
-// drives the mixed-query load generator at it.
-func runSelfbench(snapshot, out string, dur time.Duration, conc, vertices int, seed int64,
-	workers int, cacheBytes int64, reqTimeout time.Duration, telemetryAddr string) {
-	if telemetryAddr != "" {
-		tsrv, err := telemetry.Default.Serve(telemetryAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer tsrv.Close()
-		fmt.Printf("telemetry: http://%s/metrics\n", tsrv.Addr())
-	}
-
-	path := snapshot
-	if path == "" {
-		// Synthesize a scale-free stand-in network with weighted edges.
-		tri, err := gennet.BarabasiAlbert(vertices, 4, rng.New(uint64(seed)))
-		if err != nil {
-			fatal(err)
-		}
-		src := rng.New(uint64(seed) + 1)
-		for k := range tri.W {
-			tri.W[k] = uint32(src.Intn(500) + 1)
-		}
-		g := graph.FromTri(tri, vertices)
-		tmp, err := os.MkdirTemp("", "netserve-bench")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		path = tmp + "/bench.gsnap"
-		if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("synthetic network: %d vertices, %d edges → %s (indexed)\n",
-			g.NumVertices(), g.NumEdges(), path)
-	}
-
-	srv, err := netserve.New(path, netserve.Options{
-		Workers:        workers,
-		CacheBytes:     cacheBytes,
-		RequestTimeout: reqTimeout,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	served, _, release := srv.Acquire()
-	defer release()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	httpSrv := &http.Server{Handler: srv.HardenedHandler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-
-	fmt.Printf("selfbench: %d clients for %s against http://%s\n", conc, dur, ln.Addr())
-	res, err := netserve.RunLoad(context.Background(), "http://"+ln.Addr().String(), served,
-		netserve.BenchConfig{Concurrency: conc, Duration: dur, Seed: seed})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%d requests (%d errors) in %.2fs → %.0f qps\n",
-		res.Requests, res.Errors, res.DurationSec, res.QPS)
-	fmt.Printf("latency: p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
-		res.P50Ms, res.P95Ms, res.P99Ms, res.MaxMs)
-	res.HotAllocsPerOp = srv.HotAllocs()
-	fmt.Printf("hot allocs/op: %v\n", res.HotAllocsPerOp)
-	res.Meta = telemetry.NewBenchMeta("netserve -selfbench", map[string]string{
-		"snapshot":    snapshot,
-		"duration":    dur.String(),
-		"concurrency": fmt.Sprint(conc),
-		"vertices":    fmt.Sprint(vertices),
-		"seed":        fmt.Sprint(seed),
-	})
-	if out != "" {
-		if err := res.WriteFile(out); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("report → %s\n", out)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netserve:", err)
-	os.Exit(1)
+	return nil
 }

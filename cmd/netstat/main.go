@@ -27,36 +27,35 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/cmdrun"
 	"repro/internal/gstore"
 	"repro/internal/netstat"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "report" {
-		runReport(os.Args[2:])
-		return
+	if len(os.Args) > 1 && (os.Args[1] == "report" || os.Args[1] == "trace") {
+		cmdrun.Exit("netstat", runReport(os.Args[1], os.Args[2:]))
 	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		runTrace(os.Args[2:])
-		return
-	}
-
 	n := flag.Int("n", 0, "population size (0 = infer from max person ID)")
 	workers := flag.Int("workers", 4, "clustering workers")
 	bins := flag.Int("bins", 20, "clustering histogram bins")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fatal(fmt.Errorf("usage: netstat [flags] network.tsv|net.gsnap | netstat report run.json"))
-	}
+	cmdrun.Exit("netstat", run(*n, *workers, *bins))
+}
 
-	snap, err := gstore.LoadGraphFile(flag.Arg(0), *n)
+func run(n, workers, bins int) error {
+	if flag.NArg() != 1 {
+		return errors.New("usage: netstat [flags] network.tsv|net.gsnap | netstat report|trace run.json")
+	}
+	snap, err := gstore.LoadGraphFile(flag.Arg(0), n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer snap.Close()
 	g := snap.Graph()
@@ -101,7 +100,7 @@ func main() {
 		fmt.Printf("MLE alpha (k≥5): %.3f\n", alpha)
 	}
 
-	clust := g.ClusteringAll(*workers)
+	clust := g.ClusteringAll(workers)
 	var vals []float64
 	atOne := 0
 	mean := 0.0
@@ -119,59 +118,37 @@ func main() {
 	}
 	fmt.Printf("\nlocal clustering (degree ≥ 2): mean %.3f, %d persons at c=1 (%.1f%%)\n",
 		mean, atOne, 100*float64(atOne)/float64(max(len(vals), 1)))
-	centers, counts := netstat.Histogram(vals, 0, 1, *bins)
+	centers, counts := netstat.Histogram(vals, 0, 1, bins)
 	for i := range centers {
 		fmt.Printf("  c≈%.3f %7d %s\n", centers[i], counts[i], bar(counts[i], counts))
 	}
+	return nil
 }
 
-// runReport implements `netstat report run.json`: it reads the JSON run
-// report produced by chisim/netsynth -report and renders the per-stage
-// and per-rank timing tables plus the metric snapshot.
-func runReport(args []string) {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+// runReport implements `netstat report run.json` and `netstat trace
+// run.json`: it reads the JSON run report written by chisim/netsynth
+// -report (directly or via netlaunch) and renders either the per-stage
+// and per-rank timing tables plus the metric snapshot, or the
+// distributed trace tree with per-rank annotations.
+func runReport(cmd string, args []string) error {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	usage := "usage: netstat " + cmd + " run.json"
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: netstat report run.json")
+		fmt.Fprintln(os.Stderr, usage)
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
+	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("usage: netstat report run.json"))
+		return errors.New(usage)
 	}
 	rep, err := telemetry.ReadReportFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := rep.Render(os.Stdout); err != nil {
-		fatal(err)
+	if cmd == "trace" {
+		return rep.RenderTrace(os.Stdout)
 	}
-}
-
-// runTrace implements `netstat trace run.json`: it reads a run report
-// carrying per-rank span dumps (written by a traced distributed
-// netsynth run, directly or via netlaunch) and renders the distributed
-// trace tree with per-rank annotations.
-func runTrace(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: netstat trace run.json")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("usage: netstat trace run.json"))
-	}
-	rep, err := telemetry.ReadReportFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.RenderTrace(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return rep.Render(os.Stdout)
 }
 
 func bar(v int, all []int) string {
@@ -194,9 +171,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netstat:", err)
-	os.Exit(1)
 }

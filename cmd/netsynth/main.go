@@ -29,29 +29,24 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/cmdrun"
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/mpinet"
 	"repro/internal/sparse"
-	"repro/internal/supervise"
 	"repro/internal/telemetry"
 
 	// Link the full pipeline so every stage's telemetry series is
@@ -91,139 +86,113 @@ func main() {
 	workers := flag.Int("workers", 0, "synthesis workers (0 = all CPUs)")
 	balance := flag.String("balance", "nnz", "load balancing: nnz (paper) or none (naive)")
 	memBudget := flag.String("mem-budget", "", "cap on buffered log-entry bytes, e.g. 64M or 2G (empty = unlimited), with and without -follow; entries beyond it spill to place-sorted temp files")
-	distHost := flag.String("dist-host", "", "host the TCP coordinator on this address (this process becomes rank 0)")
-	distJoin := flag.String("dist-join", "", "join a TCP coordinator at this address or @file (rank assigned by coordinator unless -dist-rank is set)")
+	dist := cmdrun.DistFlags()
 	distSize := flag.Int("dist-size", 0, "total process count when hosting")
-	distRank := flag.Int("dist-rank", 0, "claim this specific rank when joining (0 = let the coordinator assign)")
-	distToken := flag.Uint64("dist-token", 0, "rank claim token; a restarted process presenting the same token reclaims its slot")
-	distAddrFile := flag.String("dist-addr-file", "", "rank 0: publish the coordinator's bound address to this file (for -dist-join @file)")
-	distRoundTimeout := flag.Duration("dist-round-timeout", 0, "rank 0: declare the slowest rank failed when a collective stalls this long (0 = off)")
 	follow := flag.Bool("follow", false, "tail the logs of a running simulation and publish one snapshot generation per window (requires -snapshot; -t1 0 means open-ended)")
 	windowHours := flag.Uint("window", 24, "streaming window width in simulated hours (with -follow)")
 	horizonHours := flag.Uint("horizon", core.DefaultStreamHorizon, "activity-span horizon in hours: a window closes once every log reaches window-end+horizon (with -follow)")
 	decay := flag.Float64("decay", 1.0, "per-window decay of accumulated collocation weight in [0,1]: 1 = cumulative, 0 = independent windows (with -follow)")
 	pollInterval := flag.Duration("poll", eventlog.DefaultTailPoll, "log tail poll interval (with -follow)")
 	history := flag.Int("history", 0, "retain the last N published generations beside -snapshot as hard links (with -follow)")
-	benchOut := flag.String("bench-out", "", "write streaming bench stats as JSON to this path (with -follow)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the synthesis to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile after the synthesis to this file")
 	showStats := flag.Bool("stats", false, "print the per-stage statistics table after the run")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics (Prometheus), /snapshot, /debug/vars and /debug/pprof on this address and enable telemetry")
-	telemetryAddrFile := flag.String("telemetry-addr-file", "", "publish the telemetry server's bound address to this file (for a supervisor's scraper)")
-	reportPath := flag.String("report", "", "write a JSON run report to this path (render it with `netstat report` or `netstat trace`)")
+	tel := cmdrun.TelemetryFlags("netsynth", true)
 	flag.Parse()
 
-	telemetry.InstallFlightRecorder("netsynth", os.Stderr)
-	if *telemetryAddr != "" {
-		srv, err := telemetry.Default.Serve(*telemetryAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics\n", srv.Addr())
-		if *telemetryAddrFile != "" {
-			if err := supervise.WriteAddrFile(*telemetryAddrFile, srv.Addr()); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if *reportPath != "" {
-		telemetry.SetEnabled(true)
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC() // up-to-date allocation data
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}()
-
-	paths := flag.Args()
-	if len(paths) == 0 {
-		fatal(fmt.Errorf("no log files given; usage: netsynth [flags] logs/rank*.h5l"))
-	}
-	mode := core.BalanceNNZ
-	if *balance == "none" {
-		mode = core.BalanceNone
-	}
-	budget, err := parseBytes(*memBudget)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{Workers: *workers, Balance: mode, MemBudgetBytes: budget}
-
 	// SIGINT/SIGTERM cancel the synthesis: it aborts within one work
-	// unit (or log batch) and returns an error wrapping
-	// context.Canceled. A second signal kills the process outright
-	// (signal.NotifyContext restores default handling once canceled).
-	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancelSignals()
+	// unit (or log batch) and returns an error wrapping context.Canceled,
+	// after which the profiles below are still written.
+	cmdrun.Main("netsynth", func(ctx context.Context) (err error) {
+		stopTel, err := tel.Start()
+		if err != nil {
+			return err
+		}
+		defer stopTel()
+		if *cpuProfile != "" {
+			f, ferr := os.Create(*cpuProfile)
+			if ferr != nil {
+				return ferr
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return err
+			}
+			// err below is the named result; this block must not
+			// declare one of its own.
+			defer func() {
+				pprof.StopCPUProfile()
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}()
+		}
+		if *memProfile != "" {
+			defer func() {
+				if werr := writeHeapProfile(*memProfile); err == nil {
+					err = werr
+				}
+			}()
+		}
 
-	if *follow {
-		runFollow(ctx, paths, uint32(*t0), uint32(*t1), cfg, followOptions{
-			Window: uint32(*windowHours), Horizon: uint32(*horizonHours),
-			Decay: *decay, Poll: *pollInterval, History: *history,
-			Snapshot: *snapshot, Out: *out, BenchOut: *benchOut,
-		})
-		return
-	}
+		paths := flag.Args()
+		if len(paths) == 0 {
+			return errors.New("no log files given; usage: netsynth [flags] logs/rank*.h5l")
+		}
+		mode := core.BalanceNNZ
+		if *balance == "none" {
+			mode = core.BalanceNone
+		}
+		budget, err := parseBytes(*memBudget)
+		if err != nil {
+			return err
+		}
+		cfg := core.Config{Workers: *workers, Balance: mode, MemBudgetBytes: budget}
+		switch {
+		case *follow:
+			return runFollow(ctx, paths, uint32(*t0), uint32(*t1), cfg, followOptions{
+				Window: uint32(*windowHours), Horizon: uint32(*horizonHours),
+				Decay: *decay, Poll: *pollInterval, History: *history,
+				Snapshot: *snapshot, Out: *out,
+			})
+		case dist.Enabled():
+			return runDistributed(ctx, paths, uint32(*t0), uint32(*t1), cfg, dist, *distSize, *out, *snapshot, tel)
+		}
+		return runBatch(ctx, paths, uint32(*t0), uint32(*t1), cfg, *out, *snapshot, *showStats, tel)
+	})
+}
 
-	if *distHost != "" || *distJoin != "" {
-		runDistributed(ctx, paths, uint32(*t0), uint32(*t1), cfg, distOptions{
-			Host: *distHost, Join: *distJoin, Size: *distSize,
-			Rank: *distRank, Token: *distToken,
-			AddrFile: *distAddrFile, RoundTimeout: *distRoundTimeout,
-		}, *out, *snapshot, *reportPath)
-		return
-	}
-
-	start := time.Now()
-	tri, stats, err := core.SynthesizeFiles(ctx, paths, uint32(*t0), uint32(*t1), cfg)
+// writeHeapProfile writes an up-to-date pprof heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
 	if err != nil {
-		exitCanceled(err)
-		fatal(err)
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// runBatch synthesizes the slice in this process and writes the network.
+func runBatch(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, out, snapshot string, showStats bool, tel *cmdrun.Telemetry) error {
+	start := time.Now()
+	tri, stats, err := core.SynthesizeFiles(ctx, paths, t0, t1, cfg)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+	if err := writeEdgeList(out, tri); err != nil {
+		return err
 	}
-	if err := graph.WriteEdgeList(f, tri); err != nil {
-		fatal(err)
+	if err := writeSnapshot(snapshot, tri); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	writeSnapshot(*snapshot, tri)
 
 	fmt.Printf("slice [%d,%d): %d entries at %d places, %d collocation nnz\n",
-		*t0, *t1, stats.Entries, stats.Places, stats.TotalNNZ)
+		t0, t1, stats.Entries, stats.Places, stats.TotalNNZ)
 	fmt.Printf("network: %d vertices, %d edges, total weight %d\n",
 		tri.Vertices(), tri.NNZ(), tri.TotalWeight())
 	fmt.Printf("stage walls: load %s, build %s, gram %s, reduce %s (total %s)\n",
@@ -231,23 +200,18 @@ func main() {
 		stats.Gram.Round(time.Millisecond), stats.Reduce.Round(time.Millisecond),
 		elapsed.Round(time.Millisecond))
 	fmt.Printf("worker cost imbalance %.2f, idle fraction %.3f → %s\n",
-		stats.CostImbalance(), stats.IdleFraction(), *out)
+		stats.CostImbalance(), stats.IdleFraction(), out)
 	printSpill(stats)
-	if *showStats {
+	if showStats {
 		printStats(stats)
 	}
-	if *reportPath != "" {
-		rep := telemetry.Default.Report("netsynth")
-		rep.Stages = stats.StageReports()
-		local := stats.RankReport(0, elapsed, 0)
-		local.FaultsInjected = telemetry.C("fault_injected_total").Value()
-		local.FaultsRecovered = telemetry.C("fault_recovered_total").Value()
-		rep.Ranks = []telemetry.RankReport{local}
-		if err := rep.WriteFile(*reportPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run report → %s\n", *reportPath)
-	}
+	rep := telemetry.Default.Report("netsynth")
+	rep.Stages = stats.StageReports()
+	local := stats.RankReport(0, elapsed, 0)
+	local.FaultsInjected = telemetry.C("fault_injected_total").Value()
+	local.FaultsRecovered = telemetry.C("fault_recovered_total").Value()
+	rep.Ranks = []telemetry.RankReport{local}
+	return tel.WriteReport(rep)
 }
 
 // printSpill reports what the memory budget cost a slice or window, when
@@ -287,89 +251,40 @@ func printStats(s *core.Stats) {
 	w.Flush()
 }
 
-// distOptions bundles the supervisor-facing distributed flags so
-// runDistributed's signature stays readable.
-type distOptions struct {
-	Host         string
-	Join         string
-	Size         int
-	Rank         int
-	Token        uint64
-	AddrFile     string
-	RoundTimeout time.Duration
-}
-
 // runDistributed stripes the log files across the processes of a TCP
 // cluster; rank 0 merges the partial networks and writes the edge list.
-func runDistributed(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, dist distOptions, out, snapshot, reportPath string) {
-	var node *mpinet.Node
-	var err error
-	if dist.Host != "" {
-		if dist.Size < 1 {
-			fatal(fmt.Errorf("-dist-host requires -dist-size"))
-		}
-		node, err = mpinet.Host(dist.Host, dist.Size, mpinet.Options{RoundTimeout: dist.RoundTimeout})
-		if err == nil {
-			fmt.Printf("rank 0 hosting on %s, waiting for %d peers\n", node.Addr(), dist.Size-1)
-			if dist.AddrFile != "" {
-				if werr := supervise.WriteAddrFile(dist.AddrFile, node.Addr()); werr != nil {
-					node.Close()
-					fatal(werr)
-				}
-			}
-		}
-	} else {
-		addr, rerr := supervise.ResolveAddr(dist.Join, 30*time.Second)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		node, err = mpinet.Join(addr, mpinet.Options{
-			ClaimRank:  dist.Rank,
-			ClaimToken: dist.Token,
-		})
-		if err == nil {
-			fmt.Printf("joined as rank %d of %d\n", node.Rank(), node.Size())
-		}
-	}
+func runDistributed(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, dist *cmdrun.Dist, size int, out, snapshot string, tel *cmdrun.Telemetry) error {
+	node, err := dist.Open(size)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer node.Close()
 
 	start := time.Now()
 	tri, rep, err := core.SynthesizeDistributed(ctx, node, paths, t0, t1, cfg)
 	if err != nil {
-		exitCanceled(err)
-		fatal(err)
+		return err
 	}
 	fmt.Printf("rank %d done in %s\n", node.Rank(), time.Since(start).Round(time.Millisecond))
 	if node.Rank() != 0 {
-		return
+		return nil
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		fatal(err)
-	}
-	if err := graph.WriteEdgeList(f, tri); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
+	if err := writeEdgeList(out, tri); err != nil {
+		return err
 	}
 	fmt.Printf("network: %d vertices, %d edges, total weight %d → %s\n",
 		tri.Vertices(), tri.NNZ(), tri.TotalWeight(), out)
-	writeSnapshot(snapshot, tri)
-	if reportPath != "" {
-		if rep == nil {
-			fmt.Fprintln(os.Stderr, "netsynth: rank report gather failed; no run report written")
-			return
-		}
-		rep.Command = "netsynth"
-		if err := rep.WriteFile(reportPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run report → %s\n", reportPath)
+	if err := writeSnapshot(snapshot, tri); err != nil {
+		return err
 	}
+	if rep == nil {
+		if tel.Report != "" {
+			fmt.Fprintln(os.Stderr, "netsynth: rank report gather failed; no run report written")
+		}
+		return nil
+	}
+	rep.Command = "netsynth"
+	return tel.WriteReport(rep)
 }
 
 // followOptions bundles the streaming-mode flags so runFollow's
@@ -382,7 +297,6 @@ type followOptions struct {
 	History  int
 	Snapshot string
 	Out      string
-	BenchOut string
 }
 
 // decayRational converts the -decay fraction into the accumulator's
@@ -404,13 +318,13 @@ func decayRational(d float64) (num, den uint64, err error) {
 // zero downtime. The stream ends when the logs are closed with valid
 // footers and the slice is exhausted (or, with -t1 0, when the closed
 // logs run out of activity).
-func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, opt followOptions) {
+func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, opt followOptions) error {
 	if opt.Snapshot == "" {
-		fatal(fmt.Errorf("-follow requires -snapshot (the live path generations are published to)"))
+		return errors.New("-follow requires -snapshot (the live path generations are published to)")
 	}
 	num, den, err := decayRational(opt.Decay)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if t1 == 0 {
 		t1 = core.StreamOpenEnd
@@ -419,7 +333,6 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 	pub := gstore.NewPublisher(opt.Snapshot, gstore.PublisherOptions{History: opt.History})
 	srcs := eventlog.OpenTails(ctx, paths, t0, t1, eventlog.TailOptions{Poll: opt.Poll})
 
-	var publishLat []time.Duration
 	var lastNet *sparse.Tri
 	start := time.Now()
 	st, err := core.Stream(ctx, srcs, core.StreamConfig{
@@ -435,7 +348,6 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 			if perr != nil {
 				return perr
 			}
-			publishLat = append(publishLat, info.Elapsed)
 			lastNet = w.Net
 			fmt.Printf("published generation %d: window [%d,%d) — %d entries, net %d vertices %d edges, %d bytes in %s\n",
 				info.Generation, w.W0, w.W1, w.Stats.Entries,
@@ -445,99 +357,32 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 		},
 	})
 	if err != nil {
-		exitCanceled(err)
-		fatal(err)
+		return err
 	}
-	elapsed := time.Since(start)
-
 	if lastNet != nil {
-		f, err := os.Create(opt.Out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := graph.WriteEdgeList(f, lastNet); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := writeEdgeList(opt.Out, lastNet); err != nil {
+			return err
 		}
 		fmt.Printf("final network: %d vertices, %d edges, total weight %d → %s\n",
 			lastNet.Vertices(), lastNet.NNZ(), lastNet.TotalWeight(), opt.Out)
 	}
 	fmt.Printf("stream done: %d windows, %d entries (%d late), peak buffered %d, max stop hour %d in %s\n",
 		st.Windows, st.Entries, st.LateEntries, st.PeakBuffered, st.MaxStop,
-		elapsed.Round(time.Millisecond))
-	if opt.BenchOut != "" {
-		writeStreamBench(opt.BenchOut, st, publishLat, elapsed, map[string]string{
-			"window":  strconv.FormatUint(uint64(opt.Window), 10),
-			"horizon": strconv.FormatUint(uint64(opt.Horizon), 10),
-			"decay":   strconv.FormatFloat(opt.Decay, 'g', -1, 64),
-			"t0":      strconv.FormatUint(uint64(t0), 10),
-			"t1":      strconv.FormatUint(uint64(t1), 10),
-		})
-	}
+		time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
-// streamBench is the JSON shape of -bench-out: streaming throughput,
-// exact publish-latency quantiles over this run's publishes, and the
-// process's peak RSS (the accumulator dominates it in follow mode).
-type streamBench struct {
-	// Meta is the shared BENCH_*.json provenance stamp.
-	Meta telemetry.BenchMeta `json:"meta"`
-
-	Windows        int     `json:"windows"`
-	Entries        uint64  `json:"entries"`
-	LateEntries    uint64  `json:"late_entries"`
-	PeakBuffered   int     `json:"peak_buffered_entries"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	WindowsPerHour float64 `json:"windows_per_hour"`
-	PublishP50Ms   float64 `json:"publish_p50_ms"`
-	PublishP99Ms   float64 `json:"publish_p99_ms"`
-	PeakRSSBytes   int64   `json:"peak_rss_bytes"`
-}
-
-// quantileDur returns the exact q-quantile of a sorted sample.
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-func writeStreamBench(path string, st *core.StreamStats, lat []time.Duration, elapsed time.Duration, config map[string]string) {
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	b := streamBench{
-		Meta:         telemetry.NewBenchMeta("netsynth -follow", config),
-		Windows:      st.Windows,
-		Entries:      st.Entries,
-		LateEntries:  st.LateEntries,
-		PeakBuffered: st.PeakBuffered,
-		WallSeconds:  elapsed.Seconds(),
-		PublishP50Ms: float64(quantileDur(lat, 0.50)) / float64(time.Millisecond),
-		PublishP99Ms: float64(quantileDur(lat, 0.99)) / float64(time.Millisecond),
-	}
-	if elapsed > 0 {
-		b.WindowsPerHour = float64(st.Windows) / elapsed.Hours()
-	}
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
-		b.PeakRSSBytes = ru.Maxrss * 1024 // linux reports KiB
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
+// writeEdgeList writes tri as a three-column TSV edge list to path.
+func writeEdgeList(path string, tri *sparse.Tri) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+	if err := graph.WriteEdgeList(f, tri); err != nil {
+		f.Close()
+		return err
 	}
-	fmt.Printf("stream bench → %s\n", path)
+	return f.Close()
 }
 
 // writeSnapshot additionally persists the synthesized network as a
@@ -545,33 +390,18 @@ func writeStreamBench(path string, st *core.StreamStats, lat []time.Duration, el
 // loads without re-parsing TSV. Snapshots are written as v2 with the
 // precomputed index sections baked in, so the daemon's hot endpoints
 // serve them as O(1) mmap reads with no warmup pass.
-func writeSnapshot(path string, tri *sparse.Tri) {
+func writeSnapshot(path string, tri *sparse.Tri) error {
 	if path == "" {
-		return
+		return nil
 	}
 	g := graph.FromTri(tri, 0)
 	if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
-		fatal(err)
+		return err
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("snapshot: %d bytes (v%d, indexed) → %s\n", fi.Size(), gstore.Version, path)
-}
-
-// exitCanceled recognizes the cooperative-cancellation error and exits
-// with the dedicated drain code so a supervisor (cmd/netlaunch) can
-// tell a deliberate interruption from a real failure.
-func exitCanceled(err error) {
-	if !errors.Is(err, context.Canceled) {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "netsynth: interrupted: %v\n", err)
-	os.Exit(supervise.ExitCanceled)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netsynth:", err)
-	os.Exit(1)
+	return nil
 }

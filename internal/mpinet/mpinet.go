@@ -1109,17 +1109,11 @@ func (c *coordinator) run() {
 		}
 		// Deliver. A failed delivery marks the rank dead; the round
 		// still counts as complete for everyone else, and the death is
-		// announced at the top of the next iteration.
-		for r := 0; r < size; r++ {
+		// announced at the top of the next iteration. Rank 0 goes last:
+		// it may Close the moment its reply lands, and the teardown must
+		// not overtake the workers' replies.
+		for r := 1; r < size; r++ {
 			if !alive[r] {
-				continue
-			}
-			if r == 0 {
-				select {
-				case c.replies[0] <- out[0]:
-				case <-c.done:
-					return
-				}
 				continue
 			}
 			p := c.currentPeer(r)
@@ -1130,6 +1124,13 @@ func (c *coordinator) run() {
 				alive[r] = false
 				c.markDead(r, p)
 				pendingDead = append(pendingDead, r)
+			}
+		}
+		if alive[0] {
+			select {
+			case c.replies[0] <- out[0]:
+			case <-c.done:
+				return
 			}
 		}
 		seq++

@@ -229,6 +229,43 @@ func TestGather(t *testing.T) {
 	})
 }
 
+// TestCloseAfterLastCollective is the shape of chisim's and netsynth's
+// distributed exit: rank 0 closes its node the moment its last Gather
+// returns. Every worker's reply must already be on its way by then, or
+// the teardown races it and the worker sees the coordinator vanish.
+func TestCloseAfterLastCollective(t *testing.T) {
+	const size = 4
+	for round := 0; round < 200; round++ {
+		host, err := Host("127.0.0.1:0", size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, size)
+		var wg sync.WaitGroup
+		for r := 1; r < size; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				n, err := Join(host.Addr())
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				defer n.Close()
+				_, errs[r] = n.Gather(context.Background(), []byte{byte(r)})
+			}(r)
+		}
+		_, errs[0] = host.Gather(context.Background(), []byte{0})
+		host.Close()
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: rank %d: %v", round, r, err)
+			}
+		}
+	}
+}
+
 func TestMixedCollectiveSequence(t *testing.T) {
 	cluster(t, 3, func(n *Node) error {
 		if err := n.Barrier(context.Background()); err != nil {

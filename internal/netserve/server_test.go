@@ -1,7 +1,6 @@
 package netserve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -630,49 +629,6 @@ func TestWatchLoopCatchesSameMtimePublishes(t *testing.T) {
 	// forced mtime, fresh inode: the historical skip case.
 	publish(testGraph())
 	waitGen(3)
-}
-
-// TestRunLoadSmoke drives the benchmark harness briefly against the
-// test server and sanity-checks its report.
-func TestRunLoadSmoke(t *testing.T) {
-	s, ts, _ := newTestServer(t, Options{})
-	g, _, releaseFn := s.Acquire()
-	defer releaseFn()
-	res, err := RunLoad(context.Background(), ts.URL, g, BenchConfig{
-		Concurrency: 4,
-		Duration:    250 * time.Millisecond,
-		Seed:        42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 {
-		t.Fatal("load generator made no requests")
-	}
-	if res.Errors != 0 {
-		t.Fatalf("load generator saw %d errors", res.Errors)
-	}
-	if res.QPS <= 0 || res.P99Ms < res.P50Ms {
-		t.Fatalf("implausible report: %+v", res)
-	}
-	if len(res.PerEndpoint) == 0 {
-		t.Fatal("per-endpoint counts empty")
-	}
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := res.WriteFile(out); err != nil {
-		t.Fatal(err)
-	}
-	var back BenchResult
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Requests != res.Requests {
-		t.Fatalf("round-tripped report requests = %d, want %d", back.Requests, res.Requests)
-	}
 }
 
 // TestNewRejectsMissingSnapshot is the constructor's fail-closed path.
