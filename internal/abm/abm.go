@@ -3,7 +3,7 @@
 // daily activity schedule at one-hour resolution, moving between places
 // and interacting with the other agents present.
 //
-// The simulation runs on the mpi substrate exactly as the paper's Repast
+// The simulation runs over an mpi.Transport exactly as the paper's Repast
 // HPC deployment does: places are distributed among ranks by a
 // partition.Assignment, each rank owns the agents currently located at
 // its places, and agents migrate between ranks when their next activity's
@@ -142,7 +142,9 @@ type agent struct {
 //
 // Cancelling ctx stops every rank at the next hour boundary — logs are
 // flushed and closed with valid footers, so the run remains resumable —
-// and Run returns an error wrapping context.Canceled.
+// and Run returns an error wrapping context.Canceled. A rank that fails
+// (an error or a panic) makes its peers' next exchange fail too, and Run
+// returns the failed rank's own error.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res, _, err := run(ctx, cfg, false)
 	return res, err
@@ -195,11 +197,10 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 	if resume {
 		reports = make([]*ResumeReport, cfg.Ranks)
 	}
-	world := mpi.NewWorld(cfg.Ranks)
-	err := world.Run(func(c *mpi.Comm) error {
+	err := mpi.Run(cfg.Ranks, func(t mpi.Transport) error {
 		logPath := ""
 		if logging {
-			logPath = res.LogPaths[c.Rank()]
+			logPath = res.LogPaths[t.Rank()]
 		}
 		rc := RankConfig{
 			Pop: cfg.Pop, Gen: cfg.Gen, Days: cfg.Days, Assign: assign,
@@ -211,15 +212,15 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 		var err error
 		if resume {
 			var rep *ResumeReport
-			rr, rep, err = ResumeRank(ctx, mpi.AsTransport(c), rc)
-			reports[c.Rank()] = rep
+			rr, rep, err = ResumeRank(ctx, t, rc)
+			reports[t.Rank()] = rep
 		} else {
-			rr, err = RunRank(ctx, mpi.AsTransport(c), rc)
+			rr, err = RunRank(ctx, t, rc)
 		}
 		if err != nil {
 			return err
 		}
-		results[c.Rank()] = rr
+		results[t.Rank()] = rr
 		return nil
 	})
 	if err != nil {
@@ -379,10 +380,10 @@ const agendaSlots = schedule.HoursPerDay + 1
 func byPerson(a, b agent) int { return cmp.Compare(a.person, b.person) }
 
 // RunRank executes one rank of the simulation over any Transport — the
-// in-process mpi world or the TCP-based mpinet for true multi-process
-// deployment. All ranks must use identical Pop, Gen, Days and Assign
-// values; determinism of the schedule generator guarantees they agree on
-// every agent's behavior without further coordination.
+// in-process ranks of mpi.Run or the TCP-based mpinet for true
+// multi-process deployment. All ranks must use identical Pop, Gen, Days
+// and Assign values; determinism of the schedule generator guarantees
+// they agree on every agent's behavior without further coordination.
 //
 // Cancelling ctx is observed at the next hour boundary: all ranks leave
 // the loop together (via the hourly flag exchange), the logger is

@@ -57,9 +57,8 @@ func (f *resumeFixture) reference(t *testing.T) []string {
 	for r := range paths {
 		paths[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
 	}
-	world := mpi.NewWorld(f.ranks)
-	err := world.Run(func(c *mpi.Comm) error {
-		_, err := RunRank(context.Background(), mpi.AsTransport(c), f.rankConfig(paths[c.Rank()]))
+	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
+		_, err := RunRank(context.Background(), tr, f.rankConfig(paths[tr.Rank()]))
 		return err
 	})
 	if err != nil {
@@ -140,11 +139,10 @@ func (f *resumeFixture) resumeAll(t *testing.T, paths []string) []*ResumeReport 
 	t.Helper()
 	reports := make([]*ResumeReport, f.ranks)
 	var mu sync.Mutex
-	world := mpi.NewWorld(f.ranks)
-	err := world.Run(func(c *mpi.Comm) error {
-		_, rep, err := ResumeRank(context.Background(), mpi.AsTransport(c), f.rankConfig(paths[c.Rank()]))
+	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
+		_, rep, err := ResumeRank(context.Background(), tr, f.rankConfig(paths[tr.Rank()]))
 		mu.Lock()
-		reports[c.Rank()] = rep
+		reports[tr.Rank()] = rep
 		mu.Unlock()
 		return err
 	})
@@ -201,8 +199,8 @@ func TestResumeRankAfterCrashFlush(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "crashed.h5l")
 	faultinject.Arm(eventlog.CrashFlush, 3, faultinject.ErrInjected)
-	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
-		_, err := RunRank(context.Background(), mpi.AsTransport(c), f.rankConfig(path))
+	err := mpi.Run(1, func(tr mpi.Transport) error {
+		_, err := RunRank(context.Background(), tr, f.rankConfig(path))
 		return err
 	})
 	faultinject.Reset()
@@ -301,14 +299,13 @@ func TestGracefulStopThenResume(t *testing.T) {
 
 	results := make([]RankResult, f.ranks)
 	var mu sync.Mutex
-	world := mpi.NewWorld(f.ranks)
-	err := world.Run(func(c *mpi.Comm) error {
-		cfg := f.rankConfig(paths[c.Rank()])
+	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
+		cfg := f.rankConfig(paths[tr.Rank()])
 		cfg.Stop = stop
 		cfg.LogExt = logExt
-		rr, err := RunRank(context.Background(), mpi.AsTransport(c), cfg)
+		rr, err := RunRank(context.Background(), tr, cfg)
 		mu.Lock()
-		results[c.Rank()] = rr
+		results[tr.Rank()] = rr
 		mu.Unlock()
 		return err
 	})
@@ -353,8 +350,8 @@ func TestResumeRankValidation(t *testing.T) {
 	run := func(mutate func(*RankConfig)) error {
 		cfg := f.rankConfig(filepath.Join(t.TempDir(), "log.h5l"))
 		mutate(&cfg)
-		return mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
-			_, _, err := ResumeRank(context.Background(), mpi.AsTransport(c), cfg)
+		return mpi.Run(1, func(tr mpi.Transport) error {
+			_, _, err := ResumeRank(context.Background(), tr, cfg)
 			return err
 		})
 	}

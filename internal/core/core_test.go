@@ -497,14 +497,13 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Distributed over 3 in-process ranks (5 files striped across them).
-	world := mpi.NewWorld(3)
 	results := make([]*sparse.Tri, 3)
-	err = world.Run(func(c *mpi.Comm) error {
-		tri, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 48, Config{Workers: 1})
+	err = mpi.Run(3, func(tr mpi.Transport) error {
+		tri, _, err := SynthesizeDistributed(context.Background(), tr, res.LogPaths, 0, 48, Config{Workers: 1})
 		if err != nil {
 			return err
 		}
-		results[c.Rank()] = tri
+		results[tr.Rank()] = tri
 		return nil
 	})
 	if err != nil {
@@ -519,9 +518,8 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 }
 
 func TestSynthesizeDistributedEmptyPaths(t *testing.T) {
-	world := mpi.NewWorld(1)
-	err := world.Run(func(c *mpi.Comm) error {
-		_, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), nil, 0, 24, Config{})
+	err := mpi.Run(1, func(tr mpi.Transport) error {
+		_, _, err := SynthesizeDistributed(context.Background(), tr, nil, 0, 24, Config{})
 		if err == nil {
 			t.Error("empty path list accepted")
 		}
@@ -547,14 +545,13 @@ func TestSynthesizeDistributedMoreRanksThanFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 6 ranks, 2 files: four ranks contribute empty partials.
-	world := mpi.NewWorld(6)
 	var got *sparse.Tri
-	err = world.Run(func(c *mpi.Comm) error {
-		tri, _, err := SynthesizeDistributed(context.Background(), mpi.AsTransport(c), res.LogPaths, 0, 24, Config{Workers: 1})
+	err = mpi.Run(6, func(tr mpi.Transport) error {
+		tri, _, err := SynthesizeDistributed(context.Background(), tr, res.LogPaths, 0, 24, Config{Workers: 1})
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
+		if tr.Rank() == 0 {
 			got = tri
 		}
 		return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -90,6 +91,35 @@ func TestSynthesizeDistributedSurvivesRankDeath(t *testing.T) {
 	}
 	if hostTri == nil || !hostTri.Equal(serial) {
 		t.Fatalf("network after rank %d death differs from healthy reference", victimRank)
+	}
+}
+
+// TestSynthesizeDistributedSurvivesInProcessRankDeath is the same
+// contract without sockets: under mpi.Run, rank 1 returns before the
+// result gather, the survivors re-stripe its files, and mpi.Run reports
+// rank 1's own error.
+func TestSynthesizeDistributedSurvivesInProcessRankDeath(t *testing.T) {
+	paths, serial := buildLogs(t, 93)
+
+	const size, victim = 3, 1
+	lost := errors.New("rank 1 lost")
+	results := make([]*sparse.Tri, size)
+	err := mpi.Run(size, func(tr mpi.Transport) error {
+		if tr.Rank() == victim {
+			return lost
+		}
+		tri, _, err := SynthesizeDistributed(context.Background(), tr, paths, 0, 48, Config{Workers: 1})
+		results[tr.Rank()] = tri
+		return err
+	})
+	if err != lost {
+		t.Fatalf("mpi.Run error = %v, want the victim's own error", err)
+	}
+	if results[2] != nil {
+		t.Error("non-root rank received a network")
+	}
+	if results[0] == nil || !results[0].Equal(serial) {
+		t.Fatal("network after in-process rank death differs from SynthesizeFiles")
 	}
 }
 

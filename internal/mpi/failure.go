@@ -7,7 +7,7 @@ import (
 
 // RankFailedError reports that a collective operation could not complete
 // because one participant died (connection reset, heartbeat timeout,
-// premature EOF). It is defined here — rather than in the transport
+// premature EOF, or an in-process rank that returned or panicked). It is defined here — rather than in the transport
 // implementation — so that callers holding only a Transport can detect
 // rank failures with errors.As without importing the network layer.
 //

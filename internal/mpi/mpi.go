@@ -1,264 +1,184 @@
-// Package mpi provides an in-process message-passing substrate that
-// stands in for the MPI layer beneath Repast HPC in the paper's chiSIM
-// deployment.
+// Package mpi defines the rank transport that stands in for the MPI
+// layer beneath Repast HPC in the paper's chiSIM deployment, and runs
+// ranks in-process over it.
 //
-// A World runs N ranks as goroutines; each rank holds a Comm through
-// which it can exchange point-to-point messages and participate in
-// collectives (Barrier, Allgather, Allreduce, Alltoall). The semantics
-// mirror the MPI subset the simulation needs: ranks are peers, messages
-// between a pair of ranks are delivered in send order, and every rank
-// must participate in every collective in the same order.
+// Transport is the contract: Barrier, a personalized all-to-all
+// Exchange of byte blobs, and a Gather to rank 0. Two implementations
+// satisfy it — Run here, one goroutine per rank inside one process, and
+// mpinet's TCP star for ranks as separate OS processes — with the same
+// blob-lifetime and failure semantics, so the simulation and the
+// distributed synthesis run unchanged over either.
 //
-// Running ranks as goroutines rather than OS processes preserves the
-// code structure the paper describes — per-rank place ownership, agent
-// migration between ranks, one logger per rank — while remaining
-// runnable on a single machine.
+// Run keeps the in-process hand-off zero-copy: a rank publishes its
+// outgoing blob vector in a shared slot and peers read the sender's own
+// slices after one generation-counted barrier. Slots alternate between
+// two buffers by completed round, so a fast rank's next contribution
+// never overwrites one a slow peer is still reading.
+//
+// A rank whose function returns (with or without an error) or panics
+// leaves the world, exactly like a closed mpinet connection: the round
+// in progress — or, if none is, the next one — aborts, and every
+// survivor's collective for it returns a *RankFailedError naming that
+// rank. Later rounds run among the survivors with nil blobs in the
+// departed rank's slots.
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
-// message is one point-to-point payload in flight.
-type message struct {
-	from, tag int
-	payload   any
-}
-
-// inbox is a rank's incoming message queue with blocking matched receive.
-type inbox struct {
+// world is the state the ranks of one Run share.
+type world struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []message
-	closed  bool
-}
-
-func newInbox() *inbox {
-	b := &inbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *inbox) put(m message) {
-	b.mu.Lock()
-	b.pending = append(b.pending, m)
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// take blocks until a message matching (from, tag) is available and
-// removes it. from == AnySource matches any sender.
-func (b *inbox) take(from, tag int) (message, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for i, m := range b.pending {
-			if (from == AnySource || m.from == from) && m.tag == tag {
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				return m, nil
-			}
-		}
-		if b.closed {
-			return message{}, fmt.Errorf("mpi: receive on closed world (from %d, tag %d)", from, tag)
-		}
-		b.cond.Wait()
-	}
-}
-
-func (b *inbox) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// AnySource matches any sending rank in Recv.
-const AnySource = -1
-
-// barrier is a reusable generation-counted barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   uint64
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// World is a set of ranks executing together.
-type World struct {
+	cond    sync.Cond
 	size    int
-	inboxes []*inbox
-	bar     *barrier
-	scratch []any // collective exchange buffer, one slot per rank
+	live    int            // ranks that have not left
+	arrived int            // live ranks inside the open round
+	round   uint64         // index of the open round
+	done    uint64         // completed rounds; selects the slot buffer
+	aborted map[uint64]int // aborted round → the rank whose departure aborted it
+	slots   [2][]slot
 }
 
-// NewWorld creates a world with the given number of ranks. Size must be
-// positive.
-func NewWorld(size int) *World {
+// slot is one rank's contribution: its blob vector, stamped with the
+// round it belongs to so a stale or departed rank reads as nil.
+type slot struct {
+	round uint64
+	v     [][]byte
+}
+
+// rank is one participant's Transport handle.
+type rank struct {
+	w     *world
+	rank  int
+	round uint64 // collectives this rank has entered
+}
+
+// Run executes fn once per rank concurrently, each with its own
+// Transport, and waits for every rank to return. It returns the first
+// error by rank order that is not a *RankFailedError — the root cause,
+// not a survivor's report of it — or, failing that, the first error by
+// rank order. A panicking rank is reported as an error.
+//
+// In-process collectives complete in microseconds among sibling
+// goroutines, so they ignore ctx once entered; callers check their
+// context between collectives, where every rank sees the same decision
+// point.
+func Run(size int, fn func(t Transport) error) error {
 	if size <= 0 {
-		panic("mpi: world size must be positive")
+		return fmt.Errorf("mpi: world size must be positive, got %d", size)
 	}
-	w := &World{
-		size:    size,
-		bar:     newBarrier(size),
-		scratch: make([]any, size),
-	}
-	for i := 0; i < size; i++ {
-		w.inboxes = append(w.inboxes, newInbox())
-	}
-	return w
-}
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Run executes fn once per rank concurrently and waits for all ranks to
-// finish. It returns the first non-nil error by rank order. Run may be
-// called again after it returns (the world is reusable), but not
-// concurrently with itself.
-func (w *World) Run(fn func(c *Comm) error) error {
-	errs := make([]error, w.size)
+	w := &world{size: size, live: size, aborted: make(map[uint64]int)}
+	w.cond.L = &w.mu
+	w.slots = [2][]slot{make([]slot, size), make([]slot, size)}
+	errs := make([]error, size)
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	for r := range size {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
+			defer w.leave(r)
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					// Unblock peers waiting on receives from this rank.
-					for _, ib := range w.inboxes {
-						ib.close()
-					}
+					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
 				}
 			}()
-			errs[rank] = fn(&Comm{world: w, rank: rank})
-		}(r)
+			errs[r] = fn(&rank{w: w, rank: r})
+		}()
 	}
 	wg.Wait()
-	for _, ib := range w.inboxes {
-		ib.mu.Lock()
-		ib.pending = nil
-		ib.closed = false
-		ib.mu.Unlock()
-	}
+	var first error
 	for _, err := range errs {
-		if err != nil {
+		if _, derived := AsRankFailed(err); err != nil && !derived {
 			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// leave removes rank r from the world and aborts the open round.
+func (w *world) leave(r int) {
+	w.mu.Lock()
+	w.live--
+	w.aborted[w.round] = r
+	w.round++
+	w.arrived = 0
+	w.mu.Unlock()
+	w.cond.Broadcast()
+}
+
+// collective runs one round: it publishes v, waits for every live rank,
+// and fills in[j] with v_j[pick] from each rank j that took part (nil
+// for ranks that did not). in may be nil for rounds that deliver
+// nothing.
+func (t *rank) collective(op string, v [][]byte, pick int, in [][]byte) error {
+	mCollectives.Inc()
+	sw := telemetry.Clock()
+	defer sw.Observe(mCollectiveSeconds)
+	w := t.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := t.round
+	t.round++
+	if k == w.round {
+		w.slots[w.done%2][t.rank] = slot{round: k, v: v}
+		if w.arrived++; w.arrived == w.live {
+			w.round++
+			w.arrived = 0
+			w.done++
+			w.cond.Broadcast()
+		}
+		for w.round == k {
+			w.cond.Wait()
+		}
+	}
+	// Round k is closed: aborted, or completed with this rank inside, in
+	// which case no later round can have completed yet.
+	if r, ok := w.aborted[k]; ok {
+		return &RankFailedError{Rank: r, Op: op}
+	}
+	if in != nil {
+		for j, s := range w.slots[(w.done-1)%2] {
+			if s.round == k {
+				in[j] = s.v[pick]
+			}
 		}
 	}
 	return nil
 }
 
-// Comm is one rank's communication handle.
-type Comm struct {
-	world *World
-	rank  int
+func (t *rank) Rank() int { return t.rank }
+func (t *rank) Size() int { return t.w.size }
+
+func (t *rank) Barrier(ctx context.Context) error {
+	return t.collective("barrier", nil, 0, nil)
 }
 
-// Rank returns this rank's index in [0, Size).
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
-
-// Send delivers payload to rank `to` under the given tag. Sends are
-// asynchronous and never block. Sending to self is allowed.
-func (c *Comm) Send(to, tag int, payload any) {
-	if to < 0 || to >= c.world.size {
-		panic(fmt.Sprintf("mpi: send to rank %d out of [0,%d)", to, c.world.size))
+func (t *rank) Exchange(ctx context.Context, out [][]byte) ([][]byte, error) {
+	if len(out) != t.w.size {
+		return nil, fmt.Errorf("mpi: Exchange with %d blobs for %d ranks", len(out), t.w.size)
 	}
-	c.world.inboxes[to].put(message{from: c.rank, tag: tag, payload: payload})
-}
-
-// Recv blocks until a message with the given tag from rank `from`
-// (or any rank when from == AnySource) arrives, and returns its payload
-// and actual source.
-func (c *Comm) Recv(from, tag int) (payload any, source int, err error) {
-	m, err := c.world.inboxes[c.rank].take(from, tag)
-	if err != nil {
-		return nil, 0, err
+	in := make([][]byte, t.w.size)
+	if err := t.collective("exchange", out, t.rank, in); err != nil {
+		return nil, err
 	}
-	return m.payload, m.from, nil
+	return in, nil
 }
 
-// Barrier blocks until every rank has entered the barrier.
-func (c *Comm) Barrier() { c.world.bar.wait() }
-
-// allgatherSlot publishes v in the shared scratch and returns a snapshot
-// of every rank's value. Two barriers ensure the scratch can be reused by
-// the next collective.
-func (c *Comm) allgatherSlot(v any) []any {
-	c.world.scratch[c.rank] = v
-	c.Barrier()
-	out := make([]any, c.world.size)
-	copy(out, c.world.scratch)
-	c.Barrier()
-	return out
-}
-
-// Allgather returns every rank's value, indexed by rank. All ranks must
-// call it collectively.
-func Allgather[T any](c *Comm, v T) []T {
-	raw := c.allgatherSlot(v)
-	out := make([]T, len(raw))
-	for i, x := range raw {
-		out[i] = x.(T)
+func (t *rank) Gather(ctx context.Context, blob []byte) ([][]byte, error) {
+	var in [][]byte
+	if t.rank == 0 {
+		in = make([][]byte, t.w.size)
 	}
-	return out
-}
-
-// Allreduce folds every rank's value with op (which must be associative
-// and commutative) and returns the result on all ranks.
-func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
-	all := Allgather(c, v)
-	acc := all[0]
-	for _, x := range all[1:] {
-		acc = op(acc, x)
+	if err := t.collective("gather", [][]byte{blob}, 0, in); err != nil {
+		return nil, err
 	}
-	return acc
-}
-
-// Alltoall performs a personalized all-to-all exchange: send[i] is
-// delivered to rank i, and the result's element j is what rank j sent to
-// this rank. len(send) must equal Size.
-func Alltoall[T any](c *Comm, send []T) []T {
-	if len(send) != c.Size() {
-		panic(fmt.Sprintf("mpi: Alltoall send has %d slots for %d ranks", len(send), c.Size()))
-	}
-	matrix := Allgather(c, send)
-	out := make([]T, c.Size())
-	for j := 0; j < c.Size(); j++ {
-		out[j] = matrix[j][c.rank]
-	}
-	return out
-}
-
-// Bcast distributes root's value to all ranks.
-func Bcast[T any](c *Comm, v T, root int) T {
-	return Allgather(c, v)[root]
+	return in, nil
 }

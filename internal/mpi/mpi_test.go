@@ -1,59 +1,63 @@
 package mpi
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-func TestWorldSize(t *testing.T) {
-	w := NewWorld(4)
-	if w.Size() != 4 {
-		t.Fatalf("Size = %d", w.Size())
+var bg = context.Background()
+
+func TestRunRejectsNonPositiveSize(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		if err := Run(size, func(Transport) error { return nil }); err == nil {
+			t.Errorf("Run(%d) accepted", size)
+		}
 	}
 }
 
-func TestNewWorldPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWorld(0) did not panic")
-		}
-	}()
-	NewWorld(0)
-}
-
-func TestRunAllRanksExecute(t *testing.T) {
-	w := NewWorld(8)
-	var mask int64
-	err := w.Run(func(c *Comm) error {
-		for {
-			old := atomic.LoadInt64(&mask)
-			if atomic.CompareAndSwapInt64(&mask, old, old|1<<c.Rank()) {
-				break
-			}
-		}
-		if c.Size() != 8 {
-			t.Errorf("rank %d sees size %d", c.Rank(), c.Size())
+func TestWorldSize(t *testing.T) {
+	err := Run(4, func(tr Transport) error {
+		if tr.Size() != 4 {
+			t.Errorf("rank %d: Size = %d", tr.Rank(), tr.Size())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mask != 0xff {
-		t.Fatalf("rank mask = %b, want 11111111", mask)
+}
+
+func TestRunAllRanksExecute(t *testing.T) {
+	ran := make([]bool, 8)
+	err := Run(8, func(tr Transport) error {
+		ran[tr.Rank()] = true
+		if tr.Size() != 8 {
+			t.Errorf("rank %d sees size %d", tr.Rank(), tr.Size())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(ran, false) {
+		t.Fatalf("ranks run = %v, want all", ran)
 	}
 }
 
 func TestRunReturnsFirstErrorByRank(t *testing.T) {
-	w := NewWorld(4)
 	sentinel := errors.New("rank 1 failed")
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
+	err := Run(4, func(tr Transport) error {
+		if tr.Rank() == 1 {
 			return sentinel
 		}
-		if c.Rank() == 3 {
+		if tr.Rank() == 3 {
 			return errors.New("rank 3 failed")
 		}
 		return nil
@@ -63,146 +67,57 @@ func TestRunReturnsFirstErrorByRank(t *testing.T) {
 	}
 }
 
-func TestSendRecvPairwise(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 7, "hello")
-			p, src, err := c.Recv(1, 7)
-			if err != nil {
-				return err
-			}
-			if p.(string) != "world" || src != 1 {
-				t.Errorf("rank 0 got %v from %d", p, src)
-			}
-		} else {
-			p, src, err := c.Recv(0, 7)
-			if err != nil {
-				return err
-			}
-			if p.(string) != "hello" || src != 0 {
-				t.Errorf("rank 1 got %v from %d", p, src)
-			}
-			c.Send(0, 7, "world")
+// A survivor that reports the failure with a lower rank than the failed
+// rank must not mask the root cause.
+func TestRunReturnsRootCauseNotSurvivorReport(t *testing.T) {
+	sentinel := errors.New("rank 2 failed")
+	err := Run(3, func(tr Transport) error {
+		if tr.Rank() == 2 {
+			return sentinel
 		}
-		return nil
+		return tr.Barrier(bg)
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != sentinel {
+		t.Fatalf("err = %v, want rank 2's error", err)
 	}
 }
 
-func TestSendRecvOrderPreservedPerPair(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		const n = 100
-		if c.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				c.Send(1, 1, i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				p, _, err := c.Recv(0, 1)
-				if err != nil {
-					return err
-				}
-				if p.(int) != i {
-					t.Errorf("message %d arrived out of order: %v", i, p)
-					return nil
-				}
-			}
+func TestPanicInRankSurfacesAsError(t *testing.T) {
+	var survivor error
+	err := Run(2, func(tr Transport) error {
+		if tr.Rank() == 0 {
+			panic("boom")
 		}
-		return nil
+		// Rank 1 waits on a barrier rank 0 never enters; the panic must
+		// release it with a typed failure naming rank 0.
+		survivor = tr.Barrier(bg)
+		return survivor
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: boom") {
+		t.Fatalf("Run error = %v, want rank 0's panic", err)
 	}
-}
-
-func TestRecvByTagFiltering(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 5, "tag5")
-			c.Send(1, 6, "tag6")
-		} else {
-			// Receive tag 6 first even though tag 5 was sent first.
-			p6, _, err := c.Recv(0, 6)
-			if err != nil {
-				return err
-			}
-			p5, _, err := c.Recv(0, 5)
-			if err != nil {
-				return err
-			}
-			if p6.(string) != "tag6" || p5.(string) != "tag5" {
-				t.Errorf("tag filtering broken: %v %v", p5, p6)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvAnySource(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			seen := make(map[int]bool)
-			for i := 0; i < 3; i++ {
-				_, src, err := c.Recv(AnySource, 2)
-				if err != nil {
-					return err
-				}
-				seen[src] = true
-			}
-			if len(seen) != 3 {
-				t.Errorf("AnySource saw senders %v", seen)
-			}
-		} else {
-			c.Send(0, 2, c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendToSelf(t *testing.T) {
-	w := NewWorld(1)
-	err := w.Run(func(c *Comm) error {
-		c.Send(0, 9, 42)
-		p, _, err := c.Recv(0, 9)
-		if err != nil {
-			return err
-		}
-		if p.(int) != 42 {
-			t.Errorf("self-send got %v", p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if rf, ok := AsRankFailed(survivor); !ok || rf.Rank != 0 || rf.Op != "barrier" {
+		t.Fatalf("survivor error = %v, want RankFailedError{Rank: 0, Op: barrier}", survivor)
 	}
 }
 
 func TestBarrierOrdering(t *testing.T) {
-	w := NewWorld(6)
-	var before, after int64
-	err := w.Run(func(c *Comm) error {
-		atomic.AddInt64(&before, 1)
-		c.Barrier()
-		// After the barrier, every rank must have incremented before.
-		if atomic.LoadInt64(&before) != 6 {
-			t.Errorf("rank %d passed barrier with before=%d", c.Rank(), before)
+	var before, after atomic.Int64
+	err := Run(6, func(tr Transport) error {
+		before.Add(1)
+		if err := tr.Barrier(bg); err != nil {
+			return err
 		}
-		atomic.AddInt64(&after, 1)
-		c.Barrier()
-		if atomic.LoadInt64(&after) != 6 {
-			t.Errorf("rank %d passed second barrier with after=%d", c.Rank(), after)
+		// After the barrier, every rank must have incremented before.
+		if n := before.Load(); n != 6 {
+			t.Errorf("rank %d passed barrier with before=%d", tr.Rank(), n)
+		}
+		after.Add(1)
+		if err := tr.Barrier(bg); err != nil {
+			return err
+		}
+		if n := after.Load(); n != 6 {
+			t.Errorf("rank %d passed second barrier with after=%d", tr.Rank(), n)
 		}
 		return nil
 	})
@@ -212,10 +127,11 @@ func TestBarrierOrdering(t *testing.T) {
 }
 
 func TestBarrierReusableManyTimes(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		for i := 0; i < 500; i++ {
-			c.Barrier()
+	err := Run(3, func(tr Transport) error {
+		for range 500 {
+			if err := tr.Barrier(bg); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -224,13 +140,70 @@ func TestBarrierReusableManyTimes(t *testing.T) {
 	}
 }
 
+// exchangeRound sends {round, src, dst} to every rank and checks what
+// arrives, so a blob read from the wrong round or slot is caught.
+func exchangeRound(tr Transport, round int) error {
+	out := make([][]byte, tr.Size())
+	for d := range out {
+		out[d] = []byte{byte(round), byte(tr.Rank()), byte(d)}
+	}
+	in, err := tr.Exchange(bg, out)
+	if err != nil {
+		return err
+	}
+	for src, b := range in {
+		if want := []byte{byte(round), byte(src), byte(tr.Rank())}; !slices.Equal(b, want) {
+			return fmt.Errorf("round %d rank %d: from %d got %v, want %v", round, tr.Rank(), src, b, want)
+		}
+	}
+	return nil
+}
+
+// Exchange is MPI's personalized Alltoall.
+func TestAlltoall(t *testing.T) {
+	err := Run(4, func(tr Transport) error {
+		for round := range 50 {
+			if err := exchangeRound(tr, round); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allgather sends v to every rank in one Exchange — MPI's Allgather, and
+// the shape of the ABM's hourly stop/cancel flag alignment.
+func allgather(tr Transport, v byte) ([]byte, error) {
+	out := make([][]byte, tr.Size())
+	for d := range out {
+		out[d] = []byte{v}
+	}
+	in, err := tr.Exchange(bg, out)
+	if err != nil {
+		return nil, err
+	}
+	got := make([]byte, len(in))
+	for j, b := range in {
+		if len(b) != 1 {
+			return nil, fmt.Errorf("rank %d: blob from %d is %v", tr.Rank(), j, b)
+		}
+		got[j] = b[0]
+	}
+	return got, nil
+}
+
 func TestAllgather(t *testing.T) {
-	w := NewWorld(5)
-	err := w.Run(func(c *Comm) error {
-		got := Allgather(c, c.Rank()*10)
+	err := Run(5, func(tr Transport) error {
+		got, err := allgather(tr, byte(tr.Rank()*10))
+		if err != nil {
+			return err
+		}
 		for i, v := range got {
-			if v != i*10 {
-				t.Errorf("rank %d: Allgather[%d] = %d", c.Rank(), i, v)
+			if int(v) != i*10 {
+				t.Errorf("rank %d: Allgather[%d] = %d", tr.Rank(), i, v)
 			}
 		}
 		return nil
@@ -241,14 +214,15 @@ func TestAllgather(t *testing.T) {
 }
 
 func TestAllgatherRepeated(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		for round := 0; round < 50; round++ {
-			got := Allgather(c, c.Rank()+round*100)
+	err := Run(4, func(tr Transport) error {
+		for round := range 50 {
+			got, err := allgather(tr, byte(tr.Rank()+round*4))
+			if err != nil {
+				return err
+			}
 			for i, v := range got {
-				if v != i+round*100 {
-					t.Errorf("round %d rank %d: slot %d = %d", round, c.Rank(), i, v)
-					return nil
+				if int(v) != i+round*4 {
+					return fmt.Errorf("round %d rank %d: slot %d = %d", round, tr.Rank(), i, v)
 				}
 			}
 		}
@@ -259,12 +233,22 @@ func TestAllgatherRepeated(t *testing.T) {
 	}
 }
 
+func sum(vs []byte) int {
+	n := 0
+	for _, v := range vs {
+		n += int(v)
+	}
+	return n
+}
+
 func TestAllreduceSum(t *testing.T) {
-	w := NewWorld(7)
-	err := w.Run(func(c *Comm) error {
-		sum := Allreduce(c, c.Rank()+1, func(a, b int) int { return a + b })
-		if sum != 28 { // 1+2+...+7
-			t.Errorf("rank %d: sum = %d, want 28", c.Rank(), sum)
+	err := Run(7, func(tr Transport) error {
+		got, err := allgather(tr, byte(tr.Rank()+1))
+		if err != nil {
+			return err
+		}
+		if n := sum(got); n != 28 { // 1+2+...+7
+			t.Errorf("rank %d: sum = %d, want 28", tr.Rank(), n)
 		}
 		return nil
 	})
@@ -273,17 +257,56 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
+// The ABM's flag alignment: every rank must agree on the largest flag.
 func TestAllreduceMax(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		m := Allreduce(c, c.Rank()*c.Rank(), func(a, b int) int {
-			if a > b {
-				return a
+	err := Run(4, func(tr Transport) error {
+		got, err := allgather(tr, byte(tr.Rank()*tr.Rank()))
+		if err != nil {
+			return err
+		}
+		if m := slices.Max(got); m != 9 {
+			t.Errorf("rank %d: max = %d, want 9", tr.Rank(), m)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: for any world size in [1, 12], Exchange routes every blob to
+// its destination and a sum over it equals the arithmetic series.
+func TestQuickAllreduceSum(t *testing.T) {
+	f := func(n uint8) bool {
+		size := int(n%12) + 1
+		return Run(size, func(tr Transport) error {
+			if err := exchangeRound(tr, int(n)); err != nil {
+				return err
 			}
-			return b
-		})
-		if m != 9 {
-			t.Errorf("max = %d, want 9", m)
+			got, err := allgather(tr, byte(tr.Rank()))
+			if err == nil && sum(got) != size*(size-1)/2 {
+				err = fmt.Errorf("rank %d: sum = %d", tr.Rank(), sum(got))
+			}
+			return err
+		}) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSendRecvPairwise(t *testing.T) {
+	msgs := []string{"hello", "world"}
+	err := Run(2, func(tr Transport) error {
+		me, peer := tr.Rank(), 1-tr.Rank()
+		out := make([][]byte, 2)
+		out[peer] = []byte(msgs[me])
+		in, err := tr.Exchange(bg, out)
+		if err != nil {
+			return err
+		}
+		if string(in[peer]) != msgs[peer] || in[me] != nil {
+			t.Errorf("rank %d got %q", me, in)
 		}
 		return nil
 	})
@@ -292,19 +315,20 @@ func TestAllreduceMax(t *testing.T) {
 	}
 }
 
-func TestAlltoall(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		// Rank r sends value r*10+dest to rank dest.
-		send := make([]int, 4)
-		for d := range send {
-			send[d] = c.Rank()*10 + d
-		}
-		got := Alltoall(c, send)
-		for src, v := range got {
-			want := src*10 + c.Rank()
-			if v != want {
-				t.Errorf("rank %d: from %d got %d, want %d", c.Rank(), src, v, want)
+// Blobs between a pair of ranks arrive in the order they were sent.
+func TestSendRecvOrderPreservedPerPair(t *testing.T) {
+	err := Run(2, func(tr Transport) error {
+		for i := range 100 {
+			out := make([][]byte, 2)
+			if tr.Rank() == 0 {
+				out[1] = []byte{byte(i)}
+			}
+			in, err := tr.Exchange(bg, out)
+			if err != nil {
+				return err
+			}
+			if tr.Rank() == 1 && !slices.Equal(in[0], []byte{byte(i)}) {
+				return fmt.Errorf("message %d arrived out of order: %v", i, in[0])
 			}
 		}
 		return nil
@@ -314,33 +338,15 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	w := NewWorld(5)
-	err := w.Run(func(c *Comm) error {
-		v := -1
-		if c.Rank() == 2 {
-			v = 777
-		}
-		got := Bcast(c, v, 2)
-		if got != 777 {
-			t.Errorf("rank %d: Bcast = %d", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// Each Run is a fresh world: nothing of one run leaks into the next.
 func TestWorldReusableAcrossRuns(t *testing.T) {
-	w := NewWorld(3)
-	for run := 0; run < 5; run++ {
-		err := w.Run(func(c *Comm) error {
-			sum := Allreduce(c, 1, func(a, b int) int { return a + b })
-			if sum != 3 {
-				t.Errorf("run %d: sum = %d", run, sum)
+	for run := range 5 {
+		err := Run(3, func(tr Transport) error {
+			got, err := allgather(tr, 1)
+			if err == nil && sum(got) != 3 {
+				err = fmt.Errorf("run %d: sum = %d", run, sum(got))
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -348,52 +354,190 @@ func TestWorldReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPanicInRankSurfacesAsError(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			panic("boom")
+func TestSendToSelf(t *testing.T) {
+	err := Run(1, func(tr Transport) error {
+		in, err := tr.Exchange(bg, [][]byte{{42}})
+		if err != nil {
+			return err
 		}
-		// Rank 1 blocks on a receive that will never be satisfied; the
-		// panic path must close inboxes so this unblocks with an error.
-		_, _, err := c.Recv(0, 1)
-		if err == nil {
-			t.Error("rank 1 receive should fail after peer panic")
+		if len(in) != 1 || !slices.Equal(in[0], []byte{42}) {
+			t.Errorf("self-exchange got %v", in)
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("panic did not surface as error")
-	}
-}
-
-// Property: Allreduce with addition equals the arithmetic series sum for
-// any world size in [1, 12].
-func TestQuickAllreduceSum(t *testing.T) {
-	f := func(n uint8) bool {
-		size := int(n%12) + 1
-		w := NewWorld(size)
-		ok := true
-		err := w.Run(func(c *Comm) error {
-			sum := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
-			if sum != size*(size-1)/2 {
-				ok = false
-			}
-			return nil
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+func TestExchangeArity(t *testing.T) {
+	err := Run(2, func(tr Transport) error {
+		if _, err := tr.Exchange(bg, make([][]byte, 3)); err == nil {
+			t.Errorf("rank %d: 3 blobs for 2 ranks accepted", tr.Rank())
+		}
+		// The rejected call consumed no round: the ranks still agree.
+		return exchangeRound(tr, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The in-process hand-off is zero-copy: a peer receives the sender's own
+// slice, not a copy of it.
+func TestExchangeIsZeroCopy(t *testing.T) {
+	blobs := [][]byte{{0}, {1}}
+	err := Run(2, func(tr Transport) error {
+		out := make([][]byte, 2)
+		out[1-tr.Rank()] = blobs[tr.Rank()]
+		in, err := tr.Exchange(bg, out)
+		if err != nil {
+			return err
+		}
+		if peer := 1 - tr.Rank(); &in[peer][0] != &blobs[peer][0] {
+			t.Errorf("rank %d received a copy of rank %d's blob", tr.Rank(), peer)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Allocation guard: at steady state an Exchange allocates only its
+// result slice — one allocation per call per rank.
+func TestExchangeAllocsAtMostOnePerCall(t *testing.T) {
+	const size, runs = 2, 200
+	err := Run(size, func(tr Transport) error {
+		out := make([][]byte, size)
+		for d := range out {
+			out[d] = []byte{byte(d)}
+		}
+		exchange := func() {
+			if _, err := tr.Exchange(bg, out); err != nil {
+				t.Error(err)
+			}
+		}
+		exchange() // warm up
+		if tr.Rank() != 0 {
+			// AllocsPerRun calls its function runs+1 times.
+			for range runs + 1 {
+				exchange()
+			}
+			return nil
+		}
+		// AllocsPerRun counts the whole process, so rank 1's calls in
+		// the same rounds are included.
+		if allocs := testing.AllocsPerRun(runs, exchange); allocs > size {
+			t.Errorf("%.1f allocations per round across %d ranks, want ≤ 1 per rank", allocs, size)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGather(t *testing.T) {
+	err := Run(5, func(tr Transport) error {
+		got, err := tr.Gather(bg, []byte{byte(tr.Rank() * 10)})
+		if err != nil {
+			return err
+		}
+		if tr.Rank() != 0 {
+			if got != nil {
+				t.Errorf("rank %d received %v", tr.Rank(), got)
+			}
+			return nil
+		}
+		for i, b := range got {
+			if !slices.Equal(b, []byte{byte(i * 10)}) {
+				t.Errorf("Gather[%d] = %v", i, b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Gathers interleaved with exchanges never read another round's slot.
+func TestGatherRepeated(t *testing.T) {
+	err := Run(4, func(tr Transport) error {
+		for round := range 50 {
+			got, err := tr.Gather(bg, []byte{byte(round), byte(tr.Rank())})
+			if err != nil {
+				return err
+			}
+			for i, b := range got {
+				if !slices.Equal(b, []byte{byte(round), byte(i)}) {
+					return fmt.Errorf("round %d: slot %d = %v", round, i, b)
+				}
+			}
+			if err := exchangeRound(tr, round); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Two ranks leave while the survivors are between collectives. Each
+// departure aborts one round, and both survivors see the same dead ranks
+// in the same order before their barriers complete again.
+func TestDeparturesSeenInSameOrder(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[int][]int{}
+	sentinel := errors.New("gone")
+	err := Run(4, func(tr Transport) error {
+		if err := tr.Barrier(bg); err != nil {
+			return err
+		}
+		if tr.Rank()%2 == 1 {
+			return sentinel
+		}
+		for attempt := 0; ; attempt++ {
+			err := tr.Barrier(bg)
+			if err == nil {
+				break
+			}
+			rf, ok := AsRankFailed(err)
+			if !ok || attempt == 2 {
+				return fmt.Errorf("rank %d attempt %d: %v", tr.Rank(), attempt, err)
+			}
+			mu.Lock()
+			seen[tr.Rank()] = append(seen[tr.Rank()], rf.Rank)
+			mu.Unlock()
+		}
+		// Later rounds run among the survivors with nil dead slots.
+		in, err := tr.Exchange(bg, [][]byte{{0}, {1}, {2}, {3}})
+		if err != nil {
+			return err
+		}
+		if in[1] != nil || in[3] != nil || in[2-tr.Rank()] == nil {
+			return fmt.Errorf("rank %d: exchange after departures got %v", tr.Rank(), in)
+		}
+		return nil
+	})
+	if err != sentinel {
+		t.Fatalf("Run error = %v, want the departed ranks' error", err)
+	}
+	a, b := seen[0], seen[2]
+	if !slices.Equal(a, b) || len(a) != 2 || !slices.Contains(a, 1) || !slices.Contains(a, 3) {
+		t.Fatalf("survivors saw departures %v and %v, want the same order of {1, 3}", a, b)
+	}
+}
+
 func BenchmarkBarrier8(b *testing.B) {
-	w := NewWorld(8)
-	b.ResetTimer()
-	err := w.Run(func(c *Comm) error {
-		for i := 0; i < b.N; i++ {
-			c.Barrier()
+	err := Run(8, func(tr Transport) error {
+		for range b.N {
+			if err := tr.Barrier(bg); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -402,13 +546,14 @@ func BenchmarkBarrier8(b *testing.B) {
 	}
 }
 
-func BenchmarkAlltoall8(b *testing.B) {
-	w := NewWorld(8)
-	b.ResetTimer()
-	err := w.Run(func(c *Comm) error {
-		send := make([]int, 8)
-		for i := 0; i < b.N; i++ {
-			Alltoall(c, send)
+func BenchmarkExchange8(b *testing.B) {
+	b.ReportAllocs()
+	err := Run(8, func(tr Transport) error {
+		out := make([][]byte, 8)
+		for range b.N {
+			if _, err := tr.Exchange(bg, out); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
