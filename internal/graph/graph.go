@@ -7,8 +7,10 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -65,15 +67,16 @@ func FromTri(t *sparse.Tri, n int) *Graph {
 		g.nbrs[cursor[j]], g.weights[cursor[j]] = i, w
 		cursor[j]++
 	}
-	// Tri entries are sorted by (I, J), so rows built this way already
-	// have J ascending for the I side; the J side accumulates I values
-	// in ascending order as well. Sort defensively anyway (cheap, and
-	// keeps the invariant independent of Tri ordering).
+	// Tri entries are sorted by (I, J) with I < J, so every row comes out
+	// of the scatter sorted: v's lower neighbors arrive (as I of entries
+	// (I, v)) in ascending I before its higher ones (as J of entries
+	// (v, J)) in ascending J. Only a row built from a Tri that breaks the
+	// contract needs sorting.
 	for v := 0; v < n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
-		row := g.nbrs[lo:hi]
-		wts := g.weights[lo:hi]
-		sort.Sort(&rowSorter{row, wts})
+		if row := g.nbrs[lo:hi]; !slices.IsSorted(row) {
+			sort.Sort(&rowSorter{row, g.weights[lo:hi]})
+		}
 	}
 	return g
 }
@@ -206,46 +209,89 @@ func (g *Graph) LocalClusteringScratch(v uint32, mark []bool) float64 {
 }
 
 // ClusteringAll computes the local clustering coefficient of every
-// vertex in parallel with the given worker count (0 → 1).
+// vertex with the given worker count (0 → 1), by forward triangle
+// enumeration. The forward set of v is the tail of its sorted row, the
+// neighbors with a higher ID; each triangle v < u < x is found once,
+// from v, by marking v's forward set and walking the forward set of
+// each marked u, and is credited to all three corners. Workers take
+// blocks of v off an atomic counter and count into private arrays that
+// are summed afterwards; the sums are integers, so the coefficients do
+// not depend on the worker count and equal LocalClustering's bit for
+// bit.
 func (g *Graph) ClusteringAll(workers int) []float64 {
 	if workers <= 0 {
 		workers = 1
 	}
 	n := g.NumVertices()
-	out := make([]float64, n)
-	var next int64
-	var mu sync.Mutex
+	// v's forward set is g.nbrs[fwd[v]:g.offsets[v+1]].
+	fwd := make([]int64, n)
+	for v := range fwd {
+		row, _ := g.Neighbors(uint32(v))
+		i, self := slices.BinarySearch(row, uint32(v))
+		if self {
+			i++
+		}
+		fwd[v] = g.offsets[v] + int64(i)
+	}
+
 	const block = 1024
+	counts := make([][]int64, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range counts {
+		tri := make([]int64, n)
+		counts[w] = tri
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			mark := make([]bool, n)
 			for {
-				mu.Lock()
-				lo := next
-				next += block
-				mu.Unlock()
-				if lo >= int64(n) {
+				lo := int(next.Add(block) - block)
+				if lo >= n {
 					return
 				}
-				hi := lo + block
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				for v := lo; v < hi; v++ {
-					d := g.Degree(uint32(v))
-					if d < 2 {
+				for v := lo; v < min(lo+block, n); v++ {
+					fv := g.nbrs[fwd[v]:g.offsets[v+1]]
+					if len(fv) < 2 {
 						continue
 					}
-					t := g.triangles(uint32(v), mark)
-					out[v] = float64(2*t) / float64(d*(d-1))
+					for _, u := range fv {
+						mark[u] = true
+					}
+					var tv int64
+					for _, u := range fv {
+						var tu int64
+						for _, x := range g.nbrs[fwd[u]:g.offsets[u+1]] {
+							if mark[x] {
+								tu++
+								tri[x]++
+							}
+						}
+						tri[u] += tu
+						tv += tu
+					}
+					tri[v] += tv
+					for _, u := range fv {
+						mark[u] = false
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+
+	out := make([]float64, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(uint32(v))
+		if d < 2 {
+			continue
+		}
+		var t int64
+		for _, tri := range counts {
+			t += tri[v]
+		}
+		out[v] = float64(2*t) / float64(d*(d-1))
+	}
 	return out
 }
 

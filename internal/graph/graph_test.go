@@ -99,6 +99,32 @@ func TestNeighborsSortedAndWeighted(t *testing.T) {
 	_ = wts
 }
 
+// TestFromTriSortsOutOfOrderRows: a hand-built Tri that breaks the
+// (I, J)-sorted, I < J contract still yields sorted rows with their
+// weights carried along. Each weight encodes its edge as 10·lo + hi.
+func TestFromTriSortsOutOfOrderRows(t *testing.T) {
+	tri := &sparse.Tri{
+		I: []uint32{3, 0, 2, 1, 0},
+		J: []uint32{4, 3, 0, 4, 1},
+		W: []uint32{34, 3, 2, 14, 1},
+	}
+	g := FromTri(tri, 5)
+	if g.NumEdges() != 5 {
+		t.Fatalf("NumEdges = %d, want 5", g.NumEdges())
+	}
+	for v := uint32(0); v < 5; v++ {
+		row, wts := g.Neighbors(v)
+		for k, u := range row {
+			if k > 0 && row[k-1] >= u {
+				t.Fatalf("row %d not sorted: %v", v, row)
+			}
+			if want := 10*min(v, u) + max(v, u); wts[k] != want {
+				t.Fatalf("edge (%d,%d) carries weight %d, want %d", v, u, wts[k], want)
+			}
+		}
+	}
+}
+
 func TestHasEdge(t *testing.T) {
 	g := path()
 	cases := []struct {
@@ -149,17 +175,40 @@ func TestClusteringPartial(t *testing.T) {
 	}
 }
 
+// TestClusteringAllMatchesSingle: the forward-enumeration kernel gives
+// LocalClustering's bits at every vertex, for any worker count, on a
+// random graph and on a hub-heavy one spanning several work blocks.
 func TestClusteringAllMatchesSingle(t *testing.T) {
 	r := rng.New(8)
 	acc := sparse.NewAccum()
 	for k := 0; k < 500; k++ {
 		acc.Add(uint32(r.Intn(60)), uint32(r.Intn(60)), 1)
 	}
-	g := FromTri(acc.Tri(), 60)
-	all := g.ClusteringAll(4)
-	for v := 0; v < g.NumVertices(); v++ {
-		if math.Abs(all[v]-g.LocalClustering(uint32(v))) > 1e-12 {
-			t.Fatalf("vertex %d: parallel %v != serial %v", v, all[v], g.LocalClustering(uint32(v)))
+	random := FromTri(acc.Tri(), 60)
+
+	// Hubs joined to a quarter of the graph and to each other, over a
+	// sparse random background with isolated vertices at the end.
+	const n = 3000
+	acc = sparse.NewAccum()
+	for h := uint32(0); h < 8; h++ {
+		hub := uint32(r.Intn(n - 100))
+		for k := 0; k < n/4; k++ {
+			acc.Add(hub, uint32(r.Intn(n-100)), 1)
+		}
+	}
+	for k := 0; k < 6*n; k++ {
+		acc.Add(uint32(r.Intn(n-100)), uint32(r.Intn(n-100)), 1)
+	}
+	hubs := FromTri(acc.Tri(), n)
+
+	for name, g := range map[string]*Graph{"random": random, "hubs": hubs} {
+		for _, workers := range []int{1, 4} {
+			all := g.ClusteringAll(workers)
+			for v := 0; v < g.NumVertices(); v++ {
+				if c := g.LocalClustering(uint32(v)); all[v] != c {
+					t.Fatalf("%s, %d workers, vertex %d: ClusteringAll %v != LocalClustering %v", name, workers, v, all[v], c)
+				}
+			}
 		}
 	}
 }

@@ -35,7 +35,9 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -68,8 +70,9 @@ type IndexOptions struct {
 	// TopK is the per-vertex strongest-neighbor count (default
 	// DefaultTopK).
 	TopK int
-	// Workers parallelizes the clustering-coefficient precompute
-	// (default runtime.NumCPU()).
+	// Workers shards both passes of the bake, the row pass (strength
+	// and top-k) and the clustering pass (default
+	// runtime.GOMAXPROCS(0)). The output does not depend on it.
 	Workers int
 }
 
@@ -78,7 +81,7 @@ func (o IndexOptions) withDefaults() IndexOptions {
 		o.TopK = DefaultTopK
 	}
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -205,35 +208,45 @@ func BuildIndexData(g *graph.Graph, opts IndexOptions) *IndexData {
 		}
 	}
 
-	// Strengths + top-k rows: one pass over the CSR rows. The top-k
-	// comparator (weight descending, ID ascending) is a total order, so
-	// the row content is deterministic even though sort.Slice is not
-	// stable.
+	// Strengths + top-k rows: the row pass, sharded over the workers in
+	// blocks of rows taken off an atomic counter. Each row is sorted as
+	// packed keys ^w<<32 | id, whose ascending order is weight-descending
+	// then ID-ascending — a total order, so a row's content does not
+	// depend on which worker sorted it.
 	d.TopKPairs = make([]uint32, 2*totalPairs)
-	type pair struct{ id, w uint32 }
-	scratch := make([]pair, 0, maxDeg)
-	for v := 0; v < n; v++ {
-		ids, wts := g.Neighbors(uint32(v))
-		var s uint64
-		scratch = scratch[:0]
-		for k := range ids {
-			s += uint64(wts[k])
-			scratch = append(scratch, pair{ids[k], wts[k]})
-		}
-		d.Strengths[v] = s
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].w != scratch[j].w {
-				return scratch[i].w > scratch[j].w
+	const block = 1024
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var keys []uint64
+			for {
+				lo := int(next.Add(block) - block)
+				if lo >= n {
+					return
+				}
+				for v := lo; v < min(lo+block, n); v++ {
+					ids, wts := g.Neighbors(uint32(v))
+					var s uint64
+					keys = keys[:0]
+					for k, id := range ids {
+						s += uint64(wts[k])
+						keys = append(keys, uint64(^wts[k])<<32|uint64(id))
+					}
+					d.Strengths[v] = s
+					slices.Sort(keys)
+					out := d.TopKPairs[2*d.TopKOff[v] : 2*d.TopKOff[v+1]]
+					for k := range len(out) / 2 {
+						out[2*k] = uint32(keys[k])
+						out[2*k+1] = ^uint32(keys[k] >> 32)
+					}
+				}
 			}
-			return scratch[i].id < scratch[j].id
-		})
-		cnt := int(d.TopKOff[v+1] - d.TopKOff[v])
-		out := d.TopKPairs[2*d.TopKOff[v]:]
-		for k := 0; k < cnt; k++ {
-			out[2*k] = scratch[k].id
-			out[2*k+1] = scratch[k].w
-		}
+		}()
 	}
+	wg.Wait()
 
 	d.Clustering = g.ClusteringAll(opts.Workers)
 	d.Stats = IndexStats{

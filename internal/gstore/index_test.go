@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -74,7 +75,6 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 
 	n := g.NumVertices()
-	clust := g.ClusteringAll(2)
 	for v := 0; v < n; v++ {
 		u := uint32(v)
 		if int(ix.Degrees[v]) != g.Degree(u) {
@@ -83,8 +83,8 @@ func TestIndexRoundTrip(t *testing.T) {
 		if ix.Strengths[v] != g.Strength(u) {
 			t.Fatalf("strength[%d] = %d, want %d", v, ix.Strengths[v], g.Strength(u))
 		}
-		if math.Abs(ix.Clustering[v]-clust[v]) != 0 {
-			t.Fatalf("clustering[%d] = %v, want %v", v, ix.Clustering[v], clust[v])
+		if c := g.LocalClustering(u); ix.Clustering[v] != c {
+			t.Fatalf("clustering[%d] = %v, want %v", v, ix.Clustering[v], c)
 		}
 
 		row := ix.TopKRow(u)
@@ -149,15 +149,178 @@ func TestV1SnapshotsStillOpen(t *testing.T) {
 	}
 }
 
+// collocationGraph builds a graph shaped like a collocation network:
+// each of n persons visits a few places, every place is a clique of its
+// visitors weighted by shared hours, and a handful of large places make
+// hubs. Average degree is about 80.
+func collocationGraph(n int, seed uint64) *graph.Graph {
+	src := rng.New(seed)
+	places := make([][]uint32, n/5)
+	for p := uint32(0); p < uint32(n); p++ {
+		for k := 0; k < 4; k++ {
+			pl := src.Intn(len(places))
+			places[pl] = append(places[pl], p)
+		}
+	}
+	for h := 0; h < 4; h++ {
+		hub := make([]uint32, 150)
+		for k := range hub {
+			hub[k] = uint32(src.Intn(n))
+		}
+		places = append(places, hub)
+	}
+	acc := sparse.NewAccum()
+	for _, members := range places {
+		for a := range members {
+			for b := a + 1; b < len(members); b++ {
+				acc.Add(members[a], members[b], uint32(src.Intn(8)+1))
+			}
+		}
+	}
+	return graph.FromTri(acc.Tri(), n)
+}
+
 // TestIndexedWriteDeterministic: the bytes must not depend on the
 // worker count, so -reindex of a v1 file is bit-identical to a native
-// indexed write of the same graph.
+// indexed write of the same graph. The collocation graph spans five
+// 1024-row blocks, so the larger worker counts really share the work.
 func TestIndexedWriteDeterministic(t *testing.T) {
-	g := indexTestGraph(t)
-	a := writeIndexedBytes(t, g, IndexOptions{Workers: 1})
-	b := writeIndexedBytes(t, g, IndexOptions{Workers: 7})
-	if !bytes.Equal(a, b) {
-		t.Fatal("indexed snapshot bytes differ across worker counts")
+	for name, g := range map[string]*graph.Graph{
+		"small":       indexTestGraph(t),
+		"collocation": collocationGraph(4500, 11),
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := writeIndexedBytes(t, g, IndexOptions{Workers: 1})
+			for _, workers := range []int{2, 3, 7, 16} {
+				if got := writeIndexedBytes(t, g, IndexOptions{Workers: workers}); !bytes.Equal(got, want) {
+					t.Fatalf("indexed snapshot bytes differ between 1 and %d workers", workers)
+				}
+			}
+		})
+	}
+}
+
+// referenceIndexData is the straight-line bake the index sections are
+// defined by: one serial pass over the rows, each fully sorted with
+// sort.Slice, and clustering vertex by vertex through LocalClustering.
+func referenceIndexData(g *graph.Graph, topK int) *IndexData {
+	n := g.NumVertices()
+	d := &IndexData{
+		Degrees:    make([]uint32, n),
+		Strengths:  make([]uint64, n),
+		Clustering: make([]float64, n),
+		K:          topK,
+		TopKOff:    make([]int64, n+1),
+		Histogram:  []int64{},
+	}
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg := g.Degree(uint32(v))
+		d.Degrees[v] = uint32(deg)
+		maxDeg = max(maxDeg, deg)
+		d.TopKOff[v+1] = d.TopKOff[v] + int64(min(deg, topK))
+	}
+	if n > 0 {
+		d.Histogram = make([]int64, maxDeg+1)
+	}
+	var withEdges uint64
+	for v := 0; v < n; v++ {
+		d.Histogram[d.Degrees[v]]++
+		if d.Degrees[v] > 0 {
+			withEdges++
+		}
+	}
+	type pair struct{ id, w uint32 }
+	mark := make([]bool, n)
+	for v := 0; v < n; v++ {
+		ids, wts := g.Neighbors(uint32(v))
+		var row []pair
+		for k := range ids {
+			d.Strengths[v] += uint64(wts[k])
+			row = append(row, pair{ids[k], wts[k]})
+		}
+		sort.Slice(row, func(i, j int) bool {
+			if row[i].w != row[j].w {
+				return row[i].w > row[j].w
+			}
+			return row[i].id < row[j].id
+		})
+		for _, p := range row[:d.TopKOff[v+1]-d.TopKOff[v]] {
+			d.TopKPairs = append(d.TopKPairs, p.id, p.w)
+		}
+		d.Clustering[v] = g.LocalClusteringScratch(uint32(v), mark)
+	}
+	if d.TopKPairs == nil {
+		d.TopKPairs = []uint32{}
+	}
+	d.Stats = IndexStats{
+		VerticesWithEdges: withEdges,
+		TotalWeight:       g.TotalWeight(),
+		MaxDegree:         uint64(maxDeg),
+	}
+	return d
+}
+
+// randomIndexGraph draws a graph with every row shape the bake treats
+// differently: isolated vertices, leaves of degree 1 and 2, hubs far
+// above DefaultTopK, random chords closing triangles, and weights from
+// a small range so that ties are common.
+func randomIndexGraph(seed uint64) *graph.Graph {
+	src := rng.New(seed)
+	n := 60 + src.Intn(300)
+	core := n * 3 / 4 // the rest are leaves or isolated
+	acc := sparse.NewAccum()
+	weight := func() uint32 { return uint32(src.Intn(3) + 1) }
+	for h := 1 + src.Intn(3); h > 0; h-- {
+		hub := uint32(src.Intn(core))
+		for k := 40 + src.Intn(core); k > 0; k-- {
+			acc.Add(hub, uint32(src.Intn(core)), weight())
+		}
+	}
+	for k := src.Intn(4 * core); k > 0; k-- {
+		acc.Add(uint32(src.Intn(core)), uint32(src.Intn(core)), weight())
+	}
+	for v := core; v < n; v++ {
+		switch src.Intn(3) {
+		case 1:
+			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
+		case 2:
+			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
+			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
+		}
+	}
+	return graph.FromTri(acc.Tri(), n)
+}
+
+// TestBuildIndexDataMatchesReference: the sharded bake equals the
+// straight-line reference exactly, section by section, over random
+// graphs, k from 1 to past the largest degree, and several worker
+// counts.
+func TestBuildIndexDataMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		g := randomIndexGraph(seed)
+		for _, k := range []int{1, 2, DefaultTopK, g.MaxDegree() + 1} {
+			want := referenceIndexData(g, k)
+			for _, workers := range []int{1, 2, 7} {
+				got := BuildIndexData(g, IndexOptions{TopK: k, Workers: workers})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, k %d, %d workers: BuildIndexData differs from the reference", seed, k, workers)
+				}
+			}
+		}
+	}
+}
+
+var indexSink *IndexData
+
+// BenchmarkBuildIndexData times the whole bake on a 20 000-vertex
+// collocation-shaped graph at the default worker count.
+func BenchmarkBuildIndexData(b *testing.B) {
+	g := collocationGraph(20000, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = BuildIndexData(g, IndexOptions{})
 	}
 }
 

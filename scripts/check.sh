@@ -81,7 +81,8 @@ fi
 # kill lands mid-run) — and require bit-identical edge lists and
 # snapshots. This is the crash-recovery contract end to end: gang
 # restart with -resume replays the logs, and the synthesized network
-# must not betray that anything happened. Skip with SUPSMOKE=0.
+# must not betray that anything happened. The baseline's bytes are also
+# pinned to recorded cksums. Skip with SUPSMOKE=0.
 if [ "${SUPSMOKE:-1}" = "1" ]; then
 	echo "== supervised smoke (netlaunch 4 ranks; kill -9 mid-sim -> identical hashes)"
 	sup_dir=$(mktemp -d)
@@ -105,6 +106,20 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		exit 1
 	fi
 	echo "edge lists and snapshots bit-identical across kill -9 recovery"
+	# Both runs above come from the same code, so a change that moved the
+	# bytes everywhere would still agree with itself. Pin the baseline's
+	# bytes to the values recorded at commit 18e5202; update them only for
+	# a deliberate format or model change.
+	pin_tsv="1841790360 516289"
+	pin_snap="2819928085 1143272"
+	if [ "$base_hash" != "$pin_tsv" ] || [ "$base_snap" != "$pin_snap" ]; then
+		echo "FAIL: baseline bytes moved from the pinned cksums"
+		echo "  network.tsv:   $base_hash, pinned $pin_tsv"
+		echo "  network.gsnap: $base_snap, pinned $pin_snap"
+		rm -rf "$sup_dir"
+		exit 1
+	fi
+	echo "baseline edge list and snapshot match the pinned cksums"
 	rm -rf "$sup_dir"
 fi
 
