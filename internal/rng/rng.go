@@ -8,7 +8,10 @@
 // independent child generator without sharing state with the parent.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random source implementing
 // xoshiro256**. The zero value is not usable; construct with New.
@@ -42,18 +45,18 @@ func (r *Source) Reseed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. The rotations are
+// the bits intrinsic because it keeps Uint64 cheap enough for BoolT to
+// inline with it, which spares a spread kernel a call per draw.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s1*5, 7) * 9
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
 	r.s1 ^= r.s2
 	r.s0 ^= r.s3
 	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 
@@ -106,6 +109,36 @@ func (r *Source) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// always is the threshold of a certain event, 2⁵³: BoolT(always)
+// returns true without drawing.
+const always = 1 << 53
+
+// Threshold converts a probability into the integer threshold BoolT
+// draws against: 0 for p ≤ 0, always for p ≥ 1, and ceil(p·2⁵³)
+// otherwise. Float64 is x/2⁵³ for an integer x < 2⁵³, and scaling by a
+// power of two is exact, so Float64() < p holds exactly when x <
+// ceil(p·2⁵³): BoolT(Threshold(p)) and Bool(p) return the same results
+// and consume the same draws. p must not be NaN.
+func Threshold(p float64) uint64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return always
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// BoolT is Bool against a precomputed Threshold: t == 0 returns false
+// and t ≥ always returns true, both without drawing; otherwise it draws
+// once and compares integers.
+func (r *Source) BoolT(t uint64) bool {
+	if t-1 >= always-1 { // t == 0 wraps around, so one compare takes both
+		return t != 0
+	}
+	return r.Uint64()>>11 < t
 }
 
 // NormFloat64 returns a standard normal variate using the polar

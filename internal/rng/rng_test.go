@@ -154,6 +154,46 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// TestBoolTMatchesBool: two sources from one seed, one drawing
+// Bool(p) and the other BoolT(Threshold(p)), return equal results and
+// stay in step (an equal next Uint64 after every call), so the no-draw
+// cases consume nothing on either side. The p set covers the edges of
+// the exact-compare argument and the transmission probabilities
+// 1-(1-β)^w a spread kernel feeds it.
+func TestBoolTMatchesBool(t *testing.T) {
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1.0 / (1 << 53), 1e-9, 0.5, math.Nextafter(1, 0), 1}
+	for _, beta := range []float64{1e-4, 6e-4, 0.03, 0.5, 1} {
+		for w := 0; w <= 500; w++ {
+			ps = append(ps, 1-math.Pow(1-beta, float64(w)))
+		}
+	}
+	a, b := New(97), New(97)
+	for _, p := range ps {
+		// Random draws never land on the boundary, so check it directly:
+		// Float64 maps x to x/2⁵³, and the last x Bool accepts must be
+		// t-1, the first it rejects t.
+		if tt := Threshold(p); tt > 0 && tt < always {
+			if !(float64(tt-1)/(1<<53) < p) || float64(tt)/(1<<53) < p {
+				t.Fatalf("p=%v: threshold %d is not the boundary of Float64() < p", p, tt)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if got, want := b.BoolT(Threshold(p)), a.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: BoolT %v, Bool %v", p, i, got, want)
+			}
+			if x, y := b.Uint64(), a.Uint64(); x != y {
+				t.Fatalf("p=%v draw %d: streams diverged after the call", p, i)
+			}
+		}
+	}
+	if Threshold(0) != 0 || Threshold(-1) != 0 || Threshold(1) != always || Threshold(2) != always {
+		t.Fatal("Threshold sentinels wrong")
+	}
+	if got := Threshold(math.Nextafter(1, 0)); got != always-1 {
+		t.Fatalf("Threshold just below 1 = %d, want %d", got, uint64(always-1))
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(41)
 	const n = 200000

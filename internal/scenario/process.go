@@ -17,35 +17,45 @@ type Rep struct {
 	StepsRun   int
 }
 
-// probTable caches the per-contact transmission probability
-// 1-(1-beta)^w per distinct (damped) edge weight. Collocation weights
-// are small integers, so the cache turns the inner-loop math.Pow into
-// a slice read; each entry is computed with the exact expression the
-// naive loop would use, so outputs stay bit-identical.
-type probTable struct {
+// thresholds maps a raw CSR edge weight to the rng.Threshold of its
+// transmission draw, 1-(1-beta)^w with w dampened by the view. Each
+// entry is the exact expression a per-draw computation would use, so
+// BoolT against it reproduces Bool draw for draw; the table turns a
+// division, a math.Pow and a float compare per draw into a slice read
+// and an integer compare. It holds every weight below its length and
+// grows to the largest weight seen. Collocation weights are small
+// integers, so it stays a few hundred entries.
+type thresholds struct {
+	v            *View
 	oneMinusBeta float64
-	p            []float64
+	t            []uint64
 }
 
-// tableCap bounds the cache; pathological weights above it fall back
-// to direct computation instead of growing an absurd slice.
+// tableCap bounds the table; pathological weights at or above it are
+// computed per draw instead of growing an absurd slice.
 const tableCap = 1 << 22
 
-func newProbTable(beta float64) probTable {
-	return probTable{oneMinusBeta: 1 - beta, p: []float64{0}} // weight 0 → probability 0
+func (th *thresholds) of(w uint32) uint64 {
+	return rng.Threshold(1 - math.Pow(th.oneMinusBeta, float64(th.v.Weight(w))))
 }
 
-func (t *probTable) prob(w uint32) float64 {
+// at returns w's threshold. It is small enough to inline: the table
+// read is the only path realistic weights take.
+func (th *thresholds) at(w uint32) uint64 {
+	if int(w) < len(th.t) {
+		return th.t[w]
+	}
+	return th.miss(w)
+}
+
+func (th *thresholds) miss(w uint32) uint64 {
 	if w >= tableCap {
-		return 1 - math.Pow(t.oneMinusBeta, float64(w))
+		return th.of(w)
 	}
-	for int(w) >= len(t.p) {
-		t.p = append(t.p, math.NaN())
+	for len(th.t) <= int(w) {
+		th.t = append(th.t, th.of(uint32(len(th.t))))
 	}
-	if math.IsNaN(t.p[w]) {
-		t.p[w] = 1 - math.Pow(t.oneMinusBeta, float64(w))
-	}
-	return t.p[w]
+	return th.t[w]
 }
 
 // Compartment codes. Closed and vaccinated vertices are pre-assigned
@@ -114,7 +124,8 @@ func (p Point) Run(v *View, immune []bool, seeds []uint32, src *rng.Source, step
 		res.NewPerStep[0]++
 		active = append(active, s)
 	}
-	pt := newProbTable(p.Beta)
+	th := thresholds{v: v, oneMinusBeta: 1 - p.Beta}
+	var open []uint32 // CSR indices of the current row's susceptible neighbors
 	for step := 1; step < steps && len(active)+len(incubating) > 0; step++ {
 		if stop != nil && stop() {
 			break
@@ -123,15 +134,26 @@ func (p Point) Run(v *View, immune []bool, seeds []uint32, src *rng.Source, step
 		exposed, promoted = exposed[:0], promoted[:0]
 		for _, u := range active {
 			row, wts := v.Neighbors(u)
+			// Most neighbors are not susceptible, and a branch on that is
+			// unpredictable: write every index, advance past the
+			// susceptible ones only. Row ids are unique, so a draw below
+			// changes the state of no other neighbor in this row, and
+			// drawing over the filtered indices in CSR order is the same
+			// draw sequence as testing each neighbor in turn.
+			if cap(open) < len(row) {
+				open = make([]uint32, len(row))
+			}
+			open = open[:len(row)]
+			n := 0
 			for k, nb := range row {
-				// Two ifs, not one ||: the split form is measurably
-				// faster on the sweep benchmark.
-				if state[nb] != cSusceptible {
+				open[n] = uint32(k)
+				n += int((uint32(state[nb]) - 1) >> 31) // 1 iff cSusceptible (0)
+			}
+			for _, k := range open[:n] {
+				if !src.BoolT(th.at(wts[k])) {
 					continue
 				}
-				if !src.Bool(pt.prob(v.Weight(wts[k]))) {
-					continue
-				}
+				nb := row[k]
 				res.Total++
 				res.NewPerStep[step]++
 				if p.IncubationDays == 0 {

@@ -63,6 +63,7 @@ func TestValidateFailClosed(t *testing.T) {
 		{"empty beta", func(s *Spec) { s.Beta = nil }},
 		{"beta out of range", func(s *Spec) { s.Beta = []float64{1.5} }},
 		{"negative beta", func(s *Spec) { s.Beta = []float64{-0.1} }},
+		{"NaN beta", func(s *Spec) { s.Beta = []float64{math.NaN()} }},
 		{"sir without infectious_days", func(s *Spec) { s.InfectiousDays = nil }},
 		{"sir with incubation_days", func(s *Spec) { s.IncubationDays = []int{2} }},
 		{"zero infectious_days", func(s *Spec) { s.InfectiousDays = []int{0} }},
@@ -85,6 +86,7 @@ func TestValidateFailClosed(t *testing.T) {
 		{"seed count over vertices", func(s *Spec) { s.Seeds = Seeds{Policy: SeedRandom, Count: 51} }},
 		{"negative close_top_degree", func(s *Spec) { s.Intervention = &Intervention{CloseTopDegree: -1} }},
 		{"vaccinate_fraction one", func(s *Spec) { s.Intervention = &Intervention{VaccinateFraction: 1} }},
+		{"NaN vaccinate_fraction", func(s *Spec) { s.Intervention = &Intervention{VaccinateFraction: math.NaN()} }},
 		{"dampen zero denominator", func(s *Spec) { s.Intervention = &Intervention{Dampen: &Dampen{Num: 1, Den: 0}} }},
 		{"dampen amplifies", func(s *Spec) { s.Intervention = &Intervention{Dampen: &Dampen{Num: 3, Den: 2}} }},
 		{"close vertex outside graph", func(s *Spec) { s.Intervention = &Intervention{Close: []uint32{99}} }},
@@ -166,11 +168,20 @@ func TestRunSlotsInvariant(t *testing.T) {
 	}
 }
 
+// refCurb is an intervention as the reference applies it by hand:
+// closed and immune vertices (nil = none) start recovered, and with a
+// non-zero den every edge weight becomes floor(w·num/den).
+type refCurb struct {
+	closed, immune []bool
+	num, den       uint64
+}
+
 // referenceSIR is the straight-line SIR the kernel replaced (it was
-// disease.SpreadOnGraph, E5's own loop): no view, no intervention, no
-// probability cache, its own seed handling and its own recovery loop.
-// It is the independent oracle the kernel is pinned to draw for draw.
-func referenceSIR(g *graph.Graph, beta float64, infectiousDays, steps int, seed uint64, seeds []uint32) Rep {
+// disease.SpreadOnGraph, E5's own loop): no view, no threshold table, no
+// filtered row, its own seed handling and its own recovery loop, with
+// math.Pow and src.Bool inline per draw. It is the independent oracle
+// the kernel is pinned to draw for draw.
+func referenceSIR(g *graph.Graph, beta float64, infectiousDays, steps int, seed uint64, seeds []uint32, curb refCurb) Rep {
 	src := rng.New(seed)
 	const (
 		susceptible = 0
@@ -178,6 +189,11 @@ func referenceSIR(g *graph.Graph, beta float64, infectiousDays, steps int, seed 
 		recovered   = 2
 	)
 	state := make([]uint8, g.NumVertices())
+	for v := range state {
+		if (curb.closed != nil && curb.closed[v]) || (curb.immune != nil && curb.immune[v]) {
+			state[v] = recovered
+		}
+	}
 	daysLeft := make([]int, g.NumVertices())
 	res := Rep{NewPerStep: make([]int, steps)}
 	var active []uint32
@@ -201,7 +217,11 @@ func referenceSIR(g *graph.Graph, beta float64, infectiousDays, steps int, seed 
 				if state[u] != susceptible {
 					continue
 				}
-				if src.Bool(1 - math.Pow(1-beta, float64(wts[k]))) {
+				w := uint64(wts[k])
+				if curb.den != 0 {
+					w = w * curb.num / curb.den
+				}
+				if src.Bool(1 - math.Pow(1-beta, float64(w))) {
 					state[u] = infectious
 					daysLeft[u] = infectiousDays
 					newlyInfected = append(newlyInfected, u)
@@ -249,7 +269,7 @@ func TestSIRParityWithSpreadOnGraph(t *testing.T) {
 		{"sir", 3, Point{Beta: 0.03, InfectiousDays: 3}},
 		{"diffusion", steps, Point{Beta: 0.0005}},
 	} {
-		ref := referenceSIR(g, tc.p.Beta, tc.refInf, steps, 42, seeds)
+		ref := referenceSIR(g, tc.p.Beta, tc.refInf, steps, 42, seeds, refCurb{})
 		got := tc.p.Run(NewView(g, nil), nil, seeds, rng.New(42), steps, nil)
 		if !reflect.DeepEqual(got.NewPerStep, ref.NewPerStep) {
 			t.Fatalf("%s: curves diverge:\nkernel    %v\nreference %v", tc.name, got.NewPerStep, ref.NewPerStep)
@@ -260,12 +280,77 @@ func TestSIRParityWithSpreadOnGraph(t *testing.T) {
 	}
 }
 
+// TestInterventionParityWithReference pins the kernel to the reference
+// under the views the sweeps actually run: every threshold-table path
+// (dampened weights that floor to 0 and never draw, β = 1 that always
+// transmits without drawing, a raw weight past the table computed per
+// draw) and closures plus vaccination folded into the initial state.
+func TestInterventionParityWithReference(t *testing.T) {
+	g := baGraph(t, 300)
+	n := g.NumVertices()
+	const steps = 40
+	seeds := []uint32{150, 220, 299}
+
+	// baGraph's own edges plus one edge past tableCap from a seed.
+	var edges [][3]uint32
+	for u := uint32(0); u < uint32(n); u++ {
+		row, wts := g.Neighbors(u)
+		for k, nb := range row {
+			if u < nb {
+				edges = append(edges, [3]uint32{u, nb, wts[k]})
+			}
+		}
+	}
+	heavy := graphFromEdges(append(edges, [3]uint32{150, 151, tableCap + 5}), n)
+	if w := heavy.EdgeWeight(150, 151); w < tableCap {
+		t.Fatalf("heavy edge weight %d below tableCap", w)
+	}
+
+	closeIV := &Intervention{Close: []uint32{7, 40}, CloseTopDegree: 10}
+	immune := make([]bool, n)
+	for _, x := range pickDistinct(rng.New(5), n, n/5) {
+		immune[x] = true
+	}
+	third := &Intervention{Dampen: &Dampen{Num: 1, Den: 3}}
+
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		iv     *Intervention
+		immune []bool
+		beta   float64
+		curb   refCurb
+	}{
+		{"dampen 1/3", g, third, nil, 0.03, refCurb{num: 1, den: 3}},
+		{"beta 1", g, nil, nil, 1, refCurb{}},
+		{"beta 1 dampen 1/3", g, third, nil, 1, refCurb{num: 1, den: 3}},
+		{"weight past tableCap", heavy, nil, nil, 2e-7, refCurb{}},
+		{"weight past tableCap dampen 1/3", heavy, third, nil, 2e-7, refCurb{num: 1, den: 3}},
+		{"closures and vaccination", g, closeIV, immune, 0.03, refCurb{immune: immune}},
+	} {
+		v := NewView(tc.g, tc.iv)
+		curb := tc.curb
+		curb.closed = v.closed
+		ref := referenceSIR(tc.g, tc.beta, 3, steps, 42, seeds, curb)
+		got := Point{Beta: tc.beta, InfectiousDays: 3}.Run(v, tc.immune, seeds, rng.New(42), steps, nil)
+		if !reflect.DeepEqual(got.NewPerStep, ref.NewPerStep) {
+			t.Fatalf("%s: curves diverge:\nkernel    %v\nreference %v", tc.name, got.NewPerStep, ref.NewPerStep)
+		}
+		if got.Total != ref.Total || got.PeakStep != ref.PeakStep {
+			t.Fatalf("%s: total/peak = %d/%d want %d/%d", tc.name, got.Total, got.PeakStep, ref.Total, ref.PeakStep)
+		}
+		if got.Total <= len(seeds) {
+			t.Fatalf("%s: total %d, nothing spread — the case tests no draw", tc.name, got.Total)
+		}
+	}
+}
+
 // TestSEIRZeroIncubationMatchesSIR: with incubation 0, SEIR degenerates
 // to SIR exactly — same draws, same curve.
 func TestSEIRZeroIncubationMatchesSIR(t *testing.T) {
 	g := baGraph(t, 200)
 	seeds := []uint32{1, 7}
-	sir := referenceSIR(g, 0.04, 3, 30, 9, seeds)
+	sir := referenceSIR(g, 0.04, 3, 30, 9, seeds, refCurb{})
 	seir := Point{Beta: 0.04, IncubationDays: 0, InfectiousDays: 3}.Run(NewView(g, nil), nil, seeds, rng.New(9), 30, nil)
 	if !reflect.DeepEqual(sir.NewPerStep, seir.NewPerStep) || sir.Total != seir.Total {
 		t.Fatalf("seir(inc=0) != sir:\n%v\n%v", seir.NewPerStep, sir.NewPerStep)
@@ -430,22 +515,6 @@ func TestViewMasksAndDampening(t *testing.T) {
 	}
 }
 
-func TestProbTableBitIdentical(t *testing.T) {
-	for _, beta := range []float64{0, 0.001, 0.03, 0.5, 1} {
-		pt := newProbTable(beta)
-		for _, w := range []uint32{0, 1, 2, 3, 17, 100, 499, 1 << 22} {
-			want := 1 - math.Pow(1-beta, float64(w))
-			if got := pt.prob(w); got != want {
-				t.Fatalf("beta=%v w=%d: %v != %v", beta, w, got, want)
-			}
-			// Second read hits the cache; must not drift.
-			if got := pt.prob(w); got != want {
-				t.Fatalf("beta=%v w=%d cached: %v != %v", beta, w, got, want)
-			}
-		}
-	}
-}
-
 func TestStoreEviction(t *testing.T) {
 	st := NewStore(2)
 	a, err := st.Add(1)
@@ -495,32 +564,59 @@ func TestStoreIDsMonotonic(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel exercises the hot transmission loop in each mode on
-// the graph disease.SpreadOnGraph's benchmark used; the per-weight
-// probability cache turned its math.Pow into a slice read.
-func BenchmarkKernel(b *testing.B) {
-	var edges [][3]uint32
-	const n = 5000
+// collocationGraph is shaped like a synthesized week: every vertex
+// belongs to one place in each of three layers (think home, work,
+// leisure), places are cliques of 10–50 members, and a place's members
+// share 1–56 hours, so a pair's weight is 1–168 and the mean degree is
+// about 100.
+func collocationGraph(n int) *graph.Graph {
+	acc := sparse.NewAccum()
 	src := rng.New(9)
-	for i := uint32(1); i < n; i++ {
-		for k := 0; k < 4; k++ {
-			edges = append(edges, [3]uint32{uint32(src.Intn(int(i))), i, uint32(src.Intn(500) + 1)})
+	for layer := 0; layer < 3; layer++ {
+		perm := src.Perm(n)
+		for lo := 0; lo < n; {
+			hi := min(lo+10+src.Intn(41), n)
+			hours := uint32(src.Intn(56) + 1)
+			for i := lo; i < hi; i++ {
+				for j := i + 1; j < hi; j++ {
+					acc.Add(uint32(perm[i]), uint32(perm[j]), hours)
+				}
+			}
+			lo = hi
 		}
 	}
-	v := NewView(graphFromEdges(edges, n), nil)
-	for _, tc := range []struct {
+	return graph.FromTri(acc.Tri(), n)
+}
+
+// BenchmarkKernel runs each process on a collocation-shaped graph, bare
+// and under the sweep benchmark's curb (top-200 hubs closed, weights
+// halved), so the kernel's cost shows without the bench module.
+func BenchmarkKernel(b *testing.B) {
+	g := collocationGraph(5000)
+	seeds := []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	curb := &Intervention{CloseTopDegree: 200, Dampen: &Dampen{Num: 1, Den: 2}}
+	for _, view := range []struct {
 		name string
-		p    Point
-	}{
-		{"sir", Point{Beta: 0.002, InfectiousDays: 4}},
-		{"seir", Point{Beta: 0.002, IncubationDays: 2, InfectiousDays: 4}},
-		{"diffusion", Point{Beta: 0.002}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tc.p.Run(v, nil, []uint32{0, 1, 2}, rng.New(23), 50, nil)
-			}
-		})
+		v    *View
+	}{{"bare", NewView(g, nil)}, {"curbed", NewView(g, curb)}} {
+		// The sweep's step counts; betas tuned to this graph so that,
+		// like the sweep's on the week graph, outbreaks neither die out
+		// nor saturate at once (attack 78–95% bare, 15–37% curbed).
+		for _, tc := range []struct {
+			name  string
+			p     Point
+			steps int
+		}{
+			{"sir", Point{Beta: 0.0003, InfectiousDays: 3}, 30},
+			{"seir", Point{Beta: 0.0004, IncubationDays: 3, InfectiousDays: 4}, 30},
+			{"diffusion", Point{Beta: 0.0004}, 10},
+		} {
+			b.Run(view.name+"/"+tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tc.p.Run(view.v, nil, seeds, rng.New(23), tc.steps, nil)
+				}
+			})
+		}
 	}
 }

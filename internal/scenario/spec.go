@@ -144,7 +144,7 @@ func (s Spec) Validate(g *graph.Graph) error {
 		return fmt.Errorf("scenario: a sweep axis exceeds %d values", MaxSweepValues)
 	}
 	for _, b := range s.Beta {
-		if b < 0 || b > 1 {
+		if !(b >= 0 && b <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("scenario: beta %v outside [0,1]", b)
 		}
 	}
@@ -210,7 +210,7 @@ func (s Spec) Validate(g *graph.Graph) error {
 		if iv.CloseTopDegree < 0 {
 			return fmt.Errorf("scenario: close_top_degree %d is negative", iv.CloseTopDegree)
 		}
-		if iv.VaccinateFraction < 0 || iv.VaccinateFraction >= 1 {
+		if f := iv.VaccinateFraction; !(f >= 0 && f < 1) {
 			return fmt.Errorf("scenario: vaccinate_fraction %v outside [0,1)", iv.VaccinateFraction)
 		}
 		if d := iv.Dampen; d != nil {

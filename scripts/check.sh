@@ -402,13 +402,15 @@ if [ "${ALLOCGUARD:-1}" = "1" ]; then
 fi
 
 # Scenario smoke (DESIGN.md §16): convert the testdata edge list, serve
-# it, submit an SIR sweep, an SEIR intervention variant and a
-# community-seeded diffusion over HTTP, poll each to completion, rerun
-# each with the offline netscenario CLI at -slots 1 and -slots 8, and
-# require every digest to equal its pinned value. The pins were recorded
-# before SIR, SEIR and diffusion became one kernel, so they catch drift
-# in the kernel as well as disagreement between HTTP and CLI or between
-# worker counts. Skip with SCENARIO=0.
+# it, submit an SIR sweep, an SEIR intervention variant, a
+# community-seeded diffusion and a dampened SIR that hits both no-draw
+# paths over HTTP, poll each to completion, rerun each with the offline
+# netscenario CLI at -slots 1 and -slots 8, and require every digest to
+# equal its pinned value. The first three pins were recorded before SIR,
+# SEIR and diffusion became one kernel, the fourth before the kernel drew
+# against integer thresholds, so they catch drift in the kernel as well
+# as disagreement between HTTP and CLI or between worker counts. Skip
+# with SCENARIO=0.
 if [ "${SCENARIO:-1}" = "1" ]; then
 	echo "== scenario smoke (serve -> submit sweeps -> poll -> HTTP/CLI digests == pinned)"
 	sc_dir=$(mktemp -d)
@@ -428,6 +430,12 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 	EOF
 	cat >"$sc_dir/diffuse.json" <<-'EOF'
 	{"process":"diffusion","steps":10,"seed":7,"replications":4,"beta":[0.1,0.3],"seeds":{"policy":"community","count":2}}
+	EOF
+	# Both no-draw paths of the kernel's threshold table: dampening 1/4
+	# floors smoke.tsv's weights 1-3 to 0 (never transmits), and beta 1
+	# transmits over every other edge without a draw.
+	cat >"$sc_dir/sentinels.json" <<-'EOF'
+	{"process":"sir","steps":10,"seed":7,"replications":4,"beta":[0.3,1],"infectious_days":[2],"seeds":{"policy":"random","count":1},"intervention":{"dampen":{"num":1,"den":4}}}
 	EOF
 	"$sc_dir/netserve" -snapshot "$sc_dir/smoke.gsnap" \
 		-addr 127.0.0.1:0 -addr-file "$sc_dir/addr" -watch 0 &
@@ -473,6 +481,7 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 	sweep 3e5988d5e8db32dfe5163cb4aab79fc1c2671b9ec036280db0b58f7195ee0cb6
 	intervene 6d2ba06c6f4a0c6312e25154fe8f877dcc1e7cce29e6e5d0df5ec3b91f7dfce5
 	diffuse b1eb5a8fe0f6760415c8797fe620b0e39cc0a1334b026a4b040f45771fc79c10
+	sentinels de7f66ae5d9629465b95b7997d4b36af9ce32db760bc1da722a1f889b57f9b08
 	sweep 3e5988d5e8db32dfe5163cb4aab79fc1c2671b9ec036280db0b58f7195ee0cb6
 	EOF
 	# Each line of got: <spec> <pinned> <path> <digest>.
@@ -496,7 +505,7 @@ if [ "${SCENARIO:-1}" = "1" ]; then
 		echo "$sc_bad" | sed 's/^/  /'
 		exit 1
 	fi
-	echo "scenario digests == pinned for sweep, intervene, diffuse (HTTP, HTTP again, CLI slots 1 and 8)"
+	echo "scenario digests == pinned for sweep, intervene, diffuse, sentinels (HTTP, HTTP again, CLI slots 1 and 8)"
 fi
 
 # Benchmark smoke (bench/README.md): the sim->serve benchmark is a module
