@@ -184,7 +184,9 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, t
 	// Every process derives the identical spatial partition from the
 	// shared seed; no partition data crosses the wire.
 	cfg.Pop, cfg.Gen, cfg.Days = p.Pop, p.Gen, p.Days()
-	cfg.Assign = p.SpatialAssignment(node.Size())
+	if cfg.Assign, err = p.SpatialAssignment(node.Size()); err != nil {
+		return err
+	}
 	cfg.LogPath = filepath.Join(logdir, fmt.Sprintf("rank%04d.h5l", node.Rank()))
 	start := time.Now()
 	var rr abm.RankResult

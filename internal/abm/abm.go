@@ -24,13 +24,11 @@
 package abm
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/eventlog"
@@ -170,8 +168,10 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 	}
 	assign := cfg.Assign
 	if assign == nil {
-		edges, loads := partition.TransitionGraph(cfg.Pop, cfg.Gen, min(cfg.Days, 7), cfg.Pop.NumPersons())
-		assign = partition.Spatial(cfg.Pop, edges, loads, cfg.Ranks)
+		var err error
+		if assign, err = partition.Default(cfg.Pop, cfg.Gen, cfg.Days, cfg.Ranks); err != nil {
+			return nil, nil, err
+		}
 	}
 	if len(assign) != cfg.Pop.NumPlaces() {
 		return nil, nil, fmt.Errorf("abm: assignment covers %d places, population has %d", len(assign), cfg.Pop.NumPlaces())
@@ -377,7 +377,61 @@ func decodeAgent(b []byte) agent {
 // apart from each other and from the slot of hour h being drained.
 const agendaSlots = schedule.HoursPerDay + 1
 
-func byPerson(a, b agent) int { return cmp.Compare(a.person, b.person) }
+// smallSort is the slot size up to which personSorter uses an insertion
+// sort: below it the radix sort's histogram costs more than it saves
+// (the two cross between 32 and 48 agents).
+const smallSort = 32
+
+// personSorter orders agents by person id with an LSD radix sort on
+// 8-bit digits. Its scratch buffer is reused across hours, so a
+// steady-state sort allocates nothing. Person ids are unique within a
+// rank's agenda, so the order is fully determined by the ids.
+type personSorter struct{ buf []agent }
+
+// sort returns a's agents in person order: either a itself, sorted in
+// place, or the sorter's scratch buffer, valid until the next call.
+func (s *personSorter) sort(a []agent) []agent {
+	n := len(a)
+	if n <= smallSort {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && a[j].person < a[j-1].person; j-- {
+				a[j], a[j-1] = a[j-1], a[j]
+			}
+		}
+		return a
+	}
+	var counts [4][256]uint32
+	for _, x := range a {
+		p := x.person
+		counts[0][byte(p)]++
+		counts[1][byte(p>>8)]++
+		counts[2][byte(p>>16)]++
+		counts[3][byte(p>>24)]++
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]agent, n+n/4)
+	}
+	src, dst := a, s.buf[:n]
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(a[0].person>>shift)] == uint32(n) {
+			continue // every id has the same digit here
+		}
+		sum := uint32(0)
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		for _, x := range src {
+			b := byte(x.person >> shift)
+			dst[c[b]] = x
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
 
 // RunRank executes one rank of the simulation over any Transport — the
 // in-process ranks of mpi.Run or the TCP-based mpinet for true
@@ -509,14 +563,14 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	// residents gathers the whole agenda in person order, for the two
 	// passes that visit everyone: FullStateLog's hourly dump and the
 	// close-out of the segments in progress when the run ends.
+	var sorter personSorter
 	var everyone []agent
 	residents := func() []agent {
 		everyone = everyone[:0]
 		for _, slot := range agenda {
 			everyone = append(everyone, slot...)
 		}
-		slices.SortFunc(everyone, byPerson)
-		return everyone
+		return sorter.sort(everyone)
 	}
 
 	// Initial residency: each rank claims the agents whose current
@@ -614,12 +668,11 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			// simulation state, so resumed logs are bit-identical in
 			// content to uninterrupted ones.
 			due := &agenda[hour%agendaSlots]
-			slices.SortFunc(*due, byPerson)
 			out := send[hour%2]
 			for r := range out {
 				out[r] = out[r][:0]
 			}
-			for _, a := range *due {
+			for _, a := range sorter.sort(*due) {
 				if err := logSegment(a.person, a.seg, a.seg.Stop); err != nil {
 					return rr, err
 				}

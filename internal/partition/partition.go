@@ -13,11 +13,16 @@
 // neighborhoods are packed onto ranks by load, then a single-move
 // refinement pass shaves the remaining cut. Random is the baseline the
 // ablation benchmark compares against.
+//
+// Every process of a distributed run derives the assignment on its own,
+// so each step is a pure function of its inputs: integer counts over
+// sorted keys and fixed-order scans, with no map and no dependence on
+// the process's core count.
 package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/schedule"
 	"repro/internal/synthpop"
@@ -54,16 +59,36 @@ func Random(numPlaces, ranks int) Assignment {
 	return a
 }
 
-// TransitionGraph samples the first sample persons' schedules over the
-// given days and returns the undirected place transition edges and the
-// per-place occupancy load in person-hours.
-func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {
-	if sample > pop.NumPersons() {
-		sample = pop.NumPersons()
+// sampleDays caps the schedule days Default samples: a week covers every
+// weekday and weekend pattern, so longer runs add cost and no signal.
+const sampleDays = 7
+
+// Default is the assignment a simulation uses when none is given: the
+// Spatial partition of the transition graph sampled from every person's
+// first min(days, 7) days of schedule. It fails on a non-positive rank
+// or day count.
+func Default(pop *synthpop.Population, gen *schedule.Generator, days, ranks int) (Assignment, error) {
+	if ranks < 1 {
+		return nil, fmt.Errorf("partition: ranks must be positive, got %d", ranks)
 	}
+	if days < 1 {
+		return nil, fmt.Errorf("partition: days must be positive, got %d", days)
+	}
+	edges, loads := TransitionGraph(pop, gen, min(days, sampleDays), pop.NumPersons())
+	return Spatial(pop, edges, loads, ranks), nil
+}
+
+// TransitionGraph samples the first sample persons' schedules over the
+// given days and returns the undirected place transition edges, sorted
+// by (A, B), and the per-place occupancy load in person-hours.
+//
+// Each transition is recorded as a packed A<<32|B key; the keys are
+// radix-sorted and run-length counted into edges, so the edges come out
+// in (A, B) order without a comparison sort.
+func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {
+	sample = min(sample, pop.NumPersons())
 	loads := make([]uint64, pop.NumPlaces())
-	type pair struct{ a, b uint32 }
-	trans := make(map[pair]uint64)
+	var keys []uint64
 	var day []schedule.Segment // scratch, reused across every (person, day)
 	for p := 0; p < sample; p++ {
 		prev := synthpop.NoPlace
@@ -72,27 +97,81 @@ func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sa
 			for _, s := range day {
 				loads[s.Place] += uint64(s.Stop - s.Start)
 				if prev != synthpop.NoPlace && prev != s.Place {
-					a, b := prev, s.Place
-					if a > b {
-						a, b = b, a
+					if len(keys) == cap(keys) {
+						// Double: append's 1.25× growth for large slices
+						// would copy the keys about five times over.
+						keys = slices.Grow(keys, max(len(keys), 1024))
 					}
-					trans[pair{a, b}]++
+					a, b := min(prev, s.Place), max(prev, s.Place)
+					keys = append(keys, uint64(a)<<32|uint64(b))
 				}
 				prev = s.Place
 			}
 		}
 	}
-	edges := make([]Edge, 0, len(trans))
-	for k, w := range trans {
-		edges = append(edges, Edge{A: k.a, B: k.b, W: w})
+	return countKeys(sortKeys(keys, make([]uint64, len(keys)))), loads
+}
+
+// sortKeys sorts keys ascending with an LSD radix sort on 16-bit digits,
+// using buf (of the same length) as the ping-pong buffer, and returns
+// whichever of the two holds the result. Digits that are constant across
+// the input are skipped, so keys of two place ids below 2¹⁶ take two
+// passes: one per id.
+func sortKeys(keys, buf []uint64) []uint64 {
+	orK, andK := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		orK |= k
+		andK &= k
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	var shiftBuf [4]uint
+	shifts := shiftBuf[:0]
+	for s := uint(0); s < 64; s += 16 {
+		if uint16((orK^andK)>>s) != 0 {
+			shifts = append(shifts, s)
 		}
-		return edges[i].B < edges[j].B
-	})
-	return edges, loads
+	}
+	counts := make([][1 << 16]uint32, len(shifts))
+	for _, k := range keys {
+		for d, s := range shifts {
+			counts[d][uint16(k>>s)]++
+		}
+	}
+	src, dst := keys, buf
+	for d, s := range shifts {
+		c := &counts[d]
+		sum := uint32(0)
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, k := range src {
+			b := uint16(k >> s)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// countKeys run-length counts sorted keys into edges, sized exactly by a
+// first pass that counts the distinct keys.
+func countKeys(keys []uint64) []Edge {
+	n := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			n++
+		}
+	}
+	edges := make([]Edge, 0, n)
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			edges[len(edges)-1].W++
+		} else {
+			edges = append(edges, Edge{A: uint32(k >> 32), B: uint32(k), W: 1})
+		}
+	}
+	return edges
 }
 
 // CutWeight returns the total weight of edges whose endpoints live on
@@ -138,14 +217,24 @@ func Spatial(pop *synthpop.Population, edges []Edge, loads []uint64, ranks int) 
 
 	// Order places with neighborhoods contiguous. Within a neighborhood
 	// keep allocation order, which groups homes, schools and retail of
-	// the same neighborhood next to each other.
-	order := make([]int, pop.NumPlaces())
-	for i := range order {
-		order[i] = i
+	// the same neighborhood next to each other: a stable counting sort
+	// on the neighborhood id.
+	var last uint16
+	for _, pl := range pop.Places {
+		last = max(last, pl.Neighborhood)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return pop.Places[order[i]].Neighborhood < pop.Places[order[j]].Neighborhood
-	})
+	start := make([]int, int(last)+2)
+	for _, pl := range pop.Places {
+		start[pl.Neighborhood+1]++
+	}
+	for n := 1; n < len(start); n++ {
+		start[n] += start[n-1]
+	}
+	order := make([]int, pop.NumPlaces())
+	for p, pl := range pop.Places {
+		order[start[pl.Neighborhood]] = p
+		start[pl.Neighborhood]++
+	}
 
 	var total uint64
 	for _, l := range loads {
@@ -185,29 +274,42 @@ func refine(a Assignment, edges []Edge, loads []uint64, rankLoad []uint64, ranks
 	}
 	limit := uint64(float64(total) / float64(ranks) * 1.2)
 
-	// Adjacency in CSR-ish form for per-place gain evaluation.
-	adj := make(map[uint32][]Edge)
+	// CSR adjacency: place p's neighbours and edge weights are
+	// nbr[off[p]:off[p+1]] and nbrW[off[p]:off[p+1]].
+	off := make([]int, len(a)+1)
 	for _, e := range edges {
-		adj[e.A] = append(adj[e.A], e)
-		adj[e.B] = append(adj[e.B], Edge{A: e.B, B: e.A, W: e.W})
+		off[e.A+1]++
+		off[e.B+1]++
+	}
+	for p := 1; p < len(off); p++ {
+		off[p] += off[p-1]
+	}
+	nbr := make([]uint32, off[len(a)])
+	nbrW := make([]uint64, off[len(a)])
+	fill := append([]int(nil), off[:len(a)]...)
+	for _, e := range edges {
+		nbr[fill[e.A]], nbrW[fill[e.A]] = e.B, e.W
+		fill[e.A]++
+		nbr[fill[e.B]], nbrW[fill[e.B]] = e.A, e.W
+		fill[e.B]++
 	}
 
+	// w[r] is the weight of the current place's edges toward rank r.
+	w := make([]uint64, ranks)
 	for pass := 0; pass < 3; pass++ {
 		moved := 0
 		for p := range a {
-			pl := uint32(p)
-			nbrs := adj[pl]
-			if len(nbrs) == 0 {
+			lo, hi := off[p], off[p+1]
+			if lo == hi {
 				continue
 			}
-			// Weight of p's edges toward each rank. Selection must be
-			// deterministic (strictly heavier wins; ties keep the
-			// current rank, then prefer the smaller rank index): every
-			// process of a distributed run recomputes this assignment
-			// independently and they must all agree.
-			w := make(map[int]uint64)
-			for _, e := range nbrs {
-				w[a[e.B]] += e.W
+			// Selection must be deterministic (strictly heavier wins;
+			// ties keep the current rank, then prefer the smaller rank
+			// index): every process of a distributed run recomputes
+			// this assignment independently and they must all agree.
+			clear(w)
+			for i := lo; i < hi; i++ {
+				w[a[nbr[i]]] += nbrW[i]
 			}
 			cur := a[p]
 			curW := w[cur]

@@ -1,6 +1,12 @@
 package partition
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -170,8 +176,9 @@ func TestValidateCatchesBadRank(t *testing.T) {
 
 // Spatial must be bit-deterministic: every process of a distributed run
 // recomputes the assignment independently from the same inputs and they
-// must agree exactly. (Go map iteration order differs between calls, so
-// repeated calls catch any order-dependent step.)
+// must agree exactly. Repeated calls on the same inputs catch any step
+// that depends on state left behind by an earlier call or on an
+// unspecified iteration order.
 func TestSpatialDeterministicAcrossCalls(t *testing.T) {
 	pop, edges, loads := setup(t, 5000)
 	for _, ranks := range []int{3, 8} {
@@ -202,10 +209,224 @@ func TestQuickSpatialValid(t *testing.T) {
 	}
 }
 
+func TestDefaultRejectsBadCounts(t *testing.T) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := schedule.NewGenerator(pop, 3)
+	for _, c := range []struct{ days, ranks int }{{1, 0}, {1, -2}, {0, 2}, {-1, 2}} {
+		if a, err := Default(pop, gen, c.days, c.ranks); err == nil {
+			t.Errorf("days=%d ranks=%d: got an assignment of %d places, want an error", c.days, c.ranks, len(a))
+		}
+	}
+	a, err := Default(pop, gen, 9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, loads := referenceTransitionGraph(pop, gen, 7, pop.NumPersons())
+	if want := referenceSpatial(pop, edges, loads, 3); !reflect.DeepEqual(a, want) {
+		t.Fatal("Default over 9 days differs from the reference over its 7-day sample")
+	}
+}
+
+// TestPartitionMatchesReference pins TransitionGraph and Spatial to the
+// straight-line map-and-sort versions below, over population sizes,
+// seeds, sampled days and persons, rank counts and core counts: every
+// chisim process derives the assignment on its own, so it must not
+// depend on how many cores the process has.
+func TestPartitionMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rankCounts := []int{1, 2, 3, 8, 16}
+	for _, n := range []int{300, 2000, 20000} {
+		for _, seed := range []uint64{3, 2017} {
+			pop, err := synthpop.Generate(synthpop.Config{Persons: n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := schedule.NewGenerator(pop, seed)
+			for _, days := range []int{1, 3, 7} {
+				for _, sample := range []int{n, n / 2} {
+					wantE, wantL := referenceTransitionGraph(pop, gen, days, sample)
+					var wantA []Assignment
+					for _, ranks := range rankCounts {
+						wantA = append(wantA, referenceSpatial(pop, wantE, wantL, ranks))
+					}
+					for _, procs := range []int{1, 4} {
+						runtime.GOMAXPROCS(procs)
+						name := fmt.Sprintf("persons=%d seed=%d days=%d sample=%d procs=%d", n, seed, days, sample, procs)
+						edges, loads := TransitionGraph(pop, gen, days, sample)
+						if !reflect.DeepEqual(edges, wantE) {
+							t.Fatalf("%s: %d edges differ from the reference's %d", name, len(edges), len(wantE))
+						}
+						if !reflect.DeepEqual(loads, wantL) {
+							t.Fatalf("%s: loads differ from the reference", name)
+						}
+						for i, ranks := range rankCounts {
+							if a := Spatial(pop, edges, loads, ranks); !reflect.DeepEqual(a, wantA[i]) {
+								t.Fatalf("%s ranks=%d: assignment differs from the reference", name, ranks)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceTransitionGraph is TransitionGraph as a map increment per
+// transition followed by a comparison sort of the edges.
+func referenceTransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {
+	if sample > pop.NumPersons() {
+		sample = pop.NumPersons()
+	}
+	loads := make([]uint64, pop.NumPlaces())
+	type pair struct{ a, b uint32 }
+	trans := make(map[pair]uint64)
+	for p := 0; p < sample; p++ {
+		prev := synthpop.NoPlace
+		for d := 0; d < days; d++ {
+			for _, s := range gen.Day(uint32(p), d) {
+				loads[s.Place] += uint64(s.Stop - s.Start)
+				if prev != synthpop.NoPlace && prev != s.Place {
+					a, b := prev, s.Place
+					if a > b {
+						a, b = b, a
+					}
+					trans[pair{a, b}]++
+				}
+				prev = s.Place
+			}
+		}
+	}
+	edges := make([]Edge, 0, len(trans))
+	for k, w := range trans {
+		edges = append(edges, Edge{A: k.a, B: k.b, W: w})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].A != edges[j].A {
+			return edges[i].A < edges[j].A
+		}
+		return edges[i].B < edges[j].B
+	})
+	return edges, loads
+}
+
+// referenceSpatial is Spatial with a comparison sort for the
+// neighborhood order, a map adjacency and a map of per-rank weights.
+func referenceSpatial(pop *synthpop.Population, edges []Edge, loads []uint64, ranks int) Assignment {
+	a := make(Assignment, pop.NumPlaces())
+	order := make([]int, pop.NumPlaces())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return pop.Places[order[i]].Neighborhood < pop.Places[order[j]].Neighborhood
+	})
+	var total uint64
+	for _, l := range loads {
+		total += l
+	}
+	target := total / uint64(ranks)
+	rankLoad := make([]uint64, ranks)
+	r := 0
+	var acc uint64
+	for _, p := range order {
+		if acc >= target && r < ranks-1 {
+			r++
+			acc = 0
+		}
+		a[p] = r
+		acc += loads[p]
+		rankLoad[r] += loads[p]
+	}
+	if ranks == 1 {
+		return a
+	}
+	limit := uint64(float64(total) / float64(ranks) * 1.2)
+	adj := make(map[uint32][]Edge)
+	for _, e := range edges {
+		adj[e.A] = append(adj[e.A], e)
+		adj[e.B] = append(adj[e.B], Edge{A: e.B, B: e.A, W: e.W})
+	}
+	for pass := 0; pass < 3; pass++ {
+		moved := 0
+		for p := range a {
+			nbrs := adj[uint32(p)]
+			if len(nbrs) == 0 {
+				continue
+			}
+			w := make(map[int]uint64)
+			for _, e := range nbrs {
+				w[a[e.B]] += e.W
+			}
+			cur := a[p]
+			curW := w[cur]
+			best, bestW := cur, curW
+			for r := 0; r < ranks; r++ {
+				wt := w[r]
+				if wt <= curW {
+					continue
+				}
+				if wt > bestW || (wt == bestW && r < best) {
+					best, bestW = r, wt
+				}
+			}
+			if best == cur || rankLoad[best]+loads[p] > limit {
+				continue
+			}
+			rankLoad[cur] -= loads[p]
+			rankLoad[best] += loads[p]
+			a[p] = best
+			moved++
+		}
+		if moved == 0 {
+			break
+		}
+	}
+	return a
+}
+
+func TestSortKeysMatchesSlicesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []int{0, 1, 2, 100, 5000} {
+		for _, mask := range []uint64{0, 0x3fff_0000_3fff, ^uint64(0)} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = r.Uint64() & mask
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			if got := sortKeys(keys, make([]uint64, n)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d mask=%#x: radix order differs from slices.Sort", n, mask)
+			}
+		}
+	}
+}
+
 func BenchmarkSpatial8Ranks(b *testing.B) {
 	pop, edges, loads := setup(b, 10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Spatial(pop, edges, loads, 8)
+	}
+}
+
+// BenchmarkDefaultAssignment20k is the simulation's partition preamble
+// by itself: a week of transitions sampled from 20 000 persons, then the
+// spatial assignment onto 2 ranks.
+func BenchmarkDefaultAssignment20k(b *testing.B) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 20000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := schedule.NewGenerator(pop, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Default(pop, gen, 14, 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

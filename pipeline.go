@@ -338,8 +338,8 @@ func (p *Pipeline) AgeGroupNetworks(n *Network) []*Network {
 func (p *Pipeline) Days() int { return p.cfg.Days }
 
 // SpatialAssignment computes the locality-aware place partition used by
-// default when simulating; exposed for the partitioning experiments.
-func (p *Pipeline) SpatialAssignment(ranks int) partition.Assignment {
-	edges, loads := partition.TransitionGraph(p.Pop, p.Gen, min(p.cfg.Days, 7), p.Pop.NumPersons())
-	return partition.Spatial(p.Pop, edges, loads, ranks)
+// default when simulating (partition.Default); every chisim process of a
+// distributed run derives it on its own. It fails for ranks < 1.
+func (p *Pipeline) SpatialAssignment(ranks int) (partition.Assignment, error) {
+	return partition.Default(p.Pop, p.Gen, p.cfg.Days, ranks)
 }

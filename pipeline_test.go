@@ -202,12 +202,21 @@ func TestSpatialAssignmentCoversAllPlaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.SpatialAssignment(4)
+	a, err := p.SpatialAssignment(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) != p.Pop.NumPlaces() {
 		t.Fatalf("assignment covers %d of %d places", len(a), p.Pop.NumPlaces())
 	}
 	if err := a.Validate(4); err != nil {
 		t.Fatal(err)
+	}
+	// Zero ranks used to divide by zero inside partition.Spatial.
+	for _, ranks := range []int{0, -1} {
+		if _, err := p.SpatialAssignment(ranks); err == nil {
+			t.Errorf("SpatialAssignment(%d) returned no error", ranks)
+		}
 	}
 }
 

@@ -120,6 +120,24 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		exit 1
 	fi
 	echo "baseline edge list and snapshot match the pinned cksums"
+	# The network is the same under any place assignment
+	# (TestLogIndependentOfAssignment), so the pins above cannot see a
+	# drifted partition; the per-rank logs can. Recorded at commit 255b8de.
+	pin_logs="1880790059 24684
+4152963491 60284
+1043172409 68564
+3485021811 76144"
+	base_logs=$(for r in 0 1 2 3; do
+		cksum "$sup_dir/base/logs/rank000$r.h5l" | cut -d' ' -f1-2
+	done)
+	if [ "$base_logs" != "$pin_logs" ]; then
+		echo "FAIL: baseline per-rank logs moved from the pinned cksums"
+		echo "  got:    $(echo $base_logs)"
+		echo "  pinned: $(echo $pin_logs)"
+		rm -rf "$sup_dir"
+		exit 1
+	fi
+	echo "baseline per-rank logs match the pinned cksums"
 	rm -rf "$sup_dir"
 fi
 
