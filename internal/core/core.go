@@ -14,8 +14,9 @@
 //     to achieve even load balancing": collocated-person counts per place
 //     range from a single individual to tens of thousands.
 //  4. Adjacency creation and reduction — each worker computes A_l = x·xᵀ
-//     for its places, accumulating into a private sparse triangular
-//     matrix; worker matrices are then reduced into the final A = Σ A_l.
+//     for its places, appending the raw pair entries to a private buffer;
+//     the buffers are then reduced, sharded by row range across the
+//     workers, into the final A = Σ A_l (sparse.Coalesce).
 //
 // Workers are goroutines standing in for the paper's SNOW/Rmpi worker
 // processes. The result is provably independent of the worker count; the
@@ -47,8 +48,8 @@ import (
 // Telemetry series for the synthesis stage (naming scheme
 // stage_metric_unit; see internal/telemetry). The stage-wall histograms
 // (synth_load_seconds, ...) are fed by the spans started in
-// synthesizeEntriesInto; registering them here makes the full schema
-// visible on /metrics before the first run.
+// synthesizeParts and its callers; registering them here makes the full
+// schema visible on /metrics before the first run.
 var (
 	mEntries      = telemetry.C("synth_entries_total")
 	mPlaces       = telemetry.C("synth_places_total")
@@ -337,88 +338,67 @@ func SynthesizeEntries(ctx context.Context, entries []eventlog.Entry, t0, t1 uin
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	all, stats, err := synthesizeEntriesInto(ctx, sparse.GetEntries(), entries, t0, t1, cfg)
+	parts, stats, err := synthesizeParts(ctx, entries, t0, t1, cfg)
 	if err != nil {
-		sparse.PutEntries(all)
 		return nil, nil, err
 	}
 	_, spReduce := telemetry.StartSpan(ctx, "synth/reduce")
-	final := sparse.TriFromEntries(all)
-	sparse.PutEntries(all)
+	final := sparse.Coalesce(cfg.workers(), parts...)
 	stats.Reduce += spReduce.End()
 	return final, stats, nil
 }
 
-// synthesizeEntriesInto runs stages 1b–4 of the synthesis for one batch
-// of log entries, appending the resulting raw pair entries to dst
-// instead of coalescing them. Callers coalesce with TriFromEntries —
-// once per batch (SynthesizeEntries) or once across all segments of a
-// window (WindowAccumulator.Advance), which is what makes the cross-file
-// reduction a single radix pass instead of a k-way merge of per-file
-// matrices.
-func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []eventlog.Entry, t0, t1 uint32, cfg Config) ([]sparse.Entry, *Stats, error) {
+// synthesizeParts runs stages 1b–4 of the synthesis for one batch of
+// log entries and returns the raw pair entries each stage-4 worker
+// emitted, uncoalesced. Callers reduce them with sparse.Coalesce — once
+// per batch (SynthesizeEntries) or once across all segments of a window
+// (WindowAccumulator.Advance), which makes the cross-file reduction one
+// row-sharded pass instead of a k-way merge of per-file matrices.
+func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint32, cfg Config) ([][]sparse.Entry, *Stats, error) {
 	if t1 <= t0 {
-		return dst, nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
+		return nil, nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
 	}
 	if err := ctxErr(ctx, "synthesis"); err != nil {
-		return dst, nil, err
+		return nil, nil, err
 	}
 	stats := &Stats{SliceHours: int(t1 - t0)}
 
-	// Stage 1b: sub-set to the slice and group by place. A counting pass
-	// sizes one shared backing array, so the per-place buckets are
-	// capacity-exact sub-slices of a single allocation instead of
-	// thousands of independently grown ones.
+	// Stage 1b: sub-set to the slice and group by place. One sort of
+	// place<<32|index keys orders the kept entries by place, each place's
+	// in arrival order, and the per-place buckets are sub-slices of one
+	// backing array in that order.
 	//
 	// Each stage is measured through a telemetry span; Stats reads the
 	// span walls, so the per-run Stats and the registry's cumulative
 	// synth_*_seconds histograms are views over the same measurement.
 	_, spLoad := telemetry.StartSpan(ctx, "synth/load")
-	idx := make(map[uint32]int32) // place ID -> dense bucket index
-	var placeIDs []uint32
-	var counts []int
-	// entryIdx records each kept entry's bucket, so the fill pass below
-	// needs no map lookups at all.
-	entryIdx := make([]int32, 0, len(entries))
+	// Counted first: a streamed window keeps only a fraction of the
+	// resident entries.
+	kept := 0
 	for _, e := range entries {
-		if e.Start >= t1 || e.Stop <= t0 {
-			entryIdx = append(entryIdx, -1)
-			continue
-		}
-		stats.Entries++
-		d, ok := idx[e.Place]
-		if !ok {
-			d = int32(len(counts))
-			idx[e.Place] = d
-			counts = append(counts, 0)
-			placeIDs = append(placeIDs, e.Place)
-		}
-		counts[d]++
-		entryIdx = append(entryIdx, d)
-	}
-	perm := make([]int32, len(placeIDs)) // sorted position -> dense index
-	for k := range perm {
-		perm[k] = int32(k)
-	}
-	sort.Slice(perm, func(a, b int) bool { return placeIDs[perm[a]] < placeIDs[perm[b]] })
-	backing := make([]eventlog.Entry, stats.Entries)
-	buckets := make([][]eventlog.Entry, len(placeIDs)) // sorted-place order
-	sortedIDs := make([]uint32, len(placeIDs))
-	rank := make([]int32, len(placeIDs)) // dense index -> sorted position
-	off := 0
-	for k, d := range perm {
-		sortedIDs[k] = placeIDs[d]
-		rank[d] = int32(k)
-		buckets[k] = backing[off : off : off+counts[d]]
-		off += counts[d]
-	}
-	for k, e := range entries {
-		if d := entryIdx[k]; d >= 0 {
-			buckets[rank[d]] = append(buckets[rank[d]], e)
+		if e.Start < t1 && e.Stop > t0 {
+			kept++
 		}
 	}
-	placeIDs = sortedIDs
-	stats.Places = len(placeIDs)
+	keys := make([]uint64, 0, kept)
+	for i, e := range entries {
+		if e.Start < t1 && e.Stop > t0 {
+			keys = append(keys, uint64(e.Place)<<32|uint64(i))
+		}
+	}
+	keys = sortPlaceKeys(keys, make([]uint64, len(keys)))
+	stats.Entries = len(keys)
+	backing := make([]eventlog.Entry, len(keys))
+	var buckets [][]eventlog.Entry // one place's entries each, in place order
+	start := 0
+	for k, key := range keys {
+		backing[k] = entries[uint32(key)]
+		if k+1 == len(keys) || key>>32 != keys[k+1]>>32 {
+			buckets = append(buckets, backing[start:k+1:k+1])
+			start = k + 1
+		}
+	}
+	stats.Places = len(buckets)
 	spLoad.AddCount(int64(stats.Entries))
 	stats.Load = spLoad.End()
 	mEntries.Add(int64(stats.Entries))
@@ -426,10 +406,10 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 
 	// Stage 2: per-place collocation matrices, built in parallel.
 	_, spBuild := telemetry.StartSpan(ctx, "synth/build")
-	mats, err := buildCollocationMatrices(ctx, buckets, placeIDs, t0, t1, cfg.workers())
+	mats, err := buildCollocationMatrices(ctx, buckets, t0, t1, cfg.workers())
 	if err != nil {
 		spBuild.End()
-		return dst, nil, err
+		return nil, nil, err
 	}
 	for _, m := range mats {
 		stats.TotalNNZ += m.nnz
@@ -455,7 +435,7 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 	mSplits.Add(int64(splits))
 
 	// Stage 4: parallel x·xᵀ through the clique-compressed tile kernel.
-	// Each worker appends raw pair entries to a pooled slice — "each
+	// Each worker appends raw pair entries to a slice of its own — "each
 	// worker finally sums the set of adjacency matrices it has created".
 	// Cancellation is observed between work units: every worker re-reads
 	// a shared flag before starting a tile, so a canceled synthesis stops
@@ -470,7 +450,7 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 		go func(w int) {
 			defer wg.Done()
 			t := time.Now()
-			buf := sparse.GetEntries()
+			var buf []sparse.Entry
 			for _, u := range assignments[w] {
 				if canceled.Load() {
 					break
@@ -496,27 +476,46 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 	spGram.AddCount(int64(stats.WorkUnits))
 	stats.Gram = spGram.End()
 	if canceled.Load() {
-		for _, b := range bufs {
-			sparse.PutEntries(b)
+		return nil, nil, ctxErr(ctx, "synthesis")
+	}
+	// The caller's one Coalesce over every worker's buffer replaces a
+	// per-worker sort plus k-way merge, and stays bit-identical for any
+	// worker count or balance mode because the tile cover reproduces the
+	// untiled entry multiset and weight summation is commutative.
+	return bufs, stats, nil
+}
+
+// sortPlaceKeys sorts place<<32|index keys built in index order, with
+// buf (as long as keys) as scratch, and returns the sorted slice: keys
+// or buf. It is an LSD radix sort over the place bytes alone, skipping
+// bytes in which no key differs; every pass is stable and the indexes
+// already ascend, so each place's keys come out in arrival order.
+func sortPlaceKeys(keys, buf []uint64) []uint64 {
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k, and&k
+	}
+	src, dst := keys, buf
+	for shift := 32; shift < 64; shift += 8 {
+		if byte((or^and)>>shift) == 0 {
+			continue
 		}
-		return dst, nil, ctxErr(ctx, "synthesis")
+		var offs [256]int
+		for _, k := range src {
+			offs[byte(k>>shift)]++
+		}
+		sum := 0
+		for b, n := range offs {
+			offs[b], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[offs[b]] = k
+			offs[b]++
+		}
+		src, dst = dst, src
 	}
-
-	// Reduce (first half): concatenate the workers' entries onto dst.
-	// The caller's single TriFromEntries coalesce replaces the
-	// per-worker sort plus k-way merge — same total sort work (radix
-	// passes are linear in the entry count) but no intermediate matrices
-	// — and stays bit-identical for any worker count or balance mode
-	// because the tile cover reproduces the untiled entry multiset and
-	// weight summation is commutative.
-	_, spReduce := telemetry.StartSpan(ctx, "synth/reduce")
-	for _, b := range bufs {
-		dst = append(dst, b...)
-		sparse.PutEntries(b)
-	}
-	stats.Reduce = spReduce.End()
-
-	return dst, stats, nil
+	return src
 }
 
 // placeMatrix pairs a place's collocation matrix with its balancing
@@ -527,22 +526,20 @@ func synthesizeEntriesInto(ctx context.Context, dst []sparse.Entry, entries []ev
 // person count, the LPT weight is that count squared (times the bitset
 // width).
 type placeMatrix struct {
-	place uint32
-	bm    *sparse.BitMatrix
-	nnz   int
-	cost  int
+	bm   *sparse.BitMatrix
+	nnz  int
+	cost int
 }
 
 // buildCollocationMatrices runs stage 2 with a bounded worker pool over
-// the per-place entry buckets (buckets[i] holds placeIDs[i]'s entries).
+// the per-place entry buckets (buckets[i] holds one place's entries).
 // Cancellation is observed between places: on a dead ctx the pool stops
 // handing out work, the matrices built so far are recycled, and a
 // wrapped cancellation error is returned.
-func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, placeIDs []uint32, t0, t1 uint32, workers int) ([]placeMatrix, error) {
-	mats := make([]placeMatrix, len(placeIDs))
+func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, t0, t1 uint32, workers int) ([]placeMatrix, error) {
+	mats := make([]placeMatrix, len(buckets))
 	var canceled atomic.Bool
-	var next int
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -556,11 +553,8 @@ func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, p
 					canceled.Store(true)
 					return
 				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(placeIDs) {
+				i := int(next.Add(1) - 1)
+				if i >= len(buckets) {
 					return
 				}
 				bm := sparse.GetBitMatrix(int(t1 - t0))
@@ -577,7 +571,7 @@ func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, p
 				// GramCost triggers the clique compression here, inside
 				// the per-place build worker, so stage 4 can share the
 				// cached compression across goroutines safely.
-				mats[i] = placeMatrix{place: placeIDs[i], bm: bm, nnz: bm.NNZ(), cost: bm.GramCost()}
+				mats[i] = placeMatrix{bm: bm, nnz: bm.NNZ(), cost: bm.GramCost()}
 			}
 		}()
 	}

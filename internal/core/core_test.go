@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,12 @@ func bruteForce(entries []eventlog.Entry, t0, t1 uint32) map[[2]uint32]uint32 {
 }
 
 func randomEntries(seed uint64, n int) []eventlog.Entry {
+	return randomTown(seed, n, 25, 8)
+}
+
+// randomTown draws n entries of up to 12 hours in the first 60 among
+// the given numbers of persons and places.
+func randomTown(seed uint64, n, persons, places int) []eventlog.Entry {
 	r := rng.New(seed)
 	entries := make([]eventlog.Entry, n)
 	for i := range entries {
@@ -52,9 +59,9 @@ func randomEntries(seed uint64, n int) []eventlog.Entry {
 		entries[i] = eventlog.Entry{
 			Start:    start,
 			Stop:     start + 1 + uint32(r.Intn(12)),
-			Person:   uint32(r.Intn(25)),
+			Person:   uint32(r.Intn(persons)),
 			Activity: uint32(r.Intn(4)),
-			Place:    uint32(r.Intn(8)),
+			Place:    uint32(r.Intn(places)),
 		}
 	}
 	return entries
@@ -134,8 +141,12 @@ func TestNoEntriesYieldsEmptyNetwork(t *testing.T) {
 	}
 }
 
+// TestResultIndependentOfWorkers runs a town big enough that the Gram
+// stage emits over 100 000 pairs among 3 000 persons, so the reduce
+// step cuts dozens of row buckets, radix-sorts most of them, and deals
+// them out to every worker count's ranges.
 func TestResultIndependentOfWorkers(t *testing.T) {
-	entries := randomEntries(77, 400)
+	entries := randomTown(77, 10000, 3000, 50)
 	var ref *sparse.Tri
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		tri, _, err := SynthesizeEntries(context.Background(), entries, 0, 60, Config{Workers: workers})
@@ -143,11 +154,35 @@ func TestResultIndependentOfWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ref == nil {
+			if tri.NNZ() < 100000 {
+				t.Fatalf("only %d edges: the town no longer exercises the bucketed reduce", tri.NNZ())
+			}
 			ref = tri
 			continue
 		}
 		if !tri.Equal(ref) {
 			t.Fatalf("workers=%d produced a different network", workers)
+		}
+	}
+}
+
+// TestSortPlaceKeysMatchesSort: the radix sort over place bytes alone,
+// on keys built in index order, equals a full sort of the keys — for
+// one place, dense place ids, ids from 2^24, ids spanning all four
+// bytes and ids at the top of the range.
+func TestSortPlaceKeysMatchesSort(t *testing.T) {
+	r := rng.New(5)
+	for _, n := range []int{0, 1, 2, 300, 5000} {
+		for _, ids := range [][2]uint64{{7, 1}, {0, 50}, {1 << 24, 256}, {0, 1 << 32}, {1<<32 - 5, 5}} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = (ids[0]+r.Uint64n(ids[1]))<<32 | uint64(i)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			if got := sortPlaceKeys(keys, make([]uint64, n)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d, places %d+[0,%d): radix order differs from the full sort", n, ids[0], ids[1])
+			}
 		}
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/eventlog"
@@ -236,7 +235,7 @@ func writeRun(path string, entries []eventlog.Entry) error {
 	for i, e := range entries {
 		keys[i] = uint64(e.Place)<<32 | uint64(i)
 	}
-	slices.Sort(keys)
+	keys = sortPlaceKeys(keys, make([]uint64, len(keys)))
 	w, err := eventlog.Create(path, eventlog.Config{CacheEntries: spillChunkEntries, DisableChecksums: true})
 	if err != nil {
 		return err
@@ -352,11 +351,11 @@ func (a *WindowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 
 // Advance closes the window [w0, w1): it synthesizes the buffered
 // entries restricted to the window — group by group, per segment within
-// a group, one radix coalesce per group and one merge across groups, so
-// the result is bit-identical however the entries were grouped — folds
-// it into the decayed running network, and holds over only the entries
-// a later window can still overlap. Windows must advance monotonically:
-// w0 ≥ the previous w1.
+// a group, one sparse.Coalesce of the group's worker buffers and one
+// merge across groups, so the result is bit-identical however the
+// entries were grouped — folds it into the decayed running network, and
+// holds over only the entries a later window can still overlap. Windows
+// must advance monotonically: w0 ≥ the previous w1.
 func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error) {
 	if w1 <= w0 {
 		return nil, nil, fmt.Errorf("core: empty window [%d,%d)", w0, w1)
@@ -368,23 +367,21 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	agg := &Stats{SliceHours: int(w1 - w0)}
 	var tris []*sparse.Tri
 	err := a.drain(ctx, agg, func(group [][]eventlog.Entry) error {
-		all := sparse.GetEntries()
-		defer func() { sparse.PutEntries(all) }()
+		var parts [][]sparse.Entry
 		for seg, entries := range group {
 			if len(entries) == 0 {
 				continue
 			}
-			var stats *Stats
-			var err error
-			all, stats, err = synthesizeEntriesInto(ctx, all, entries, w0, w1, a.cfg)
+			ps, stats, err := synthesizeParts(ctx, entries, w0, w1, a.cfg)
 			if err != nil {
 				return fmt.Errorf("core: window [%d,%d) segment %d: %w", w0, w1, seg, err)
 			}
+			parts = append(parts, ps...)
 			agg.add(stats)
 		}
-		start := time.Now()
-		tris = append(tris, sparse.TriFromEntries(all))
-		agg.Reduce += time.Since(start)
+		_, sp := telemetry.StartSpan(ctx, "synth/reduce")
+		tris = append(tris, sparse.Coalesce(a.cfg.workers(), parts...))
+		agg.Reduce += sp.End()
 		// Entries that stopped at or before w1 are dropped: no window
 		// [w1, ∞) can overlap them. This eviction is what bounds a
 		// stream's resident set by the window+horizon span.

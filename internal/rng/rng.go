@@ -75,8 +75,8 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform integer in [0, n) using Lemire's unbiased
-// multiply-shift rejection method. It panics if n == 0.
+// Uint64n returns a uniform integer in [0, n) by modulo reduction with
+// rejection of the draws that would bias it. It panics if n == 0.
 func (r *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
@@ -85,14 +85,21 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling to remove modulo bias.
-	max := (^uint64(0)) - (^uint64(0))%n
 	for {
-		v := r.Uint64()
-		if v < max {
-			return v % n
+		if m, ok := reduceDraw(r.Uint64(), n); ok {
+			return m
 		}
 	}
+}
+
+// reduceDraw returns v%n, and whether v may be used: false when v lies in
+// the incomplete block of n values at the top of the uint64 range, which
+// would bias the result. With one division: v's block [v-v%n, v-v%n+n)
+// must fit below 2^64, i.e. v - v%n <= 2^64-1-n — the same draws as the
+// two-division test v < 2^64-1 - (2^64-1)%n accepts.
+func reduceDraw(v, n uint64) (uint64, bool) {
+	m := v % n
+	return m, v-m <= ^uint64(0)-n
 }
 
 // Float64 returns a uniform float64 in [0, 1).

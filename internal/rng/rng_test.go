@@ -88,6 +88,70 @@ func TestUint64nPowerOfTwoFastPath(t *testing.T) {
 	}
 }
 
+// twoDivisionDraw is the rejection test Uint64n used before it needed
+// only one division: accept v below the largest multiple of n that fits
+// in 2^64-1, and return v%n.
+func twoDivisionDraw(v, n uint64) (uint64, bool) {
+	lim := ^uint64(0) - ^uint64(0)%n
+	return v % n, v < lim
+}
+
+// TestReduceDrawMatchesTwoDivisions pins the one-division rejection test
+// to the two-division one at every boundary (0, n-1, and around the
+// rejection threshold and 2^64-1) and on random draws, for random n and
+// n near 2^63 and 2^64, so every value Uint64n returns stays the same.
+func TestReduceDrawMatchesTwoDivisions(t *testing.T) {
+	r := New(2017)
+	const top = ^uint64(0)
+	ns := []uint64{1, 2, 3, 5, 7, 10, 1000, 1<<32 - 1, 1<<32 + 1,
+		1<<63 - 1, 1<<63 + 1, 1<<63 + 12345, top - 2, top - 1, top}
+	for i := 0; i < 2000; i++ {
+		ns = append(ns, max(1, r.Uint64()>>r.Intn(64)))
+	}
+	for _, n := range ns {
+		lim := top - top%n
+		vs := []uint64{0, n - 1, lim - 1, lim, lim + 1, top - 1, top}
+		for i := 0; i < 20; i++ {
+			vs = append(vs, r.Uint64(), lim-uint64(i), lim+uint64(i))
+		}
+		for _, v := range vs {
+			m, ok := reduceDraw(v, n)
+			wm, wok := twoDivisionDraw(v, n)
+			if ok != wok || (ok && m != wm) {
+				t.Fatalf("n=%d v=%d: reduceDraw = (%d, %v), two divisions = (%d, %v)", n, v, m, ok, wm, wok)
+			}
+		}
+	}
+}
+
+// TestUint64nDrawsUnchanged replays same-seed streams through Uint64n and
+// through the two-division loop: every value and the number of raw draws
+// each call consumed must agree.
+func TestUint64nDrawsUnchanged(t *testing.T) {
+	a, b := New(7), New(7)
+	for i := 0; i < 20000; i++ {
+		n := max(1, a.Uint64()>>(i%64))
+		if bn := max(1, b.Uint64()>>(i%64)); bn != n {
+			t.Fatalf("streams diverged before draw %d", i)
+		}
+		got := a.Uint64n(n)
+		var want uint64
+		if n&(n-1) == 0 {
+			want = b.Uint64() & (n - 1)
+		} else {
+			for ok := false; !ok; {
+				want, ok = twoDivisionDraw(b.Uint64(), n)
+			}
+		}
+		if got != want {
+			t.Fatalf("draw %d: Uint64n(%d) = %d, two divisions = %d", i, n, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Uint64n consumed a different number of raw draws")
+	}
+}
+
 func TestUint64nUniformity(t *testing.T) {
 	r := New(17)
 	const n = 10

@@ -183,63 +183,9 @@ func (t *Tri) Vertices() int {
 }
 
 // TriFromEntries builds a Tri from unsorted entries, normalizing pair
-// order, dropping self-pairs, and summing duplicates. The input slice is
-// reordered in place. Large inputs are sorted with an LSD radix sort on
-// the packed (I, J) key — O(n) passes instead of O(n log n) comparisons —
-// which is the coalescing step of every stage-4 synthesis worker.
-func TriFromEntries(es []Entry) *Tri {
-	kept := es[:0]
-	for _, e := range es {
-		if e.I == e.J {
-			continue
-		}
-		if e.I > e.J {
-			e.I, e.J = e.J, e.I
-		}
-		kept = append(kept, e)
-	}
-	es = kept
-	if len(es) >= radixMinLen {
-		radixSortEntries(es)
-	} else {
-		slices.SortFunc(es, func(a, b Entry) int {
-			ka, kb := entryKey(a), entryKey(b)
-			switch {
-			case ka < kb:
-				return -1
-			case ka > kb:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-	// Count distinct keys first so the output slices are allocated once
-	// at exactly the coalesced size and filled with indexed writes — the
-	// second pass over the (now cache-warm) entries is far cheaper than
-	// append-growth reallocations.
-	uniq := 0
-	for k := range es {
-		if k == 0 || entryKey(es[k]) != entryKey(es[k-1]) {
-			uniq++
-		}
-	}
-	t := &Tri{
-		I: make([]uint32, uniq),
-		J: make([]uint32, uniq),
-		W: make([]uint32, uniq),
-	}
-	n := -1
-	for k, e := range es {
-		if k == 0 || entryKey(e) != entryKey(es[k-1]) {
-			n++
-			t.I[n], t.J[n], t.W[n] = e.I, e.J, e.W
-		} else {
-			t.W[n] += e.W
-		}
-	}
-	return t
-}
+// order, dropping self-pairs, and summing duplicates: Coalesce on one
+// worker and one part.
+func TriFromEntries(es []Entry) *Tri { return Coalesce(1, es) }
 
 // SumTris sums any number of triangular matrices element-wise — the
 // paper's final cross-log-file aggregation step A = Σ A_file.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -139,6 +140,7 @@ func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
 				if pa+1 > lo {
 					lo = pa + 1
 				}
+				dst = reserve(dst, bHi-lo)
 				for pb := lo; pb < bHi; pb++ {
 					i, j := ia, m.ids[g.order[pb]]
 					if i > j {
@@ -165,6 +167,7 @@ func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
 			}
 			for pa := aLo; pa < aHi; pa++ {
 				ia := m.ids[g.order[pa]]
+				dst = reserve(dst, bHi-bLo)
 				for pb := bLo; pb < bHi; pb++ {
 					i, j := ia, m.ids[g.order[pb]]
 					if i > j {
@@ -176,6 +179,17 @@ func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
 		}
 	}
 	return dst
+}
+
+// reserve returns dst with room for n more entries, doubling its
+// capacity when it has to grow: append grows a large slice by a quarter,
+// which copies a worker's whole buffer about four times over on its way
+// to the final size.
+func reserve(dst []Entry, n int) []Entry {
+	if len(dst)+n <= cap(dst) {
+		return dst
+	}
+	return slices.Grow(dst, max(n, cap(dst)))
 }
 
 func clampRange(lo, hi, n int) (int, int) {

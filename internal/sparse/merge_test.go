@@ -223,3 +223,48 @@ func TestTriUnmarshalRejectsCorrupt(t *testing.T) {
 		t.Fatal("length-mismatched blob accepted")
 	}
 }
+
+// mergeTrisScan is the pre-tournament reference reduction: an O(total·k)
+// linear best-head scan. It is retained for the BenchmarkMerge baseline
+// and as an oracle in the merge property tests.
+func mergeTrisScan(ts ...*Tri) *Tri {
+	heads := make([]int, len(ts))
+	total := 0
+	for _, t := range ts {
+		if t != nil {
+			total += t.NNZ()
+		}
+	}
+	out := &Tri{
+		I: make([]uint32, 0, total),
+		J: make([]uint32, 0, total),
+		W: make([]uint32, 0, total),
+	}
+	for {
+		best := -1
+		var bestKey uint64
+		for i, t := range ts {
+			if t == nil || heads[i] >= t.NNZ() {
+				continue
+			}
+			key := uint64(t.I[heads[i]])<<32 | uint64(t.J[heads[i]])
+			if best == -1 || key < bestKey {
+				best, bestKey = i, key
+			}
+		}
+		if best == -1 {
+			return out
+		}
+		t := ts[best]
+		k := heads[best]
+		heads[best]++
+		n := len(out.I)
+		if n > 0 && out.I[n-1] == t.I[k] && out.J[n-1] == t.J[k] {
+			out.W[n-1] += t.W[k]
+			continue
+		}
+		out.I = append(out.I, t.I[k])
+		out.J = append(out.J, t.J[k])
+		out.W = append(out.W, t.W[k])
+	}
+}

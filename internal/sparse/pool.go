@@ -1,36 +1,17 @@
 package sparse
 
 // This file implements buffer reuse for the synthesis hot path: the
-// per-place BitMatrices and per-worker entry slices are otherwise
-// allocated and dropped once per (file, slice) pass, which at scale makes
-// the garbage collector a fifth pipeline stage. The pools below let the
-// core pipeline recycle both across places, files and slices.
+// per-place BitMatrices are otherwise allocated and dropped once per
+// place of every (file, slice) pass, which at scale makes the garbage
+// collector a fifth pipeline stage. The pool below lets the core
+// pipeline recycle them across places, files and slices.
+//
+// The stage-4 workers' entry buffers are not pooled: Coalesce reads all
+// of a window's buffers at once, so one segment's buffers cannot serve
+// the next, and pooled buffers kept their largest capacities resident
+// between windows.
 
 import "sync"
-
-// entryPool recycles the per-worker Entry slices that GramTileAppend
-// fills and TriFromEntries consumes.
-var entryPool = sync.Pool{}
-
-// GetEntries returns an empty Entry slice, reusing pooled capacity when
-// available. Pair every GetEntries with a PutEntries once the slice's
-// contents are no longer referenced.
-func GetEntries() []Entry {
-	if v := entryPool.Get(); v != nil {
-		return (*(v.(*[]Entry)))[:0]
-	}
-	return nil
-}
-
-// PutEntries returns an Entry slice's capacity to the pool. The caller
-// must not use the slice afterwards.
-func PutEntries(es []Entry) {
-	if cap(es) == 0 {
-		return
-	}
-	es = es[:0]
-	entryPool.Put(&es)
-}
 
 // matrixPool recycles whole BitMatrices including their row bitsets.
 var matrixPool = sync.Pool{}

@@ -1,13 +1,18 @@
 package sparse
 
-// This file holds the reduction kernels of the synthesis pipeline: an LSD
-// radix sort on the packed (I,J) key that replaces the comparison sort in
-// TriFromEntries, and tournament-tree / parallel pairwise merges that
-// replace the O(total·k) linear best-head scan in MergeTris.
+// This file holds the reduction kernels of the synthesis pipeline: the
+// row-range-sharded Coalesce that turns the Gram workers' raw entries
+// into the network, the LSD radix sort on the packed (I,J) key it runs
+// per bucket, and tournament-tree / parallel pairwise merges of sorted
+// triangles.
 
 import (
+	"cmp"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 func entryKey(e Entry) uint64 { return uint64(e.I)<<32 | uint64(e.J) }
@@ -16,29 +21,187 @@ func entryKey(e Entry) uint64 { return uint64(e.I)<<32 | uint64(e.J) }
 // sort beats the 8-pass counting sort's fixed costs.
 const radixMinLen = 256
 
-// radix16MinLen is the input size at which the 16-bit-digit variant's
-// larger histograms (256 KiB per varying digit to zero and prefix-scan)
-// pay for halving the number of scatter passes.
-const radix16MinLen = 1 << 15
+// coalesceBucket is the mean entry count Coalesce aims for per row
+// bucket: 4 Ki entries are 48 KiB, so a bucket's radix passes stay in
+// cache. maxBucketBits caps the bucket count, and with it the per-part
+// histograms and the scatter's fan-out.
+const (
+	coalesceBucket = 1 << 12
+	maxBucketBits  = 14
+)
 
-// hist16Pool recycles the 16-bit-digit histograms (4 × 64Ki counters =
-// 1 MiB) so large sorts do not allocate them per call.
-var hist16Pool = sync.Pool{New: func() any { return new([4][1 << 16]int32) }}
+// Coalesce builds the canonical Tri — sorted by (I, J) with I < J,
+// self-pairs dropped, each pair once with its weights summed — from the
+// raw entries spread over parts, which it only reads. It is the reduce
+// step of the synthesis, A = Σ A_l: the parts are the Gram workers' own
+// buffers, never concatenated.
+//
+// The reduction is sharded by row range. Each part is histogrammed by
+// the top bits of each pair's smaller id, then scattered, ordered
+// (I < J), into one buffer at per-(part, bucket) offsets, so every
+// bucket of rows is contiguous. Contiguous bucket ranges, balanced by
+// entry count, go to up to workers goroutines, which radix-sort each
+// small bucket in cache and fold its duplicate keys; one exactly-sized
+// Tri is then filled at prefix offsets. Buckets are disjoint and
+// ascending in I and weight addition commutes, so the result is the same
+// bit for bit for any worker count and any split of the entries into
+// parts.
+func Coalesce(workers int, parts ...[]Entry) *Tri {
+	workers = max(workers, 1)
+	tops := make([]uint32, len(parts))
+	forEach(workers, len(parts), func(p int) {
+		for _, e := range parts[p] {
+			tops[p] = max(tops[p], min(e.I, e.J))
+		}
+	})
+	top := slices.Max(append(tops, 0))
+	// Bucket b holds the rows whose id>>shift is b: about coalesceBucket
+	// entries each, were rows even. Self-pairs are only dropped when a
+	// bucket is folded, so the raw count sizes the buckets.
+	raw := 0
+	for _, part := range parts {
+		raw += len(part)
+	}
+	shift := max(bits.Len32(top)-min(bits.Len(uint(raw/coalesceBucket)), maxBucketBits), 0)
+	nb := int(top>>shift) + 1
 
-// radixSortEntries sorts es ascending by packed (I, J) key using an LSD
-// radix sort with 8-bit digits. Passes whose digit is constant across the
-// whole input (common: the high ID bytes of a simulation population are
-// mostly zero) are skipped. The sort is stable within each pass, which is
-// what makes LSD correct; ties in the full key need no particular order
-// because TriFromEntries sums their weights commutatively.
-func radixSortEntries(es []Entry) {
-	n := len(es)
-	if n < 2 {
+	// counts[p][b] is part p's entry count in bucket b, then its next
+	// write offset in the scatter buffer; start[b] is where bucket b
+	// begins.
+	counts := make([][]int, len(parts))
+	forEach(workers, len(parts), func(p int) {
+		c := make([]int, nb)
+		for _, e := range parts[p] {
+			c[min(e.I, e.J)>>shift]++
+		}
+		counts[p] = c
+	})
+	start := make([]int, nb+1)
+	for b := 0; b < nb; b++ {
+		off := start[b]
+		for _, c := range counts {
+			c[b], off = off, off+c[b]
+		}
+		start[b+1] = off
+	}
+	// The scatter buffer is not pooled: a pooled one outlives the call
+	// and comes back as a worker's buffer, so the largest buffer of all
+	// stays resident between reductions.
+	buf := make([]Entry, start[nb])
+	forEach(workers, len(parts), func(p int) {
+		off := counts[p]
+		for _, e := range parts[p] {
+			lo, hi := min(e.I, e.J), max(e.I, e.J)
+			b := lo >> shift
+			buf[off[b]] = Entry{I: lo, J: hi, W: e.W}
+			off[b]++
+		}
+	})
+
+	// Sort and fold each bucket in place; uniq[b+1] is bucket b's distinct
+	// key count, then (after the prefix sum) uniq[b] is its output offset.
+	ranges := cutRanges(start, 4*workers)
+	uniq := make([]int, nb+1)
+	forEach(workers, len(ranges)-1, func(r int) {
+		var scratch []Entry
+		for b := ranges[r]; b < ranges[r+1]; b++ {
+			uniq[b+1], scratch = foldBucket(buf[start[b]:start[b+1]], scratch)
+		}
+	})
+	for b := 0; b < nb; b++ {
+		uniq[b+1] += uniq[b]
+	}
+	t := &Tri{I: make([]uint32, uniq[nb]), J: make([]uint32, uniq[nb]), W: make([]uint32, uniq[nb])}
+	forEach(workers, len(ranges)-1, func(r int) {
+		for b := ranges[r]; b < ranges[r+1]; b++ {
+			k := uniq[b]
+			for _, e := range buf[start[b] : start[b]+uniq[b+1]-k] {
+				t.I[k], t.J[k], t.W[k] = e.I, e.J, e.W
+				k++
+			}
+		}
+	})
+	return t
+}
+
+// cutRanges cuts buckets, whose entries begin at start[b] (start[nb] is
+// the total), into at most k contiguous ranges of about equal entry
+// count: range r is buckets [cuts[r], cuts[r+1]).
+func cutRanges(start []int, k int) []int {
+	nb, n := len(start)-1, start[len(start)-1]
+	cuts := []int{0}
+	for b := 1; b < nb && len(cuts) < k; b++ {
+		if start[b] >= len(cuts)*n/k {
+			cuts = append(cuts, b)
+		}
+	}
+	return append(cuts, nb)
+}
+
+// foldBucket sorts es by key and folds it into its prefix: duplicate
+// keys summed, self-pairs (which the network does not hold) dropped. It
+// returns the prefix's length and the radix scratch, grown as needed,
+// for the next bucket.
+func foldBucket(es, scratch []Entry) (int, []Entry) {
+	sorted := es
+	if len(es) < radixMinLen {
+		slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(entryKey(a), entryKey(b)) })
+	} else {
+		if cap(scratch) < len(es) {
+			scratch = make([]Entry, len(es))
+		}
+		sorted = radixSortEntries(es, scratch[:len(es)])
+	}
+	u := 0
+	for _, e := range sorted {
+		switch {
+		case e.I == e.J:
+		case u > 0 && es[u-1].I == e.I && es[u-1].J == e.J:
+			es[u-1].W += e.W
+		default:
+			es[u] = e
+			u++
+		}
+	}
+	return u, scratch
+}
+
+// forEach calls fn(0), …, fn(n-1) on up to workers goroutines, each
+// taking the next index as it frees up; with one worker it runs them in
+// order on the calling goroutine.
+func forEach(workers, n int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
-	if n >= radix16MinLen {
-		radixSortEntries16(es)
-		return
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// radixSortEntries sorts es ascending by packed (I, J) key using an LSD
+// radix sort with 8-bit digits, with buf (as long as es) as scratch, and
+// returns the sorted slice: es or buf, whichever the last pass wrote.
+// Passes whose digit is constant across the whole input (common: the
+// high ID bytes of a simulation population are mostly zero, and every
+// entry of a Coalesce bucket shares the high bits of I) are skipped. The
+// sort is stable within each pass, which is what makes LSD correct; ties
+// in the full key need no particular order because Coalesce sums their
+// weights commutatively.
+func radixSortEntries(es, buf []Entry) []Entry {
+	if len(es) < 2 {
+		return es
 	}
 	// A cheap OR/AND pre-pass finds the digits that actually vary across
 	// the input: a digit is uniform iff its bits agree between the OR and
@@ -61,7 +224,7 @@ func radixSortEntries(es []Entry) {
 		}
 	}
 	if nd == 0 {
-		return // all keys identical: already sorted
+		return es // all keys identical: already sorted
 	}
 	digits := digitBuf[:nd]
 	// One shared histogram pass counting only the varying digits.
@@ -72,11 +235,6 @@ func radixSortEntries(es []Entry) {
 			counts[d][byte(k>>(8*d))]++
 		}
 	}
-	buf := GetEntries()
-	if cap(buf) < n {
-		buf = make([]Entry, n)
-	}
-	buf = buf[:n]
 	src, dst := es, buf
 	for _, d := range digits {
 		c := &counts[d]
@@ -95,123 +253,7 @@ func radixSortEntries(es []Entry) {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &es[0] {
-		copy(es, src)
-	}
-	PutEntries(buf)
-}
-
-// radixSortEntries16 is the large-input variant of radixSortEntries: LSD
-// radix with 16-bit digits, so a full u64 key needs at most 4 scatter
-// passes and the simulation-typical key (two IDs under 2^16) needs 2.
-// Uniform digits are skipped exactly as in the 8-bit variant.
-func radixSortEntries16(es []Entry) {
-	n := len(es)
-	orK, andK := uint64(0), ^uint64(0)
-	for _, e := range es {
-		k := entryKey(e)
-		orK |= k
-		andK &= k
-	}
-	diff := orK ^ andK
-	var digitBuf [4]uint
-	nd := 0
-	for d := uint(0); d < 4; d++ {
-		if uint16(diff>>(16*d)) != 0 {
-			digitBuf[nd] = d
-			nd++
-		}
-	}
-	if nd == 0 {
-		return // all keys identical: already sorted
-	}
-	digits := digitBuf[:nd]
-	counts := hist16Pool.Get().(*[4][1 << 16]int32)
-	for _, d := range digits {
-		c := &counts[d]
-		for b := range c {
-			c[b] = 0
-		}
-	}
-	for _, e := range es {
-		k := entryKey(e)
-		for _, d := range digits {
-			counts[d][uint16(k>>(16*d))]++
-		}
-	}
-	buf := GetEntries()
-	if cap(buf) < n {
-		buf = make([]Entry, n)
-	}
-	buf = buf[:n]
-	src, dst := es, buf
-	for _, d := range digits {
-		c := &counts[d]
-		// Exclusive prefix sums in place -> bucket offsets.
-		sum := int32(0)
-		for b := range c {
-			cnt := c[b]
-			c[b] = sum
-			sum += cnt
-		}
-		shift := 16 * d
-		for _, e := range src {
-			b := uint16(entryKey(e) >> shift)
-			dst[c[b]] = e
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	hist16Pool.Put(counts)
-	if &src[0] != &es[0] {
-		copy(es, src)
-	}
-	PutEntries(buf)
-}
-
-// mergeTrisScan is the pre-tournament reference reduction: an O(total·k)
-// linear best-head scan. It is retained for the BenchmarkMerge baseline
-// and as an oracle in the merge property tests.
-func mergeTrisScan(ts ...*Tri) *Tri {
-	heads := make([]int, len(ts))
-	total := 0
-	for _, t := range ts {
-		if t != nil {
-			total += t.NNZ()
-		}
-	}
-	out := &Tri{
-		I: make([]uint32, 0, total),
-		J: make([]uint32, 0, total),
-		W: make([]uint32, 0, total),
-	}
-	for {
-		best := -1
-		var bestKey uint64
-		for i, t := range ts {
-			if t == nil || heads[i] >= t.NNZ() {
-				continue
-			}
-			key := uint64(t.I[heads[i]])<<32 | uint64(t.J[heads[i]])
-			if best == -1 || key < bestKey {
-				best, bestKey = i, key
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		t := ts[best]
-		k := heads[best]
-		heads[best]++
-		n := len(out.I)
-		if n > 0 && out.I[n-1] == t.I[k] && out.J[n-1] == t.J[k] {
-			out.W[n-1] += t.W[k]
-			continue
-		}
-		out.I = append(out.I, t.I[k])
-		out.J = append(out.J, t.J[k])
-		out.W = append(out.W, t.W[k])
-	}
+	return src
 }
 
 // merge2 merges two sorted Tris, summing weights of shared pairs. The
@@ -345,7 +387,7 @@ func mergeTournament(live []*Tri) *Tri {
 // MergeTris k-way merges already-sorted triangular matrices, summing
 // weights of entries present in several inputs — the reduction step of
 // the synthesis pipeline (Tri is always sorted, so inputs from Accum.Tri
-// or TriFromEntries qualify). Nil and empty inputs are skipped. The merge
+// or Coalesce qualify). Nil and empty inputs are skipped. The merge
 // runs through a tournament tree, so it costs O(total·log k) comparisons;
 // see MergeTrisParallel for the worker-parallel variant.
 func MergeTris(ts ...*Tri) *Tri {
@@ -396,23 +438,14 @@ func MergeTrisParallel(workers int, ts ...*Tri) *Tri {
 	if workers <= 1 || len(live) <= mergeFanIn {
 		return MergeTris(live...)
 	}
-	sem := make(chan struct{}, workers)
 	for len(live) > mergeFanIn {
 		next := make([]*Tri, (len(live)+1)/2)
-		var wg sync.WaitGroup
-		for i := 0; i+1 < len(live); i += 2 {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				next[i/2] = merge2(live[i], live[i+1])
-				<-sem
-			}(i)
-		}
+		forEach(workers, len(live)/2, func(i int) {
+			next[i] = merge2(live[2*i], live[2*i+1])
+		})
 		if len(live)%2 == 1 {
 			next[len(next)-1] = live[len(live)-1]
 		}
-		wg.Wait()
 		live = next
 	}
 	// The final fan-in never aliases an input when len(live) ≥ 2 (merge2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +28,7 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 			a[k] = Entry{I: i, J: j, W: uint32(r.Intn(100))}
 		}
 		b := append([]Entry(nil), a...)
-		radixSortEntries(a)
+		a = radixSortEntries(a, make([]Entry, n))
 		slicesSortFunc(b)
 		for k := range a {
 			if entryKey(a[k]) != entryKey(b[k]) {
@@ -38,50 +39,9 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// TestRadixSort16MatchesComparisonSort covers the large-input 16-bit
-// digit variant, which kicks in at radix16MinLen entries.
-func TestRadixSort16MatchesComparisonSort(t *testing.T) {
-	r := rng.New(607)
-	for trial := 0; trial < 4; trial++ {
-		n := radix16MinLen + r.Intn(radix16MinLen)
-		a := make([]Entry, n)
-		for k := range a {
-			// Small IDs skip the high 16-bit digits; huge IDs force all
-			// four passes.
-			var i, j uint32
-			if trial%2 == 0 {
-				i, j = uint32(r.Intn(5000)), uint32(r.Intn(5000))
-			} else {
-				i, j = uint32(r.Uint64()), uint32(r.Uint64())
-			}
-			a[k] = Entry{I: i, J: j, W: uint32(r.Intn(100))}
-		}
-		b := append([]Entry(nil), a...)
-		radixSortEntries(a)
-		slicesSortFunc(b)
-		for k := range a {
-			if entryKey(a[k]) != entryKey(b[k]) {
-				t.Fatalf("trial %d: 16-bit radix order diverges at %d", trial, k)
-			}
-		}
-	}
-	// All-identical keys at 16-bit scale: every pass skipped.
-	same := make([]Entry, radix16MinLen)
-	for k := range same {
-		same[k] = Entry{I: 5, J: 6, W: 1}
-	}
-	radixSortEntries(same)
-	for _, e := range same {
-		if e.I != 5 || e.J != 6 {
-			t.Fatal("identical-key 16-bit sort corrupted entries")
-		}
-	}
-}
-
 func TestRadixSortDegenerateInputs(t *testing.T) {
-	radixSortEntries(nil)
-	one := []Entry{{I: 3, J: 9, W: 1}}
-	radixSortEntries(one)
+	radixSortEntries(nil, nil)
+	one := radixSortEntries([]Entry{{I: 3, J: 9, W: 1}}, make([]Entry, 1))
 	if one[0] != (Entry{I: 3, J: 9, W: 1}) {
 		t.Fatal("single-entry sort changed the entry")
 	}
@@ -90,7 +50,7 @@ func TestRadixSortDegenerateInputs(t *testing.T) {
 	for k := range same {
 		same[k] = Entry{I: 7, J: 8, W: uint32(k)}
 	}
-	radixSortEntries(same)
+	same = radixSortEntries(same, make([]Entry, len(same)))
 	var sum uint64
 	for _, e := range same {
 		if e.I != 7 || e.J != 8 {
@@ -100,6 +60,122 @@ func TestRadixSortDegenerateInputs(t *testing.T) {
 	}
 	if sum != 999*1000/2 {
 		t.Fatal("identical-key sort lost weights")
+	}
+}
+
+// referenceCoalesce is the straight-line reduction Coalesce must equal:
+// normalize, drop self-pairs, comparison-sort one concatenated copy,
+// fold equal keys.
+func referenceCoalesce(parts ...[]Entry) *Tri {
+	var all []Entry
+	for _, p := range parts {
+		for _, e := range p {
+			if e.I == e.J {
+				continue
+			}
+			if e.I > e.J {
+				e.I, e.J = e.J, e.I
+			}
+			all = append(all, e)
+		}
+	}
+	slicesSortFunc(all)
+	t := &Tri{}
+	for k, e := range all {
+		if n := len(t.I); k > 0 && t.I[n-1] == e.I && t.J[n-1] == e.J {
+			t.W[n-1] += e.W
+			continue
+		}
+		t.I = append(t.I, e.I)
+		t.J = append(t.J, e.J)
+		t.W = append(t.W, e.W)
+	}
+	return t
+}
+
+// splitParts cuts es into k parts at random points, so some parts are
+// empty and one may hold nearly everything.
+func splitParts(r *rng.Source, es []Entry, k int) [][]Entry {
+	cuts := make([]int, k+1)
+	cuts[k] = len(es)
+	for i := 1; i < k; i++ {
+		cuts[i] = r.Intn(len(es) + 1)
+	}
+	slices.Sort(cuts)
+	parts := make([][]Entry, k)
+	for i := range parts {
+		parts[i] = es[cuts[i]:cuts[i+1]]
+	}
+	return parts
+}
+
+// coalesceShapes are the entry distributions the Coalesce property runs
+// over: each draws one entry.
+var coalesceShapes = []struct {
+	name string
+	draw func(r *rng.Source, k int) Entry
+}{
+	// Dense simulation ids, both orders, about one self-pair in 300.
+	{"dense", func(r *rng.Source, k int) Entry {
+		return Entry{I: uint32(r.Intn(300)), J: uint32(r.Intn(300)), W: uint32(1 + r.Intn(9))}
+	}},
+	// Ids from 2^24 up to 2^32-2: the high bytes vary, and so do the top
+	// bits that pick the bucket.
+	{"wide", func(r *rng.Source, k int) Entry {
+		id := func() uint32 { return 1<<24 + uint32(r.Uint64n(1<<32-2-1<<24+1)) }
+		return Entry{I: id(), J: id(), W: uint32(r.Uint64())}
+	}},
+	// A few ids at the top of the range, so keys repeat and self-pairs
+	// are common.
+	{"top", func(r *rng.Source, k int) Entry {
+		return Entry{I: 1<<32 - 2 - uint32(r.Intn(4)), J: 1<<32 - 2 - uint32(r.Intn(4)), W: 1}
+	}},
+	// Every entry in one row: one bucket holds the whole input.
+	{"one row", func(r *rng.Source, k int) Entry {
+		return Entry{I: 77, J: 78 + uint32(r.Intn(5000)), W: uint32(1 + r.Intn(3))}
+	}},
+	// All keys equal, half of them reversed.
+	{"one key", func(r *rng.Source, k int) Entry {
+		if k%2 == 0 {
+			return Entry{I: 9, J: 4, W: uint32(k)}
+		}
+		return Entry{I: 4, J: 9, W: uint32(k)}
+	}},
+	// Only self-pairs: the network is empty.
+	{"self", func(r *rng.Source, k int) Entry {
+		id := uint32(r.Intn(50))
+		return Entry{I: id, J: id, W: 1}
+	}},
+}
+
+// TestCoalesceMatchesReference is the reduce step's property: for every
+// entry distribution, input size (below, at and far above the cutoffs
+// for radix sorting and for more than one bucket), split of the input
+// into parts and worker count, Coalesce equals the comparison-sort
+// reference and leaves its parts untouched.
+func TestCoalesceMatchesReference(t *testing.T) {
+	r := rng.New(2017)
+	for _, shape := range coalesceShapes {
+		for _, n := range []int{0, 1, radixMinLen - 1, coalesceBucket + 1, 40 * coalesceBucket} {
+			es := make([]Entry, n)
+			for k := range es {
+				es[k] = shape.draw(r, k)
+			}
+			orig := slices.Clone(es)
+			want := referenceCoalesce(es)
+			for _, k := range []int{1, 2, 5, 16} {
+				parts := splitParts(r, es, k)
+				for _, w := range []int{1, 2, 3, 7, 16} {
+					if got := Coalesce(w, parts...); !got.Equal(want) {
+						t.Fatalf("%s, n=%d, %d parts, %d workers: Coalesce differs from the reference (%d vs %d edges)",
+							shape.name, n, k, w, got.NNZ(), want.NNZ())
+					}
+				}
+			}
+			if !slices.Equal(es, orig) {
+				t.Fatalf("%s, n=%d: Coalesce modified its parts", shape.name, n)
+			}
+		}
 	}
 }
 
@@ -193,11 +269,12 @@ func FuzzTriBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTriFromEntries fuzzes the radix-coalesce path against the Accum
-// oracle on arbitrary entry bytes.
+// FuzzTriFromEntries fuzzes the coalesce against the Accum oracle on
+// arbitrary entry bytes: whole on one worker (TriFromEntries), and cut
+// into up to 7 parts at split-seeded points reduced by 1–16 workers.
 func FuzzTriFromEntries(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, rep uint8) {
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(1), uint16(0))
+	f.Fuzz(func(t *testing.T, raw []byte, rep uint8, split uint16) {
 		var es []Entry
 		acc := NewAccum()
 		for off := 0; off+12 <= len(raw) && len(es) < 2000; off += 12 {
@@ -211,8 +288,13 @@ func FuzzTriFromEntries(f *testing.F) {
 				acc.Add(e.I, e.J, e.W)
 			}
 		}
-		if !TriFromEntries(es).Equal(acc.Tri()) {
+		want := acc.Tri()
+		if !TriFromEntries(es).Equal(want) {
 			t.Fatal("TriFromEntries differs from Accum oracle")
+		}
+		parts := splitParts(rng.New(uint64(split)), es, 1+int(split%7))
+		if workers := 1 + int(rep/4)%16; !Coalesce(workers, parts...).Equal(want) {
+			t.Fatalf("Coalesce(%d, %d parts) differs from Accum oracle", workers, len(parts))
 		}
 	})
 }
