@@ -48,7 +48,6 @@ import (
 	// Register every pipeline stage's telemetry series so the first
 	// /metrics scrape shows the full inventory.
 	_ "repro"
-	_ "repro/internal/batch"
 )
 
 func main() {
@@ -203,9 +202,11 @@ func runConvert(in, out string) error {
 // runReindex upgrades a snapshot in place to v2 with baked index
 // sections. The write goes through the store's temp+fsync+rename path,
 // so a crash mid-upgrade leaves the original file untouched, and a
-// daemon watching the file mtime hot-reloads the indexed version.
+// daemon watching the file mtime hot-reloads the indexed version. The
+// input must be a snapshot: a TSV edge list fails with ErrBadMagic and
+// is left as it is (-convert turns one into a snapshot).
 func runReindex(path string) error {
-	snap, err := gstore.LoadGraphFile(path, 0)
+	snap, err := gstore.Open(path)
 	if err != nil {
 		return err
 	}
@@ -217,7 +218,7 @@ func runReindex(path string) error {
 	if err != nil {
 		return err
 	}
-	re, err := gstore.LoadGraphFile(path, 0)
+	re, err := gstore.Open(path)
 	if err != nil {
 		return fmt.Errorf("reindexed snapshot failed verification: %w", err)
 	}

@@ -53,7 +53,6 @@ import (
 	// registered before the first /metrics scrape, even for stages this
 	// binary does not exercise on a given run.
 	_ "repro"
-	_ "repro/internal/batch"
 )
 
 // parseBytes parses a byte size with an optional K/M/G suffix (powers

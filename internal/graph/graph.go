@@ -192,19 +192,11 @@ func (g *Graph) triangles(v uint32, mark []bool) int64 {
 // fraction of pairs of v's neighbors that are themselves connected
 // (Wasserman & Faust). Vertices of degree < 2 return 0.
 func (g *Graph) LocalClustering(v uint32) float64 {
-	return g.LocalClusteringScratch(v, make([]bool, g.NumVertices()))
-}
-
-// LocalClusteringScratch is LocalClustering with a caller-owned marker
-// array (len NumVertices, all false on entry, restored to all false on
-// exit), so hot callers — netserve's per-request fallback path — avoid
-// the O(V) allocation.
-func (g *Graph) LocalClusteringScratch(v uint32, mark []bool) float64 {
 	d := g.Degree(v)
 	if d < 2 {
 		return 0
 	}
-	t := g.triangles(v, mark)
+	t := g.triangles(v, make([]bool, g.NumVertices()))
 	return float64(2*t) / float64(d*(d-1))
 }
 

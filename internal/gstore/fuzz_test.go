@@ -21,11 +21,7 @@ func FuzzOpen(f *testing.F) {
 		J: []uint32{1, 2, 3},
 		W: []uint32{4, 5, 6},
 	}, 5)
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := v1Bytes(f, g)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -88,6 +84,15 @@ func FuzzOpen(f *testing.F) {
 		fixV2HeaderCRC(mut)
 		f.Add(mut)
 	}
+	// A partial index: the first entry (degree) renamed to an unknown
+	// kind with the table and header CRCs patched, so only the
+	// all-or-nothing rule can refuse it.
+	partial := bytes.Clone(iv)
+	binary.LittleEndian.PutUint32(partial[tableOff+8:], 99)
+	tableEnd := tableOff + 8 + int(binary.LittleEndian.Uint32(partial[tableOff:]))*tableEntrySize
+	binary.LittleEndian.PutUint32(partial[44:48], crc32.ChecksumIEEE(partial[tableOff:tableEnd]))
+	fixV2HeaderCRC(partial)
+	f.Add(partial)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := ReadSnapshot(bytes.NewReader(data))
@@ -119,29 +124,20 @@ func FuzzOpen(f *testing.F) {
 				}
 			}
 		}
-		// Accepted index sections must be addressable without panics:
-		// every per-vertex lookup a hot endpoint would do stays in
-		// bounds. (A hostile snapshot must never crash the daemon.)
+		// An accepted index is complete and addressable without panics:
+		// every column has length V, and every per-vertex lookup a hot
+		// endpoint would do stays in bounds. (A hostile snapshot must
+		// never crash the daemon.)
 		if ix := snap.Index(); ix != nil {
-			if ix.Degrees != nil && len(ix.Degrees) != n {
-				t.Fatalf("degree column len %d for %d vertices", len(ix.Degrees), n)
+			if len(ix.Degrees) != n || len(ix.Strengths) != n || len(ix.Clustering) != n || len(ix.TopKOff) != n+1 {
+				t.Fatalf("index columns degree %d, strength %d, clustering %d, topk offsets %d for %d vertices",
+					len(ix.Degrees), len(ix.Strengths), len(ix.Clustering), len(ix.TopKOff), n)
 			}
-			if ix.Strengths != nil && len(ix.Strengths) != n {
-				t.Fatalf("strength column len %d for %d vertices", len(ix.Strengths), n)
-			}
-			if ix.Clustering != nil && len(ix.Clustering) != n {
-				t.Fatalf("clustering column len %d for %d vertices", len(ix.Clustering), n)
-			}
-			if ix.TopKOff != nil {
-				if len(ix.TopKOff) != n+1 {
-					t.Fatalf("topk offsets len %d for %d vertices", len(ix.TopKOff), n)
-				}
-				for v := 0; v < n; v++ {
-					row := ix.TopKRow(uint32(v))
-					for k := 0; k+1 < len(row); k += 2 {
-						if int(row[k]) >= n {
-							t.Fatalf("topk row %d: neighbor %d out of range", v, row[k])
-						}
+			for v := 0; v < n; v++ {
+				row := ix.TopKRow(uint32(v))
+				for k := 0; k+1 < len(row); k += 2 {
+					if int(row[k]) >= n {
+						t.Fatalf("topk row %d: neighbor %d out of range", v, row[k])
 					}
 				}
 			}

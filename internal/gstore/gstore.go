@@ -2,7 +2,7 @@
 // versioned, checksummed binary container for graph.Graph that loads a
 // multi-gigabyte collocation network in milliseconds.
 //
-// # Format (version 1)
+// # Format (version 1, read only)
 //
 // All integers are little-endian. The file is a fixed 64-byte header
 // followed by the graph's three CSR sections, each 4-byte aligned (the
@@ -29,11 +29,12 @@
 //
 // # Format (version 2)
 //
-// Version 2 keeps the v1 header shape and CSR sections and appends
-// optional precomputed per-vertex index sections behind a CRC-guarded
-// section table — see index.go for the layout and the fail-closed
-// rules. Write still emits v1; WriteIndexed emits v2. Open accepts
-// both, reporting missing index sections as a nil Snapshot.Index.
+// Version 2 keeps the v1 header shape and CSR sections and appends the
+// precomputed per-vertex index sections behind a CRC-guarded section
+// table — see index.go for the layout and the fail-closed rules.
+// WriteIndexed emits v2, the only format this package writes. Open
+// still reads v1 files, reporting them with a nil Snapshot.Index;
+// netserve -reindex upgrades them in place.
 //
 // # Fail-closed contract
 //
@@ -73,8 +74,8 @@ var (
 // .gsnap snapshots from TSV edge lists.
 const Magic = "GSNAP\x00"
 
-// Format versions. Write emits Version1 (CSR only, the original
-// layout); WriteIndexed emits Version2 (CSR plus the precomputed index
+// Format versions. Version1 (CSR only, the original layout) is still
+// read; WriteIndexed emits Version2 (CSR plus the precomputed index
 // sections described in index.go). Open accepts both.
 const (
 	Version1 = 1
@@ -87,7 +88,7 @@ const Version = Version2
 // headerSize is the fixed header length in bytes.
 const headerSize = 64
 
-// Typed failure modes of Open/Read, detectable with errors.Is.
+// Typed failure modes of Open/ReadSnapshot, detectable with errors.Is.
 var (
 	ErrBadMagic  = errors.New("gstore: not a snapshot (bad magic)")
 	ErrVersion   = errors.New("gstore: unsupported snapshot version")
@@ -104,72 +105,6 @@ func SniffMagic(prefix []byte) bool {
 
 // ---------------------------------------------------------------------------
 // Writing
-
-// Write serializes g to w in snapshot format. The sections are streamed
-// in fixed-size chunks, so Write allocates O(1) beyond the destination
-// writer's buffer regardless of graph size.
-func Write(w io.Writer, g *graph.Graph) error {
-	offsets, nbrs, weights := g.CSR()
-
-	// Pass 1: section checksums.
-	crcOff := crc32.NewIEEE()
-	if err := encodeInt64s(offsets, crcOff.Write); err != nil {
-		return err
-	}
-	crcNbr := crc32.NewIEEE()
-	if err := encodeUint32s(nbrs, crcNbr.Write); err != nil {
-		return err
-	}
-	crcWts := crc32.NewIEEE()
-	if err := encodeUint32s(weights, crcWts.Write); err != nil {
-		return err
-	}
-
-	var hdr [headerSize]byte
-	copy(hdr[0:6], Magic)
-	binary.LittleEndian.PutUint16(hdr[6:8], Version1)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(offsets)-1))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(nbrs)))
-	binary.LittleEndian.PutUint32(hdr[24:28], crcOff.Sum32())
-	binary.LittleEndian.PutUint32(hdr[28:32], crcNbr.Sum32())
-	binary.LittleEndian.PutUint32(hdr[32:36], crcWts.Sum32())
-	binary.LittleEndian.PutUint32(hdr[36:40], crc32.ChecksumIEEE(hdr[0:36]))
-
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	sink := func(p []byte) (int, error) { return bw.Write(p) }
-	if err := encodeInt64s(offsets, sink); err != nil {
-		return err
-	}
-	if err := encodeUint32s(nbrs, sink); err != nil {
-		return err
-	}
-	if err := encodeUint32s(weights, sink); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	mWrites.Inc()
-	mWriteBytes.Add(int64(Size(g)))
-	return nil
-}
-
-// Size returns the exact byte size of g's snapshot encoding.
-func Size(g *graph.Graph) int64 {
-	offsets, nbrs, _ := g.CSR()
-	return headerSize + int64(len(offsets))*8 + int64(len(nbrs))*8
-}
-
-// WriteFile writes g's snapshot to path atomically: the bytes go to a
-// temporary file in the same directory, are fsynced, and are renamed
-// over path — a concurrently reloading netserve never observes a
-// half-written snapshot.
-func WriteFile(path string, g *graph.Graph) error {
-	return writeFileWith(path, func(w io.Writer) error { return Write(w, g) })
-}
 
 // writeFileWith is the shared atomic-publish discipline: write to a
 // temp file in the destination directory, fsync, rename over path.
@@ -365,19 +300,6 @@ func parse(data []byte, zeroCopy bool) (*graph.Graph, *Index, uint16, error) {
 	return g, ix, h.version, nil
 }
 
-// Read decodes a snapshot from r (buffered fully in memory). For files
-// prefer Open, which memory-maps where the platform allows.
-func Read(r io.Reader) (*graph.Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	// The backing buffer is private to this call, so aliasing it
-	// zero-copy is safe.
-	g, _, _, perr := parse(data, true)
-	return g, perr
-}
-
 // ReadSnapshot decodes a snapshot from r (buffered fully in memory)
 // into a full Snapshot, including any index sections — the in-memory
 // twin of Open, used by tests and tools that already hold the bytes.
@@ -415,21 +337,14 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 // Like Graph, it may alias the mmap region — invalid after Close.
 func (s *Snapshot) Index() *Index { return s.idx }
 
-// Version returns the snapshot's format version (Version1 for TSV- or
-// graph-backed snapshots that never touched the binary format).
-func (s *Snapshot) Version() int {
-	if s.version == 0 {
-		return Version1
-	}
-	return int(s.version)
-}
+// Version returns the snapshot file's format version, or 0 when the
+// graph was not loaded from a snapshot file (a TSV edge list).
+func (s *Snapshot) Version() int { return int(s.version) }
 
-// Path returns the file the snapshot was opened from ("" for
-// synthesized snapshots).
+// Path returns the file the snapshot was loaded from.
 func (s *Snapshot) Path() string { return s.path }
 
-// SizeBytes returns the on-disk snapshot size (0 for synthesized
-// snapshots).
+// SizeBytes returns the on-disk snapshot size (0 for TSV loads).
 func (s *Snapshot) SizeBytes() int64 { return s.size }
 
 // Mapped reports whether the graph aliases an mmap'd region.
@@ -443,12 +358,6 @@ func (s *Snapshot) Close() error {
 	f := s.unmap
 	s.unmap = nil
 	return f()
-}
-
-// FromGraph wraps an already-built in-memory graph as a Snapshot, the
-// form netserve uses for graphs loaded from TSV edge lists.
-func FromGraph(g *graph.Graph, path string) *Snapshot {
-	return &Snapshot{g: g, path: path}
 }
 
 // Open opens a snapshot file. On platforms with mmap support the
@@ -526,5 +435,5 @@ func LoadGraphFile(path string, n int) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromGraph(graph.FromTri(tri, n), path), nil
+	return &Snapshot{g: graph.FromTri(tri, n), path: path}, nil
 }

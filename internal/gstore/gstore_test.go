@@ -69,20 +69,36 @@ func graphsEqual(t *testing.T, a, b *graph.Graph) {
 	}
 }
 
-// writeSnapshot writes g to a fresh file under t.TempDir.
+// v1Bytes returns g's version-1 snapshot image, the CSR-only layout
+// older writers produced: a WriteIndexed image cut at the CSR end,
+// stamped version 1, with the reserved header tail zeroed and the v1
+// header CRC (over [0:36]) at [36:40].
+func v1Bytes(t testing.TB, g *graph.Graph) []byte {
+	t.Helper()
+	offsets, nbrs, _ := g.CSR()
+	data := writeIndexedBytes(t, g, IndexOptions{})[:headerSize+8*len(offsets)+8*len(nbrs)]
+	binary.LittleEndian.PutUint16(data[6:8], Version1)
+	clear(data[36:64])
+	binary.LittleEndian.PutUint32(data[36:40], crc32.ChecksumIEEE(data[0:36]))
+	return data
+}
+
+// writeSnapshot writes g's indexed snapshot to a fresh file under
+// t.TempDir.
 func writeSnapshot(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "net.gsnap")
-	if err := WriteFile(path, g); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := WriteFileIndexed(path, g, IndexOptions{}); err != nil {
+		t.Fatalf("WriteFileIndexed: %v", err)
 	}
 	return path
 }
 
-// TestRoundTripProperty is the bit-exactness property: Open(Write(g))
-// must equal FromTri's graph on offsets, neighbors and weights, for a
-// spread of shapes including empty graphs, graphs with isolated
-// vertices, and random weighted graphs.
+// TestRoundTripProperty is the bit-exactness property: a snapshot of g,
+// v1 or v2, read back in memory or opened from a file, must equal
+// FromTri's graph on offsets, neighbors and weights, for a spread of
+// shapes including empty graphs, graphs with isolated vertices, and
+// random weighted graphs.
 func TestRoundTripProperty(t *testing.T) {
 	cases := []*graph.Graph{
 		graph.FromTri(&sparse.Tri{}, 0),  // empty
@@ -94,19 +110,14 @@ func TestRoundTripProperty(t *testing.T) {
 		cases = append(cases, graph.FromTri(randomTri(seed, n, n*8), n+int(seed)))
 	}
 	for i, g := range cases {
-		// In-memory round trip via Read.
-		var buf bytes.Buffer
-		if err := Write(&buf, g); err != nil {
-			t.Fatalf("case %d: Write: %v", i, err)
+		// In-memory round trips via ReadSnapshot.
+		for _, data := range [][]byte{v1Bytes(t, g), writeIndexedBytes(t, g, IndexOptions{})} {
+			got, err := ReadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("case %d: ReadSnapshot: %v", i, err)
+			}
+			graphsEqual(t, g, got.Graph())
 		}
-		if int64(buf.Len()) != Size(g) {
-			t.Fatalf("case %d: wrote %d bytes, Size says %d", i, buf.Len(), Size(g))
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("case %d: Read: %v", i, err)
-		}
-		graphsEqual(t, g, got)
 
 		// File round trip via Open (mmap path on linux).
 		path := writeSnapshot(t, g)
@@ -115,7 +126,7 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("case %d: Open: %v", i, err)
 		}
 		graphsEqual(t, g, snap.Graph())
-		if runtime.GOOS == "linux" && Size(g) > 0 && !snap.Mapped() {
+		if runtime.GOOS == "linux" && !snap.Mapped() {
 			t.Errorf("case %d: expected mmap'd snapshot on linux", i)
 		}
 		if err := snap.Close(); err != nil {
@@ -163,6 +174,7 @@ func TestOpenRejectsTruncated(t *testing.T) {
 // the right typed error.
 func TestOpenRejectsCorruption(t *testing.T) {
 	g := graph.FromTri(randomTri(7, 64, 400), 64)
+	weightsEnd := int64(headerSize + 65*8 + 2*g.NumEdges()*8)
 	offCases := []struct {
 		name string
 		off  int64
@@ -173,10 +185,11 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		{"vertex count", 8, ErrChecksum}, // header CRC catches it
 		{"edge count", 16, ErrChecksum},  // header CRC catches it
 		{"offsets crc", 24, ErrChecksum}, // header CRC catches it
-		{"header crc", 36, ErrChecksum},  // direct mismatch
+		{"header crc", 56, ErrChecksum},  // direct mismatch
 		{"offsets section", headerSize + 8, ErrChecksum},
 		{"neighbors section", headerSize + 65*8 + 4, ErrChecksum},
-		{"weights section", -4, ErrChecksum},
+		{"weights section", weightsEnd - 4, ErrChecksum},
+		{"index section", -4, ErrChecksum},
 	}
 	for _, tc := range offCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,18 +226,14 @@ func TestOpenRejectsStructuralDamage(t *testing.T) {
 	// encoding the snapshot manually through a throwaway valid graph of
 	// the same shape, then swap the neighbor bytes AND fix the CRC.
 	g := graph.FromTri(&sparse.Tri{I: []uint32{0, 0}, J: []uint32{1, 2}, W: []uint32{5, 6}}, 3)
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := v1Bytes(t, g)
 	// Neighbor section of vertex 0 is [1, 2]; reverse it to [2, 1]
 	// (row no longer strictly increasing), then recompute CRCs so only
 	// the structural validation can object.
 	nbrStart := headerSize + 4*8
 	data[nbrStart], data[nbrStart+4] = data[nbrStart+4], data[nbrStart]
 	fixCRCs(data)
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrInvalid) {
+	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("want ErrInvalid, got %v", err)
 	}
 }
@@ -238,6 +247,9 @@ func TestLoadGraphFileSniffsBothFormats(t *testing.T) {
 		t.Fatalf("LoadGraphFile(gsnap): %v", err)
 	}
 	graphsEqual(t, g, snap.Graph())
+	if snap.Version() != Version2 {
+		t.Errorf("snapshot load reports version %d, want %d", snap.Version(), Version2)
+	}
 	snap.Close()
 
 	// TSV input with the same edges.
@@ -260,6 +272,9 @@ func TestLoadGraphFileSniffsBothFormats(t *testing.T) {
 	if snap2.Mapped() {
 		t.Error("TSV loads must not claim an mmap")
 	}
+	if snap2.Version() != 0 || snap2.Index() != nil {
+		t.Errorf("TSV load reports version %d, index %v; want 0 and none", snap2.Version(), snap2.Index().Sections())
+	}
 }
 
 func TestWriteFileIsAtomic(t *testing.T) {
@@ -267,10 +282,10 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	path := filepath.Join(dir, "net.gsnap")
 	g1 := graph.FromTri(randomTri(1, 20, 60), 20)
 	g2 := graph.FromTri(randomTri(2, 25, 80), 25)
-	if err := WriteFile(path, g1); err != nil {
+	if err := WriteFileIndexed(path, g1, IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(path, g2); err != nil { // overwrite via rename
+	if err := WriteFileIndexed(path, g2, IndexOptions{}); err != nil { // overwrite via rename
 		t.Fatal(err)
 	}
 	snap, err := Open(path)

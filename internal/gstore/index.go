@@ -1,9 +1,8 @@
 // Index sections: the version-2 extension of the snapshot format.
 //
 // A v2 snapshot is a v1 snapshot (same 64-byte header shape, same CSR
-// sections) followed by an optional set of precomputed per-vertex
-// index sections that turn netserve's hot endpoints into O(1) reads
-// off the mmap:
+// sections) followed by six precomputed per-vertex index sections that
+// turn netserve's hot endpoints into O(1) reads off the mmap:
 //
 //	degree      V·4 bytes   uint32   degree column
 //	strength    V·8 bytes   uint64   weighted-degree column
@@ -21,9 +20,9 @@
 // its table entry, and the table itself is CRC-guarded by the header.
 // Open fails closed (ErrChecksum / ErrTruncated / ErrInvalid) on any
 // damaged section — a hostile or bit-rotted snapshot can never yield
-// wrong answers, only a typed refusal. Files written without sections
-// (all v1 files) simply report a nil Index and netserve computes the
-// same answers live.
+// wrong answers, only a typed refusal. A table missing any of the six
+// is ErrInvalid too: an Index is all or nothing. Files without a table
+// (v1) report a nil Index, and netserve bakes one at load.
 
 package gstore
 
@@ -42,8 +41,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Section kinds in the v2 section table. Unknown kinds are skipped on
-// read (forward compatibility); duplicates are rejected.
+// Section kinds in the v2 section table. All six are required; unknown
+// kinds are skipped on read (forward compatibility); duplicates are
+// rejected.
 const (
 	secDegree     = 1
 	secStrength   = 2
@@ -93,10 +93,9 @@ type IndexStats struct {
 	MaxDegree         uint64
 }
 
-// Index is the decoded (or mmap-aliased) view of a snapshot's index
-// sections. Any field may be nil when the corresponding section is
-// absent; consumers must fall back to live computation. All slices are
-// immutable and safe for concurrent readers.
+// Index is the full set of index sections: decoded (or mmap-aliased)
+// from a snapshot by Open, or baked from a graph by BuildIndexData.
+// All slices are immutable and safe for concurrent readers.
 type Index struct {
 	// Degrees[v] is v's neighbor count.
 	Degrees []uint32
@@ -114,38 +113,20 @@ type Index struct {
 	// Histogram[k] is the number of vertices with degree exactly k.
 	Histogram []int64
 	// Stats holds the precomputed global aggregates.
-	Stats *IndexStats
+	Stats IndexStats
 }
 
-// Sections lists the present index sections by name (for CLI display).
+// Sections lists the index sections by name (for CLI display), or nil
+// for a nil Index.
 func (ix *Index) Sections() []string {
 	if ix == nil {
 		return nil
 	}
-	var out []string
-	if ix.Degrees != nil {
-		out = append(out, "degree")
-	}
-	if ix.Strengths != nil {
-		out = append(out, "strength")
-	}
-	if ix.Clustering != nil {
-		out = append(out, "clustering")
-	}
-	if ix.TopKOff != nil {
-		out = append(out, fmt.Sprintf("topk(%d)", ix.TopK))
-	}
-	if ix.Histogram != nil {
-		out = append(out, "histogram")
-	}
-	if ix.Stats != nil {
-		out = append(out, "stats")
-	}
-	return out
+	return []string{"degree", "strength", "clustering", fmt.Sprintf("topk(%d)", ix.TopK), "histogram", "stats"}
 }
 
 // TopKRow returns v's baked (id, weight) pairs, strongest first, still
-// interleaved. The caller must have verified TopKOff is present.
+// interleaved.
 func (ix *Index) TopKRow(v uint32) []uint32 {
 	return ix.TopKPairs[2*ix.TopKOff[v] : 2*ix.TopKOff[v+1]]
 }
@@ -153,30 +134,17 @@ func (ix *Index) TopKRow(v uint32) []uint32 {
 // ---------------------------------------------------------------------------
 // Baking
 
-// IndexData is the fully materialized index, ready to serialize. Build
-// with BuildIndexData; WriteIndexed consumes it.
-type IndexData struct {
-	Degrees    []uint32
-	Strengths  []uint64
-	Clustering []float64
-	K          int
-	TopKOff    []int64
-	TopKPairs  []uint32
-	Histogram  []int64
-	Stats      IndexStats
-}
-
 // BuildIndexData computes every index section from g. The result is
 // deterministic: independent of Workers, and byte-stable across runs —
 // the -reindex upgrade of a v1 file is bit-identical to a natively
 // indexed write of the same graph.
-func BuildIndexData(g *graph.Graph, opts IndexOptions) *IndexData {
+func BuildIndexData(g *graph.Graph, opts IndexOptions) *Index {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
-	d := &IndexData{
+	d := &Index{
 		Degrees:   make([]uint32, n),
 		Strengths: make([]uint64, n),
-		K:         opts.TopK,
+		TopK:      opts.TopK,
 		TopKOff:   make([]int64, n+1),
 	}
 
@@ -272,14 +240,16 @@ type section struct {
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
 // WriteIndexed serializes g plus freshly baked index sections as a
-// version-2 snapshot. Like Write, it streams in fixed-size chunks and
-// the output is deterministic.
+// version-2 snapshot. It streams in fixed-size chunks and the output
+// is deterministic.
 func WriteIndexed(w io.Writer, g *graph.Graph, opts IndexOptions) error {
 	return writeIndexData(w, g, BuildIndexData(g, opts))
 }
 
-// WriteFileIndexed writes an indexed v2 snapshot atomically (temp +
-// fsync + rename), the same publish discipline as WriteFile.
+// WriteFileIndexed writes an indexed v2 snapshot atomically: the bytes
+// go to a temporary file in the same directory, are fsynced, and are
+// renamed over path — a concurrently reloading netserve never observes
+// a half-written snapshot.
 func WriteFileIndexed(path string, g *graph.Graph, opts IndexOptions) error {
 	data := BuildIndexData(g, opts)
 	return writeFileWith(path, func(w io.Writer) error {
@@ -287,7 +257,7 @@ func WriteFileIndexed(path string, g *graph.Graph, opts IndexOptions) error {
 	})
 }
 
-func writeIndexData(w io.Writer, g *graph.Graph, d *IndexData) error {
+func writeIndexData(w io.Writer, g *graph.Graph, d *Index) error {
 	offsets, nbrs, weights := g.CSR()
 	numV := int64(len(offsets) - 1)
 
@@ -298,7 +268,7 @@ func writeIndexData(w io.Writer, g *graph.Graph, d *IndexData) error {
 			encode: func(sink func([]byte) (int, error)) error { return encodeUint64s(d.Strengths, sink) }},
 		{kind: secClustering, length: numV * 8,
 			encode: func(sink func([]byte) (int, error)) error { return encodeFloat64s(d.Clustering, sink) }},
-		{kind: secTopK, meta: uint32(d.K), length: (numV+1)*8 + int64(len(d.TopKPairs))*4,
+		{kind: secTopK, meta: uint32(d.TopK), length: (numV+1)*8 + int64(len(d.TopKPairs))*4,
 			encode: func(sink func([]byte) (int, error)) error {
 				if err := encodeInt64s(d.TopKOff, sink); err != nil {
 					return err
@@ -486,9 +456,9 @@ func encodeFloat64s(vs []float64, sink func([]byte) (int, error)) error {
 // ---------------------------------------------------------------------------
 // Reading
 
-// parseIndex validates and decodes the v2 section table and payloads.
-// zeroCopy aliasing follows the same rules as the CSR sections. The
-// returned error is always typed.
+// parseIndex validates and decodes the v2 section table and payloads,
+// all six known sections or none. zeroCopy aliasing follows the same
+// rules as the CSR sections. The returned error is always typed.
 func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 	size := int64(len(data))
 	tableOff := int64(h.indexOff)
@@ -590,7 +560,7 @@ func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 			if length != 32 {
 				return nil, fmt.Errorf("%w: stats section %d bytes, want 32", ErrInvalid, length)
 			}
-			ix.Stats = &IndexStats{
+			ix.Stats = IndexStats{
 				VerticesWithEdges: binary.LittleEndian.Uint64(payload[0:8]),
 				TotalWeight:       binary.LittleEndian.Uint64(payload[8:16]),
 				MaxDegree:         binary.LittleEndian.Uint64(payload[16:24]),
@@ -603,6 +573,11 @@ func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 	}
 	if end != size {
 		return nil, fmt.Errorf("%w: %d trailing bytes after index sections", ErrInvalid, size-end)
+	}
+	for kind := uint32(secDegree); kind <= secStats; kind++ {
+		if !seen[kind] {
+			return nil, fmt.Errorf("%w: index section %d missing", ErrInvalid, kind)
+		}
 	}
 	return ix, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,7 +120,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		}
 	}
 	st := ix.Stats
-	if st == nil || st.VerticesWithEdges != uint64(g.VerticesWithEdges()) ||
+	if st.VerticesWithEdges != uint64(g.VerticesWithEdges()) ||
 		st.TotalWeight != g.TotalWeight() || st.MaxDegree != uint64(g.MaxDegree()) {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -129,11 +130,7 @@ func TestIndexRoundTrip(t *testing.T) {
 // graph loads, the index reports absent, and the version is 1.
 func TestV1SnapshotsStillOpen(t *testing.T) {
 	g := indexTestGraph(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	snap, err := ReadSnapshot(bytes.NewReader(v1Bytes(t, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +200,13 @@ func TestIndexedWriteDeterministic(t *testing.T) {
 // referenceIndexData is the straight-line bake the index sections are
 // defined by: one serial pass over the rows, each fully sorted with
 // sort.Slice, and clustering vertex by vertex through LocalClustering.
-func referenceIndexData(g *graph.Graph, topK int) *IndexData {
+func referenceIndexData(g *graph.Graph, topK int) *Index {
 	n := g.NumVertices()
-	d := &IndexData{
+	d := &Index{
 		Degrees:    make([]uint32, n),
 		Strengths:  make([]uint64, n),
 		Clustering: make([]float64, n),
-		K:          topK,
+		TopK:       topK,
 		TopKOff:    make([]int64, n+1),
 		Histogram:  []int64{},
 	}
@@ -231,7 +228,6 @@ func referenceIndexData(g *graph.Graph, topK int) *IndexData {
 		}
 	}
 	type pair struct{ id, w uint32 }
-	mark := make([]bool, n)
 	for v := 0; v < n; v++ {
 		ids, wts := g.Neighbors(uint32(v))
 		var row []pair
@@ -248,7 +244,7 @@ func referenceIndexData(g *graph.Graph, topK int) *IndexData {
 		for _, p := range row[:d.TopKOff[v+1]-d.TopKOff[v]] {
 			d.TopKPairs = append(d.TopKPairs, p.id, p.w)
 		}
-		d.Clustering[v] = g.LocalClusteringScratch(uint32(v), mark)
+		d.Clustering[v] = g.LocalClustering(uint32(v))
 	}
 	if d.TopKPairs == nil {
 		d.TopKPairs = []uint32{}
@@ -311,7 +307,7 @@ func TestBuildIndexDataMatchesReference(t *testing.T) {
 	}
 }
 
-var indexSink *IndexData
+var indexSink *Index
 
 // BenchmarkBuildIndexData times the whole bake on a 20 000-vertex
 // collocation-shaped graph at the default worker count.
@@ -329,7 +325,7 @@ func TestReindexUpgradeIsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "v1.gsnap")
 	native := filepath.Join(dir, "native.gsnap")
-	if err := WriteFile(v1, g); err != nil {
+	if err := os.WriteFile(v1, v1Bytes(t, g), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFileIndexed(native, g, IndexOptions{}); err != nil {
@@ -443,6 +439,31 @@ func TestIndexSectionCorruptionFailsClosed(t *testing.T) {
 			t.Fatalf("error = %v, want ErrChecksum/ErrInvalid", err)
 		}
 	})
+}
+
+// TestPartialIndexRejected: a v2 image whose degree entry is rewritten
+// to an unknown kind, checksums patched, is structurally sound but
+// lacks a required section — Open must refuse it rather than hand out
+// an Index with a missing column.
+func TestPartialIndexRejected(t *testing.T) {
+	data := writeIndexedBytes(t, indexTestGraph(t), IndexOptions{})
+	tableOff := binary.LittleEndian.Uint64(data[36:44])
+	count := binary.LittleEndian.Uint32(data[tableOff:])
+	table := data[tableOff : tableOff+8+uint64(count)*tableEntrySize]
+	for i := uint32(0); i < count; i++ {
+		if e := table[8+i*tableEntrySize:]; binary.LittleEndian.Uint32(e) == secDegree {
+			binary.LittleEndian.PutUint32(e, 99)
+		}
+	}
+	binary.LittleEndian.PutUint32(data[44:48], crc32.ChecksumIEEE(table))
+	binary.LittleEndian.PutUint32(data[56:60], crc32.ChecksumIEEE(data[0:56]))
+	snap, err := ReadSnapshot(bytes.NewReader(data))
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("index without a degree section: err = %v, want ErrInvalid", err)
+	}
+	if snap != nil {
+		t.Fatal("fail-closed violated: non-nil snapshot with error")
+	}
 }
 
 // TestIndexTruncationFailsClosed chops the file inside the index

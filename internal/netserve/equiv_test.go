@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,10 +19,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// equivGraph is a ~500-vertex graph with hubs beyond the top-k budget,
+// equivTri is a 500-vertex graph with hubs beyond the top-k budget,
 // triangles, chains, and isolated vertices — enough structure that
-// every endpoint's fast path and fallback both get exercised.
-func equivGraph() *graph.Graph {
+// every endpoint's top-k page and deep-page sort both get exercised.
+// The edge 498–499 makes the highest ID appear in an edge list, so a
+// TSV load infers the same vertex space.
+func equivTri() *sparse.Tri {
 	rng := rand.New(rand.NewSource(42))
 	acc := sparse.NewAccum()
 	const n = 500
@@ -41,8 +44,11 @@ func equivGraph() *graph.Graph {
 		}
 		acc.Add(i, j, uint32(rng.Intn(100)+1))
 	}
-	return graph.FromTri(acc.Tri(), n)
+	acc.Add(n-2, n-1, 7)
+	return acc.Tri()
 }
+
+func equivGraph() *graph.Graph { return graph.FromTri(equivTri(), 500) }
 
 // fetchBody returns status and raw body (trailing newline included).
 func fetchBody(t *testing.T, url string) (int, string) {
@@ -59,35 +65,41 @@ func fetchBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestV1V2EndpointEquivalence runs the same query battery against a
-// server loaded from a v1 snapshot (live fallback) and one loaded from
-// the indexed v2 write of the same graph: every response must match
-// byte for byte — same JSON, same status codes — except the volatile
-// stats fields that necessarily differ between the two files.
-func TestV1V2EndpointEquivalence(t *testing.T) {
-	g := equivGraph()
+// TestLoadTimeBakeEndpointEquivalence runs the same query battery
+// against a server loaded from a TSV edge list (no index in the file,
+// so one is baked at load) and one loaded from the indexed v2 snapshot
+// of the same graph: every response must match byte for byte — same
+// JSON, same status codes — except the stats fields that describe the
+// file itself.
+func TestLoadTimeBakeEndpointEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "v1.gsnap")
+	tsvPath := filepath.Join(dir, "net.tsv")
 	v2Path := filepath.Join(dir, "v2.gsnap")
-	if err := gstore.WriteFile(v1Path, g); err != nil {
+	f, err := os.Create(tsvPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gstore.WriteFileIndexed(v2Path, g, gstore.IndexOptions{}); err != nil {
+	if err := graph.WriteEdgeList(f, equivTri()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := gstore.WriteFileIndexed(v2Path, equivGraph(), gstore.IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	servers := make([]*httptest.Server, 2)
-	for i, p := range []string{v1Path, v2Path} {
+	for i, p := range []string{tsvPath, v2Path} {
 		s, err := New(p, Options{Registry: telemetry.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
-		if i == 1 && s.cur.Load().idx == nil {
-			t.Fatal("v2 server loaded without an index")
+		gen := s.cur.Load()
+		if gen.idx == nil {
+			t.Fatalf("%s: generation serves without an index", p)
 		}
-		if i == 0 && s.cur.Load().idx != nil {
-			t.Fatal("v1 server unexpectedly has an index")
+		if fileIndexed := gen.snap.Index() != nil; fileIndexed != (i == 1) {
+			t.Fatalf("%s: file index present = %v", p, fileIndexed)
 		}
 		servers[i] = httptest.NewServer(s.Handler())
 		t.Cleanup(servers[i].Close)
@@ -128,18 +140,17 @@ func TestV1V2EndpointEquivalence(t *testing.T) {
 		c1, b1 := fetchBody(t, servers[0].URL+q)
 		c2, b2 := fetchBody(t, servers[1].URL+q)
 		if c1 != c2 {
-			t.Errorf("%s: status %d (v1) vs %d (v2)", q, c1, c2)
+			t.Errorf("%s: status %d (tsv) vs %d (v2)", q, c1, c2)
 			continue
 		}
 		if b1 != b2 {
-			t.Errorf("%s: bodies differ\n  v1: %s  v2: %s", q, b1, b2)
+			t.Errorf("%s: bodies differ\n  tsv: %s  v2: %s", q, b1, b2)
 		}
 	}
 
 	// Stats: compare everything except the fields tied to the file
-	// identity (path, size), the load instant, and the snapshot format
-	// itself (v1 and v2 legitimately differ in version, index sections,
-	// and request-time age).
+	// (path, size, mmap, format version, the file's index sections),
+	// the load instant, and the request-time age.
 	_, s1 := fetchBody(t, servers[0].URL+"/v1/stats")
 	_, s2 := fetchBody(t, servers[1].URL+"/v1/stats")
 	var m1, m2 map[string]any
@@ -149,8 +160,11 @@ func TestV1V2EndpointEquivalence(t *testing.T) {
 	if err := json.Unmarshal([]byte(s2), &m2); err != nil {
 		t.Fatal(err)
 	}
+	if m1["snapshot_version"] != 0.0 || len(m1["index_sections"].([]any)) != 0 {
+		t.Errorf("TSV stats report version %v, index sections %v; want 0, []", m1["snapshot_version"], m1["index_sections"])
+	}
 	for _, volatile := range []string{
-		"snapshot_path", "snapshot_bytes", "loaded_at",
+		"snapshot_path", "snapshot_bytes", "mapped", "loaded_at",
 		"snapshot_version", "index_sections", "published_at", "last_event_hour", "age_s",
 	} {
 		delete(m1, volatile)
@@ -159,7 +173,7 @@ func TestV1V2EndpointEquivalence(t *testing.T) {
 	r1, _ := json.Marshal(m1)
 	r2, _ := json.Marshal(m2)
 	if string(r1) != string(r2) {
-		t.Errorf("stats differ:\n  v1: %s\n  v2: %s", r1, r2)
+		t.Errorf("stats differ:\n  tsv: %s\n  v2: %s", r1, r2)
 	}
 }
 

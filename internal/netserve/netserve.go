@@ -13,13 +13,13 @@
 //     leaves the old generation serving.
 //   - a bounded worker semaphore caps concurrent query evaluation;
 //     requests that cannot get a slot within their deadline get 503.
-//   - hot endpoints (/v1/stats, /v1/degree, /v1/clustering,
+//   - every generation serves from a complete gstore.Index: the
+//     snapshot's own v2 index sections (aliasing the mmap), or, for a
+//     file without them (v1, TSV), one baked once at load. Hot
+//     endpoints (/v1/stats, /v1/degree, /v1/clustering,
 //     /v1/degree-dist, and page one of /v1/neighbors) are O(1) reads
-//     off the snapshot's precomputed v2 index sections when present,
-//     rendered through a pooled append-based JSON encoder — amortized
-//     zero allocations per request. v1 snapshots (no index) serve the
-//     same byte-identical responses through live computation, with the
-//     degree histogram and global stats precomputed once per reload.
+//     off it, rendered through a pooled append-based JSON encoder —
+//     amortized zero allocations per request.
 //   - identical in-flight expensive queries are coalesced (single
 //     flight) and results land in a byte-budgeted LRU keyed by snapshot
 //     generation, so a reload invalidates the cache wholesale — this
@@ -125,7 +125,7 @@ func (o Options) withDefaults() Options {
 type generation struct {
 	num      uint64
 	snap     *gstore.Snapshot
-	idx      *gstore.Index // nil for v1 snapshots / TSV loads
+	idx      *gstore.Index // the file's index sections, or baked at load
 	sig      fileSig
 	loadedAt time.Time
 	refs     atomic.Int64
@@ -138,16 +138,14 @@ type generation struct {
 	lastEventHour uint32
 
 	// Responses that depend only on the snapshot, rendered once at
-	// reload (from the index when present, live otherwise) so /v1/stats
-	// and /v1/degree-dist are memcpys at request time. statsJSON is the
-	// static prefix WITHOUT the closing brace — encodeStats appends the
-	// per-request age_s field and closes the object.
+	// reload from the index so /v1/stats and /v1/degree-dist are
+	// memcpys at request time. statsJSON is the static prefix WITHOUT
+	// the closing brace — encodeStats appends the per-request age_s
+	// field and closes the object.
 	statsJSON []byte
 	histJSON  []byte
 
-	// Per-generation scratch pools for the live fallbacks: clustering
-	// marker arrays (O(V) each) and BFS path state.
-	markPool sync.Pool
+	// Per-generation BFS scratch for /v1/path.
 	pathPool sync.Pool
 }
 
@@ -157,38 +155,13 @@ func (g *generation) unref() {
 	}
 }
 
-// precompute renders the snapshot-static responses and wires the
-// fallback scratch pools. For a v2 snapshot the histogram and global
-// stats come straight off the index sections; for v1 they are computed
-// live — but exactly once per reload, never per request.
+// precompute renders the snapshot-static responses off the index and
+// wires the BFS scratch pool.
 func (g *generation) precompute() {
 	gr := g.snap.Graph()
 	n := gr.NumVertices()
-	g.markPool.New = func() any {
-		mark := make([]bool, n)
-		return &mark
-	}
 	g.pathPool.New = func() any { return new(graph.PathScratch) }
-
-	var hist []int64
-	if g.idx != nil && g.idx.Histogram != nil {
-		hist = g.idx.Histogram
-	} else {
-		h := gr.DegreeHistogram()
-		hist = make([]int64, len(h))
-		for i, c := range h {
-			hist[i] = int64(c)
-		}
-	}
-	var withEdges, totalWeight, maxDeg uint64
-	if g.idx != nil && g.idx.Stats != nil {
-		st := g.idx.Stats
-		withEdges, totalWeight, maxDeg = st.VerticesWithEdges, st.TotalWeight, st.MaxDegree
-	} else {
-		withEdges = uint64(gr.VerticesWithEdges())
-		totalWeight = gr.TotalWeight()
-		maxDeg = uint64(gr.MaxDegree())
-	}
+	hist, st := g.idx.Histogram, g.idx.Stats
 
 	// Byte-identical to json.Marshal(StatsResponse{...}) modulo the
 	// closing brace: the buffer stops after the last static field so
@@ -196,13 +169,13 @@ func (g *generation) precompute() {
 	b := append([]byte(nil), `{"vertices":`...)
 	b = appendInt(b, int64(n))
 	b = append(b, `,"vertices_with_edges":`...)
-	b = appendUint(b, withEdges)
+	b = appendUint(b, st.VerticesWithEdges)
 	b = append(b, `,"edges":`...)
 	b = appendInt(b, int64(gr.NumEdges()))
 	b = append(b, `,"total_weight":`...)
-	b = appendUint(b, totalWeight)
+	b = appendUint(b, st.TotalWeight)
 	b = append(b, `,"max_degree":`...)
-	b = appendUint(b, maxDeg)
+	b = appendUint(b, st.MaxDegree)
 	b = append(b, `,"generation":`...)
 	b = appendUint(b, g.num)
 	b = append(b, `,"snapshot_path":`...)
@@ -215,14 +188,12 @@ func (g *generation) precompute() {
 	b = appendString(b, g.loadedAt.UTC().Format(time.RFC3339Nano))
 	b = append(b, `,"snapshot_version":`...)
 	b = appendInt(b, int64(g.snap.Version()))
-	b = append(b, `,"index_sections":[`...)
-	if g.idx != nil {
-		for i, sec := range g.idx.Sections() {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, sec)
+	b = append(b, `,"index_sections":[`...) // the file's, none for TSV and v1
+	for i, sec := range g.snap.Index().Sections() {
+		if i > 0 {
+			b = append(b, ',')
 		}
+		b = appendString(b, sec)
 	}
 	b = append(b, ']')
 	if !g.publishedAt.IsZero() {
@@ -416,10 +387,16 @@ func (s *Server) Reload() error {
 		s.mReloadFails.Inc()
 		return fmt.Errorf("netserve: reload %s: %w", s.path, err)
 	}
+	// A file without index sections (TSV, v1) is baked here, once, so
+	// every generation serves from a complete index.
+	idx := snap.Index()
+	if idx == nil {
+		idx = gstore.BuildIndexData(snap.Graph(), gstore.IndexOptions{})
+	}
 	gen := &generation{
 		num:      s.genSeq.Add(1),
 		snap:     snap,
-		idx:      snap.Index(),
+		idx:      idx,
 		sig:      sig,
 		loadedAt: time.Now(),
 	}
@@ -678,8 +655,7 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 
 	// Hot path: render straight into a pooled buffer — no cache, no
 	// singleflight, no json.Marshal. The work per request is O(1) off
-	// the index sections (or a cheap fallback), so coalescing would
-	// cost more than recomputing.
+	// the index, so coalescing would cost more than recomputing.
 	if ep.encode != nil {
 		bp := getBuf()
 		b, err := ep.encode(gen, g, r, bp.b[:0])
@@ -964,19 +940,12 @@ func encodeDegree(gen *generation, g *graph.Graph, r *http.Request, b []byte) ([
 	if err != nil {
 		return b, err
 	}
-	var deg int
-	var str uint64
-	if ix := gen.idx; ix != nil && ix.Degrees != nil && ix.Strengths != nil {
-		deg, str = int(ix.Degrees[v]), ix.Strengths[v] // O(1) section reads
-	} else {
-		deg, str = g.Degree(v), g.Strength(v)
-	}
 	b = append(b, `{"id":`...)
 	b = appendUint(b, uint64(v))
 	b = append(b, `,"degree":`...)
-	b = appendInt(b, int64(deg))
+	b = appendUint(b, uint64(gen.idx.Degrees[v]))
 	b = append(b, `,"strength":`...)
-	b = appendUint(b, str)
+	b = appendUint(b, gen.idx.Strengths[v])
 	return append(b, '}'), nil
 }
 
@@ -1011,24 +980,20 @@ func encodeNeighbors(gen *generation, g *graph.Graph, r *http.Request, b []byte)
 	}
 	deg := g.Degree(v)
 
-	// Fast path: page one served straight off the baked top-k rows —
-	// already sorted weight-descending, ID-ascending. Usable when the
-	// row can fill the page: either the page fits inside the row, or
-	// the row holds the vertex's entire adjacency (degree ≤ k).
-	if ix := gen.idx; offset == 0 && ix != nil && ix.TopKOff != nil {
-		row := ix.TopKRow(v) // interleaved (id, weight) pairs
+	// Page one served straight off the baked top-k row — already sorted
+	// weight-descending, ID-ascending. Usable when the row can fill the
+	// page: either the page fits inside the row, or the row holds the
+	// vertex's entire adjacency (degree ≤ k).
+	if offset == 0 {
+		row := gen.idx.TopKRow(v) // interleaved (id, weight) pairs
 		cnt := len(row) / 2
 		if limit <= cnt || cnt == deg {
-			n := cnt
-			if limit < n {
-				n = limit
-			}
-			return appendNeighborsPage(b, v, deg, 0, row[:2*n]), nil
+			return appendNeighborsPage(b, v, deg, 0, row[:2*min(limit, cnt)]), nil
 		}
 	}
 
-	// Fallback: deep pages, or no top-k section. Allocates (sort of the
-	// full adjacency) — acceptable off the hot path.
+	// Deep pages (offset > 0, or limit > k on a row longer than k) sort
+	// the full adjacency. Allocates — acceptable off the hot path.
 	ids, wts := g.Neighbors(v)
 	all := make([]Neighbor, len(ids))
 	for k := range ids {
@@ -1191,19 +1156,11 @@ func encodeClustering(gen *generation, g *graph.Graph, r *http.Request, b []byte
 	if err != nil {
 		return b, err
 	}
-	var c float64
-	if ix := gen.idx; ix != nil && ix.Clustering != nil {
-		c = ix.Clustering[v] // O(1) section read
-	} else {
-		markp := gen.markPool.Get().(*[]bool)
-		c = g.LocalClusteringScratch(v, *markp)
-		gen.markPool.Put(markp)
-	}
 	b = append(b, `{"id":`...)
 	b = appendUint(b, uint64(v))
 	b = append(b, `,"degree":`...)
 	b = appendInt(b, int64(g.Degree(v)))
 	b = append(b, `,"clustering":`...)
-	b = appendFloat(b, c)
+	b = appendFloat(b, gen.idx.Clustering[v])
 	return append(b, '}'), nil
 }

@@ -39,11 +39,12 @@ func testGraph() *graph.Graph {
 	}, 6)
 }
 
-// writeTestSnapshot writes g as a .gsnap into dir and returns its path.
+// writeTestSnapshot writes g as an indexed .gsnap into dir and returns
+// its path.
 func writeTestSnapshot(t *testing.T, dir string, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(dir, "test.gsnap")
-	if err := gstore.WriteFile(path, g); err != nil {
+	if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -427,7 +428,7 @@ func TestHotReload(t *testing.T) {
 		J: []uint32{1, 2, 3},
 		W: []uint32{1, 1, 1},
 	}, 9)
-	if err := gstore.WriteFile(path, bigger); err != nil {
+	if err := gstore.WriteFileIndexed(path, bigger, gstore.IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Reload(); err != nil {
@@ -497,7 +498,7 @@ func TestDrainOldGeneration(t *testing.T) {
 	}
 	old := s.cur.Load()
 
-	if err := gstore.WriteFile(path, testGraph()); err != nil {
+	if err := gstore.WriteFileIndexed(path, testGraph(), gstore.IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Reload(); err != nil {
@@ -569,7 +570,7 @@ func TestSaturation(t *testing.T) {
 // TestWatchLoopReloads exercises the mtime watcher end to end.
 func TestWatchLoopReloads(t *testing.T) {
 	s, _, path := newTestServer(t, Options{WatchInterval: 5 * time.Millisecond})
-	if err := gstore.WriteFile(path, testGraph()); err != nil {
+	if err := gstore.WriteFileIndexed(path, testGraph(), gstore.IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a visible mtime change regardless of filesystem granularity.
@@ -602,7 +603,7 @@ func TestWatchLoopCatchesSameMtimePublishes(t *testing.T) {
 	publish := func(g *graph.Graph) {
 		t.Helper()
 		tmp := path + ".next"
-		if err := gstore.WriteFile(tmp, g); err != nil {
+		if err := gstore.WriteFileIndexed(tmp, g, gstore.IndexOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Chtimes(tmp, fix, fix); err != nil {
@@ -644,7 +645,7 @@ func ExampleServer() {
 	dir, _ := os.MkdirTemp("", "netserve-example")
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "net.gsnap")
-	_ = gstore.WriteFile(path, testGraph())
+	_ = gstore.WriteFileIndexed(path, testGraph(), gstore.IndexOptions{})
 	s, _ := New(path, Options{Registry: telemetry.New()})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/community"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -150,28 +149,16 @@ func (o *Outcome) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// QueueModel is what the sweep would cost on a shared batch cluster,
-// per the batch package's queue simulator: one job per sweep point,
-// costed in step-units. It depends on Slots, so it lives outside the
-// digest.
-type QueueModel struct {
-	Slots         int     `json:"slots"`
-	Policy        string  `json:"policy"`
-	MakespanUnits float64 `json:"makespan_units"`
-	MeanWaitUnits float64 `json:"mean_wait_units"`
-}
-
 // Result is one finished run: the digestable Outcome plus execution
 // metadata that may legitimately vary between identical runs.
 type Result struct {
 	Outcome Outcome `json:"outcome"`
 	// Digest is Outcome.Digest(), precomputed for clients.
-	Digest      string     `json:"digest"`
-	Jobs        int        `json:"jobs"`
-	StepsRun    int64      `json:"steps_run"`
-	WallSeconds float64    `json:"wall_seconds"`
-	StepsPerSec float64    `json:"steps_per_sec"`
-	Queue       QueueModel `json:"queue"`
+	Digest      string  `json:"digest"`
+	Jobs        int     `json:"jobs"`
+	StepsRun    int64   `json:"steps_run"`
+	WallSeconds float64 `json:"wall_seconds"`
+	StepsPerSec float64 `json:"steps_per_sec"`
 }
 
 // pickDistinct selects count distinct vertices of [0,n) from src. For
@@ -415,29 +402,9 @@ func Run(ctx context.Context, g *graph.Graph, spec Spec, cfg Config) (*Result, e
 		Jobs:        nJobs,
 		StepsRun:    stepsRun.Load(),
 		WallSeconds: wall,
-		Queue:       queueModel(ctx, spec, len(points), slots),
 	}
 	if wall > 0 {
 		res.StepsPerSec = float64(res.StepsRun) / wall
 	}
 	return res, nil
-}
-
-// queueModel runs the batch-queue simulator over the sweep — one
-// single-slot job per sweep point, costed in step-units — answering
-// "what would this sweep cost on a shared cluster with this many
-// slots". Purely advisory; never fails the run.
-func queueModel(ctx context.Context, spec Spec, points, slots int) QueueModel {
-	jobs := make([]batch.Job, points)
-	for i := range jobs {
-		jobs[i] = batch.Job{ID: i, Procs: 1, Duration: float64(spec.Steps * spec.Replications)}
-	}
-	qm := QueueModel{Slots: slots, Policy: batch.Backfill.String()}
-	results, err := batch.Simulate(ctx, slots, jobs, batch.Backfill)
-	if err != nil {
-		return qm
-	}
-	qm.MakespanUnits = batch.Makespan(results, nil)
-	qm.MeanWaitUnits = batch.WaitTime(results, nil)
-	return qm
 }

@@ -59,33 +59,71 @@ if [ "${GUARD:-1}" = "1" ]; then
 fi
 
 # Serve smoke (DESIGN.md §11): convert the tiny testdata edge list to a
-# snapshot, boot netserve on an ephemeral port, query two endpoints with
-# the binary's own curl-free -get mode, then SIGTERM and require a clean
-# graceful drain (exit 0). Skip with SMOKE=0.
+# snapshot, boot netserve on it on an ephemeral port, query two
+# endpoints with the binary's own curl-free -get mode, then SIGTERM and
+# require a clean graceful drain (exit 0). A second netserve serves the
+# TSV itself, whose index is baked at load: its hot endpoints must
+# answer byte for byte as the snapshot's do. Last, -reindex must refuse
+# a TSV (exit non-zero) and leave it untouched. Skip with SMOKE=0.
 if [ "${SMOKE:-1}" = "1" ]; then
-	echo "== netserve smoke (convert -> serve -> query -> drain)"
+	echo "== netserve smoke (convert -> serve -> query -> drain; TSV served alike; -reindex refuses TSV)"
 	smoke_dir=$(mktemp -d)
+	smoke_tsv=cmd/netserve/testdata/smoke.tsv
 	go build -o "$smoke_dir/netserve" ./cmd/netserve
-	"$smoke_dir/netserve" -convert cmd/netserve/testdata/smoke.tsv -snapshot "$smoke_dir/smoke.gsnap"
-	"$smoke_dir/netserve" -snapshot "$smoke_dir/smoke.gsnap" \
-		-addr 127.0.0.1:0 -addr-file "$smoke_dir/addr" -watch 0 &
-	smoke_pid=$!
-	i=0
-	while [ ! -s "$smoke_dir/addr" ]; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "FAIL: netserve never bound its port"
-			kill "$smoke_pid" 2>/dev/null || true
+	"$smoke_dir/netserve" -convert "$smoke_tsv" -snapshot "$smoke_dir/smoke.gsnap"
+	smoke_pids=""
+	# smoke_boot NAME INPUT: serve INPUT in the background and wait until
+	# it has written its bound address to $smoke_dir/NAME.addr.
+	smoke_boot() {
+		"$smoke_dir/netserve" -snapshot "$2" \
+			-addr 127.0.0.1:0 -addr-file "$smoke_dir/$1.addr" -watch 0 &
+		smoke_pids="$smoke_pids $!"
+		i=0
+		while [ ! -s "$smoke_dir/$1.addr" ]; do
+			i=$((i + 1))
+			if [ "$i" -gt 100 ]; then
+				echo "FAIL: netserve ($1) never bound its port"
+				kill $smoke_pids 2>/dev/null || true
+				rm -rf "$smoke_dir"
+				exit 1
+			fi
+			sleep 0.1
+		done
+	}
+	smoke_boot snap "$smoke_dir/smoke.gsnap"
+	smoke_boot tsv "$smoke_tsv"
+	smoke_addr=$(cat "$smoke_dir/snap.addr")
+	tsv_addr=$(cat "$smoke_dir/tsv.addr")
+	"$smoke_dir/netserve" -get "http://$smoke_addr/v1/stats"
+	"$smoke_dir/netserve" -get "http://$smoke_addr/v1/ego/0?radius=2"
+	for q in degree/0 clustering/0 neighbors/0 degree-dist; do
+		from_snap=$("$smoke_dir/netserve" -get "http://$smoke_addr/v1/$q")
+		from_tsv=$("$smoke_dir/netserve" -get "http://$tsv_addr/v1/$q")
+		if [ "$from_snap" != "$from_tsv" ]; then
+			echo "FAIL: /v1/$q differs between the snapshot and the TSV server"
+			echo "  snapshot: $from_snap"
+			echo "  tsv:      $from_tsv"
+			kill $smoke_pids 2>/dev/null || true
 			rm -rf "$smoke_dir"
 			exit 1
 		fi
-		sleep 0.1
 	done
-	smoke_addr=$(cat "$smoke_dir/addr")
-	"$smoke_dir/netserve" -get "http://$smoke_addr/v1/stats"
-	"$smoke_dir/netserve" -get "http://$smoke_addr/v1/ego/0?radius=2"
-	kill -TERM "$smoke_pid"
-	wait "$smoke_pid" # graceful drain must exit 0 (set -e aborts otherwise)
+	kill -TERM $smoke_pids
+	for pid in $smoke_pids; do
+		wait "$pid" # graceful drain must exit 0 (set -e aborts otherwise)
+	done
+	cp "$smoke_tsv" "$smoke_dir/copy.tsv"
+	tsv_sum=$(cksum <"$smoke_dir/copy.tsv")
+	if "$smoke_dir/netserve" -reindex "$smoke_dir/copy.tsv" 2>/dev/null; then
+		echo "FAIL: netserve -reindex accepted a TSV edge list"
+		rm -rf "$smoke_dir"
+		exit 1
+	fi
+	if [ "$(cksum <"$smoke_dir/copy.tsv")" != "$tsv_sum" ]; then
+		echo "FAIL: netserve -reindex rewrote a TSV edge list"
+		rm -rf "$smoke_dir"
+		exit 1
+	fi
 	rm -rf "$smoke_dir"
 fi
 
