@@ -153,7 +153,7 @@ func main() {
 				Window: uint32(*windowHours), Horizon: uint32(*horizonHours),
 				Decay: *decay, Poll: *pollInterval, History: *history,
 				Snapshot: *snapshot, Out: *out,
-			})
+			}, tel)
 		case dist.Enabled():
 			return runDistributed(ctx, paths, uint32(*t0), uint32(*t1), cfg, dist, *distSize, *out, *snapshot, tel)
 		}
@@ -316,8 +316,10 @@ func decayRational(d float64) (num, den uint64, err error) {
 // atomic rename — the contract netserve's watcher hot-swaps on with
 // zero downtime. The stream ends when the logs are closed with valid
 // footers and the slice is exhausted (or, with -t1 0, when the closed
-// logs run out of activity).
-func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, opt followOptions) error {
+// logs run out of activity). With -report, the run report carries the
+// publish counters: edges each generation added and removed, and how
+// many generations updated their triangle counts or recounted them.
+func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, opt followOptions, tel *cmdrun.Telemetry) error {
 	if opt.Snapshot == "" {
 		return errors.New("-follow requires -snapshot (the live path generations are published to)")
 	}
@@ -368,7 +370,7 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 	fmt.Printf("stream done: %d windows, %d entries (%d late), peak buffered %d, max stop hour %d in %s\n",
 		st.Windows, st.Entries, st.LateEntries, st.PeakBuffered, st.MaxStop,
 		time.Since(start).Round(time.Millisecond))
-	return nil
+	return tel.WriteReport(telemetry.Default.Report("netsynth"))
 }
 
 // writeEdgeList writes tri as a three-column TSV edge list to path.

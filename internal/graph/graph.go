@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -198,93 +196,6 @@ func (g *Graph) LocalClustering(v uint32) float64 {
 	}
 	t := g.triangles(v, make([]bool, g.NumVertices()))
 	return float64(2*t) / float64(d*(d-1))
-}
-
-// ClusteringAll computes the local clustering coefficient of every
-// vertex with the given worker count (0 → 1), by forward triangle
-// enumeration. The forward set of v is the tail of its sorted row, the
-// neighbors with a higher ID; each triangle v < u < x is found once,
-// from v, by marking v's forward set and walking the forward set of
-// each marked u, and is credited to all three corners. Workers take
-// blocks of v off an atomic counter and count into private arrays that
-// are summed afterwards; the sums are integers, so the coefficients do
-// not depend on the worker count and equal LocalClustering's bit for
-// bit.
-func (g *Graph) ClusteringAll(workers int) []float64 {
-	if workers <= 0 {
-		workers = 1
-	}
-	n := g.NumVertices()
-	// v's forward set is g.nbrs[fwd[v]:g.offsets[v+1]].
-	fwd := make([]int64, n)
-	for v := range fwd {
-		row, _ := g.Neighbors(uint32(v))
-		i, self := slices.BinarySearch(row, uint32(v))
-		if self {
-			i++
-		}
-		fwd[v] = g.offsets[v] + int64(i)
-	}
-
-	const block = 1024
-	counts := make([][]int64, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range counts {
-		tri := make([]int64, n)
-		counts[w] = tri
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mark := make([]bool, n)
-			for {
-				lo := int(next.Add(block) - block)
-				if lo >= n {
-					return
-				}
-				for v := lo; v < min(lo+block, n); v++ {
-					fv := g.nbrs[fwd[v]:g.offsets[v+1]]
-					if len(fv) < 2 {
-						continue
-					}
-					for _, u := range fv {
-						mark[u] = true
-					}
-					var tv int64
-					for _, u := range fv {
-						var tu int64
-						for _, x := range g.nbrs[fwd[u]:g.offsets[u+1]] {
-							if mark[x] {
-								tu++
-								tri[x]++
-							}
-						}
-						tri[u] += tu
-						tv += tu
-					}
-					tri[v] += tv
-					for _, u := range fv {
-						mark[u] = false
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(uint32(v))
-		if d < 2 {
-			continue
-		}
-		var t int64
-		for _, tri := range counts {
-			t += tri[v]
-		}
-		out[v] = float64(2*t) / float64(d*(d-1))
-	}
-	return out
 }
 
 // Ego returns the sorted vertex set within BFS distance radius of v,

@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -137,9 +138,17 @@ func (ix *Index) TopKRow(v uint32) []uint32 {
 // BuildIndexData computes every index section from g. The result is
 // deterministic: independent of Workers, and byte-stable across runs —
 // the -reindex upgrade of a v1 file is bit-identical to a natively
-// indexed write of the same graph.
+// indexed write of the same graph. It always counts g's triangles in
+// full; a Publisher updates them from the previous generation instead,
+// and BuildIndexData is the oracle its bytes are held to.
 func BuildIndexData(g *graph.Graph, opts IndexOptions) *Index {
 	opts = opts.withDefaults()
+	return bakeIndex(g, opts, g.TriangleCounts(opts.Workers))
+}
+
+// bakeIndex computes every index section from g and its per-vertex
+// triangle counts tri; opts must have its defaults applied.
+func bakeIndex(g *graph.Graph, opts IndexOptions, tri []int64) *Index {
 	n := g.NumVertices()
 	d := &Index{
 		Degrees:   make([]uint32, n),
@@ -177,10 +186,12 @@ func BuildIndexData(g *graph.Graph, opts IndexOptions) *Index {
 	}
 
 	// Strengths + top-k rows: the row pass, sharded over the workers in
-	// blocks of rows taken off an atomic counter. Each row is sorted as
-	// packed keys ^w<<32 | id, whose ascending order is weight-descending
-	// then ID-ascending — a total order, so a row's content does not
-	// depend on which worker sorted it.
+	// blocks of rows taken off an atomic counter. Each row becomes packed
+	// keys ^w<<32 | id, whose ascending order is weight-descending then
+	// ID-ascending; a row longer than k first selects its k smallest keys,
+	// and only those are sorted. The keys are totally ordered, so a row's
+	// content does not depend on which worker did it or on how the
+	// selection partitioned it.
 	d.TopKPairs = make([]uint32, 2*totalPairs)
 	const block = 1024
 	var next atomic.Int64
@@ -204,11 +215,13 @@ func BuildIndexData(g *graph.Graph, opts IndexOptions) *Index {
 						keys = append(keys, uint64(^wts[k])<<32|uint64(id))
 					}
 					d.Strengths[v] = s
-					slices.Sort(keys)
 					out := d.TopKPairs[2*d.TopKOff[v] : 2*d.TopKOff[v+1]]
-					for k := range len(out) / 2 {
-						out[2*k] = uint32(keys[k])
-						out[2*k+1] = ^uint32(keys[k] >> 32)
+					top := keys[:len(out)/2]
+					selectSmallest(keys, len(top))
+					slices.Sort(top)
+					for k, key := range top {
+						out[2*k] = uint32(key)
+						out[2*k+1] = ^uint32(key >> 32)
 					}
 				}
 			}
@@ -216,13 +229,69 @@ func BuildIndexData(g *graph.Graph, opts IndexOptions) *Index {
 	}
 	wg.Wait()
 
-	d.Clustering = g.ClusteringAll(opts.Workers)
+	d.Clustering = g.ClusteringFromTriangles(tri)
 	d.Stats = IndexStats{
 		VerticesWithEdges: withEdges,
 		TotalWeight:       g.TotalWeight(),
 		MaxDegree:         uint64(maxDeg),
 	}
 	return d
+}
+
+// selectSmallest partially orders keys so that keys[:k] holds its k
+// smallest elements, in no particular order: quickselect with a
+// median-of-three pivot, finishing any range that partitions badly
+// with a sort, so the worst case stays O(n log n).
+func selectSmallest(keys []uint64, k int) {
+	lo, hi := 0, len(keys)
+	if k <= 0 || k >= hi {
+		return
+	}
+	for budget := 2 * bits.Len(uint(hi)); hi-lo > 16; budget-- {
+		if budget == 0 {
+			slices.Sort(keys[lo:hi])
+			return
+		}
+		// Median of three to keys[lo], then a Hoare partition around it.
+		mid := lo + (hi-lo)/2
+		if keys[mid] < keys[lo] {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if keys[hi-1] < keys[lo] {
+			keys[hi-1], keys[lo] = keys[lo], keys[hi-1]
+		}
+		if keys[hi-1] < keys[mid] {
+			keys[hi-1], keys[mid] = keys[mid], keys[hi-1]
+		}
+		keys[lo], keys[mid] = keys[mid], keys[lo]
+		pivot := keys[lo]
+		i, j := lo+1, hi-1
+		for {
+			for keys[i] < pivot {
+				i++
+			}
+			for keys[j] > pivot {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			keys[i], keys[j] = keys[j], keys[i]
+			i++
+			j--
+		}
+		keys[lo], keys[j] = keys[j], keys[lo]
+		// keys[lo:j] < pivot = keys[j] < keys[j+1:hi].
+		switch {
+		case j == k || j+1 == k:
+			return
+		case j < k:
+			lo = j + 1
+		default:
+			hi = j
+		}
+	}
+	slices.Sort(keys[lo:hi])
 }
 
 // ---------------------------------------------------------------------------
@@ -251,9 +320,13 @@ func WriteIndexed(w io.Writer, g *graph.Graph, opts IndexOptions) error {
 // renamed over path — a concurrently reloading netserve never observes
 // a half-written snapshot.
 func WriteFileIndexed(path string, g *graph.Graph, opts IndexOptions) error {
-	data := BuildIndexData(g, opts)
+	return writeFileIndexData(path, g, BuildIndexData(g, opts))
+}
+
+// writeFileIndexData writes g and its baked index d to path atomically.
+func writeFileIndexData(path string, g *graph.Graph, d *Index) error {
 	return writeFileWith(path, func(w io.Writer) error {
-		return writeIndexData(w, g, data)
+		return writeIndexData(w, g, d)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -557,5 +558,32 @@ func TestEmptyGraphIndexed(t *testing.T) {
 	}
 	if len(snap.Index().Histogram) != 0 {
 		t.Fatalf("histogram = %v, want empty", snap.Index().Histogram)
+	}
+}
+
+// TestSelectSmallest: after selectSmallest(keys, k), keys[:k] holds the
+// k smallest keys of a full sort, for lengths on both sides of the
+// 16-key cutoff below which a range is sorted, every k, and keys with
+// and without repeats.
+func TestSelectSmallest(t *testing.T) {
+	src := rng.New(3)
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 40, 333} {
+		for _, spread := range []uint64{1 << 40, 8} { // distinct, then repeats
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = src.Uint64n(spread)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			for k := 0; k <= n; k++ {
+				got := slices.Clone(keys)
+				selectSmallest(got, k)
+				top := slices.Clone(got[:k])
+				slices.Sort(top)
+				if !slices.Equal(top, want[:k]) {
+					t.Fatalf("n %d, k %d: selected %v, want %v", n, k, top, want[:k])
+				}
+			}
+		}
 	}
 }

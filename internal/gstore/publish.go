@@ -11,18 +11,25 @@ package gstore
 // which is what lets the watcher disambiguate back-to-back publishes
 // whose mtimes collide within the filesystem timestamp granularity.
 //
-// Publishing is deterministic end to end: WriteFileIndexed produces
-// worker-count-invariant bytes, so a generation published from a
-// streamed accumulator is byte-identical to a batch `netsynth
-// -snapshot` of the same window — the oracle the streaming smoke test
-// leans on.
+// Publishing is deterministic end to end: every generation's bytes are
+// WriteFileIndexed's for the same graph, which are worker-count
+// invariant, so a generation published from a streamed accumulator is
+// byte-identical to a batch `netsynth -snapshot` of the same window —
+// the oracle the streaming smoke test leans on. The one thing a
+// Publisher bakes differently is the clustering column: it keeps the
+// previous generation's topology and per-vertex triangle counts, and
+// updates the counts from the edges the new generation added or
+// removed (graph.UpdateTriangleCounts) instead of counting every
+// triangle again. The counts are integers, so the column is the same.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -37,6 +44,15 @@ var (
 	// visible. It complements gstore_publish_seconds (the bake alone) by
 	// including accumulation and queueing upstream of the bake.
 	mFreshnessSeconds = telemetry.H("gstore_freshness_seconds")
+	// What each publish's topology changed against the previous
+	// generation (the first publish adds all its edges), and which way
+	// its triangle counts were found: updated from the changed edges, or
+	// recounted in full (the first publish, or an update dearer than a
+	// recount).
+	mEdgesAdded         = telemetry.C("gstore_publish_edges_added_total")
+	mEdgesRemoved       = telemetry.C("gstore_publish_edges_removed_total")
+	mTrianglesUpdated   = telemetry.C("gstore_publish_triangles_updated_total")
+	mTrianglesRecounted = telemetry.C("gstore_publish_triangles_recounted_total")
 )
 
 // PublisherOptions configures a Publisher.
@@ -44,8 +60,10 @@ type PublisherOptions struct {
 	// Index configures the v2 index sections baked into each generation.
 	Index IndexOptions
 	// History retains the last History generations beside the live path
-	// as hard links named <path>.gen-NNNNNN; older ones are pruned.
-	// Zero keeps no history — each publish replaces the previous file.
+	// as hard links named <path>.gen-NNNNNN; older ones are pruned. The
+	// numbers continue after the highest link already there, so a
+	// restarted Publisher extends the sequence. Zero keeps no history —
+	// each publish replaces the previous file.
 	History int
 }
 
@@ -56,6 +74,15 @@ type Publisher struct {
 	path string
 	opts PublisherOptions
 	gen  int
+	// histBase is the highest history number beside path when the
+	// Publisher was made; generation g is retained as histBase+g.
+	histBase int
+	// The last baked generation's topology — a private copy of its CSR
+	// offsets and neighbor IDs, without weights — and its per-vertex
+	// triangle counts; prevTri is nil until the first bake.
+	prevOff  []int64
+	prevNbrs []uint32
+	prevTri  []int64
 }
 
 // PublishInfo reports one completed publish.
@@ -73,7 +100,13 @@ type PublishInfo struct {
 // NewPublisher returns a Publisher for the given live snapshot path.
 // The parent directory must exist.
 func NewPublisher(path string, opts PublisherOptions) *Publisher {
-	return &Publisher{path: path, opts: opts}
+	p := &Publisher{path: path, opts: opts}
+	if opts.History > 0 {
+		if gens := history(path); len(gens) > 0 {
+			p.histBase = gens[len(gens)-1]
+		}
+	}
+	return p
 }
 
 // Generation returns the number of generations published so far.
@@ -151,7 +184,7 @@ func (p *Publisher) PublishWithMeta(g *graph.Graph, meta PublishMeta) (PublishIn
 			}
 		}
 	}
-	if err := WriteFileIndexed(p.path, g, p.opts.Index); err != nil {
+	if err := writeFileIndexData(p.path, g, p.bake(g)); err != nil {
 		return PublishInfo{}, fmt.Errorf("gstore: publish %s: %w", p.path, err)
 	}
 	p.gen++
@@ -173,23 +206,77 @@ func (p *Publisher) PublishWithMeta(g *graph.Graph, meta PublishMeta) (PublishIn
 	return info, nil
 }
 
+// bake computes g's index sections with the triangle counts updated
+// from the previous generation's, then keeps g's topology and counts
+// for the next publish. The state is kept whether or not the write
+// that follows succeeds: it describes g, which is all the next update
+// needs.
+func (p *Publisher) bake(g *graph.Graph) *Index {
+	opts := p.opts.Index.withDefaults()
+	var tri []int64
+	if p.prevTri == nil {
+		tri = g.TriangleCounts(opts.Workers)
+		mEdgesAdded.Add(int64(g.NumEdges()))
+		mTrianglesRecounted.Inc()
+	} else {
+		var up graph.TriangleUpdate
+		tri, up = g.UpdateTriangleCounts(p.prevOff, p.prevNbrs, p.prevTri, opts.Workers)
+		mEdgesAdded.Add(up.Added)
+		mEdgesRemoved.Add(up.Removed)
+		if up.Recounted {
+			mTrianglesRecounted.Inc()
+		} else {
+			mTrianglesUpdated.Inc()
+		}
+	}
+	off, nbrs, _ := g.CSR()
+	p.prevOff = keep(p.prevOff, off)
+	p.prevNbrs = keep(p.prevNbrs, nbrs)
+	p.prevTri = tri
+	return bakeIndex(g, opts, tri)
+}
+
+// keep copies src into dst's storage, reallocated at exactly src's
+// length when it is too small: the copy stays resident between
+// publishes, so it carries no growth slack.
+func keep[T any](dst, src []T) []T {
+	if cap(dst) < len(src) {
+		dst = make([]T, len(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
 // retain hard-links the just-published generation beside the live path
-// and prunes history beyond opts.History. Hard links share the live
-// file's inode, so retention costs directory entries, not bytes, and
-// pruning can never disturb the live path.
+// and prunes history beyond opts.History, oldest first. Hard links share
+// the live file's inode, so retention costs directory entries, not
+// bytes, and pruning can never disturb the live path.
 func (p *Publisher) retain() error {
-	hist := fmt.Sprintf("%s.gen-%06d", p.path, p.gen)
-	if err := os.Link(p.path, hist); err != nil {
-		return fmt.Errorf("gstore: retain generation %d: %w", p.gen, err)
+	n := p.histBase + p.gen
+	if err := os.Link(p.path, histName(p.path, n)); err != nil {
+		return fmt.Errorf("gstore: retain generation %d: %w", n, err)
 	}
-	old, err := filepath.Glob(p.path + ".gen-*")
-	if err != nil {
-		return nil // invalid pattern cannot happen with a fixed suffix
-	}
-	sort.Strings(old) // zero-padded names sort chronologically
-	for len(old) > p.opts.History {
-		os.Remove(old[0])
-		old = old[1:]
+	gens := history(p.path)
+	for _, old := range gens[:max(len(gens)-p.opts.History, 0)] {
+		os.Remove(histName(p.path, old))
 	}
 	return nil
+}
+
+// histName names retained generation n of path.
+func histName(path string, n int) string { return fmt.Sprintf("%s.gen-%06d", path, n) }
+
+// history returns the numbers of the generations retained beside path,
+// ascending.
+func history(path string) []int {
+	names, _ := filepath.Glob(path + ".gen-*") // the only error is a bad pattern
+	var gens []int
+	for _, name := range names {
+		if n, err := strconv.Atoi(name[strings.LastIndex(name, ".gen-")+len(".gen-"):]); err == nil {
+			gens = append(gens, n)
+		}
+	}
+	slices.Sort(gens)
+	return gens
 }

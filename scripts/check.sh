@@ -279,7 +279,9 @@ fi
 # requests, and the final streamed snapshot + edge list bit-identical
 # to a batch synthesis of the same window — as are a streamed and a
 # one-shot replay of the closed logs under -mem-budget, which must both
-# spill. Skip with STREAMSMOKE=0.
+# spill. Last, a replay in 4 h windows keeps all 18 generations, each of
+# which must equal a one-shot bake of its hours, with some generations
+# having updated their triangle counts. Skip with STREAMSMOKE=0.
 if [ "${STREAMSMOKE:-1}" = "1" ]; then
 	echo "== streaming smoke (chisim -flush-every | netsynth -follow | netserve hot reload)"
 	str_dir=$(mktemp -d)
@@ -397,6 +399,35 @@ if [ "${STREAMSMOKE:-1}" = "1" ]; then
 		fi
 	done
 	echo "budgeted replays spilled and stayed bit-identical to batch"
+	# One Publisher updates each generation's triangle counts from the
+	# edges its window added or removed: replay the closed logs in 4 h
+	# windows, keep every generation, and require generation k to be
+	# byte-identical to a one-shot bake of [0, 4k) and the run report to
+	# show publishes that took the update path.
+	echo "-- windowed replay (netsynth -follow -window 4 -history 18; every generation == one-shot bake)"
+	"$str_dir/netsynth" -follow -t0 0 -t1 72 -window 4 -history 18 -poll 50ms \
+		-o "$str_dir/windows.tsv" -snapshot "$str_dir/windows.gsnap" \
+		-report "$str_dir/windows.json" "$str_dir"/logs/*.h5l >"$str_dir/windows.log"
+	k=1
+	while [ "$k" -le 18 ]; do
+		gen=$(printf '%s/windows.gsnap.gen-%06d' "$str_dir" "$k")
+		"$str_dir/netsynth" -t0 0 -t1 $((4 * k)) -o "$str_dir/oneshot.tsv" \
+			-snapshot "$str_dir/oneshot.gsnap" "$str_dir"/logs/*.h5l >/dev/null
+		if [ ! -f "$gen" ] || [ "$(cksum <"$gen")" != "$(cksum <"$str_dir/oneshot.gsnap")" ]; then
+			echo "FAIL: windowed generation $k differs from a one-shot bake of [0,$((4 * k)))"
+			cat "$str_dir/windows.log"
+			rm -rf "$str_dir"
+			exit 1
+		fi
+		k=$((k + 1))
+	done
+	updated=$(sed -n 's/.*"gstore_publish_triangles_updated_total": *\([0-9]*\).*/\1/p' "$str_dir/windows.json")
+	if [ "${updated:-0}" -lt 1 ]; then
+		echo "FAIL: no windowed generation updated its triangle counts (report: ${updated:-no counter})"
+		rm -rf "$str_dir"
+		exit 1
+	fi
+	echo "18 windowed generations bit-identical to one-shot bakes; $updated updated their triangle counts"
 	rm -rf "$str_dir"
 fi
 
