@@ -77,6 +77,17 @@ func parseBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
+// parseBalance maps a -balance name to its mode, rejecting any name
+// that is not a mode's String.
+func parseBalance(name string) (core.BalanceMode, error) {
+	for _, m := range []core.BalanceMode{core.BalanceNNZ, core.BalanceNone} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -balance %q (want nnz or none)", name)
+}
+
 func main() {
 	t0 := flag.Uint("t0", 0, "slice start hour (inclusive)")
 	t1 := flag.Uint("t1", 168, "slice end hour (exclusive)")
@@ -103,6 +114,10 @@ func main() {
 	// unit (or log batch) and returns an error wrapping context.Canceled,
 	// after which the profiles below are still written.
 	cmdrun.Main("netsynth", func(ctx context.Context) (err error) {
+		mode, err := parseBalance(*balance)
+		if err != nil {
+			return err
+		}
 		stopTel, err := tel.Start()
 		if err != nil {
 			return err
@@ -137,10 +152,6 @@ func main() {
 		paths := flag.Args()
 		if len(paths) == 0 {
 			return errors.New("no log files given; usage: netsynth [flags] logs/rank*.h5l")
-		}
-		mode := core.BalanceNNZ
-		if *balance == "none" {
-			mode = core.BalanceNone
 		}
 		budget, err := parseBytes(*memBudget)
 		if err != nil {
@@ -241,7 +252,6 @@ func printStats(s *core.Stats) {
 	fmt.Fprintf(w, "split places\t%d\t\n", s.Splits)
 	fmt.Fprintf(w, "cost imbalance\t%.3f\t\n", s.CostImbalance())
 	fmt.Fprintf(w, "idle fraction\t%.3f\t\n", s.IdleFraction())
-	fmt.Fprintf(w, "model speedup\t%.3f\t\n", s.ModelSpeedup())
 	fmt.Fprintf(w, "\t\t\n")
 	fmt.Fprintf(w, "worker\tcost\tbusy\n")
 	for i := range s.WorkerCost {

@@ -1,9 +1,9 @@
 // Scaling: the parallel-performance story of the paper's Section IV in
 // one program. It runs the collocation-network synthesis at several
 // worker counts (strong scaling), compares the paper's nnz load
-// balancing against naive round-robin (the ablation Section IV.A.3 calls
-// "crucial"), and compares spatial vs random place partitioning for the
-// simulation itself.
+// balancing against naive contiguous equal-count chunks of places (the
+// ablation Section IV.A.3 calls "crucial"), and compares spatial vs
+// random place partitioning for the simulation itself.
 package main
 
 import (

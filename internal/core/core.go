@@ -80,10 +80,10 @@ const (
 	// BalanceNNZ partitions matrices by nonzero count, largest first
 	// (the paper's method).
 	BalanceNNZ BalanceMode = iota
-	// BalanceNone assigns places to workers round-robin in place-ID
-	// order — the ablation baseline the paper warns about, under which
-	// "some workers would sit idle while others would be working for
-	// extended periods".
+	// BalanceNone deals places to workers in contiguous, equal-count
+	// chunks in place-ID order, ignoring their cost — the ablation
+	// baseline the paper warns about, under which "some workers would sit
+	// idle while others would be working for extended periods".
 	BalanceNone
 )
 
@@ -132,11 +132,15 @@ func (c *Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Validate rejects nonsensical numeric configuration instead of
-// silently coercing it: Workers and MemBudgetBytes must be
-// non-negative. (A negative MaxRankRetries is meaningful — it disables
-// failure tolerance — and zero values select defaults as documented.)
+// Validate rejects nonsensical configuration instead of silently
+// coercing it: Workers and MemBudgetBytes must be non-negative and
+// Balance one of the defined modes. (A negative MaxRankRetries is
+// meaningful — it disables failure tolerance — and zero values select
+// defaults as documented.)
 func (c *Config) Validate() error {
+	if c.Balance != BalanceNNZ && c.Balance != BalanceNone {
+		return fmt.Errorf("core: unknown Balance mode %v", c.Balance)
+	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)
 	}
@@ -265,27 +269,6 @@ func (s *Stats) CostImbalance() float64 {
 	}
 	mean := float64(sum) / float64(len(s.WorkerCost))
 	return float64(max) / mean
-}
-
-// ModelSpeedup returns total worker cost divided by the maximum worker
-// cost — the stage-4 speedup the partition would achieve on perfectly
-// parallel hardware. Unlike wall-clock measurements it is independent of
-// the host's core count.
-func (s *Stats) ModelSpeedup() float64 {
-	if len(s.WorkerCost) == 0 {
-		return 1
-	}
-	max, sum := 0, 0
-	for _, n := range s.WorkerCost {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(sum) / float64(max)
 }
 
 // StageReports converts the per-stage wall clocks into telemetry stage

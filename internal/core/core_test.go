@@ -221,8 +221,8 @@ func TestWorkerNNZAccounting(t *testing.T) {
 }
 
 func TestBalancedBeatsNaiveOnSkewedPlaces(t *testing.T) {
-	// One huge place plus many tiny ones: round-robin gives the huge
-	// place plus an equal share of tiny ones to one worker.
+	// One huge place plus many tiny ones: contiguous chunks give the
+	// huge place plus an equal share of tiny ones to one worker.
 	var entries []eventlog.Entry
 	for p := uint32(0); p < 40; p++ {
 		entries = append(entries, eventlog.Entry{Start: 0, Stop: 24, Person: p, Place: 999})

@@ -233,3 +233,13 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		t.Error("SynthesizeFiles: negative Workers accepted")
 	}
 }
+
+// TestConfigValidateRejectsUnknownBalance: a Balance outside the defined
+// modes is an error, not the paper's balancer in disguise.
+func TestConfigValidateRejectsUnknownBalance(t *testing.T) {
+	for _, mode := range []BalanceMode{-1, BalanceNone + 1} {
+		if _, _, err := SynthesizeEntries(context.Background(), nil, 0, 24, Config{Balance: mode}); err == nil {
+			t.Errorf("Balance %v accepted", mode)
+		}
+	}
+}

@@ -13,18 +13,16 @@ import (
 // must report well-defined numbers — never NaN or Inf from a 0/0.
 func TestStatsDegenerateRuns(t *testing.T) {
 	cases := []struct {
-		name    string
-		stats   Stats
-		idle    float64
-		imb     float64
-		speedup float64
+		name  string
+		stats Stats
+		idle  float64
+		imb   float64
 	}{
 		{
-			name:    "zero value (no workers at all)",
-			stats:   Stats{},
-			idle:    0,
-			imb:     0,
-			speedup: 1,
+			name:  "zero value (no workers at all)",
+			stats: Stats{},
+			idle:  0,
+			imb:   0,
 		},
 		{
 			name: "workers but zero work units",
@@ -32,9 +30,8 @@ func TestStatsDegenerateRuns(t *testing.T) {
 				WorkerCost: []int{0, 0, 0},
 				WorkerBusy: []time.Duration{0, 0, 0},
 			},
-			idle:    0,
-			imb:     0,
-			speedup: 1,
+			idle: 0,
+			imb:  0,
 		},
 		{
 			name: "single worker",
@@ -42,9 +39,8 @@ func TestStatsDegenerateRuns(t *testing.T) {
 				WorkerCost: []int{40},
 				WorkerBusy: []time.Duration{time.Millisecond},
 			},
-			idle:    0,
-			imb:     1,
-			speedup: 1,
+			idle: 0,
+			imb:  1,
 		},
 		{
 			name: "perfectly balanced pair",
@@ -52,9 +48,8 @@ func TestStatsDegenerateRuns(t *testing.T) {
 				WorkerCost: []int{10, 10},
 				WorkerBusy: []time.Duration{time.Millisecond, time.Millisecond},
 			},
-			idle:    0,
-			imb:     1,
-			speedup: 2,
+			idle: 0,
+			imb:  1,
 		},
 		{
 			name: "skewed pair",
@@ -62,9 +57,8 @@ func TestStatsDegenerateRuns(t *testing.T) {
 				WorkerCost: []int{30, 10},
 				WorkerBusy: []time.Duration{3 * time.Millisecond, time.Millisecond},
 			},
-			idle:    1.0 / 3.0,
-			imb:     1.5,
-			speedup: 4.0 / 3.0,
+			idle: 1.0 / 3.0,
+			imb:  1.5,
 		},
 		{
 			name: "one worker idle the whole stage",
@@ -72,9 +66,8 @@ func TestStatsDegenerateRuns(t *testing.T) {
 				WorkerCost: []int{20, 0},
 				WorkerBusy: []time.Duration{2 * time.Millisecond, 0},
 			},
-			idle:    0.5,
-			imb:     2,
-			speedup: 1,
+			idle: 0.5,
+			imb:  2,
 		},
 	}
 	const eps = 1e-12
@@ -87,10 +80,6 @@ func TestStatsDegenerateRuns(t *testing.T) {
 			got = c.stats.CostImbalance()
 			if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-c.imb) > eps {
 				t.Errorf("CostImbalance = %v, want %v", got, c.imb)
-			}
-			got = c.stats.ModelSpeedup()
-			if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-c.speedup) > eps {
-				t.Errorf("ModelSpeedup = %v, want %v", got, c.speedup)
 			}
 		})
 	}

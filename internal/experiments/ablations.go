@@ -40,14 +40,13 @@ func (r *Runner) A1LoadBalancing() (*Report, error) {
 	}
 
 	rep := &Report{
-		ID:    "A1",
 		Title: "nnz load balancing ablation (Section IV.A.3)",
 		PaperClaim: "without the nnz balancing step some workers would sit idle while others work for extended " +
 			"periods, because collocated persons per place range from one to tens of thousands",
-		Header: []string{"strategy", "worker-cost imbalance (max/mean)", "cost-model speedup", "measured idle fraction", "synthesis wall"},
+		Header: []string{"strategy", "worker-cost imbalance (max/mean)", "measured idle fraction", "synthesis wall"},
 		Rows: [][]string{
-			{"cost-balanced (paper)", f2(balanced.CostImbalance()), f2(balanced.ModelSpeedup()), f3(balanced.IdleFraction()), wallB.Round(time.Millisecond).String()},
-			{"contiguous chunks (naive)", f2(naive.CostImbalance()), f2(naive.ModelSpeedup()), f3(naive.IdleFraction()), wallN.Round(time.Millisecond).String()},
+			{"cost-balanced (paper)", f2(balanced.CostImbalance()), f3(balanced.IdleFraction()), wallB.Round(time.Millisecond).String()},
+			{"contiguous chunks (naive)", f2(naive.CostImbalance()), f3(naive.IdleFraction()), wallN.Round(time.Millisecond).String()},
 		},
 		Notes: []string{
 			fmt.Sprintf("workers: %d; places in slice: %d; total collocation nnz: %d", r.Scale.Workers, balanced.Places, balanced.TotalNNZ),
@@ -67,7 +66,7 @@ func (r *Runner) A2EventVsFull() (*Report, error) {
 	}
 	// Full-state run at a reduced duration (it is deliberately huge);
 	// extrapolate to the full horizon for the comparison.
-	fullDays := minInt(r.Scale.Days, 3)
+	fullDays := min(r.Scale.Days, 3)
 	full, err := abm.Run(context.Background(), abm.Config{
 		Pop:          r.pipeline.Pop,
 		Gen:          r.pipeline.Gen,
@@ -84,7 +83,6 @@ func (r *Runner) A2EventVsFull() (*Report, error) {
 	fullBytes := float64(full.LogBytes) * scale
 
 	rep := &Report{
-		ID:         "A2",
 		Title:      "Event-based vs full-state logging (Section II)",
 		PaperClaim: "agents change state only a few times per day, so event-based logging reduces computational and storage costs dramatically (full log would exceed several TB per simulated year)",
 		Header:     []string{"logging", "entries", "bytes", "entries/person/day"},
@@ -106,7 +104,7 @@ func (r *Runner) A2EventVsFull() (*Report, error) {
 // processes.
 func (r *Runner) A3Partitioning() (*Report, error) {
 	pop, gen := r.pipeline.Pop, r.pipeline.Gen
-	days := minInt(r.Scale.Days, 7)
+	days := min(r.Scale.Days, 7)
 	edges, loads := partition.TransitionGraph(pop, gen, days, pop.NumPersons())
 
 	run := func(assign partition.Assignment) (*abm.Result, error) {
@@ -126,7 +124,6 @@ func (r *Runner) A3Partitioning() (*Report, error) {
 	totS := spatial.Migrations + spatial.LocalMoves
 	totR := random.Migrations + random.LocalMoves
 	rep := &Report{
-		ID:         "A3",
 		Title:      "Spatial place partitioning ablation (Section II)",
 		PaperClaim: "locations are assigned to compute processes with the objective of minimizing person agent movement between processes",
 		Header:     []string{"partition", "inter-rank migrations", "share of all moves"},
@@ -152,15 +149,13 @@ func (r *Runner) S1WorkerScaling() (*Report, error) {
 	}
 	t0, t1 := r.Scale.SliceBounds()
 	rep := &Report{
-		ID:         "S1",
 		Title:      "Synthesis worker scaling (Section IV.A)",
 		PaperClaim: "network synthesis is parallelized across workers (SNOW/Rmpi); cluster execution was essential for run time",
-		Header:     []string{"workers", "gram+reduce wall", "wall speedup vs 1", "cost-model speedup"},
+		Header:     []string{"workers", "gram+reduce wall", "wall speedup vs 1"},
 	}
 	var base time.Duration
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		best := time.Duration(0)
-		var model float64
 		// Best of 2 runs to damp scheduling noise.
 		for rep := 0; rep < 2; rep++ {
 			_, stats, err := core.SynthesizeFiles(context.Background(), sim.LogPaths, t0, t1, core.Config{Workers: workers})
@@ -171,25 +166,17 @@ func (r *Runner) S1WorkerScaling() (*Report, error) {
 			if best == 0 || wall < best {
 				best = wall
 			}
-			model = stats.ModelSpeedup()
 		}
 		if workers == 1 {
 			base = best
 		}
 		rep.Rows = append(rep.Rows, []string{
 			d(workers), best.Round(time.Millisecond).String(),
-			f2(float64(base) / float64(best)), f2(model),
+			f2(float64(base) / float64(best)),
 		})
 	}
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("host has %d CPU core(s); wall speedup is bounded by that, while the cost-model speedup shows what the nnz partition achieves on parallel hardware", runtime.NumCPU()),
+		fmt.Sprintf("host has %d CPU core(s), which bounds the wall speedup", runtime.NumCPU()),
 		"wall time covers the parallel stages (x·xᵀ and reduction); loading and matrix building are reported separately by core.Stats")
 	return rep, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -71,7 +71,6 @@ func (r *Runner) E1SyntheticNetworks() (*Report, error) {
 	realAssort := g.DegreeAssortativity()
 
 	rep := &Report{
-		ID:    "E1",
 		Title: "Random network models vs the simulated collocation network (Conclusions)",
 		PaperClaim: "generated random scale-free networks may be superficially similar but need tailoring to capture " +
 			"the complex degree-distribution structure; the differences matter for theoretical epidemiology",
@@ -150,7 +149,6 @@ func (r *Runner) E2Communities() (*Report, error) {
 		top = top[:5]
 	}
 	rep := &Report{
-		ID:    "E2",
 		Title: "Community structure of the collocation network (Introduction §I)",
 		PaperClaim: "community detection algorithms can capture emergent macro level characteristics of the network " +
 			"not visible in aggregate statistics",
@@ -196,7 +194,6 @@ func (r *Runner) E3SubgroupFit() (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		ID:    "E3",
 		Title: "Per-subgroup degree fits vs a single global fit (Conclusions)",
 		PaperClaim: "synthetic network generators must match sub-group degree distributions, not just the global one; " +
 			"group distributions differ significantly from the whole",
@@ -209,18 +206,9 @@ func (r *Runner) E3SubgroupFit() (*Report, error) {
 		if err != nil {
 			continue
 		}
-		// Goodness of the global parameters on this group's points.
-		var obs, pred []float64
-		for _, p := range pts {
-			if p.Frac <= 0 {
-				continue
-			}
-			obs = append(obs, math.Log(p.Frac))
-			pred = append(pred, math.Log(global.Eval(float64(p.K))))
-		}
 		rep.Rows = append(rep.Rows, []string{
 			synthpop.AgeGroup(gi).String(),
-			f3(own.Alpha), f2(own.Kc), f3(own.R2), f3(r2of(obs, pred)),
+			f3(own.Alpha), f2(own.Kc), f3(own.R2), f3(global.R2On(pts)),
 		})
 	}
 	rep.Notes = append(rep.Notes,
@@ -250,7 +238,6 @@ func (r *Runner) E4TemporalGranularity() (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		ID:    "E4",
 		Title: "Arbitrary time granularity: daily vs weekly networks (Section II)",
 		PaperClaim: "the event log contains the complete information to create collocation networks at arbitrary " +
 			"granularity (hourly, daily, weekly, monthly)",
@@ -319,7 +306,6 @@ func (r *Runner) E5EpidemicOnNetworks() (*Report, error) {
 	const steps = 60
 	seeds := []uint32{0, 1, 2}
 	rep := &Report{
-		ID:    "E5",
 		Title: "The same epidemic on real vs random networks (Conclusions)",
 		PaperClaim: "using generated random networks in theoretical epidemiology needs examination in light of their " +
 			"differences from empirically-based networks",
@@ -353,25 +339,4 @@ func (r *Runner) E5EpidemicOnNetworks() (*Report, error) {
 		"random networks lack the clustering and assortativity that slow (or reshape) spread in the empirical network, so epidemic forecasts made on them diverge",
 	)
 	return rep, nil
-}
-
-// r2of computes R² of predictions against observations.
-func r2of(obs, pred []float64) float64 {
-	if len(obs) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, y := range obs {
-		mean += y
-	}
-	mean /= float64(len(obs))
-	var ssRes, ssTot float64
-	for i, y := range obs {
-		ssRes += (y - pred[i]) * (y - pred[i])
-		ssTot += (y - mean) * (y - mean)
-	}
-	if ssTot == 0 {
-		return 1
-	}
-	return 1 - ssRes/ssTot
 }

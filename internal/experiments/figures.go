@@ -14,7 +14,7 @@ import (
 
 // egoReport extracts the radius-2 ego network around seed, lays it out,
 // writes an SVG and returns the subgraph with its stats.
-func (r *Runner) egoReport(id, title, claim string, seed uint32, file string) (*Report, error) {
+func (r *Runner) egoReport(title, claim string, seed uint32, file string) (*Report, error) {
 	net, err := r.EnsureNetwork()
 	if err != nil {
 		return nil, err
@@ -46,7 +46,6 @@ func (r *Runner) egoReport(id, title, claim string, seed uint32, file string) (*
 		density = 2 * float64(sub.NumEdges()) / (float64(n) * float64(n-1))
 	}
 	return &Report{
-		ID:         id,
 		Title:      title,
 		PaperClaim: claim,
 		Header:     []string{"quantity", "measured"},
@@ -138,7 +137,7 @@ func (r *Runner) pickSparseSeed() (uint32, error) {
 
 // Fig1DenseEgo reproduces Figure 1: a dense radius-2 ego network.
 func (r *Runner) Fig1DenseEgo() (*Report, error) {
-	rep, err := r.egoReport("fig1",
+	rep, err := r.egoReport(
 		"Dense radius-2 ego network (Figure 1)",
 		"2,529 nodes and 391,104 edges; striking local dense clusters of highly connected individuals with bridge nodes",
 		r.pickDenseSeed(), "fig1.svg")
@@ -156,7 +155,7 @@ func (r *Runner) Fig2SparseEgo() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := r.egoReport("fig2",
+	rep, err := r.egoReport(
 		"Sparse radius-2 ego network (Figure 2)",
 		"1,097 nodes and 41,372 edges; many disparate clusters more diffusely connected than Figure 1",
 		seed, "fig2.svg")
@@ -238,7 +237,6 @@ func (r *Runner) Fig3DegreeDistribution() (*Report, error) {
 
 	mle, _ := netstat.AlphaMLE(net.Graph().DegreeDistribution(), 5)
 	rep := &Report{
-		ID:    "fig3",
 		Title: "Full-population degree distribution and fits (Figure 3)",
 		PaperClaim: "flat head for k=1..7 (~1e5 persons each), rapid tail drop; overlays: power law a=1.5, " +
 			"truncated power law a=1.25 κ=1e3, exponential — none captures the full shape",
@@ -302,7 +300,6 @@ func (r *Runner) Fig4Clustering() (*Report, error) {
 		}
 	}
 	rep := &Report{
-		ID:         "fig4",
 		Title:      "Local clustering coefficient histogram (Figure 4)",
 		PaperClaim: "many person nodes have clustering coefficient 1, indicating strong local clustering, as in scale-free and small-world networks",
 		Header:     []string{"quantity", "measured"},
@@ -329,7 +326,6 @@ func (r *Runner) Fig5AgeGroups() (*Report, error) {
 	counts := r.pipeline.Pop.AgeGroupCounts()
 
 	rep := &Report{
-		ID:    "fig5",
 		Title: "Within-group degree distributions by age group (Figure 5)",
 		PaperClaim: "0-14 nearly flat over two decades (school class-size caps); 15-18 partly flat; " +
 			"19-44 and 65+ show outlying point groups (universities, prisons, retirement homes); 45-64 roughly linear in log-log",

@@ -2,7 +2,7 @@
 // the paper's evaluation (Sections III and V), at a configurable scale.
 // Each experiment returns a Report pairing the paper's claim with the
 // values measured from this reproduction; cmd/experiments renders them,
-// and the repository's bench_test.go exposes each as a benchmark.
+// and BenchmarkExperiments times each one.
 package experiments
 
 import (
@@ -12,7 +12,8 @@ import (
 
 // Report is one experiment's outcome.
 type Report struct {
-	// ID is the experiment identifier from DESIGN.md (T1, Fig3, A1...).
+	// ID is the experiment identifier from DESIGN.md (T1, fig3, A1...),
+	// set by Runner.Run from the registry.
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -107,36 +107,42 @@ func (r *Runner) EnsureNetwork() (*repro.Network, error) {
 	return net, nil
 }
 
+// experiment is one registry entry: the identifier DESIGN.md, the
+// reports and cmd/experiments' -exp flag use, and the method that runs it.
+type experiment struct {
+	id  string
+	run func(*Runner) (*Report, error)
+}
+
+// registry is every experiment, in DESIGN.md order. IDs, Run and All are
+// derived from it, and BenchmarkExperiments runs each entry.
+var registry = []experiment{
+	{"T1", (*Runner).T1LogVolume},
+	{"T2", (*Runner).T2CacheSweep},
+	{"T3", (*Runner).T3Synthesis},
+	{"fig1", (*Runner).Fig1DenseEgo},
+	{"fig2", (*Runner).Fig2SparseEgo},
+	{"fig3", (*Runner).Fig3DegreeDistribution},
+	{"fig4", (*Runner).Fig4Clustering},
+	{"fig5", (*Runner).Fig5AgeGroups},
+	{"E1", (*Runner).E1SyntheticNetworks},
+	{"E2", (*Runner).E2Communities},
+	{"E3", (*Runner).E3SubgroupFit},
+	{"E4", (*Runner).E4TemporalGranularity},
+	{"E5", (*Runner).E5EpidemicOnNetworks},
+	{"A1", (*Runner).A1LoadBalancing},
+	{"A2", (*Runner).A2EventVsFull},
+	{"A3", (*Runner).A3Partitioning},
+	{"S1", (*Runner).S1WorkerScaling},
+}
+
 // All runs every experiment in DESIGN.md order.
 func (r *Runner) All() ([]*Report, error) {
-	type exp struct {
-		id  string
-		run func() (*Report, error)
-	}
-	exps := []exp{
-		{"T1", r.T1LogVolume},
-		{"T2", r.T2CacheSweep},
-		{"T3", r.T3Synthesis},
-		{"fig1", r.Fig1DenseEgo},
-		{"fig2", r.Fig2SparseEgo},
-		{"fig3", r.Fig3DegreeDistribution},
-		{"fig4", r.Fig4Clustering},
-		{"fig5", r.Fig5AgeGroups},
-		{"E1", r.E1SyntheticNetworks},
-		{"E2", r.E2Communities},
-		{"E3", r.E3SubgroupFit},
-		{"E4", r.E4TemporalGranularity},
-		{"E5", r.E5EpidemicOnNetworks},
-		{"A1", r.A1LoadBalancing},
-		{"A2", r.A2EventVsFull},
-		{"A3", r.A3Partitioning},
-		{"S1", r.S1WorkerScaling},
-	}
 	var out []*Report
-	for _, e := range exps {
-		rep, err := e.run()
+	for _, e := range registry {
+		rep, err := r.Run(e.id)
 		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", e.id, err)
+			return out, err
 		}
 		out = append(out, rep)
 	}
@@ -145,47 +151,25 @@ func (r *Runner) All() ([]*Report, error) {
 
 // Run executes a single experiment by ID.
 func (r *Runner) Run(id string) (*Report, error) {
-	switch id {
-	case "T1":
-		return r.T1LogVolume()
-	case "T2":
-		return r.T2CacheSweep()
-	case "T3":
-		return r.T3Synthesis()
-	case "fig1":
-		return r.Fig1DenseEgo()
-	case "fig2":
-		return r.Fig2SparseEgo()
-	case "fig3":
-		return r.Fig3DegreeDistribution()
-	case "fig4":
-		return r.Fig4Clustering()
-	case "fig5":
-		return r.Fig5AgeGroups()
-	case "E1":
-		return r.E1SyntheticNetworks()
-	case "E2":
-		return r.E2Communities()
-	case "E3":
-		return r.E3SubgroupFit()
-	case "E4":
-		return r.E4TemporalGranularity()
-	case "E5":
-		return r.E5EpidemicOnNetworks()
-	case "A1":
-		return r.A1LoadBalancing()
-	case "A2":
-		return r.A2EventVsFull()
-	case "A3":
-		return r.A3Partitioning()
-	case "S1":
-		return r.S1WorkerScaling()
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	for _, e := range registry {
+		if e.id != id {
+			continue
+		}
+		rep, err := e.run(r)
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", id, err)
+		}
+		rep.ID = id
+		return rep, nil
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// IDs lists the available experiment identifiers.
+// IDs lists the available experiment identifiers in DESIGN.md order.
 func IDs() []string {
-	return []string{"T1", "T2", "T3", "fig1", "fig2", "fig3", "fig4", "fig5", "E1", "E2", "E3", "E4", "E5", "A1", "A2", "A3", "S1"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -38,7 +38,6 @@ func (r *Runner) T1LogVolume() (*Report, error) {
 	paperYearPerRank := bytesPerPersonDay * paperPersons * 365 / 64
 
 	rep := &Report{
-		ID:    "T1",
 		Title: "Event-log volume (Section III)",
 		PaperClaim: "20-byte entries; 2.9M persons × ~5 changes/day ≈ 2 GB/week total; " +
 			"on 64 processes ≈ 30 MB/process/week and ≈ 1.5 GB/process/year",
@@ -69,7 +68,6 @@ func (r *Runner) T2CacheSweep() (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		ID:         "T2",
 		Title:      "Logger cache-size tradeoff (Section III)",
 		PaperClaim: "smaller cache → less memory but more (expensive) write operations; larger cache → more memory, fewer writes; nominal cache 10,000 entries",
 		Header:     []string{"cache entries", "flushes", "cache memory", "wall time", "entries/s"},
@@ -162,7 +160,6 @@ func (r *Runner) T3Synthesis() (*Report, error) {
 	makespanBig := batch.Makespan(resBig, map[int]bool{0: true}) - 100
 
 	rep := &Report{
-		ID:    "T3",
 		Title: "Complete-network scale and batch strategy (Section V)",
 		PaperClaim: "2,927,761 vertices, 830,328,649 edges, ≈10 GB in R; batches of 16 log files on 64 " +
 			"processes ≈30 min each; small jobs clear the queue faster than one 1024-process job",

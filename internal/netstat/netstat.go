@@ -134,12 +134,25 @@ func (f Fit) Eval(k float64) float64 {
 	}
 }
 
+// R2On returns the R² of the model's log-space predictions on pts, the
+// goodness of one fit's parameters applied to another distribution.
+func (f Fit) R2On(pts []Point) float64 {
+	ks, logf := logPoints(pts)
+	pred := make([]float64, len(ks))
+	for i, k := range ks {
+		pred[i] = math.Log(f.Eval(k))
+	}
+	return r2(logf, pred)
+}
+
+// String renders the fitted form. The exponent printed is -Alpha, so a
+// negative Alpha (a rising head) reads k^0.074, not k^--0.074.
 func (f Fit) String() string {
 	switch f.Model {
 	case "powerlaw":
-		return fmt.Sprintf("p(k) ~ k^-%.3f (R²=%.3f)", f.Alpha, f.R2)
+		return fmt.Sprintf("p(k) ~ k^%.3f (R²=%.3f)", -f.Alpha, f.R2)
 	case "truncated":
-		return fmt.Sprintf("p(k) ~ k^-%.3f exp(-k/%.1f) (R²=%.3f)", f.Alpha, f.Kc, f.R2)
+		return fmt.Sprintf("p(k) ~ k^%.3f exp(-k/%.1f) (R²=%.3f)", -f.Alpha, f.Kc, f.R2)
 	case "exponential":
 		return fmt.Sprintf("p(k) ~ exp(-k/%.1f) (R²=%.3f)", f.Kc, f.R2)
 	default:

@@ -126,6 +126,37 @@ func TestFitStrings(t *testing.T) {
 	if fit.String() == "" || fit.Model != "powerlaw" {
 		t.Fatal("fit string empty")
 	}
+	// The exponent's sign is printed once: α > 0 decays, α < 0 rises.
+	for _, c := range []struct {
+		fit  Fit
+		want string
+	}{
+		{Fit{Model: "powerlaw", Alpha: 1.5, R2: 0.9}, "p(k) ~ k^-1.500 (R²=0.900)"},
+		{Fit{Model: "powerlaw", Alpha: -0.25, R2: 0.5}, "p(k) ~ k^0.250 (R²=0.500)"},
+		{Fit{Model: "truncated", Alpha: 1.25, Kc: 1000, R2: 0.8}, "p(k) ~ k^-1.250 exp(-k/1000.0) (R²=0.800)"},
+		{Fit{Model: "truncated", Alpha: -0.074, Kc: 75.3, R2: 0.604}, "p(k) ~ k^0.074 exp(-k/75.3) (R²=0.604)"},
+		{Fit{Model: "exponential", Kc: 82.2, R2: 0.603}, "p(k) ~ exp(-k/82.2) (R²=0.603)"},
+	} {
+		if got := c.fit.String(); got != c.want {
+			t.Errorf("%+v: String() = %q, want %q", c.fit, got, c.want)
+		}
+	}
+}
+
+func TestR2OnMatchesOwnFit(t *testing.T) {
+	pts := synthPoints(40, func(k float64) float64 { return 0.3 * math.Pow(k, -1.2) * math.Exp(-k/25) })
+	fit, err := FitTruncatedPowerLaw(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fit.R2On(pts); math.Abs(got-fit.R2) > 1e-9 {
+		t.Errorf("R2On(own points) = %v, want the fit's R² %v", got, fit.R2)
+	}
+	// A decaying law scored on rising points explains less than nothing.
+	rising := synthPoints(40, func(k float64) float64 { return 1e-3 * k })
+	if got := fit.R2On(rising); got >= 0 {
+		t.Errorf("R2On(rising points) = %v, want < 0", got)
+	}
 }
 
 func TestAlphaMLE(t *testing.T) {

@@ -58,6 +58,13 @@ if [ "${GUARD:-1}" = "1" ]; then
 	[ "$guard_code" = 0 ] || exit 1
 fi
 
+# Experiment benchmark smoke: BenchmarkExperiments runs every entry of
+# the experiment registry once at its bench scale (5k persons, 14 days),
+# so a table or figure that stops running through Runner.Run fails here
+# rather than when EXPERIMENTS.md is next regenerated.
+echo "== experiment benchmark smoke (BenchmarkExperiments, one run per experiment)"
+go test -run '^$' -bench Experiments -benchtime 1x ./internal/experiments
+
 # Serve smoke (DESIGN.md §11): convert the tiny testdata edge list to a
 # snapshot, boot netserve on it on an ephemeral port, query two
 # endpoints with the binary's own curl-free -get mode, then SIGTERM and
@@ -374,6 +381,20 @@ if [ "${STREAMSMOKE:-1}" = "1" ]; then
 	# The memory budget is a tier of the one synthesis engine: replaying
 	# the closed logs under a budget far below the slice, streamed and in
 	# one shot, must spill and still reproduce the oracle byte for byte.
+	# An unknown -balance name must be refused before anything is written,
+	# not run as the paper's balancer.
+	if "$str_dir/netsynth" -balance bogus -t0 0 -t1 72 -o "$str_dir/bogus.tsv" \
+		-snapshot "$str_dir/bogus.gsnap" "$str_dir"/logs/*.h5l >/dev/null 2>&1; then
+		echo "FAIL: netsynth accepted -balance bogus"
+		rm -rf "$str_dir"
+		exit 1
+	fi
+	if [ -e "$str_dir/bogus.tsv" ] || [ -e "$str_dir/bogus.gsnap" ]; then
+		echo "FAIL: netsynth -balance bogus wrote output"
+		rm -rf "$str_dir"
+		exit 1
+	fi
+	echo "netsynth -balance bogus refused with no output"
 	echo "-- budgeted replays (netsynth -follow -mem-budget 64K, netsynth -mem-budget 64K)"
 	"$str_dir/netsynth" -follow -mem-budget 64K -t0 0 -t1 72 -window 24 -poll 50ms \
 		-o "$str_dir/follow-budget.tsv" -snapshot "$str_dir/follow-budget.gsnap" \
