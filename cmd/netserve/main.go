@@ -12,8 +12,10 @@
 //	curl localhost:8355/v1/ego/123?radius=2
 //
 // Endpoints: /v1/stats, /v1/degree/{id}, /v1/neighbors/{id},
-// /v1/ego/{id}?radius=k, /v1/path?from=&to=[&weighted=1],
-// /v1/degree-dist, /v1/clustering/{id}.
+// /v1/ego/{id}?radius=k (k in [0,6], default 2),
+// /v1/path?from=&to=[&weighted=0|1], /v1/degree-dist,
+// /v1/clustering/{id}. Ego and path are computed per request on a
+// pooled traversal scratch; no response is cached.
 //
 // Tooling modes:
 //
@@ -55,7 +57,6 @@ func main() {
 	addr := flag.String("addr", ":8355", "HTTP listen address")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (for :0 ephemeral ports)")
 	workers := flag.Int("workers", 0, "max concurrent query evaluations (0 = 2×CPUs)")
-	cacheBytes := flag.Int64("cache-bytes", 32<<20, "result cache budget in bytes (negative disables)")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
 	watch := flag.Duration("watch", 2*time.Second, "snapshot mtime poll interval for hot reload (0 disables)")
 	tel := cmdrun.TelemetryFlags("netserve", false)
@@ -86,7 +87,6 @@ func main() {
 		}
 		return runServe(ctx, *snapshot, *addr, *addrFile, tel, netserve.Options{
 			Workers:        *workers,
-			CacheBytes:     *cacheBytes,
 			RequestTimeout: *reqTimeout,
 			WatchInterval:  *watch,
 			AccessLog:      accessW,

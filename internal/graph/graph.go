@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -202,30 +203,62 @@ func (g *Graph) LocalClustering(v uint32) float64 {
 // including v itself — the paper's V = v ∪ V1 ∪ V2 construction for
 // radius 2.
 func (g *Graph) Ego(v uint32, radius int) []uint32 {
-	if int(v) >= g.NumVertices() {
+	members, _ := g.EgoScratch(v, radius, &PathScratch{})
+	return members
+}
+
+// EgoScratch is Ego with caller-owned scratch state; it also returns
+// the number of edges the ego network induces. Members are marked with
+// the scratch's epoch and expanded level by level in its queue, so the
+// edge count is a stamp test per adjacency and only the returned,
+// sorted member slice is allocated.
+func (g *Graph) EgoScratch(v uint32, radius int, s *PathScratch) (members []uint32, edges int) {
+	n := g.NumVertices()
+	if int(v) >= n {
 		panic(fmt.Sprintf("graph: ego seed %d out of range", v))
 	}
-	dist := map[uint32]int{v: 0}
-	frontier := []uint32{v}
-	for d := 0; d < radius; d++ {
-		var nextFrontier []uint32
-		for _, u := range frontier {
+	epoch := s.grow(n)
+	s.stamp[v] = epoch
+	queue := append(s.queue[:0], v)
+	for d, lo := 0, 0; d < radius && lo < len(queue); d++ {
+		hi := len(queue)
+		for _, u := range queue[lo:hi] {
 			row, _ := g.Neighbors(u)
 			for _, w := range row {
-				if _, ok := dist[w]; !ok {
-					dist[w] = d + 1
-					nextFrontier = append(nextFrontier, w)
+				if s.stamp[w] != epoch {
+					s.stamp[w] = epoch
+					queue = append(queue, w)
 				}
 			}
 		}
-		frontier = nextFrontier
+		lo = hi
 	}
-	out := make([]uint32, 0, len(dist))
-	for u := range dist {
-		out = append(out, u)
+	s.queue = queue
+	for _, m := range queue {
+		// Rows are sorted: count each induced edge once, from its lower
+		// end, by looking only at the neighbors above m.
+		row, _ := g.Neighbors(m)
+		i, _ := slices.BinarySearch(row, m+1)
+		for _, u := range row[i:] {
+			if s.stamp[u] == epoch {
+				edges++
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// Sorting the members costs m·log m, a sweep of the stamps in vertex
+	// order n: the sweep wins once the ego holds a fair share of the graph.
+	if size := len(queue); size*bits.Len(uint(size)) < n {
+		members = slices.Clone(queue)
+		slices.Sort(members)
+	} else {
+		members = make([]uint32, 0, size)
+		for u, st := range s.stamp[:n] {
+			if st == epoch {
+				members = append(members, uint32(u))
+			}
+		}
+	}
+	return members, edges
 }
 
 // Induced returns the subgraph induced by the given vertices (which must

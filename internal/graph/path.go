@@ -9,31 +9,34 @@ func (g *Graph) ShortestPathBFS(src, dst uint32) ([]uint32, bool) {
 	return g.ShortestPathBFSScratch(src, dst, &PathScratch{})
 }
 
-// PathScratch holds the reusable state of a BFS shortest-path search.
-// A zero PathScratch is ready; arrays grow to NumVertices on first use
-// and subsequent searches reuse them without re-zeroing (visited marks
-// are epoch-stamped), so a pooled scratch makes repeated path queries
-// allocation-free apart from the returned path itself.
+// PathScratch holds the reusable state of the graph's traversals: ego
+// networks, BFS and weighted shortest paths. A zero PathScratch is
+// ready; arrays grow to NumVertices on first use and later traversals
+// reuse them without re-zeroing (marks are epoch-stamped), so a pooled
+// scratch makes repeated queries allocation-free apart from the
+// returned slice itself.
 type PathScratch struct {
 	parent []uint32
 	stamp  []uint32
+	dist   []float64 // weighted search only
 	queue  []uint32
+	heap   pathHeap
 	epoch  uint32
 }
 
-// grow sizes the scratch for an n-vertex graph and opens a new epoch.
-func (s *PathScratch) grow(n int) {
-	if len(s.parent) < n {
+// grow sizes the scratch for an n-vertex graph and opens a new epoch:
+// a vertex is marked in it when its stamp equals the returned value.
+func (s *PathScratch) grow(n int) uint32 {
+	if len(s.stamp) < n {
 		s.parent = make([]uint32, n)
 		s.stamp = make([]uint32, n)
 	}
 	s.epoch++
-	if s.epoch == 0 { // stamp wraparound: re-zero once every 2^32 searches
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
+	if s.epoch == 0 { // stamp wraparound: re-zero once every 2^32 epochs
+		clear(s.stamp)
 		s.epoch = 1
 	}
+	return s.epoch
 }
 
 // ShortestPathBFSScratch is ShortestPathBFS with caller-owned scratch
@@ -46,18 +49,18 @@ func (g *Graph) ShortestPathBFSScratch(src, dst uint32, s *PathScratch) ([]uint3
 	if src == dst {
 		return []uint32{src}, true
 	}
-	s.grow(n)
-	s.stamp[src] = s.epoch
+	epoch := s.grow(n)
+	s.stamp[src] = epoch
 	s.parent[src] = src
 	queue := append(s.queue[:0], src)
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		row, _ := g.Neighbors(v)
 		for _, u := range row {
-			if s.stamp[u] == s.epoch {
+			if s.stamp[u] == epoch {
 				continue
 			}
-			s.stamp[u] = s.epoch
+			s.stamp[u] = epoch
 			s.parent[u] = v
 			if u == dst {
 				s.queue = queue
@@ -77,6 +80,13 @@ func (g *Graph) ShortestPathBFSScratch(src, dst uint32, s *PathScratch) ([]uint3
 // network). It returns the path, its total cost, and whether a path
 // exists.
 func (g *Graph) ShortestPathWeighted(src, dst uint32) ([]uint32, float64, bool) {
+	return g.ShortestPathWeightedScratch(src, dst, &PathScratch{})
+}
+
+// ShortestPathWeightedScratch is ShortestPathWeighted with caller-owned
+// scratch state. Two epochs mark a vertex reached (dist holds its best
+// cost so far) and settled.
+func (g *Graph) ShortestPathWeightedScratch(src, dst uint32, s *PathScratch) ([]uint32, float64, bool) {
 	n := g.NumVertices()
 	if int(src) >= n || int(dst) >= n {
 		return nil, 0, false
@@ -84,29 +94,30 @@ func (g *Graph) ShortestPathWeighted(src, dst uint32) ([]uint32, float64, bool) 
 	if src == dst {
 		return []uint32{src}, 0, true
 	}
-	const none = ^uint32(0)
-	dist := make([]float64, n)
-	parent := make([]uint32, n)
-	done := make([]bool, n)
-	for i := range parent {
-		parent[i] = none
-		dist[i] = -1 // unreached
+	// No stamp is written between the two grows, so a wraparound in
+	// the second still leaves both epochs distinct from every stale mark.
+	reached, done := s.grow(n), s.grow(n)
+	if len(s.dist) < n {
+		s.dist = make([]float64, n)
 	}
-	dist[src] = 0
-	parent[src] = src
-	pq := &pathHeap{{v: src, d: 0}}
+	s.stamp[src] = reached
+	s.dist[src] = 0
+	s.parent[src] = src
+	pq := &s.heap
+	pq.items = pq.items[:0]
+	pq.push(pathItem{v: src, d: 0})
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pathItem)
-		if done[it.v] {
+		it := pq.pop()
+		if s.stamp[it.v] == done {
 			continue
 		}
-		done[it.v] = true
+		s.stamp[it.v] = done
 		if it.v == dst {
-			return tracePath(parent, src, dst), it.d, true
+			return tracePath(s.parent, src, dst), it.d, true
 		}
 		row, wts := g.Neighbors(it.v)
 		for k, u := range row {
-			if done[u] {
+			if s.stamp[u] == done {
 				continue
 			}
 			w := wts[k]
@@ -114,28 +125,27 @@ func (g *Graph) ShortestPathWeighted(src, dst uint32) ([]uint32, float64, bool) 
 				continue // zero-weight edges carry no contact signal
 			}
 			nd := it.d + 1/float64(w)
-			if dist[u] < 0 || nd < dist[u] {
-				dist[u] = nd
-				parent[u] = it.v
-				heap.Push(pq, pathItem{v: u, d: nd})
+			if s.stamp[u] != reached || nd < s.dist[u] {
+				s.stamp[u] = reached
+				s.dist[u] = nd
+				s.parent[u] = it.v
+				pq.push(pathItem{v: u, d: nd})
 			}
 		}
 	}
 	return nil, 0, false
 }
 
-// tracePath rebuilds the src→dst path from the parent array.
+// tracePath rebuilds the src→dst path from the parent array into one
+// exactly sized slice.
 func tracePath(parent []uint32, src, dst uint32) []uint32 {
-	var rev []uint32
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
+	hops := 0
+	for v := dst; v != src; v = parent[v] {
+		hops++
 	}
-	out := make([]uint32, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make([]uint32, hops+1)
+	for i, v := hops, dst; i >= 0; i, v = i-1, parent[v] {
+		out[i] = v
 	}
 	return out
 }
@@ -145,16 +155,34 @@ type pathItem struct {
 	d float64
 }
 
-type pathHeap []pathItem
+// pathHeap is a min-heap on d run by container/heap, so equal-cost ties
+// pop in container/heap's order. No item passes through an interface
+// value — push appends and sifts with heap.Fix, Pop parks the item in
+// popped — so a warm heap does not allocate.
+type pathHeap struct {
+	items  []pathItem
+	popped pathItem
+}
 
-func (h pathHeap) Len() int           { return len(h) }
-func (h pathHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h pathHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x any)        { *h = append(*h, x.(pathItem)) }
+func (h *pathHeap) Len() int           { return len(h.items) }
+func (h *pathHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
+func (h *pathHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *pathHeap) Push(any)           { panic("graph: pathHeap grows through push") }
 func (h *pathHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(h.items) - 1
+	h.popped = h.items[n]
+	h.items = h.items[:n]
+	return nil
+}
+
+// push is heap.Push: heap.Fix on a new last element sifts it up exactly
+// as heap.Push does.
+func (h *pathHeap) push(it pathItem) {
+	h.items = append(h.items, it)
+	heap.Fix(h, len(h.items)-1)
+}
+
+func (h *pathHeap) pop() pathItem {
+	heap.Pop(h)
+	return h.popped
 }

@@ -29,7 +29,7 @@ func TestRetryAfterOnSaturation(t *testing.T) {
 	defer releaseOnce()
 	entered := make(chan struct{})
 	var once sync.Once
-	s.route("GET /v1/testhold", "testhold", false,
+	s.route("GET /v1/testhold", "testhold",
 		func(g *graph.Graph, gen *generation, r *http.Request) (any, error) {
 			once.Do(func() { close(entered) })
 			<-release

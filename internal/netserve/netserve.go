@@ -20,11 +20,12 @@
 //     /v1/degree-dist, and page one of /v1/neighbors) are O(1) reads
 //     off it, rendered through a pooled append-based JSON encoder —
 //     amortized zero allocations per request.
-//   - identical in-flight expensive queries are coalesced (single
-//     flight) and results land in a byte-budgeted LRU keyed by snapshot
-//     generation, so a reload invalidates the cache wholesale — this
-//     path now backs only the expensive endpoints (/v1/ego, /v1/path).
-//   - every endpoint reports request/latency/in-flight/cache-hit series
+//   - the traversal endpoints (/v1/ego, /v1/path) run on an
+//     epoch-stamped graph.PathScratch pooled per generation, so a query
+//     costs the part of the graph it touches, never an O(V) array. Each
+//     request is computed afresh: there is no result cache and no
+//     coalescing of identical requests.
+//   - every endpoint reports request/latency/in-flight series
 //     into the shared telemetry registry (prefix serve_), exposed on
 //     the same -telemetry-addr Prometheus endpoint as the rest of the
 //     pipeline.
@@ -57,9 +58,6 @@ import (
 type Options struct {
 	// Workers bounds concurrent query evaluation (default 2×CPUs).
 	Workers int
-	// CacheBytes budgets the LRU result cache (default 32 MiB;
-	// negative disables caching).
-	CacheBytes int64
 	// RequestTimeout bounds each query (default 5s; negative disables).
 	RequestTimeout time.Duration
 	// WatchInterval polls the snapshot file's mtime for hot reload
@@ -93,9 +91,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2 * runtime.NumCPU()
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = 32 << 20
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 5 * time.Second
@@ -145,7 +140,7 @@ type generation struct {
 	statsJSON []byte
 	histJSON  []byte
 
-	// Per-generation BFS scratch for /v1/path.
+	// Per-generation traversal scratch for /v1/ego and /v1/path.
 	pathPool sync.Pool
 }
 
@@ -156,7 +151,7 @@ func (g *generation) unref() {
 }
 
 // precompute renders the snapshot-static responses off the index and
-// wires the BFS scratch pool.
+// wires the traversal scratch pool.
 func (g *generation) precompute() {
 	gr := g.snap.Graph()
 	n := gr.NumVertices()
@@ -231,11 +226,9 @@ type Server struct {
 	genSeq   atomic.Uint64
 	reloadMu sync.Mutex
 
-	sem    chan struct{}
-	cache  *lruCache
-	flight flightGroup
-	mux    *http.ServeMux
-	logMu  sync.Mutex // serializes AccessLog writes
+	sem   chan struct{}
+	mux   *http.ServeMux
+	logMu sync.Mutex // serializes AccessLog writes
 
 	stopWatch chan struct{}
 	watchDone chan struct{}
@@ -252,9 +245,6 @@ type Server struct {
 	// Global series.
 	mRequests    *telemetry.Counter
 	mErrors      *telemetry.Counter
-	mCoalesced   *telemetry.Counter
-	mCacheHits   *telemetry.Counter
-	mCacheMisses *telemetry.Counter
 	mReloads     *telemetry.Counter
 	mReloadFails *telemetry.Counter
 	mGeneration  *telemetry.Gauge
@@ -267,19 +257,17 @@ type Server struct {
 type encodeFunc func(gen *generation, g *graph.Graph, r *http.Request, b []byte) ([]byte, error)
 
 // endpoint bundles one route's handler with its telemetry series.
-// Exactly one of encode (hot: pooled zero-alloc rendering, no cache)
-// or fn (cold: json.Marshal + LRU + singleflight) is set.
+// Exactly one of encode (hot: pooled zero-alloc rendering) or fn (cold:
+// json.Marshal of the returned value) is set.
 type endpoint struct {
-	name      string
-	cacheable bool
-	fn        func(g *graph.Graph, gen *generation, r *http.Request) (any, error)
-	encode    encodeFunc
+	name   string
+	fn     func(g *graph.Graph, gen *generation, r *http.Request) (any, error)
+	encode encodeFunc
 
-	requests  *telemetry.Counter
-	errors    *telemetry.Counter
-	latency   *telemetry.Histogram
-	inflight  *telemetry.Gauge
-	cacheHits *telemetry.Counter
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
+	latency  *telemetry.Histogram
+	inflight *telemetry.Gauge
 }
 
 // apiError is a handler failure with an HTTP status.
@@ -311,16 +299,11 @@ func New(path string, opts Options) (*Server, error) {
 
 		mRequests:    reg.Counter("serve_requests_total"),
 		mErrors:      reg.Counter("serve_errors_total"),
-		mCoalesced:   reg.Counter("serve_coalesced_total"),
-		mCacheHits:   reg.Counter("serve_cache_hits_total"),
-		mCacheMisses: reg.Counter("serve_cache_misses_total"),
 		mReloads:     reg.Counter("serve_reloads_total"),
 		mReloadFails: reg.Counter("serve_reload_failures_total"),
 		mGeneration:  reg.Gauge("serve_generation"),
 		mSaturated:   reg.Counter("serve_saturated_total"),
 	}
-	s.cache = newLRUCache(opts.CacheBytes,
-		reg.Counter("serve_cache_evictions_total"), reg.Gauge("serve_cache_bytes"))
 	s.scenStore = scenario.NewStore(opts.ScenarioStoreCap)
 	s.scenSem = make(chan struct{}, 1)
 	s.scenCtx, s.scenCancel = context.WithCancel(context.Background())
@@ -414,7 +397,6 @@ func (s *Server) Reload() error {
 	old := s.cur.Swap(gen)
 	s.mGeneration.Set(int64(gen.num))
 	s.mReloads.Inc()
-	s.cache.purgeBelow(gen.num)
 	if old != nil {
 		old.unref() // drains: closed when the last in-flight request ends
 	}
@@ -572,10 +554,10 @@ func (s *Server) buildMux() {
 	s.routeHot("GET /v1/stats", "stats", encodeStats)
 	s.routeHot("GET /v1/degree/{id}", "degree", encodeDegree)
 	s.routeHot("GET /v1/neighbors/{id}", "neighbors", encodeNeighbors)
-	s.route("GET /v1/ego/{id}", "ego", true, s.handleEgo)
-	s.route("GET /v1/path", "path", true, s.handlePath)
-	s.route("POST /v1/scenario", "scenario_submit", false, s.handleScenarioSubmit)
-	s.route("GET /v1/scenario/{id}", "scenario_get", false, s.handleScenarioGet)
+	s.route("GET /v1/ego/{id}", "ego", s.handleEgo)
+	s.route("GET /v1/path", "path", s.handlePath)
+	s.route("POST /v1/scenario", "scenario_submit", s.handleScenarioSubmit)
+	s.route("GET /v1/scenario/{id}", "scenario_get", s.handleScenarioGet)
 	s.routeHot("GET /v1/degree-dist", "degree_dist", encodeDegreeDist)
 	s.routeHot("GET /v1/clustering/{id}", "clustering", encodeClustering)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -583,9 +565,9 @@ func (s *Server) buildMux() {
 	})
 }
 
-func (s *Server) route(pattern, name string, cacheable bool,
+func (s *Server) route(pattern, name string,
 	fn func(g *graph.Graph, gen *generation, r *http.Request) (any, error)) {
-	s.mount(pattern, &endpoint{name: name, cacheable: cacheable, fn: fn})
+	s.mount(pattern, &endpoint{name: name, fn: fn})
 }
 
 func (s *Server) routeHot(pattern, name string, enc encodeFunc) {
@@ -598,14 +580,13 @@ func (s *Server) mount(pattern string, ep *endpoint) {
 	ep.errors = reg.Counter("serve_" + ep.name + "_errors_total")
 	ep.latency = reg.Histogram("serve_" + ep.name + "_seconds")
 	ep.inflight = reg.Gauge("serve_" + ep.name + "_inflight")
-	ep.cacheHits = reg.Counter("serve_" + ep.name + "_cache_hits_total")
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		s.serve(ep, w, r)
 	})
 }
 
 // serve is the request spine shared by every endpoint: timeout,
-// semaphore, generation reference, cache, singleflight, telemetry.
+// semaphore, generation reference, handler, telemetry.
 func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	s.mRequests.Inc()
 	ep.requests.Inc()
@@ -653,9 +634,8 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	defer gen.unref()
 	g := gen.snap.Graph()
 
-	// Hot path: render straight into a pooled buffer — no cache, no
-	// singleflight, no json.Marshal. The work per request is O(1) off
-	// the index, so coalescing would cost more than recomputing.
+	// Hot path: render straight into a pooled buffer, no json.Marshal.
+	// The work per request is O(1) off the index.
 	if ep.encode != nil {
 		bp := getBuf()
 		b, err := ep.encode(gen, g, r, bp.b[:0])
@@ -672,44 +652,12 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !ep.cacheable || s.cache == nil {
-		v, err := ep.fn(g, gen, r)
-		if err != nil {
-			s.writeError(w, ep, err)
-			return
-		}
-		s.writeJSON(w, ep, v)
-		return
-	}
-
-	key := cacheKey(ep.name, gen.num, r)
-	if b, ok := s.cache.get(key); ok {
-		s.mCacheHits.Inc()
-		ep.cacheHits.Inc()
-		writeJSONBytes(w, http.StatusOK, b)
-		return
-	}
-	s.mCacheMisses.Inc()
-	b, err, shared := s.flight.do(key, func() ([]byte, error) {
-		v, ferr := ep.fn(g, gen, r)
-		if ferr != nil {
-			return nil, ferr
-		}
-		mb, merr := json.Marshal(v)
-		if merr != nil {
-			return nil, merr
-		}
-		s.cache.put(key, gen.num, mb)
-		return mb, nil
-	})
-	if shared {
-		s.mCoalesced.Inc()
-	}
+	v, err := ep.fn(g, gen, r)
 	if err != nil {
 		s.writeError(w, ep, err)
 		return
 	}
-	writeJSONBytes(w, http.StatusOK, b)
+	s.writeJSON(w, ep, v)
 }
 
 // statusWriter records the first committed status code so the access
@@ -764,12 +712,6 @@ func (s *Server) logAccess(ep *endpoint, r *http.Request, status int, d time.Dur
 	s.logMu.Lock()
 	s.opts.AccessLog.Write(b)
 	s.logMu.Unlock()
-}
-
-// cacheKey canonicalizes a request: endpoint, generation, path, and
-// the sorted query encoding (url.Values.Encode sorts by key).
-func cacheKey(name string, gen uint64, r *http.Request) string {
-	return name + "|" + strconv.FormatUint(gen, 10) + "|" + r.URL.Path + "?" + r.URL.Query().Encode()
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, ep *endpoint, v any) {
@@ -1055,7 +997,7 @@ type EgoResponse struct {
 	Truncated bool     `json:"truncated"`
 }
 
-func (s *Server) handleEgo(g *graph.Graph, _ *generation, r *http.Request) (any, error) {
+func (s *Server) handleEgo(g *graph.Graph, gen *generation, r *http.Request) (any, error) {
 	v, err := vertexArg(g, r.PathValue("id"), "vertex")
 	if err != nil {
 		return nil, err
@@ -1064,22 +1006,9 @@ func (s *Server) handleEgo(g *graph.Graph, _ *generation, r *http.Request) (any,
 	if err != nil {
 		return nil, err
 	}
-	members := g.Ego(v, radius)
-	inSet := make(map[uint32]struct{}, len(members))
-	for _, m := range members {
-		inSet[m] = struct{}{}
-	}
-	edges := 0
-	for _, m := range members {
-		row, _ := g.Neighbors(m)
-		for _, u := range row {
-			if u > m {
-				if _, ok := inSet[u]; ok {
-					edges++
-				}
-			}
-		}
-	}
+	ps := gen.pathPool.Get().(*graph.PathScratch)
+	members, edges := g.EgoScratch(v, radius, ps)
+	gen.pathPool.Put(ps)
 	resp := EgoResponse{ID: v, Radius: radius, Size: len(members), Edges: edges, Members: members}
 	if len(resp.Members) > s.opts.MaxEgoMembers {
 		resp.Members = resp.Members[:s.opts.MaxEgoMembers]
@@ -1088,7 +1017,7 @@ func (s *Server) handleEgo(g *graph.Graph, _ *generation, r *http.Request) (any,
 	return resp, nil
 }
 
-// PathResponse is /v1/path?from=&to=[&weighted=1]. Unweighted searches
+// PathResponse is /v1/path?from=&to=[&weighted=0|1]. Unweighted searches
 // minimize hops (BFS); weighted searches run Dijkstra with edge cost
 // 1/weight, preferring strong collocation ties.
 type PathResponse struct {
@@ -1110,19 +1039,20 @@ func (s *Server) handlePath(g *graph.Graph, gen *generation, r *http.Request) (a
 	if err != nil {
 		return nil, err
 	}
-	weighted := queryGet(r, "weighted") == "1"
-	resp := PathResponse{From: from, To: to, Weighted: weighted}
-	if weighted {
-		path, cost, ok := g.ShortestPathWeighted(from, to)
+	weighted, err := intArg(r, "weighted", 0, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	resp := PathResponse{From: from, To: to, Weighted: weighted == 1}
+	ps := gen.pathPool.Get().(*graph.PathScratch)
+	defer gen.pathPool.Put(ps)
+	if resp.Weighted {
+		path, cost, ok := g.ShortestPathWeightedScratch(from, to, ps)
 		if ok {
 			resp.Found, resp.Path, resp.Cost, resp.Hops = true, path, cost, len(path)-1
 		}
 	} else {
-		// Pooled epoch-stamped scratch: repeated BFS queries reuse the
-		// parent/visited arrays instead of reallocating O(V) each time.
-		ps := gen.pathPool.Get().(*graph.PathScratch)
 		path, ok := g.ShortestPathBFSScratch(from, to, ps)
-		gen.pathPool.Put(ps)
 		if ok {
 			resp.Found, resp.Path, resp.Hops = true, path, len(path)-1
 			resp.Cost = float64(len(path) - 1)

@@ -9,8 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,6 +262,8 @@ func TestErrorResponses(t *testing.T) {
 		{"/v1/path?to=3", http.StatusBadRequest},   // missing from
 		{"/v1/path?from=0", http.StatusBadRequest}, // missing to
 		{"/v1/path?from=0&to=99", http.StatusNotFound},
+		{"/v1/path?from=0&to=3&weighted=true", http.StatusBadRequest}, // 0 or 1 only
+		{"/v1/path?from=0&to=3&weighted=2", http.StatusBadRequest},
 		{"/v1/clustering/banana", http.StatusBadRequest},
 		{"/v1/nope", http.StatusNotFound},
 		{"/", http.StatusNotFound},
@@ -290,128 +292,67 @@ func TestErrorResponses(t *testing.T) {
 	}
 }
 
-// TestCacheHits verifies the second identical request is served from the
-// LRU and counted, while the non-cacheable degree endpoint never caches.
-func TestCacheHits(t *testing.T) {
+// TestRepeatedTraversalsIdentical replays a mix of ego and path queries
+// from several clients at once: every traversal borrows an
+// epoch-stamped scratch from the generation's pool, so a mark left by
+// one query must never leak into another, nor a scratch be shared by
+// two. Each body must repeat byte for byte, and no request may register
+// a cache or coalescing series — there is neither.
+func TestRepeatedTraversalsIdentical(t *testing.T) {
 	reg := telemetry.New()
-	s, ts, _ := newTestServer(t, Options{Registry: reg})
-
-	var first, second EgoResponse
-	getJSON(t, ts.URL+"/v1/ego/0?radius=2", &first)
-	hits0 := reg.Counter("serve_cache_hits_total").Value()
-	getJSON(t, ts.URL+"/v1/ego/0?radius=2", &second)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cached response differs: %+v vs %+v", first, second)
+	_, ts, _ := newTestServer(t, Options{Registry: reg, Workers: 4})
+	queries := []string{
+		"/v1/ego/0?radius=2", "/v1/path?from=0&to=3&weighted=1", "/v1/ego/3?radius=1",
+		"/v1/path?from=0&to=3", "/v1/ego/4?radius=6", "/v1/path?from=3&to=4&weighted=1",
+		"/v1/ego/2?radius=0", "/v1/path?from=0&to=4", "/v1/ego/1?radius=6",
 	}
-	if got := reg.Counter("serve_cache_hits_total").Value(); got != hits0+1 {
-		t.Fatalf("serve_cache_hits_total = %d, want %d", got, hits0+1)
-	}
-	if got := reg.Counter("serve_ego_cache_hits_total").Value(); got != 1 {
-		t.Fatalf("serve_ego_cache_hits_total = %d, want 1", got)
-	}
-	if s.cache.len() == 0 {
-		t.Fatal("cache is empty after a cacheable request")
-	}
-
-	// Different query string is a different key.
-	getJSON(t, ts.URL+"/v1/ego/0?radius=1", &first)
-	if got := reg.Counter("serve_cache_hits_total").Value(); got != hits0+1 {
-		t.Fatalf("distinct query counted as hit: %d", got)
-	}
-
-	// Point lookups bypass the cache entirely.
-	n := s.cache.len()
-	getJSON(t, ts.URL+"/v1/degree/0", nil)
-	getJSON(t, ts.URL+"/v1/degree/0", nil)
-	if s.cache.len() != n {
-		t.Fatal("degree endpoint populated the cache")
-	}
-	if got := reg.Counter("serve_degree_cache_hits_total").Value(); got != 0 {
-		t.Fatalf("serve_degree_cache_hits_total = %d, want 0", got)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	s, ts, _ := newTestServer(t, Options{CacheBytes: -1})
-	if s.cache != nil {
-		t.Fatal("negative CacheBytes should disable the cache")
-	}
-	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
-		t.Fatalf("uncached serve failed: %d", code)
-	}
-}
-
-// TestCoalescing blocks a custom cacheable route and piles concurrent
-// identical requests onto it: exactly one computation must run, the rest
-// share its result and count as coalesced.
-func TestCoalescing(t *testing.T) {
-	reg := telemetry.New()
-	// Coalesced waiters each hold a worker slot while they block on the
-	// shared computation, so the pool must fit every client at once.
-	s, ts, _ := newTestServer(t, Options{
-		Registry:       reg,
-		Workers:        16,
-		RequestTimeout: 30 * time.Second,
-	})
-
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	defer releaseOnce() // unblock handlers even if an assertion fails
-	var computations atomic.Int64
-	s.route("GET /v1/testblock", "testblock", true,
-		func(g *graph.Graph, gen *generation, r *http.Request) (any, error) {
-			computations.Add(1)
-			<-release
-			return map[string]int{"n": g.NumVertices()}, nil
-		})
-
-	const clients = 4
-	key := "testblock|1|/v1/testblock?"
-	var wg sync.WaitGroup
-	bodies := make([]string, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/testblock")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			b, _ := io.ReadAll(resp.Body)
-			bodies[i] = string(b)
-		}(i)
-	}
-
-	// Wait until clients-1 callers have piggybacked on the in-flight
-	// computation, then let it finish.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.flight.waiters(key) != clients-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d waiters coalesced onto %q", s.flight.waiters(key), key)
+	get := func(q string) (string, error) {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			return "", err
 		}
-		time.Sleep(time.Millisecond)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("GET %s: status %d: %s", q, resp.StatusCode, b)
+		}
+		return string(b), err
 	}
-	releaseOnce()
+	first := make([]string, len(queries))
+	for i, q := range queries {
+		var err error
+		if first[i], err = get(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range queries {
+					i := (k + c) % len(queries) // clients out of step
+					if got, err := get(queries[i]); err != nil {
+						t.Error(err)
+						return
+					} else if got != first[i] {
+						t.Errorf("client %d round %d: GET %s = %q, first served %q", c, round, queries[i], got, first[i])
+					}
+				}
+			}
+		}(c)
+	}
 	wg.Wait()
-
-	if got := computations.Load(); got != 1 {
-		t.Fatalf("computations = %d, want 1", got)
-	}
-	if got := reg.Counter("serve_coalesced_total").Value(); got != clients-1 {
-		t.Fatalf("serve_coalesced_total = %d, want %d", got, clients-1)
-	}
-	for i := 1; i < clients; i++ {
-		if bodies[i] != bodies[0] {
-			t.Fatalf("coalesced bodies differ: %q vs %q", bodies[i], bodies[0])
+	for name := range reg.Snapshot().Counters {
+		if strings.Contains(name, "cache") || strings.Contains(name, "coalesced") {
+			t.Errorf("series %s registered; the server has no result cache", name)
 		}
 	}
 }
 
 // TestHotReload swaps the snapshot file for a bigger graph and verifies
-// the generation bump, the new topology, and cache invalidation.
+// the generation bump and the new topology.
 func TestHotReload(t *testing.T) {
 	reg := telemetry.New()
 	s, ts, path := newTestServer(t, Options{Registry: reg})
@@ -438,7 +379,7 @@ func TestHotReload(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", s.Generation())
 	}
 
-	// The cached generation-1 stats must not resurface.
+	// The generation-1 stats must not resurface.
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Generation != 2 || st.Vertices != 9 {
 		t.Fatalf("post-reload stats = %+v, want generation 2 / 9 vertices", st)
@@ -535,7 +476,7 @@ func TestSaturation(t *testing.T) {
 	defer releaseOnce() // unblock the holder even if an assertion fails
 	entered := make(chan struct{})
 	var once sync.Once
-	s.route("GET /v1/testhold", "testhold", false,
+	s.route("GET /v1/testhold", "testhold",
 		func(g *graph.Graph, gen *generation, r *http.Request) (any, error) {
 			once.Do(func() { close(entered) })
 			<-release

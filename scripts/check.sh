@@ -70,8 +70,9 @@ go test -run '^$' -bench Experiments -benchtime 1x ./internal/experiments
 # endpoints with the binary's own curl-free -get mode, then SIGTERM and
 # require a clean graceful drain (exit 0). A second netserve serves the
 # TSV itself, whose index is baked at load: its hot endpoints must
-# answer byte for byte as the snapshot's do. Last, -reindex must refuse
-# a TSV (exit non-zero) and leave it untouched. Skip with SMOKE=0.
+# answer byte for byte as the snapshot's do, and both must answer ego
+# and path queries with pinned bodies. Last, -reindex must refuse a TSV
+# (exit non-zero) and leave it untouched. Skip with SMOKE=0.
 if [ "${SMOKE:-1}" = "1" ]; then
 	echo "== netserve smoke (convert -> serve -> query -> drain; TSV served alike; -reindex refuses TSV)"
 	smoke_dir=$(mktemp -d)
@@ -115,6 +116,36 @@ if [ "${SMOKE:-1}" = "1" ]; then
 			exit 1
 		fi
 	done
+	# The traversal endpoints answer from both servers byte for byte as
+	# recorded at commit 6c2ec3d, before ego, BFS and weighted path ran on
+	# the pooled epoch-stamped scratch: <query> <cksum of the body>.
+	cat >"$smoke_dir/pins" <<-'EOF'
+	ego/0?radius=1 1182654310 77
+	ego/0?radius=2 3449708664 81
+	ego/0?radius=3 3266366004 86
+	path?from=0&to=5 264447412 83
+	path?from=0&to=5&weighted=1 3599631347 101
+	EOF
+	while read -r q pin; do
+		for a in "$smoke_addr" "$tsv_addr"; do
+			got=$("$smoke_dir/netserve" -get "http://$a/v1/$q" | cksum)
+			if [ "$got" != "$pin" ]; then
+				echo "FAIL: /v1/$q from $a: cksum $got, pinned $pin"
+				kill $smoke_pids 2>/dev/null || true
+				rm -rf "$smoke_dir"
+				exit 1
+			fi
+		done
+	done <"$smoke_dir/pins"
+	# weighted takes 0 or 1; anything else is a 400, not a silent BFS.
+	if "$smoke_dir/netserve" -get "http://$smoke_addr/v1/path?from=0&to=5&weighted=true" \
+		>"$smoke_dir/weighted-true" 2>/dev/null || ! grep -q '"status":400' "$smoke_dir/weighted-true"; then
+		echo "FAIL: /v1/path?weighted=true did not get a 400: $(cat "$smoke_dir/weighted-true")"
+		kill $smoke_pids 2>/dev/null || true
+		rm -rf "$smoke_dir"
+		exit 1
+	fi
+	echo "ego and path bodies match the pinned cksums; weighted=true refused"
 	kill -TERM $smoke_pids
 	for pid in $smoke_pids; do
 		wait "$pid" # graceful drain must exit 0 (set -e aborts otherwise)
