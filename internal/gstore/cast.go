@@ -6,75 +6,63 @@ import (
 )
 
 // nativeLittleEndian reports whether the host stores integers
-// little-endian, the precondition for aliasing snapshot sections as
-// typed slices instead of decoding them.
+// little-endian, the precondition for writing sections from their
+// arrays' own bytes and for aliasing them as typed slices on read.
 var nativeLittleEndian = func() bool {
 	var x uint16 = 1
 	return binary.LittleEndian.Uint16((*[2]byte)(unsafe.Pointer(&x))[:]) == 1
 }()
 
-// castInt64s reinterprets b as []int64 without copying, or returns nil
-// when b is misaligned or not a multiple of 8 bytes (the caller then
-// falls back to decoding).
-func castInt64s(b []byte) []int64 {
-	if len(b)%8 != 0 {
-		return nil
-	}
-	if len(b) == 0 {
-		return []int64{}
-	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%unsafe.Alignof(int64(0)) != 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(p), len(b)/8)
+// word is the element types of the snapshot sections.
+type word interface {
+	int64 | uint64 | float64 | uint32
 }
 
-// castUint64s reinterprets b as []uint64 without copying, or returns
-// nil when b is misaligned or not a multiple of 8 bytes.
-func castUint64s(b []byte) []uint64 {
-	if len(b)%8 != 0 {
-		return nil
-	}
-	if len(b) == 0 {
-		return []uint64{}
-	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%unsafe.Alignof(uint64(0)) != 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(p), len(b)/8)
+// sizeOf is T's size in bytes.
+func sizeOf[T word]() int {
+	var zero T
+	return int(unsafe.Sizeof(zero))
 }
 
-// castFloat64s reinterprets b as []float64 (IEEE-754 bits) without
-// copying, or returns nil when b is misaligned or not a multiple of 8
-// bytes.
-func castFloat64s(b []byte) []float64 {
-	if len(b)%8 != 0 {
-		return nil
-	}
-	if len(b) == 0 {
-		return []float64{}
-	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%unsafe.Alignof(float64(0)) != 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(p), len(b)/8)
+// rawBytes is s's own memory as bytes, in the host's byte order.
+func rawBytes[T word](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*sizeOf[T]())
 }
 
-// castUint32s reinterprets b as []uint32 without copying, or returns
-// nil when b is misaligned or not a multiple of 4 bytes.
-func castUint32s(b []byte) []uint32 {
-	if len(b)%4 != 0 {
-		return nil
+// leBytes returns s as little-endian bytes: s's own memory on a
+// little-endian host, an encoded copy on any other.
+func leBytes[T word](s []T) []byte {
+	raw := rawBytes(s)
+	if nativeLittleEndian {
+		return raw
 	}
-	if len(b) == 0 {
-		return []uint32{}
+	out := make([]byte, len(raw))
+	swapWords(out, raw, sizeOf[T]())
+	return out
+}
+
+// fromLE returns the little-endian bytes b as a []T: an alias of b when
+// the host is little-endian and b is aligned for T, a decoded copy
+// otherwise. len(b) must be a multiple of T's size.
+func fromLE[T word](b []byte) []T {
+	var zero T
+	if p := unsafe.Pointer(unsafe.SliceData(b)); nativeLittleEndian && len(b) > 0 && uintptr(p)%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(p), len(b)/sizeOf[T]())
 	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%unsafe.Alignof(uint32(0)) != 0 {
-		return nil
+	out := make([]T, len(b)/sizeOf[T]())
+	swapWords(rawBytes(out), b, sizeOf[T]())
+	return out
+}
+
+// swapWords copies src's size-byte words to dst, converting each
+// between little-endian and the host's byte order (the same conversion
+// either way round).
+func swapWords(dst, src []byte, size int) {
+	for i := 0; i+size <= len(src); i += size {
+		if size == 8 {
+			binary.NativeEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
+		} else {
+			binary.NativeEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[i:]))
+		}
 	}
-	return unsafe.Slice((*uint32)(p), len(b)/4)
 }

@@ -24,8 +24,9 @@
 // The section layout matches graph.Graph's in-memory CSR arrays
 // byte-for-byte on little-endian hardware, so Open can mmap the file
 // and hand the mapped sections straight to graph.NewCSR — a zero-copy
-// load. On big-endian hosts (and on platforms without mmap) Open falls
-// back to a buffered read plus an explicit decode.
+// load. Platforms without mmap read the file into memory and alias
+// that buffer the same way; only a big-endian host (or a misaligned
+// buffer) decodes copies.
 //
 // # Format (version 2)
 //
@@ -48,7 +49,6 @@
 package gstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,50 +129,6 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// encodeInt64s streams vs little-endian through sink in 64 KiB chunks.
-func encodeInt64s(vs []int64, sink func([]byte) (int, error)) error {
-	var buf [1 << 16]byte
-	k := 0
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[k:], uint64(v))
-		k += 8
-		if k == len(buf) {
-			if _, err := sink(buf[:k]); err != nil {
-				return err
-			}
-			k = 0
-		}
-	}
-	if k > 0 {
-		if _, err := sink(buf[:k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// encodeUint32s streams vs little-endian through sink in 64 KiB chunks.
-func encodeUint32s(vs []uint32, sink func([]byte) (int, error)) error {
-	var buf [1 << 16]byte
-	k := 0
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(buf[k:], v)
-		k += 4
-		if k == len(buf) {
-			if _, err := sink(buf[:k]); err != nil {
-				return err
-			}
-			k = 0
-		}
-	}
-	if k > 0 {
-		if _, err := sink(buf[:k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 
@@ -242,62 +198,40 @@ func parseHeader(data []byte) (header, error) {
 	return h, nil
 }
 
-// parse decodes a whole snapshot image. When zeroCopy is true and the
-// host is little-endian, the returned graph's CSR arrays (and any v2
-// index sections) alias data; otherwise they are fresh decoded copies.
-// The *Index is nil when the snapshot carries no index sections.
-func parse(data []byte, zeroCopy bool) (*graph.Graph, *Index, uint16, error) {
+// parse decodes a whole snapshot image into a Snapshot whose graph and
+// index alias data on a little-endian host (fromLE's rules), and are
+// decoded copies otherwise. The Index is nil when the snapshot carries
+// no index sections.
+func parse(data []byte) (*Snapshot, error) {
 	h, err := parseHeader(data)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	offBytes := data[headerSize : headerSize+(h.vertices+1)*8]
-	nbrBytes := data[headerSize+uint64(len(offBytes)) : headerSize+uint64(len(offBytes))+h.halfEdges*4]
-	wtsBytes := data[headerSize+uint64(len(offBytes))+h.halfEdges*4 : headerSize+uint64(len(offBytes))+h.halfEdges*8]
+	nbrOff := headerSize + (h.vertices+1)*8
+	offBytes := data[headerSize:nbrOff]
+	nbrBytes := data[nbrOff : nbrOff+h.halfEdges*4]
+	wtsBytes := data[nbrOff+h.halfEdges*4 : nbrOff+h.halfEdges*8]
 	if got := crc32.ChecksumIEEE(offBytes); got != h.crcOff {
-		return nil, nil, 0, fmt.Errorf("%w: offsets section crc %08x, stored %08x", ErrChecksum, got, h.crcOff)
+		return nil, fmt.Errorf("%w: offsets section crc %08x, stored %08x", ErrChecksum, got, h.crcOff)
 	}
 	if got := crc32.ChecksumIEEE(nbrBytes); got != h.crcNbr {
-		return nil, nil, 0, fmt.Errorf("%w: neighbors section crc %08x, stored %08x", ErrChecksum, got, h.crcNbr)
+		return nil, fmt.Errorf("%w: neighbors section crc %08x, stored %08x", ErrChecksum, got, h.crcNbr)
 	}
 	if got := crc32.ChecksumIEEE(wtsBytes); got != h.crcWts {
-		return nil, nil, 0, fmt.Errorf("%w: weights section crc %08x, stored %08x", ErrChecksum, got, h.crcWts)
+		return nil, fmt.Errorf("%w: weights section crc %08x, stored %08x", ErrChecksum, got, h.crcWts)
 	}
-
-	var offsets []int64
-	var nbrs, weights []uint32
-	if zeroCopy && nativeLittleEndian {
-		o, nb, wt := castInt64s(offBytes), castUint32s(nbrBytes), castUint32s(wtsBytes)
-		if o != nil && nb != nil && wt != nil {
-			offsets, nbrs, weights = o, nb, wt
-		}
-	}
-	if offsets == nil { // big-endian host, misaligned image, or copy requested
-		offsets = make([]int64, h.vertices+1)
-		for i := range offsets {
-			offsets[i] = int64(binary.LittleEndian.Uint64(offBytes[i*8:]))
-		}
-		nbrs = make([]uint32, h.halfEdges)
-		for i := range nbrs {
-			nbrs[i] = binary.LittleEndian.Uint32(nbrBytes[i*4:])
-		}
-		weights = make([]uint32, h.halfEdges)
-		for i := range weights {
-			weights[i] = binary.LittleEndian.Uint32(wtsBytes[i*4:])
-		}
-	}
-	g, err := graph.NewCSR(offsets, nbrs, weights)
+	offsets := fromLE[int64](offBytes)
+	g, err := graph.NewCSR(offsets, fromLE[uint32](nbrBytes), fromLE[uint32](wtsBytes))
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	var ix *Index
+	s := &Snapshot{g: g, version: h.version, size: int64(len(data))}
 	if h.indexOff != 0 {
-		ix, err = parseIndex(data, h, zeroCopy)
-		if err != nil {
-			return nil, nil, 0, err
+		if s.idx, err = parseIndex(data, h, offsets); err != nil {
+			return nil, err
 		}
 	}
-	return g, ix, h.version, nil
+	return s, nil
 }
 
 // ReadSnapshot decodes a snapshot from r (buffered fully in memory)
@@ -308,11 +242,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, ix, ver, perr := parse(data, true)
-	if perr != nil {
-		return nil, perr
-	}
-	return &Snapshot{g: g, idx: ix, version: ver, size: int64(len(data))}, nil
+	return parse(data)
 }
 
 // Snapshot is an opened snapshot: an immutable graph plus the resources
@@ -363,7 +293,8 @@ func (s *Snapshot) Close() error {
 // Open opens a snapshot file. On platforms with mmap support the
 // sections are memory-mapped and handed to the graph zero-copy (the
 // checksum pass touches every page once, priming the cache); elsewhere
-// the file is read and decoded. Failures are typed — errors.Is against
+// the file is read into memory and the graph aliases that buffer (a
+// big-endian host decodes copies). Failures are typed — errors.Is against
 // ErrBadMagic / ErrVersion / ErrTruncated / ErrChecksum / ErrInvalid —
 // and never yield a partial Snapshot.
 func Open(path string) (*Snapshot, error) {
@@ -391,24 +322,27 @@ func open(path string) (*Snapshot, error) {
 	size := fi.Size()
 
 	if data, unmap, merr := mapFile(f, size); merr == nil {
-		g, ix, ver, perr := parse(data, true)
+		s, perr := parse(data)
 		if perr != nil {
 			unmap()
 			return nil, perr
 		}
-		return &Snapshot{g: g, idx: ix, version: ver, path: path, size: size, mapped: true, unmap: unmap}, nil
+		s.path, s.mapped, s.unmap = path, true, unmap
+		return s, nil
 	}
 
-	// Fallback: buffered read (platforms without mmap, or mmap failure).
-	data, err := io.ReadAll(bufio.NewReaderSize(f, 1<<20))
+	// Fallback: read the file into memory (platforms without mmap, or
+	// mmap failure); the sections alias that buffer just the same.
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err
 	}
-	g, ix, ver, perr := parse(data, true)
-	if perr != nil {
-		return nil, perr
+	s, err := parse(data)
+	if err != nil {
+		return nil, err
 	}
-	return &Snapshot{g: g, idx: ix, version: ver, path: path, size: size}, nil
+	s.path = path
+	return s, nil
 }
 
 // LoadGraphFile opens either a .gsnap snapshot or a TSV edge list,

@@ -19,20 +19,23 @@
 // the v2 header; every payload is 8-byte aligned and CRC32-guarded by
 // its table entry, and the table itself is CRC-guarded by the header.
 // Open fails closed (ErrChecksum / ErrTruncated / ErrInvalid) on any
-// damaged section — a hostile or bit-rotted snapshot can never yield
-// wrong answers, only a typed refusal. A table missing any of the six
-// is ErrInvalid too: an Index is all or nothing. Files without a table
+// damaged section. The CRCs detect damage, not forgery: a file written
+// with recomputed CRCs passes them, and then only the structural checks
+// stand — section lengths, top-k offsets and neighbor IDs in range, and
+// the degree column and every top-k row length (min(deg, k)) equal to
+// what the CSR offsets say. Values those checks do not cover (strength,
+// clustering, top-k weights, histogram, stats) are trusted as written.
+// A table missing any of the six is ErrInvalid too: an Index is all or
+// nothing. Files without a table
 // (v1) report a nil Index, and netserve bakes one at load.
 
 package gstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -297,20 +300,21 @@ func selectSmallest(keys []uint64, k int) {
 // ---------------------------------------------------------------------------
 // Writing
 
-// section is one table entry plus its streaming payload encoder.
+// section is one table entry plus its payload, the little-endian bytes
+// of one or more arrays written back to back.
 type section struct {
-	kind   uint32
-	meta   uint32
-	length int64
-	encode func(sink func([]byte) (int, error)) error
+	kind  uint32
+	meta  uint32
+	parts [][]byte
 }
 
 // align8 rounds n up to the next multiple of 8.
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
 // WriteIndexed serializes g plus freshly baked index sections as a
-// version-2 snapshot. It streams in fixed-size chunks and the output
-// is deterministic.
+// version-2 snapshot. The output is deterministic; on a little-endian
+// host every section is written from its array's own memory, with no
+// encoded copy.
 func WriteIndexed(w io.Writer, g *graph.Graph, opts IndexOptions) error {
 	return writeIndexData(w, g, BuildIndexData(g, opts))
 }
@@ -330,199 +334,74 @@ func writeFileIndexData(path string, g *graph.Graph, d *Index) error {
 	})
 }
 
+// writeIndexData lays out the header, the three CSR sections, the
+// section table and the 8-byte-aligned payloads, CRCs each section once
+// over the bytes it is about to write, and writes each byte slice once.
 func writeIndexData(w io.Writer, g *graph.Graph, d *Index) error {
 	offsets, nbrs, weights := g.CSR()
-	numV := int64(len(offsets) - 1)
-
+	var stats [32]byte
+	binary.LittleEndian.PutUint64(stats[0:8], d.Stats.VerticesWithEdges)
+	binary.LittleEndian.PutUint64(stats[8:16], d.Stats.TotalWeight)
+	binary.LittleEndian.PutUint64(stats[16:24], d.Stats.MaxDegree)
 	sections := []section{
-		{kind: secDegree, length: numV * 4,
-			encode: func(sink func([]byte) (int, error)) error { return encodeUint32s(d.Degrees, sink) }},
-		{kind: secStrength, length: numV * 8,
-			encode: func(sink func([]byte) (int, error)) error { return encodeUint64s(d.Strengths, sink) }},
-		{kind: secClustering, length: numV * 8,
-			encode: func(sink func([]byte) (int, error)) error { return encodeFloat64s(d.Clustering, sink) }},
-		{kind: secTopK, meta: uint32(d.TopK), length: (numV+1)*8 + int64(len(d.TopKPairs))*4,
-			encode: func(sink func([]byte) (int, error)) error {
-				if err := encodeInt64s(d.TopKOff, sink); err != nil {
-					return err
-				}
-				return encodeUint32s(d.TopKPairs, sink)
-			}},
-		{kind: secHistogram, length: int64(len(d.Histogram)) * 8,
-			encode: func(sink func([]byte) (int, error)) error { return encodeInt64s(d.Histogram, sink) }},
-		{kind: secStats, length: 32,
-			encode: func(sink func([]byte) (int, error)) error {
-				var b [32]byte
-				binary.LittleEndian.PutUint64(b[0:8], d.Stats.VerticesWithEdges)
-				binary.LittleEndian.PutUint64(b[8:16], d.Stats.TotalWeight)
-				binary.LittleEndian.PutUint64(b[16:24], d.Stats.MaxDegree)
-				_, err := sink(b[:])
-				return err
-			}},
+		{kind: secDegree, parts: [][]byte{leBytes(d.Degrees)}},
+		{kind: secStrength, parts: [][]byte{leBytes(d.Strengths)}},
+		{kind: secClustering, parts: [][]byte{leBytes(d.Clustering)}},
+		{kind: secTopK, meta: uint32(d.TopK), parts: [][]byte{leBytes(d.TopKOff), leBytes(d.TopKPairs)}},
+		{kind: secHistogram, parts: [][]byte{leBytes(d.Histogram)}},
+		{kind: secStats, parts: [][]byte{stats[:]}},
 	}
 
-	// Layout: CSR end is 8-aligned by construction (header 64 + (V+1)·8
-	// + H·4 + H·4); the table follows immediately, then payloads, each
+	// The CSR end is 8-aligned by construction (header 64 + (V+1)·8 +
+	// H·4 + H·4); the table follows immediately, then the payloads, each
 	// padded to 8 bytes.
-	csrEnd := headerSize + (numV+1)*8 + int64(len(nbrs))*8
-	tableOff := csrEnd
-	tableLen := int64(8 + len(sections)*tableEntrySize)
-	payloadOff := align8(tableOff + tableLen)
-	offs := make([]int64, len(sections))
-	for i := range sections {
-		offs[i] = payloadOff
-		payloadOff = align8(payloadOff + sections[i].length)
-	}
-
-	// Pass 1: checksums (CSR sections, each payload, then the table).
-	crcOff := crc32.NewIEEE()
-	if err := encodeInt64s(offsets, crcOff.Write); err != nil {
-		return err
-	}
-	crcNbr := crc32.NewIEEE()
-	if err := encodeUint32s(nbrs, crcNbr.Write); err != nil {
-		return err
-	}
-	crcWts := crc32.NewIEEE()
-	if err := encodeUint32s(weights, crcWts.Write); err != nil {
-		return err
-	}
-	payloadCRC := make([]uint32, len(sections))
-	for i := range sections {
-		h := crc32.NewIEEE()
-		if err := sections[i].encode(h.Write); err != nil {
-			return err
-		}
-		payloadCRC[i] = h.Sum32()
-	}
-	table := make([]byte, tableLen)
+	var hdr [headerSize]byte
+	csr := [][]byte{leBytes(offsets), leBytes(nbrs), leBytes(weights)}
+	table := make([]byte, 8+len(sections)*tableEntrySize)
+	out := [][]byte{hdr[:], csr[0], csr[1], csr[2], table}
+	tableOff := int64(headerSize + len(csr[0]) + len(csr[1]) + len(csr[2]))
+	pos := tableOff + int64(len(table))
+	var pad [8]byte
 	binary.LittleEndian.PutUint32(table[0:4], uint32(len(sections)))
 	for i, s := range sections {
+		out = append(out, pad[:align8(pos)-pos])
+		pos = align8(pos)
+		var crc uint32
+		var length int64
+		for _, p := range s.parts {
+			crc = crc32.Update(crc, crc32.IEEETable, p)
+			length += int64(len(p))
+			out = append(out, p)
+		}
 		e := table[8+i*tableEntrySize:]
 		binary.LittleEndian.PutUint32(e[0:4], s.kind)
 		binary.LittleEndian.PutUint32(e[4:8], s.meta)
-		binary.LittleEndian.PutUint64(e[8:16], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(e[16:24], uint64(s.length))
-		binary.LittleEndian.PutUint32(e[24:28], payloadCRC[i])
+		binary.LittleEndian.PutUint64(e[8:16], uint64(pos))
+		binary.LittleEndian.PutUint64(e[16:24], uint64(length))
+		binary.LittleEndian.PutUint32(e[24:28], crc)
+		pos += length
 	}
+	out = append(out, pad[:align8(pos)-pos]) // trailing alignment of the last payload
+	pos = align8(pos)
 
-	var hdr [headerSize]byte
 	copy(hdr[0:6], Magic)
 	binary.LittleEndian.PutUint16(hdr[6:8], Version2)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(numV))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(offsets)-1))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(nbrs)))
-	binary.LittleEndian.PutUint32(hdr[24:28], crcOff.Sum32())
-	binary.LittleEndian.PutUint32(hdr[28:32], crcNbr.Sum32())
-	binary.LittleEndian.PutUint32(hdr[32:36], crcWts.Sum32())
+	for i, b := range csr {
+		binary.LittleEndian.PutUint32(hdr[24+4*i:], crc32.ChecksumIEEE(b))
+	}
 	binary.LittleEndian.PutUint64(hdr[36:44], uint64(tableOff))
 	binary.LittleEndian.PutUint32(hdr[44:48], crc32.ChecksumIEEE(table))
 	binary.LittleEndian.PutUint32(hdr[56:60], crc32.ChecksumIEEE(hdr[0:56]))
 
-	// Pass 2: stream everything out.
-	bw := newCountingWriter(w)
-	sink := bw.sink
-	if _, err := sink(hdr[:]); err != nil {
-		return err
-	}
-	if err := encodeInt64s(offsets, sink); err != nil {
-		return err
-	}
-	if err := encodeUint32s(nbrs, sink); err != nil {
-		return err
-	}
-	if err := encodeUint32s(weights, sink); err != nil {
-		return err
-	}
-	if _, err := sink(table); err != nil {
-		return err
-	}
-	var pad [8]byte
-	for i := range sections {
-		if gap := offs[i] - bw.n; gap > 0 {
-			if _, err := sink(pad[:gap]); err != nil {
-				return err
-			}
-		}
-		if err := sections[i].encode(sink); err != nil {
+	for _, b := range out {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
-	}
-	if gap := payloadOff - bw.n; gap > 0 { // trailing alignment of the last payload
-		if _, err := sink(pad[:gap]); err != nil {
-			return err
-		}
-	}
-	if err := bw.flush(); err != nil {
-		return err
 	}
 	mWrites.Inc()
-	mWriteBytes.Add(payloadOff)
-	return nil
-}
-
-// countingWriter is a buffered writer that tracks the absolute byte
-// position, so the payload padding loop can close alignment gaps.
-type countingWriter struct {
-	bw *bufio.Writer
-	n  int64
-}
-
-func newCountingWriter(w io.Writer) *countingWriter {
-	return &countingWriter{bw: bufio.NewWriterSize(w, 1<<20)}
-}
-
-func (c *countingWriter) sink(p []byte) (int, error) {
-	n, err := c.bw.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingWriter) flush() error { return c.bw.Flush() }
-
-// ---------------------------------------------------------------------------
-// Streaming encoders for the additional element types
-
-// encodeUint64s streams vs little-endian through sink in 64 KiB chunks.
-func encodeUint64s(vs []uint64, sink func([]byte) (int, error)) error {
-	var buf [1 << 16]byte
-	k := 0
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[k:], v)
-		k += 8
-		if k == len(buf) {
-			if _, err := sink(buf[:k]); err != nil {
-				return err
-			}
-			k = 0
-		}
-	}
-	if k > 0 {
-		if _, err := sink(buf[:k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// encodeFloat64s streams vs as little-endian IEEE-754 bits.
-func encodeFloat64s(vs []float64, sink func([]byte) (int, error)) error {
-	var buf [1 << 16]byte
-	k := 0
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[k:], math.Float64bits(v))
-		k += 8
-		if k == len(buf) {
-			if _, err := sink(buf[:k]); err != nil {
-				return err
-			}
-			k = 0
-		}
-	}
-	if k > 0 {
-		if _, err := sink(buf[:k]); err != nil {
-			return err
-		}
-	}
+	mWriteBytes.Add(pos)
 	return nil
 }
 
@@ -530,9 +409,10 @@ func encodeFloat64s(vs []float64, sink func([]byte) (int, error)) error {
 // Reading
 
 // parseIndex validates and decodes the v2 section table and payloads,
-// all six known sections or none. zeroCopy aliasing follows the same
-// rules as the CSR sections. The returned error is always typed.
-func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
+// all six known sections or none, aliasing data by fromLE's rules, and
+// checks the degree column and top-k row lengths against the CSR
+// offsets csrOff. The returned error is always typed.
+func parseIndex(data []byte, h header, csrOff []int64) (*Index, error) {
 	size := int64(len(data))
 	tableOff := int64(h.indexOff)
 	if tableOff < 0 || tableOff%8 != 0 {
@@ -588,33 +468,26 @@ func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 			if length != numV*4 {
 				return nil, fmt.Errorf("%w: degree section %d bytes, want %d", ErrInvalid, length, numV*4)
 			}
-			ix.Degrees = decodeUint32s(payload, zeroCopy)
+			ix.Degrees = fromLE[uint32](payload)
 		case secStrength:
 			if length != numV*8 {
 				return nil, fmt.Errorf("%w: strength section %d bytes, want %d", ErrInvalid, length, numV*8)
 			}
-			ix.Strengths = decodeUint64s(payload, zeroCopy)
+			ix.Strengths = fromLE[uint64](payload)
 		case secClustering:
 			if length != numV*8 {
 				return nil, fmt.Errorf("%w: clustering section %d bytes, want %d", ErrInvalid, length, numV*8)
 			}
-			ix.Clustering = decodeFloat64s(payload, zeroCopy)
+			ix.Clustering = fromLE[float64](payload)
 		case secTopK:
 			if length < (numV+1)*8 || (length-(numV+1)*8)%8 != 0 {
 				return nil, fmt.Errorf("%w: topk section %d bytes for %d vertices", ErrInvalid, length, numV)
 			}
-			offsets := decodeInt64s(payload[:(numV+1)*8], zeroCopy)
-			pairs := decodeUint32s(payload[(numV+1)*8:], zeroCopy)
+			offsets := fromLE[int64](payload[:(numV+1)*8])
+			pairs := fromLE[uint32](payload[(numV+1)*8:])
 			entries := int64(len(pairs)) / 2
 			if offsets[0] != 0 || offsets[numV] != entries {
 				return nil, fmt.Errorf("%w: topk offsets span [%d,%d), want [0,%d)", ErrInvalid, offsets[0], offsets[numV], entries)
-			}
-			k := int64(meta)
-			for v := int64(0); v < numV; v++ {
-				cnt := offsets[v+1] - offsets[v]
-				if cnt < 0 || cnt > k {
-					return nil, fmt.Errorf("%w: topk row %d has %d entries (k=%d)", ErrInvalid, v, cnt, k)
-				}
 			}
 			for p := int64(0); p < entries; p++ {
 				if int64(pairs[2*p]) >= numV {
@@ -628,7 +501,7 @@ func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 			if length%8 != 0 || length/8 > numV+1 {
 				return nil, fmt.Errorf("%w: histogram section %d bytes for %d vertices", ErrInvalid, length, numV)
 			}
-			ix.Histogram = decodeInt64s(payload, zeroCopy)
+			ix.Histogram = fromLE[int64](payload)
 		case secStats:
 			if length != 32 {
 				return nil, fmt.Errorf("%w: stats section %d bytes, want 32", ErrInvalid, length)
@@ -652,59 +525,16 @@ func parseIndex(data []byte, h header, zeroCopy bool) (*Index, error) {
 			return nil, fmt.Errorf("%w: index section %d missing", ErrInvalid, kind)
 		}
 	}
+	// The columns must describe the CSR they sit beside: a forged file
+	// with recomputed CRCs passes every checksum.
+	for v := int64(0); v < numV; v++ {
+		deg := csrOff[v+1] - csrOff[v]
+		if int64(ix.Degrees[v]) != deg {
+			return nil, fmt.Errorf("%w: degree[%d] = %d, CSR row has %d", ErrInvalid, v, ix.Degrees[v], deg)
+		}
+		if cnt := ix.TopKOff[v+1] - ix.TopKOff[v]; cnt != min(deg, int64(ix.TopK)) {
+			return nil, fmt.Errorf("%w: topk row %d has %d entries, want min(%d, k=%d)", ErrInvalid, v, cnt, deg, ix.TopK)
+		}
+	}
 	return ix, nil
-}
-
-// decode helpers: alias when zero-copy is possible, else copy-decode.
-
-func decodeUint32s(b []byte, zeroCopy bool) []uint32 {
-	if zeroCopy && nativeLittleEndian {
-		if s := castUint32s(b); s != nil {
-			return s
-		}
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-func decodeInt64s(b []byte, zeroCopy bool) []int64 {
-	if zeroCopy && nativeLittleEndian {
-		if s := castInt64s(b); s != nil {
-			return s
-		}
-	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func decodeUint64s(b []byte, zeroCopy bool) []uint64 {
-	if zeroCopy && nativeLittleEndian {
-		if s := castUint64s(b); s != nil {
-			return s
-		}
-	}
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func decodeFloat64s(b []byte, zeroCopy bool) []float64 {
-	if zeroCopy && nativeLittleEndian {
-		if s := castFloat64s(b); s != nil {
-			return s
-		}
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
 }

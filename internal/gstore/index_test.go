@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -503,17 +504,16 @@ func TestIndexTruncationFailsClosed(t *testing.T) {
 	}
 }
 
-// TestIndexedReadFallback forces the no-mmap io.Reader path (which
-// copy-decodes sections instead of aliasing them) and checks it agrees
-// with the mmap view.
+// TestIndexedReadFallback runs both branches of the section codec on
+// this host and requires them to agree with the mmap view. parse of an
+// aligned image aliases it; parse of a copy shifted one byte off
+// alignment decodes every CSR and index section instead. With the host
+// declared big-endian, leBytes encodes copies, which must be the very
+// bytes the aliased writer produced, and fromLE decodes even an aligned
+// image.
 func TestIndexedReadFallback(t *testing.T) {
 	g := indexTestGraph(t)
 	data := writeIndexedBytes(t, g, IndexOptions{})
-	snap, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
 	path := filepath.Join(t.TempDir(), "m.gsnap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -523,23 +523,41 @@ func TestIndexedReadFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	a, b := snap.Index(), m.Index()
-	if a == nil || b == nil {
-		t.Fatal("index missing on a load path")
+
+	aliased, err := parse(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if a.Degrees[v] != b.Degrees[v] || a.Strengths[v] != b.Strengths[v] ||
-			a.Clustering[v] != b.Clustering[v] {
-			t.Fatalf("vertex %d: reader/mmap index disagree", v)
-		}
-		ra, rb := a.TopKRow(uint32(v)), b.TopKRow(uint32(v))
-		if len(ra) != len(rb) {
-			t.Fatalf("vertex %d: topk rows differ in length", v)
-		}
-		for k := range ra {
-			if ra[k] != rb[k] {
-				t.Fatalf("vertex %d: topk rows differ", v)
-			}
+	if off, _, _ := aliased.Graph().CSR(); nativeLittleEndian && &off[0] != (*int64)(unsafe.Pointer(&data[headerSize])) {
+		t.Error("aligned image on a little-endian host: offsets were copied, not aliased")
+	}
+	shifted := make([]byte, len(data)+1)
+	copy(shifted[1:], data)
+	decoded, err := parse(shifted[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, _, _ := decoded.Graph().CSR(); &off[0] == (*int64)(unsafe.Pointer(&shifted[1+headerSize])) {
+		t.Error("misaligned image: offsets alias it")
+	}
+
+	defer func(le bool) { nativeLittleEndian = le }(nativeLittleEndian)
+	nativeLittleEndian = false
+	if got := writeIndexedBytes(t, g, IndexOptions{}); !bytes.Equal(got, data) {
+		t.Fatal("encoded-copy writer bytes differ from the aliased writer's")
+	}
+	swapped, err := parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, _, _ := swapped.Graph().CSR(); &off[0] == (*int64)(unsafe.Pointer(&data[headerSize])) {
+		t.Error("big-endian host: offsets alias the image")
+	}
+
+	for name, s := range map[string]*Snapshot{"aliased": aliased, "misaligned": decoded, "big-endian": swapped} {
+		graphsEqual(t, m.Graph(), s.Graph())
+		if !reflect.DeepEqual(s.Index(), m.Index()) {
+			t.Errorf("%s: index differs from the mmap view", name)
 		}
 	}
 }
@@ -584,6 +602,105 @@ func TestSelectSmallest(t *testing.T) {
 					t.Fatalf("n %d, k %d: selected %v, want %v", n, k, top, want[:k])
 				}
 			}
+		}
+	}
+}
+
+// pinGraphs are small fixed graphs whose WriteIndexed bytes are pinned
+// by TestWriteIndexedBytesPinned: no edges at all, isolated vertices
+// beside a triangle, an odd vertex count (the degree section needs
+// padding), and a hub whose top-k cut falls inside runs of equal
+// weights.
+func pinGraphs() map[string]*graph.Graph {
+	build := func(n int, edges [][3]uint32) *graph.Graph {
+		acc := sparse.NewAccum()
+		for _, e := range edges {
+			acc.Add(e[0], e[1], e[2])
+		}
+		return graph.FromTri(acc.Tri(), n)
+	}
+	ring := [][3]uint32{{0, 3, 2}, {2, 5, 9}}
+	for v := uint32(0); v < 7; v++ {
+		ring = append(ring, [3]uint32{v, (v + 1) % 7, v + 1})
+	}
+	hub := [][3]uint32{{1, 2, 3}}
+	for v := uint32(1); v <= 40; v++ {
+		hub = append(hub, [3]uint32{0, v, 1 + v%3})
+	}
+	return map[string]*graph.Graph{
+		"empty":     graph.FromTri(&sparse.Tri{}, 0),
+		"isolated":  build(12, [][3]uint32{{0, 1, 3}, {1, 2, 4}, {0, 2, 5}, {5, 6, 1}}),
+		"odd-v":     build(7, ring),
+		"topk-ties": build(41, hub),
+	}
+}
+
+// TestWriteIndexedBytesPinned pins the CRC32 and length of WriteIndexed
+// output on pinGraphs, recorded from the streaming two-pass writer that
+// preceded the single-pass one: a writer change that moves any byte
+// fails here, not only in the end-to-end smoke cksums.
+func TestWriteIndexedBytesPinned(t *testing.T) {
+	pins := map[string]struct {
+		crc uint32
+		n   int
+	}{
+		"empty":     {1153546180, 312},
+		"isolated":  {335288869, 896},
+		"odd-v":     {1702234810, 888},
+		"topk-ties": {3932576101, 3368},
+	}
+	for name, g := range pinGraphs() {
+		data := writeIndexedBytes(t, g, IndexOptions{})
+		got, want := pins[name], pins[name]
+		got.crc, got.n = crc32.ChecksumIEEE(data), len(data)
+		if got != want {
+			t.Errorf("%s: crc %d, %d bytes; pinned crc %d, %d bytes", name, got.crc, got.n, want.crc, want.n)
+		}
+	}
+}
+
+// TestForgedIndexRejected rewrites index payloads so that they disagree
+// with the CSR, then recomputes the section, table and header CRCs, as
+// a forger would. The CRCs then pass, and only Open's structural checks
+// stand between the file and wrong answers: a degree that is not the
+// row length, and a top-k row boundary moved by one so that both rows
+// keep within k but neither is min(deg, k) long.
+func TestForgedIndexRejected(t *testing.T) {
+	g := indexTestGraph(t)
+	forge := func(kind uint32, edit func(payload []byte)) []byte {
+		data := writeIndexedBytes(t, g, IndexOptions{})
+		tableOff := binary.LittleEndian.Uint64(data[36:44])
+		count := binary.LittleEndian.Uint32(data[tableOff:])
+		table := data[tableOff : tableOff+8+uint64(count)*tableEntrySize]
+		for i := uint32(0); i < count; i++ {
+			e := table[8+i*tableEntrySize:]
+			if binary.LittleEndian.Uint32(e) != kind {
+				continue
+			}
+			off, length := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+			edit(data[off : off+length])
+			binary.LittleEndian.PutUint32(e[24:28], crc32.ChecksumIEEE(data[off:off+length]))
+		}
+		binary.LittleEndian.PutUint32(data[44:48], crc32.ChecksumIEEE(table))
+		fixV2HeaderCRC(data)
+		return data
+	}
+	if g.Degree(0) <= DefaultTopK || g.Degree(1) >= DefaultTopK {
+		t.Fatalf("test graph needs a hub at 0 and a small row at 1 (degrees %d, %d)", g.Degree(0), g.Degree(1))
+	}
+	cases := map[string][]byte{
+		"degree": forge(secDegree, func(p []byte) { binary.LittleEndian.PutUint32(p[0:4], 999) }),
+		"topk-row": forge(secTopK, func(p []byte) {
+			binary.LittleEndian.PutUint64(p[8:16], binary.LittleEndian.Uint64(p[8:16])-1)
+		}),
+	}
+	for name, data := range cases {
+		snap, err := ReadSnapshot(bytes.NewReader(data))
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: forged index: err = %v, want ErrInvalid", name, err)
+		}
+		if snap != nil {
+			t.Errorf("%s: fail-closed violated: non-nil snapshot", name)
 		}
 	}
 }

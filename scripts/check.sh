@@ -66,7 +66,7 @@ echo "== experiment benchmark smoke (BenchmarkExperiments, one run per experimen
 go test -run '^$' -bench Experiments -benchtime 1x ./internal/experiments
 
 # Serve smoke (DESIGN.md §11): convert the tiny testdata edge list to a
-# snapshot, boot netserve on it on an ephemeral port, query two
+# snapshot (its cksum pinned), boot netserve on it on an ephemeral port, query two
 # endpoints with the binary's own curl-free -get mode, then SIGTERM and
 # require a clean graceful drain (exit 0). A second netserve serves the
 # TSV itself, whose index is baked at load: its hot endpoints must
@@ -79,6 +79,14 @@ if [ "${SMOKE:-1}" = "1" ]; then
 	smoke_tsv=cmd/netserve/testdata/smoke.tsv
 	go build -o "$smoke_dir/netserve" ./cmd/netserve
 	"$smoke_dir/netserve" -convert "$smoke_tsv" -snapshot "$smoke_dir/smoke.gsnap"
+	# The converted snapshot's bytes, as recorded at commit 0a7c703,
+	# before the writer wrote each section once from its own bytes.
+	smoke_snap=$(cksum <"$smoke_dir/smoke.gsnap")
+	if [ "$smoke_snap" != "2498783304 1024" ]; then
+		echo "FAIL: converted smoke.gsnap cksum $smoke_snap, pinned 2498783304 1024"
+		rm -rf "$smoke_dir"
+		exit 1
+	fi
 	smoke_pids=""
 	# smoke_boot NAME INPUT: serve INPUT in the background and wait until
 	# it has written its bound address to $smoke_dir/NAME.addr.
