@@ -14,8 +14,9 @@
 //     to achieve even load balancing": collocated-person counts per place
 //     range from a single individual to tens of thousands.
 //  4. Adjacency creation and reduction — each worker computes A_l = x·xᵀ
-//     for its places, appending the raw pair entries to a private buffer;
-//     the buffers are then reduced, sharded by row range across the
+//     for its places, appending the raw pair entries to a private paged
+//     buffer (sparse.Pairs) that lives for the whole window; the window's
+//     buffers are then reduced once, sharded by row range across the
 //     workers, into the final A = Σ A_l (sparse.Coalesce).
 //
 // Workers are goroutines standing in for the paper's SNOW/Rmpi worker
@@ -117,7 +118,9 @@ type Config struct {
 	// place-sorted temporary run files, and a closing window merges the
 	// runs back and synthesizes them one place-complete group at a time;
 	// the output is bit-identical to the unbudgeted one (groups partition
-	// the place set and weight summation commutes). Negative is invalid.
+	// the place set and weight summation commutes). The budget bounds
+	// log entries only: a window's raw pairs and its network are
+	// O(edges) whatever the budget. Negative is invalid.
 	MemBudgetBytes int64
 	// SpillDir is the directory the spill run files are created under
 	// (in a temporary sub-directory, removed when the synthesis
@@ -321,28 +324,42 @@ func SynthesizeEntries(ctx context.Context, entries []eventlog.Entry, t0, t1 uin
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	parts, stats, err := synthesizeParts(ctx, entries, t0, t1, cfg)
+	bufs := make([]sparse.Pairs, cfg.workers())
+	stats, err := synthesizeParts(ctx, entries, t0, t1, cfg, bufs)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, spReduce := telemetry.StartSpan(ctx, "synth/reduce")
-	final := sparse.Coalesce(cfg.workers(), parts...)
-	stats.Reduce += spReduce.End()
-	return final, stats, nil
+	net, wall := reduce(ctx, cfg.workers(), bufs)
+	stats.Reduce += wall
+	return net, stats, nil
+}
+
+// reduce closes a window: one sparse.Coalesce over every page of the
+// window's Gram buffers, timed as the synth/reduce span.
+func reduce(ctx context.Context, workers int, bufs []sparse.Pairs) (*sparse.Tri, time.Duration) {
+	_, sp := telemetry.StartSpan(ctx, "synth/reduce")
+	var parts [][]sparse.Entry
+	for i := range bufs {
+		parts = append(parts, bufs[i].Pages()...)
+	}
+	net := sparse.Coalesce(workers, parts...)
+	return net, sp.End()
 }
 
 // synthesizeParts runs stages 1b–4 of the synthesis for one batch of
-// log entries and returns the raw pair entries each stage-4 worker
-// emitted, uncoalesced. Callers reduce them with sparse.Coalesce — once
-// per batch (SynthesizeEntries) or once across all segments of a window
-// (WindowAccumulator.Advance), which makes the cross-file reduction one
-// row-sharded pass instead of a k-way merge of per-file matrices.
-func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint32, cfg Config) ([][]sparse.Entry, *Stats, error) {
+// log entries: stage-4 worker w appends its raw pair entries, uncoalesced,
+// to bufs[w], which the caller owns (len(bufs) is the worker count).
+// A caller gives each worker slot one buffer per window, has every batch
+// of the window — each segment, and under a budget each place-complete
+// group — append to the same set, and reduces the window once with
+// reduce (SynthesizeEntries, WindowAccumulator.Advance): one
+// row-sharded pass, never a merge of per-batch matrices.
+func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint32, cfg Config, bufs []sparse.Pairs) (*Stats, error) {
 	if t1 <= t0 {
-		return nil, nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
+		return nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
 	}
 	if err := ctxErr(ctx, "synthesis"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stats := &Stats{SliceHours: int(t1 - t0)}
 
@@ -392,7 +409,7 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 	mats, err := buildCollocationMatrices(ctx, buckets, t0, t1, cfg.workers())
 	if err != nil {
 		spBuild.End()
-		return nil, nil, err
+		return nil, err
 	}
 	for _, m := range mats {
 		stats.TotalNNZ += m.nnz
@@ -424,7 +441,6 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 	// a shared flag before starting a tile, so a canceled synthesis stops
 	// within one unit of compute.
 	_, spGram := telemetry.StartSpan(ctx, "synth/gram")
-	bufs := make([][]sparse.Entry, len(assignments))
 	stats.WorkerBusy = make([]time.Duration, len(assignments))
 	var canceled atomic.Bool
 	var wg sync.WaitGroup
@@ -433,7 +449,6 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 		go func(w int) {
 			defer wg.Done()
 			t := time.Now()
-			var buf []sparse.Entry
 			for _, u := range assignments[w] {
 				if canceled.Load() {
 					break
@@ -443,10 +458,9 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 					break
 				}
 				sw := telemetry.Clock()
-				buf = u.bm.GramTileAppend(buf, u.p0, u.p1, u.q0, u.q1)
+				u.bm.GramTileAppend(&bufs[w], u.p0, u.p1, u.q0, u.q1)
 				sw.Observe(mUnitSeconds)
 			}
-			bufs[w] = buf
 			stats.WorkerBusy[w] = time.Since(t)
 		}(w)
 	}
@@ -459,13 +473,13 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 	spGram.AddCount(int64(stats.WorkUnits))
 	stats.Gram = spGram.End()
 	if canceled.Load() {
-		return nil, nil, ctxErr(ctx, "synthesis")
+		return nil, ctxErr(ctx, "synthesis")
 	}
-	// The caller's one Coalesce over every worker's buffer replaces a
+	// The caller's one Coalesce over every worker's pages replaces a
 	// per-worker sort plus k-way merge, and stays bit-identical for any
 	// worker count or balance mode because the tile cover reproduces the
 	// untiled entry multiset and weight summation is commutative.
-	return bufs, stats, nil
+	return stats, nil
 }
 
 // sortPlaceKeys sorts place<<32|index keys built in index order, with

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/abm"
 	"repro/internal/eventlog"
+	"repro/internal/faultinject"
+	"repro/internal/h5"
 	"repro/internal/schedule"
+	"repro/internal/sparse"
 	"repro/internal/synthpop"
 )
 
@@ -90,9 +94,10 @@ func TestBudgetedSynthesisBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBudgetedSynthesisProperty sweeps random entry sets and budgets:
-// every budget, from absurdly tight to generous, must reproduce the
-// unbudgeted network exactly.
+// TestBudgetedSynthesisProperty sweeps random entry sets, worker counts
+// 1–4 and budgets: every budget, from one so tight that every place is
+// its own group to generous, must reproduce the in-memory network
+// exactly.
 func TestBudgetedSynthesisProperty(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		dir := t.TempDir()
@@ -102,19 +107,31 @@ func TestBudgetedSynthesisProperty(t *testing.T) {
 			writeEntriesLog(t, dir, "a.h5l", entries[:half]),
 			writeEntriesLog(t, dir, "b.h5l", entries[half:]),
 		}
+		places := map[uint32]bool{}
+		for _, e := range entries {
+			places[e.Place] = true
+		}
 		want, _, err := SynthesizeFiles(context.Background(), paths, 0, 60, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, budget := range []int64{1, 512, 4 << 10, 1 << 20} {
-			got, stats, err := SynthesizeFiles(context.Background(), paths, 0, 60,
-				Config{Workers: 2, MemBudgetBytes: budget})
-			if err != nil {
-				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("seed %d budget %d (shards %d): network differs from unbudgeted",
-					seed, budget, stats.Shards)
+		for workers := 1; workers <= 4; workers++ {
+			// A budget up to 8 entries leaves a group room for one entry,
+			// so every place is a group of its own.
+			for _, budget := range []int64{1, 8 * eventlog.BaseEntrySize, 512, 4 << 10, 1 << 20} {
+				got, stats, err := SynthesizeFiles(context.Background(), paths, 0, 60,
+					Config{Workers: workers, MemBudgetBytes: budget})
+				if err != nil {
+					t.Fatalf("seed %d workers %d budget %d: %v", seed, workers, budget, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("seed %d workers %d budget %d (shards %d): network differs from unbudgeted",
+						seed, workers, budget, stats.Shards)
+				}
+				if budget <= 8*eventlog.BaseEntrySize && stats.Shards != len(places) {
+					t.Fatalf("seed %d workers %d budget %d: %d shards, want one per place (%d)",
+						seed, workers, budget, stats.Shards, len(places))
+				}
 			}
 		}
 	}
@@ -240,6 +257,70 @@ func TestConfigValidateRejectsUnknownBalance(t *testing.T) {
 	for _, mode := range []BalanceMode{-1, BalanceNone + 1} {
 		if _, _, err := SynthesizeEntries(context.Background(), nil, 0, 24, Config{Balance: mode}); err == nil {
 			t.Errorf("Balance %v accepted", mode)
+		}
+	}
+}
+
+// TestSpillFailsMidWrite is the chaos test of the spill tier: a run-file
+// chunk write fails at every point a budgeted synthesis writes one, from
+// the first chunk of the first spill to the last chunk of the drain's.
+// Both SynthesizeFiles and Stream must return an error wrapping
+// faultinject.ErrInjected, hand out no network, and leave no
+// core-spill-* directory behind; once the failure point lies past the
+// last write, the run succeeds and matches the in-memory network.
+func TestSpillFailsMidWrite(t *testing.T) {
+	paths := simLogs(t, 99, 300, 2, 1)
+	want, _, err := SynthesizeFiles(context.Background(), paths, 0, 24, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	cfg := Config{Workers: 2, MemBudgetBytes: 16 << 10}
+
+	for name, run := range map[string]func(cfg Config) (*sparse.Tri, error){
+		"SynthesizeFiles": func(cfg Config) (*sparse.Tri, error) {
+			net, _, err := SynthesizeFiles(context.Background(), paths, 0, 24, cfg)
+			return net, err
+		},
+		"Stream": func(cfg Config) (*sparse.Tri, error) {
+			var net *sparse.Tri
+			_, err := Stream(context.Background(), openSources(t, paths, 0, 24), StreamConfig{
+				T0: 0, T1: 24, WindowHours: 24, HorizonHours: HorizonEOF, Synth: cfg,
+				OnWindow: func(w WindowResult) error { net = w.Net; return nil },
+			})
+			return net, err
+		},
+	} {
+		for n := 1; ; n++ {
+			if n > 1000 {
+				t.Fatalf("%s: still failing after %d chunk writes", name, n)
+			}
+			cfg.SpillDir = t.TempDir()
+			faultinject.Reset()
+			faultinject.Arm(h5.CrashWriteChunk, n, nil)
+			net, err := run(cfg)
+			fired := faultinject.Fired(h5.CrashWriteChunk)
+			faultinject.Reset()
+			assertNoSpillFiles(t, cfg.SpillDir)
+			if fired == 0 {
+				if err != nil {
+					t.Fatalf("%s: no failure injected at write %d, yet: %v", name, n, err)
+				}
+				if !net.Equal(want) {
+					t.Fatalf("%s: network after %d clean writes differs from the in-memory one", name, n-1)
+				}
+				if n < 3 {
+					t.Fatalf("%s: only %d chunk writes; the budget does not spill enough", name, n-1)
+				}
+				t.Logf("%s: %d writes", name, n-1)
+				break
+			}
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("%s: write %d failed, err = %v, want faultinject.ErrInjected", name, n, err)
+			}
+			if net != nil {
+				t.Fatalf("%s: write %d failed, yet a network was returned", name, n)
+			}
 		}
 	}
 }

@@ -23,9 +23,10 @@ package core
 //     outgrow an eighth of the budget, each segment's buffer is written
 //     out as one place-sorted run, and Advance merges the runs back in
 //     place order, synthesizing place-complete groups of about that
-//     size one at a time. A slice that never outgrows its share never
-//     touches the disk. Segments stay the dedup domain and a place never
-//     straddles two groups, so the output is bit-identical for any
+//     size one at a time into the window's one set of pair buffers,
+//     which one Coalesce reduces. A slice that never outgrows its share
+//     never touches the disk. Segments stay the dedup domain and a place
+//     never straddles two groups, so the output is bit-identical for any
 //     budget (see DESIGN.md §9).
 //
 //   - Stream: the driver. It pulls a set of EntrySources (closed files
@@ -351,11 +352,12 @@ func (a *WindowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 
 // Advance closes the window [w0, w1): it synthesizes the buffered
 // entries restricted to the window — group by group, per segment within
-// a group, one sparse.Coalesce of the group's worker buffers and one
-// merge across groups, so the result is bit-identical however the
-// entries were grouped — folds it into the decayed running network, and
-// holds over only the entries a later window can still overlap. Windows
-// must advance monotonically: w0 ≥ the previous w1.
+// a group, every batch appending to the window's one set of paged Gram
+// buffers — and reduces the window with one sparse.Coalesce over all
+// their pages, so the result is bit-identical however the entries were
+// grouped. It then folds the window into the decayed running network
+// and holds over only the entries a later window can still overlap.
+// Windows must advance monotonically: w0 ≥ the previous w1.
 func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error) {
 	if w1 <= w0 {
 		return nil, nil, fmt.Errorf("core: empty window [%d,%d)", w0, w1)
@@ -365,23 +367,21 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	}
 	sw := telemetry.Clock()
 	agg := &Stats{SliceHours: int(w1 - w0)}
-	var tris []*sparse.Tri
+	// The buffers live for the window, not for one group: a group's
+	// pages are filled up by the next group instead of each keeping a
+	// mostly empty page of its own.
+	bufs := make([]sparse.Pairs, a.cfg.workers())
 	err := a.drain(ctx, agg, func(group [][]eventlog.Entry) error {
-		var parts [][]sparse.Entry
 		for seg, entries := range group {
 			if len(entries) == 0 {
 				continue
 			}
-			ps, stats, err := synthesizeParts(ctx, entries, w0, w1, a.cfg)
+			stats, err := synthesizeParts(ctx, entries, w0, w1, a.cfg, bufs)
 			if err != nil {
 				return fmt.Errorf("core: window [%d,%d) segment %d: %w", w0, w1, seg, err)
 			}
-			parts = append(parts, ps...)
 			agg.add(stats)
 		}
-		_, sp := telemetry.StartSpan(ctx, "synth/reduce")
-		tris = append(tris, sparse.Coalesce(a.cfg.workers(), parts...))
-		agg.Reduce += sp.End()
 		// Entries that stopped at or before w1 are dropped: no window
 		// [w1, ∞) can overlap them. This eviction is what bounds a
 		// stream's resident set by the window+horizon span.
@@ -402,17 +402,9 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 		return nil, nil, err
 	}
 	// Groups partition the place set and weight summation commutes, so
-	// the merged network equals a single coalesce bit for bit.
-	var win *sparse.Tri
-	if len(tris) == 1 {
-		win = tris[0]
-	} else {
-		start := time.Now()
-		win = sparse.MergeTrisParallel(a.cfg.workers(), tris...)
-		merge := time.Since(start)
-		agg.Reduce += merge
-		mMergeSeconds.Observe(merge)
-	}
+	// one reduce over every group's pages equals the in-memory one.
+	win, wall := reduce(ctx, a.cfg.workers(), bufs)
+	agg.Reduce += wall
 
 	// Fold into the running network: decay, then add. The fold is pure —
 	// previously emitted networks are never mutated.

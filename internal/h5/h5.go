@@ -119,6 +119,7 @@ type Writer struct {
 	closed   bool
 	// scratch buffers reused across chunks
 	comp bytes.Buffer
+	out  []byte // one chunk's header, payload and CRC, written at once
 }
 
 // Create creates path and returns a Writer over it.
@@ -218,26 +219,21 @@ func (w *Writer) WriteChunk(payload []byte) error {
 		stored = w.comp.Bytes()
 	}
 
-	var hdr [chunkHdrSize]byte
+	// Header, payload and CRC go out in one Write: one syscall per
+	// chunk on an unbuffered file.
 	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], uint32(len(stored)))
-	le.PutUint32(hdr[4:], uint32(len(payload)))
-	le.PutUint32(hdr[8:], records)
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(stored); err != nil {
-		return err
-	}
-	stride := uint64(chunkHdrSize + len(stored))
+	out := le.AppendUint32(w.out[:0], uint32(len(stored)))
+	out = le.AppendUint32(out, uint32(len(payload)))
+	out = le.AppendUint32(out, records)
+	out = append(out, stored...)
 	if w.crc {
-		var sum [crcSize]byte
-		le.PutUint32(sum[:], crc32.ChecksumIEEE(stored))
-		if _, err := w.w.Write(sum[:]); err != nil {
-			return err
-		}
-		stride += crcSize
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(stored))
 	}
+	w.out = out
+	if _, err := w.w.Write(out); err != nil {
+		return err
+	}
+	stride := uint64(len(out))
 	w.index = append(w.index, chunkMeta{
 		offset:  w.offset + chunkHdrSize,
 		compLen: uint32(len(stored)),

@@ -417,3 +417,49 @@ func BenchmarkWriteChunk10kDeflate(b *testing.B) {
 		}
 	}
 }
+
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct {
+	bytes.Buffer
+	calls int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteChunkIsOneWrite: every chunk — header, payload and CRC —
+// reaches the underlying writer in a single Write, under every flag set,
+// and the file reads back.
+func TestWriteChunkIsOneWrite(t *testing.T) {
+	chunks := randChunks(6, 5)
+	for _, flags := range []uint16{0, FlagCRC32, FlagDeflate, FlagDeflate | FlagCRC32} {
+		var out writeCounter
+		w, err := NewWriter(&out, testSchema, flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range chunks {
+			before := out.calls
+			if err := w.WriteChunk(c); err != nil {
+				t.Fatal(err)
+			}
+			if n := out.calls - before; n != 1 {
+				t.Fatalf("flags %d: chunk %d took %d writes, want 1", flags, i, n)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(out.Bytes()), int64(out.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range chunks {
+			if got, err := r.ReadChunk(i); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("flags %d: chunk %d reads back wrong (err %v)", flags, i, err)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package sparse
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -94,30 +93,31 @@ func andPop(ra, rb []uint64) int {
 }
 
 // GramCliqueAppend appends the strict-upper-triangle entries of x·xᵀ to
-// dst using the clique-compressed kernel and returns the extended slice.
-// The emitted entry multiset is identical to GramAppend's (order aside):
-// every pair with a shared slot appears exactly once with the same
-// weight, so TriFromEntries over either kernel's output is bit-identical.
-func (m *BitMatrix) GramCliqueAppend(dst []Entry) []Entry {
+// dst using the clique-compressed kernel. The emitted entry multiset is
+// identical to GramAppend's (order aside): every pair with a shared slot
+// appears exactly once with the same weight, so coalescing either
+// kernel's output gives the same Tri bit for bit.
+func (m *BitMatrix) GramCliqueAppend(dst *Pairs) {
 	n := len(m.rows)
-	return m.GramTileAppend(dst, 0, n, 0, n)
+	m.GramTileAppend(dst, 0, n, 0, n)
 }
 
-// GramTileAppend appends the Gram entries of one block×block tile of the
-// pairwise loop: all pairs (a, b) whose π indices (the group-contiguous
-// row order established by Compress) satisfy πa ∈ [p0,p1), πb ∈ [q0,q1)
-// and πa < πb. Tiles must be diagonal (p0==q0, p1==q1) or disjoint with
-// q0 ≥ p1; a set of tiles that exactly covers the upper triangle of the
-// π×π square therefore reproduces GramCliqueAppend entry-for-entry, which
-// is what lets the balancer split one mega-place across workers without
-// changing the synthesized network.
-func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
+// GramTileAppend appends to dst the Gram entries of one block×block tile
+// of the pairwise loop: all pairs (a, b) whose π indices (the
+// group-contiguous row order established by Compress) satisfy
+// πa ∈ [p0,p1), πb ∈ [q0,q1) and πa < πb. Tiles must be diagonal
+// (p0==q0, p1==q1) or disjoint with q0 ≥ p1; a set of tiles that exactly
+// covers the upper triangle of the π×π square therefore reproduces
+// GramCliqueAppend entry-for-entry, which is what lets the balancer split
+// one mega-place across workers without changing the synthesized
+// network.
+func (m *BitMatrix) GramTileAppend(dst *Pairs, p0, p1, q0, q1 int) {
 	g := m.compress()
 	n := len(m.rows)
 	p0, p1 = clampRange(p0, p1, n)
 	q0, q1 = clampRange(q0, q1, n)
 	if p0 >= p1 || q0 >= q1 {
-		return dst
+		return
 	}
 	gaFirst := findGroup(g, p0)
 	for ga := gaFirst; ga < g.groups() && int(g.start[ga]) < p1; ga++ {
@@ -135,18 +135,8 @@ func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
 		if w := uint32(g.pop[ga]); w != 0 {
 			bLo, bHi := intersect(int(g.start[ga]), int(g.start[ga+1]), q0, q1)
 			for pa := aLo; pa < aHi; pa++ {
-				ia := m.ids[g.order[pa]]
-				lo := bLo
-				if pa+1 > lo {
-					lo = pa + 1
-				}
-				dst = reserve(dst, bHi-lo)
-				for pb := lo; pb < bHi; pb++ {
-					i, j := ia, m.ids[g.order[pb]]
-					if i > j {
-						i, j = j, i
-					}
-					dst = append(dst, Entry{I: i, J: j, W: w})
+				if lo := max(bLo, pa+1); lo < bHi {
+					dst.appendRow(m.ids[g.order[pa]], g.order[lo:bHi], m.ids, w)
 				}
 			}
 		}
@@ -166,30 +156,10 @@ func (m *BitMatrix) GramTileAppend(dst []Entry, p0, p1, q0, q1 int) []Entry {
 				continue
 			}
 			for pa := aLo; pa < aHi; pa++ {
-				ia := m.ids[g.order[pa]]
-				dst = reserve(dst, bHi-bLo)
-				for pb := bLo; pb < bHi; pb++ {
-					i, j := ia, m.ids[g.order[pb]]
-					if i > j {
-						i, j = j, i
-					}
-					dst = append(dst, Entry{I: i, J: j, W: w})
-				}
+				dst.appendRow(m.ids[g.order[pa]], g.order[bLo:bHi], m.ids, w)
 			}
 		}
 	}
-	return dst
-}
-
-// reserve returns dst with room for n more entries, doubling its
-// capacity when it has to grow: append grows a large slice by a quarter,
-// which copies a worker's whole buffer about four times over on its way
-// to the final size.
-func reserve(dst []Entry, n int) []Entry {
-	if len(dst)+n <= cap(dst) {
-		return dst
-	}
-	return slices.Grow(dst, max(n, cap(dst)))
 }
 
 func clampRange(lo, hi, n int) (int, int) {

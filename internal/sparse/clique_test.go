@@ -46,6 +46,13 @@ func randomMatrix(r *rng.Source, persons, patterns, cols int) *BitMatrix {
 	return m
 }
 
+// cliqueTri coalesces the clique kernel's output over the whole matrix.
+func cliqueTri(m *BitMatrix) *Tri {
+	var p Pairs
+	m.GramCliqueAppend(&p)
+	return Coalesce(1, p.Pages()...)
+}
+
 // TestGramCliqueMatchesDenseRandom: the clique-compressed kernel must be
 // bit-identical to the dense pairwise kernel (and to the brute-force
 // dense reference) on random matrices.
@@ -57,7 +64,7 @@ func TestGramCliqueMatchesDenseRandom(t *testing.T) {
 		patterns := 1 + r.Intn(6)
 		m := randomMatrix(r, persons, patterns, cols)
 		dense := TriFromEntries(m.GramAppend(nil))
-		clique := TriFromEntries(m.GramCliqueAppend(nil))
+		clique := cliqueTri(m)
 		if !clique.Equal(dense) {
 			t.Fatalf("trial %d (p=%d g=%d): clique kernel differs from dense", trial, m.Rows(), m.NumGroups())
 		}
@@ -84,7 +91,7 @@ func TestGramCliqueAllIdenticalRows(t *testing.T) {
 		t.Fatalf("identical rows formed %d groups, want 1", g)
 	}
 	dense := TriFromEntries(m.GramAppend(nil))
-	clique := TriFromEntries(m.GramCliqueAppend(nil))
+	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("clique kernel differs from dense on identical rows")
 	}
@@ -108,7 +115,7 @@ func TestGramCliqueAllDistinctRows(t *testing.T) {
 		t.Fatalf("distinct rows formed %d groups, want 20", g)
 	}
 	dense := TriFromEntries(m.GramAppend(nil))
-	clique := TriFromEntries(m.GramCliqueAppend(nil))
+	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("clique kernel differs from dense on distinct rows")
 	}
@@ -116,8 +123,9 @@ func TestGramCliqueAllDistinctRows(t *testing.T) {
 
 func TestGramCliqueEmptyMatrix(t *testing.T) {
 	m := NewBitMatrix(24)
-	if out := m.GramCliqueAppend(nil); len(out) != 0 {
-		t.Fatalf("empty matrix emitted %d entries", len(out))
+	var out Pairs
+	if m.GramCliqueAppend(&out); len(out.Pages()) != 0 {
+		t.Fatalf("empty matrix emitted %d pages", len(out.Pages()))
 	}
 	if m.NumGroups() != 0 {
 		t.Fatal("empty matrix has groups")
@@ -140,7 +148,7 @@ func TestCompressInvalidatedByMutation(t *testing.T) {
 		t.Fatalf("groups after mutation = %d, want 2", g)
 	}
 	dense := TriFromEntries(m.GramAppend(nil))
-	clique := TriFromEntries(m.GramCliqueAppend(nil))
+	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("stale compression survived a mutation")
 	}
@@ -171,15 +179,15 @@ func TestGramTilesReproduceWhole(t *testing.T) {
 	r := rng.New(777)
 	for trial := 0; trial < 30; trial++ {
 		m := randomMatrix(r, 1+r.Intn(40), 1+r.Intn(8), 1+r.Intn(170))
-		whole := TriFromEntries(m.GramCliqueAppend(nil))
+		whole := cliqueTri(m)
 		for _, nb := range []int{1, 2, 3, 5, 8} {
-			var es []Entry
+			var es Pairs
 			var costSum int
 			for _, tile := range tileCover(m.Rows(), nb) {
-				es = m.GramTileAppend(es, tile[0], tile[1], tile[2], tile[3])
+				m.GramTileAppend(&es, tile[0], tile[1], tile[2], tile[3])
 				costSum += m.GramTileCost(tile[0], tile[1], tile[2], tile[3])
 			}
-			tiled := TriFromEntries(es)
+			tiled := Coalesce(1, es.Pages()...)
 			if !tiled.Equal(whole) {
 				t.Fatalf("trial %d: %d-block tiling differs from whole (p=%d g=%d)",
 					trial, nb, m.Rows(), m.NumGroups())
@@ -198,12 +206,12 @@ func TestQuickGramTileInvariance(t *testing.T) {
 		r := rng.New(seed)
 		m := randomMatrix(r, r.Intn(25), 1+r.Intn(5), 1+r.Intn(100))
 		nb := 1 + int(nbRaw%6)
-		whole := TriFromEntries(m.GramCliqueAppend(nil))
-		var es []Entry
+		whole := cliqueTri(m)
+		es := Pairs{page: 1 + int(nbRaw%7)}
 		for _, tile := range tileCover(m.Rows(), nb) {
-			es = m.GramTileAppend(es, tile[0], tile[1], tile[2], tile[3])
+			m.GramTileAppend(&es, tile[0], tile[1], tile[2], tile[3])
 		}
-		return TriFromEntries(es).Equal(whole)
+		return Coalesce(1, es.Pages()...).Equal(whole)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -247,11 +255,11 @@ func TestBitMatrixPoolRoundTrip(t *testing.T) {
 		seed := uint64(trial)
 		fresh := NewBitMatrix(cols)
 		build(fresh, seed)
-		want := TriFromEntries(fresh.GramCliqueAppend(nil))
+		want := cliqueTri(fresh)
 
 		pooled := GetBitMatrix(cols)
 		build(pooled, seed)
-		got := TriFromEntries(pooled.GramCliqueAppend(nil))
+		got := cliqueTri(pooled)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: pooled matrix differs from fresh", trial)
 		}
@@ -289,26 +297,34 @@ func BenchmarkGramKernel(b *testing.B) {
 	const persons, cols = 300, 672
 	ident := benchCliqueMatrix(persons, cols, 1)
 	mixed := benchCliqueMatrix(persons, cols, 16)
-	bench := func(name string, m *BitMatrix, fn func(dst []Entry) []Entry) {
+	dense := func(name string, m *BitMatrix) {
 		b.Run(name, func(b *testing.B) {
 			var dst []Entry
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = fn(dst[:0])
+				dst = m.GramAppend(dst[:0])
 			}
 			b.ReportMetric(float64(len(dst)), "entries")
 		})
 	}
-	bench("dense", ident, ident.GramAppend)
-	bench("clique", ident, ident.GramCliqueAppend)
-	bench("split", ident, func(dst []Entry) []Entry {
+	paged := func(name string, fn func(dst *Pairs)) {
+		b.Run(name, func(b *testing.B) {
+			var dst Pairs
+			for i := 0; i < b.N; i++ {
+				dst = Pairs{}
+				fn(&dst)
+			}
+			b.ReportMetric(float64(pairsLen(&dst)), "entries")
+		})
+	}
+	dense("dense", ident)
+	paged("clique", ident.GramCliqueAppend)
+	paged("split", func(dst *Pairs) {
 		for _, tile := range tileCover(ident.Rows(), 4) {
-			dst = ident.GramTileAppend(dst, tile[0], tile[1], tile[2], tile[3])
+			ident.GramTileAppend(dst, tile[0], tile[1], tile[2], tile[3])
 		}
-		return dst
 	})
-	bench("dense16groups", mixed, mixed.GramAppend)
-	bench("clique16groups", mixed, mixed.GramCliqueAppend)
+	dense("dense16groups", mixed)
+	paged("clique16groups", mixed.GramCliqueAppend)
 }
 
 func benchTris(k, nnz int) []*Tri {
@@ -325,7 +341,7 @@ func benchTris(k, nnz int) []*Tri {
 }
 
 // BenchmarkMerge contrasts the legacy linear best-head scan with the
-// tournament tree and the parallel pairwise merge at k=16 inputs.
+// tournament tree at k=16 inputs.
 func BenchmarkMerge(b *testing.B) {
 	ts := benchTris(16, 20000)
 	b.Run("scan", func(b *testing.B) {
@@ -336,11 +352,6 @@ func BenchmarkMerge(b *testing.B) {
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MergeTris(ts...)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeTrisParallel(8, ts...)
 		}
 	})
 }

@@ -6,9 +6,9 @@ package sparse
 // collector a fifth pipeline stage. The pool below lets the core
 // pipeline recycle them across places, files and slices.
 //
-// The stage-4 workers' entry buffers are not pooled: Coalesce reads all
-// of a window's buffers at once, so one segment's buffers cannot serve
-// the next, and pooled buffers kept their largest capacities resident
+// The stage-4 workers' Pairs pages are not pooled: Coalesce reads all of
+// a window's pages at once, so none can serve the window while it is
+// open, and pooled pages would keep a whole window's worth resident
 // between windows.
 
 import "sync"

@@ -3,13 +3,11 @@ package sparse
 // This file holds the reduction kernels of the synthesis pipeline: the
 // row-range-sharded Coalesce that turns the Gram workers' raw entries
 // into the network, the LSD radix sort on the packed (I,J) key it runs
-// per bucket, and tournament-tree / parallel pairwise merges of sorted
-// triangles.
+// per bucket, and the tournament-tree merge of sorted triangles.
 
 import (
 	"cmp"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,8 +31,8 @@ const (
 // Coalesce builds the canonical Tri — sorted by (I, J) with I < J,
 // self-pairs dropped, each pair once with its weights summed — from the
 // raw entries spread over parts, which it only reads. It is the reduce
-// step of the synthesis, A = Σ A_l: the parts are the Gram workers' own
-// buffers, never concatenated.
+// step of the synthesis, A = Σ A_l: the parts are the pages of the Gram
+// workers' Pairs buffers, never concatenated.
 //
 // The reduction is sharded by row range. Each part is histogrammed by
 // the top bits of each pair's smaller id, then scattered, ordered
@@ -385,11 +383,10 @@ func mergeTournament(live []*Tri) *Tri {
 }
 
 // MergeTris k-way merges already-sorted triangular matrices, summing
-// weights of entries present in several inputs — the reduction step of
-// the synthesis pipeline (Tri is always sorted, so inputs from Accum.Tri
-// or Coalesce qualify). Nil and empty inputs are skipped. The merge
-// runs through a tournament tree, so it costs O(total·log k) comparisons;
-// see MergeTrisParallel for the worker-parallel variant.
+// weights of entries present in several inputs: a stream's decay fold
+// and the merge of per-rank or per-slice networks (Tri is always sorted,
+// so inputs from Accum.Tri or Coalesce qualify). Nil and empty inputs are skipped. The merge
+// runs through a tournament tree, so it costs O(total·log k) comparisons.
 func MergeTris(ts ...*Tri) *Tri {
 	live := make([]*Tri, 0, len(ts))
 	for _, t := range ts {
@@ -406,50 +403,4 @@ func MergeTris(ts ...*Tri) *Tri {
 		return merge2(live[0], live[1])
 	}
 	return mergeTournament(live)
-}
-
-// mergeFanIn is the stream count at which MergeTrisParallel stops doing
-// parallel pairwise rounds and finishes with a single tournament pass.
-// Pairwise rounds rewrite the full payload once per round, so for small k
-// the extra memory traffic costs more than the parallelism saves; one
-// k-way tournament pass over the survivors writes the output exactly
-// once.
-const mergeFanIn = 4
-
-// MergeTrisParallel reduces the inputs by a hybrid merge tree: parallel
-// pairwise rounds (bounded by workers) shrink the stream count while it
-// is large, and once at most mergeFanIn streams remain a single serial
-// tournament pass produces the output. The result is bit-identical to
-// MergeTris: sorted-merge with weight summation is associative and
-// commutative, so the reduction order does not matter. workers ≤ 1 falls
-// back to the serial tournament merge, as does a single-CPU process:
-// pairwise rounds rewrite the payload once per round, which only pays
-// off when the merges actually run concurrently.
-func MergeTrisParallel(workers int, ts ...*Tri) *Tri {
-	live := make([]*Tri, 0, len(ts))
-	for _, t := range ts {
-		if t != nil && t.NNZ() > 0 {
-			live = append(live, t)
-		}
-	}
-	if p := runtime.GOMAXPROCS(0); p < workers {
-		workers = p
-	}
-	if workers <= 1 || len(live) <= mergeFanIn {
-		return MergeTris(live...)
-	}
-	for len(live) > mergeFanIn {
-		next := make([]*Tri, (len(live)+1)/2)
-		forEach(workers, len(live)/2, func(i int) {
-			next[i] = merge2(live[2*i], live[2*i+1])
-		})
-		if len(live)%2 == 1 {
-			next[len(next)-1] = live[len(live)-1]
-		}
-		live = next
-	}
-	// The final fan-in never aliases an input when len(live) ≥ 2 (merge2
-	// and the tournament both allocate); MergeTris's single-input case
-	// copies defensively itself.
-	return MergeTris(live...)
 }

@@ -3,7 +3,6 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -200,11 +199,7 @@ func TestQuickMergeTournamentEqualsScan(t *testing.T) {
 				ts[i] = acc.Tri()
 			}
 		}
-		want := mergeTrisScan(ts...)
-		if !MergeTris(ts...).Equal(want) {
-			return false
-		}
-		return MergeTrisParallel(4, ts...).Equal(want)
+		return MergeTris(ts...).Equal(mergeTrisScan(ts...))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -215,29 +210,13 @@ func TestMergeTrisDoesNotAliasSingleInput(t *testing.T) {
 	acc := NewAccum()
 	acc.Add(1, 2, 3)
 	in := acc.Tri()
-	for _, out := range []*Tri{MergeTris(in), MergeTrisParallel(4, in)} {
-		if !out.Equal(in) {
-			t.Fatal("single-input merge changed entries")
-		}
-		out.W[0] = 99
-		if in.W[0] != 3 {
-			t.Fatal("merge output aliases its input")
-		}
-		in.W[0] = 3
+	out := MergeTris(in)
+	if !out.Equal(in) {
+		t.Fatal("single-input merge changed entries")
 	}
-}
-
-func TestMergeTrisParallelManyInputs(t *testing.T) {
-	// MergeTrisParallel clamps its worker count to GOMAXPROCS, so raise
-	// it for the test's duration: on a single-CPU host the pairwise
-	// parallel rounds would otherwise never be exercised.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	ts := benchTris(13, 200)
-	want := mergeTrisScan(ts...)
-	for _, workers := range []int{0, 1, 2, 3, 8, 32} {
-		if got := MergeTrisParallel(workers, ts...); !got.Equal(want) {
-			t.Fatalf("workers=%d: parallel merge differs from scan", workers)
-		}
+	out.W[0] = 99
+	if in.W[0] != 3 {
+		t.Fatal("merge output aliases its input")
 	}
 }
 

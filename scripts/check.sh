@@ -65,6 +65,13 @@ fi
 echo "== experiment benchmark smoke (BenchmarkExperiments, one run per experiment)"
 go test -run '^$' -bench Experiments -benchtime 1x ./internal/experiments
 
+# Memory-budget benchmark (DESIGN.md §9): one budgeted and one
+# unbudgeted SynthesizeFiles over a 1M-entry log set. The benchmark fails
+# itself when the budgeted run's peak heap exceeds 2x its 8 MiB budget,
+# spills fewer than two shards, or differs from the unbudgeted network.
+echo "== memory-budget benchmark (BenchmarkT4MemBudget, peak heap <= 2x budget)"
+go test -run '^$' -bench 'BenchmarkT4MemBudget$' -benchtime 1x .
+
 # Serve smoke (DESIGN.md §11): convert the tiny testdata edge list to a
 # snapshot (its cksum pinned), boot netserve on it on an ephemeral port, query two
 # endpoints with the binary's own curl-free -get mode, then SIGTERM and
