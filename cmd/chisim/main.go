@@ -108,7 +108,7 @@ func runLocal(ctx context.Context, p *repro.Pipeline, tel *cmdrun.Telemetry, log
 	var err error
 	if resume {
 		var reports []*abm.ResumeReport
-		res, reports, err = p.Resume(ctx, logdir, nil)
+		res, reports, err = p.Resume(ctx, logdir)
 		if err != nil {
 			return err
 		}

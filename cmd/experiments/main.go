@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,11 +39,29 @@ func main() {
 	ids := experiments.IDs()
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
 	}
 	cmdrun.Exit("experiments", run(scale, *out, ids, *mdPath))
 }
 
+// checkIDs rejects an unknown experiment ID before anything is
+// simulated, so a typo late in -exp does not cost the earlier runs.
+func checkIDs(ids []string) error {
+	known := experiments.IDs()
+	for _, id := range ids {
+		if !slices.Contains(known, id) {
+			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ","))
+		}
+	}
+	return nil
+}
+
 func run(scale experiments.Scale, out string, ids []string, mdPath string) error {
+	if err := checkIDs(ids); err != nil {
+		return err
+	}
 	runner, err := experiments.NewRunner(scale, out)
 	if err != nil {
 		return err
@@ -54,7 +73,7 @@ func run(scale experiments.Scale, out string, ids []string, mdPath string) error
 	start := time.Now()
 	for _, id := range ids {
 		repStart := time.Now()
-		rep, err := runner.Run(strings.TrimSpace(id))
+		rep, err := runner.Run(id)
 		if err != nil {
 			return err
 		}

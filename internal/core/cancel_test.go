@@ -29,8 +29,8 @@ func TestSynthesizeCanceledBeforeStart(t *testing.T) {
 	if _, _, err := SynthesizeFiles(ctx, []string{path}, 0, 48, Config{MemBudgetBytes: 64}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SynthesizeFiles(budgeted): err = %v, want context.Canceled", err)
 	}
-	if _, err := SynthesizeSeries(ctx, []string{path}, 0, 48, 24, Config{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("SynthesizeSeries: err = %v, want context.Canceled", err)
+	if _, err := fileWindows(ctx, []string{path}, 0, 48, 24, 0, 1, Config{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stream over log files: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -26,9 +26,9 @@
 //
 // This file holds the kernels (stages 1b–4 over one batch of entries),
 // their statistics, and the entry points. Everything that reads log
-// files — one slice, a series of slices, a live stream, with or without
-// a memory budget — runs through the one engine in stream.go, which
-// feeds the kernels a segment of a window at a time.
+// files — one slice, a series of windows, a live stream, with or
+// without a memory budget — runs through the one engine in stream.go,
+// which feeds the kernels a segment of a window at a time.
 package core
 
 import (
@@ -112,9 +112,9 @@ type Config struct {
 	// failure tolerance entirely.
 	MaxRankRetries int
 	// MemBudgetBytes caps the approximate bytes of log-entry data a
-	// WindowAccumulator — and so every file-based or streamed synthesis —
-	// keeps in memory at once. Zero means unlimited. Once the buffered
-	// entries outgrow their share of the budget they are spilled to
+	// Stream — and so every file-based or streamed synthesis — keeps in
+	// memory at once. Zero means unlimited. Once the buffered entries
+	// outgrow their share of the budget they are spilled to
 	// place-sorted temporary run files, and a closing window merges the
 	// runs back and synthesizes them one place-complete group at a time;
 	// the output is bit-identical to the unbudgeted one (groups partition
@@ -352,7 +352,7 @@ func reduce(ctx context.Context, workers int, bufs []sparse.Pairs) (*sparse.Tri,
 // A caller gives each worker slot one buffer per window, has every batch
 // of the window — each segment, and under a budget each place-complete
 // group — append to the same set, and reduces the window once with
-// reduce (SynthesizeEntries, WindowAccumulator.Advance): one
+// reduce (SynthesizeEntries, windowAccumulator.Advance): one
 // row-sharded pass, never a merge of per-batch matrices.
 func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint32, cfg Config, bufs []sparse.Pairs) (*Stats, error) {
 	if t1 <= t0 {
@@ -936,59 +936,24 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 	}
 }
 
-// SynthesizeSeries builds one collocation network per consecutive time
-// slice of width sliceHours covering [t0, t1) — the paper's "arbitrary
-// time granularity, e.g., hourly, daily, weekly or monthly aggregates".
-// The final slice is clipped at t1. Summing the returned networks (for
-// example with sparse.MergeTris) equals a single synthesis over the full
-// window. Config.MemBudgetBytes and cancellation are honored as in
-// SynthesizeFiles.
-func SynthesizeSeries(ctx context.Context, paths []string, t0, t1, sliceHours uint32, cfg Config) ([]*sparse.Tri, error) {
-	var out []*sparse.Tri
-	err := streamFiles(ctx, paths, t0, t1, sliceHours, cfg, func(w WindowResult) error {
-		out = append(out, w.Window)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SynthesizeFiles builds the collocation network for [t0, t1) from a
 // set of log files: each file is its own dedup domain (the paper's
 // per-file batching), parallelism lives inside each file's synthesis,
 // and one coalesce sums the per-file adjacency matrices into the
 // complete network. The returned Stats aggregates all files.
 //
+// It is a one-window Stream: every log file is one source — read from
+// disk exactly once, opened only when Stream reaches it — and, because
+// closed files carry no ordering guarantee, the window closes only at
+// EOF, which is exact for any entry order.
+//
 // Config.MemBudgetBytes bounds the entries held in memory (see there);
 // the output is bit-identical with or without it. Cancelling ctx aborts
 // before the next log batch is read or within one stage-4 work unit,
 // with an error wrapping context.Canceled.
 func SynthesizeFiles(ctx context.Context, paths []string, t0, t1 uint32, cfg Config) (*sparse.Tri, *Stats, error) {
-	var tri *sparse.Tri
-	var stats *Stats
-	err := streamFiles(ctx, paths, t0, t1, t1-t0, cfg, func(w WindowResult) error {
-		tri, stats = w.Window, w.Stats
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tri, stats, nil
-}
-
-// streamFiles is how the file-based entry points use the streaming
-// engine (stream.go): every log file is one source — read from disk
-// exactly once, opened only when Stream reaches it — and [t0, t1) is cut
-// into windows of `window` hours (the last clipped at t1), each handed
-// to onWindow. Windows are independent slices, and closed files carry no
-// ordering guarantee, so the running network decays to nothing between
-// windows and windows close only at EOF, which is exact for any entry
-// order.
-func streamFiles(ctx context.Context, paths []string, t0, t1, window uint32, cfg Config, onWindow func(WindowResult) error) error {
 	if len(paths) == 0 {
-		return fmt.Errorf("core: no log files given")
+		return nil, nil, fmt.Errorf("core: no log files given")
 	}
 	srcs := make([]eventlog.EntrySource, len(paths))
 	for i, p := range paths {
@@ -996,15 +961,21 @@ func streamFiles(ctx context.Context, paths []string, t0, t1, window uint32, cfg
 		// in every error.
 		srcs[i] = eventlog.OpenFilesSource([]string{p}, t0, t1)
 	}
+	var tri *sparse.Tri
+	var stats *Stats
 	_, err := Stream(ctx, srcs, StreamConfig{
 		T0:           t0,
 		T1:           t1,
-		WindowHours:  window,
-		DecayNum:     0,
-		DecayDen:     1,
+		WindowHours:  t1 - t0,
 		HorizonHours: HorizonEOF,
 		Synth:        cfg,
-		OnWindow:     onWindow,
+		OnWindow: func(w WindowResult) error {
+			tri, stats = w.Window, w.Stats
+			return nil
+		},
 	})
-	return err
+	if err != nil {
+		return nil, nil, err
+	}
+	return tri, stats, nil
 }

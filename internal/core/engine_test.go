@@ -12,12 +12,11 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/rng"
 	"repro/internal/sparse"
-	"repro/internal/telemetry"
 )
 
 // Tests of what the one-engine collapse made reachable: the memory
-// budget under multi-window streams, SynthesizeSeries and cancellation,
-// and the accounting Stream took over from the deleted file loops.
+// budget under multi-window streams over closed logs, cancellation, and
+// the accounting Stream took over from the deleted file loops.
 
 // scatteredEntries is randomEntries over `places` places, so a budget
 // has several place-complete groups to cut.
@@ -42,19 +41,30 @@ func assertNoSpillFiles(t *testing.T, dir string) {
 	}
 }
 
-// streamWindows runs one EOF-closed stream over paths and returns its
-// windows.
-func streamWindows(t *testing.T, paths []string, t1, window uint32, num, den uint64, cfg Config) []WindowResult {
-	t.Helper()
+// fileWindows streams [t0, t1) of the closed logs at paths in windows of
+// `window` hours over one OpenFilesSource per log, closing windows only
+// at EOF (exact for any entry order), and returns every window.
+func fileWindows(ctx context.Context, paths []string, t0, t1, window uint32, num, den uint64, cfg Config) ([]WindowResult, error) {
+	srcs := make([]eventlog.EntrySource, len(paths))
+	for i, p := range paths {
+		srcs[i] = eventlog.OpenFilesSource([]string{p}, t0, t1)
+	}
 	var wins []WindowResult
-	_, err := Stream(context.Background(), openSources(t, paths, 0, t1), StreamConfig{
-		T0: 0, T1: t1, WindowHours: window, HorizonHours: HorizonEOF,
+	_, err := Stream(ctx, srcs, StreamConfig{
+		T0: t0, T1: t1, WindowHours: window, HorizonHours: HorizonEOF,
 		DecayNum: num, DecayDen: den, Synth: cfg,
 		OnWindow: func(w WindowResult) error {
 			wins = append(wins, w)
 			return nil
 		},
 	})
+	return wins, err
+}
+
+// streamWindows is fileWindows over [0, t1), failing the test on error.
+func streamWindows(t *testing.T, paths []string, t1, window uint32, num, den uint64, cfg Config) []WindowResult {
+	t.Helper()
+	wins, err := fileWindows(context.Background(), paths, 0, t1, window, num, den, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,35 +126,26 @@ func TestBudgetedStreamProperty(t *testing.T) {
 	}
 }
 
-// TestSeriesHonoursMemBudget: SynthesizeSeries used to ignore the
-// budget; under one it must spill and return the same slices.
+// TestSeriesHonoursMemBudget: a series of independent 12-hour windows
+// over simulator logs must spill under a 1 KiB budget and come out the
+// same as without one.
 func TestSeriesHonoursMemBudget(t *testing.T) {
 	paths := simLogs(t, 87, 400, 2, 2)
-	want, err := SynthesizeSeries(context.Background(), paths, 0, 48, 12, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SynthesizeSeries returns no Stats; the shard counter shows whether
-	// it spilled.
-	telemetry.SetEnabled(true)
-	defer telemetry.SetEnabled(false)
-	before := mShards.Value()
+	want := streamWindows(t, paths, 48, 12, 0, 1, Config{Workers: 2})
 	spillDir := t.TempDir()
-	got, err := SynthesizeSeries(context.Background(), paths, 0, 48, 12,
-		Config{Workers: 2, MemBudgetBytes: 1 << 10, SpillDir: spillDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mShards.Value() == before {
-		t.Fatal("SynthesizeSeries under a 1 KiB budget never spilled (synth_shards_total unchanged)")
-	}
+	got := streamWindows(t, paths, 48, 12, 0, 1, Config{Workers: 2, MemBudgetBytes: 1 << 10, SpillDir: spillDir})
 	if len(got) != len(want) || len(got) != 4 {
-		t.Fatalf("%d budgeted slices, %d unbudgeted, want 4 each", len(got), len(want))
+		t.Fatalf("%d budgeted windows, %d unbudgeted, want 4 each", len(got), len(want))
 	}
+	shards := 0
 	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("slice %d differs under a budget", i)
+		if !got[i].Window.Equal(want[i].Window) {
+			t.Fatalf("window %d differs under a budget", i)
 		}
+		shards += got[i].Stats.Shards
+	}
+	if shards == 0 {
+		t.Fatal("windows under a 1 KiB budget never spilled")
 	}
 	assertNoSpillFiles(t, spillDir)
 }
@@ -154,7 +155,7 @@ func TestSeriesHonoursMemBudget(t *testing.T) {
 // windows still contributes to every window it overlaps.
 func TestSpilledEntrySpansThreeWindows(t *testing.T) {
 	spillDir := t.TempDir()
-	acc, err := NewWindowAccumulator(1, 0, 1, Config{Workers: 1, MemBudgetBytes: 1, SpillDir: spillDir})
+	acc, err := newWindowAccumulator(1, 0, 1, Config{Workers: 1, MemBudgetBytes: 1, SpillDir: spillDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +167,8 @@ func TestSpilledEntrySpansThreeWindows(t *testing.T) {
 	if err := acc.Ingest(0, long); err != nil {
 		t.Fatal(err)
 	}
-	if acc.Buffered() != 0 {
-		t.Fatalf("%d entries resident under a 1-byte budget", acc.Buffered())
+	if acc.buffered != 0 {
+		t.Fatalf("%d entries resident under a 1-byte budget", acc.buffered)
 	}
 	for _, s := range []struct{ w0, w1, weight uint32 }{{0, 12, 10}, {12, 24, 12}, {24, 36, 6}} {
 		win, stats, err := acc.Advance(context.Background(), s.w0, s.w1)

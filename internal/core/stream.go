@@ -2,16 +2,16 @@ package core
 
 // Streaming synthesis — the package's one synthesis engine.
 //
-// Every file-based entry point (SynthesizeFiles, SynthesizeSeries,
-// Pipeline.Stream, netsynth with and without -follow) is a client of the
-// two pieces in this file:
+// Every file-based entry point (SynthesizeFiles, Pipeline.Stream,
+// netsynth with and without -follow) is a client of Stream, the one
+// exported piece of this file, and of the state machine it drives:
 //
-//   - WindowAccumulator: the windowed state machine. Ingest buffers
+//   - windowAccumulator: the windowed state machine. Ingest buffers
 //     entries per source segment (the per-file dedup domain), Advance
 //     closes one time window — synthesizing the batch stages over the
 //     buffered entries restricted to that window, then folding the
-//     window network into an exponentially decaying running network —
-//     and Emit returns the current running network. Decay is
+//     window network into an exponentially decaying running network,
+//     which Stream hands to OnWindow as WindowResult.Net. Decay is
 //     deterministic fixed-point arithmetic (floor(w·num/den) per
 //     window), so decay 1 makes the running network after window k
 //     bit-identical to a one-shot synthesis of [t0, w1_k), and decay 0
@@ -62,13 +62,13 @@ var (
 	mWindowSeconds  = telemetry.H("stream_window_seconds")
 )
 
-// WindowAccumulator buffers entries per segment (segments are the
+// windowAccumulator buffers entries per segment (segments are the
 // per-file dedup domains, so streamed windows coalesce exactly like
 // one-shot runs), synthesizes each closed window through the stage 1b–4
 // kernels, and folds it into the running network with deterministic
 // fixed-point exponential decay. Under a memory budget the buffers have
 // a disk tier; see spill and drain.
-type WindowAccumulator struct {
+type windowAccumulator struct {
 	cfg                Config
 	decayNum, decayDen uint64
 	segs               [][]eventlog.Entry // resident entries per segment
@@ -102,7 +102,7 @@ type run struct {
 // merging the runs back holds one chunk per run.
 const spillChunkEntries = 256
 
-// NewWindowAccumulator returns a WindowAccumulator over `segments`
+// newWindowAccumulator returns a windowAccumulator over `segments`
 // entry sources. The running network decays by floor(w·decayNum/
 // decayDen) each Advance before the new window is added: num==den keeps
 // the cumulative sum (bit-identical to a one-shot synthesis of the full
@@ -113,7 +113,7 @@ const spillChunkEntries = 256
 //
 // With cfg.MemBudgetBytes set the accumulator may create a spill
 // directory; Close removes it.
-func NewWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (*WindowAccumulator, error) {
+func newWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (*windowAccumulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func NewWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (
 	if decayNum > decayDen {
 		return nil, fmt.Errorf("core: decay %d/%d would amplify weights", decayNum, decayDen)
 	}
-	a := &WindowAccumulator{
+	a := &windowAccumulator{
 		cfg:      cfg,
 		decayNum: decayNum,
 		decayDen: decayDen,
@@ -146,16 +146,16 @@ func NewWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (
 
 // Close removes the spill directory, if a budget ever made the
 // accumulator create one. The accumulator must not be used afterwards.
-func (a *WindowAccumulator) Close() error { return os.RemoveAll(a.spillDir) }
+func (a *windowAccumulator) Close() error { return os.RemoveAll(a.spillDir) }
 
 // Ingest buffers a batch of entries from segment seg. The batch is
 // copied, honoring the EntrySource contract that batches are only valid
 // until the next Next. Entries starting before the accumulator's
 // frontier arrived too late for already-closed windows; they still
 // contribute to every remaining window they overlap, and are counted in
-// LateEntries (and stream_late_entries_total) because the closed
-// windows missed them.
-func (a *WindowAccumulator) Ingest(seg int, batch []eventlog.Entry) error {
+// late (StreamStats.LateEntries, stream_late_entries_total) because the
+// closed windows missed them.
+func (a *windowAccumulator) Ingest(seg int, batch []eventlog.Entry) error {
 	if seg < 0 || seg >= len(a.segs) {
 		return fmt.Errorf("core: ingest into segment %d of %d", seg, len(a.segs))
 	}
@@ -172,7 +172,7 @@ func (a *WindowAccumulator) Ingest(seg int, batch []eventlog.Entry) error {
 // hold appends a copy of entries to segment seg's resident buffer —
 // fresh from a source or carried over from a closed window alike — and,
 // under a budget, spills the resident set once it outgrows its share.
-func (a *WindowAccumulator) hold(seg int, entries []eventlog.Entry) error {
+func (a *windowAccumulator) hold(seg int, entries []eventlog.Entry) error {
 	if a.segs[seg] == nil {
 		a.segs[seg], a.spare = a.spare, nil
 	}
@@ -190,7 +190,7 @@ func (a *WindowAccumulator) hold(seg int, entries []eventlog.Entry) error {
 // receive entries fills again (Stream pulls one source at a time, so
 // that is usually the only one of any size, and reusing it spares
 // regrowing a buffer per spill).
-func (a *WindowAccumulator) spill() error {
+func (a *windowAccumulator) spill() error {
 	start := time.Now()
 	if a.spillDir == "" {
 		dir, err := os.MkdirTemp(a.cfg.SpillDir, "core-spill-*")
@@ -259,7 +259,7 @@ func writeRun(path string, entries []eventlog.Entry) error {
 // run in turn yields that place's entries whole, per segment and in
 // arrival order — cutting a group whenever groupBytes have gathered.
 // Each gather is one synth/spill span, charged to agg.Spill.
-func (a *WindowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group [][]eventlog.Entry) error) error {
+func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group [][]eventlog.Entry) error) error {
 	if len(a.runs) > 0 {
 		if err := a.spill(); err != nil {
 			return err
@@ -358,7 +358,7 @@ func (a *WindowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 // grouped. It then folds the window into the decayed running network
 // and holds over only the entries a later window can still overlap.
 // Windows must advance monotonically: w0 ≥ the previous w1.
-func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error) {
+func (a *windowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse.Tri, *Stats, error) {
 	if w1 <= w0 {
 		return nil, nil, fmt.Errorf("core: empty window [%d,%d)", w0, w1)
 	}
@@ -422,19 +422,6 @@ func (a *WindowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	return win, agg, nil
 }
 
-// Emit returns the running decayed network as of the last Advance (nil
-// before the first). The matrix is immutable from the accumulator's
-// side; callers may retain or serialize it freely.
-func (a *WindowAccumulator) Emit() *sparse.Tri { return a.net }
-
-// Buffered returns the number of entries currently resident across all
-// segment buffers.
-func (a *WindowAccumulator) Buffered() int { return a.buffered }
-
-// LateEntries returns how many ingested entries started before an
-// already-closed window (see Ingest).
-func (a *WindowAccumulator) LateEntries() uint64 { return a.late }
-
 // scaleTri returns a new Tri with every weight scaled to
 // floor(w·num/den), dropping pairs whose weight reaches zero. The input
 // is not modified.
@@ -490,8 +477,12 @@ type StreamConfig struct {
 	// default, HorizonEOF closes windows only at source EOF.
 	HorizonHours uint32
 	// DecayNum/DecayDen set the per-window weight decay of the running
-	// network (see NewWindowAccumulator). Both zero selects 1/1 — the
-	// cumulative network.
+	// network: before each window is added it decays to
+	// floor(w·DecayNum/DecayDen), so 1/1 keeps the cumulative sum, 0
+	// makes every window independent, and anything in between is an
+	// exponential half-life in window units; pairs that decay to zero
+	// are forgotten. Both zero selects 1/1; DecayNum > DecayDen is
+	// rejected.
 	DecayNum, DecayDen uint64
 	// Synth configures the per-window synthesis.
 	Synth Config
@@ -547,7 +538,7 @@ func pull(ctx context.Context, src eventlog.EntrySource) ([]eventlog.Entry, erro
 	return src.Next()
 }
 
-// Stream drives a set of entry sources through a WindowAccumulator,
+// Stream drives a set of entry sources through a windowAccumulator,
 // invoking cfg.OnWindow once per closed window. Sources may be closed
 // files or live tails (eventlog.OpenTail); Stream closes every source
 // before returning and leaves no spill files behind, however it
@@ -582,7 +573,7 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 	if num == 0 && den == 0 {
 		num, den = 1, 1
 	}
-	acc, err := NewWindowAccumulator(len(srcs), num, den, cfg.Synth)
+	acc, err := newWindowAccumulator(len(srcs), num, den, cfg.Synth)
 	if err != nil {
 		return nil, err
 	}
@@ -626,7 +617,7 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 					return st, fmt.Errorf("core: stream source %d: %w", si, nerr)
 				}
 				// Measured before Ingest, which may spill what it buffers.
-				if b := acc.Buffered() + len(batch); b > st.PeakBuffered {
+				if b := acc.buffered + len(batch); b > st.PeakBuffered {
 					st.PeakBuffered = b
 				}
 				if ierr := acc.Ingest(si, batch); ierr != nil {
@@ -651,14 +642,14 @@ func Stream(ctx context.Context, srcs []eventlog.EntrySource, cfg StreamConfig) 
 		wstats.Load += load
 		load = 0
 		st.Windows++
-		st.LateEntries = acc.LateEntries()
+		st.LateEntries = acc.late
 		if cfg.OnWindow != nil {
 			if cerr := cfg.OnWindow(WindowResult{
 				Index:    st.Windows - 1,
 				W0:       lo,
 				W1:       hi,
 				Window:   win,
-				Net:      acc.Emit(),
+				Net:      acc.net,
 				Stats:    wstats,
 				ClosedAt: closedAt,
 			}); cerr != nil {

@@ -189,9 +189,12 @@ func (l *Logger) Flush() error {
 	return nil
 }
 
-// Close flushes remaining entries and finalizes the file.
+// Close flushes remaining entries and finalizes the file. The file is
+// closed however Close returns; when the final flush fails it gets no
+// footer, as if the process had died there, and Resume salvages it.
 func (l *Logger) Close() error {
 	if err := l.Flush(); err != nil {
+		l.w.Abort()
 		return err
 	}
 	return l.w.Close()

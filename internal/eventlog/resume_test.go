@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/h5"
 )
 
 // testEntry is a deterministic entry generator: entry i stops at hour
@@ -377,5 +378,60 @@ func TestResumeRejectsNonEventLog(t *testing.T) {
 	}
 	if _, err := Inspect(path); err == nil {
 		t.Fatal("Inspect on garbage succeeded, want error")
+	}
+}
+
+// TestCloseReleasesFileOnFailure: a Close that fails — at the final
+// flush, or at the h5 footer write — still closes the file instead of
+// leaving its descriptor to the finalizer, and writes no footer bytes,
+// so the file salvages like one whose process died there.
+func TestCloseReleasesFileOnFailure(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open descriptors")
+	}
+	openFDs := func(t *testing.T) int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	for _, tc := range []struct {
+		point  string
+		chunks int // intact chunks on disk after the failed Close
+	}{
+		{CrashFlush, 1},    // the cached tail never reaches the disk
+		{h5.CrashClose, 2}, // the tail is flushed, the footer is not written
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			defer faultinject.Reset()
+			path := filepath.Join(t.TempDir(), "log.h5")
+			before := openFDs(t)
+			l, err := Create(path, Config{CacheEntries: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ { // one full chunk, two entries cached
+				if err := l.Log(testEntry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			faultinject.Arm(tc.point, 1, faultinject.ErrInjected)
+			if err := l.Close(); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("Close: err = %v, want ErrInjected", err)
+			}
+			faultinject.Reset()
+			if after := openFDs(t); after > before {
+				t.Fatalf("%d open descriptors after the failed Close, %d before it", after, before)
+			}
+			info, err := Inspect(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Complete || info.TruncatedBytes != 0 || info.Chunks != tc.chunks {
+				t.Fatalf("after the failed Close: complete=%v truncated=%d chunks=%d, want false, 0, %d",
+					info.Complete, info.TruncatedBytes, info.Chunks, tc.chunks)
+			}
+		})
 	}
 }

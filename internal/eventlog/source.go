@@ -219,51 +219,6 @@ func (s *filesSource) Close() error {
 	return nil
 }
 
-// MultiSource concatenates any number of already-constructed sources.
-// Each source is drained and closed in order; Close closes the remaining
-// unread sources.
-func MultiSource(srcs ...EntrySource) EntrySource {
-	return &multiSource{srcs: srcs}
-}
-
-type multiSource struct {
-	srcs   []EntrySource
-	idx    int
-	closed bool
-}
-
-func (s *multiSource) Next() ([]Entry, error) {
-	if s.closed {
-		return nil, io.EOF
-	}
-	for s.idx < len(s.srcs) {
-		batch, err := s.srcs[s.idx].Next()
-		if err == io.EOF {
-			if cerr := s.srcs[s.idx].Close(); cerr != nil {
-				return nil, cerr
-			}
-			s.idx++
-			continue
-		}
-		return batch, err
-	}
-	return nil, io.EOF
-}
-
-func (s *multiSource) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var first error
-	for ; s.idx < len(s.srcs); s.idx++ {
-		if err := s.srcs[s.idx].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ReadAll drains src into a slice, growing it normally. It does not
 // close src. Prefer batch-wise consumption via Next for bounded memory;
 // ReadAll exists for callers that genuinely need the whole slice.

@@ -170,20 +170,6 @@ func TestOpenFilesSourceMissingFile(t *testing.T) {
 	}
 }
 
-func TestMultiSourceConcatenates(t *testing.T) {
-	a := sourceTestEntries(100, 20)
-	b := sourceTestEntries(50, 20)
-	src := MultiSource(SliceSource(context.Background(), a, 0, 20), SliceSource(context.Background(), b, 0, 20))
-	got := drain(t, src)
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := append(sliceFilter(a, 0, 20), sliceFilter(b, 0, 20)...)
-	if len(got) != len(want) {
-		t.Fatalf("drained %d, want %d", len(got), len(want))
-	}
-}
-
 func TestReadAllEmptySource(t *testing.T) {
 	got, err := ReadAll(SliceSource(context.Background(), nil, 0, 10))
 	if err != nil {

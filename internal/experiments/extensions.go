@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"repro"
 	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/gennet"
@@ -222,7 +223,8 @@ func (r *Runner) E3SubgroupFit() (*Report, error) {
 // collocation network with arbitrary time granularity, e.g., hourly,
 // daily, weekly or monthly aggregates": it builds daily networks over
 // the analysis week, shows the weekday/weekend contrast, and checks that
-// the daily networks sum exactly to the weekly one.
+// the daily networks sum exactly to the weekly one. The days are the
+// 24-hour windows of Pipeline.Stream over the closed logs.
 func (r *Runner) E4TemporalGranularity() (*Report, error) {
 	sim, err := r.EnsureSim()
 	if err != nil {
@@ -233,7 +235,14 @@ func (r *Runner) E4TemporalGranularity() (*Report, error) {
 		return nil, err
 	}
 	t0, t1 := r.Scale.SliceBounds()
-	daily, err := core.SynthesizeSeries(context.Background(), sim.LogPaths, t0, t1, 24, core.Config{Workers: r.Scale.Workers})
+	var daily []*sparse.Tri
+	_, err = r.pipeline.Stream(context.Background(), sim.LogPaths, repro.StreamConfig{
+		T0: t0, T1: t1, WindowHours: 24,
+		OnWindow: func(w core.WindowResult) error {
+			daily = append(daily, w.Window)
+			return nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}

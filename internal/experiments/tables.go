@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/rng"
@@ -132,32 +131,32 @@ func (r *Runner) T3Synthesis() (*Report, error) {
 
 	// Queue experiment: a busy 1024-slot cluster with background jobs.
 	src := rng.New(r.Scale.Seed + 7)
-	var background []batch.Job
+	var background []queueJob
 	for i := 0; i < 300; i++ {
-		background = append(background, batch.Job{
+		background = append(background, queueJob{
 			ID:       1000 + i,
 			Procs:    16 * (1 + src.Intn(8)),
 			Duration: float64(10 + src.Intn(50)),
 			Submit:   float64(src.Intn(400)),
 		})
 	}
-	small := make([]batch.Job, 16)
+	small := make([]queueJob, 16)
 	ours := map[int]bool{}
 	for i := range small {
-		small[i] = batch.Job{ID: i, Procs: 64, Duration: 30, Submit: 100}
+		small[i] = queueJob{ID: i, Procs: 64, Duration: 30, Submit: 100}
 		ours[i] = true
 	}
-	resSmall, err := batch.Simulate(context.Background(), 1024, append(append([]batch.Job{}, background...), small...), batch.Backfill)
+	resSmall, err := simulateQueue(context.Background(), 1024, append(append([]queueJob{}, background...), small...))
 	if err != nil {
 		return nil, err
 	}
-	big := []batch.Job{{ID: 0, Procs: 1024, Duration: 30, Submit: 100}}
-	resBig, err := batch.Simulate(context.Background(), 1024, append(append([]batch.Job{}, background...), big...), batch.Backfill)
+	big := []queueJob{{ID: 0, Procs: 1024, Duration: 30, Submit: 100}}
+	resBig, err := simulateQueue(context.Background(), 1024, append(append([]queueJob{}, background...), big...))
 	if err != nil {
 		return nil, err
 	}
-	makespanSmall := batch.Makespan(resSmall, ours) - 100
-	makespanBig := batch.Makespan(resBig, map[int]bool{0: true}) - 100
+	makespanSmall := makespan(resSmall, ours) - 100
+	makespanBig := makespan(resBig, map[int]bool{0: true}) - 100
 
 	rep := &Report{
 		Title: "Complete-network scale and batch strategy (Section V)",

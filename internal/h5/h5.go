@@ -247,15 +247,40 @@ func (w *Writer) WriteChunk(payload []byte) error {
 }
 
 // Close writes the chunk index and footer. If the writer was opened with
-// Create, the underlying file is closed too. Close is idempotent.
+// Create, the underlying file is closed too — also when writing the
+// footer fails, in which case the first error is returned. Close is
+// idempotent.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
+	err := w.writeFooter()
+	if cerr := w.Abort(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Abort closes the writer without writing the index or footer, leaving
+// the file as a writer that died mid-run would: Recover salvages its
+// chunks. If the writer was opened with Create, the underlying file is
+// closed. Abort after Close (or Abort) does nothing.
+func (w *Writer) Abort() error {
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	if w.closer != nil {
+		return w.closer.Close()
+	}
+	return nil
+}
+
+// writeFooter writes the chunk index and footer.
+func (w *Writer) writeFooter() error {
 	if err := faultinject.Hit(CrashClose); err != nil {
 		return err
 	}
-	w.closed = true
 	var buf bytes.Buffer
 	le := binary.LittleEndian
 	var u32 [4]byte
@@ -275,13 +300,8 @@ func (w *Writer) Close() error {
 	le.PutUint32(u32[:], uint32(len(w.index)))
 	buf.Write(u32[:])
 	buf.WriteString(footerMagic)
-	if _, err := w.w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if w.closer != nil {
-		return w.closer.Close()
-	}
-	return nil
+	_, err := w.w.Write(buf.Bytes())
+	return err
 }
 
 // Reader provides indexed and sequential access to an H5-lite file.

@@ -145,8 +145,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 }
 
 // simConfig is the one place the pipeline's configuration becomes an
-// abm.Config, so Simulate, SimulateUntil, SimulateWith and Resume run the
-// same simulation; each then sets only what is its own (Stop, Interact).
+// abm.Config, so Simulate and Resume run the same simulation.
 func (p *Pipeline) simConfig(logDir string) abm.Config {
 	return abm.Config{
 		Pop:        p.Pop,
@@ -177,40 +176,15 @@ func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, er
 	return abm.Run(ctx, p.simConfig(logDir))
 }
 
-// SimulateUntil runs the ABM like Simulate but stops gracefully at the
-// next hour boundary once stop is closed: the logs receive valid
-// footers and the run can be continued later with Resume. The returned
-// result's StoppedAt reports where the run ended.
-func (p *Pipeline) SimulateUntil(ctx context.Context, logDir string, stop <-chan struct{}) (*abm.Result, error) {
-	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
-	defer sp.End()
-	cfg := p.simConfig(logDir)
-	cfg.Stop = stop
-	return abm.Run(ctx, cfg)
-}
-
 // Resume continues a crashed or gracefully-stopped simulation whose
 // per-rank logs live in logDir, salvaging whatever the interruption
 // left behind and finishing the run with logs whose content matches an
 // uninterrupted one. The pipeline configuration must match the original
-// run's. A further graceful stop may be requested via stop (may be
-// nil).
-func (p *Pipeline) Resume(ctx context.Context, logDir string, stop <-chan struct{}) (*abm.Result, []*abm.ResumeReport, error) {
+// run's. Cancelling ctx stops it as it stops Simulate.
+func (p *Pipeline) Resume(ctx context.Context, logDir string) (*abm.Result, []*abm.ResumeReport, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
 	defer sp.End()
-	cfg := p.simConfig(logDir)
-	cfg.Stop = stop
-	return abm.Resume(ctx, cfg)
-}
-
-// SimulateWith runs the ABM with an interaction hook (e.g. a disease
-// model) and optional logging.
-func (p *Pipeline) SimulateWith(ctx context.Context, logDir string, interact abm.InteractFunc) (*abm.Result, error) {
-	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
-	defer sp.End()
-	cfg := p.simConfig(logDir)
-	cfg.Interact = interact
-	return abm.Run(ctx, cfg)
+	return abm.Resume(ctx, p.simConfig(logDir))
 }
 
 // Network is a synthesized collocation network together with the person
@@ -254,7 +228,7 @@ type StreamConfig struct {
 	// zero selects core.DefaultStreamHorizon.
 	HorizonHours uint32
 	// DecayNum/DecayDen set the per-window weight decay of the rolling
-	// network (see core.NewWindowAccumulator); both zero keeps the
+	// network (see core.StreamConfig.DecayNum); both zero keeps the
 	// cumulative network.
 	DecayNum, DecayDen uint64
 	// Poll is the log-tail poll interval (zero:

@@ -128,35 +128,6 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 }
 
-// SimulateWith used to build its own abm.Config and drop FlushEvery (and
-// HourDelay): with the shared config the hourly flushes show up as more
-// chunks, and the synthesized network — hence the entries — is unchanged.
-func TestSimulateWithHonoursFlushEvery(t *testing.T) {
-	run := func(flushEvery int) (flushes, entries uint64, tri *sparse.Tri) {
-		p, err := NewPipeline(Config{Persons: 800, Days: 2, Seed: 5, Ranks: 2, FlushEvery: flushEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := p.SimulateWith(context.Background(), t.TempDir(), func(int, uint32, uint32, []uint32) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := p.Synthesize(context.Background(), sim.LogPaths, 0, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.Flushes, sim.Entries, net.Tri
-	}
-	batchFlushes, batchEntries, batchTri := run(0)
-	liveFlushes, liveEntries, liveTri := run(1)
-	if liveFlushes <= batchFlushes {
-		t.Fatalf("FlushEvery 1 through SimulateWith produced %d chunks vs %d without", liveFlushes, batchFlushes)
-	}
-	if liveEntries != batchEntries || !liveTri.Equal(batchTri) {
-		t.Fatalf("FlushEvery changed the logged entries (%d vs %d)", liveEntries, batchEntries)
-	}
-}
-
 func TestAgeGroupNetworksPartitionEdges(t *testing.T) {
 	p, err := NewPipeline(Config{Persons: 1200, Days: 2, Seed: 13, Ranks: 2})
 	if err != nil {

@@ -65,6 +65,27 @@ fi
 echo "== experiment benchmark smoke (BenchmarkExperiments, one run per experiment)"
 go test -run '^$' -bench Experiments -benchtime 1x ./internal/experiments
 
+# Experiments command smoke: the command README points to for the
+# scaling, age-group, community and time-granularity rows, at
+# TestRowsPinned's tiny scale, must exit 0; an unknown -exp ID must fail
+# before anything is simulated, leaving no logs/ directory. Skip with
+# EXPSMOKE=0.
+if [ "${EXPSMOKE:-1}" = "1" ]; then
+	echo "== experiments smoke (cmd/experiments -exp fig5,E2,E4,A1,A3,S1; -exp nope fails before simulating)"
+	exp_dir=$(mktemp -d)
+	go run ./cmd/experiments -persons 1200 -days 8 -ranks 4 -workers 2 -seed 7 \
+		-exp fig5,E2,E4,A1,A3,S1 -out "$exp_dir/ok" >"$exp_dir/ok.txt"
+	exp_code=0
+	go run ./cmd/experiments -persons 1200 -days 8 -ranks 4 -workers 2 -seed 7 \
+		-exp nope -out "$exp_dir/bad" >/dev/null 2>&1 || exp_code=$?
+	if [ "$exp_code" = 0 ] || [ -e "$exp_dir/bad/logs" ]; then
+		echo "FAIL: -exp nope exited $exp_code, or wrote $exp_dir/bad/logs"
+		rm -rf "$exp_dir"
+		exit 1
+	fi
+	rm -rf "$exp_dir"
+fi
+
 # Memory-budget benchmark (DESIGN.md §9): one budgeted and one
 # unbudgeted SynthesizeFiles over a 1M-entry log set. The benchmark fails
 # itself when the budgeted run's peak heap exceeds 2x its 8 MiB budget,
