@@ -13,7 +13,12 @@
 // The simulation steps hourly, but like the logger an agent acts only
 // when its activity changes: each rank files its residents in an agenda
 // keyed by the hour their current segment stops, so an hour costs time in
-// proportion to the agents that move in it, not to the population.
+// proportion to the agents that move in it, not to the population. Each
+// person-day is generated once on the rank that holds the person: a rank
+// keeps its residents' days in two arenas by day parity, and an agent is
+// its person and the index of its current segment there, so moving on
+// within a day is an increment. A migrant ships its segment and the
+// receiving rank generates that day again, checking that the two agree.
 //
 // Because schedules are deterministic per (person, day) and independent
 // of rank layout, the multiset of logged events — and therefore every
@@ -129,11 +134,12 @@ type Result struct {
 	PerRank []RankResult
 }
 
-// agent is the per-rank state of one person: their current activity
-// segment. The schedule generator supplies the next segment on demand.
+// agent is the per-rank state of one person: the index of their current
+// activity segment in the rank's held arena for that segment's day (see
+// RunRank). The next segment of the same day is the one after it.
 type agent struct {
 	person uint32
-	seg    schedule.Segment
+	seg    uint32
 }
 
 // Run executes the simulation and returns aggregate statistics.
@@ -343,30 +349,27 @@ func DecodeRankResult(b []byte) (RankResult, error) {
 }
 
 // agentBytes is the wire size of one migrating agent: person ID plus the
-// four segment words.
+// four words of the segment it starts on arrival.
 const agentBytes = 20
 
-func appendAgent(b []byte, a agent) []byte {
+func appendAgent(b []byte, person uint32, seg schedule.Segment) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint32(b, a.person)
-	b = le.AppendUint32(b, a.seg.Start)
-	b = le.AppendUint32(b, a.seg.Stop)
-	b = le.AppendUint32(b, a.seg.Activity)
-	return le.AppendUint32(b, a.seg.Place)
+	b = le.AppendUint32(b, person)
+	b = le.AppendUint32(b, seg.Start)
+	b = le.AppendUint32(b, seg.Stop)
+	b = le.AppendUint32(b, seg.Activity)
+	return le.AppendUint32(b, seg.Place)
 }
 
-// decodeAgent reads the agent at the head of b, which must hold at least
-// agentBytes.
-func decodeAgent(b []byte) agent {
+// decodeAgent reads the person and segment at the head of b, which must
+// hold at least agentBytes.
+func decodeAgent(b []byte) (person uint32, seg schedule.Segment) {
 	le := binary.LittleEndian
-	return agent{
-		person: le.Uint32(b[0:]),
-		seg: schedule.Segment{
-			Start:    le.Uint32(b[4:]),
-			Stop:     le.Uint32(b[8:]),
-			Activity: le.Uint32(b[12:]),
-			Place:    le.Uint32(b[16:]),
-		},
+	return le.Uint32(b[0:]), schedule.Segment{
+		Start:    le.Uint32(b[4:]),
+		Stop:     le.Uint32(b[8:]),
+		Activity: le.Uint32(b[12:]),
+		Place:    le.Uint32(b[16:]),
 	}
 }
 
@@ -517,16 +520,25 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}, ext...)
 	}
 
-	var day []schedule.Segment // nextSegment's scratch
-	nextSegment := func(person uint32, hour uint32) schedule.Segment {
-		day = cfg.Gen.AppendDay(day[:0], person, int(hour)/schedule.HoursPerDay)
-		for _, s := range day {
-			if hour >= s.Start && hour < s.Stop {
-				return s
-			}
+	// The held days: day d's segments for this rank's residents sit in
+	// held[d%2], generated once per (person, day) on this rank, and an
+	// agent names its current segment by index into the arena of that
+	// segment's day. Every segment of day d-2 has stopped by hour d*24,
+	// so the loop empties held[d%2] then and reuses it for day d.
+	var held [2][]schedule.Segment
+	heldAt := func(hour uint32) *[]schedule.Segment {
+		return &held[hour/schedule.HoursPerDay%2]
+	}
+	// hold appends person's day that covers hour to its arena and returns
+	// the index of the segment active at hour.
+	hold := func(person, hour uint32) uint32 {
+		arena := heldAt(hour)
+		i := len(*arena)
+		*arena = cfg.Gen.AppendDay(*arena, person, int(hour/schedule.HoursPerDay))
+		for (*arena)[i].Stop <= hour {
+			i++ // schedules tile the day, so some segment covers hour
 		}
-		// Schedules tile the day, so this is unreachable.
-		panic(fmt.Sprintf("abm: person %d has no segment at hour %d", person, hour))
+		return uint32(i)
 	}
 
 	// Per-place occupancy, maintained incrementally only when an
@@ -551,13 +563,13 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 
 	// The agenda: residents filed under the hour their segment stops, so
 	// hour h serves slot h and touches nobody else. enter files an agent
-	// that starts a segment at one of this rank's places.
+	// that starts segment seg at one of this rank's places.
 	var agenda [agendaSlots][]agent
-	enter := func(a agent) {
-		slot := &agenda[a.seg.Stop%agendaSlots]
+	enter := func(a agent, seg schedule.Segment) {
+		slot := &agenda[seg.Stop%agendaSlots]
 		*slot = append(*slot, a)
 		if occupants != nil {
-			occupants[a.seg.Place] = append(occupants[a.seg.Place], a.person)
+			occupants[seg.Place] = append(occupants[seg.Place], a.person)
 		}
 	}
 	// residents gathers the whole agenda in person order, for the two
@@ -575,16 +587,30 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 
 	// Initial residency: each rank claims the agents whose current
 	// segment is at one of its places. For a fresh run that is the first
-	// segment of day 0; for a resumed run it is the segment active at
-	// hour StartHour-1, which fully reconstructs the pre-crash state
-	// because schedules are deterministic per (person, day).
-	baseHour := uint32(0)
-	if cfg.StartHour > 0 {
-		baseHour = cfg.StartHour - 1
-	}
-	for p := range cfg.Pop.Persons {
-		if seg := nextSegment(uint32(p), baseHour); assign[seg.Place] == rank {
-			enter(agent{person: uint32(p), seg: seg})
+	// segment of day 0, which is at the person's home (every day opens
+	// there), so a rank generates day 0 only for the persons it claims.
+	// For a resumed run it is the segment active at hour StartHour-1,
+	// which fully reconstructs the pre-crash state because schedules are
+	// deterministic per (person, day); every rank generates that day for
+	// every person and keeps only its own.
+	if cfg.StartHour == 0 {
+		for p := range cfg.Pop.Persons {
+			if assign[cfg.Pop.Persons[p].Home] == rank {
+				a := agent{person: uint32(p), seg: hold(uint32(p), 0)}
+				enter(a, held[0][a.seg])
+			}
+		}
+	} else {
+		base := cfg.StartHour - 1
+		arena := heldAt(base)
+		for p := range cfg.Pop.Persons {
+			n := len(*arena)
+			a := agent{person: uint32(p), seg: hold(uint32(p), base)}
+			if seg := (*arena)[a.seg]; assign[seg.Place] == rank {
+				enter(a, seg)
+			} else {
+				*arena = (*arena)[:n]
+			}
 		}
 	}
 
@@ -667,22 +693,37 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			// entry order within an hour a pure function of the
 			// simulation state, so resumed logs are bit-identical in
 			// content to uninterrupted ones.
+			//
+			// Within a day the next segment is the held one after the
+			// current; at midnight the mover's new day is generated into
+			// the arena that day d-2 has vacated.
 			due := &agenda[hour%agendaSlots]
+			ending, next := *heldAt(hour - 1), heldAt(hour)
+			midnight := hour%schedule.HoursPerDay == 0
+			if midnight {
+				*next = (*next)[:0]
+			}
 			out := send[hour%2]
 			for r := range out {
 				out[r] = out[r][:0]
 			}
 			for _, a := range sorter.sort(*due) {
-				if err := logSegment(a.person, a.seg, a.seg.Stop); err != nil {
+				seg := ending[a.seg]
+				if err := logSegment(a.person, seg, seg.Stop); err != nil {
 					return rr, err
 				}
-				removeOccupant(a.seg.Place, a.person)
-				a.seg = nextSegment(a.person, hour)
-				if owner := assign[a.seg.Place]; owner == rank {
-					enter(a) // never into *due: the new Stop lies in (hour, hour+24]
+				removeOccupant(seg.Place, a.person)
+				if midnight {
+					a.seg = hold(a.person, hour)
+				} else {
+					a.seg++
+				}
+				seg = (*next)[a.seg]
+				if owner := assign[seg.Place]; owner == rank {
+					enter(a, seg) // never into *due: the new Stop lies in (hour, hour+24]
 					rr.LocalMoves++
 				} else {
-					out[owner] = appendAgent(out[owner], a)
+					out[owner] = appendAgent(out[owner], a.person, seg)
 					rr.Migrations++
 				}
 			}
@@ -693,12 +734,24 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			if err != nil {
 				return rr, err
 			}
-			for _, blob := range incoming {
+			// An arrival's day is generated again here, once, and must
+			// agree with the segment its sender shipped: ranks that were
+			// started with different schedules would otherwise write logs
+			// that contradict each other.
+			for from, blob := range incoming {
 				if len(blob)%agentBytes != 0 {
 					return rr, fmt.Errorf("abm: agent batch of %d bytes is not a multiple of %d", len(blob), agentBytes)
 				}
 				for ; len(blob) > 0; blob = blob[agentBytes:] {
-					enter(decodeAgent(blob))
+					person, seg := decodeAgent(blob)
+					if int(person) >= len(cfg.Pop.Persons) {
+						return rr, fmt.Errorf("abm: rank %d: person %d arrived at hour %d from rank %d, beyond this rank's %d persons: ranks disagree on Pop", rank, person, hour, from, len(cfg.Pop.Persons))
+					}
+					a := agent{person: person, seg: hold(person, hour)}
+					if mine := (*next)[a.seg]; mine != seg {
+						return rr, fmt.Errorf("abm: rank %d: person %d arrived at hour %d from rank %d with segment %+v, this rank's schedule says %+v: ranks disagree on Pop, Gen or Days", rank, person, hour, from, seg, mine)
+					}
+					enter(a, seg)
 				}
 			}
 		}
@@ -712,13 +765,15 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}
 
 		if cfg.FullStateLog && logger != nil {
+			current := *heldAt(hour)
 			for _, a := range residents() {
+				seg := current[a.seg]
 				e := eventlog.Entry{
 					Start:    hour,
 					Stop:     hour + 1,
 					Person:   a.person,
-					Activity: a.seg.Activity,
-					Place:    a.seg.Place,
+					Activity: seg.Activity,
+					Place:    seg.Place,
 				}
 				if err := logger.Log(e); err != nil {
 					return rr, err
@@ -739,8 +794,10 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	// the in-progress segments are NOT logged: the log then ends at an
 	// hour boundary, exactly the shape ResumeRank restarts from.
 	if !cfg.FullStateLog && !stopped {
+		last := *heldAt(endHour - 1)
 		for _, a := range residents() {
-			if err := logSegment(a.person, a.seg, min(a.seg.Stop, endHour)); err != nil {
+			seg := last[a.seg]
+			if err := logSegment(a.person, seg, min(seg.Stop, endHour)); err != nil {
 				return rr, err
 			}
 		}

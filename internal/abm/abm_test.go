@@ -207,7 +207,10 @@ func TestAgentConservationEveryHour(t *testing.T) {
 	}
 }
 
+// TestAgentsAreWhereSchedulesSay runs three days, so every agent crosses
+// two midnights, where a rank reuses the day arena two days back.
 func TestAgentsAreWhereSchedulesSay(t *testing.T) {
+	const days = 3
 	pop, gen := testWorld(t, 500)
 	var mu sync.Mutex
 	type key struct {
@@ -216,7 +219,7 @@ func TestAgentsAreWhereSchedulesSay(t *testing.T) {
 	}
 	seen := make(map[key]uint32)
 	_, err := Run(context.Background(), Config{
-		Pop: pop, Gen: gen, Ranks: 3, Days: 1,
+		Pop: pop, Gen: gen, Ranks: 3, Days: days,
 		Interact: func(_ int, hour uint32, place uint32, occ []uint32) {
 			mu.Lock()
 			for _, p := range occ {
@@ -232,7 +235,7 @@ func TestAgentsAreWhereSchedulesSay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := uint32(0); p < uint32(pop.NumPersons()); p++ {
-		for h := uint32(0); h < 24; h++ {
+		for h := uint32(0); h < days*schedule.HoursPerDay; h++ {
 			wantPlace, _ := gen.PlaceAt(p, h)
 			if got := seen[key{h, p}]; got != wantPlace {
 				t.Fatalf("person %d hour %d at place %d, schedule says %d", p, h, got, wantPlace)
@@ -302,6 +305,12 @@ func TestFullStateLogIsMuchLarger(t *testing.T) {
 	}
 	if full.Entries <= 3*event.Entries {
 		t.Fatalf("full-state logging (%d) should dwarf event-based (%d)", full.Entries, event.Entries)
+	}
+	for e := range readAll(t, full.LogPaths) {
+		place, act := gen.PlaceAt(e.Person, e.Start)
+		if e.Stop != e.Start+1 || e.Place != place || e.Activity != act {
+			t.Fatalf("full-state entry %+v, schedule says place %d activity %d over [%d, %d)", e, place, act, e.Start, e.Start+1)
+		}
 	}
 }
 

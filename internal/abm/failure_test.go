@@ -2,13 +2,17 @@ package abm
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/partition"
+	"repro/internal/schedule"
 )
 
 // runWithin runs the simulation under a watchdog, so a rank failure
@@ -64,4 +68,63 @@ func TestRankPanicDoesNotHang(t *testing.T) {
 	}
 	err := runWithin(t, Config{Pop: pop, Gen: gen, Ranks: 2, Days: 1, Interact: interact})
 	wantRootCause(t, err, "rank 1 panicked: interact failed")
+}
+
+// TestRanksWithDifferentSchedulesFail gives rank 1 a generator with
+// another seed, as a process started with another -seed would have. The
+// first arrival whose shipped segment contradicts the receiver's own
+// schedule must fail the run, naming the person, the hour and the sender.
+func TestRanksWithDifferentSchedulesFail(t *testing.T) {
+	pop, gen := testWorld(t, 300)
+	other := schedule.NewGenerator(pop, 6)
+	assign := partition.Random(pop.NumPlaces(), 2)
+	dir := t.TempDir()
+	err := mpi.Run(2, func(tr mpi.Transport) error {
+		cfg := RankConfig{Pop: pop, Gen: gen, Days: 2, Assign: assign,
+			LogPath: filepath.Join(dir, fmt.Sprintf("rank%d.h5l", tr.Rank()))}
+		if tr.Rank() == 1 {
+			cfg.Gen = other
+		}
+		_, err := RunRank(context.Background(), tr, cfg)
+		return err
+	})
+	if err == nil {
+		t.Fatal("ranks with different schedules ran to completion")
+	}
+	if _, derived := mpi.AsRankFailed(err); derived {
+		t.Fatalf("run returned a survivor's report %v, want the detecting rank's error", err)
+	}
+	m := regexp.MustCompile(`rank (\d): person \d+ arrived at hour \d+ from rank (\d)`).FindStringSubmatch(err.Error())
+	if m == nil || !strings.Contains(err.Error(), "ranks disagree") {
+		t.Fatalf("run error = %v, want a disagreement naming person, hour and sender rank", err)
+	}
+	if m[1] == m[2] {
+		t.Fatalf("run error = %v: rank %s blames itself, want the other rank", err, m[1])
+	}
+}
+
+// TestArrivalBeyondPopulationFails: a peer with a larger population can
+// ship a person this rank does not have. RunRank must report it rather
+// than index past its persons. Rank 1 is a bare transport that sends one
+// such agent at hour 1 and then follows rank 0's hourly exchanges.
+func TestArrivalBeyondPopulationFails(t *testing.T) {
+	pop, gen := testWorld(t, 100)
+	stranger := appendAgent(nil, uint32(pop.NumPersons()), schedule.Segment{Start: 1, Stop: 2, Place: 0})
+	err := mpi.Run(2, func(tr mpi.Transport) error {
+		if tr.Rank() == 0 {
+			_, err := RunRank(context.Background(), tr, RankConfig{
+				Pop: pop, Gen: gen, Days: 1, Assign: make(partition.Assignment, pop.NumPlaces())})
+			return err
+		}
+		for hour := 1; hour < schedule.HoursPerDay; hour++ {
+			if _, err := tr.Exchange(context.Background(), [][]byte{stranger, nil}); err != nil {
+				return nil // rank 0 has left
+			}
+			stranger = nil
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("person %d arrived at hour 1 from rank 1, beyond", pop.NumPersons())) {
+		t.Fatalf("run error = %v, want rank 0 to reject person %d from rank 1", err, pop.NumPersons())
+	}
 }

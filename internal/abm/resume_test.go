@@ -368,3 +368,50 @@ func TestResumeRankValidation(t *testing.T) {
 		t.Error("no error for zero Days")
 	}
 }
+
+// TestRunRankFromAnyStartHour starts RunRank cold at hours on both sides
+// of each midnight of a three-day run, on one and two ranks: each rank
+// must log exactly the uninterrupted run's entries with Stop >= StartHour,
+// in the same order. The start-up state at StartHour-1 and the day arenas
+// it leaves behind are what a resume depends on.
+func TestRunRankFromAnyStartHour(t *testing.T) {
+	pop, gen := testWorld(t, 400)
+	for _, ranks := range []int{1, 2} {
+		f := &resumeFixture{pop: pop, gen: gen, assign: partition.Random(pop.NumPlaces(), ranks), ranks: ranks, days: 3}
+		ref := make([][]eventlog.Entry, ranks)
+		for r, path := range f.reference(t) {
+			for _, le := range readLog(t, path) {
+				ref[r] = append(ref[r], le.e)
+			}
+		}
+		for _, start := range []uint32{1, 23, 24, 25, 47, 48, 71} {
+			dir := t.TempDir()
+			err := mpi.Run(ranks, func(tr mpi.Transport) error {
+				cfg := f.rankConfig(filepath.Join(dir, fmt.Sprintf("rank%d.h5l", tr.Rank())))
+				cfg.StartHour = start
+				_, err := RunRank(context.Background(), tr, cfg)
+				return err
+			})
+			if err != nil {
+				t.Fatalf("ranks=%d StartHour=%d: %v", ranks, start, err)
+			}
+			for r := range ranks {
+				var want []eventlog.Entry
+				for _, e := range ref[r] {
+					if e.Stop >= start {
+						want = append(want, e)
+					}
+				}
+				got := readLog(t, filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r)))
+				if len(got) != len(want) {
+					t.Fatalf("ranks=%d StartHour=%d rank %d: %d entries, want %d", ranks, start, r, len(got), len(want))
+				}
+				for i, le := range got {
+					if le.e != want[i] {
+						t.Fatalf("ranks=%d StartHour=%d rank %d entry %d: %+v, want %+v", ranks, start, r, i, le.e, want[i])
+					}
+				}
+			}
+		}
+	}
+}

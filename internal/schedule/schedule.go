@@ -131,7 +131,12 @@ func (g *Generator) Day(person uint32, day int) []Segment {
 // AppendDay appends person's schedule for the given day to dst and returns
 // the extended slice, like Day but into caller-owned scratch: once dst has
 // capacity for a day's segments it does not allocate, which is what the
-// simulation's per-transition lookups need.
+// simulation's held day arenas need.
+//
+// Every day opens at the person's home: the first segment starts at
+// day*24 with Place == Persons[person].Home, whatever the template. The
+// simulation places each person at the start of a run by this rule
+// alone, without generating their day.
 func (g *Generator) AppendDay(dst []Segment, person uint32, day int) []Segment {
 	p := &g.pop.Persons[person]
 	base := uint32(day * HoursPerDay)

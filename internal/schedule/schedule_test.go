@@ -29,6 +29,45 @@ func TestEveryDayTilesExactly(t *testing.T) {
 	}
 }
 
+// TestEveryDayOpensAtHome pins the guarantee in AppendDay's doc comment
+// that the simulation's start-up relies on: it claims a person for the
+// rank that owns their home without generating their day 0. Every
+// person of two seeded populations (each covering children under five
+// and prison and retirement-home residents), every day of two weeks.
+func TestEveryDayOpensAtHome(t *testing.T) {
+	for _, seed := range []uint64{5, 2017} {
+		pop, err := synthpop.Generate(synthpop.Config{Persons: 2000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(pop, seed)
+		var young, prison, retired int
+		var segs []Segment
+		for i := range pop.Persons {
+			p := &pop.Persons[i]
+			switch {
+			case pop.Places[p.Home].Type == synthpop.Prison:
+				prison++
+			case pop.Places[p.Home].Type == synthpop.RetirementHome:
+				retired++
+			case p.Age < 5:
+				young++
+			}
+			for day := 0; day < 14; day++ {
+				segs = g.AppendDay(segs[:0], uint32(i), day)
+				if first := segs[0]; first.Start != uint32(day*HoursPerDay) || first.Place != p.Home {
+					t.Fatalf("seed %d person %d day %d opens with %+v, want Start %d at home %d",
+						seed, i, day, first, day*HoursPerDay, p.Home)
+				}
+			}
+		}
+		if young == 0 || prison == 0 || retired == 0 {
+			t.Fatalf("seed %d: population has %d children under five, %d prisoners, %d retirement-home residents; want some of each",
+				seed, young, prison, retired)
+		}
+	}
+}
+
 func TestScheduleDeterministicPerPersonDay(t *testing.T) {
 	pop := testPop(t, 1000)
 	g1 := NewGenerator(pop, 5)

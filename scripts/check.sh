@@ -86,6 +86,24 @@ if [ "${EXPSMOKE:-1}" = "1" ]; then
 	rm -rf "$exp_dir"
 fi
 
+# In-sim epidemic smoke: examples/epidemic drives abm.Run with an
+# Interact hook that reads each place's occupants every hour and a LogExt
+# column, so its stdout depends on the occupancy bookkeeping and on the
+# order agents enter and leave places, which no log cksum sees. Its
+# stdout cksum was recorded at commit 51b964f (identical over two runs).
+# Skip with EPISMOKE=0.
+if [ "${EPISMOKE:-1}" = "1" ]; then
+	echo "== in-sim epidemic smoke (examples/epidemic stdout cksum pinned)"
+	epi_dir=$(mktemp -d)
+	go build -o "$epi_dir/epidemic" ./examples/epidemic
+	epi_sum=$("$epi_dir/epidemic" | cksum)
+	rm -rf "$epi_dir"
+	if [ "$epi_sum" != "3415510382 2483" ]; then
+		echo "FAIL: examples/epidemic stdout cksum $epi_sum, pinned 3415510382 2483"
+		exit 1
+	fi
+fi
+
 # Memory-budget benchmark (DESIGN.md §9): one budgeted and one
 # unbudgeted SynthesizeFiles over a 1M-entry log set. The benchmark fails
 # itself when the budgeted run's peak heap exceeds 2x its 8 MiB budget,
