@@ -74,7 +74,7 @@ func run(n, workers, bins int) error {
 	fmt.Printf("max degree: %d\n", g.MaxDegree())
 
 	hist := g.DegreeHistogram()
-	pts := netstat.DistributionDense(hist, g.NumVertices())
+	pts := netstat.Distribution(hist, g.NumVertices())
 	fmt.Printf("\ndegree distribution (%d distinct degrees):\n", len(pts))
 	show := pts
 	if len(show) > 12 {
@@ -96,7 +96,7 @@ func run(n, workers, bins int) error {
 	if fit, err := netstat.FitExponential(pts); err == nil {
 		fmt.Printf("exponential: %s\n", fit)
 	}
-	if alpha, err := netstat.AlphaMLEDense(hist, 5); err == nil {
+	if alpha, err := netstat.AlphaMLE(hist, 5); err == nil {
 		fmt.Printf("MLE alpha (k≥5): %.3f\n", alpha)
 	}
 

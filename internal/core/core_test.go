@@ -403,7 +403,7 @@ func TestSynthesizeFilesMatchesMergedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, err := r.TimeSlice(0, 24)
+		es, err := eventlog.ReadAll(r.Source(0, 24))
 		r.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -157,7 +157,13 @@ func (l *Logger) Log(e Entry, ext ...uint32) error {
 	for _, v := range ext {
 		c = le.AppendUint32(c, v)
 	}
-	l.cache = c
+	return l.commit(c)
+}
+
+// commit takes cache, which holds one more record than l.cache, as the
+// cache and flushes it once full.
+func (l *Logger) commit(cache []byte) error {
+	l.cache = cache
 	l.n++
 	l.logged++
 	if l.n >= l.cfg.cacheEntries() {
@@ -209,8 +215,7 @@ func (l *Logger) Logged() uint64 { return l.logged }
 
 // Reader reads a log file written by Logger.
 type Reader struct {
-	r    *h5.Reader
-	next int // ext column count
+	r *h5.Reader
 }
 
 // Open opens a log file for reading.
@@ -219,22 +224,28 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := r.Schema()
-	if s.RecordSize < BaseEntrySize || s.RecordSize%4 != 0 {
+	if err := checkSchema(r.Schema()); err != nil {
 		r.Close()
-		return nil, fmt.Errorf("eventlog: record size %d is not a valid entry size", s.RecordSize)
+		return nil, err
+	}
+	return &Reader{r: r}, nil
+}
+
+// checkSchema verifies that s is an event-log schema: the five base
+// columns first, in whole 4-byte fields.
+func checkSchema(s h5.Schema) error {
+	if s.RecordSize < BaseEntrySize || s.RecordSize%4 != 0 {
+		return fmt.Errorf("eventlog: record size %d is not a valid entry size", s.RecordSize)
 	}
 	if len(s.Columns) < len(BaseColumns) {
-		r.Close()
-		return nil, fmt.Errorf("eventlog: file has %d columns, want at least %d", len(s.Columns), len(BaseColumns))
+		return fmt.Errorf("eventlog: file has %d columns, want at least %d", len(s.Columns), len(BaseColumns))
 	}
 	for i, c := range BaseColumns {
 		if s.Columns[i] != c {
-			r.Close()
-			return nil, fmt.Errorf("eventlog: column %d is %q, want %q", i, s.Columns[i], c)
+			return fmt.Errorf("eventlog: column %d is %q, want %q", i, s.Columns[i], c)
 		}
 	}
-	return &Reader{r: r, next: s.RecordSize/4 - 5}, nil
+	return nil
 }
 
 // ExtColumns returns the names of the extension columns in the file.
@@ -248,40 +259,28 @@ func (r *Reader) NumEntries() uint64 { return r.r.NumRecords() }
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.r.Close() }
 
-// recordSize returns the byte size of one on-disk record.
-func (r *Reader) recordSize() int { return 4 * (5 + r.next) }
-
 // ForEach invokes fn for every entry in file order. ext holds the entry's
 // extension values and is reused between calls; copy it to retain.
 func (r *Reader) ForEach(fn func(e Entry, ext []uint32) error) error {
-	rec := r.recordSize()
-	ext := make([]uint32, r.next)
-	return r.r.ForEachChunk(func(_ int, payload []byte) error {
+	return forEach(r.r, func(e Entry, ext []uint32, _ int, _ []byte) error { return fn(e, ext) })
+}
+
+// forEach decodes every entry of rd in file order. fn gets the entry,
+// its ext values (reused between calls), the index of its chunk and
+// that chunk's payload up to and including the entry's record.
+func forEach(rd *h5.Reader, fn func(e Entry, ext []uint32, chunk int, head []byte) error) error {
+	rec := rd.Schema().RecordSize
+	ext := make([]uint32, rec/4-5)
+	return rd.ForEachChunk(func(chunk int, payload []byte) error {
 		for off := 0; off < len(payload); off += rec {
 			b := payload[off : off+rec]
-			e := decodeEntry(b)
-			for k := 0; k < r.next; k++ {
+			for k := range ext {
 				ext[k] = le.Uint32(b[20+4*k:])
 			}
-			if err := fn(e, ext); err != nil {
+			if err := fn(decodeEntry(b), ext, chunk, payload[:off+rec]); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// TimeSlice returns all entries whose activity interval overlaps
-// [t0, t1), the sub-setting step the paper performs with data.table. The
-// ext values of each returned entry are dropped; use ForEach for them.
-//
-// TimeSlice is a thin materializing wrapper over Source: it grows the
-// result normally from streamed batches, so a narrow window over a huge
-// file allocates proportionally to the matches, not to the file. (It
-// previously pre-sized to NumEntries() regardless of the window.)
-// Callers that can consume batch-wise should use Source directly.
-func (r *Reader) TimeSlice(t0, t1 uint32) ([]Entry, error) {
-	src := r.Source(t0, t1)
-	defer src.Close()
-	return ReadAll(src)
 }

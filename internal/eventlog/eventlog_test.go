@@ -196,7 +196,7 @@ func TestEntryIs20Bytes(t *testing.T) {
 	}
 }
 
-func TestTimeSlice(t *testing.T) {
+func TestSourceSlice(t *testing.T) {
 	path := tmpLog(t)
 	l, err := Create(path, Config{})
 	if err != nil {
@@ -223,7 +223,7 @@ func TestTimeSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := r.TimeSlice(5, 15)
+	got, err := ReadAll(r.Source(5, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestTimeSlice(t *testing.T) {
 	}
 	want := []uint32{1, 2, 6}
 	if len(persons) != len(want) {
-		t.Fatalf("TimeSlice persons = %v, want %v", persons, want)
+		t.Fatalf("sliced persons = %v, want %v", persons, want)
 	}
 	for i := range want {
 		if persons[i] != want[i] {
-			t.Fatalf("TimeSlice persons = %v, want %v", persons, want)
+			t.Fatalf("sliced persons = %v, want %v", persons, want)
 		}
 	}
 }

@@ -65,162 +65,103 @@ func ResumeBefore(path string, cfg Config, drop func(e Entry, ext []uint32) bool
 // what Resume would recover. MaxStop is the key output for computing a
 // cross-rank resume boundary.
 func Inspect(path string) (*ResumeInfo, error) {
+	sc, err := scan(path, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &sc.info, nil
+}
+
+func resume(path string, cfg Config, drop func(Entry, []uint32) bool) (*Logger, *ResumeInfo, error) {
+	sc, err := scan(path, &cfg, drop)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := sc.sal.Resume(sc.keep)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := cfg.recordSize()
+	l := &Logger{
+		w:      w,
+		cfg:    cfg,
+		rec:    rec,
+		cache:  make([]byte, 0, cfg.cacheEntries()*rec),
+		logged: sc.info.RecoveredEntries - uint64(len(sc.restage)/rec),
+	}
+	// The boundary chunk's survivors are re-staged through the cache.
+	for off := 0; off < len(sc.restage); off += rec {
+		if err := l.commit(append(l.cache, sc.restage[off:off+rec]...)); err != nil {
+			l.w.Close()
+			return nil, nil, err
+		}
+	}
+	return l, &sc.info, nil
+}
+
+// salvageScan is what one pass over a salvaged log's entries found.
+type salvageScan struct {
+	sal     *h5.Salvage
+	info    ResumeInfo
+	keep    int    // chunks kept whole
+	restage []byte // the records of chunk keep before the cut
+}
+
+// scan salvages path and walks its intact entries once, finding the cut
+// just past the last entry drop rejects (a nil drop keeps every entry).
+// It holds at most two chunk payloads: the one being read and the one
+// holding the last kept entry. When cfg is non-nil the log must have
+// been written under it.
+func scan(path string, cfg *Config, drop func(Entry, []uint32) bool) (*salvageScan, error) {
 	sal, err := h5.Recover(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSalvageSchema(sal, nil); err != nil {
+	if err := checkSchema(sal.Schema()); err != nil {
 		return nil, err
 	}
-	info := &ResumeInfo{
-		RecoveredEntries: sal.Records(),
-		Chunks:           sal.Chunks(),
-		Complete:         sal.Complete(),
-		TruncatedBytes:   sal.TruncatedBytes(),
+	if cfg != nil {
+		if err := checkConfig(sal, cfg); err != nil {
+			return nil, err
+		}
 	}
 	rd, err := sal.Reader()
 	if err != nil {
 		return nil, err
 	}
 	defer rd.Close()
-	err = forEachSalvaged(rd, func(e Entry, _ []uint32) error {
-		if e.Stop > info.MaxStop {
-			info.MaxStop = e.Stop
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return info, nil
-}
-
-func resume(path string, cfg Config, drop func(Entry, []uint32) bool) (*Logger, *ResumeInfo, error) {
-	sal, err := h5.Recover(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkSalvageSchema(sal, &cfg); err != nil {
-		return nil, nil, err
-	}
-
-	info := &ResumeInfo{
+	sc := &salvageScan{sal: sal, info: ResumeInfo{
 		Chunks:         sal.Chunks(),
 		Complete:       sal.Complete(),
 		TruncatedBytes: sal.TruncatedBytes(),
-	}
-
-	// Scan every salvaged entry: validates payload decoding end to end,
-	// finds the trim boundary, and computes MaxStop.
-	rd, err := sal.Reader()
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := sal.Schema().RecordSize
-	total := int(sal.Records())
-	// cut is the index just past the last entry to KEEP: entries in
-	// [cut, total) form the maximal suffix with drop == true.
-	cut := total
-	type kept struct {
-		e   Entry
-		ext []uint32
-	}
-	chunkOfEntry := make([]int, 0, total) // chunk index of each entry
-	err = rd.ForEachChunk(func(chunk int, payload []byte) error {
-		for off := 0; off < len(payload); off += rec {
-			chunkOfEntry = append(chunkOfEntry, chunk)
+	}}
+	var seen uint64
+	var maxStop uint32
+	last := -1 // chunk of the last kept entry
+	err = forEach(rd, func(e Entry, ext []uint32, chunk int, head []byte) error {
+		seen++
+		maxStop = max(maxStop, e.Stop)
+		if drop == nil || !drop(e, ext) {
+			last, sc.restage = chunk, head
+			sc.info.RecoveredEntries, sc.info.MaxStop = seen, maxStop
 		}
 		return nil
 	})
 	if err != nil {
-		rd.Close()
-		return nil, nil, fmt.Errorf("eventlog: salvage scan: %w", err)
+		return nil, fmt.Errorf("eventlog: salvage scan: %w", err)
 	}
-	entries := make([]kept, 0, total)
-	if err := forEachSalvaged(rd, func(e Entry, ext []uint32) error {
-		entries = append(entries, kept{e: e, ext: append([]uint32(nil), ext...)})
-		return nil
-	}); err != nil {
-		rd.Close()
-		return nil, nil, fmt.Errorf("eventlog: salvage scan: %w", err)
+	sc.info.DroppedEntries = seen - sc.info.RecoveredEntries
+	sc.keep = last
+	if last < 0 || len(sc.restage) == rd.ChunkRecords(last)*sal.Schema().RecordSize {
+		sc.keep, sc.restage = last+1, nil // the cut falls on a chunk boundary
 	}
-	rd.Close()
-	if drop != nil {
-		for cut > 0 && drop(entries[cut-1].e, entries[cut-1].ext) {
-			cut--
-		}
-	}
-
-	// keepChunks = chunks whose entries all fall below the cut.
-	keepChunks := sal.Chunks()
-	if cut < total {
-		keepChunks = chunkOfEntry[cut] // first affected chunk is rewritten
-	}
-	// Entries of the boundary chunk that survive the cut get re-staged
-	// through the cache.
-	var restage []kept
-	if cut < total {
-		for i := cut - 1; i >= 0 && chunkOfEntry[i] == keepChunks; i-- {
-			restage = append(restage, entries[i])
-		}
-		// reverse to restore order
-		for i, j := 0, len(restage)-1; i < j; i, j = i+1, j-1 {
-			restage[i], restage[j] = restage[j], restage[i]
-		}
-	}
-
-	w, err := sal.Resume(keepChunks)
-	if err != nil {
-		return nil, nil, err
-	}
-	var fullyKept uint64
-	for i := 0; i < cut; i++ {
-		if chunkOfEntry[i] < keepChunks {
-			fullyKept++
-		}
-	}
-	l := &Logger{
-		w:      w,
-		cfg:    cfg,
-		rec:    rec,
-		cache:  make([]byte, 0, cfg.cacheEntries()*rec),
-		logged: fullyKept,
-	}
-	for _, k := range restage {
-		if err := l.Log(k.e, k.ext...); err != nil {
-			l.w.Close()
-			return nil, nil, err
-		}
-	}
-	info.RecoveredEntries = uint64(cut)
-	info.DroppedEntries = uint64(total - cut)
-	for i := 0; i < cut; i++ {
-		if s := entries[i].e.Stop; s > info.MaxStop {
-			info.MaxStop = s
-		}
-	}
-	return l, info, nil
+	return sc, nil
 }
 
-// checkSalvageSchema verifies the salvaged file is an event log and, when
-// cfg is non-nil, that it matches the logger configuration.
-func checkSalvageSchema(sal *h5.Salvage, cfg *Config) error {
-	s := sal.Schema()
-	if s.RecordSize < BaseEntrySize || s.RecordSize%4 != 0 {
-		return fmt.Errorf("eventlog: record size %d is not a valid entry size", s.RecordSize)
-	}
-	if len(s.Columns) < len(BaseColumns) {
-		return fmt.Errorf("eventlog: file has %d columns, want at least %d", len(s.Columns), len(BaseColumns))
-	}
-	for i, c := range BaseColumns {
-		if s.Columns[i] != c {
-			return fmt.Errorf("eventlog: column %d is %q, want %q", i, s.Columns[i], c)
-		}
-	}
-	if cfg == nil {
-		return nil
-	}
-	want := cfg.schema()
+// checkConfig verifies a salvaged event log was written under cfg, so
+// that appending to it keeps its record layout and flags.
+func checkConfig(sal *h5.Salvage, cfg *Config) error {
+	s, want := sal.Schema(), cfg.schema()
 	if s.RecordSize != want.RecordSize {
 		return fmt.Errorf("eventlog: resume config has record size %d, file has %d", want.RecordSize, s.RecordSize)
 	}
@@ -236,24 +177,4 @@ func checkSalvageSchema(sal *h5.Salvage, cfg *Config) error {
 		return fmt.Errorf("eventlog: resume config flags %#x, file flags %#x", cfg.flags(), sal.Flags())
 	}
 	return nil
-}
-
-// forEachSalvaged decodes every entry of a salvaged reader in order.
-func forEachSalvaged(rd *h5.Reader, fn func(e Entry, ext []uint32) error) error {
-	rec := rd.Schema().RecordSize
-	next := rec/4 - 5
-	ext := make([]uint32, next)
-	return rd.ForEachChunk(func(_ int, payload []byte) error {
-		for off := 0; off < len(payload); off += rec {
-			b := payload[off : off+rec]
-			e := decodeEntry(b)
-			for k := 0; k < next; k++ {
-				ext[k] = le.Uint32(b[20+4*k:])
-			}
-			if err := fn(e, ext); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

@@ -1,14 +1,17 @@
 package eventlog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/h5"
+	"repro/internal/telemetry"
 )
 
 // testEntry is a deterministic entry generator: entry i stops at hour
@@ -210,32 +213,136 @@ func TestResumeBefore(t *testing.T) {
 	}
 }
 
+// TestResumeBeforeCutInsideChunk resumes a log cut at every hour, with
+// and without an ext column, compressed and plain, closed and torn
+// (footer-less with its last chunk cut short), then finishes the run as
+// a re-simulation would. Chunks hold 5 entries and hours 4, so most cuts
+// fall inside a chunk whose survivors are re-staged. Every finished log
+// must hold exactly the uninterrupted log's entries and ext values, in
+// the very same bytes.
 func TestResumeBeforeCutInsideChunk(t *testing.T) {
-	// Cache 4, 10 entries -> chunks [0..3][4..7][8..9]. Cut at entry 6:
-	// chunk 1 is partially kept, entries 4..5 must be re-staged.
-	cfg := Config{CacheEntries: 4}
-	path := filepath.Join(t.TempDir(), "log.h5")
-	writeLog(t, path, cfg, 10, false)
+	const n = 26 // Stop = i/4+1 in 1..7
+	for _, ext := range []bool{false, true} {
+		for _, compress := range []bool{false, true} {
+			for _, torn := range []bool{false, true} {
+				cfg := Config{CacheEntries: 5, Compress: compress}
+				if ext {
+					cfg.ExtColumns = []string{"state"}
+				}
+				dir := t.TempDir()
+				ref := filepath.Join(dir, "ref.h5")
+				writeLog(t, ref, cfg, n, ext)
+				want, err := os.ReadFile(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := want
+				salvaged := n
+				if torn { // drop index and footer, and tear the last chunk
+					chunks := (n + cfg.CacheEntries - 1) / cfg.CacheEntries
+					start = want[:len(want)-20*chunks-16-2]
+					salvaged -= n % cfg.CacheEntries
+				}
+				wantEs, wantXs := readAll(t, ref)
+				for m := uint32(0); m <= 8; m++ {
+					t.Run(fmt.Sprintf("ext=%v/compress=%v/torn=%v/cut=%d", ext, compress, torn, m), func(t *testing.T) {
+						path := filepath.Join(dir, fmt.Sprintf("cut%d.h5", m))
+						if err := os.WriteFile(path, start, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						l, info, err := ResumeBefore(path, cfg, func(e Entry, _ []uint32) bool { return e.Stop >= m })
+						if err != nil {
+							t.Fatalf("ResumeBefore: %v", err)
+						}
+						keep := 0
+						for keep < salvaged && testEntry(keep).Stop < m {
+							keep++
+						}
+						if info.RecoveredEntries != uint64(keep) || info.DroppedEntries != uint64(salvaged-keep) {
+							t.Fatalf("recovered %d dropped %d, want %d/%d", info.RecoveredEntries, info.DroppedEntries, keep, salvaged-keep)
+						}
+						if l.Logged() != uint64(keep) {
+							t.Fatalf("Logged() = %d, want %d", l.Logged(), keep)
+						}
+						for i := keep; i < n; i++ {
+							var err error
+							if ext {
+								err = l.Log(testEntry(i), uint32(i*3))
+							} else {
+								err = l.Log(testEntry(i))
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+						}
+						if err := l.Close(); err != nil {
+							t.Fatal(err)
+						}
+						es, xs := readAll(t, path)
+						if !reflect.DeepEqual(es, wantEs) || !reflect.DeepEqual(xs, wantXs) {
+							t.Fatalf("finished log has entries %v ext %v, want %v ext %v", es, xs, wantEs, wantXs)
+						}
+						if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+							t.Fatalf("finished log differs from the uninterrupted one (%d vs %d bytes, err %v)", len(got), len(want), err)
+						}
+					})
+				}
+			}
+		}
+	}
+}
 
-	l, info, err := ResumeBefore(path, cfg, func(e Entry, _ []uint32) bool {
-		return e.Start >= 6
-	})
-	if err != nil {
-		t.Fatalf("ResumeBefore: %v", err)
-	}
-	if info.RecoveredEntries != 6 || info.DroppedEntries != 4 {
-		t.Errorf("recovered %d dropped %d, want 6/4", info.RecoveredEntries, info.DroppedEntries)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	es, _ := readAll(t, path)
-	if len(es) != 6 {
-		t.Fatalf("file has %d entries, want 6", len(es))
-	}
-	for i, e := range es {
-		if e != testEntry(i) {
-			t.Fatalf("entry %d = %+v, want %+v", i, e, testEntry(i))
+// TestResumeReadsEachChunkOnce counts chunk reads: over a 10-chunk log,
+// closed or footer-less, ResumeBefore reads each chunk once, and
+// Inspect followed by ResumeBefore twice.
+func TestResumeReadsEachChunkOnce(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(true)
+	reads := telemetry.C("h5_chunks_read_total")
+	const chunks = 10
+	cfg := Config{CacheEntries: 4}
+	drop := func(e Entry, _ []uint32) bool { return e.Start >= 22 } // inside chunk 5
+	for _, closed := range []bool{true, false} {
+		for _, inspect := range []bool{false, true} {
+			path := filepath.Join(t.TempDir(), "log.h5")
+			l, err := Create(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < chunks*cfg.CacheEntries; i++ {
+				if err := l.Log(testEntry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if closed {
+				err = l.Close()
+			} else {
+				err = l.w.Abort()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := reads.Value()
+			want := int64(chunks)
+			if inspect {
+				if _, err := Inspect(path); err != nil {
+					t.Fatal(err)
+				}
+				want += chunks
+			}
+			l, info, err := ResumeBefore(path, cfg, drop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reads.Value() - before; got != want {
+				t.Errorf("closed=%v inspect=%v: %d chunk reads, want %d", closed, inspect, got, want)
+			}
+			if info.RecoveredEntries != 22 || info.Complete != closed {
+				t.Errorf("closed=%v: recovered %d complete %v, want 22 %v", closed, info.RecoveredEntries, info.Complete, closed)
+			}
 		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+
+	"repro/internal/h5"
 )
 
 // EntrySource is a pull iterator over a stream of time-filtered log
@@ -87,16 +89,46 @@ func (s *sliceSource) Close() error {
 	return nil
 }
 
-// readerSource streams the time slice of one open log file, decoding one
-// chunk at a time. Peak memory is one chunk payload plus one decoded
-// batch, independent of the file size.
+// chunkCursor decodes the chunks of an h5 reader in order into batches
+// of the entries that overlap [t0, t1). It is the one decoder behind
+// every file-backed source: peak memory is one chunk payload plus one
+// decoded batch, independent of the file size.
+type chunkCursor struct {
+	rd     *h5.Reader
+	t0, t1 uint32
+	chunk  int // next chunk to decode
+	buf    []Entry
+}
+
+// next returns the next non-empty batch, or io.EOF once rd's chunks are
+// exhausted.
+func (c *chunkCursor) next() ([]Entry, error) {
+	rec := c.rd.Schema().RecordSize
+	for c.chunk < c.rd.NumChunks() {
+		payload, err := c.rd.ReadChunk(c.chunk)
+		if err != nil {
+			return nil, err
+		}
+		c.chunk++
+		c.buf = c.buf[:0]
+		for off := 0; off < len(payload); off += rec {
+			e := decodeEntry(payload[off:])
+			if e.Start < c.t1 && e.Stop > c.t0 {
+				c.buf = append(c.buf, e)
+			}
+		}
+		if len(c.buf) > 0 {
+			return c.buf, nil
+		}
+	}
+	return nil, io.EOF
+}
+
+// readerSource streams the time slice of one open log file.
 type readerSource struct {
-	r          *Reader
-	t0, t1     uint32
-	chunk      int
-	buf        []Entry
-	closed     bool
-	ownsReader bool
+	chunkCursor
+	closer io.Closer // the Reader, when the source owns it
+	closed bool
 }
 
 // Source returns an EntrySource over the entries of r whose activity
@@ -104,7 +136,7 @@ type readerSource struct {
 // NOT close r; the caller remains responsible for the Reader. Multiple
 // sequential sources may be taken from the same Reader.
 func (r *Reader) Source(t0, t1 uint32) EntrySource {
-	return &readerSource{r: r, t0: t0, t1: t1}
+	return &readerSource{chunkCursor: chunkCursor{rd: r.r, t0: t0, t1: t1}}
 }
 
 // OpenSource opens path and returns an EntrySource over its [t0, t1)
@@ -114,32 +146,14 @@ func OpenSource(path string, t0, t1 uint32) (EntrySource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &readerSource{r: r, t0: t0, t1: t1, ownsReader: true}, nil
+	return &readerSource{chunkCursor: chunkCursor{rd: r.r, t0: t0, t1: t1}, closer: r}, nil
 }
 
 func (s *readerSource) Next() ([]Entry, error) {
 	if s.closed {
 		return nil, io.EOF
 	}
-	rec := s.r.recordSize()
-	for s.chunk < s.r.r.NumChunks() {
-		payload, err := s.r.r.ReadChunk(s.chunk)
-		if err != nil {
-			return nil, err
-		}
-		s.chunk++
-		s.buf = s.buf[:0]
-		for off := 0; off < len(payload); off += rec {
-			e := decodeEntry(payload[off:])
-			if e.Start < s.t1 && e.Stop > s.t0 {
-				s.buf = append(s.buf, e)
-			}
-		}
-		if len(s.buf) > 0 {
-			return s.buf, nil
-		}
-	}
-	return nil, io.EOF
+	return s.next()
 }
 
 func (s *readerSource) Close() error {
@@ -148,8 +162,8 @@ func (s *readerSource) Close() error {
 	}
 	s.closed = true
 	s.buf = nil
-	if s.ownsReader {
-		return s.r.Close()
+	if s.closer != nil {
+		return s.closer.Close()
 	}
 	return nil
 }

@@ -113,7 +113,7 @@ func TestSliceSourceBatchesAreBounded(t *testing.T) {
 	}
 }
 
-func TestReaderSourceMatchesTimeSlice(t *testing.T) {
+func TestReaderSourceMatchesFilter(t *testing.T) {
 	entries := sourceTestEntries(5000, 100)
 	path := writeSourceLog(t, entries, Config{CacheEntries: 128})
 	r, err := Open(path)
@@ -122,15 +122,12 @@ func TestReaderSourceMatchesTimeSlice(t *testing.T) {
 	}
 	defer r.Close()
 	for _, w := range [][2]uint32{{0, 100}, {25, 60}, {99, 100}, {200, 300}} {
-		want, err := r.TimeSlice(w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sliceFilter(entries, w[0], w[1])
 		src := r.Source(w[0], w[1])
 		got := drain(t, src)
 		src.Close()
 		if len(got) != len(want) {
-			t.Fatalf("window %v: source drained %d, TimeSlice %d", w, len(got), len(want))
+			t.Fatalf("window %v: source drained %d, want %d", w, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -180,10 +177,9 @@ func TestReadAllEmptySource(t *testing.T) {
 	}
 }
 
-// TestTimeSliceDoesNotOverAllocate pins the satellite fix: slicing a
-// narrow window out of a large log must not allocate capacity
-// proportional to the whole file.
-func TestTimeSliceDoesNotOverAllocate(t *testing.T) {
+// TestReadAllDoesNotOverAllocate: draining a narrow window out of a
+// large log must not allocate capacity proportional to the whole file.
+func TestReadAllDoesNotOverAllocate(t *testing.T) {
 	const n = 40000
 	r := rng.New(7)
 	entries := make([]Entry, n)
@@ -197,7 +193,7 @@ func TestTimeSliceDoesNotOverAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	got, err := rd.TimeSlice(100, 102)
+	got, err := ReadAll(rd.Source(100, 102))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +201,7 @@ func TestTimeSliceDoesNotOverAllocate(t *testing.T) {
 		t.Fatal("window unexpectedly empty")
 	}
 	if cap(got) >= n/4 {
-		t.Fatalf("TimeSlice of %d entries allocated capacity %d (file has %d): over-allocation",
+		t.Fatalf("slice of %d entries allocated capacity %d (file has %d): over-allocation",
 			len(got), cap(got), n)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
 	"time"
 
 	"repro/internal/h5"
@@ -53,17 +54,14 @@ type TailOptions struct {
 
 // tailSource tails one growing log file.
 type tailSource struct {
-	ctx    context.Context
-	path   string
-	t0, t1 uint32
-	poll   time.Duration
+	ctx  context.Context
+	path string
+	poll time.Duration
 
-	pos        int64      // h5 salvage byte cursor (Salvage.End)
-	rd         *h5.Reader // reader over the most recent batch of new chunks
-	rec        int        // record size, learned from the first salvage
-	chunk      int        // next chunk to decode within rd
-	done       bool       // writer closed the file (valid footer)
-	buf        []Entry
+	cur        chunkCursor // over the chunks the last poll validated (rd nil when drained)
+	pos        int64       // h5 salvage byte cursor (Salvage.End)
+	file       os.FileInfo // the file pos addresses, from the first successful poll
+	done       bool        // writer closed the file (valid footer)
 	closed     bool
 	lastGrowth time.Time // when the cursor last advanced (staleness gauge)
 }
@@ -83,7 +81,7 @@ func OpenTail(ctx context.Context, path string, t0, t1 uint32, opts TailOptions)
 	if poll <= 0 {
 		poll = DefaultTailPoll
 	}
-	return &tailSource{ctx: ctx, path: path, t0: t0, t1: t1, poll: poll}
+	return &tailSource{ctx: ctx, path: path, poll: poll, cur: chunkCursor{t0: t0, t1: t1}}
 }
 
 func (s *tailSource) Next() ([]Entry, error) {
@@ -95,57 +93,52 @@ func (s *tailSource) Next() ([]Entry, error) {
 			return nil, fmt.Errorf("eventlog: tail %s: %w", s.path, err)
 		}
 		// Drain the reader over the chunks the last poll validated.
-		if s.rd != nil {
-			for s.chunk < s.rd.NumChunks() {
-				payload, err := s.rd.ReadChunk(s.chunk)
+		if s.cur.rd != nil {
+			batch, err := s.cur.next()
+			if err != io.EOF {
 				if err != nil {
 					return nil, fmt.Errorf("eventlog: tail %s: %w", s.path, err)
 				}
-				s.chunk++
-				s.buf = s.buf[:0]
-				for off := 0; off < len(payload); off += s.rec {
-					e := decodeEntry(payload[off:])
-					if e.Start < s.t1 && e.Stop > s.t0 {
-						s.buf = append(s.buf, e)
-					}
-				}
-				if len(s.buf) > 0 {
-					return s.buf, nil
-				}
+				return batch, nil
 			}
-			s.rd.Close()
-			s.rd = nil
+			s.cur.rd.Close()
+			s.cur.rd = nil
 		}
 		if s.done {
 			s.closed = true
 			return nil, io.EOF
 		}
-		// Poll for growth past the cursor.
+		// Poll for growth past the cursor. The stat follows the salvage,
+		// so a file swapped in before the salvage opened it is caught.
 		if s.lastGrowth.IsZero() {
 			s.lastGrowth = time.Now()
 		}
 		sal, err := h5.RecoverFrom(s.path, s.pos)
+		var st os.FileInfo
+		if err == nil {
+			st, err = os.Stat(s.path)
+		}
 		if err == nil && sal.End() > s.pos {
 			s.lastGrowth = time.Now()
 		}
 		mTailStalenessMs.Set(time.Since(s.lastGrowth).Milliseconds())
 		switch {
 		case err == nil:
-			if serr := checkSalvageSchema(sal, nil); serr != nil {
+			if serr := s.sameFile(st); serr != nil {
+				return nil, serr
+			}
+			if serr := checkSchema(sal.Schema()); serr != nil {
 				return nil, fmt.Errorf("eventlog: tail %s: %w", s.path, serr)
 			}
 			s.done = sal.Complete()
+			s.pos = sal.End()
 			if sal.Chunks() > 0 {
-				rd, rerr := sal.Reader()
-				if rerr != nil {
-					return nil, fmt.Errorf("eventlog: tail %s: %w", s.path, rerr)
+				if s.cur.rd, err = sal.Reader(); err != nil {
+					return nil, fmt.Errorf("eventlog: tail %s: %w", s.path, err)
 				}
-				s.rd, s.chunk = rd, 0
-				s.rec = sal.Schema().RecordSize
-				s.pos = sal.End()
+				s.cur.chunk = 0
 				continue
 			}
-			s.pos = sal.End()
 			if s.done {
 				continue // footer appeared with no new chunks: EOF
 			}
@@ -164,15 +157,33 @@ func (s *tailSource) Next() ([]Entry, error) {
 	}
 }
 
+// sameFile fails once the path names another file than the one the
+// cursor was taken on, or that file has shrunk below the cursor (as
+// chisim -resume trims a log): the cursor no longer addresses this
+// log's continuation, and reading on would end in a clean but wrong
+// EOF.
+func (s *tailSource) sameFile(st os.FileInfo) error {
+	if s.file == nil {
+		s.file = st
+	}
+	switch {
+	case !os.SameFile(s.file, st):
+		return fmt.Errorf("eventlog: tail %s: file replaced under the tail at cursor %d (the new file has %d bytes)", s.path, s.pos, st.Size())
+	case st.Size() < s.pos:
+		return fmt.Errorf("eventlog: tail %s: file truncated to %d bytes, below the cursor %d", s.path, st.Size(), s.pos)
+	}
+	return nil
+}
+
 func (s *tailSource) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	s.buf = nil
-	if s.rd != nil {
-		err := s.rd.Close()
-		s.rd = nil
+	s.cur.buf = nil
+	if s.cur.rd != nil {
+		err := s.cur.rd.Close()
+		s.cur.rd = nil
 		return err
 	}
 	return nil

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -159,5 +161,68 @@ func TestSliceSourceCanceledWrapped(t *testing.T) {
 	}
 	if err == context.Canceled {
 		t.Fatal("bare context.Canceled; SliceSource must wrap it")
+	}
+}
+
+// TestTailFailsWhenLogReplacedOrTruncated: once a tail has read part of
+// a live log, another file renamed over the path, or the live file cut
+// below the cursor, must end the tail with an error naming the path —
+// not with a clean EOF that silently skips whatever the path now holds.
+func TestTailFailsWhenLogReplacedOrTruncated(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, path string)
+		want  string
+	}{
+		{"replaced", func(t *testing.T, path string) {
+			// Longer than the cursor, so only the file's identity tells.
+			other := writeSourceLog(t, sourceTestEntries(2000, 50), Config{CacheEntries: 64})
+			if err := os.Rename(other, path); err != nil {
+				t.Fatal(err)
+			}
+		}, "replaced"},
+		{"truncated", func(t *testing.T, path string) {
+			if err := os.Truncate(path, 100); err != nil {
+				t.Fatal(err)
+			}
+		}, "truncated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "live.h5l")
+			l, err := Create(path, Config{CacheEntries: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			entries := sourceTestEntries(600, 50)
+			for _, e := range entries {
+				if err := l.Log(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			src := OpenTail(context.Background(), path, 0, ^uint32(0), TailOptions{Poll: fastPoll})
+			defer src.Close()
+			got := 0
+			for got < len(entries) {
+				batch, err := src.Next()
+				if err != nil {
+					t.Fatalf("after %d entries: %v", got, err)
+				}
+				got += len(batch)
+			}
+			tc.spoil(t, path)
+			_, errc := drainAsync(src)
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want a %s error naming %s", err, tc.want, path)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("tail kept waiting on a log that was " + tc.want)
+			}
+		})
 	}
 }

@@ -202,7 +202,7 @@ func (r *Runner) E3SubgroupFit() (*Report, error) {
 	}
 	for gi, n := range r.pipeline.AgeGroupNetworks(net) {
 		gg := graph.FromTri(n.Tri, r.Scale.Persons)
-		pts := netstat.Distribution(gg.DegreeDistribution(), counts[gi])
+		pts := netstat.Distribution(gg.DegreeHistogram(), counts[gi])
 		own, err := netstat.FitTruncatedPowerLaw(pts)
 		if err != nil {
 			continue

@@ -235,7 +235,7 @@ func (r *Runner) Fig3DegreeDistribution() (*Report, error) {
 		return nil, err
 	}
 
-	mle, _ := netstat.AlphaMLE(net.Graph().DegreeDistribution(), 5)
+	mle, _ := netstat.AlphaMLE(net.Graph().DegreeHistogram(), 5)
 	rep := &Report{
 		Title: "Full-population degree distribution and fits (Figure 3)",
 		PaperClaim: "flat head for k=1..7 (~1e5 persons each), rapid tail drop; overlays: power law a=1.5, " +
@@ -336,7 +336,7 @@ func (r *Runner) Fig5AgeGroups() (*Report, error) {
 	for gi, n := range per {
 		group := synthpop.AgeGroup(gi)
 		gg := graph.FromTri(n.Tri, r.Scale.Persons)
-		pts := netstat.Distribution(gg.DegreeDistribution(), counts[gi])
+		pts := netstat.Distribution(gg.DegreeHistogram(), counts[gi])
 		alpha, rr2 := math.NaN(), math.NaN()
 		if fit, err := netstat.FitPowerLaw(pts); err == nil {
 			alpha, rr2 = fit.Alpha, fit.R2

@@ -72,7 +72,7 @@ func TestBarabasiAlbertProperties(t *testing.T) {
 		t.Fatalf("BA max degree %d not heavy-tailed (mean %.1f)", g.MaxDegree(), mean)
 	}
 	// MLE exponent around 3 (BA theory), allow broad tolerance.
-	alpha, err := netstat.AlphaMLE(g.DegreeDistribution(), 6)
+	alpha, err := netstat.AlphaMLE(g.DegreeHistogram(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

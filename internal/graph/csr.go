@@ -68,9 +68,7 @@ func NewCSR(offsets []int64, nbrs, weights []uint32) (*Graph, error) {
 
 // DegreeHistogram returns the dense degree histogram: slot k holds the
 // number of vertices with degree exactly k, and the slice has length
-// MaxDegree()+1 (empty for an empty graph). Unlike the map-returning
-// DegreeDistribution, the result is deterministic across runs and
-// serializes to stable JSON.
+// MaxDegree()+1 (empty for an empty graph).
 func (g *Graph) DegreeHistogram() []int {
 	n := g.NumVertices()
 	if n == 0 {

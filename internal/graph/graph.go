@@ -143,16 +143,6 @@ func (g *Graph) Strength(v uint32) uint64 {
 	return s
 }
 
-// DegreeDistribution returns a map from vertex degree to the number of
-// vertices with that degree. Isolated vertices appear under degree 0.
-func (g *Graph) DegreeDistribution() map[int]int {
-	out := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		out[g.Degree(uint32(v))]++
-	}
-	return out
-}
-
 // MaxDegree returns the largest vertex degree, 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0

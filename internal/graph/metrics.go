@@ -151,16 +151,6 @@ func (g *Graph) MeanShortestPath(samples int, src *rng.Source) float64 {
 	return total / float64(pairs)
 }
 
-// StrengthDistribution returns a histogram of vertex strengths (weighted
-// degrees) bucketed to integers.
-func (g *Graph) StrengthDistribution() map[int]int {
-	out := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		out[int(g.Strength(uint32(v)))]++
-	}
-	return out
-}
-
 // DensityOfRandomEquivalent returns the expected local clustering of an
 // Erdős–Rényi graph with the same vertex and edge counts (= density),
 // the baseline the small-world comparison uses.

@@ -114,14 +114,6 @@ func TestMeanShortestPathEmpty(t *testing.T) {
 	}
 }
 
-func TestStrengthDistribution(t *testing.T) {
-	g := FromTri(buildTri([][3]uint32{{0, 1, 5}, {0, 2, 3}}), 3)
-	dist := g.StrengthDistribution()
-	if dist[8] != 1 || dist[5] != 1 || dist[3] != 1 {
-		t.Fatalf("strength distribution = %v", dist)
-	}
-}
-
 func TestDensityOfRandomEquivalent(t *testing.T) {
 	g := triangle()
 	if got := g.DensityOfRandomEquivalent(); math.Abs(got-1) > 1e-12 {

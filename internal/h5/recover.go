@@ -152,52 +152,12 @@ func (s *Salvage) dataStart() int64 {
 // prefix. Files with a valid footer are accepted wholesale (their index
 // is still bounds-validated); footer-less files — crashed or truncated —
 // are scanned chunk by chunk. Recover never modifies the file.
-func Recover(path string) (*Salvage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-
-	schema, flags, headerEnd, err := readHeader(f, size)
-	if err != nil {
-		return nil, err // unrecoverable: cannot even interpret records
-	}
-
-	// Fast path: intact footer and valid index.
-	if r, err := NewReader(f, size); err == nil {
-		return &Salvage{
-			path:     path,
-			schema:   r.schema,
-			flags:    r.flags,
-			index:    r.index,
-			end:      endOfChunks(r.index, r.flags, headerEnd),
-			size:     size,
-			complete: true,
-		}, nil
-	}
-
-	// Salvage scan over self-delimiting chunk headers.
-	index, end := scanChunks(f, size, headerEnd, schema, flags)
-	return &Salvage{
-		path:   path,
-		schema: schema,
-		flags:  flags,
-		index:  index,
-		end:    end,
-		size:   size,
-	}, nil
-}
+func Recover(path string) (*Salvage, error) { return RecoverFrom(path, 0) }
 
 // RecoverFrom is Recover restricted to the chunks at or after file
 // offset pos, which must be a value previously returned by Salvage.End
 // on the same file (or zero / any offset at or before the first chunk,
-// which degenerates to a full Recover). It exists for tailing a file
+// which is Recover). It exists for tailing a file
 // that is still being written: each poll revalidates only the newly
 // appended chunks instead of re-checksumming the whole file.
 //
@@ -220,7 +180,7 @@ func RecoverFrom(path string, pos int64) (*Salvage, error) {
 
 	schema, flags, headerEnd, err := readHeader(f, size)
 	if err != nil {
-		return nil, err
+		return nil, err // unrecoverable: cannot even interpret records
 	}
 	if pos < headerEnd {
 		pos = headerEnd

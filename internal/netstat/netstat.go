@@ -22,33 +22,11 @@ type Point struct {
 	Frac  float64
 }
 
-// Distribution converts a degree histogram (degree → vertex count) into
-// sorted points over k ≥ 1, with fractions relative to total. If total
-// is 0 the sum of all counts (including degree 0) is used.
-func Distribution(hist map[int]int, total int) []Point {
-	if total == 0 {
-		for _, c := range hist {
-			total += c
-		}
-	}
-	pts := make([]Point, 0, len(hist))
-	for k, c := range hist {
-		if k < 1 || c == 0 {
-			continue
-		}
-		pts = append(pts, Point{K: k, Count: c, Frac: float64(c) / float64(total)})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].K < pts[j].K })
-	return pts
-}
-
-// DistributionDense converts a dense degree histogram (slot k = number
-// of vertices with degree k, as produced by graph.DegreeHistogram) into
-// sorted points over k ≥ 1, with fractions relative to total. If total
-// is 0 the sum of all slots (including degree 0) is used. Unlike the
-// map-based Distribution it iterates in degree order, so the output is
-// deterministic without a sort.
-func DistributionDense(hist []int, total int) []Point {
+// Distribution converts a dense degree histogram (slot k = number of
+// vertices with degree k, as produced by graph.DegreeHistogram) into
+// points over k ≥ 1 in degree order, with fractions relative to total.
+// If total is 0 the sum of all slots (including degree 0) is used.
+func Distribution(hist []int, total int) []Point {
 	if total == 0 {
 		for _, c := range hist {
 			total += c
@@ -321,29 +299,10 @@ func FitExponential(pts []Point) (Fit, error) {
 
 // AlphaMLE returns the discrete power-law exponent maximum-likelihood
 // estimate α = 1 + n/Σ ln(k_i/(kmin-1/2)) over degrees ≥ kmin
-// (Clauset-Shalizi-Newman approximation).
-func AlphaMLE(hist map[int]int, kmin int) (float64, error) {
-	if kmin < 1 {
-		kmin = 1
-	}
-	var n int
-	var sum float64
-	for k, c := range hist {
-		if k < kmin || c == 0 {
-			continue
-		}
-		n += c
-		sum += float64(c) * math.Log(float64(k)/(float64(kmin)-0.5))
-	}
-	if n == 0 || sum == 0 {
-		return 0, fmt.Errorf("netstat: no degrees ≥ %d", kmin)
-	}
-	return 1 + float64(n)/sum, nil
-}
-
-// AlphaMLEDense is AlphaMLE over a dense degree histogram (slot k =
-// vertex count at degree k).
-func AlphaMLEDense(hist []int, kmin int) (float64, error) {
+// (Clauset-Shalizi-Newman approximation) of a dense degree histogram
+// (slot k = vertex count at degree k). The sum runs in degree order, so
+// the estimate is the same on every call.
+func AlphaMLE(hist []int, kmin int) (float64, error) {
 	if kmin < 1 {
 		kmin = 1
 	}

@@ -2,6 +2,7 @@ package netstat
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func synthPoints(n int, f func(k float64) float64) []Point {
 }
 
 func TestDistributionSortedAndFractions(t *testing.T) {
-	hist := map[int]int{3: 5, 1: 10, 0: 100, 7: 1}
+	hist := []int{100, 10, 0, 5, 0, 0, 0, 1} // degrees 0..7
 	pts := Distribution(hist, 0)
 	if len(pts) != 3 {
 		t.Fatalf("got %d points, want 3 (degree 0 excluded)", len(pts))
@@ -35,7 +36,7 @@ func TestDistributionSortedAndFractions(t *testing.T) {
 }
 
 func TestDistributionExplicitTotal(t *testing.T) {
-	pts := Distribution(map[int]int{2: 5}, 50)
+	pts := Distribution([]int{0, 0, 5}, 50)
 	if math.Abs(pts[0].Frac-0.1) > 1e-12 {
 		t.Fatalf("frac = %v, want 0.1", pts[0].Frac)
 	}
@@ -164,7 +165,7 @@ func TestAlphaMLE(t *testing.T) {
 	// Zipf and check the MLE lands near it.
 	r := rng.New(7)
 	z := rng.NewZipf(2.2, 10000)
-	hist := make(map[int]int)
+	hist := make([]int, 10001)
 	for i := 0; i < 200000; i++ {
 		hist[z.Sample(r)]++
 	}
@@ -178,7 +179,7 @@ func TestAlphaMLE(t *testing.T) {
 }
 
 func TestAlphaMLEEmpty(t *testing.T) {
-	if _, err := AlphaMLE(map[int]int{1: 5}, 10); err == nil {
+	if _, err := AlphaMLE([]int{0, 5}, 10); err == nil {
 		t.Fatal("MLE with no qualifying degrees accepted")
 	}
 }
@@ -308,12 +309,18 @@ func TestQuickHistogramConservation(t *testing.T) {
 }
 
 func TestDistributionDenseMatchesMap(t *testing.T) {
-	// A dense histogram and its map equivalent must produce identical
-	// point sets.
+	// A dense histogram must produce the points a map histogram gives
+	// when its positive degrees are sorted.
 	dense := []int{100, 10, 0, 5, 0, 0, 0, 1} // degrees 0..7
 	m := map[int]int{0: 100, 1: 10, 3: 5, 7: 1}
-	dp := DistributionDense(dense, 0)
-	mp := Distribution(m, 0)
+	dp := Distribution(dense, 0)
+	var mp []Point
+	for k, c := range m {
+		if k >= 1 {
+			mp = append(mp, Point{K: k, Count: c, Frac: float64(c) / 116})
+		}
+	}
+	sort.Slice(mp, func(i, j int) bool { return mp[i].K < mp[j].K })
 	if len(dp) != len(mp) {
 		t.Fatalf("dense %d points vs map %d", len(dp), len(mp))
 	}
@@ -331,46 +338,51 @@ func TestDistributionDenseMatchesMap(t *testing.T) {
 }
 
 func TestDistributionDenseExplicitTotal(t *testing.T) {
-	pts := DistributionDense([]int{0, 0, 5}, 50)
+	pts := Distribution([]int{0, 0, 5}, 50)
 	if len(pts) != 1 || math.Abs(pts[0].Frac-0.1) > 1e-12 {
 		t.Fatalf("pts = %v, want single point with frac 0.1", pts)
 	}
-	if got := DistributionDense(nil, 0); len(got) != 0 {
+	if got := Distribution(nil, 0); len(got) != 0 {
 		t.Fatalf("empty histogram produced points: %v", got)
 	}
 }
 
+// TestAlphaMLEDenseMatchesMap checks the histogram MLE against the
+// estimate summed sample by sample, and that it returns the very same
+// float64 on every call.
 func TestAlphaMLEDenseMatchesMap(t *testing.T) {
 	r := rng.New(11)
 	z := rng.NewZipf(2.2, 10000)
-	m := make(map[int]int)
-	maxK := 0
+	dense := make([]int, 10001)
+	var n int
+	var sum float64
 	for i := 0; i < 100000; i++ {
 		k := z.Sample(r)
-		m[k]++
-		if k > maxK {
-			maxK = k
+		dense[k]++
+		if k >= 3 {
+			n++
+			sum += math.Log(float64(k) / 2.5)
 		}
 	}
-	dense := make([]int, maxK+1)
-	for k, c := range m {
-		dense[k] = c
+	ad, err := AlphaMLE(dense, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	am, err1 := AlphaMLE(m, 3)
-	ad, err2 := AlphaMLEDense(dense, 3)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	if want := 1 + float64(n)/sum; math.Abs(ad-want) > 1e-9 {
+		t.Fatalf("histogram MLE %v differs from per-sample MLE %v", ad, want)
 	}
-	if math.Abs(am-ad) > 1e-12 {
-		t.Fatalf("dense MLE %v differs from map MLE %v", ad, am)
+	for i := 0; i < 100; i++ {
+		if again, _ := AlphaMLE(dense, 3); again != ad {
+			t.Fatalf("call %d: MLE %v, first call %v", i, again, ad)
+		}
 	}
 }
 
 func TestAlphaMLEDenseEmpty(t *testing.T) {
-	if _, err := AlphaMLEDense([]int{0, 5}, 10); err == nil {
+	if _, err := AlphaMLE([]int{0, 5, 0, 0, 0, 0, 0, 0, 0, 0}, 10); err == nil {
 		t.Fatal("dense MLE with no qualifying degrees accepted")
 	}
-	if _, err := AlphaMLEDense(nil, 1); err == nil {
+	if _, err := AlphaMLE(nil, 1); err == nil {
 		t.Fatal("dense MLE on nil histogram accepted")
 	}
 }

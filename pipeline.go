@@ -290,7 +290,7 @@ func (n *Network) Graph() *graph.Graph {
 // (k ≥ 1), with fractions scaled by the total person count as in the
 // paper's Figure 3.
 func (n *Network) DegreeDistribution() []netstat.Point {
-	return netstat.Distribution(n.Graph().DegreeDistribution(), n.Persons)
+	return netstat.Distribution(n.Graph().DegreeHistogram(), n.Persons)
 }
 
 // AgeGroupNetworks returns the within-group collocation networks, one

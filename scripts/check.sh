@@ -537,6 +537,64 @@ if [ "${STREAMSMOKE:-1}" = "1" ]; then
 	rm -rf "$str_dir"
 fi
 
+# Tail chaos (DESIGN.md §14 "Live tailing"): a follower whose log is
+# replaced under it must fail loudly, never end in a clean EOF that
+# skips the new file. netsynth -follow tails a live chisim -flush-every 1
+# log; after the first published generation another complete log is
+# renamed over the path. netsynth must exit 1 within 20 s with stderr
+# naming the path. Skip with TAILCHAOS=0.
+if [ "${TAILCHAOS:-1}" = "1" ]; then
+	echo "== tail chaos (log renamed under netsynth -follow -> exit 1 naming the path)"
+	tc_dir=$(mktemp -d)
+	go build -o "$tc_dir/" ./cmd/chisim ./cmd/netsynth
+	"$tc_dir/chisim" -persons 300 -days 1 -ranks 1 -seed 7 -logdir "$tc_dir/other" >/dev/null
+	"$tc_dir/chisim" -persons 1500 -days 4 -ranks 1 -seed 2017 -logdir "$tc_dir/logs" \
+		-flush-every 1 -hour-delay 50ms >/dev/null &
+	tc_sim_pid=$!
+	tc_log="$tc_dir/logs/rank0000.h5l"
+	"$tc_dir/netsynth" -follow -t0 0 -t1 96 -window 24 -poll 50ms \
+		-o "$tc_dir/stream.tsv" -snapshot "$tc_dir/live.gsnap" "$tc_log" \
+		>"$tc_dir/follow.log" 2>"$tc_dir/follow.err" &
+	tc_follow_pid=$!
+	i=0
+	while [ ! -f "$tc_dir/live.gsnap" ]; do
+		i=$((i + 1))
+		if [ "$i" -gt 600 ]; then
+			echo "FAIL: no generation published within 60s"
+			cat "$tc_dir/follow.log" "$tc_dir/follow.err"
+			kill "$tc_sim_pid" "$tc_follow_pid" 2>/dev/null || true
+			rm -rf "$tc_dir"
+			exit 1
+		fi
+		sleep 0.1
+	done
+	mv "$tc_dir/other/rank0000.h5l" "$tc_log"
+	i=0
+	while kill -0 "$tc_follow_pid" 2>/dev/null; do
+		i=$((i + 1))
+		if [ "$i" -gt 200 ]; then
+			echo "FAIL: netsynth -follow still running 20s after its log was replaced"
+			cat "$tc_dir/follow.log" "$tc_dir/follow.err"
+			kill "$tc_sim_pid" "$tc_follow_pid" 2>/dev/null || true
+			rm -rf "$tc_dir"
+			exit 1
+		fi
+		sleep 0.1
+	done
+	tc_code=0
+	wait "$tc_follow_pid" || tc_code=$?
+	wait "$tc_sim_pid"
+	if [ "$tc_code" != 1 ] || ! grep -qF "$tc_log" "$tc_dir/follow.err"; then
+		echo "FAIL: netsynth -follow exit $tc_code (want 1) with stderr naming $tc_log:"
+		cat "$tc_dir/follow.err"
+		rm -rf "$tc_dir"
+		exit 1
+	fi
+	echo "netsynth -follow: log replaced after the first generation -> exit 1"
+	sed 's/^/  /' "$tc_dir/follow.err"
+	rm -rf "$tc_dir"
+fi
+
 # Exit-code contract (DESIGN.md §12 "Command runtime"): the first
 # SIGINT/SIGTERM cancels a command's work, and it exits 2 only after its
 # deferred cleanup has run. netsynth -follow on a log that never appears,
