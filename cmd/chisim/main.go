@@ -48,7 +48,6 @@ import (
 	"repro/internal/cmdrun"
 	"repro/internal/eventlog"
 	"repro/internal/mpi"
-	"repro/internal/schedule"
 	"repro/internal/telemetry"
 )
 
@@ -117,12 +116,6 @@ func runLocal(ctx context.Context, p *repro.Pipeline, tel *cmdrun.Telemetry, log
 		return err
 	}
 	elapsed := time.Since(start)
-
-	endHour := uint32(p.Days() * schedule.HoursPerDay)
-	if res.StoppedAt < endHour {
-		fmt.Printf("stopped gracefully at hour %d of %d; rerun with -resume to continue\n",
-			res.StoppedAt, endHour)
-	}
 	fmt.Printf("simulated %d hours on %d ranks in %s\n", res.Steps, len(res.PerRank), elapsed.Round(time.Millisecond))
 	fmt.Printf("events logged: %d (%.2f per person-day), %d chunked writes\n",
 		res.Entries, float64(res.Entries)/float64(p.Pop.NumPersons()*p.Days()), res.Flushes)
@@ -192,12 +185,12 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, t
 	var rr abm.RankResult
 	if resume {
 		var rep *abm.ResumeReport
-		rr, rep, err = abm.ResumeRank(ctx, mpi.Transport(node), cfg)
+		rr, rep, err = abm.ResumeRank(ctx, node, cfg)
 		if err == nil && rep != nil {
 			printResumeReport([]*abm.ResumeReport{rep})
 		}
 	} else {
-		rr, err = abm.RunRank(ctx, mpi.Transport(node), cfg)
+		rr, err = abm.RunRank(ctx, node, cfg)
 	}
 	if err != nil {
 		// A cooperative cancellation still leaves every rank's log with
@@ -205,15 +198,10 @@ func runDistributed(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, t
 		// across ranks because they all observed the same cancel flag.
 		return err
 	}
-	endHour := uint32(p.Days() * schedule.HoursPerDay)
-	if rr.StoppedAt < endHour {
-		fmt.Printf("rank %d: stopped gracefully at hour %d of %d; rerun with -resume to continue\n",
-			node.Rank(), rr.StoppedAt, endHour)
-	}
 	fmt.Printf("rank %d: %d entries, %d migrations out, wall %s\n",
 		node.Rank(), rr.Entries, rr.Migrations, time.Since(start).Round(time.Millisecond))
 
-	all, err := node.Gather(ctx, rr.Encode())
+	all, err := mpi.Gather(ctx, node, rr.Encode())
 	if err != nil || node.Rank() != 0 {
 		return err
 	}

@@ -143,9 +143,9 @@ func main() {
 			}, pol, chaos, obs)
 			simWall = time.Since(simStart)
 			if simRes != nil {
-				supervision = append(supervision, simRes.Report())
+				supervision = append(supervision, *simRes)
 				if obs != nil {
-					obs.addSupervision(simRes.Report())
+					obs.addSupervision(*simRes)
 				}
 			}
 			if err != nil {
@@ -181,9 +181,9 @@ func main() {
 		}, pol, chaos, obs)
 		synthWall := time.Since(synthStart)
 		if synthRes != nil {
-			supervision = append(supervision, synthRes.Report())
+			supervision = append(supervision, *synthRes)
 			if obs != nil {
-				obs.addSupervision(synthRes.Report())
+				obs.addSupervision(*synthRes)
 			}
 		}
 		synthRep := readSynthReport(synthReportPath)
@@ -199,8 +199,15 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("synthesis phase: %w", err)
 		}
+		restarts, degraded := 0, []int{}
+		for _, r := range synthRes.Ranks {
+			restarts += r.Restarts
+			if r.Degraded {
+				degraded = append(degraded, r.Rank)
+			}
+		}
 		fmt.Printf("netlaunch: synthesis phase done in %s (%d restart(s), degraded ranks %v)\n",
-			synthWall.Round(time.Millisecond), synthRes.Restarts(), synthRes.DegradedRanks())
+			synthWall.Round(time.Millisecond), restarts, degraded)
 		fmt.Printf("netlaunch: network → %s (snapshot %s)\n", *out, *snapshot)
 		if obs != nil {
 			obs.setPhase("done")
@@ -251,7 +258,7 @@ func claimToken(seed uint64, rank int) uint64 {
 // runSimPhase supervises the simulation as a gang: any rank dying
 // triggers a full relaunch with -resume, which replays every log to the
 // canonical state.
-func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*supervise.Result, error) {
+func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
 	addrFile := filepath.Join(workdir, "sim.addr")
 	build := func(attempt int) []supervise.Spec {
 		// A stale address file would point relaunched workers at the
@@ -307,7 +314,7 @@ func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, p
 // runSynthPhase supervises the synthesis with per-rank restarts: a dead
 // worker reclaims its slot via its claim token, or — once its budget is
 // spent — stays dead while the survivors re-stripe its files.
-func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a synthArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*supervise.Result, error) {
+func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a synthArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
 	addrFile := filepath.Join(workdir, "synth.addr")
 	os.Remove(addrFile)
 	common := []string{

@@ -92,16 +92,6 @@ type Config struct {
 	// rank's goroutine at the moment the entry is written; the returned
 	// slice length must match Log.ExtColumns.
 	LogExt func(person uint32, stopHour uint32) []uint32
-	// Stop, when non-nil, requests a graceful stop of all ranks at the
-	// next hour boundary once the channel is closed (or receives). The
-	// logs are closed with valid footers and the run can be continued
-	// later with Resume. See RankConfig.Stop.
-	//
-	// Stop is the "successful early exit" path: Run returns a nil error
-	// with Result.StoppedAt < Days*24. Cancelling the ctx passed to Run
-	// stops the simulation through the same hourly alignment but returns
-	// an error wrapping context.Canceled; both leave resumable logs.
-	Stop <-chan struct{}
 	// HourDelay stretches the wall clock for chaos tests; see
 	// RankConfig.HourDelay.
 	HourDelay time.Duration
@@ -126,9 +116,6 @@ type Result struct {
 	LocalMoves uint64
 	// Steps is the number of simulated hours.
 	Steps int
-	// StoppedAt is the hour the run ended: Days*24 for a complete run,
-	// less when a graceful stop was requested (identical on all ranks).
-	StoppedAt uint32
 	// PerRank holds each rank's individual counters (index = rank), the
 	// raw material for per-rank imbalance roll-ups.
 	PerRank []RankResult
@@ -211,7 +198,7 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 		rc := RankConfig{
 			Pop: cfg.Pop, Gen: cfg.Gen, Days: cfg.Days, Assign: assign,
 			LogPath: logPath, Log: cfg.Log, FullStateLog: cfg.FullStateLog,
-			Interact: cfg.Interact, LogExt: cfg.LogExt, Stop: cfg.Stop,
+			Interact: cfg.Interact, LogExt: cfg.LogExt,
 			HourDelay: cfg.HourDelay, FlushEvery: cfg.FlushEvery,
 		}
 		var rr RankResult
@@ -233,7 +220,6 @@ func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport
 		return nil, reports, err
 	}
 
-	res.StoppedAt = results[0].StoppedAt
 	res.PerRank = results
 	for _, rr := range results {
 		res.Entries += rr.Entries
@@ -271,18 +257,6 @@ type RankConfig struct {
 	// a crashed rank appends to its salvaged file. RunRank takes
 	// ownership and closes it.
 	Logger *eventlog.Logger
-	// Stop, when non-nil, requests a graceful stop: the channel is
-	// polled every simulated hour and a one-byte stop flag is exchanged
-	// so ALL ranks leave the hourly loop at the same hour (collectives
-	// stay aligned). The loggers are then flushed and closed with valid
-	// footers, and the run can later be continued with ResumeRank.
-	//
-	// Context cancellation rides the same hourly flag exchange (flag 2
-	// instead of 1, cancel winning over stop), so a cancelled rank and
-	// its peers leave the loop at the same hour with equally valid,
-	// resumable logs — the only difference is that RunRank then returns
-	// an error wrapping context.Canceled.
-	Stop <-chan struct{}
 	// HourDelay, when positive, sleeps this long at the top of every
 	// simulated hour. It exists for chaos testing: tiny populations
 	// finish in milliseconds, too fast for an external fault (kill -9,
@@ -308,7 +282,7 @@ type RankResult struct {
 	Migrations uint64
 	LocalMoves uint64
 	// StoppedAt is the hour the run ended: Days*24 for a complete run,
-	// less when a graceful stop was requested.
+	// the hour every rank left the loop at when the run was canceled.
 	StoppedAt uint32
 	// WallNs is the rank's end-to-end wall clock in nanoseconds,
 	// measured by RunRank/ResumeRank; per-rank walls expose simulation
@@ -442,12 +416,12 @@ func (s *personSorter) sort(a []agent) []agent {
 // and Assign values; determinism of the schedule generator guarantees
 // they agree on every agent's behavior without further coordination.
 //
-// Cancelling ctx is observed at the next hour boundary: all ranks leave
-// the loop together (via the hourly flag exchange), the logger is
-// flushed and closed with a valid footer, and RunRank returns the
-// partial RankResult alongside an error wrapping context.Canceled. The
-// log on disk is indistinguishable from a graceful stop and can be
-// continued with ResumeRank.
+// Cancelling ctx is the one way to stop a run early. It is observed at
+// the next hour boundary: all ranks leave the loop together (via the
+// hourly flag exchange), the logger is flushed and closed with a valid
+// footer that ends at that hour, and RunRank returns the partial
+// RankResult alongside an error wrapping context.Canceled. The log can
+// be continued with ResumeRank.
 //
 // Interact and LogExt hooks run with process-local state only: in a
 // distributed deployment each process sees just the agents it hosts.
@@ -621,20 +595,18 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		logSegment = func(uint32, schedule.Segment, uint32) error { return nil }
 	}
 
-	// Cancellation and graceful stops share one alignment mechanism: a
-	// one-byte flag exchanged at the top of every hour (0 = continue,
-	// 1 = stop requested, 2 = context canceled; the max wins). The
+	// Cancellation is aligned by a one-byte flag exchanged at the top of
+	// every hour (0 = continue, 1 = context canceled; any 1 wins). The
 	// alignment exchange itself runs under a context that cannot be
 	// canceled — it is precisely the collective that lets every rank
 	// agree to leave the loop together, so it must complete even when
 	// this rank's ctx is already dead.
 	alignCtx := context.WithoutCancel(ctx)
-	stopped := false
 	canceled := false
-	pollFlags := cfg.Stop != nil || ctx.Done() != nil
+	pollFlags := ctx.Done() != nil
 	// One immutable blob set per flag value: the hourly alignment
 	// allocates nothing and never rewrites a byte a peer may be reading.
-	var flagOut [3][][]byte
+	var flagOut [2][][]byte
 	if pollFlags {
 		for f := range flagOut {
 			flagOut[f] = make([][]byte, size)
@@ -652,20 +624,13 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			time.Sleep(cfg.HourDelay)
 		}
 		if pollFlags {
-			// Stop/cancel alignment: every rank contributes a flag each
-			// hour; if ANY rank saw a signal, all ranks leave the loop
-			// at the same hour, keeping the collective schedule
+			// Cancel alignment: every rank contributes a flag each hour;
+			// if ANY rank saw its context canceled, all ranks leave the
+			// loop at the same hour, keeping the collective schedule
 			// identical on every rank.
 			var flag byte
-			if cfg.Stop != nil {
-				select {
-				case <-cfg.Stop:
-					flag = 1
-				default:
-				}
-			}
 			if ctx.Err() != nil {
-				flag = 2
+				flag = 1
 			}
 			sw := telemetry.Clock()
 			in, err := t.Exchange(alignCtx, flagOut[flag])
@@ -674,13 +639,12 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 				return rr, err
 			}
 			for _, b := range in {
-				if len(b) > 0 && b[0] > flag {
-					flag = b[0]
+				if len(b) > 0 {
+					flag |= b[0]
 				}
 			}
 			if flag != 0 {
-				stopped = true
-				canceled = flag == 2
+				canceled = true
 				rr.StoppedAt = hour
 				break
 			}
@@ -790,10 +754,10 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		}
 	}
 
-	// Close out the final in-progress segments. After a graceful stop
-	// the in-progress segments are NOT logged: the log then ends at an
-	// hour boundary, exactly the shape ResumeRank restarts from.
-	if !cfg.FullStateLog && !stopped {
+	// Close out the final in-progress segments. After a cancel the
+	// in-progress segments are NOT logged: the log then ends at an hour
+	// boundary, exactly the shape ResumeRank restarts from.
+	if !cfg.FullStateLog && !canceled {
 		last := *heldAt(endHour - 1)
 		for _, a := range residents() {
 			seg := last[a.seg]

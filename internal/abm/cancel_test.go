@@ -85,8 +85,10 @@ func TestRunCanceledMidRunIsResumable(t *testing.T) {
 	if reports[0].StartHour == 0 || reports[0].StartHour >= endHour {
 		t.Fatalf("resume boundary %d, want in (0, %d)", reports[0].StartHour, endHour)
 	}
-	if res.StoppedAt != endHour {
-		t.Fatalf("resumed run stopped at %d, want %d", res.StoppedAt, endHour)
+	for r, rr := range res.PerRank {
+		if rr.StoppedAt != endHour {
+			t.Fatalf("resumed rank %d stopped at %d, want %d", r, rr.StoppedAt, endHour)
+		}
 	}
 	got := make([]string, f.ranks)
 	for r := range got {

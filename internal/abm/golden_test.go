@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/eventlog"
@@ -97,38 +96,16 @@ func TestGoldenFlushEvery(t *testing.T) {
 	expectGolden(t, 2, res.LogPaths)
 }
 
-func TestGoldenStopThenResume(t *testing.T) {
-	cfg := goldenConfig(t, 4)
-	stop := make(chan struct{})
-	var once sync.Once
-	cfg.Stop = stop
-	cfg.LogExt = func(_ uint32, stopHour uint32) []uint32 {
-		if stopHour >= 30 {
-			once.Do(func() { close(stop) })
-		}
-		return nil
-	}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StoppedAt < 30 || res.StoppedAt >= 72 {
-		t.Fatalf("stopped at hour %d, want within [30, 72)", res.StoppedAt)
-	}
-	cfg.Stop, cfg.LogExt = nil, nil
-	res, _, err = Resume(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectGolden(t, 4, res.LogPaths)
-}
-
-func TestGoldenCancelThenResume(t *testing.T) {
-	cfg := goldenConfig(t, 2)
+// goldenCancelThenResume cancels a golden run from inside the
+// simulation once hour trigger is reached, resumes it, and expects the
+// uninterrupted run's digests.
+func goldenCancelThenResume(t *testing.T, ranks int, trigger uint32) {
+	t.Helper()
+	cfg := goldenConfig(t, ranks)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Interact = func(_ int, hour, _ uint32, _ []uint32) {
-		if hour >= 40 {
+		if hour >= trigger {
 			cancel()
 		}
 	}
@@ -143,5 +120,9 @@ func TestGoldenCancelThenResume(t *testing.T) {
 	if reports[0].StartHour == 0 || reports[0].StartHour >= 72 {
 		t.Fatalf("resume boundary %d, want in (0, 72)", reports[0].StartHour)
 	}
-	expectGolden(t, 2, res.LogPaths)
+	expectGolden(t, ranks, res.LogPaths)
 }
+
+func TestGoldenCancelThenResume(t *testing.T) { goldenCancelThenResume(t, 2, 40) }
+
+func TestGoldenCancelThenResumeFourRanks(t *testing.T) { goldenCancelThenResume(t, 4, 30) }

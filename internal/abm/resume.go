@@ -18,8 +18,8 @@
 //     the finished logs are bit-equivalent in content to an uninterrupted
 //     run.
 //
-// A graceful stop (RankConfig.Stop) produces logs that end cleanly at an
-// hour boundary; ResumeRank continues them with zero dropped entries.
+// A canceled run produces logs that end cleanly at an hour boundary;
+// ResumeRank continues them with zero dropped entries.
 package abm
 
 import (
@@ -56,7 +56,7 @@ type ResumeReport struct {
 	Restarted bool
 }
 
-// Resume continues a crashed or gracefully-stopped multi-goroutine run
+// Resume continues a crashed or canceled multi-goroutine run
 // previously started by Run with the same Config (including LogDir,
 // which must still hold the per-rank logs). It returns the aggregate
 // result of the continued run plus one salvage report per rank.
@@ -64,7 +64,7 @@ func Resume(ctx context.Context, cfg Config) (*Result, []*ResumeReport, error) {
 	return run(ctx, cfg, true)
 }
 
-// ResumeRank continues a crashed or gracefully-stopped simulation rank.
+// ResumeRank continues a crashed or canceled simulation rank.
 // It must be called collectively: every rank of the transport enters
 // ResumeRank with identical Pop/Gen/Days/Assign (as for RunRank) and its
 // own LogPath. See the package comment of this file for the protocol.

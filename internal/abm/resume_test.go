@@ -272,10 +272,10 @@ func TestResumeRankOnCompletedRun(t *testing.T) {
 	expectSameLogs(t, ref, crashed)
 }
 
-// TestGracefulStopThenResume stops a run mid-flight via the Stop
-// channel, checks all ranks leave at the same hour with valid footers,
-// and then resumes to a bit-identical finish.
-func TestGracefulStopThenResume(t *testing.T) {
+// TestRankCancelThenResume cancels a RunRank run mid-flight, checks all
+// ranks leave at the same hour with valid footers, and then resumes to a
+// bit-identical finish.
+func TestRankCancelThenResume(t *testing.T) {
 	f := newResumeFixture(t, 45, 3, 3)
 	ref := f.reference(t)
 
@@ -285,14 +285,14 @@ func TestGracefulStopThenResume(t *testing.T) {
 		paths[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
 	}
 
-	// The stop signal fires deterministically from inside the
-	// simulation: the first logged entry whose activity ends at or
-	// after hour 30 (on any rank) closes the channel.
-	stop := make(chan struct{})
-	var once sync.Once
+	// The cancel fires deterministically from inside the simulation: the
+	// first logged entry whose activity ends at or after hour 30 (on any
+	// rank) cancels the context every rank runs under.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	logExt := func(_ uint32, stopHour uint32) []uint32 {
 		if stopHour >= 30 {
-			once.Do(func() { close(stop) })
+			cancel()
 		}
 		return nil
 	}
@@ -301,16 +301,15 @@ func TestGracefulStopThenResume(t *testing.T) {
 	var mu sync.Mutex
 	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
 		cfg := f.rankConfig(paths[tr.Rank()])
-		cfg.Stop = stop
 		cfg.LogExt = logExt
-		rr, err := RunRank(context.Background(), tr, cfg)
+		rr, err := RunRank(ctx, tr, cfg)
 		mu.Lock()
 		results[tr.Rank()] = rr
 		mu.Unlock()
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run err = %v, want context.Canceled", err)
 	}
 
 	endHour := uint32(f.days * schedule.HoursPerDay)
@@ -323,11 +322,11 @@ func TestGracefulStopThenResume(t *testing.T) {
 			t.Fatalf("rank %d stopped at %d, rank 0 at %d", r, rr.StoppedAt, stoppedAt)
 		}
 	}
-	// A graceful stop writes valid footers: the logs open cleanly.
+	// A canceled run writes valid footers: the logs open cleanly.
 	for _, p := range paths {
 		r, err := eventlog.Open(p)
 		if err != nil {
-			t.Fatalf("stopped log %s has no valid footer: %v", p, err)
+			t.Fatalf("canceled log %s has no valid footer: %v", p, err)
 		}
 		r.Close()
 	}
@@ -335,7 +334,7 @@ func TestGracefulStopThenResume(t *testing.T) {
 	reports := f.resumeAll(t, paths)
 	for r, rep := range reports {
 		if rep.Restarted {
-			t.Fatalf("rank %d restarted after a graceful stop", r)
+			t.Fatalf("rank %d restarted after a cancel", r)
 		}
 		if rep.StartHour > stoppedAt {
 			t.Fatalf("rank %d resumed at %d, beyond the stop hour %d", r, rep.StartHour, stoppedAt)

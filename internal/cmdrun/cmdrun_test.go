@@ -195,7 +195,8 @@ func TestDistOpenJoinsThroughAddrFile(t *testing.T) {
 			if n.Rank() != 1 {
 				err = fmt.Errorf("joined as rank %d, want 1", n.Rank())
 			} else {
-				err = n.Barrier(context.Background())
+				// An Exchange of nil blobs is a barrier.
+				_, err = n.Exchange(context.Background(), make([][]byte, 2))
 			}
 			n.Close()
 		}
@@ -206,7 +207,7 @@ func TestDistOpenJoinsThroughAddrFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.Barrier(context.Background()); err != nil {
+	if _, err := n.Exchange(context.Background(), make([][]byte, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errc; err != nil {

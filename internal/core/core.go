@@ -829,7 +829,7 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		mGatherBytes.Add(int64(len(blob)))
 		attemptSpan.AddBytes(int64(len(blob)))
 		gStart := time.Now()
-		gathered, err := t.Gather(attemptCtx, blob)
+		gathered, err := mpi.Gather(attemptCtx, t, blob)
 		gWall := time.Since(gStart)
 		comm += gWall
 		mCommSeconds.Observe(gWall)
@@ -888,7 +888,7 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		if b, err := telemetry.EncodeRank(local); err == nil {
 			repBlob = b
 		}
-		repGathered, repErr := t.Gather(ctx, repBlob)
+		repGathered, repErr := mpi.Gather(ctx, t, repBlob)
 
 		if t.Rank() != 0 {
 			return nil, nil, nil

@@ -262,8 +262,12 @@ func TestSynthesizeDistributedAbsorbsRejoin(t *testing.T) {
 		var wg sync.WaitGroup
 		var hostErr, survErr error
 		wg.Add(2)
-		go func() { defer wg.Done(); hostErr = host.Barrier(context.Background()) }()
-		go func() { defer wg.Done(); survErr = survivor.Barrier(context.Background()) }()
+		barrier := func(n *mpinet.Node) error {
+			_, err := n.Exchange(context.Background(), make([][]byte, n.Size()))
+			return err
+		}
+		go func() { defer wg.Done(); hostErr = barrier(host) }()
+		go func() { defer wg.Done(); survErr = barrier(survivor) }()
 		wg.Wait()
 		if rf, ok := mpi.AsRankFailed(hostErr); ok && rf.Rank == victimRank {
 			if rf2, ok2 := mpi.AsRankFailed(survErr); !ok2 || rf2.Rank != victimRank {

@@ -57,14 +57,21 @@ func proxiedCluster(t *testing.T, toServer, toClient faultinject.LinkFaults) (ho
 	return h, b, v, p
 }
 
+// barrier is an Exchange of nil blobs: it returns once every live rank
+// has entered it.
+func barrier(ctx context.Context, n *mpinet.Node) error {
+	_, err := n.Exchange(ctx, make([][]byte, n.Size()))
+	return err
+}
+
 func barrier3(host, bystander, victim *mpinet.Node, withVictim bool) (hostErr, byErr, vicErr error) {
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); hostErr = host.Barrier(context.Background()) }()
-	go func() { defer wg.Done(); byErr = bystander.Barrier(context.Background()) }()
+	go func() { defer wg.Done(); hostErr = barrier(context.Background(), host) }()
+	go func() { defer wg.Done(); byErr = barrier(context.Background(), bystander) }()
 	if withVictim {
 		wg.Add(1)
-		go func() { defer wg.Done(); vicErr = victim.Barrier(context.Background()) }()
+		go func() { defer wg.Done(); vicErr = barrier(context.Background(), victim) }()
 	}
 	wg.Wait()
 	return
@@ -106,7 +113,7 @@ func TestProxyCutAfterFrames(t *testing.T) {
 	// later, when the closed link is noticed.
 	host, bystander, victim, proxy := proxiedCluster(t,
 		faultinject.LinkFaults{CutAfterFrames: 1}, faultinject.LinkFaults{})
-	go victim.Barrier(context.Background()) // errors once the cut fires
+	go barrier(context.Background(), victim) // errors once the cut fires
 	var hostErr, byErr error
 	for i := 0; i < 10; i++ {
 		hostErr, byErr, _ = barrier3(host, bystander, nil, false)
@@ -133,7 +140,7 @@ func TestProxyBlackholeDetectedByHeartbeat(t *testing.T) {
 	host, bystander, victim, proxy := proxiedCluster(t,
 		faultinject.LinkFaults{BlackholeAfterFrames: 1}, faultinject.LinkFaults{})
 	start := time.Now()
-	go victim.Barrier(context.Background()) // hangs in the blackhole until declared dead
+	go barrier(context.Background(), victim) // hangs in the blackhole until declared dead
 	var hostErr, byErr error
 	for i := 0; i < 10; i++ {
 		hostErr, byErr, _ = barrier3(host, bystander, nil, false)

@@ -2,12 +2,12 @@
 // layer beneath Repast HPC in the paper's chiSIM deployment, and runs
 // ranks in-process over it.
 //
-// Transport is the contract: Barrier, a personalized all-to-all
-// Exchange of byte blobs, and a Gather to rank 0. Two implementations
-// satisfy it — Run here, one goroutine per rank inside one process, and
-// mpinet's TCP star for ranks as separate OS processes — with the same
-// blob-lifetime and failure semantics, so the simulation and the
-// distributed synthesis run unchanged over either.
+// Transport is the contract: one collective, a personalized all-to-all
+// Exchange of byte blobs (Gather to rank 0 is a function over it). Two
+// implementations satisfy it — Run here, one goroutine per rank inside
+// one process, and mpinet's TCP star for ranks as separate OS
+// processes — with the same blob-lifetime and failure semantics, so the
+// simulation and the distributed synthesis run unchanged over either.
 //
 // Run keeps the in-process hand-off zero-copy: a rank publishes its
 // outgoing blob vector in a shared slot and peers read the sender's own
@@ -18,7 +18,7 @@
 // A rank whose function returns (with or without an error) or panics
 // leaves the world, exactly like a closed mpinet connection: the round
 // in progress — or, if none is, the next one — aborts, and every
-// survivor's collective for it returns a *RankFailedError naming that
+// survivor's Exchange for it returns a *RankFailedError naming that
 // rank. Later rounds run among the survivors with nil blobs in the
 // departed rank's slots.
 package mpi
@@ -64,9 +64,9 @@ type rank struct {
 // not a survivor's report of it — or, failing that, the first error by
 // rank order. A panicking rank is reported as an error.
 //
-// In-process collectives complete in microseconds among sibling
+// In-process exchanges complete in microseconds among sibling
 // goroutines, so they ignore ctx once entered; callers check their
-// context between collectives, where every rank sees the same decision
+// context between exchanges, where every rank sees the same decision
 // point.
 func Run(size int, fn func(t Transport) error) error {
 	if size <= 0 {
@@ -114,21 +114,27 @@ func (w *world) leave(r int) {
 	w.cond.Broadcast()
 }
 
-// collective runs one round: it publishes v, waits for every live rank,
-// and fills in[j] with v_j[pick] from each rank j that took part (nil
-// for ranks that did not). in may be nil for rounds that deliver
-// nothing.
-func (t *rank) collective(op string, v [][]byte, pick int, in [][]byte) error {
+func (t *rank) Rank() int { return t.rank }
+func (t *rank) Size() int { return t.w.size }
+
+// Exchange runs one round: it publishes out, waits for every live rank,
+// and returns v_j[t.rank] from each rank j that took part (nil for ranks
+// that did not).
+func (t *rank) Exchange(ctx context.Context, out [][]byte) ([][]byte, error) {
+	w := t.w
+	if len(out) != w.size {
+		return nil, fmt.Errorf("mpi: Exchange with %d blobs for %d ranks", len(out), w.size)
+	}
 	mCollectives.Inc()
 	sw := telemetry.Clock()
 	defer sw.Observe(mCollectiveSeconds)
-	w := t.w
+	in := make([][]byte, w.size)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	k := t.round
 	t.round++
 	if k == w.round {
-		w.slots[w.done%2][t.rank] = slot{round: k, v: v}
+		w.slots[w.done%2][t.rank] = slot{round: k, v: out}
 		if w.arrived++; w.arrived == w.live {
 			w.round++
 			w.arrived = 0
@@ -142,43 +148,12 @@ func (t *rank) collective(op string, v [][]byte, pick int, in [][]byte) error {
 	// Round k is closed: aborted, or completed with this rank inside, in
 	// which case no later round can have completed yet.
 	if r, ok := w.aborted[k]; ok {
-		return &RankFailedError{Rank: r, Op: op}
+		return nil, &RankFailedError{Rank: r, Op: "exchange"}
 	}
-	if in != nil {
-		for j, s := range w.slots[(w.done-1)%2] {
-			if s.round == k {
-				in[j] = s.v[pick]
-			}
+	for j, s := range w.slots[(w.done-1)%2] {
+		if s.round == k {
+			in[j] = s.v[t.rank]
 		}
-	}
-	return nil
-}
-
-func (t *rank) Rank() int { return t.rank }
-func (t *rank) Size() int { return t.w.size }
-
-func (t *rank) Barrier(ctx context.Context) error {
-	return t.collective("barrier", nil, 0, nil)
-}
-
-func (t *rank) Exchange(ctx context.Context, out [][]byte) ([][]byte, error) {
-	if len(out) != t.w.size {
-		return nil, fmt.Errorf("mpi: Exchange with %d blobs for %d ranks", len(out), t.w.size)
-	}
-	in := make([][]byte, t.w.size)
-	if err := t.collective("exchange", out, t.rank, in); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-func (t *rank) Gather(ctx context.Context, blob []byte) ([][]byte, error) {
-	var in [][]byte
-	if t.rank == 0 {
-		in = make([][]byte, t.w.size)
-	}
-	if err := t.collective("gather", [][]byte{blob}, 0, in); err != nil {
-		return nil, err
 	}
 	return in, nil
 }

@@ -14,6 +14,13 @@ import (
 
 var bg = context.Background()
 
+// barrier is an Exchange of nil blobs: it returns once every live rank
+// has entered it.
+func barrier(tr Transport) error {
+	_, err := tr.Exchange(bg, make([][]byte, tr.Size()))
+	return err
+}
+
 func TestRunRejectsNonPositiveSize(t *testing.T) {
 	for _, size := range []int{0, -1} {
 		if err := Run(size, func(Transport) error { return nil }); err == nil {
@@ -75,7 +82,7 @@ func TestRunReturnsRootCauseNotSurvivorReport(t *testing.T) {
 		if tr.Rank() == 2 {
 			return sentinel
 		}
-		return tr.Barrier(bg)
+		return barrier(tr)
 	})
 	if err != sentinel {
 		t.Fatalf("err = %v, want rank 2's error", err)
@@ -88,16 +95,16 @@ func TestPanicInRankSurfacesAsError(t *testing.T) {
 		if tr.Rank() == 0 {
 			panic("boom")
 		}
-		// Rank 1 waits on a barrier rank 0 never enters; the panic must
-		// release it with a typed failure naming rank 0.
-		survivor = tr.Barrier(bg)
+		// Rank 1 waits in an exchange rank 0 never enters; the panic
+		// must release it with a typed failure naming rank 0.
+		survivor = barrier(tr)
 		return survivor
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: boom") {
 		t.Fatalf("Run error = %v, want rank 0's panic", err)
 	}
-	if rf, ok := AsRankFailed(survivor); !ok || rf.Rank != 0 || rf.Op != "barrier" {
-		t.Fatalf("survivor error = %v, want RankFailedError{Rank: 0, Op: barrier}", survivor)
+	if rf, ok := AsRankFailed(survivor); !ok || rf.Rank != 0 || rf.Op != "exchange" {
+		t.Fatalf("survivor error = %v, want RankFailedError{Rank: 0, Op: exchange}", survivor)
 	}
 }
 
@@ -105,7 +112,7 @@ func TestBarrierOrdering(t *testing.T) {
 	var before, after atomic.Int64
 	err := Run(6, func(tr Transport) error {
 		before.Add(1)
-		if err := tr.Barrier(bg); err != nil {
+		if err := barrier(tr); err != nil {
 			return err
 		}
 		// After the barrier, every rank must have incremented before.
@@ -113,7 +120,7 @@ func TestBarrierOrdering(t *testing.T) {
 			t.Errorf("rank %d passed barrier with before=%d", tr.Rank(), n)
 		}
 		after.Add(1)
-		if err := tr.Barrier(bg); err != nil {
+		if err := barrier(tr); err != nil {
 			return err
 		}
 		if n := after.Load(); n != 6 {
@@ -129,7 +136,7 @@ func TestBarrierOrdering(t *testing.T) {
 func TestBarrierReusableManyTimes(t *testing.T) {
 	err := Run(3, func(tr Transport) error {
 		for range 500 {
-			if err := tr.Barrier(bg); err != nil {
+			if err := barrier(tr); err != nil {
 				return err
 			}
 		}
@@ -440,7 +447,7 @@ func TestExchangeAllocsAtMostOnePerCall(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	err := Run(5, func(tr Transport) error {
-		got, err := tr.Gather(bg, []byte{byte(tr.Rank() * 10)})
+		got, err := Gather(bg, tr, []byte{byte(tr.Rank() * 10)})
 		if err != nil {
 			return err
 		}
@@ -466,7 +473,7 @@ func TestGather(t *testing.T) {
 func TestGatherRepeated(t *testing.T) {
 	err := Run(4, func(tr Transport) error {
 		for round := range 50 {
-			got, err := tr.Gather(bg, []byte{byte(round), byte(tr.Rank())})
+			got, err := Gather(bg, tr, []byte{byte(round), byte(tr.Rank())})
 			if err != nil {
 				return err
 			}
@@ -494,14 +501,14 @@ func TestDeparturesSeenInSameOrder(t *testing.T) {
 	seen := map[int][]int{}
 	sentinel := errors.New("gone")
 	err := Run(4, func(tr Transport) error {
-		if err := tr.Barrier(bg); err != nil {
+		if err := barrier(tr); err != nil {
 			return err
 		}
 		if tr.Rank()%2 == 1 {
 			return sentinel
 		}
 		for attempt := 0; ; attempt++ {
-			err := tr.Barrier(bg)
+			err := barrier(tr)
 			if err == nil {
 				break
 			}
@@ -535,7 +542,7 @@ func TestDeparturesSeenInSameOrder(t *testing.T) {
 func BenchmarkBarrier8(b *testing.B) {
 	err := Run(8, func(tr Transport) error {
 		for range b.N {
-			if err := tr.Barrier(bg); err != nil {
+			if err := barrier(tr); err != nil {
 				return err
 			}
 		}

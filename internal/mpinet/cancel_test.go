@@ -18,9 +18,9 @@ func TestCollectivesCanceledBeforeStart(t *testing.T) {
 	cancel()
 	cluster(t, 2, func(n *Node) error {
 		for name, call := range map[string]func() error{
-			"Barrier": func() error { return n.Barrier(ctx) },
+			"Barrier": func() error { return barrier(ctx, n) },
 			"Gather": func() error {
-				_, err := n.Gather(ctx, []byte("x"))
+				_, err := mpi.Gather(ctx, n, []byte("x"))
 				return err
 			},
 			"Exchange": func() error {
@@ -60,7 +60,7 @@ func TestBarrierCanceledMidCollective(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		err := n.Barrier(ctx)
+		err := barrier(ctx, n)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("stuck barrier err = %v, want context.Canceled", err)
 		}

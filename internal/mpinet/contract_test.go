@@ -89,7 +89,7 @@ func TestTransportContract(t *testing.T) {
 					}
 				}
 
-				got, err := tr.Gather(ctx, []byte{byte(10 + me)})
+				got, err := mpi.Gather(ctx, tr, []byte{byte(10 + me)})
 				if err != nil {
 					return err
 				}
@@ -107,7 +107,7 @@ func TestTransportContract(t *testing.T) {
 				if me == victim {
 					return gone
 				}
-				err = tr.Barrier(ctx)
+				err = barrier(ctx, tr)
 				rf, ok := mpi.AsRankFailed(err)
 				if !ok {
 					return fmt.Errorf("rank %d: collective after death returned %v, want RankFailedError", me, err)
@@ -123,7 +123,7 @@ func TestTransportContract(t *testing.T) {
 				if len(in[victim]) != 0 || !slices.Equal(in[1-me], []byte{byte(me)}) {
 					return fmt.Errorf("rank %d: exchange among survivors got %v", me, in)
 				}
-				got, err = tr.Gather(ctx, []byte{byte(me)})
+				got, err = mpi.Gather(ctx, tr, []byte{byte(me)})
 				if err != nil {
 					return fmt.Errorf("rank %d: gather among survivors: %v", me, err)
 				}

@@ -67,7 +67,7 @@ func barrierAll(nodes []*Node) []error {
 		wg.Add(1)
 		go func(i int, n *Node) {
 			defer wg.Done()
-			errs[i] = n.Barrier(context.Background())
+			errs[i] = barrier(context.Background(), n)
 		}(i, n)
 	}
 	wg.Wait()
@@ -173,7 +173,7 @@ func TestRankDeathAbortAndRetry(t *testing.T) {
 		go func(i int, n *Node) {
 			defer wg.Done()
 			var g [][]byte
-			g, gaErrs[i] = n.Gather(context.Background(), []byte{byte(100 + i)})
+			g, gaErrs[i] = mpi.Gather(context.Background(), n, []byte{byte(100 + i)})
 			if i == 0 {
 				gathered = g
 			}
@@ -268,7 +268,7 @@ func TestSilentRankDetectedByHeartbeat(t *testing.T) {
 	defer client.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- host.Barrier(context.Background()) }()
+	go func() { done <- barrier(context.Background(), host) }()
 	select {
 	case err := <-done:
 		wantRankFailed(t, err, 1)
@@ -312,9 +312,9 @@ func TestFlakyConnTornFrame(t *testing.T) {
 	var wg sync.WaitGroup
 	var hostErr, byErr, vicErr error
 	wg.Add(3)
-	go func() { defer wg.Done(); hostErr = host.Barrier(context.Background()) }()
-	go func() { defer wg.Done(); byErr = bystander.Barrier(context.Background()) }()
-	go func() { defer wg.Done(); vicErr = victim.Barrier(context.Background()) }()
+	go func() { defer wg.Done(); hostErr = barrier(context.Background(), host) }()
+	go func() { defer wg.Done(); byErr = barrier(context.Background(), bystander) }()
+	go func() { defer wg.Done(); vicErr = barrier(context.Background(), victim) }()
 	wg.Wait()
 
 	if vicErr == nil {
@@ -332,7 +332,7 @@ func TestFlakyConnTornFrame(t *testing.T) {
 	errs := make([]error, 2)
 	for i, n := range survivors {
 		wg2.Add(1)
-		go func(i int, n *Node) { defer wg2.Done(); errs[i] = n.Barrier(context.Background()) }(i, n)
+		go func(i int, n *Node) { defer wg2.Done(); errs[i] = barrier(context.Background(), n) }(i, n)
 	}
 	wg2.Wait()
 	for i, err := range errs {
@@ -433,7 +433,7 @@ func TestCollectivesAfterAllClientsDead(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		err := host.Barrier(context.Background())
+		err := barrier(context.Background(), host)
 		if err == nil {
 			break
 		}
@@ -444,7 +444,7 @@ func TestCollectivesAfterAllClientsDead(t *testing.T) {
 			t.Fatal("barrier never recovered with rank 0 alone")
 		}
 	}
-	got, err := host.Gather(context.Background(), []byte{42})
+	got, err := mpi.Gather(context.Background(), host, []byte{42})
 	if err != nil {
 		t.Fatalf("solo gather: %v", err)
 	}
@@ -454,11 +454,11 @@ func TestCollectivesAfterAllClientsDead(t *testing.T) {
 }
 
 func TestRankFailedErrorMessage(t *testing.T) {
-	e := &mpi.RankFailedError{Rank: 3, Op: "Gather", Err: fmt.Errorf("boom")}
+	e := &mpi.RankFailedError{Rank: 3, Op: "Exchange", Err: fmt.Errorf("boom")}
 	if e.Error() == "" || e.Unwrap() == nil {
 		t.Fatal("degenerate error formatting")
 	}
-	coord := &mpi.RankFailedError{Rank: -1, Op: "Barrier"}
+	coord := &mpi.RankFailedError{Rank: -1, Op: "Exchange"}
 	if coord.Error() == "" {
 		t.Fatal("empty coordinator-failure message")
 	}

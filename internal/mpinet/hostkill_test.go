@@ -41,7 +41,7 @@ func TestHelperHost(t *testing.T) {
 	}
 	ctx := context.Background()
 	for {
-		if err := host.Barrier(ctx); err != nil {
+		if err := barrier(ctx, host); err != nil {
 			return
 		}
 	}
@@ -85,7 +85,7 @@ func TestCoordinatorKilledMidCollective(t *testing.T) {
 		wg.Add(1)
 		go func(n *Node) {
 			defer wg.Done()
-			if err := n.Barrier(ctx); err != nil {
+			if err := barrier(ctx, n); err != nil {
 				t.Errorf("healthy barrier: %v", err)
 			}
 		}(n)
@@ -107,11 +107,11 @@ func TestCoordinatorKilledMidCollective(t *testing.T) {
 	start := time.Now()
 	for _, n := range []*Node{a, b} {
 		go func(n *Node) {
-			err := n.Barrier(ctx)
+			err := barrier(ctx, n)
 			// One barrier may complete (the helper contributed before
 			// dying); the next one cannot.
 			for err == nil {
-				err = n.Barrier(ctx)
+				err = barrier(ctx, n)
 			}
 			results <- res{err, time.Since(start)}
 		}(n)

@@ -4,13 +4,13 @@
 // of goroutines inside one process.
 //
 // Topology is a star: rank 0 hosts a coordinator that the other ranks
-// join. Collectives (Barrier, Exchange, Gather) are synchronous rounds:
-// every rank submits one frame, the coordinator routes, every rank
-// receives its reply. Because the simulation already requires all ranks
-// to enter every collective in the same order, the star adds no extra
-// synchronization constraints; it trades the O(P²) connection mesh of
-// real MPI for implementation clarity at the modest rank counts this
-// reproduction targets.
+// join. The one collective, Exchange, is a synchronous round: every rank
+// submits one frame, the coordinator routes, every rank receives its
+// reply (mpi.Gather is an Exchange addressed to rank 0). Because the
+// simulation already requires all ranks to enter every round in the
+// same order, the star adds no extra synchronization constraints; it
+// trades the O(P²) connection mesh of real MPI for implementation
+// clarity at the modest rank counts this reproduction targets.
 //
 // # Failure model
 //
@@ -88,10 +88,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Telemetry series for the network transport: one round per collective
-// (Barrier/Exchange/Gather each consume exactly one), payload bytes as
-// sent, failures as observed by the coordinator's detector, rejoins as
-// accepted by the claim validator.
+// Telemetry series for the network transport: one round per Exchange,
+// payload bytes as sent, failures as observed by the coordinator's
+// detector, rejoins as accepted by the claim validator.
 var (
 	mRounds       = telemetry.C("mpinet_rounds_total")
 	mBytesSent    = telemetry.C("mpinet_bytes_sent_total")
@@ -118,28 +117,13 @@ const replyHdrSize = 4 + 4 + 4 + 4 + 4
 // The rejection is permanent: retrying the same claim cannot succeed.
 var ErrClaimRejected = errors.New("mpinet: join claim rejected")
 
-// Collective opcodes.
+// Frame opcodes.
 const (
-	opBarrier byte = iota + 1
-	opExchange
-	opGather
-	opHeartbeat // liveness signal; never part of a round
-	opError     // round abort: blobs[0] = failed rank (int32 LE)
-	opRevive    // round abort: blobs[0] = rejoined rank (int32 LE)
+	opExchange  byte = iota + 1 // one rank's round contribution or reply
+	opHeartbeat                 // liveness signal; never part of a round
+	opError                     // round abort: blobs[0] = failed rank (int32 LE)
+	opRevive                    // round abort: blobs[0] = rejoined rank (int32 LE)
 )
-
-func opName(op byte) string {
-	switch op {
-	case opBarrier:
-		return "Barrier"
-	case opExchange:
-		return "Exchange"
-	case opGather:
-		return "Gather"
-	default:
-		return fmt.Sprintf("op%d", op)
-	}
-}
 
 // maxFrame bounds a single frame to guard against corrupt length
 // prefixes (256 MiB is far above any batch the simulation exchanges).
@@ -1049,19 +1033,6 @@ func (c *coordinator) run() {
 		if failed >= 0 || revive != nil {
 			continue
 		}
-		// All live ranks must be in the same collective.
-		op := byte(0)
-		for r := 0; r < size; r++ {
-			if !alive[r] {
-				continue
-			}
-			if op == 0 {
-				op = round[r].op
-			} else if round[r].op != op {
-				c.stop(fmt.Errorf("mpinet: collective mismatch: op %d vs rank %d in op %d", op, r, round[r].op))
-				return
-			}
-		}
 		// Trace context for the replies: the first live contribution
 		// carrying one (in practice rank 0, the round initiator). Worker
 		// ranks pick it up from the reply header.
@@ -1074,38 +1045,17 @@ func (c *coordinator) run() {
 		}
 		// Route. Dead ranks contribute nil blobs and receive nothing.
 		out := make([]frame, size)
-		switch op {
-		case opBarrier:
-			for r := range out {
-				out[r] = frame{op: op, seq: seq, traceID: tID, spanID: sID}
+		for dst := 0; dst < size; dst++ {
+			if !alive[dst] {
+				continue
 			}
-		case opExchange:
-			for dst := 0; dst < size; dst++ {
-				if !alive[dst] {
-					continue
-				}
-				blobs := make([][]byte, size)
-				for src := 0; src < size; src++ {
-					if alive[src] && dst < len(round[src].blobs) {
-						blobs[src] = round[src].blobs[dst]
-					}
-				}
-				out[dst] = frame{op: op, seq: seq, traceID: tID, spanID: sID, blobs: blobs}
-			}
-		case opGather:
 			blobs := make([][]byte, size)
 			for src := 0; src < size; src++ {
-				if alive[src] && len(round[src].blobs) > 0 {
-					blobs[src] = round[src].blobs[0]
+				if alive[src] && dst < len(round[src].blobs) {
+					blobs[src] = round[src].blobs[dst]
 				}
 			}
-			out[0] = frame{op: op, seq: seq, traceID: tID, spanID: sID, blobs: blobs}
-			for r := 1; r < size; r++ {
-				out[r] = frame{op: op, seq: seq, traceID: tID, spanID: sID}
-			}
-		default:
-			c.stop(fmt.Errorf("mpinet: unknown op %d", op))
-			return
+			out[dst] = frame{op: opExchange, seq: seq, traceID: tID, spanID: sID, blobs: blobs}
 		}
 		// Deliver. A failed delivery marks the rank dead; the round
 		// still counts as complete for everyone else, and the death is
@@ -1193,7 +1143,7 @@ func ctxErr(op string, err error) error {
 // and must be Closed; the survivors' failure detector then reclassifies
 // this rank as dead, exactly as for a crash.
 func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
-	op := opName(f.op)
+	const op = "Exchange"
 	if err := ctx.Err(); err != nil {
 		return frame{}, ctxErr(op, err)
 	}
@@ -1317,12 +1267,6 @@ func (n *Node) coordErr() error {
 	}
 }
 
-// Barrier blocks until every live rank has entered the barrier.
-func (n *Node) Barrier(ctx context.Context) error {
-	_, err := n.roundTrip(ctx, frame{op: opBarrier})
-	return err
-}
-
 // Exchange performs a personalized all-to-all of byte blobs. Blobs from
 // ranks that have died are delivered as nil.
 func (n *Node) Exchange(ctx context.Context, out [][]byte) ([][]byte, error) {
@@ -1335,22 +1279,6 @@ func (n *Node) Exchange(ctx context.Context, out [][]byte) ([][]byte, error) {
 	}
 	if len(rep.blobs) != n.size {
 		return nil, fmt.Errorf("mpinet: Exchange reply has %d blobs", len(rep.blobs))
-	}
-	return rep.blobs, nil
-}
-
-// Gather collects every live rank's blob on rank 0 (dead ranks' slots
-// are nil).
-func (n *Node) Gather(ctx context.Context, blob []byte) ([][]byte, error) {
-	rep, err := n.roundTrip(ctx, frame{op: opGather, blobs: [][]byte{blob}})
-	if err != nil {
-		return nil, err
-	}
-	if n.rank != 0 {
-		return nil, nil
-	}
-	if len(rep.blobs) != n.size {
-		return nil, fmt.Errorf("mpinet: Gather reply has %d blobs", len(rep.blobs))
 	}
 	return rep.blobs, nil
 }

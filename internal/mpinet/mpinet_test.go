@@ -19,6 +19,13 @@ import (
 
 var _ mpi.Transport = (*Node)(nil)
 
+// barrier is an Exchange of nil blobs: it returns once every live rank
+// has entered it.
+func barrier(ctx context.Context, t mpi.Transport) error {
+	_, err := t.Exchange(ctx, make([][]byte, t.Size()))
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -50,7 +57,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	// Truncated body.
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, frame{op: opBarrier}); err != nil {
+	if err := writeFrame(w, frame{op: opExchange}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-1]
@@ -108,7 +115,7 @@ func TestSingleRankLocalOnly(t *testing.T) {
 	if n.Rank() != 0 || n.Size() != 1 {
 		t.Fatal("identity wrong")
 	}
-	if err := n.Barrier(context.Background()); err != nil {
+	if err := barrier(context.Background(), n); err != nil {
 		t.Fatal(err)
 	}
 	got, err := n.Exchange(context.Background(), [][]byte{{7}})
@@ -144,7 +151,7 @@ func TestRanksAssignedUniquely(t *testing.T) {
 func TestBarrierRounds(t *testing.T) {
 	cluster(t, 4, func(n *Node) error {
 		for i := 0; i < 50; i++ {
-			if err := n.Barrier(context.Background()); err != nil {
+			if err := barrier(context.Background(), n); err != nil {
 				return err
 			}
 		}
@@ -210,7 +217,7 @@ func TestExchangeArityError(t *testing.T) {
 func TestGather(t *testing.T) {
 	const size = 4
 	cluster(t, size, func(n *Node) error {
-		got, err := n.Gather(context.Background(), []byte{byte(10 + n.Rank())})
+		got, err := mpi.Gather(context.Background(), n, []byte{byte(10 + n.Rank())})
 		if err != nil {
 			return err
 		}
@@ -252,10 +259,10 @@ func TestCloseAfterLastCollective(t *testing.T) {
 					return
 				}
 				defer n.Close()
-				_, errs[r] = n.Gather(context.Background(), []byte{byte(r)})
+				_, errs[r] = mpi.Gather(context.Background(), n, []byte{byte(r)})
 			}(r)
 		}
-		_, errs[0] = host.Gather(context.Background(), []byte{0})
+		_, errs[0] = mpi.Gather(context.Background(), host, []byte{0})
 		host.Close()
 		wg.Wait()
 		for r, err := range errs {
@@ -268,16 +275,16 @@ func TestCloseAfterLastCollective(t *testing.T) {
 
 func TestMixedCollectiveSequence(t *testing.T) {
 	cluster(t, 3, func(n *Node) error {
-		if err := n.Barrier(context.Background()); err != nil {
+		if err := barrier(context.Background(), n); err != nil {
 			return err
 		}
 		if _, err := n.Exchange(context.Background(), make([][]byte, 3)); err != nil {
 			return err
 		}
-		if _, err := n.Gather(context.Background(), []byte{1}); err != nil {
+		if _, err := mpi.Gather(context.Background(), n, []byte{1}); err != nil {
 			return err
 		}
-		return n.Barrier(context.Background())
+		return barrier(context.Background(), n)
 	})
 }
 
@@ -394,7 +401,7 @@ func TestClientDisconnectSurfacesError(t *testing.T) {
 	}
 	// Client leaves without completing any collective.
 	n.Close()
-	if err := host.Barrier(context.Background()); err == nil {
+	if err := barrier(context.Background(), host); err == nil {
 		t.Fatal("barrier succeeded after peer disconnect")
 	}
 }

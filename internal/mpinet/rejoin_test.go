@@ -83,7 +83,7 @@ func convergeBarrier(t *testing.T, nodes []*Node) []error {
 		go func(i int, n *Node) {
 			defer wg.Done()
 			for tries := 0; tries < 20; tries++ {
-				err := n.Barrier(context.Background())
+				err := barrier(context.Background(), n)
 				if err == nil {
 					return
 				}

@@ -158,70 +158,27 @@ func (p Policy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
-// RankStat is the supervision outcome for one rank.
-type RankStat struct {
-	Rank int `json:"rank"`
-	// Restarts counts how many times this rank's process was relaunched
-	// (gang mode: how many relaunches the gang went through).
-	Restarts int `json:"restarts"`
-	// Degraded marks a rank left dead after its restart budget (or a
-	// storm) was exhausted; the cluster completed without it.
-	Degraded bool `json:"degraded,omitempty"`
-	// PeakRSSKiB is the max resident set size over all incarnations of
-	// this rank, as reported by wait4 rusage (KiB on Linux).
-	PeakRSSKiB int64 `json:"peak_rss_kib"`
-	// ExitCode is the final incarnation's exit code (-1 if signaled).
-	ExitCode int `json:"exit_code"`
+// newReport starts a phase's supervision record — one entry per spec,
+// exit code -1 until that rank's first exit — and indexes it by rank.
+func (s *Supervisor) newReport(mode string) (*telemetry.SupervisionReport, map[int]*telemetry.SupervisionRank) {
+	rep := &telemetry.SupervisionReport{Mode: mode, Ranks: make([]telemetry.SupervisionRank, len(s.specs))}
+	byRank := map[int]*telemetry.SupervisionRank{}
+	for i, sp := range s.specs {
+		rep.Ranks[i] = telemetry.SupervisionRank{Rank: sp.Rank, ExitCode: -1}
+		byRank[sp.Rank] = &rep.Ranks[i]
+	}
+	return rep, byRank
 }
 
-// Result is the outcome of one supervised phase.
-type Result struct {
-	Mode         string     `json:"mode"` // "gang" or "per-rank"
-	Ranks        []RankStat `json:"ranks"`
-	GangRestarts int        `json:"gang_restarts,omitempty"`
-	Storm        bool       `json:"storm,omitempty"`
-	WallNs       int64      `json:"wall_ns"`
-}
-
-// Restarts sums restarts across ranks.
-func (r *Result) Restarts() int {
-	n := r.GangRestarts
-	for _, rs := range r.Ranks {
-		n += rs.Restarts
+// record folds one incarnation's exit into its rank's entry: the peak
+// RSS over every incarnation and the latest exit code.
+func record(byRank map[int]*telemetry.SupervisionRank, ev exitEvent) *telemetry.SupervisionRank {
+	st := byRank[ev.rank]
+	if st != nil {
+		st.PeakRSSKiB = max(st.PeakRSSKiB, ev.rssKiB)
+		st.ExitCode = ev.code
 	}
-	return n
-}
-
-// DegradedRanks lists ranks left dead, ascending.
-func (r *Result) DegradedRanks() []int {
-	var out []int
-	for _, rs := range r.Ranks {
-		if rs.Degraded {
-			out = append(out, rs.Rank)
-		}
-	}
-	return out
-}
-
-// Report converts the phase outcome into the run report's supervision
-// section.
-func (r *Result) Report() telemetry.SupervisionReport {
-	rep := telemetry.SupervisionReport{
-		Mode:         r.Mode,
-		GangRestarts: r.GangRestarts,
-		Storm:        r.Storm,
-		WallNs:       r.WallNs,
-	}
-	for _, rs := range r.Ranks {
-		rep.Ranks = append(rep.Ranks, telemetry.SupervisionRank{
-			Rank:       rs.Rank,
-			Restarts:   rs.Restarts,
-			Degraded:   rs.Degraded,
-			PeakRSSKiB: rs.PeakRSSKiB,
-			ExitCode:   rs.ExitCode,
-		})
-	}
-	return rep
+	return st
 }
 
 // proc is one running incarnation.
@@ -372,17 +329,13 @@ func (sd *stormDetector) add(now time.Time) bool {
 // re-striping) once the budget or the storm detector trips. The phase
 // succeeds when rank 0 exits ExitOK; rank 0 failing fails the phase
 // (the coordinator cannot be revived into its own cluster).
-func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
+func (s *Supervisor) RunPerRank(ctx context.Context) (*telemetry.SupervisionReport, error) {
 	start := time.Now()
-	res := &Result{Mode: "per-rank", Ranks: make([]RankStat, len(s.specs))}
-	stats := map[int]*RankStat{}
-	for i, sp := range s.specs {
-		res.Ranks[i] = RankStat{Rank: sp.Rank, ExitCode: -1}
-		stats[sp.Rank] = &res.Ranks[i]
-	}
-	finish := func(err error) (*Result, error) {
+	res, byRank := s.newReport("per-rank")
+	degraded := 0
+	finish := func(err error) (*telemetry.SupervisionReport, error) {
 		res.WallNs = int64(time.Since(start))
-		mDegraded.Set(int64(len(res.DegradedRanks())))
+		mDegraded.Set(int64(degraded))
 		return res, err
 	}
 
@@ -391,30 +344,24 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
 	for _, sp := range s.specs {
 		specByRank[sp.Rank] = sp
 	}
+	liveOrPending := 0
 	for _, sp := range s.specs {
 		if err := s.start(sp, events); err != nil {
-			s.setStopping()
-			s.terminateAll()
+			s.abort(events, &liveOrPending, byRank)
 			return finish(fmt.Errorf("supervise: starting rank %d: %w", sp.Rank, err))
 		}
+		liveOrPending++
 	}
 
 	sd := &stormDetector{window: s.pol.StormWindow, threshold: s.pol.StormThreshold}
-	liveOrPending := len(s.specs)
 	for {
 		select {
 		case <-ctx.Done():
-			s.setStopping()
-			s.terminateAll()
-			s.drain(events, &liveOrPending, stats)
+			s.abort(events, &liveOrPending, byRank)
 			return finish(ctx.Err())
 		case ev := <-events:
 			liveOrPending--
-			st := stats[ev.rank]
-			if ev.rssKiB > st.PeakRSSKiB {
-				st.PeakRSSKiB = ev.rssKiB
-			}
-			st.ExitCode = ev.code
+			st := record(byRank, ev)
 
 			if ev.rank == 0 {
 				// The coordinator decides the phase.
@@ -422,15 +369,13 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
 				switch ev.code {
 				case ExitOK:
 					s.pol.Logf("supervise: rank 0 completed; draining %d workers", liveOrPending)
-					s.drainThenTerminate(events, &liveOrPending, stats)
+					s.drainThenTerminate(events, &liveOrPending, byRank)
 					return finish(nil)
 				case ExitCanceled:
-					s.terminateAll()
-					s.drain(events, &liveOrPending, stats)
+					s.abort(events, &liveOrPending, byRank)
 					return finish(context.Canceled)
 				default:
-					s.terminateAll()
-					s.drain(events, &liveOrPending, stats)
+					s.abort(events, &liveOrPending, byRank)
 					return finish(fmt.Errorf("supervise: rank 0 exited %d", ev.code))
 				}
 			}
@@ -445,7 +390,8 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
 			// A real worker failure: restart within policy or degrade.
 			if s.pol.MaxRestartsPerRank < 0 || st.Restarts >= s.pol.MaxRestartsPerRank {
 				st.Degraded = true
-				mDegraded.Set(int64(len(res.DegradedRanks())))
+				degraded++
+				mDegraded.Set(int64(degraded))
 				s.pol.Logf("supervise: rank %d exit %d; restart budget exhausted (%d) — degrading via re-striping",
 					ev.rank, ev.code, st.Restarts)
 				continue
@@ -456,7 +402,8 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
 					mStorms.Inc()
 				}
 				st.Degraded = true
-				mDegraded.Set(int64(len(res.DegradedRanks())))
+				degraded++
+				mDegraded.Set(int64(degraded))
 				s.pol.Logf("supervise: restart storm (%d in %s); leaving rank %d dead",
 					s.pol.StormThreshold, s.pol.StormWindow, ev.rank)
 				continue
@@ -489,24 +436,27 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*Result, error) {
 	}
 }
 
+// abort ends the phase early: no more restarts, every live incarnation
+// terminated, and their exits collected by drain.
+func (s *Supervisor) abort(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
+	s.setStopping()
+	s.terminateAll()
+	s.drain(events, pending, byRank)
+}
+
 // drainThenTerminate waits DrainTimeout for the remaining processes to
 // exit on their own (they should: the collective that completed the
 // phase has released them), then escalates.
-func (s *Supervisor) drainThenTerminate(events chan exitEvent, pending *int, stats map[int]*RankStat) {
+func (s *Supervisor) drainThenTerminate(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
 	deadline := time.After(s.pol.DrainTimeout)
 	for *pending > 0 {
 		select {
 		case ev := <-events:
 			*pending--
-			if st := stats[ev.rank]; st != nil {
-				if ev.rssKiB > st.PeakRSSKiB {
-					st.PeakRSSKiB = ev.rssKiB
-				}
-				st.ExitCode = ev.code
-			}
+			record(byRank, ev)
 		case <-deadline:
 			s.terminateAll()
-			s.drain(events, pending, stats)
+			s.drain(events, pending, byRank)
 			return
 		}
 	}
@@ -514,18 +464,13 @@ func (s *Supervisor) drainThenTerminate(events chan exitEvent, pending *int, sta
 
 // drain collects exits after terminateAll, bounded by grace + drain
 // timeout so a wedged child cannot hang the supervisor.
-func (s *Supervisor) drain(events chan exitEvent, pending *int, stats map[int]*RankStat) {
+func (s *Supervisor) drain(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
 	deadline := time.After(s.pol.Grace + s.pol.DrainTimeout)
 	for *pending > 0 {
 		select {
 		case ev := <-events:
 			*pending--
-			if st := stats[ev.rank]; st != nil {
-				if ev.rssKiB > st.PeakRSSKiB {
-					st.PeakRSSKiB = ev.rssKiB
-				}
-				st.ExitCode = ev.code
-			}
+			record(byRank, ev)
 		case <-deadline:
 			return
 		}
@@ -551,16 +496,12 @@ func (s *Supervisor) isStopping() bool {
 // full relaunch after terminating the stragglers and backing off.
 // A rank exiting ExitCanceled (cooperative drain) fails the attempt
 // without consuming the restart budget — the caller interrupted the
-// run, the supervisor reports context.Canceled.
-func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec) (*Result, error) {
+// run, the supervisor reports context.Canceled. A rank that cannot be
+// started fails the phase: the ranks already started are terminated.
+func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec) (*telemetry.SupervisionReport, error) {
 	start := time.Now()
-	res := &Result{Mode: "gang", Ranks: make([]RankStat, len(s.specs))}
-	stats := map[int]*RankStat{}
-	for i, sp := range s.specs {
-		res.Ranks[i] = RankStat{Rank: sp.Rank, ExitCode: -1}
-		stats[sp.Rank] = &res.Ranks[i]
-	}
-	finish := func(err error) (*Result, error) {
+	res, byRank := s.newReport("gang")
+	finish := func(err error) (*telemetry.SupervisionReport, error) {
 		res.WallNs = int64(time.Since(start))
 		return res, err
 	}
@@ -572,33 +513,24 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 		s.stopping = false
 		s.procs = map[int]*proc{}
 		s.mu.Unlock()
-		started := 0
-		var startErr error
+		pending := 0
 		for _, sp := range specs {
 			if err := s.start(sp, events); err != nil {
-				startErr = fmt.Errorf("supervise: starting rank %d: %w", sp.Rank, err)
-				break
+				s.abort(events, &pending, byRank)
+				return finish(fmt.Errorf("supervise: starting rank %d: %w", sp.Rank, err))
 			}
-			started++
+			pending++
 		}
-		pending := started
-		sawFailure := startErr != nil
-		sawCancel := false
+		sawFailure, sawCancel := false, false
 		var deadline <-chan time.Time
 		for pending > 0 {
 			select {
 			case <-ctx.Done():
-				s.setStopping()
-				s.terminateAll()
-				s.drain(events, &pending, stats)
+				s.abort(events, &pending, byRank)
 				return finish(ctx.Err())
 			case ev := <-events:
 				pending--
-				st := stats[ev.rank]
-				if ev.rssKiB > st.PeakRSSKiB {
-					st.PeakRSSKiB = ev.rssKiB
-				}
-				st.ExitCode = ev.code
+				record(byRank, ev)
 				switch ev.code {
 				case ExitOK:
 				case ExitCanceled:
@@ -617,9 +549,6 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 				deadline = nil
 				s.terminateAll()
 			}
-		}
-		if startErr != nil {
-			return finish(startErr)
 		}
 		if sawCancel && !sawFailure {
 			return finish(context.Canceled)

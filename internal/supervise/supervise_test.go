@@ -39,10 +39,10 @@ func TestRunPerRankSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts() != 0 || len(res.DegradedRanks()) != 0 {
-		t.Fatalf("healthy run: restarts=%d degraded=%v", res.Restarts(), res.DegradedRanks())
-	}
 	for _, rs := range res.Ranks {
+		if rs.Restarts != 0 || rs.Degraded {
+			t.Fatalf("healthy run: rank %d restarts=%d degraded=%v", rs.Rank, rs.Restarts, rs.Degraded)
+		}
 		if rs.ExitCode != ExitOK {
 			t.Fatalf("rank %d exit %d", rs.Rank, rs.ExitCode)
 		}
@@ -93,8 +93,8 @@ func TestRunPerRankDegradesAfterBudget(t *testing.T) {
 	if !res.Ranks[1].Degraded {
 		t.Fatal("budget-exhausted worker not marked degraded")
 	}
-	if got := res.DegradedRanks(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("DegradedRanks = %v, want [1]", got)
+	if res.Ranks[0].Degraded {
+		t.Fatal("coordinator marked degraded")
 	}
 }
 
@@ -179,6 +179,33 @@ func TestRunGangRelaunchesWholeGang(t *testing.T) {
 		if rs.PeakRSSKiB <= 0 {
 			t.Fatalf("rank %d peak RSS not recorded", rs.Rank)
 		}
+	}
+}
+
+// TestRunGangStartErrorTerminatesStarted: when a rank cannot be started,
+// the ranks already running are terminated and drained, not waited out.
+func TestRunGangStartErrorTerminatesStarted(t *testing.T) {
+	build := func(int) []Spec {
+		return []Spec{
+			sh(0, "sleep 30"),
+			{Rank: 1, Path: filepath.Join(t.TempDir(), "missing")},
+		}
+	}
+	pol := fastPolicy()
+	s := New(build(0), pol)
+	start := time.Now()
+	res, err := s.RunGang(context.Background(), build)
+	if err == nil {
+		t.Fatal("gang succeeded with a rank that cannot start")
+	}
+	if wall := time.Since(start); wall > pol.Grace+pol.DrainTimeout {
+		t.Fatalf("RunGang returned after %v, want within Grace+DrainTimeout %v", wall, pol.Grace+pol.DrainTimeout)
+	}
+	if res.GangRestarts != 0 {
+		t.Fatalf("start error consumed %d restarts", res.GangRestarts)
+	}
+	if res.Ranks[0].PeakRSSKiB <= 0 {
+		t.Fatal("terminated rank 0's exit was not collected")
 	}
 }
 

@@ -97,28 +97,6 @@ func ParseID(s string) uint64 {
 	return v
 }
 
-// remoteParentKey marks a context whose next StartSpan should link
-// under a span living in another process.
-type remoteParentKey struct{}
-
-type remoteParent struct {
-	traceID uint64
-	spanID  uint64
-}
-
-// ContextWithRemoteParent returns a context that makes the next
-// StartSpan a child of the (traceID, spanID) span from another process:
-// the new span joins that trace and records the remote span as its
-// parent, while still being retained locally as a root (its subtree is
-// shipped home over the report channel and grafted there). A zero
-// traceID returns ctx unchanged.
-func ContextWithRemoteParent(ctx context.Context, traceID, spanID uint64) context.Context {
-	if traceID == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, remoteParentKey{}, remoteParent{traceID, spanID})
-}
-
 // Span is one timed region. Bytes and Count accumulate attributed
 // volume (log bytes flushed, entries processed, ...). A Span's methods
 // are safe on a nil receiver, so call sites never need to check.
@@ -128,12 +106,12 @@ type Span struct {
 	parent *Span
 	start  time.Time
 
-	// Trace identity (zero on disabled registries). parentID is only
-	// set for remote parents — local parentage is the parent pointer.
-	traceID  uint64
-	spanID   uint64
-	parentID uint64
-	rank     int
+	// Trace identity (zero on disabled registries). Local parentage is
+	// the parent pointer; a worker rank's remote parent is stamped onto
+	// its shipped SpanReport.
+	traceID uint64
+	spanID  uint64
+	rank    int
 
 	bytes atomic.Int64
 	count atomic.Int64
@@ -162,9 +140,6 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context,
 		sp.parent = parent
 		sp.traceID = parent.traceID
 		sp.rank = parent.rank
-	} else if rp, ok := ctx.Value(remoteParentKey{}).(remoteParent); ok {
-		sp.traceID = rp.traceID
-		sp.parentID = rp.spanID
 	}
 	if sp.traceID == 0 {
 		sp.traceID = newID()
@@ -286,7 +261,9 @@ func (r *Registry) addRoot(s *Span) {
 // SpanReport is the serializable form of a completed span subtree.
 // TraceID/SpanID/ParentID are FormatID hex strings (empty when the
 // producing registry was disabled); ParentID names a span in *another
-// process* — local parentage is the Children nesting. Rank is the
+// process*, set by the shipping rank (core.SynthesizeDistributed stamps
+// it from the transport's trace context) — local parentage is the
+// Children nesting. Rank is the
 // process rank the span ran on (0 for single-process runs and the
 // distributed coordinator).
 type SpanReport struct {
@@ -305,14 +282,13 @@ type SpanReport struct {
 // ended.
 func (s *Span) Report() SpanReport {
 	rep := SpanReport{
-		Name:     s.name,
-		WallNs:   int64(s.Wall()),
-		Bytes:    s.bytes.Load(),
-		Count:    s.count.Load(),
-		Rank:     s.rank,
-		TraceID:  FormatID(s.traceID),
-		SpanID:   FormatID(s.spanID),
-		ParentID: FormatID(s.parentID),
+		Name:    s.name,
+		WallNs:  int64(s.Wall()),
+		Bytes:   s.bytes.Load(),
+		Count:   s.count.Load(),
+		Rank:    s.rank,
+		TraceID: FormatID(s.traceID),
+		SpanID:  FormatID(s.spanID),
 	}
 	s.mu.Lock()
 	kids := append([]*Span(nil), s.children...)

@@ -176,7 +176,7 @@ func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, er
 	return abm.Run(ctx, p.simConfig(logDir))
 }
 
-// Resume continues a crashed or gracefully-stopped simulation whose
+// Resume continues a crashed or canceled simulation whose
 // per-rank logs live in logDir, salvaging whatever the interruption
 // left behind and finishing the run with logs whose content matches an
 // uninterrupted one. The pipeline configuration must match the original

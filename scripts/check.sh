@@ -226,7 +226,10 @@ fi
 # snapshots. This is the crash-recovery contract end to end: gang
 # restart with -resume replays the logs, and the synthesized network
 # must not betray that anything happened. The baseline's bytes are also
-# pinned to recorded cksums. Skip with SUPSMOKE=0.
+# pinned to recorded cksums. A third run kills rank 2 as the synthesis
+# phase starts: it must be restarted once, rejoin with its claim token,
+# and the gathered partials must reproduce the pinned bytes. Skip with
+# SUPSMOKE=0.
 if [ "${SUPSMOKE:-1}" = "1" ]; then
 	echo "== supervised smoke (netlaunch 4 ranks; kill -9 mid-sim -> identical hashes)"
 	sup_dir=$(mktemp -d)
@@ -264,6 +267,26 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		exit 1
 	fi
 	echo "baseline edge list and snapshot match the pinned cksums"
+	echo "-- chaos (kill -9 rank 2 as the synthesis starts)"
+	synth_log=$("$sup_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
+		-workdir "$sup_dir/synth" \
+		-kill-rank 2 -kill-after 0s -kill-phase synth)
+	synth_hash=$(cksum "$sup_dir/synth/network.tsv" | cut -d' ' -f1-2)
+	synth_snap=$(cksum "$sup_dir/synth/network.gsnap" | cut -d' ' -f1-2)
+	if ! printf '%s\n' "$synth_log" | grep -qF '(1 restart(s)'; then
+		echo "FAIL: synthesis kill was not recovered by exactly one restart"
+		printf '%s\n' "$synth_log" | grep 'synthesis phase' || true
+		rm -rf "$sup_dir"
+		exit 1
+	fi
+	if [ "$synth_hash" != "$pin_tsv" ] || [ "$synth_snap" != "$pin_snap" ]; then
+		echo "FAIL: synthesis-kill run moved from the pinned cksums"
+		echo "  network.tsv:   $synth_hash, pinned $pin_tsv"
+		echo "  network.gsnap: $synth_snap, pinned $pin_snap"
+		rm -rf "$sup_dir"
+		exit 1
+	fi
+	echo "synthesis kill recovered by one restart; edge list and snapshot match the pins"
 	# The network is the same under any place assignment
 	# (TestLogIndependentOfAssignment), so the pins above cannot see a
 	# drifted partition; the per-rank logs can. Recorded at commit 255b8de.
