@@ -13,20 +13,20 @@ import (
 // cliqueRing builds r cliques of size s joined in a ring by single
 // bridge edges — the classic community-detection testbed.
 func cliqueRing(r, s int) (*graph.Graph, []int) {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	truth := make([]int, r*s)
 	for c := 0; c < r; c++ {
 		base := uint32(c * s)
 		for i := 0; i < s; i++ {
 			truth[int(base)+i] = c
 			for j := i + 1; j < s; j++ {
-				acc.Add(base+uint32(i), base+uint32(j), 3)
+				es = append(es, sparse.Entry{I: base + uint32(i), J: base + uint32(j), W: 3})
 			}
 		}
 		next := uint32(((c + 1) % r) * s)
-		acc.Add(base, next, 1)
+		es = append(es, sparse.Entry{I: base, J: next, W: 1})
 	}
-	return graph.FromTri(acc.Tri(), r*s), truth
+	return graph.FromTri(sparse.Coalesce(1, es), r*s), truth
 }
 
 func TestLabelPropagationFindsCliques(t *testing.T) {
@@ -77,7 +77,7 @@ func TestModularityGroundTruthBeatsRandomPartition(t *testing.T) {
 }
 
 func TestModularityEmptyGraph(t *testing.T) {
-	g := graph.FromTri(sparse.NewAccum().Tri(), 4)
+	g := graph.FromTri(&sparse.Tri{}, 4)
 	if q := Modularity(g, []int{0, 1, 2, 3}); q != 0 {
 		t.Fatalf("empty-graph modularity = %v", q)
 	}
@@ -147,7 +147,7 @@ func TestNMIMismatchedLengths(t *testing.T) {
 }
 
 func TestLabelPropagationIsolatedVerticesKeepOwnLabels(t *testing.T) {
-	g := graph.FromTri(sparse.NewAccum().Tri(), 3)
+	g := graph.FromTri(&sparse.Tri{}, 3)
 	labels := LabelPropagation(g, 10, rng.New(6))
 	if NumCommunities(labels) != 3 {
 		t.Fatalf("isolated vertices merged: %v", labels)
@@ -159,12 +159,12 @@ func TestLabelPropagationIsolatedVerticesKeepOwnLabels(t *testing.T) {
 func TestQuickLouvainBeatsTrivial(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		acc := sparse.NewAccum()
+		var es []sparse.Entry
 		n := 30
 		for k := 0; k < 80; k++ {
-			acc.Add(uint32(src.Intn(n)), uint32(src.Intn(n)), uint32(1+src.Intn(3)))
+			es = append(es, sparse.Entry{I: uint32(src.Intn(n)), J: uint32(src.Intn(n)), W: uint32(1 + src.Intn(3))})
 		}
-		g := graph.FromTri(acc.Tri(), n)
+		g := graph.FromTri(sparse.Coalesce(1, es), n)
 		if g.NumEdges() == 0 {
 			return true
 		}

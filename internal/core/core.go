@@ -811,7 +811,7 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		// stitched into the cluster trace by the coordinator.
 		attemptCtx, attemptSpan := telemetry.StartSpan(ctx, "synth/rank")
 		attemptSpan.SetRank(t.Rank())
-		partial := sparse.NewAccum().Tri()
+		partial := &sparse.Tri{}
 		var stats *Stats
 		if len(mine) > 0 {
 			var err error

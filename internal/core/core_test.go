@@ -516,7 +516,7 @@ func TestQuickTimeAdditivity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return sparse.SumTris(a, b).Equal(full)
+		return sparse.MergeTris(a, b).Equal(full)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

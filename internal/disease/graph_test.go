@@ -29,11 +29,11 @@ func spread(g *graph.Graph, p scenario.Point, steps int, seed uint64, seeds ...u
 }
 
 func graphFromEdges(edges [][3]uint32, n int) *graph.Graph {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for _, e := range edges {
-		acc.Add(e[0], e[1], e[2])
+		es = append(es, sparse.Entry{I: e[0], J: e[1], W: e[2]})
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 func TestSpreadOnGraphChain(t *testing.T) {

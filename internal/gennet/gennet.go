@@ -32,7 +32,7 @@ func ErdosRenyi(n, m int, src *rng.Source) (*sparse.Tri, error) {
 	if m < 0 || m > maxM {
 		return nil, fmt.Errorf("gennet: m=%d out of [0,%d]", m, maxM)
 	}
-	acc := sparse.NewAccum()
+	es := make([]sparse.Entry, 0, m)
 	seen := make(map[uint64]bool, m)
 	for len(seen) < m {
 		i := uint32(src.Intn(n))
@@ -48,9 +48,9 @@ func ErdosRenyi(n, m int, src *rng.Source) (*sparse.Tri, error) {
 			continue
 		}
 		seen[key] = true
-		acc.Add(i, j, 1)
+		es = append(es, sparse.Entry{I: i, J: j, W: 1})
 	}
-	return acc.Tri(), nil
+	return sparse.Coalesce(1, es), nil
 }
 
 // BarabasiAlbert grows a preferential-attachment graph: starting from a
@@ -61,14 +61,14 @@ func BarabasiAlbert(n, m int, src *rng.Source) (*sparse.Tri, error) {
 	if m < 1 || n <= m {
 		return nil, fmt.Errorf("gennet: BarabasiAlbert needs 1 ≤ m < n, got n=%d m=%d", n, m)
 	}
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	// Repeated-endpoint list implements preferential attachment: a
 	// vertex appears once per incident edge end.
 	var ends []uint32
 	// Seed: clique on m+1 vertices.
 	for i := uint32(0); i <= uint32(m); i++ {
 		for j := i + 1; j <= uint32(m); j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 			ends = append(ends, i, j)
 		}
 	}
@@ -86,11 +86,11 @@ func BarabasiAlbert(n, m int, src *rng.Source) (*sparse.Tri, error) {
 			chosen = append(chosen, u)
 		}
 		for _, u := range chosen {
-			acc.Add(v, u, 1)
+			es = append(es, sparse.Entry{I: v, J: u, W: 1})
 			ends = append(ends, v, u)
 		}
 	}
-	return acc.Tri(), nil
+	return sparse.Coalesce(1, es), nil
 }
 
 // WattsStrogatz builds the small-world model: a ring lattice where each
@@ -139,11 +139,11 @@ func WattsStrogatz(n, k int, beta float64, src *rng.Source) (*sparse.Tri, error)
 			break
 		}
 	}
-	acc := sparse.NewAccum()
-	for e := range present {
-		acc.Add(e.i, e.j, 1)
+	es := make([]sparse.Entry, len(edges))
+	for k, e := range edges {
+		es[k] = sparse.Entry{I: e.i, J: e.j, W: 1}
 	}
-	return acc.Tri(), nil
+	return sparse.Coalesce(1, es), nil
 }
 
 // ConfigurationModel samples a simple graph whose degree sequence
@@ -166,7 +166,7 @@ func ConfigurationModel(degrees []int, src *rng.Source) (*sparse.Tri, error) {
 		stubs = stubs[:len(stubs)-1]
 	}
 	src.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	seen := make(map[uint64]bool, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
@@ -181,9 +181,9 @@ func ConfigurationModel(degrees []int, src *rng.Source) (*sparse.Tri, error) {
 			continue
 		}
 		seen[key] = true
-		acc.Add(a, b, 1)
+		es = append(es, sparse.Entry{I: a, J: b, W: 1})
 	}
-	return acc.Tri(), nil
+	return sparse.Coalesce(1, es), nil
 }
 
 // DegreeSequence extracts each vertex's degree from a graph, the input

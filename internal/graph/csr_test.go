@@ -146,7 +146,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 	cases := []struct {
 		name  string
 		input string
-		line  int // expected 1-based line number in the message
+		line  int // expected 1-based line number in the message; 0 for none
 	}{
 		{"two fields", "0\t1\n", 1},
 		{"four fields", "0\t1\t2\t3\n", 1},
@@ -156,6 +156,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"overflow", "0\t4294967296\t2\n", 1},
 		{"self-loop", "3\t3\t2\n", 1},
 		{"late failure", "# header\n0\t1\t2\n1\t2\n", 3},
+		{"zero weight", "1\t2\t0\n", 1},
+		{"repeated pair sums past uint32", "0\t1\t4294967295\n0\t1\t2\n", 0},
 	}
 	for _, tc := range cases {
 		_, err := ReadEdgeList(strings.NewReader(tc.input))
@@ -166,7 +168,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		if !errors.Is(err, ErrEdgeList) {
 			t.Errorf("%s: error %v does not wrap ErrEdgeList", tc.name, err)
 		}
-		if !strings.Contains(err.Error(), "line "+strconv.Itoa(tc.line)) {
+		if tc.line > 0 && !strings.Contains(err.Error(), "line "+strconv.Itoa(tc.line)) {
 			t.Errorf("%s: error %q lacks line %d", tc.name, err, tc.line)
 		}
 	}
@@ -178,7 +180,8 @@ func TestReadEdgeListValid(t *testing.T) {
 		"\n" + // blank line ignored
 		"0 2 1\n" + // spaces work too
 		"  1\t2\t3\n" + // leading whitespace tolerated
-		"2\t3\t10\n"
+		"2\t3\t4\n" +
+		"3\t2\t6\n" // a repeated pair sums, in either order
 	tri, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)

@@ -260,7 +260,7 @@ func (g *Graph) Induced(vs []uint32) (*Graph, []uint32) {
 	for i, v := range vs {
 		index[v] = uint32(i)
 	}
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for _, v := range vs {
 		row, wts := g.Neighbors(v)
 		for k, u := range row {
@@ -268,13 +268,13 @@ func (g *Graph) Induced(vs []uint32) (*Graph, []uint32) {
 				continue // each undirected edge once
 			}
 			if _, ok := index[u]; ok {
-				acc.Add(index[v], index[u], wts[k])
+				es = append(es, sparse.Entry{I: index[v], J: index[u], W: wts[k]})
 			}
 		}
 	}
 	orig := make([]uint32, len(vs))
 	copy(orig, vs)
-	return FromTri(acc.Tri(), len(vs)), orig
+	return FromTri(sparse.Coalesce(1, es), len(vs)), orig
 }
 
 // ConnectedComponents labels each vertex with a component ID in

@@ -12,11 +12,11 @@ import (
 
 // buildTri assembles a Tri from edge triples.
 func buildTri(edges [][3]uint32) *sparse.Tri {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for _, e := range edges {
-		acc.Add(e[0], e[1], e[2])
+		es = append(es, sparse.Entry{I: e[0], J: e[1], W: e[2]})
 	}
-	return acc.Tri()
+	return sparse.Coalesce(1, es)
 }
 
 // triangle returns K3 on vertices 0,1,2 with unit weights.
@@ -54,7 +54,7 @@ func TestIsolatedVerticesRetained(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := FromTri(sparse.NewAccum().Tri(), 0)
+	g := FromTri(&sparse.Tri{}, 0)
 	if g.NumVertices() != 0 || g.NumEdges() != 0 || g.MaxDegree() != 0 {
 		t.Fatal("empty graph not empty")
 	}
@@ -65,11 +65,11 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestDegreeSumEqualsTwiceEdges(t *testing.T) {
 	r := rng.New(4)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 300; k++ {
-		acc.Add(uint32(r.Intn(50)), uint32(r.Intn(50)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(50)), J: uint32(r.Intn(50)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 50)
+	g := FromTri(sparse.Coalesce(1, es), 50)
 	sum := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		sum += g.Degree(uint32(v))
@@ -180,26 +180,26 @@ func TestClusteringPartial(t *testing.T) {
 // random graph and on a hub-heavy one spanning several work blocks.
 func TestClusteringAllMatchesSingle(t *testing.T) {
 	r := rng.New(8)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 500; k++ {
-		acc.Add(uint32(r.Intn(60)), uint32(r.Intn(60)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(60)), J: uint32(r.Intn(60)), W: 1})
 	}
-	random := FromTri(acc.Tri(), 60)
+	random := FromTri(sparse.Coalesce(1, es), 60)
 
 	// Hubs joined to a quarter of the graph and to each other, over a
 	// sparse random background with isolated vertices at the end.
 	const n = 3000
-	acc = sparse.NewAccum()
+	es = nil
 	for h := uint32(0); h < 8; h++ {
 		hub := uint32(r.Intn(n - 100))
 		for k := 0; k < n/4; k++ {
-			acc.Add(hub, uint32(r.Intn(n-100)), 1)
+			es = append(es, sparse.Entry{I: hub, J: uint32(r.Intn(n - 100)), W: 1})
 		}
 	}
 	for k := 0; k < 6*n; k++ {
-		acc.Add(uint32(r.Intn(n-100)), uint32(r.Intn(n-100)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(n - 100)), J: uint32(r.Intn(n - 100)), W: 1})
 	}
-	hubs := FromTri(acc.Tri(), n)
+	hubs := FromTri(sparse.Coalesce(1, es), n)
 
 	for name, g := range map[string]*Graph{"random": random, "hubs": hubs} {
 		for _, workers := range []int{1, 4} {
@@ -215,11 +215,11 @@ func TestClusteringAllMatchesSingle(t *testing.T) {
 
 func TestClusteringInUnitRange(t *testing.T) {
 	r := rng.New(9)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 2000; k++ {
-		acc.Add(uint32(r.Intn(200)), uint32(r.Intn(200)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(200)), J: uint32(r.Intn(200)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 200)
+	g := FromTri(sparse.Coalesce(1, es), 200)
 	for v, c := range g.ClusteringAll(2) {
 		if c < 0 || c > 1 {
 			t.Fatalf("clustering(%d) = %v out of [0,1]", v, c)
@@ -253,11 +253,11 @@ func TestEgoRadii(t *testing.T) {
 
 func TestEgoExactDistances(t *testing.T) {
 	r := rng.New(10)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 400; k++ {
-		acc.Add(uint32(r.Intn(80)), uint32(r.Intn(80)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(80)), J: uint32(r.Intn(80)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 80)
+	g := FromTri(sparse.Coalesce(1, es), 80)
 	// Reference BFS distances.
 	dist := make([]int, 80)
 	for i := range dist {
@@ -307,11 +307,11 @@ func TestInducedSubgraph(t *testing.T) {
 
 func TestInducedOnEgoPreservesInternalEdges(t *testing.T) {
 	r := rng.New(12)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 600; k++ {
-		acc.Add(uint32(r.Intn(100)), uint32(r.Intn(100)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(100)), J: uint32(r.Intn(100)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 100)
+	g := FromTri(sparse.Coalesce(1, es), 100)
 	ego := g.Ego(3, 2)
 	sub, orig := g.Induced(ego)
 	// Every edge of sub exists in g between the mapped endpoints; and
@@ -374,7 +374,7 @@ func TestMaxDegree(t *testing.T) {
 func TestQuickFromTriWeights(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		acc := sparse.NewAccum()
+		var es []sparse.Entry
 		type edge struct{ i, j uint32 }
 		weights := make(map[edge]uint32)
 		for k := 0; k < 50; k++ {
@@ -386,10 +386,10 @@ func TestQuickFromTriWeights(t *testing.T) {
 				i, j = j, i
 			}
 			w := uint32(1 + r.Intn(9))
-			acc.Add(i, j, w)
+			es = append(es, sparse.Entry{I: i, J: j, W: w})
 			weights[edge{i, j}] += w
 		}
-		g := FromTri(acc.Tri(), 30)
+		g := FromTri(sparse.Coalesce(1, es), 30)
 		for e, w := range weights {
 			if g.EdgeWeight(e.i, e.j) != w {
 				return false
@@ -406,13 +406,13 @@ func TestQuickFromTriWeights(t *testing.T) {
 func TestQuickCliqueClustering(t *testing.T) {
 	f := func(n uint8) bool {
 		k := int(n%6) + 3
-		acc := sparse.NewAccum()
+		var es []sparse.Entry
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				acc.Add(uint32(i), uint32(j), 1)
+				es = append(es, sparse.Entry{I: uint32(i), J: uint32(j), W: 1})
 			}
 		}
-		g := FromTri(acc.Tri(), k)
+		g := FromTri(sparse.Coalesce(1, es), k)
 		for v := 0; v < k; v++ {
 			if g.LocalClustering(uint32(v)) != 1 {
 				return false
@@ -427,11 +427,11 @@ func TestQuickCliqueClustering(t *testing.T) {
 
 func BenchmarkClusteringAll(b *testing.B) {
 	r := rng.New(5)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 50000; k++ {
-		acc.Add(uint32(r.Intn(5000)), uint32(r.Intn(5000)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(5000)), J: uint32(r.Intn(5000)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 5000)
+	g := FromTri(sparse.Coalesce(1, es), 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ClusteringAll(4)
@@ -440,11 +440,11 @@ func BenchmarkClusteringAll(b *testing.B) {
 
 func BenchmarkEgoRadius2(b *testing.B) {
 	r := rng.New(6)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < 100000; k++ {
-		acc.Add(uint32(r.Intn(20000)), uint32(r.Intn(20000)), 1)
+		es = append(es, sparse.Entry{I: uint32(r.Intn(20000)), J: uint32(r.Intn(20000)), W: 1})
 	}
-	g := FromTri(acc.Tri(), 20000)
+	g := FromTri(sparse.Coalesce(1, es), 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Ego(uint32(i%20000), 2)

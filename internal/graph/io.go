@@ -57,13 +57,14 @@ func parseID(field string) (uint32, error) {
 // sparse triangular matrix. Lines beginning with '#' and blank lines
 // are ignored; fields may be separated by tabs or spaces. Every other
 // line must hold exactly three base-10 fields that fit in uint32 —
-// malformed, overflowing, or self-loop lines fail with a line-numbered
-// error wrapping ErrEdgeList rather than being skipped. The input is
-// streamed line-by-line through a sized bufio.Reader — unlike the old
-// Scanner path there is no fixed maximum line length, and whole files
-// are never materialized.
+// malformed, overflowing, zero-weight or self-loop lines fail with a
+// line-numbered error wrapping ErrEdgeList rather than being skipped. A
+// pair listed more than once gets the sum of its weights, and a sum past
+// uint32 fails too. The input is streamed line-by-line through a sized
+// bufio.Reader, so there is no fixed maximum line length.
 func ReadEdgeList(r io.Reader) (*sparse.Tri, error) {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
+	var sum uint64
 	br := bufio.NewReaderSize(r, edgeListBufSize)
 	line := 0
 	for {
@@ -75,41 +76,50 @@ func ReadEdgeList(r io.Reader) (*sparse.Tri, error) {
 			break
 		}
 		line++
-		if perr := parseEdgeLine(acc, line, text); perr != nil {
+		e, ok, perr := parseEdgeLine(line, text)
+		if perr != nil {
 			return nil, perr
+		}
+		if ok {
+			es = append(es, e)
+			sum += uint64(e.W)
 		}
 		if err == io.EOF {
 			break
 		}
 	}
-	return acc.Tri(), nil
+	t := sparse.Coalesce(1, es)
+	if t.TotalWeight() != sum {
+		return nil, fmt.Errorf("%w: the weights of a repeated pair sum past uint32", ErrEdgeList)
+	}
+	return t, nil
 }
 
-// parseEdgeLine parses one line into the accumulator.
-func parseEdgeLine(acc *sparse.Accum, line int, text string) error {
+// parseEdgeLine parses one line into an entry; ok is false for a blank
+// or comment line.
+func parseEdgeLine(line int, text string) (e sparse.Entry, ok bool, err error) {
 	text = strings.TrimSpace(text)
 	if text == "" || strings.HasPrefix(text, "#") {
-		return nil
+		return e, false, nil
 	}
 	fields := strings.Fields(text)
 	if len(fields) != 3 {
-		return lineError(line, text, fmt.Sprintf("want 3 fields, have %d", len(fields)))
+		return e, false, lineError(line, text, fmt.Sprintf("want 3 fields, have %d", len(fields)))
 	}
-	i, err := parseID(fields[0])
-	if err != nil {
-		return lineError(line, text, "bad person_i: "+err.Error())
+	if e.I, err = parseID(fields[0]); err != nil {
+		return e, false, lineError(line, text, "bad person_i: "+err.Error())
 	}
-	j, err := parseID(fields[1])
-	if err != nil {
-		return lineError(line, text, "bad person_j: "+err.Error())
+	if e.J, err = parseID(fields[1]); err != nil {
+		return e, false, lineError(line, text, "bad person_j: "+err.Error())
 	}
-	w, err := parseID(fields[2])
-	if err != nil {
-		return lineError(line, text, "bad weight: "+err.Error())
+	if e.W, err = parseID(fields[2]); err != nil {
+		return e, false, lineError(line, text, "bad weight: "+err.Error())
 	}
-	if i == j {
-		return lineError(line, text, fmt.Sprintf("self-loop %d", i))
+	switch {
+	case e.I == e.J:
+		return e, false, lineError(line, text, fmt.Sprintf("self-loop %d", e.I))
+	case e.W == 0:
+		return e, false, lineError(line, text, "zero weight")
 	}
-	acc.Add(i, j, w)
-	return nil
+	return e, true, nil
 }

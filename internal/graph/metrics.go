@@ -150,14 +150,3 @@ func (g *Graph) MeanShortestPath(samples int, src *rng.Source) float64 {
 	}
 	return total / float64(pairs)
 }
-
-// DensityOfRandomEquivalent returns the expected local clustering of an
-// Erdős–Rényi graph with the same vertex and edge counts (= density),
-// the baseline the small-world comparison uses.
-func (g *Graph) DensityOfRandomEquivalent() float64 {
-	n := float64(g.NumVertices())
-	if n < 2 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / (n * (n - 1))
-}

@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -52,18 +50,18 @@ func TestAssortativityTwoCliquesPositiveVsStar(t *testing.T) {
 	// Two disjoint cliques of different sizes: edges always connect
 	// equal-degree vertices → assortativity 1 (or NaN-guarded 0 if
 	// degenerate). Compare with star: cliques must be at least as high.
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for i := uint32(0); i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 		}
 	}
 	for i := uint32(4); i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 		}
 	}
-	g := FromTri(acc.Tri(), 10)
+	g := FromTri(sparse.Coalesce(1, es), 10)
 	cliques := g.DegreeAssortativity()
 	star := FromTri(buildTri([][3]uint32{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}}), 0).DegreeAssortativity()
 	if cliques <= star {
@@ -94,76 +92,23 @@ func TestMeanShortestPathClique(t *testing.T) {
 func TestMeanShortestPathIgnoresSmallComponents(t *testing.T) {
 	// Giant: clique of 4 (mean 1); small: single edge. Sampling the
 	// giant only must return 1.
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for i := uint32(0); i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 		}
 	}
-	acc.Add(10, 11, 1)
-	g := FromTri(acc.Tri(), 12)
+	es = append(es, sparse.Entry{I: 10, J: 11, W: 1})
+	g := FromTri(sparse.Coalesce(1, es), 12)
 	if got := g.MeanShortestPath(4, rng.New(2)); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("giant-component mean path = %v, want 1", got)
 	}
 }
 
 func TestMeanShortestPathEmpty(t *testing.T) {
-	g := FromTri(sparse.NewAccum().Tri(), 5)
+	g := FromTri(&sparse.Tri{}, 5)
 	if got := g.MeanShortestPath(3, rng.New(1)); got != 0 {
 		t.Fatalf("edgeless mean path = %v, want 0", got)
-	}
-}
-
-func TestDensityOfRandomEquivalent(t *testing.T) {
-	g := triangle()
-	if got := g.DensityOfRandomEquivalent(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("triangle density = %v, want 1", got)
-	}
-	empty := FromTri(sparse.NewAccum().Tri(), 1)
-	if empty.DensityOfRandomEquivalent() != 0 {
-		t.Fatal("single-vertex density should be 0")
-	}
-}
-
-func TestWriteGraphMLStructure(t *testing.T) {
-	g := FromTri(buildTri([][3]uint32{{0, 1, 7}, {1, 2, 9}}), 3)
-	var buf bytes.Buffer
-	if err := g.WriteGraphML(&buf, []uint32{100, 200, 300}); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{
-		`<graphml`, `</graphml>`,
-		`<node id="n0">`, `<node id="n2">`,
-		`<data key="person">100</data>`, `<data key="person">300</data>`,
-		`<edge id="e0" source="n0" target="n1"><data key="weight">7</data>`,
-		`<data key="weight">9</data>`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("GraphML missing %q", want)
-		}
-	}
-	if got := strings.Count(s, "<edge"); got != 2 {
-		t.Errorf("%d edges serialized, want 2", got)
-	}
-}
-
-func TestWriteGraphMLIDMismatch(t *testing.T) {
-	g := triangle()
-	var buf bytes.Buffer
-	if err := g.WriteGraphML(&buf, []uint32{1}); err == nil {
-		t.Fatal("mismatched origIDs accepted")
-	}
-}
-
-func TestWriteGraphMLNilIDs(t *testing.T) {
-	g := triangle()
-	var buf bytes.Buffer
-	if err := g.WriteGraphML(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `<data key="person">2</data>`) {
-		t.Fatal("nil origIDs should use vertex indices")
 	}
 }
 

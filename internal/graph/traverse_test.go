@@ -152,11 +152,11 @@ func refDijkstra(g *Graph, src, dst uint32) ([]uint32, float64, bool) {
 // Dijkstra meets many equal-cost ties.
 func baGraph(n, m int, seed uint64) *Graph {
 	r := rng.New(seed)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	var ends []uint32 // every edge endpoint once: degree-proportional draws
 	for v := 1; v <= m; v++ {
 		for u := 0; u < v; u++ {
-			acc.Add(uint32(u), uint32(v), uint32(1+r.Intn(4)))
+			es = append(es, sparse.Entry{I: uint32(u), J: uint32(v), W: uint32(1 + r.Intn(4))})
 			ends = append(ends, uint32(u), uint32(v))
 		}
 	}
@@ -168,22 +168,22 @@ func baGraph(n, m int, seed uint64) *Graph {
 			}
 		}
 		for _, u := range picked {
-			acc.Add(u, uint32(v), uint32(1+r.Intn(4)))
+			es = append(es, sparse.Entry{I: u, J: uint32(v), W: uint32(1 + r.Intn(4))})
 			ends = append(ends, u, uint32(v))
 		}
 	}
-	return FromTri(acc.Tri(), n)
+	return FromTri(sparse.Coalesce(1, es), n)
 }
 
 // sparseGraph is a seeded random graph on n vertices that leaves about
 // half of them isolated and gives a third of its edges weight 0.
 func sparseGraph(n int, seed uint64) *Graph {
 	r := rng.New(seed)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < n/2; k++ {
-		acc.Add(uint32(r.Intn(n/2)), uint32(r.Intn(n/2)), uint32(r.Intn(3)))
+		es = append(es, sparse.Entry{I: uint32(r.Intn(n / 2)), J: uint32(r.Intn(n / 2)), W: uint32(r.Intn(3))})
 	}
-	return FromTri(acc.Tri(), n)
+	return FromTri(sparse.Coalesce(1, es), n)
 }
 
 // checkTraversals runs random ego, BFS and weighted queries

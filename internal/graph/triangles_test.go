@@ -52,11 +52,11 @@ func (s *edgeSet) graph() *Graph {
 
 // withoutLoops is the set's graph with its self-loops dropped.
 func (s *edgeSet) withoutLoops() *Graph {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k, w := range s.w {
-		acc.Add(k[0], k[1], w)
+		es = append(es, sparse.Entry{I: k[0], J: k[1], W: w})
 	}
-	return FromTri(acc.Tri(), s.n)
+	return FromTri(sparse.Coalesce(1, es), s.n)
 }
 
 // random returns an existing edge, or false when there is none.

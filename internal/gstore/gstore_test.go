@@ -34,16 +34,16 @@ func fixCRCs(data []byte) {
 // n vertices and ~m entries.
 func randomTri(seed int64, n, m int) *sparse.Tri {
 	rng := rand.New(rand.NewSource(seed))
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < m; k++ {
 		i := uint32(rng.Intn(n))
 		j := uint32(rng.Intn(n))
 		if i == j {
 			continue
 		}
-		acc.Add(i, j, uint32(rng.Intn(500)+1))
+		es = append(es, sparse.Entry{I: i, J: j, W: uint32(rng.Intn(500) + 1)})
 	}
-	return acc.Tri()
+	return sparse.Coalesce(1, es)
 }
 
 // graphsEqual compares two graphs CSR-array by CSR-array.

@@ -25,15 +25,15 @@ import (
 func indexTestGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	src := rng.New(0xC0FFEE)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	const n = 200
 	// Hub 0 connects to ~half the graph; a ring plus random chords
 	// gives triangles and a spread of degrees.
 	for v := uint32(1); v < n/2; v++ {
-		acc.Add(0, v, uint32(src.Intn(500)+1))
+		es = append(es, sparse.Entry{I: 0, J: v, W: uint32(src.Intn(500) + 1)})
 	}
 	for v := uint32(1); v < n-10; v++ {
-		acc.Add(v, v+1, uint32(src.Intn(50)+1))
+		es = append(es, sparse.Entry{I: v, J: v + 1, W: uint32(src.Intn(50) + 1)})
 	}
 	for k := 0; k < 300; k++ {
 		i := uint32(src.Intn(n - 10))
@@ -44,9 +44,9 @@ func indexTestGraph(t testing.TB) *graph.Graph {
 		if i > j {
 			i, j = j, i
 		}
-		acc.Add(i, j, uint32(src.Intn(100)+1))
+		es = append(es, sparse.Entry{I: i, J: j, W: uint32(src.Intn(100) + 1)})
 	}
-	return graph.FromTri(acc.Tri(), n) // vertices n-10..n-1 isolated
+	return graph.FromTri(sparse.Coalesce(1, es), n) // vertices n-10..n-1 isolated
 }
 
 func writeIndexedBytes(t testing.TB, g *graph.Graph, opts IndexOptions) []byte {
@@ -168,15 +168,15 @@ func collocationGraph(n int, seed uint64) *graph.Graph {
 		}
 		places = append(places, hub)
 	}
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for _, members := range places {
 		for a := range members {
 			for b := a + 1; b < len(members); b++ {
-				acc.Add(members[a], members[b], uint32(src.Intn(8)+1))
+				es = append(es, sparse.Entry{I: members[a], J: members[b], W: uint32(src.Intn(8) + 1)})
 			}
 		}
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 // TestIndexedWriteDeterministic: the bytes must not depend on the
@@ -267,27 +267,27 @@ func randomIndexGraph(seed uint64) *graph.Graph {
 	src := rng.New(seed)
 	n := 60 + src.Intn(300)
 	core := n * 3 / 4 // the rest are leaves or isolated
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	weight := func() uint32 { return uint32(src.Intn(3) + 1) }
 	for h := 1 + src.Intn(3); h > 0; h-- {
 		hub := uint32(src.Intn(core))
 		for k := 40 + src.Intn(core); k > 0; k-- {
-			acc.Add(hub, uint32(src.Intn(core)), weight())
+			es = append(es, sparse.Entry{I: hub, J: uint32(src.Intn(core)), W: weight()})
 		}
 	}
 	for k := src.Intn(4 * core); k > 0; k-- {
-		acc.Add(uint32(src.Intn(core)), uint32(src.Intn(core)), weight())
+		es = append(es, sparse.Entry{I: uint32(src.Intn(core)), J: uint32(src.Intn(core)), W: weight()})
 	}
 	for v := core; v < n; v++ {
 		switch src.Intn(3) {
 		case 1:
-			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
+			es = append(es, sparse.Entry{I: uint32(v), J: uint32(src.Intn(core)), W: weight()})
 		case 2:
-			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
-			acc.Add(uint32(v), uint32(src.Intn(core)), weight())
+			es = append(es, sparse.Entry{I: uint32(v), J: uint32(src.Intn(core)), W: weight()})
+			es = append(es, sparse.Entry{I: uint32(v), J: uint32(src.Intn(core)), W: weight()})
 		}
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 // TestBuildIndexDataMatchesReference: the sharded bake equals the
@@ -613,11 +613,11 @@ func TestSelectSmallest(t *testing.T) {
 // weights.
 func pinGraphs() map[string]*graph.Graph {
 	build := func(n int, edges [][3]uint32) *graph.Graph {
-		acc := sparse.NewAccum()
+		var es []sparse.Entry
 		for _, e := range edges {
-			acc.Add(e[0], e[1], e[2])
+			es = append(es, sparse.Entry{I: e[0], J: e[1], W: e[2]})
 		}
-		return graph.FromTri(acc.Tri(), n)
+		return graph.FromTri(sparse.Coalesce(1, es), n)
 	}
 	ring := [][3]uint32{{0, 3, 2}, {2, 5, 9}}
 	for v := uint32(0); v < 7; v++ {

@@ -13,28 +13,28 @@ import (
 
 // clusteredGraph builds two dense clusters joined by one bridge edge.
 func clusteredGraph() *graph.Graph {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for i := uint32(0); i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 		}
 	}
 	for i := uint32(10); i < 20; i++ {
 		for j := i + 1; j < 20; j++ {
-			acc.Add(i, j, 1)
+			es = append(es, sparse.Entry{I: i, J: j, W: 1})
 		}
 	}
-	acc.Add(0, 10, 1)
-	return graph.FromTri(acc.Tri(), 20)
+	es = append(es, sparse.Entry{I: 0, J: 10, W: 1})
+	return graph.FromTri(sparse.Coalesce(1, es), 20)
 }
 
 func randomGraph(n, m int, seed uint64) *graph.Graph {
 	r := rng.New(seed)
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for k := 0; k < m; k++ {
-		acc.Add(uint32(r.Intn(n)), uint32(r.Intn(n)), uint32(1+r.Intn(5)))
+		es = append(es, sparse.Entry{I: uint32(r.Intn(n)), J: uint32(r.Intn(n)), W: uint32(1 + r.Intn(5))})
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 func TestLayoutFinitePositions(t *testing.T) {
@@ -62,11 +62,11 @@ func TestLayoutDeterministic(t *testing.T) {
 }
 
 func TestLayoutEmptyAndSingle(t *testing.T) {
-	empty := graph.FromTri(sparse.NewAccum().Tri(), 0)
+	empty := graph.FromTri(&sparse.Tri{}, 0)
 	if pos := Layout(empty, Config{}); len(pos) != 0 {
 		t.Fatal("empty graph produced positions")
 	}
-	single := graph.FromTri(sparse.NewAccum().Tri(), 1)
+	single := graph.FromTri(&sparse.Tri{}, 1)
 	if pos := Layout(single, Config{}); len(pos) != 1 {
 		t.Fatal("single vertex layout wrong size")
 	}

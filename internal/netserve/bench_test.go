@@ -19,7 +19,7 @@ import (
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	const n = 20000
 	for v := uint32(1); v < n; v++ {
 		// Preferential-attachment flavor: bias endpoints toward low IDs.
@@ -28,10 +28,10 @@ func benchServer(b *testing.B) *Server {
 			if u == v {
 				continue
 			}
-			acc.Add(u, v, uint32(rng.Intn(500)+1))
+			es = append(es, sparse.Entry{I: u, J: v, W: uint32(rng.Intn(500) + 1)})
 		}
 	}
-	g := graph.FromTri(acc.Tri(), n)
+	g := graph.FromTri(sparse.Coalesce(1, es), n)
 	path := filepath.Join(b.TempDir(), "bench.gsnap")
 	if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
 		b.Fatal(err)

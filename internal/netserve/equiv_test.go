@@ -26,13 +26,13 @@ import (
 // TSV load infers the same vertex space.
 func equivTri() *sparse.Tri {
 	rng := rand.New(rand.NewSource(42))
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	const n = 500
 	for v := uint32(1); v < 80; v++ { // hub 0: degree 79 > DefaultTopK
-		acc.Add(0, v, uint32(rng.Intn(900)+1))
+		es = append(es, sparse.Entry{I: 0, J: v, W: uint32(rng.Intn(900) + 1)})
 	}
 	for v := uint32(1); v < n-20; v++ {
-		acc.Add(v, v+1, uint32(rng.Intn(60)+1))
+		es = append(es, sparse.Entry{I: v, J: v + 1, W: uint32(rng.Intn(60) + 1)})
 	}
 	for k := 0; k < 800; k++ {
 		i, j := uint32(rng.Intn(n-20)), uint32(rng.Intn(n-20))
@@ -42,10 +42,10 @@ func equivTri() *sparse.Tri {
 		if i > j {
 			i, j = j, i
 		}
-		acc.Add(i, j, uint32(rng.Intn(100)+1))
+		es = append(es, sparse.Entry{I: i, J: j, W: uint32(rng.Intn(100) + 1)})
 	}
-	acc.Add(n-2, n-1, 7)
-	return acc.Tri()
+	es = append(es, sparse.Entry{I: n - 2, J: n - 1, W: 7})
+	return sparse.Coalesce(1, es)
 }
 
 func equivGraph() *graph.Graph { return graph.FromTri(equivTri(), 500) }

@@ -185,11 +185,12 @@ func TestAlphaMLEEmpty(t *testing.T) {
 }
 
 func TestWithinGroup(t *testing.T) {
-	acc := sparse.NewAccum()
-	acc.Add(0, 1, 5) // both group 0
-	acc.Add(2, 3, 7) // both group 1
-	acc.Add(1, 2, 9) // cross-group: must vanish everywhere
-	tri := acc.Tri()
+	es := []sparse.Entry{
+		{I: 0, J: 1, W: 5}, // both group 0
+		{I: 2, J: 3, W: 7}, // both group 1
+		{I: 1, J: 2, W: 9}, // cross-group: must vanish everywhere
+	}
+	tri := sparse.Coalesce(1, es)
 	groups := []int{0, 0, 1, 1}
 	per := WithinGroup(tri, groups, 2)
 	if per[0].NNZ() != 1 || per[0].Weight(0, 1) != 5 {
@@ -204,9 +205,10 @@ func TestWithinGroup(t *testing.T) {
 }
 
 func TestWithinGroupOutOfRangePersons(t *testing.T) {
-	acc := sparse.NewAccum()
-	acc.Add(0, 99, 1) // person 99 has no group label
-	per := WithinGroup(acc.Tri(), []int{0}, 1)
+	es := []sparse.Entry{
+		{I: 0, J: 99, W: 1}, // person 99 has no group label
+	}
+	per := WithinGroup(sparse.Coalesce(1, es), []int{0}, 1)
 	if per[0].NNZ() != 0 {
 		t.Fatal("edge with unlabeled endpoint survived")
 	}

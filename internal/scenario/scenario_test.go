@@ -27,11 +27,11 @@ func baGraph(t *testing.T, n int) *graph.Graph {
 }
 
 func graphFromEdges(edges [][3]uint32, n int) *graph.Graph {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	for _, e := range edges {
-		acc.Add(e[0], e[1], e[2])
+		es = append(es, sparse.Entry{I: e[0], J: e[1], W: e[2]})
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 func validSpec() Spec {
@@ -563,7 +563,7 @@ func TestStoreIDsMonotonic(t *testing.T) {
 // share 1–56 hours, so a pair's weight is 1–168 and the mean degree is
 // about 100.
 func collocationGraph(n int) *graph.Graph {
-	acc := sparse.NewAccum()
+	var es []sparse.Entry
 	src := rng.New(9)
 	for layer := 0; layer < 3; layer++ {
 		perm := src.Perm(n)
@@ -572,13 +572,13 @@ func collocationGraph(n int) *graph.Graph {
 			hours := uint32(src.Intn(56) + 1)
 			for i := lo; i < hi; i++ {
 				for j := i + 1; j < hi; j++ {
-					acc.Add(uint32(perm[i]), uint32(perm[j]), hours)
+					es = append(es, sparse.Entry{I: uint32(perm[i]), J: uint32(perm[j]), W: hours})
 				}
 			}
 			lo = hi
 		}
 	}
-	return graph.FromTri(acc.Tri(), n)
+	return graph.FromTri(sparse.Coalesce(1, es), n)
 }
 
 // BenchmarkKernel runs each process on a collocation-shaped graph, bare

@@ -9,8 +9,10 @@
 //   - Gram: the product A_l = x·xᵀ, an upper-triangular weighted adjacency
 //     whose (i,j) entry counts the time slots persons i and j shared the
 //     place.
-//   - Accum / Tri: accumulation of per-place adjacencies into the final
-//     sparse upper-triangular p×p adjacency matrix A = Σ_l A_l.
+//   - Pairs / Coalesce / Tri: the per-place entries, appended to paged
+//     buffers and reduced by Coalesce into the final sparse
+//     upper-triangular p×p adjacency matrix A = Σ_l A_l; MergeTris sums
+//     finished Tris.
 //
 // Persons inside a BitMatrix are indexed locally (0..rows-1) with a
 // parallel slice of global person IDs, because any single place is visited
@@ -40,7 +42,7 @@ type BitMatrix struct {
 	epoch uint32
 
 	// grp caches the row-group compression (identical bitsets deduped)
-	// computed by Compress; any mutation invalidates it.
+	// computed by compress; any mutation invalidates it.
 	grp *rowGroups
 
 	// Row storage is carved from arena blocks rather than allocated per
@@ -207,7 +209,9 @@ type Entry struct {
 // Gram computes the strict upper triangle of x·xᵀ: one Entry per pair of
 // persons with at least one shared time slot, weighted by the number of
 // shared slots. Entries are emitted with I < J in global-ID order within
-// each pair; the overall sequence order is unspecified.
+// each pair; the overall sequence order is unspecified. It is the dense
+// person-pair reference that the clique-compressed GramTileAppend is
+// tested against.
 //
 // The diagonal of x·xᵀ (each person's own presence time) is intentionally
 // omitted: the collocation network has no self-loops.
@@ -235,63 +239,15 @@ func (m *BitMatrix) Gram() []Entry {
 	return out
 }
 
-// GramInto is like Gram but accumulates directly into acc, avoiding the
-// intermediate entry slice. This is the hot path of the synthesis
-// pipeline.
-func (m *BitMatrix) GramInto(acc *Accum) {
-	n := len(m.rows)
-	for a := 0; a < n; a++ {
-		ra := m.rows[a]
-		for b := a + 1; b < n; b++ {
-			rb := m.rows[b]
-			w := 0
-			for k := 0; k < m.words; k++ {
-				w += bits.OnesCount64(ra[k] & rb[k])
-			}
-			if w != 0 {
-				acc.Add(m.ids[a], m.ids[b], uint32(w))
-			}
-		}
-	}
-}
-
-// GramAppend appends the strict-upper-triangle entries of x·xᵀ to dst
-// and returns the extended slice. It is the allocation-light variant of
-// Gram used by the synthesis hot path: workers accumulate entries into a
-// reusable slice and coalesce once at the end instead of paying a hash
-// lookup per pair.
-func (m *BitMatrix) GramAppend(dst []Entry) []Entry {
-	n := len(m.rows)
-	for a := 0; a < n; a++ {
-		ra := m.rows[a]
-		for b := a + 1; b < n; b++ {
-			rb := m.rows[b]
-			w := 0
-			for k := 0; k < m.words; k++ {
-				w += bits.OnesCount64(ra[k] & rb[k])
-			}
-			if w == 0 {
-				continue
-			}
-			i, j := m.ids[a], m.ids[b]
-			if i > j {
-				i, j = j, i
-			}
-			dst = append(dst, Entry{I: i, J: j, W: uint32(w)})
-		}
-	}
-	return dst
-}
-
 // GramCost estimates the work of the clique-compressed Gram kernel
-// (GramCliqueAppend): one AND+popcount per distinct-bitset group pair —
-// g·(g-1)/2 · words word operations — plus one append per emitted pair
-// entry, bounded by p·(p-1)/2. This replaces the dense rows²·words
+// (GramTileAppend over the whole matrix): one AND+popcount per
+// distinct-bitset group pair — g·(g-1)/2 · words word operations — plus
+// one append per emitted pair entry, bounded by p·(p-1)/2. This replaces the dense rows²·words
 // estimate so the LPT balancer sees the true post-compression work: a
 // household of 40 identical schedules now costs ~780 appends, not
-// 40²·words bit operations. GramCost triggers Compress, so calling it
-// before handing the matrix to concurrent workers also makes the cached
-// compression safe to share.
+// 40²·words bit operations. GramCost computes and caches the row-group
+// compression, so calling it before handing the matrix to concurrent
+// workers also makes the cached compression safe to share.
 func (m *BitMatrix) GramCost() int {
 	g := m.compress().groups()
 	p := len(m.rows)

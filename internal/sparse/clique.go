@@ -32,15 +32,11 @@ type rowGroups struct {
 // groups returns the number of distinct bitsets.
 func (g *rowGroups) groups() int { return len(g.rep) }
 
-// Compress computes (and caches) the row-group clique compression. The
-// result is invalidated by any subsequent Set/SetRange. Compress is
-// idempotent and cheap when cached; callers that share a BitMatrix across
-// goroutines must call it (or GramCost, which calls it) before the
-// concurrent phase, since the lazy computation is not synchronized.
-func (m *BitMatrix) Compress() {
-	m.compress()
-}
-
+// compress computes (and caches) the row-group clique compression. The
+// result is invalidated by any subsequent Set/SetRange. Callers that
+// share a BitMatrix across goroutines must call GramCost (which
+// compresses) before the concurrent phase, since the lazy computation is
+// not synchronized.
 func (m *BitMatrix) compress() *rowGroups {
 	if m.grp != nil {
 		return m.grp
@@ -80,7 +76,7 @@ func (m *BitMatrix) compress() *rowGroups {
 }
 
 // NumGroups returns the number of distinct row bitsets (the g of the
-// clique-compressed Gram kernel). It triggers Compress.
+// clique-compressed Gram kernel). It computes the compression.
 func (m *BitMatrix) NumGroups() int { return m.compress().groups() }
 
 // andPop returns the popcount of ra & rb.
@@ -92,25 +88,16 @@ func andPop(ra, rb []uint64) int {
 	return w
 }
 
-// GramCliqueAppend appends the strict-upper-triangle entries of x·xᵀ to
-// dst using the clique-compressed kernel. The emitted entry multiset is
-// identical to GramAppend's (order aside): every pair with a shared slot
-// appears exactly once with the same weight, so coalescing either
-// kernel's output gives the same Tri bit for bit.
-func (m *BitMatrix) GramCliqueAppend(dst *Pairs) {
-	n := len(m.rows)
-	m.GramTileAppend(dst, 0, n, 0, n)
-}
-
 // GramTileAppend appends to dst the Gram entries of one block×block tile
 // of the pairwise loop: all pairs (a, b) whose π indices (the
-// group-contiguous row order established by Compress) satisfy
+// group-contiguous row order established by the compression) satisfy
 // πa ∈ [p0,p1), πb ∈ [q0,q1) and πa < πb. Tiles must be diagonal
 // (p0==q0, p1==q1) or disjoint with q0 ≥ p1; a set of tiles that exactly
-// covers the upper triangle of the π×π square therefore reproduces
-// GramCliqueAppend entry-for-entry, which is what lets the balancer split
-// one mega-place across workers without changing the synthesized
-// network.
+// covers the upper triangle of the π×π square therefore reproduces the
+// whole-matrix tile (0, n, 0, n) entry-for-entry, which is what lets the
+// balancer split one mega-place across workers without changing the
+// synthesized network. Every pair with a shared slot appears exactly once
+// with the weight Gram gives it.
 func (m *BitMatrix) GramTileAppend(dst *Pairs, p0, p1, q0, q1 int) {
 	g := m.compress()
 	n := len(m.rows)

@@ -49,12 +49,12 @@ func randomMatrix(r *rng.Source, persons, patterns, cols int) *BitMatrix {
 // cliqueTri coalesces the clique kernel's output over the whole matrix.
 func cliqueTri(m *BitMatrix) *Tri {
 	var p Pairs
-	m.GramCliqueAppend(&p)
+	m.GramTileAppend(&p, 0, m.Rows(), 0, m.Rows())
 	return Coalesce(1, p.Pages()...)
 }
 
 // TestGramCliqueMatchesDenseRandom: the clique-compressed kernel must be
-// bit-identical to the dense pairwise kernel (and to the brute-force
+// bit-identical to the dense pairwise Gram (and to the brute-force
 // dense reference) on random matrices.
 func TestGramCliqueMatchesDenseRandom(t *testing.T) {
 	r := rng.New(4242)
@@ -63,7 +63,7 @@ func TestGramCliqueMatchesDenseRandom(t *testing.T) {
 		persons := r.Intn(30)
 		patterns := 1 + r.Intn(6)
 		m := randomMatrix(r, persons, patterns, cols)
-		dense := TriFromEntries(m.GramAppend(nil))
+		dense := Coalesce(1, m.Gram())
 		clique := cliqueTri(m)
 		if !clique.Equal(dense) {
 			t.Fatalf("trial %d (p=%d g=%d): clique kernel differs from dense", trial, m.Rows(), m.NumGroups())
@@ -90,7 +90,7 @@ func TestGramCliqueAllIdenticalRows(t *testing.T) {
 	if g := m.NumGroups(); g != 1 {
 		t.Fatalf("identical rows formed %d groups, want 1", g)
 	}
-	dense := TriFromEntries(m.GramAppend(nil))
+	dense := Coalesce(1, m.Gram())
 	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("clique kernel differs from dense on identical rows")
@@ -114,7 +114,7 @@ func TestGramCliqueAllDistinctRows(t *testing.T) {
 	if g := m.NumGroups(); g != 20 {
 		t.Fatalf("distinct rows formed %d groups, want 20", g)
 	}
-	dense := TriFromEntries(m.GramAppend(nil))
+	dense := Coalesce(1, m.Gram())
 	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("clique kernel differs from dense on distinct rows")
@@ -124,7 +124,7 @@ func TestGramCliqueAllDistinctRows(t *testing.T) {
 func TestGramCliqueEmptyMatrix(t *testing.T) {
 	m := NewBitMatrix(24)
 	var out Pairs
-	if m.GramCliqueAppend(&out); len(out.Pages()) != 0 {
+	if m.GramTileAppend(&out, 0, 0, 0, 0); len(out.Pages()) != 0 {
 		t.Fatalf("empty matrix emitted %d pages", len(out.Pages()))
 	}
 	if m.NumGroups() != 0 {
@@ -147,7 +147,7 @@ func TestCompressInvalidatedByMutation(t *testing.T) {
 	if g := m.NumGroups(); g != 2 {
 		t.Fatalf("groups after mutation = %d, want 2", g)
 	}
-	dense := TriFromEntries(m.GramAppend(nil))
+	dense := Coalesce(1, m.Gram())
 	clique := cliqueTri(m)
 	if !clique.Equal(dense) {
 		t.Fatal("stale compression survived a mutation")
@@ -286,7 +286,7 @@ func benchCliqueMatrix(p, cols, patterns int) *BitMatrix {
 		lo := starts[id%patterns]
 		m.SetRange(uint32(id), lo, lo+cols/3)
 	}
-	m.Compress()
+	m.GramCost() // compresses
 	return m
 }
 
@@ -301,7 +301,7 @@ func BenchmarkGramKernel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var dst []Entry
 			for i := 0; i < b.N; i++ {
-				dst = m.GramAppend(dst[:0])
+				dst = m.Gram()
 			}
 			b.ReportMetric(float64(len(dst)), "entries")
 		})
@@ -316,32 +316,35 @@ func BenchmarkGramKernel(b *testing.B) {
 			b.ReportMetric(float64(pairsLen(&dst)), "entries")
 		})
 	}
+	whole := func(m *BitMatrix) func(dst *Pairs) {
+		return func(dst *Pairs) { m.GramTileAppend(dst, 0, m.Rows(), 0, m.Rows()) }
+	}
 	dense("dense", ident)
-	paged("clique", ident.GramCliqueAppend)
+	paged("clique", whole(ident))
 	paged("split", func(dst *Pairs) {
 		for _, tile := range tileCover(ident.Rows(), 4) {
 			ident.GramTileAppend(dst, tile[0], tile[1], tile[2], tile[3])
 		}
 	})
 	dense("dense16groups", mixed)
-	paged("clique16groups", mixed.GramCliqueAppend)
+	paged("clique16groups", whole(mixed))
 }
 
 func benchTris(k, nnz int) []*Tri {
 	r := rng.New(uint64(k)*1000 + uint64(nnz))
 	ts := make([]*Tri, k)
 	for i := range ts {
-		acc := NewAccum()
-		for e := 0; e < nnz; e++ {
-			acc.Add(uint32(r.Intn(5000)), uint32(r.Intn(5000)), uint32(1+r.Intn(8)))
+		es := make([]Entry, nnz)
+		for e := range es {
+			es[e] = Entry{I: uint32(r.Intn(5000)), J: uint32(r.Intn(5000)), W: uint32(1 + r.Intn(8))}
 		}
-		ts[i] = acc.Tri()
+		ts[i] = Coalesce(1, es)
 	}
 	return ts
 }
 
-// BenchmarkMerge contrasts the legacy linear best-head scan with the
-// tournament tree at k=16 inputs.
+// BenchmarkMerge contrasts the linear best-head scan with MergeTris's
+// pairwise fold at k=16 inputs.
 func BenchmarkMerge(b *testing.B) {
 	ts := benchTris(16, 20000)
 	b.Run("scan", func(b *testing.B) {

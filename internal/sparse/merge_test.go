@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ func TestTriFromEntriesNormalizesAndSums(t *testing.T) {
 		{I: 7, J: 7, W: 9}, // self-pair: dropped
 		{I: 1, J: 3, W: 1},
 	}
-	tr := TriFromEntries(es)
+	tr := Coalesce(1, es)
 	if tr.NNZ() != 2 {
 		t.Fatalf("NNZ = %d, want 2", tr.NNZ())
 	}
@@ -32,25 +33,21 @@ func TestTriFromEntriesNormalizesAndSums(t *testing.T) {
 		prev := uint64(tr.I[k-1])<<32 | uint64(tr.J[k-1])
 		cur := uint64(tr.I[k])<<32 | uint64(tr.J[k])
 		if prev >= cur {
-			t.Fatal("TriFromEntries output not sorted")
+			t.Fatal("Coalesce output not sorted")
 		}
 	}
 }
 
 func TestTriFromEntriesEmpty(t *testing.T) {
-	if tr := TriFromEntries(nil); tr.NNZ() != 0 {
+	if tr := Coalesce(1, nil); tr.NNZ() != 0 {
 		t.Fatal("empty input produced entries")
 	}
 }
 
 func TestMergeTrisBasic(t *testing.T) {
-	a := NewAccum()
-	a.Add(1, 2, 3)
-	a.Add(5, 9, 1)
-	b := NewAccum()
-	b.Add(1, 2, 4)
-	b.Add(0, 7, 2)
-	m := MergeTris(a.Tri(), b.Tri())
+	a := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}, {I: 5, J: 9, W: 1}})
+	b := Coalesce(1, []Entry{{I: 1, J: 2, W: 4}, {I: 0, J: 7, W: 2}})
+	m := MergeTris(a, b)
 	if m.NNZ() != 3 {
 		t.Fatalf("merged NNZ = %d, want 3", m.NNZ())
 	}
@@ -60,9 +57,8 @@ func TestMergeTrisBasic(t *testing.T) {
 }
 
 func TestMergeTrisNilAndEmpty(t *testing.T) {
-	a := NewAccum()
-	a.Add(1, 2, 3)
-	m := MergeTris(nil, a.Tri(), NewAccum().Tri())
+	a := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}})
+	m := MergeTris(nil, a, &Tri{})
 	if m.NNZ() != 1 || m.Weight(1, 2) != 3 {
 		t.Fatalf("merge with nil/empty inputs wrong: %+v", m)
 	}
@@ -71,83 +67,76 @@ func TestMergeTrisNilAndEmpty(t *testing.T) {
 	}
 }
 
-// Property: MergeTris equals SumTris on arbitrary sorted inputs.
+// randomTri returns nil, an empty Tri, or a coalesced one of up to 40
+// entries over ids below 15.
+func randomTri(r *rng.Source) *Tri {
+	switch r.Intn(5) {
+	case 0:
+		return nil
+	case 1:
+		return &Tri{}
+	}
+	es := make([]Entry, r.Intn(40))
+	for k := range es {
+		es[k] = Entry{I: uint32(r.Intn(15)), J: uint32(r.Intn(15)), W: uint32(1 + r.Intn(4))}
+	}
+	return Coalesce(1, es)
+}
+
+// Property: MergeTris equals one Coalesce over the entries of all its
+// inputs: merging finished networks sums their weights pair by pair.
 func TestQuickMergeEqualsSum(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		mk := func() *Tri {
-			acc := NewAccum()
-			for k := 0; k < r.Intn(40); k++ {
-				acc.Add(uint32(r.Intn(15)), uint32(r.Intn(15)), uint32(1+r.Intn(4)))
+		var ts []*Tri
+		var all []Entry
+		for range 3 {
+			es := make([]Entry, r.Intn(40))
+			for k := range es {
+				es[k] = Entry{I: uint32(r.Intn(15)), J: uint32(r.Intn(15)), W: uint32(1 + r.Intn(4))}
 			}
-			return acc.Tri()
+			ts = append(ts, Coalesce(1, es))
+			all = append(all, es...)
 		}
-		ts := []*Tri{mk(), mk(), mk()}
-		return MergeTris(ts...).Equal(SumTris(ts...))
+		return MergeTris(ts...).Equal(Coalesce(1, all))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: TriFromEntries equals an Accum over the same entries.
+// Property: Coalesce on one worker equals a map accumulator over the same
+// entries: pairs ordered, self-pairs dropped, repeats summed.
 func TestQuickTriFromEntriesEqualsAccum(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := r.Intn(60)
-		es := make([]Entry, n)
-		acc := NewAccum()
-		for k := 0; k < n; k++ {
+		es := make([]Entry, r.Intn(60))
+		acc := map[[2]uint32]uint32{}
+		for k := range es {
 			e := Entry{I: uint32(r.Intn(12)), J: uint32(r.Intn(12)), W: uint32(1 + r.Intn(5))}
 			es[k] = e
-			acc.Add(e.I, e.J, e.W)
+			if e.I != e.J {
+				acc[[2]uint32{min(e.I, e.J), max(e.I, e.J)}] += e.W
+			}
 		}
-		return TriFromEntries(es).Equal(acc.Tri())
+		tr := Coalesce(1, es)
+		if tr.NNZ() != len(acc) {
+			return false
+		}
+		for k := range tr.I {
+			if acc[[2]uint32{tr.I[k], tr.J[k]}] != tr.W[k] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGramAppendMatchesGram(t *testing.T) {
-	r := rng.New(3)
-	m := NewBitMatrix(168)
-	for p := 0; p < 25; p++ {
-		id := uint32(r.Intn(30))
-		start := r.Intn(160)
-		m.SetRange(id, start, start+1+r.Intn(8))
-	}
-	fromGram := NewAccum()
-	fromGram.AddEntries(m.Gram())
-	appended := TriFromEntries(m.GramAppend(nil))
-	if !appended.Equal(fromGram.Tri()) {
-		t.Fatal("GramAppend differs from Gram")
-	}
-}
-
-func TestGramAppendExtendsDst(t *testing.T) {
-	m := NewBitMatrix(8)
-	m.SetRange(1, 0, 4)
-	m.SetRange(2, 2, 6)
-	pre := []Entry{{I: 9, J: 10, W: 1}}
-	out := m.GramAppend(pre)
-	if len(out) != 2 {
-		t.Fatalf("GramAppend len = %d, want 2", len(out))
-	}
-	if out[0] != (Entry{I: 9, J: 10, W: 1}) {
-		t.Fatal("existing entries clobbered")
-	}
-	if out[1] != (Entry{I: 1, J: 2, W: 2}) {
-		t.Fatalf("appended entry = %+v", out[1])
 	}
 }
 
 func TestFilterTri(t *testing.T) {
-	acc := NewAccum()
-	acc.Add(1, 2, 5)
-	acc.Add(3, 4, 6)
-	acc.Add(1, 4, 7)
-	tr := acc.Tri()
+	tr := Coalesce(1, []Entry{{I: 1, J: 2, W: 5}, {I: 3, J: 4, W: 6}, {I: 1, J: 4, W: 7}})
 	fromOne := tr.Filter(func(i, j uint32) bool { return i == 1 })
 	if fromOne.NNZ() != 2 || fromOne.Weight(1, 2) != 5 || fromOne.Weight(1, 4) != 7 || fromOne.Weight(3, 4) != 0 {
 		t.Fatalf("filtered = %+v", fromOne)
@@ -163,16 +152,13 @@ func TestFilterTri(t *testing.T) {
 }
 
 func TestEqualDetectsDifferences(t *testing.T) {
-	a := NewAccum()
-	a.Add(1, 2, 3)
-	b := NewAccum()
-	b.Add(1, 2, 4)
-	if a.Tri().Equal(b.Tri()) {
+	a := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}})
+	b := Coalesce(1, []Entry{{I: 1, J: 2, W: 4}})
+	if a.Equal(b) {
 		t.Fatal("different weights reported equal")
 	}
-	c := NewAccum()
-	c.Add(1, 3, 3)
-	if a.Tri().Equal(c.Tri()) {
+	c := Coalesce(1, []Entry{{I: 1, J: 3, W: 3}})
+	if a.Equal(c) {
 		t.Fatal("different pairs reported equal")
 	}
 }
@@ -187,10 +173,7 @@ func TestNewBitMatrixPanicsOnNonPositiveCols(t *testing.T) {
 }
 
 func TestTriBinaryRoundTrip(t *testing.T) {
-	acc := NewAccum()
-	acc.Add(1, 2, 3)
-	acc.Add(1000000, 2000000, 7)
-	tr := acc.Tri()
+	tr := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}, {I: 1000000, J: 2000000, W: 7}})
 	blob, err := tr.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +186,7 @@ func TestTriBinaryRoundTrip(t *testing.T) {
 		t.Fatal("binary round trip changed the matrix")
 	}
 	// Empty matrix.
-	empty := NewAccum().Tri()
-	blob, _ = empty.MarshalBinary()
+	blob, _ = (&Tri{}).MarshalBinary()
 	var backEmpty Tri
 	if err := backEmpty.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
@@ -222,11 +204,31 @@ func TestTriUnmarshalRejectsCorrupt(t *testing.T) {
 	if err := tr.UnmarshalBinary([]byte{5, 0, 0, 0, 1}); err == nil {
 		t.Fatal("length-mismatched blob accepted")
 	}
+	// Length-correct blobs of non-canonical entries: MergeTris would
+	// repeat or misorder pairs if any of them decoded.
+	for _, c := range []struct {
+		name    string
+		i, j, w []uint32
+		bad     string // the entry index the error must name
+	}{
+		{"unsorted", []uint32{5, 1}, []uint32{6, 2}, []uint32{1, 1}, "entry 1"},
+		{"repeated pair", []uint32{1, 1}, []uint32{2, 2}, []uint32{1, 1}, "entry 1"},
+		{"same row, J descending", []uint32{1, 1}, []uint32{4, 3}, []uint32{1, 1}, "entry 1"},
+		{"self-pair", []uint32{3}, []uint32{3}, []uint32{1}, "entry 0"},
+		{"I > J", []uint32{1, 4}, []uint32{2, 2}, []uint32{1, 1}, "entry 1"},
+		{"zero weight", []uint32{1, 2}, []uint32{2, 3}, []uint32{1, 0}, "entry 1"},
+	} {
+		blob, _ := (&Tri{I: c.i, J: c.j, W: c.w}).MarshalBinary()
+		err := tr.UnmarshalBinary(blob)
+		if err == nil || !strings.Contains(err.Error(), c.bad) {
+			t.Errorf("%s: UnmarshalBinary = %v, want an error naming %s", c.name, err, c.bad)
+		}
+	}
 }
 
-// mergeTrisScan is the pre-tournament reference reduction: an O(total·k)
-// linear best-head scan. It is retained for the BenchmarkMerge baseline
-// and as an oracle in the merge property tests.
+// mergeTrisScan is the reference reduction: an O(total·k) linear
+// best-head scan. It is the BenchmarkMerge baseline and the oracle of
+// the merge property tests.
 func mergeTrisScan(ts ...*Tri) *Tri {
 	heads := make([]int, len(ts))
 	total := 0

@@ -1,9 +1,9 @@
 package sparse
 
 // This file holds the reduction kernels of the synthesis pipeline: the
-// row-range-sharded Coalesce that turns the Gram workers' raw entries
-// into the network, the LSD radix sort on the packed (I,J) key it runs
-// per bucket, and the tournament-tree merge of sorted triangles.
+// row-range-sharded Coalesce that turns raw pair entries into a network,
+// the LSD radix sort on the packed (I,J) key it runs per bucket, and
+// MergeTris, the pairwise merge that sums finished networks.
 
 import (
 	"cmp"
@@ -289,104 +289,13 @@ func merge2(a, b *Tri) *Tri {
 	return &Tri{I: oi[:k], J: oj[:k], W: ow[:k]}
 }
 
-// copyTri returns a defensive copy so MergeTris(t) never aliases its
-// input.
-func copyTri(t *Tri) *Tri {
-	out := &Tri{
-		I: make([]uint32, len(t.I)),
-		J: make([]uint32, len(t.J)),
-		W: make([]uint32, len(t.W)),
-	}
-	copy(out.I, t.I)
-	copy(out.J, t.J)
-	copy(out.W, t.W)
-	return out
-}
-
-// mergeTournament k-way merges k ≥ 3 sorted inputs through a complete
-// binary tournament tree: each pop takes the overall winner and replays
-// only its leaf-to-root path, so the reduction is O(total·log k) instead
-// of the linear scan's O(total·k).
-func mergeTournament(live []*Tri) *Tri {
-	k := len(live)
-	total := 0
-	for _, t := range live {
-		total += t.NNZ()
-	}
-	out := &Tri{
-		I: make([]uint32, 0, total),
-		J: make([]uint32, 0, total),
-		W: make([]uint32, 0, total),
-	}
-	// keyInf marks exhausted (or padding) streams. No real entry can hold
-	// it: Tri entries are strictly I < J, and keyInf would require
-	// I == J == MaxUint32.
-	const keyInf = ^uint64(0)
-	heads := make([]int, k)
-	m := 1
-	for m < k {
-		m <<= 1
-	}
-	// keys[s] caches stream s's current packed key so the path replay is
-	// pure integer compares — no bounds checks or indirection per node.
-	keys := make([]uint64, m)
-	for s := 0; s < m; s++ {
-		if s < k && live[s].NNZ() > 0 {
-			keys[s] = uint64(live[s].I[0])<<32 | uint64(live[s].J[0])
-		} else {
-			keys[s] = keyInf
-		}
-	}
-	node := make([]int32, 2*m) // node[1] = overall winner; leaves at m..
-	for i := 0; i < m; i++ {
-		node[m+i] = int32(i)
-	}
-	for i := m - 1; i >= 1; i-- {
-		a, b := node[2*i], node[2*i+1]
-		if keys[b] < keys[a] {
-			node[i] = b
-		} else {
-			node[i] = a
-		}
-	}
-	for {
-		s := node[1]
-		if keys[s] == keyInf {
-			return out
-		}
-		t := live[s]
-		h := heads[s]
-		heads[s]++
-		n := len(out.I)
-		if n > 0 && out.I[n-1] == t.I[h] && out.J[n-1] == t.J[h] {
-			out.W[n-1] += t.W[h]
-		} else {
-			out.I = append(out.I, t.I[h])
-			out.J = append(out.J, t.J[h])
-			out.W = append(out.W, t.W[h])
-		}
-		if h+1 < t.NNZ() {
-			keys[s] = uint64(t.I[h+1])<<32 | uint64(t.J[h+1])
-		} else {
-			keys[s] = keyInf
-		}
-		// Replay the path from stream s's leaf to the root.
-		for i := (m + int(s)) >> 1; i >= 1; i >>= 1 {
-			a, b := node[2*i], node[2*i+1]
-			if keys[b] < keys[a] {
-				node[i] = b
-			} else {
-				node[i] = a
-			}
-		}
-	}
-}
-
-// MergeTris k-way merges already-sorted triangular matrices, summing
-// weights of entries present in several inputs: a stream's decay fold
-// and the merge of per-rank or per-slice networks (Tri is always sorted,
-// so inputs from Accum.Tri or Coalesce qualify). Nil and empty inputs are skipped. The merge
-// runs through a tournament tree, so it costs O(total·log k) comparisons.
+// MergeTris sums already-sorted triangular matrices element-wise, the
+// paper's A = Σ A_file over finished networks: a stream's decay fold and
+// the merge of per-rank or per-slice networks (Tri is always sorted, so
+// Coalesce output qualifies). Nil and empty inputs are skipped, and one
+// input comes back as a copy, never aliased. Two inputs take one merge2;
+// k > 2 are folded pairwise with merge2, level by level, so each entry is
+// copied ⌈log₂ k⌉ times.
 func MergeTris(ts ...*Tri) *Tri {
 	live := make([]*Tri, 0, len(ts))
 	for _, t := range ts {
@@ -394,13 +303,19 @@ func MergeTris(ts ...*Tri) *Tri {
 			live = append(live, t)
 		}
 	}
-	switch len(live) {
-	case 0:
-		return &Tri{}
-	case 1:
-		return copyTri(live[0])
-	case 2:
-		return merge2(live[0], live[1])
+	if len(live) < 2 {
+		live = append(live, &Tri{}) // a lone input is merged into a copy
 	}
-	return mergeTournament(live)
+	for len(live) > 1 {
+		next := live[:0]
+		for k := 0; k < len(live); k += 2 {
+			if k+1 < len(live) {
+				next = append(next, merge2(live[k], live[k+1]))
+			} else {
+				next = append(next, live[k])
+			}
+		}
+		live = next
+	}
+	return live[0]
 }

@@ -178,28 +178,22 @@ func TestCoalesceMatchesReference(t *testing.T) {
 	}
 }
 
-// Property: the tournament-tree MergeTris equals the legacy linear scan
-// on arbitrary inputs, including nils, empties and duplicate keys.
+// Property: MergeTris equals the linear best-head scan on arbitrary
+// inputs, nils, empties and shared keys among them, for every k from 0
+// to 9, so every odd and even shape of the pairwise fold runs.
 func TestQuickMergeTournamentEqualsScan(t *testing.T) {
-	f := func(seed uint64, kRaw uint8) bool {
+	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		k := 1 + int(kRaw%9)
-		ts := make([]*Tri, k)
-		for i := range ts {
-			switch r.Intn(5) {
-			case 0:
-				ts[i] = nil
-			case 1:
-				ts[i] = &Tri{}
-			default:
-				acc := NewAccum()
-				for e := 0; e < r.Intn(50); e++ {
-					acc.Add(uint32(r.Intn(12)), uint32(r.Intn(12)), uint32(1+r.Intn(5)))
-				}
-				ts[i] = acc.Tri()
+		for k := 0; k <= 9; k++ {
+			ts := make([]*Tri, k)
+			for i := range ts {
+				ts[i] = randomTri(r)
+			}
+			if !MergeTris(ts...).Equal(mergeTrisScan(ts...)) {
+				return false
 			}
 		}
-		return MergeTris(ts...).Equal(mergeTrisScan(ts...))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -207,9 +201,7 @@ func TestQuickMergeTournamentEqualsScan(t *testing.T) {
 }
 
 func TestMergeTrisDoesNotAliasSingleInput(t *testing.T) {
-	acc := NewAccum()
-	acc.Add(1, 2, 3)
-	in := acc.Tri()
+	in := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}})
 	out := MergeTris(in)
 	if !out.Equal(in) {
 		t.Fatal("single-input merge changed entries")
@@ -223,12 +215,9 @@ func TestMergeTrisDoesNotAliasSingleInput(t *testing.T) {
 // FuzzTriBinaryRoundTrip fuzzes UnmarshalBinary with arbitrary blobs:
 // either it errors, or re-marshalling reproduces the input bytes exactly.
 func FuzzTriBinaryRoundTrip(f *testing.F) {
-	acc := NewAccum()
-	acc.Add(1, 2, 3)
-	acc.Add(4, 5, 6)
-	seed, _ := acc.Tri().MarshalBinary()
+	seed, _ := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}, {I: 4, J: 5, W: 6}}).MarshalBinary()
 	f.Add(seed)
-	empty, _ := NewAccum().Tri().MarshalBinary()
+	empty, _ := (&Tri{}).MarshalBinary()
 	f.Add(empty)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})                  // truncated: claims 1 entry, no payload
@@ -248,14 +237,13 @@ func FuzzTriBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTriFromEntries fuzzes the coalesce against the Accum oracle on
-// arbitrary entry bytes: whole on one worker (TriFromEntries), and cut
-// into up to 7 parts at split-seeded points reduced by 1–16 workers.
+// FuzzTriFromEntries fuzzes Coalesce against referenceCoalesce on
+// arbitrary entry bytes: whole on one worker, and cut into up to 7 parts
+// at split-seeded points reduced by 1–16 workers.
 func FuzzTriFromEntries(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(1), uint16(0))
 	f.Fuzz(func(t *testing.T, raw []byte, rep uint8, split uint16) {
 		var es []Entry
-		acc := NewAccum()
 		for off := 0; off+12 <= len(raw) && len(es) < 2000; off += 12 {
 			e := Entry{
 				I: binary.LittleEndian.Uint32(raw[off:]),
@@ -264,16 +252,15 @@ func FuzzTriFromEntries(f *testing.F) {
 			}
 			for k := 0; k <= int(rep%4); k++ {
 				es = append(es, e)
-				acc.Add(e.I, e.J, e.W)
 			}
 		}
-		want := acc.Tri()
-		if !TriFromEntries(es).Equal(want) {
-			t.Fatal("TriFromEntries differs from Accum oracle")
+		want := referenceCoalesce(es)
+		if !Coalesce(1, es).Equal(want) {
+			t.Fatal("Coalesce(1, entries) differs from referenceCoalesce")
 		}
 		parts := splitParts(rng.New(uint64(split)), es, 1+int(split%7))
 		if workers := 1 + int(rep/4)%16; !Coalesce(workers, parts...).Equal(want) {
-			t.Fatalf("Coalesce(%d, %d parts) differs from Accum oracle", workers, len(parts))
+			t.Fatalf("Coalesce(%d, %d parts) differs from referenceCoalesce", workers, len(parts))
 		}
 	})
 }

@@ -171,81 +171,21 @@ func TestGramMatchesDenseRandom(t *testing.T) {
 			}
 		}
 		want := denseGram(m)
-		acc := NewAccum()
-		acc.AddEntries(m.Gram())
-		if acc.NNZ() != len(want) {
-			t.Fatalf("trial %d: nnz %d != dense %d", trial, acc.NNZ(), len(want))
+		tr := Coalesce(1, m.Gram())
+		if tr.NNZ() != len(want) {
+			t.Fatalf("trial %d: nnz %d != dense %d", trial, tr.NNZ(), len(want))
 		}
 		for k, w := range want {
 			i, j := uint32(k>>32), uint32(k&0xffffffff)
-			if got := acc.Weight(i, j); got != w {
+			if got := tr.Weight(i, j); got != w {
 				t.Fatalf("trial %d: weight(%d,%d) = %d, want %d", trial, i, j, got, w)
 			}
 		}
 	}
 }
 
-func TestGramIntoMatchesGram(t *testing.T) {
-	r := rng.New(99)
-	m := NewBitMatrix(168)
-	for p := 0; p < 20; p++ {
-		id := uint32(r.Intn(30))
-		start := r.Intn(160)
-		m.SetRange(id, start, start+1+r.Intn(8))
-	}
-	a1 := NewAccum()
-	a1.AddEntries(m.Gram())
-	a2 := NewAccum()
-	m.GramInto(a2)
-	if !a1.Tri().Equal(a2.Tri()) {
-		t.Fatal("GramInto differs from Gram")
-	}
-}
-
-func TestAccumAddSymmetricAndSelf(t *testing.T) {
-	a := NewAccum()
-	a.Add(5, 9, 2)
-	a.Add(9, 5, 3)
-	a.Add(7, 7, 100) // self-loop ignored
-	if got := a.Weight(5, 9); got != 5 {
-		t.Errorf("Weight(5,9) = %d, want 5", got)
-	}
-	if got := a.Weight(9, 5); got != 5 {
-		t.Errorf("Weight(9,5) = %d, want 5", got)
-	}
-	if got := a.Weight(7, 7); got != 0 {
-		t.Errorf("self weight = %d, want 0", got)
-	}
-	if a.NNZ() != 1 {
-		t.Errorf("NNZ = %d, want 1", a.NNZ())
-	}
-}
-
-func TestAccumMerge(t *testing.T) {
-	a := NewAccum()
-	b := NewAccum()
-	a.Add(1, 2, 3)
-	b.Add(1, 2, 4)
-	b.Add(3, 4, 1)
-	a.Merge(b)
-	if got := a.Weight(1, 2); got != 7 {
-		t.Errorf("merged weight(1,2) = %d, want 7", got)
-	}
-	if got := a.Weight(3, 4); got != 1 {
-		t.Errorf("merged weight(3,4) = %d, want 1", got)
-	}
-	// b unchanged
-	if got := b.Weight(1, 2); got != 4 {
-		t.Errorf("source accum mutated: weight(1,2) = %d, want 4", got)
-	}
-}
-
 func TestTriSortedAndLookup(t *testing.T) {
-	a := NewAccum()
-	a.Add(9, 1, 2)
-	a.Add(3, 7, 5)
-	a.Add(1, 2, 1)
-	tr := a.Tri()
+	tr := Coalesce(1, []Entry{{I: 9, J: 1, W: 2}, {I: 3, J: 7, W: 5}, {I: 1, J: 2, W: 1}})
 	if tr.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", tr.NNZ())
 	}
@@ -268,10 +208,7 @@ func TestTriSortedAndLookup(t *testing.T) {
 }
 
 func TestTriStats(t *testing.T) {
-	a := NewAccum()
-	a.Add(1, 2, 3)
-	a.Add(2, 5, 4)
-	tr := a.Tri()
+	tr := Coalesce(1, []Entry{{I: 1, J: 2, W: 3}, {I: 2, J: 5, W: 4}})
 	if got := tr.TotalWeight(); got != 7 {
 		t.Errorf("TotalWeight = %d, want 7", got)
 	}
@@ -284,32 +221,14 @@ func TestTriStats(t *testing.T) {
 }
 
 func TestTriEmptyStats(t *testing.T) {
-	tr := NewAccum().Tri()
+	tr := &Tri{}
 	if tr.NNZ() != 0 || tr.TotalWeight() != 0 || tr.MaxVertex() != 0 || tr.Vertices() != 0 {
 		t.Fatal("empty Tri stats not all zero")
 	}
 }
 
-func TestSumTris(t *testing.T) {
-	a := NewAccum()
-	a.Add(1, 2, 3)
-	b := NewAccum()
-	b.Add(1, 2, 4)
-	b.Add(8, 9, 1)
-	s := SumTris(a.Tri(), b.Tri(), nil)
-	if got := s.Weight(1, 2); got != 7 {
-		t.Errorf("sum weight(1,2) = %d, want 7", got)
-	}
-	if got := s.Weight(8, 9); got != 1 {
-		t.Errorf("sum weight(8,9) = %d, want 1", got)
-	}
-	if s.NNZ() != 2 {
-		t.Errorf("sum NNZ = %d, want 2", s.NNZ())
-	}
-}
-
-// Property: merging accumulators in any grouping yields the same Tri —
-// the tree-reduction used by the pipeline is order-independent.
+// Property: coalescing the entries in any grouping and merging the parts
+// yields the same Tri as coalescing them all at once.
 func TestQuickMergeAssociativity(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -319,17 +238,9 @@ func TestQuickMergeAssociativity(t *testing.T) {
 			j := uint32(r.Intn(20))
 			entries[k] = Entry{I: i, J: j, W: uint32(1 + r.Intn(5))}
 		}
-		// Grouping 1: all into one.
-		a := NewAccum()
-		a.AddEntries(entries)
-		// Grouping 2: three accums merged pairwise.
-		p1, p2, p3 := NewAccum(), NewAccum(), NewAccum()
-		p1.AddEntries(entries[:10])
-		p2.AddEntries(entries[10:20])
-		p3.AddEntries(entries[20:])
-		p2.Merge(p3)
-		p1.Merge(p2)
-		return a.Tri().Equal(p1.Tri())
+		whole := Coalesce(1, entries)
+		split := MergeTris(Coalesce(1, entries[:10]), Coalesce(1, entries[10:20]), Coalesce(1, entries[20:]))
+		return whole.Equal(split)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -351,9 +262,7 @@ func TestQuickGramPairOverlap(t *testing.T) {
 				overlap++
 			}
 		}
-		acc := NewAccum()
-		m.GramInto(acc)
-		return acc.Weight(1, 2) == overlap
+		return Coalesce(1, m.Gram()).Weight(1, 2) == overlap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -369,26 +278,5 @@ func TestGramCostMonotonic(t *testing.T) {
 	}
 	if small.GramCost() >= big.GramCost() {
 		t.Fatal("GramCost should grow with row count")
-	}
-}
-
-func BenchmarkGram100Persons(b *testing.B) {
-	r := rng.New(7)
-	m := NewBitMatrix(168)
-	for p := uint32(0); p < 100; p++ {
-		start := r.Intn(160)
-		m.SetRange(p, start, start+8)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc := NewAccum()
-		m.GramInto(acc)
-	}
-}
-
-func BenchmarkAccumAdd(b *testing.B) {
-	a := NewAccum()
-	for i := 0; i < b.N; i++ {
-		a.Add(uint32(i%1000), uint32((i*7)%1000), 1)
 	}
 }
