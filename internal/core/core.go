@@ -17,7 +17,8 @@
 //     for its places, appending the raw pair entries to a private paged
 //     buffer (sparse.Pairs) that lives for the whole window; the window's
 //     buffers are then reduced once, sharded by row range across the
-//     workers, into the final A = Σ A_l (sparse.Coalesce).
+//     workers, into the final A = Σ A_l (sparse.Reduce, which consumes
+//     the pages as it reads them).
 //
 // Workers are goroutines standing in for the paper's SNOW/Rmpi worker
 // processes. The result is provably independent of the worker count; the
@@ -174,6 +175,10 @@ type Stats struct {
 	SliceHours int
 	// TotalNNZ is the summed nonzero count of all collocation matrices.
 	TotalNNZ int
+	// Pairs is the number of raw pair entries the reduce summed into the
+	// network: one per pair of persons per shared place, so 1 − edges /
+	// Pairs is the share of pairs that met at more than one place.
+	Pairs int
 	// WorkerCost is the pairwise-work weight assigned to each stage-4
 	// worker by the balancer.
 	WorkerCost []int
@@ -207,6 +212,7 @@ func (s *Stats) add(st *Stats) {
 	s.Entries += st.Entries
 	s.Places += st.Places
 	s.TotalNNZ += st.TotalNNZ
+	s.Pairs += st.Pairs
 	s.Splits += st.Splits
 	s.WorkUnits += st.WorkUnits
 	s.Load += st.Load
@@ -285,7 +291,7 @@ func (s *Stats) StageReports() []telemetry.StageReport {
 		{Name: "synth/load", WallNs: s.Load.Nanoseconds(), Count: int64(s.Entries)},
 		{Name: "synth/build", WallNs: s.Build.Nanoseconds(), Count: int64(s.TotalNNZ)},
 		{Name: "synth/gram", WallNs: s.Gram.Nanoseconds(), Count: int64(s.WorkUnits)},
-		{Name: "synth/reduce", WallNs: s.Reduce.Nanoseconds()},
+		{Name: "synth/reduce", WallNs: s.Reduce.Nanoseconds(), Count: int64(s.Pairs)},
 		{Name: "synth/spill", WallNs: s.Spill.Nanoseconds(), Count: int64(s.Shards), Bytes: int64(s.SpilledBytes)},
 	}
 }
@@ -329,21 +335,20 @@ func SynthesizeEntries(ctx context.Context, entries []eventlog.Entry, t0, t1 uin
 	if err != nil {
 		return nil, nil, err
 	}
-	net, wall := reduce(ctx, cfg.workers(), bufs)
-	stats.Reduce += wall
-	return net, stats, nil
+	return reduce(ctx, cfg.workers(), bufs, stats), stats, nil
 }
 
-// reduce closes a window: one sparse.Coalesce over every page of the
-// window's Gram buffers, timed as the synth/reduce span.
-func reduce(ctx context.Context, workers int, bufs []sparse.Pairs) (*sparse.Tri, time.Duration) {
+// reduce closes a window: one sparse.Reduce over the window's Gram
+// buffers, which it empties, timed as the synth/reduce span and counted
+// into st.
+func reduce(ctx context.Context, workers int, bufs []sparse.Pairs, st *Stats) *sparse.Tri {
 	_, sp := telemetry.StartSpan(ctx, "synth/reduce")
-	var parts [][]sparse.Entry
 	for i := range bufs {
-		parts = append(parts, bufs[i].Pages()...)
+		st.Pairs += bufs[i].Len()
 	}
-	net := sparse.Coalesce(workers, parts...)
-	return net, sp.End()
+	net := sparse.Reduce(workers, bufs)
+	st.Reduce += sp.End()
+	return net
 }
 
 // synthesizeParts runs stages 1b–4 of the synthesis for one batch of
@@ -475,7 +480,7 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 	if canceled.Load() {
 		return nil, ctxErr(ctx, "synthesis")
 	}
-	// The caller's one Coalesce over every worker's pages replaces a
+	// The caller's one Reduce over every worker's pages replaces a
 	// per-worker sort plus k-way merge, and stays bit-identical for any
 	// worker count or balance mode because the tile cover reproduces the
 	// untiled entry multiset and weight summation is commutative.

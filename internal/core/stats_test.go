@@ -93,6 +93,7 @@ func TestStatsStageReports(t *testing.T) {
 	s := &Stats{
 		Entries:      42,
 		TotalNNZ:     99,
+		Pairs:        123,
 		WorkUnits:    7,
 		Shards:       2,
 		SpilledBytes: 4096,
@@ -107,7 +108,7 @@ func TestStatsStageReports(t *testing.T) {
 		{Name: "synth/load", WallNs: int64(time.Millisecond), Count: 42},
 		{Name: "synth/build", WallNs: int64(2 * time.Millisecond), Count: 99},
 		{Name: "synth/gram", WallNs: int64(3 * time.Millisecond), Count: 7},
-		{Name: "synth/reduce", WallNs: int64(4 * time.Millisecond)},
+		{Name: "synth/reduce", WallNs: int64(4 * time.Millisecond), Count: 123},
 		{Name: "synth/spill", WallNs: int64(5 * time.Millisecond), Count: 2, Bytes: 4096},
 	}
 	if len(reps) != len(want) {

@@ -24,7 +24,7 @@ package core
 //     out as one place-sorted run, and Advance merges the runs back in
 //     place order, synthesizing place-complete groups of about that
 //     size one at a time into the window's one set of pair buffers,
-//     which one Coalesce reduces. A slice that never outgrows its share
+//     which one Reduce consumes. A slice that never outgrows its share
 //     never touches the disk. Segments stay the dedup domain and a place
 //     never straddles two groups, so the output is bit-identical for any
 //     budget (see DESIGN.md §9).
@@ -353,7 +353,7 @@ func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 // Advance closes the window [w0, w1): it synthesizes the buffered
 // entries restricted to the window — group by group, per segment within
 // a group, every batch appending to the window's one set of paged Gram
-// buffers — and reduces the window with one sparse.Coalesce over all
+// buffers — and reduces the window with one sparse.Reduce over all
 // their pages, so the result is bit-identical however the entries were
 // grouped. It then folds the window into the decayed running network
 // and holds over only the entries a later window can still overlap.
@@ -403,8 +403,7 @@ func (a *windowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	}
 	// Groups partition the place set and weight summation commutes, so
 	// one reduce over every group's pages equals the in-memory one.
-	win, wall := reduce(ctx, a.cfg.workers(), bufs)
-	agg.Reduce += wall
+	win := reduce(ctx, a.cfg.workers(), bufs, agg)
 
 	// Fold into the running network: decay, then add. The fold is pure —
 	// previously emitted networks are never mutated.

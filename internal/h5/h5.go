@@ -524,16 +524,14 @@ func (r *Reader) ReadChunk(i int) ([]byte, error) {
 		return nil, fmt.Errorf("h5: chunk %d out of range [0,%d)", i, len(r.index))
 	}
 	c := r.index[i]
-	stored := make([]byte, c.compLen)
+	// The CRC trailer sits right after the payload: one read takes both.
+	stored := make([]byte, chunkStride(c.compLen, r.flags)-chunkHdrSize)
 	if _, err := r.r.ReadAt(stored, int64(c.offset)); err != nil {
 		return nil, err
 	}
+	stored, sum := stored[:c.compLen:c.compLen], stored[c.compLen:]
 	if r.crc {
-		var sum [crcSize]byte
-		if _, err := r.r.ReadAt(sum[:], int64(c.offset)+int64(c.compLen)); err != nil {
-			return nil, err
-		}
-		if got, want := crc32.ChecksumIEEE(stored), binary.LittleEndian.Uint32(sum[:]); got != want {
+		if got, want := crc32.ChecksumIEEE(stored), binary.LittleEndian.Uint32(sum); got != want {
 			return nil, fmt.Errorf("%w: chunk %d checksum mismatch (stored %#x, computed %#x)", ErrCorrupt, i, want, got)
 		}
 	}

@@ -463,3 +463,51 @@ func TestWriteChunkIsOneWrite(t *testing.T) {
 		}
 	}
 }
+
+// readCounter is an io.ReaderAt over a byte slice that counts its
+// ReadAt calls.
+type readCounter struct {
+	*bytes.Reader
+	calls int
+}
+
+func (r *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	r.calls++
+	return r.Reader.ReadAt(p, off)
+}
+
+// TestReadChunkIsOneRead: every chunk — payload and CRC — comes from the
+// underlying reader in a single ReadAt, under every flag set.
+func TestReadChunkIsOneRead(t *testing.T) {
+	chunks := randChunks(6, 5)
+	for _, flags := range []uint16{0, FlagCRC32, FlagDeflate, FlagDeflate | FlagCRC32} {
+		var out bytes.Buffer
+		w, err := NewWriter(&out, testSchema, flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chunks {
+			if err := w.WriteChunk(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		src := &readCounter{Reader: bytes.NewReader(out.Bytes())}
+		r, err := NewReader(src, int64(out.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range chunks {
+			before := src.calls
+			got, err := r.ReadChunk(i)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("flags %d: chunk %d reads back wrong (err %v)", flags, i, err)
+			}
+			if n := src.calls - before; n != 1 {
+				t.Fatalf("flags %d: chunk %d took %d reads, want 1", flags, i, n)
+			}
+		}
+	}
+}

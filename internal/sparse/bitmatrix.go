@@ -9,9 +9,10 @@
 //   - Gram: the product A_l = x·xᵀ, an upper-triangular weighted adjacency
 //     whose (i,j) entry counts the time slots persons i and j shared the
 //     place.
-//   - Pairs / Coalesce / Tri: the per-place entries, appended to paged
-//     buffers and reduced by Coalesce into the final sparse
-//     upper-triangular p×p adjacency matrix A = Σ_l A_l; MergeTris sums
+//   - Pairs / Reduce / Tri: the per-place entries, appended to paged
+//     buffers and consumed by Reduce into the final sparse
+//     upper-triangular p×p adjacency matrix A = Σ_l A_l; Coalesce runs
+//     Reduce on a copy of entries it must not touch, and MergeTris sums
 //     finished Tris.
 //
 // Persons inside a BitMatrix are indexed locally (0..rows-1) with a

@@ -365,8 +365,9 @@ func sortEntriesStd(es []Entry) {
 
 // BenchmarkCoalesce contrasts the comparison sort with the radix sort on
 // a worker-sized entry batch, then times the whole reduce step on a
-// week-sized one: 1.3 M entries among 20 000 persons, in two parts, on
-// one and two workers.
+// week-sized one: 1.3 M entries among 20 000 persons on one and two
+// workers, by Coalesce over two parts and by Reduce over two buffers of
+// fresh pages, built outside the timer.
 func BenchmarkCoalesce(b *testing.B) {
 	r := rng.New(5)
 	base := make([]Entry, 200000)
@@ -390,6 +391,19 @@ func BenchmarkCoalesce(b *testing.B) {
 		b.Run(fmt.Sprintf("week-w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Coalesce(w, week[:len(week)/2], week[len(week)/2:])
+			}
+		})
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("reduce-week-w%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bufs := make([]Pairs, 2)
+				for k, e := range week {
+					appendRaw(&bufs[k&1], e)
+				}
+				b.StartTimer()
+				Reduce(w, bufs)
 			}
 		})
 	}

@@ -6,20 +6,27 @@ package sparse
 // written once between the Gram kernel and the reduce's scatter. On the
 // 20k-person week (2 vCPUs), 16 Ki pages peaked about 2 MB RSS lower
 // than 64 Ki ones under a 2 MiB budget at the same speed; a week's
-// window is then about 80 Coalesce parts.
+// window is then about 80 pages.
 const pageEntries = 1 << 14
 
+// chunkEntries is the length of a Reduce chunk: 256 entries, 3 KiB, so
+// a page read by the scatter comes back as 64 chunks. Each worker keeps
+// one partly filled chunk per row bucket, so chunks are short enough
+// that those tails stay small beside the pages, and long enough that
+// the chunk lists stay small beside the entries.
+const chunkEntries = 1 << 8
+
 // Pairs is an append-only buffer of raw pair entries held in fixed-size
-// pages: a Gram worker's output, read by Coalesce. The synthesis gives
+// pages: a Gram worker's output, consumed by Reduce. The synthesis gives
 // each worker slot one Pairs per window, every place-complete group and
-// segment of the window appends to it, and one Coalesce over all pages
-// of all slots reduces the window. The zero value is empty and allocates
-// no page until the first entry arrives. A Pairs is not safe for
-// concurrent use.
+// segment of the window appends to it, and one Reduce over all slots
+// reduces the window. The zero value is empty and allocates no page
+// until the first entry arrives. A Pairs is not safe for concurrent use.
 type Pairs struct {
-	full [][]Entry // filled pages, in order
-	cur  []Entry   // the page being filled
-	page int       // page length; zero selects pageEntries (tests set it smaller)
+	full  [][]Entry // filled pages, in order
+	cur   []Entry   // the page being filled
+	page  int       // page length; zero selects pageEntries (tests set it smaller)
+	chunk int       // Reduce's chunk length; zero selects chunkEntries (tests set it smaller)
 }
 
 // turn retires the current page, if it holds anything, and starts a new
@@ -57,8 +64,17 @@ func (p *Pairs) appendRow(a uint32, ks []int32, ids []uint32, w uint32) {
 	}
 }
 
-// Pages returns the buffer's non-empty pages, in append order, as parts
-// for Coalesce. The pages are the buffer's own memory.
+// Len returns the number of entries the buffer holds.
+func (p *Pairs) Len() int {
+	n := len(p.cur)
+	for _, pg := range p.full {
+		n += len(pg)
+	}
+	return n
+}
+
+// Pages returns the buffer's non-empty pages, in append order. The
+// pages are the buffer's own memory.
 func (p *Pairs) Pages() [][]Entry {
 	if len(p.cur) == 0 {
 		return p.full

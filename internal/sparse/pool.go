@@ -6,10 +6,11 @@ package sparse
 // collector a fifth pipeline stage. The pool below lets the core
 // pipeline recycle them across places, files and slices.
 //
-// The stage-4 workers' Pairs pages are not pooled: Coalesce reads all of
+// The stage-4 workers' Pairs pages are not pooled: Reduce reads all of
 // a window's pages at once, so none can serve the window while it is
 // open, and pooled pages would keep a whole window's worth resident
-// between windows.
+// between windows. Reduce recycles them itself, as its scatter's
+// chunks, and drops them when it returns.
 
 import "sync"
 

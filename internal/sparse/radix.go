@@ -1,7 +1,8 @@
 package sparse
 
 // This file holds the reduction kernels of the synthesis pipeline: the
-// row-range-sharded Coalesce that turns raw pair entries into a network,
+// row-range-sharded Reduce that turns raw pair entries into a network
+// (and Coalesce, which runs it on a copy of entries it must not touch),
 // the LSD radix sort on the packed (I,J) key it runs per bucket, and
 // MergeTris, the pairwise merge that sums finished networks.
 
@@ -21,8 +22,8 @@ const radixMinLen = 256
 
 // coalesceBucket is the mean entry count Coalesce aims for per row
 // bucket: 4 Ki entries are 48 KiB, so a bucket's radix passes stay in
-// cache. maxBucketBits caps the bucket count, and with it the per-part
-// histograms and the scatter's fan-out.
+// cache. maxBucketBits caps the bucket count, and with it each worker's
+// tail chunks and the scatter's fan-out.
 const (
 	coalesceBucket = 1 << 12
 	maxBucketBits  = 14
@@ -30,25 +31,101 @@ const (
 
 // Coalesce builds the canonical Tri — sorted by (I, J) with I < J,
 // self-pairs dropped, each pair once with its weights summed — from the
-// raw entries spread over parts, which it only reads. It is the reduce
-// step of the synthesis, A = Σ A_l: the parts are the pages of the Gram
-// workers' Pairs buffers, never concatenated.
-//
-// The reduction is sharded by row range. Each part is histogrammed by
-// the top bits of each pair's smaller id, then scattered, ordered
-// (I < J), into one buffer at per-(part, bucket) offsets, so every
-// bucket of rows is contiguous. Contiguous bucket ranges, balanced by
-// entry count, go to up to workers goroutines, which radix-sort each
-// small bucket in cache and fold its duplicate keys; one exactly-sized
-// Tri is then filled at prefix offsets. Buckets are disjoint and
-// ascending in I and weight addition commutes, so the result is the same
-// bit for bit for any worker count and any split of the entries into
-// parts.
+// raw entries spread over parts, which it only reads: it copies them
+// into pages and reduces those with Reduce. The result is the same bit
+// for bit for any worker count and any split of the entries into parts.
 func Coalesce(workers int, parts ...[]Entry) *Tri {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	all := make([]Entry, 0, n)
+	for _, part := range parts {
+		all = append(all, part...)
+	}
+	var buf Pairs
+	for len(all) > 0 {
+		k := min(len(all), pageEntries)
+		buf.full = append(buf.full, all[:k:k])
+		all = all[k:]
+	}
+	return Reduce(workers, []Pairs{buf})
+}
+
+// Reduce builds the canonical Tri from the raw entries in bufs and
+// empties them. It is the reduce step of the synthesis, A = Σ A_l, over
+// the Gram workers' buffers of one window, and it holds each raw entry
+// once: in its page until the page is read, then in a chunk carved from
+// a page already read.
+//
+// The reduction is sharded by row range, on up to workers goroutines.
+// Each takes whole pages and appends every entry, ordered (I < J), to
+// its own tail chunk for the bucket of rows the smaller id falls in;
+// a page it has read is carved into chunks for later tails, and a chunk
+// is allocated fresh only while none is free. Contiguous bucket ranges,
+// balanced by entry count, are then folded one bucket at a time: its
+// chunks are gathered into a scratch, sorted, folded by foldBucket and
+// written back into the same chunks. One exactly-sized Tri is filled at
+// prefix offsets. Buckets are disjoint and ascending in I and weight
+// addition commutes, so the result is the same bit for bit for any
+// worker count, chunk length and split of the entries over pages.
+func Reduce(workers int, bufs []Pairs) *Tri {
+	chunk := chunkEntries
+	var pages [][]Entry
+	for i := range bufs {
+		if bufs[i].chunk > 0 {
+			chunk = bufs[i].chunk
+		}
+		pages = append(pages, bufs[i].Pages()...)
+		bufs[i].full, bufs[i].cur = nil, nil
+	}
+	t, _, _ := reducePages(workers, chunk, pages)
+	return t
+}
+
+// scatterer is one Reduce worker's scatter state.
+type scatterer struct {
+	tails [][]Entry // tails[b]: the chunk being filled for bucket b
+	full  [][]Entry // filled chunks; a chunk's bucket is its first entry's
+	free  [][]Entry // chunks carved from the pages this worker has read
+	fresh int       // chunks allocated because free was empty
+}
+
+// scatter appends each entry of page, ordered (I < J), to its bucket's
+// tail chunk, then carves the page, now read, into free chunks.
+func (s *scatterer) scatter(page []Entry, shift uint32, chunk int) {
+	for _, e := range page {
+		lo, hi := min(e.I, e.J), max(e.I, e.J)
+		b := lo >> shift
+		t := s.tails[b]
+		if len(t) == cap(t) {
+			if len(t) > 0 {
+				s.full = append(s.full, t)
+			}
+			if n := len(s.free); n > 0 {
+				t, s.free = s.free[n-1], s.free[:n-1]
+			} else {
+				t = make([]Entry, 0, chunk)
+				s.fresh++
+			}
+		}
+		s.tails[b] = append(t, Entry{I: lo, J: hi, W: e.W})
+	}
+	for page = page[:cap(page)]; len(page) >= chunk; page = page[chunk:] {
+		s.free = append(s.free, page[:0:chunk])
+	}
+}
+
+// reducePages is Reduce over the given pages with the given chunk
+// length. It also returns the bucket count and the number of chunks it
+// allocated fresh, which is at most workers × (buckets + the longest
+// page's chunk count) when the chunk length divides every page's
+// capacity.
+func reducePages(workers, chunk int, pages [][]Entry) (t *Tri, buckets, fresh int) {
 	workers = max(workers, 1)
-	tops := make([]uint32, len(parts))
-	forEach(workers, len(parts), func(p int) {
-		for _, e := range parts[p] {
+	tops := make([]uint32, len(pages))
+	forEach(workers, len(pages), func(p int) {
+		for _, e := range pages[p] {
 			tops[p] = max(tops[p], min(e.I, e.J))
 		}
 	})
@@ -57,69 +134,89 @@ func Coalesce(workers int, parts ...[]Entry) *Tri {
 	// entries each, were rows even. Self-pairs are only dropped when a
 	// bucket is folded, so the raw count sizes the buckets.
 	raw := 0
-	for _, part := range parts {
-		raw += len(part)
+	for _, page := range pages {
+		raw += len(page)
 	}
-	shift := max(bits.Len32(top)-min(bits.Len(uint(raw/coalesceBucket)), maxBucketBits), 0)
+	shift := uint32(max(bits.Len32(top)-min(bits.Len(uint(raw/coalesceBucket)), maxBucketBits), 0))
 	nb := int(top>>shift) + 1
 
-	// counts[p][b] is part p's entry count in bucket b, then its next
-	// write offset in the scatter buffer; start[b] is where bucket b
-	// begins.
-	counts := make([][]int, len(parts))
-	forEach(workers, len(parts), func(p int) {
-		c := make([]int, nb)
-		for _, e := range parts[p] {
-			c[min(e.I, e.J)>>shift]++
+	ss := make([]scatterer, min(workers, len(pages)))
+	var next atomic.Int64
+	forEach(len(ss), len(ss), func(w int) {
+		s := &ss[w]
+		s.tails = make([][]Entry, nb)
+		for p := int(next.Add(1) - 1); p < len(pages); p = int(next.Add(1) - 1) {
+			s.scatter(pages[p], shift, chunk)
 		}
-		counts[p] = c
-	})
-	start := make([]int, nb+1)
-	for b := 0; b < nb; b++ {
-		off := start[b]
-		for _, c := range counts {
-			c[b], off = off, off+c[b]
-		}
-		start[b+1] = off
-	}
-	// The scatter buffer is not pooled: a pooled one outlives the call
-	// and comes back as a worker's buffer, so the largest buffer of all
-	// stays resident between reductions.
-	buf := make([]Entry, start[nb])
-	forEach(workers, len(parts), func(p int) {
-		off := counts[p]
-		for _, e := range parts[p] {
-			lo, hi := min(e.I, e.J), max(e.I, e.J)
-			b := lo >> shift
-			buf[off[b]] = Entry{I: lo, J: hi, W: e.W}
-			off[b]++
+		for _, t := range s.tails {
+			if len(t) > 0 {
+				s.full = append(s.full, t)
+			}
 		}
 	})
 
-	// Sort and fold each bucket in place; uniq[b+1] is bucket b's distinct
-	// key count, then (after the prefix sum) uniq[b] is its output offset.
+	// Gather every worker's chunks by bucket: chunks[first[b]:first[b+1]]
+	// are bucket b's, and start[b] is where its entries would begin were
+	// the buckets laid end to end.
+	first := make([]int, nb+1)
+	start := make([]int, nb+1)
+	for w := range ss {
+		fresh += ss[w].fresh
+		for _, c := range ss[w].full {
+			b := c[0].I >> shift
+			first[b+1]++
+			start[b+1] += len(c)
+		}
+	}
+	for b := 0; b < nb; b++ {
+		first[b+1] += first[b]
+		start[b+1] += start[b]
+	}
+	chunks := make([][]Entry, first[nb])
+	at := slices.Clone(first[:nb])
+	for w := range ss {
+		for _, c := range ss[w].full {
+			b := c[0].I >> shift
+			chunks[at[b]] = c
+			at[b]++
+		}
+	}
+
+	// Sort and fold each bucket into a prefix of its own chunks; uniq[b+1]
+	// is bucket b's distinct key count, then (after the prefix sum)
+	// uniq[b] is its output offset.
 	ranges := cutRanges(start, 4*workers)
 	uniq := make([]int, nb+1)
 	forEach(workers, len(ranges)-1, func(r int) {
-		var scratch []Entry
+		var es, scratch []Entry
 		for b := ranges[r]; b < ranges[r+1]; b++ {
-			uniq[b+1], scratch = foldBucket(buf[start[b]:start[b+1]], scratch)
+			es = es[:0]
+			for _, c := range chunks[first[b]:first[b+1]] {
+				es = append(es, c...)
+			}
+			uniq[b+1], scratch = foldBucket(es, scratch)
+			rest := es[:uniq[b+1]]
+			for _, c := range chunks[first[b]:first[b+1]] {
+				rest = rest[copy(c, rest):]
+			}
 		}
 	})
 	for b := 0; b < nb; b++ {
 		uniq[b+1] += uniq[b]
 	}
-	t := &Tri{I: make([]uint32, uniq[nb]), J: make([]uint32, uniq[nb]), W: make([]uint32, uniq[nb])}
+	t = &Tri{I: make([]uint32, uniq[nb]), J: make([]uint32, uniq[nb]), W: make([]uint32, uniq[nb])}
 	forEach(workers, len(ranges)-1, func(r int) {
 		for b := ranges[r]; b < ranges[r+1]; b++ {
 			k := uniq[b]
-			for _, e := range buf[start[b] : start[b]+uniq[b+1]-k] {
-				t.I[k], t.J[k], t.W[k] = e.I, e.J, e.W
-				k++
+			for _, c := range chunks[first[b]:first[b+1]] {
+				for _, e := range c[:min(len(c), uniq[b+1]-k)] {
+					t.I[k], t.J[k], t.W[k] = e.I, e.J, e.W
+					k++
+				}
 			}
 		}
 	})
-	return t
+	return t, nb, fresh
 }
 
 // cutRanges cuts buckets, whose entries begin at start[b] (start[nb] is

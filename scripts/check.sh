@@ -25,16 +25,17 @@ echo "== go test -race ./... $*"
 go test -race "$@" ./...
 
 # Fuzz smoke: the plain test run above replays only each fuzzer's seed
-# corpus. Here the three fuzzers that guard the network's own bytes run
+# corpus. Here the four fuzzers that guard the network's own bytes run
 # for 10 s each: Coalesce against its comparison-sort reference
-# (FuzzTriFromEntries), the Tri transport codec, which must reject a
-# non-canonical blob or round-trip it byte for byte
-# (FuzzTriBinaryRoundTrip), and the snapshot loader (FuzzOpen). Skip
-# with FUZZ=0.
+# (FuzzTriFromEntries), Reduce over buffers with random page and chunk
+# lengths against the same reference (FuzzReduce), the Tri transport
+# codec, which must reject a non-canonical blob or round-trip it byte
+# for byte (FuzzTriBinaryRoundTrip), and the snapshot loader (FuzzOpen).
+# Skip with FUZZ=0.
 if [ "${FUZZ:-1}" = "1" ]; then
-	echo "== fuzz smoke (FuzzTriFromEntries, FuzzTriBinaryRoundTrip, FuzzOpen; 10 s each)"
-	for target in internal/sparse:FuzzTriFromEntries internal/sparse:FuzzTriBinaryRoundTrip \
-		internal/gstore:FuzzOpen; do
+	echo "== fuzz smoke (FuzzTriFromEntries, FuzzReduce, FuzzTriBinaryRoundTrip, FuzzOpen; 10 s each)"
+	for target in internal/sparse:FuzzTriFromEntries internal/sparse:FuzzReduce \
+		internal/sparse:FuzzTriBinaryRoundTrip internal/gstore:FuzzOpen; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./${target%%:*}"
 	done
 fi
