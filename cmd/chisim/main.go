@@ -15,9 +15,9 @@
 //	chisim -persons 20000 -days 28 -ranks 4 -dist-join host:7946   # ranks 1..3
 //
 // Under a supervisor (cmd/netlaunch), each worker additionally pins its
-// rank with -dist-rank/-dist-token so a restarted process reclaims its
-// slot, and discovers the coordinator through -dist-join @file (the
-// address file rank 0 publishes with -dist-addr-file). Exit codes tell
+// rank with -dist-rank and discovers the coordinator through -dist-join
+// @file (the address file rank 0 publishes with -dist-addr-file); a
+// failed run is relaunched as a whole with -resume. Exit codes tell
 // the supervisor what happened: 0 success, 2 cooperative drain after
 // SIGINT/SIGTERM, 1 real failure.
 //

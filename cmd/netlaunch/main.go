@@ -1,9 +1,9 @@
 // Command netlaunch runs the distributed pipeline as a supervised tree
 // of OS processes: it spawns one chisim process per rank for the
 // simulation phase and one netsynth process per rank for the synthesis
-// phase, watches their exits, and applies the restart policy from
-// internal/supervise — bounded exponential backoff with jitter,
-// per-rank restart budgets, storm detection, and graceful degradation.
+// phase, watches their exits, and applies the recovery policy from
+// internal/supervise — gang relaunches with bounded exponential backoff
+// and jitter for the simulation, graceful degradation for the synthesis.
 //
 //	netlaunch -ranks 4 -persons 20000 -days 7 -workdir out
 //
@@ -11,11 +11,10 @@
 // (even kill -9) aborts the gang promptly via mpinet's failure
 // detector; netlaunch relaunches every rank with -resume, and
 // abm.ResumeRank replays the logs to a state bit-identical to an
-// uninterrupted run. A synthesis rank dying is restarted alone: its
-// claim token lets it reclaim its slot in the running cluster, and if
-// its restart budget runs out the survivors simply re-stripe its files
-// (graceful degradation) — the output network is bit-identical either
-// way.
+// uninterrupted run. A synthesis rank dying — or never joining within
+// the coordinator's join window — is not restarted: the survivors
+// re-stripe its files (graceful degradation) and the output network is
+// bit-identical to an unfailed run.
 //
 // Chaos testing is built in: -kill-rank/-kill-after/-kill-phase aim a
 // kill -9 at a rank a fixed delay after it starts, which is how
@@ -55,9 +54,9 @@ func main() {
 	snapshot := flag.String("snapshot", "", "binary .gsnap snapshot path (default workdir/network.gsnap)")
 	chisimBin := flag.String("chisim", "", "chisim binary (default: next to this executable, else $PATH)")
 	netsynthBin := flag.String("netsynth", "", "netsynth binary (default: next to this executable, else $PATH)")
-	maxRestarts := flag.Int("max-restarts", 3, "restart budget per rank (synthesis) / gang relaunch budget (simulation); negative disables restarts")
-	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "first restart delay (doubles per attempt, full jitter)")
-	backoffCap := flag.Duration("backoff-cap", 5*time.Second, "restart delay cap")
+	maxRestarts := flag.Int("max-restarts", 3, "gang relaunch budget of the simulation phase; negative disables relaunches (synthesis ranks are never restarted)")
+	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "first gang relaunch delay (doubles per attempt, full jitter)")
+	backoffCap := flag.Duration("backoff-cap", 5*time.Second, "gang relaunch delay cap")
 	roundTimeout := flag.Duration("round-timeout", 0, "per-collective deadline: declare the slowest rank failed when a round stalls this long (0 = off)")
 	hourDelay := flag.Duration("hour-delay", 0, "slow the simulation by this much per simulated hour (chaos/testing aid)")
 	skipSim := flag.Bool("skip-sim", false, "reuse the event logs already in workdir/logs and run only the synthesis phase")
@@ -175,7 +174,7 @@ func main() {
 		}
 		synthStart := time.Now()
 		synthRes, err := runSynthPhase(ctx, synthBin, *workdir, paths, synthArgs{
-			T0: uint32(*t0), T1: uint32(*t1), Ranks: *ranks, Seed: *seed,
+			T0: uint32(*t0), T1: uint32(*t1), Ranks: *ranks,
 			Out: *out, Snapshot: *snapshot, RoundTimeout: *roundTimeout,
 			ReportPath: synthReportPath,
 		}, pol, chaos, obs)
@@ -199,15 +198,14 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("synthesis phase: %w", err)
 		}
-		restarts, degraded := 0, []int{}
+		degraded := []int{}
 		for _, r := range synthRes.Ranks {
-			restarts += r.Restarts
 			if r.Degraded {
 				degraded = append(degraded, r.Rank)
 			}
 		}
-		fmt.Printf("netlaunch: synthesis phase done in %s (%d restart(s), degraded ranks %v)\n",
-			synthWall.Round(time.Millisecond), restarts, degraded)
+		fmt.Printf("netlaunch: synthesis phase done in %s (degraded ranks %v)\n",
+			synthWall.Round(time.Millisecond), degraded)
 		fmt.Printf("netlaunch: network → %s (snapshot %s)\n", *out, *snapshot)
 		if obs != nil {
 			obs.setPhase("done")
@@ -241,18 +239,11 @@ type simArgs struct {
 type synthArgs struct {
 	T0, T1        uint32
 	Ranks         int
-	Seed          uint64
 	Out, Snapshot string
 	RoundTimeout  time.Duration
 	// ReportPath, when set, makes rank 0 write its run report (rank
 	// walls, trace id, span trees) there for netlaunch to fold in.
 	ReportPath string
-}
-
-// claimToken derives a stable per-rank claim token from the run seed so
-// a restarted process presents the identity its slot recorded.
-func claimToken(seed uint64, rank int) uint64 {
-	return seed*1_000_003 + uint64(rank) + 1
 }
 
 // runSimPhase supervises the simulation as a gang: any rank dying
@@ -295,12 +286,10 @@ func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, p
 			} else {
 				args = append(args,
 					"-dist-join", "@"+addrFile,
-					"-dist-rank", fmt.Sprint(r),
-					"-dist-token", fmt.Sprint(claimToken(a.Seed, r)))
+					"-dist-rank", fmt.Sprint(r))
 			}
 			specs[r] = supervise.Spec{
-				Rank: r, Token: claimToken(a.Seed, r),
-				Path: bin, Args: args,
+				Rank: r, Path: bin, Args: args,
 				Stdout: os.Stdout, Stderr: os.Stderr,
 			}
 		}
@@ -311,9 +300,8 @@ func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, p
 	return s.RunGang(ctx, build)
 }
 
-// runSynthPhase supervises the synthesis with per-rank restarts: a dead
-// worker reclaims its slot via its claim token, or — once its budget is
-// spent — stays dead while the survivors re-stripe its files.
+// runSynthPhase supervises the synthesis one process per rank: a dead
+// worker stays dead while the survivors re-stripe its files.
 func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a synthArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
 	addrFile := filepath.Join(workdir, "synth.addr")
 	os.Remove(addrFile)
@@ -345,13 +333,11 @@ func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a s
 		} else {
 			args = append(args,
 				"-dist-join", "@"+addrFile,
-				"-dist-rank", fmt.Sprint(r),
-				"-dist-token", fmt.Sprint(claimToken(a.Seed, r)))
+				"-dist-rank", fmt.Sprint(r))
 		}
 		args = append(args, paths...)
 		specs[r] = supervise.Spec{
-			Rank: r, Token: claimToken(a.Seed, r),
-			Path: bin, Args: args,
+			Rank: r, Path: bin, Args: args,
 			Stdout: os.Stdout, Stderr: os.Stderr,
 		}
 	}
@@ -362,7 +348,7 @@ func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a s
 
 // chaosKiller aims one kill -9 at a configured rank in a configured
 // phase, a fixed delay after that rank's process starts. It fires at
-// most once per netlaunch run, so the restarted incarnation survives.
+// most once per netlaunch run, so a relaunched gang survives.
 type chaosKiller struct {
 	phase string
 	rank  int

@@ -13,8 +13,8 @@ package main
 //     serving its last good snapshot, marked stale via
 //     netlaunch_scrape_age_seconds.
 //   - /cluster  — a JSON roll-up: current phase, per-rank scrape
-//     health, the supervision reports (restart counts, storms,
-//     degradation), and — once the synthesis report lands — per-rank
+//     health, the supervision reports (gang relaunches, degraded
+//     ranks), and — once the synthesis report lands — per-rank
 //     busy/comm/idle walls with min/max/mean busy and the Fig.-style
 //     imbalance ratio.
 //

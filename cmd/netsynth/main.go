@@ -17,9 +17,11 @@
 //	netsynth -dist-join host:7947 logs/*.h5l                          # ranks 1..3
 //
 // Under a supervisor (cmd/netlaunch), workers pin their rank with
-// -dist-rank/-dist-token so a restarted process reclaims its dead slot
-// mid-synthesis, and discover the coordinator with -dist-join @file
-// (the address file rank 0 publishes with -dist-addr-file). Exit codes
+// -dist-rank and discover the coordinator with -dist-join @file (the
+// address file rank 0 publishes with -dist-addr-file). A worker that
+// dies, or never joins within the coordinator's join window, is not
+// restarted: the survivors re-stripe its files and rank 0 still writes
+// the same network. Exit codes
 // tell the supervisor what happened: 0 success, 2 cooperative drain
 // after SIGINT/SIGTERM, 1 real failure.
 //

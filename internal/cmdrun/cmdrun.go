@@ -136,7 +136,6 @@ func (t *Telemetry) WriteReport(rep *telemetry.Report) error {
 type Dist struct {
 	host, join, addrFile string
 	rank                 int
-	token                uint64
 	roundTimeout         time.Duration
 }
 
@@ -148,7 +147,6 @@ func distFlags(fs *flag.FlagSet) *Dist {
 	fs.StringVar(&d.host, "dist-host", "", "host the TCP coordinator on this address (this process becomes rank 0)")
 	fs.StringVar(&d.join, "dist-join", "", "join a TCP coordinator at this address or @file (rank assigned by coordinator unless -dist-rank is set)")
 	fs.IntVar(&d.rank, "dist-rank", 0, "claim this specific rank when joining (0 = let the coordinator assign)")
-	fs.Uint64Var(&d.token, "dist-token", 0, "rank claim token; a restarted process presenting the same token reclaims its slot")
 	fs.StringVar(&d.addrFile, "dist-addr-file", "", "rank 0: publish the coordinator's bound address to this file (for -dist-join @file)")
 	fs.DurationVar(&d.roundTimeout, "dist-round-timeout", 0, "rank 0: declare the slowest rank failed when a collective stalls this long (0 = off)")
 	return d
@@ -165,7 +163,7 @@ func (d *Dist) Open(size int) (*mpinet.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		node, err := mpinet.Join(addr, mpinet.Options{ClaimRank: d.rank, ClaimToken: d.token})
+		node, err := mpinet.Join(addr, mpinet.Options{ClaimRank: d.rank})
 		if err != nil {
 			return nil, err
 		}

@@ -186,7 +186,7 @@ func TestDistOpenJoinsThroughAddrFile(t *testing.T) {
 		return d
 	}
 	host := parse("-dist-host", "127.0.0.1:0", "-dist-addr-file", addrFile)
-	joiner := parse("-dist-join", "@"+addrFile, "-dist-rank", "1", "-dist-token", "7")
+	joiner := parse("-dist-join", "@"+addrFile, "-dist-rank", "1")
 
 	errc := make(chan error, 1)
 	go func() {

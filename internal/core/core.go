@@ -61,7 +61,6 @@ var (
 	mShards       = telemetry.C("synth_shards_total")
 	mSpillBytes   = telemetry.C("synth_spill_bytes_total")
 	mRankRetries  = telemetry.C("synth_rank_retries_total")
-	mRankRevived  = telemetry.C("synth_rank_revivals_total")
 	mRecovered    = telemetry.C("fault_recovered_total")
 	mUnitSeconds  = telemetry.H("synth_gram_unit_seconds")
 	mGatherBytes  = telemetry.C("synth_gather_bytes_total")
@@ -106,12 +105,6 @@ type Config struct {
 	Workers int
 	// Balance selects the stage-4 load-balancing strategy.
 	Balance BalanceMode
-	// MaxRankRetries bounds how many rank failures SynthesizeDistributed
-	// absorbs before giving up: each detected failure re-stripes the dead
-	// rank's log files over the survivors and retries. Zero selects the
-	// transport size (every peer may die once); negative disables
-	// failure tolerance entirely.
-	MaxRankRetries int
 	// MemBudgetBytes caps the approximate bytes of log-entry data a
 	// Stream — and so every file-based or streamed synthesis — keeps in
 	// memory at once. Zero means unlimited. Once the buffered entries
@@ -138,9 +131,8 @@ func (c *Config) workers() int {
 
 // Validate rejects nonsensical configuration instead of silently
 // coercing it: Workers and MemBudgetBytes must be non-negative and
-// Balance one of the defined modes. (A negative MaxRankRetries is
-// meaningful — it disables failure tolerance — and zero values select
-// defaults as documented.)
+// Balance one of the defined modes. (Zero values select defaults as
+// documented.)
 func (c *Config) Validate() error {
 	if c.Balance != BalanceNNZ && c.Balance != BalanceNone {
 		return fmt.Errorf("core: unknown Balance mode %v", c.Balance)
@@ -716,21 +708,18 @@ func balance(mats []placeMatrix, workers int, mode BalanceMode) ([][]workUnit, i
 //
 // When a collective reports a dead peer (a typed *mpi.RankFailedError,
 // as mpinet produces), the survivors re-stripe the complete paths slice
-// over the remaining live ranks and retry, up to Config.MaxRankRetries
-// times. The transport guarantees every survivor observes the same
-// failed rank per aborted round, so all survivors recompute the same
-// assignment without further communication and the merged result is
-// bit-identical to a healthy run — provided the dead rank's files remain
-// reachable by the survivors (e.g. on shared storage). Unattributable
-// failures (the coordinator itself is gone) are returned as-is.
+// over the remaining live ranks and retry. The transport guarantees
+// every survivor observes the same failed rank per aborted round, so all
+// survivors recompute the same assignment without further communication
+// and the merged result is bit-identical to a healthy run — provided the
+// dead rank's files remain reachable by the survivors (e.g. on shared
+// storage). A dead rank never comes back, so each retry removes a
+// distinct rank and at most size−1 retries happen. A rank that joins
+// late seeds its dead set from the transport's mpi.DeadRankser view, so
+// it stripes like the incumbents. Unattributable failures (the
+// coordinator itself is gone) and a second report of an already-dead
+// rank are returned as-is.
 //
-// Membership can also grow back: when a supervised restart reclaims a
-// dead slot, survivors observe a typed *mpi.RankRevivedError and put the
-// rank back into the stripe (without consuming the retry budget), and
-// the rejoined rank itself seeds its dead set from the transport's
-// mpi.DeadRankser view so everyone stripes identically. Degradation via
-// re-striping and recovery via rejoin therefore produce the same final
-// network, differing only in wall clock.
 // Cancelling ctx aborts the local synthesis within one work unit and
 // the gather collective at the transport's cancellation granularity;
 // the resulting error wraps context.Canceled and is NOT treated as a
@@ -755,10 +744,6 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 	rankStart := time.Now()
 	var comm time.Duration
 	size := t.Size()
-	retries := cfg.MaxRankRetries
-	if retries == 0 {
-		retries = size
-	}
 	// Rank 0 roots the distributed trace and advertises its span context
 	// on the transport, which piggybacks it on every collective reply;
 	// worker ranks stamp their local span trees with the learned context
@@ -772,9 +757,9 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		}
 	}
 	dead := make([]bool, size)
-	// A rank that rejoined a running cluster (supervised restart) learns
-	// the already-dead membership from its join handshake; seeding from
-	// it makes this rank's first stripe agree with the incumbents'.
+	// A rank that joined after an early death learns the already-dead
+	// membership from its join handshake; seeding from it makes this
+	// rank's first stripe agree with the incumbents'.
 	if dr, ok := t.(mpi.DeadRankser); ok {
 		for _, r := range dr.InitialDead() {
 			if r >= 0 && r < size {
@@ -840,24 +825,11 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		mCommSeconds.Observe(gWall)
 		attemptSpan.End()
 		if err != nil {
-			if rr, ok := mpi.AsRankRevived(err); ok && rr.Rank > 0 && rr.Rank < size {
-				// A supervised restart reclaimed a dead slot mid-round:
-				// put the rank back into the stripe and retry. Revivals
-				// never consume the retry budget — they shrink the
-				// degradation, and each one was preceded by a death that
-				// already paid for it.
-				dead[rr.Rank] = false
-				mRankRevived.Inc()
-				continue
-			}
 			rf, ok := mpi.AsRankFailed(err)
-			if !ok || rf.Rank < 0 || rf.Rank >= size || retries < 0 {
+			if !ok || rf.Rank < 0 || rf.Rank >= size || dead[rf.Rank] {
 				return nil, nil, err
 			}
 			failures++
-			if failures > retries {
-				return nil, nil, fmt.Errorf("core: giving up after %d rank failures: %w", failures, err)
-			}
 			dead[rf.Rank] = true
 			mRankRetries.Inc()
 			continue // re-stripe over the survivors and retry

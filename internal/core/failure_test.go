@@ -192,51 +192,19 @@ func TestSynthesizeDistributedSurvivesMidGatherDeath(t *testing.T) {
 	}
 }
 
-// TestSynthesizeDistributedRetriesDisabled: with MaxRankRetries < 0 the
-// first failure is returned as-is (typed), with no retry.
-func TestSynthesizeDistributedRetriesDisabled(t *testing.T) {
-	paths, _ := buildLogs(t, 93)
+// TestSynthesizeDistributedSurvivesUnjoinedRank: rank 2 never joins.
+// When the join window closes the coordinator declares it failed like a
+// silent peer, and ranks 0 and 1 re-stripe its files and produce the
+// SynthesizeFiles network.
+func TestSynthesizeDistributedSurvivesUnjoinedRank(t *testing.T) {
+	paths, serial := buildLogs(t, 94)
 
 	opts := mpinet.Options{
+		DialTimeout:       300 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 	}
-	host, err := mpinet.Host("127.0.0.1:0", 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	victim, err := mpinet.Join(host.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim.Close()
-
-	_, _, err = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1, MaxRankRetries: -1})
-	if err == nil {
-		t.Fatal("synthesis succeeded with retries disabled and a dead peer")
-	}
-	if rf, ok := mpi.AsRankFailed(err); !ok || rf.Rank != 1 {
-		t.Fatalf("error = %v, want RankFailedError{Rank:1}", err)
-	}
-}
-
-// TestSynthesizeDistributedAbsorbsRejoin is the supervised-restart
-// story end to end at the synthesis layer: a rank dies, a replacement
-// process reclaims its slot with the rank claim token, survivors absorb
-// the typed revival and put the rank back into the stripe, the rejoined
-// rank seeds its membership view from the join handshake — and the
-// merged network is still bit-identical to the serial reference.
-func TestSynthesizeDistributedAbsorbsRejoin(t *testing.T) {
-	paths, serial := buildLogs(t, 95)
-
-	opts := mpinet.Options{
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-	}
-	const size = 3
-	const token = uint64(4242)
-	host, err := mpinet.Host("127.0.0.1:0", size, opts)
+	host, err := mpinet.Host("127.0.0.1:0", 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,69 +214,31 @@ func TestSynthesizeDistributedAbsorbsRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer survivor.Close()
-	claimed := opts
-	claimed.ClaimRank = 2
-	claimed.ClaimToken = token
-	victim, err := mpinet.Join(host.Addr(), claimed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimRank := victim.Rank()
-	victim.Close()
-
-	// Drive rounds until both survivors have observed the death, so the
-	// revival below is the only membership event left in flight.
-	for tries := 0; tries < 10; tries++ {
-		var wg sync.WaitGroup
-		var hostErr, survErr error
-		wg.Add(2)
-		barrier := func(n *mpinet.Node) error {
-			_, err := n.Exchange(context.Background(), make([][]byte, n.Size()))
-			return err
-		}
-		go func() { defer wg.Done(); hostErr = barrier(host) }()
-		go func() { defer wg.Done(); survErr = barrier(survivor) }()
-		wg.Wait()
-		if rf, ok := mpi.AsRankFailed(hostErr); ok && rf.Rank == victimRank {
-			if rf2, ok2 := mpi.AsRankFailed(survErr); !ok2 || rf2.Rank != victimRank {
-				t.Fatalf("survivors disagree on the death: %v vs %v", hostErr, survErr)
-			}
-			break
-		}
-		if hostErr != nil {
-			t.Fatalf("unexpected barrier error: %v", hostErr)
-		}
-	}
-
-	// The supervised restart reclaims the slot. Each survivor now holds
-	// one buffered revival abort for its next collective.
-	revived, err := mpinet.Join(host.Addr(), claimed)
-	if err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
-	defer revived.Close()
-	if got := revived.InitialDead(); len(got) != 0 {
-		t.Fatalf("InitialDead = %v, want empty (only this rank had died)", got)
-	}
 
 	var wg sync.WaitGroup
-	tris := make([]*sparse.Tri, size)
-	errs := make([]error, size)
-	nodes := []*mpinet.Node{host, survivor, revived}
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *mpinet.Node) {
-			defer wg.Done()
-			tris[i], _, errs[i] = SynthesizeDistributed(context.Background(), n, paths, 0, 48, Config{Workers: 1})
-		}(i, n)
-	}
+	var hostTri, survTri *sparse.Tri
+	var hostErr, survErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		hostTri, _, hostErr = SynthesizeDistributed(context.Background(), host, paths, 0, 48, Config{Workers: 1})
+	}()
+	go func() {
+		defer wg.Done()
+		survTri, _, survErr = SynthesizeDistributed(context.Background(), survivor, paths, 0, 48, Config{Workers: 1})
+	}()
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", nodes[i].Rank(), err)
-		}
+
+	if hostErr != nil {
+		t.Fatalf("rank 0: %v", hostErr)
 	}
-	if tris[0] == nil || !tris[0].Equal(serial) {
-		t.Fatal("network after rejoin differs from healthy reference")
+	if survErr != nil {
+		t.Fatalf("rank 1: %v", survErr)
+	}
+	if survTri != nil {
+		t.Error("non-root rank received a network")
+	}
+	if hostTri == nil || !hostTri.Equal(serial) {
+		t.Fatal("network without the unjoined rank differs from SynthesizeFiles")
 	}
 }

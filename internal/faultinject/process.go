@@ -154,7 +154,7 @@ func (p *Proxy) acceptLoop() {
 // mpinet handshake geometry (mirrored here so the proxy can skip it;
 // the transport owns the format).
 const (
-	proxyHelloSize    = 16 // magic | claim i32 | token u64
+	proxyHelloSize    = 8  // magic | claim i32
 	proxyReplyHdrSize = 20 // magic | rank u32 | size u32 | seq u32 | ndead u32
 )
 

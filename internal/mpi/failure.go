@@ -7,14 +7,17 @@ import (
 
 // RankFailedError reports that a collective operation could not complete
 // because one participant died (connection reset, heartbeat timeout,
-// premature EOF, or an in-process rank that returned or panicked). It is defined here — rather than in the transport
-// implementation — so that callers holding only a Transport can detect
-// rank failures with errors.As without importing the network layer.
+// premature EOF, a slot that never joined, or an in-process rank that
+// returned or panicked). It is defined here — rather than in the
+// transport implementation — so that callers holding only a Transport
+// can detect rank failures with errors.As without importing the network
+// layer.
 //
 // Survivors of the same round receive the same Rank value, giving them a
 // consistent view of who died; failure-tolerant callers (such as
 // core.SynthesizeDistributed) rely on that agreement to deterministically
-// re-stripe the dead rank's work.
+// re-stripe the dead rank's work. A dead rank never comes back, so this
+// is the only membership change a collective reports.
 type RankFailedError struct {
 	// Rank is the failed participant, or -1 when the failure could not
 	// be attributed (e.g. the coordinator itself became unreachable).
@@ -47,37 +50,11 @@ func AsRankFailed(err error) (*RankFailedError, bool) {
 	return nil, false
 }
 
-// RankRevivedError reports that a collective round was aborted because a
-// previously-dead rank rejoined the cluster (a supervised restart
-// reclaiming its slot with a claim token). Like RankFailedError it is a
-// membership-change abort, not a data error: every survivor of the same
-// round receives the same Rank, so failure-tolerant callers can agree to
-// put the rank back into the work distribution and retry.
-type RankRevivedError struct {
-	// Rank is the participant that rejoined.
-	Rank int
-	// Op names the collective that observed the revival.
-	Op string
-}
-
-func (e *RankRevivedError) Error() string {
-	return fmt.Sprintf("mpi: rank %d rejoined during %s", e.Rank, e.Op)
-}
-
-// AsRankRevived extracts a RankRevivedError from err's chain.
-func AsRankRevived(err error) (*RankRevivedError, bool) {
-	var rr *RankRevivedError
-	if errors.As(err, &rr) {
-		return rr, true
-	}
-	return nil, false
-}
-
 // DeadRankser is the optional transport extension reporting ranks that
 // were already declared dead when this process joined the cluster (a
-// rejoining rank learns the membership view from its join handshake).
-// Failure-tolerant callers seed their survivor set from it so a revived
-// rank agrees with the incumbents about work distribution.
+// rank that joins late learns the membership view from its join
+// handshake). Failure-tolerant callers seed their survivor set from it
+// so a late joiner agrees with the incumbents about work distribution.
 type DeadRankser interface {
 	// InitialDead returns the ranks dead at join time, ascending.
 	InitialDead() []int

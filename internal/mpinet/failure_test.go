@@ -463,3 +463,38 @@ func TestRankFailedErrorMessage(t *testing.T) {
 		t.Fatal("empty coordinator-failure message")
 	}
 }
+
+// TestRoundTimeoutDeclaresLaggardDead: with Options.RoundTimeout set, a
+// rank that keeps heartbeating but never enters the collective is
+// declared failed once the deadline passes, so a wedged-but-alive
+// process cannot stall the cluster.
+func TestRoundTimeoutDeclaresLaggardDead(t *testing.T) {
+	opts := fastOpts()
+	opts.RoundTimeout = 300 * time.Millisecond
+	nodes := startCluster(t, 3, opts)
+	defer func() {
+		for _, n := range nodes {
+			if n != nil {
+				n.Close()
+			}
+		}
+	}()
+
+	// Rank 2 never calls Barrier; its heartbeat loop keeps it "alive".
+	laggard := nodes[2].Rank()
+	start := time.Now()
+	errs := barrierAll([]*Node{nodes[0], nodes[1], nil})
+	elapsed := time.Since(start)
+	wantRankFailed(t, errs[0], laggard)
+	wantRankFailed(t, errs[1], laggard)
+	if elapsed > 5*time.Second {
+		t.Fatalf("round timeout took %v, want ≈ RoundTimeout", elapsed)
+	}
+
+	// Survivors complete rounds afterwards.
+	for r, err := range barrierAll([]*Node{nodes[0], nodes[1], nil}) {
+		if r != 2 && err != nil {
+			t.Fatalf("rank %d after laggard death: %v", r, err)
+		}
+	}
+}

@@ -38,23 +38,22 @@
 // the deadline are declared failed, so a wedged rank cannot stall the
 // cluster forever even while its heartbeats keep flowing.
 //
-// # Rank discovery and rejoin
+// # Rank discovery
 //
-// The coordinator keeps accepting connections for its whole lifetime,
-// and every joiner presents a claim: a (rank, token) pair. A fresh
-// cluster member claims rank -1 (assigned the next free slot) or pins a
-// specific slot; either way the slot records the presented token as its
-// identity. A later Join claiming a DEAD slot with the matching token
-// reclaims it — a supervised restart of a crashed rank process rejoins
-// the running cluster instead of being rejected. The revival aborts the
-// round in progress exactly like a death does, except survivors receive
-// a typed *mpi.RankRevivedError naming the returning rank, so
-// failure-tolerant callers can put it back into the work distribution.
-// The rejoiner's handshake reply carries the coordinator's current round
-// sequence and the set of currently-dead ranks, so the revived process
-// is round-aligned and membership-aligned from its first collective
-// (exposed via Node.InitialDead / mpi.DeadRankser). A claim with a stale
-// or wrong token is rejected with ErrClaimRejected.
+// Host opens one join window, Options.DialTimeout long, and every joiner
+// presents a claim: -1 takes the lowest free slot, a positive rank pins
+// that slot. A slot is claimed once; a claim on a taken, dead or
+// out-of-range slot is rejected with ErrClaimRejected. The listener
+// closes as soon as every slot has joined. If the window closes first,
+// every slot that never joined is declared failed exactly like a silent
+// peer, so the survivors get a *mpi.RankFailedError for it and can
+// re-stripe its work.
+//
+// Rounds may start before every slot has joined. A joiner's handshake
+// reply carries the coordinator's current round sequence and the set of
+// ranks already declared dead, so a worker that joins after an early
+// death is round-aligned and stripes like the incumbents from its first
+// collective (Node.InitialDead / mpi.DeadRankser).
 //
 // # Wire format
 //
@@ -64,7 +63,7 @@
 //
 // with all integers little-endian. The join handshake is client-first:
 //
-//	client → coordinator: magic "CSIM" | claim i32 | token u64
+//	client → coordinator: magic "CSIM" | claim i32
 //	coordinator → client: magic "CSIM" | rank u32 | size u32 | seq u32 |
 //	                      ndead u32 | { deadRank u32 }*
 //
@@ -90,12 +89,11 @@ import (
 
 // Telemetry series for the network transport: one round per Exchange,
 // payload bytes as sent, failures as observed by the coordinator's
-// detector, rejoins as accepted by the claim validator.
+// detector.
 var (
 	mRounds       = telemetry.C("mpinet_rounds_total")
 	mBytesSent    = telemetry.C("mpinet_bytes_sent_total")
 	mRankFailures = telemetry.C("mpinet_rank_failures_total")
-	mRankRejoins  = telemetry.C("mpinet_rank_rejoins_total")
 	mRoundSeconds = telemetry.H("mpinet_round_seconds")
 )
 
@@ -104,17 +102,17 @@ const (
 	rejectMagic    = "CNO!"
 )
 
-// helloSize is the client hello: magic, claim i32, token u64.
-const helloSize = 4 + 4 + 8
+// helloSize is the client hello: magic, claim i32.
+const helloSize = 4 + 4
 
 // replyHdrSize is the coordinator reply header: magic, rank, size, seq,
 // ndead. A dead-rank list of ndead u32s follows.
 const replyHdrSize = 4 + 4 + 4 + 4 + 4
 
 // ErrClaimRejected is returned by Join when the coordinator refuses the
-// presented rank claim (wrong token, slot already owned by a live peer
-// with a different identity, or no free slot for an anonymous join).
-// The rejection is permanent: retrying the same claim cannot succeed.
+// presented rank claim (the slot is taken, dead or out of range, or no
+// slot is free for an anonymous join). The rejection is permanent:
+// retrying the same claim cannot succeed.
 var ErrClaimRejected = errors.New("mpinet: join claim rejected")
 
 // Frame opcodes.
@@ -122,7 +120,6 @@ const (
 	opExchange  byte = iota + 1 // one rank's round contribution or reply
 	opHeartbeat                 // liveness signal; never part of a round
 	opError                     // round abort: blobs[0] = failed rank (int32 LE)
-	opRevive                    // round abort: blobs[0] = rejoined rank (int32 LE)
 )
 
 // maxFrame bounds a single frame to guard against corrupt length
@@ -142,8 +139,8 @@ const frameHdrSize = 1 + 4 + 8 + 8 + 4
 type Options struct {
 	// DialTimeout is Join's total retry budget when the coordinator is
 	// not yet listening (exponential backoff with jitter underneath) and
-	// the coordinator's window for accepting the initial joins. Default
-	// 15s.
+	// the coordinator's join window: a slot that has not joined when it
+	// closes is declared failed. Default 15s.
 	DialTimeout time.Duration
 	// IOTimeout is the per-frame write deadline and the handshake read
 	// deadline. Default 30s.
@@ -160,21 +157,15 @@ type Options struct {
 	// must contribute within this window or the lowest-numbered laggard
 	// is declared failed. It bounds the compute skew the cluster
 	// tolerates between ranks, so set it well above the slowest rank's
-	// longest inter-collective stretch — including any supervised
-	// restart it may be recovering through. Zero disables (default).
+	// longest inter-collective stretch. Zero disables (default).
 	RoundTimeout time.Duration
 	// DisableHeartbeat turns the failure detector off entirely; dead
 	// ranks are then only detected by connection errors.
 	DisableHeartbeat bool
 	// ClaimRank, when positive, pins the rank this Join claims instead
-	// of accepting coordinator assignment — a supervisor restarting a
-	// crashed rank process claims the dead slot back. Zero joins
-	// anonymously. Join only.
+	// of accepting coordinator assignment, so a supervisor knows which
+	// process holds which slot. Zero joins anonymously. Join only.
 	ClaimRank int
-	// ClaimToken is the identity presented with the claim. The slot
-	// records the token of its first claimant; reclaiming a dead slot
-	// requires the matching token. Join only.
-	ClaimToken uint64
 	// WrapConn, when non-nil, wraps the dialed connection before use —
 	// a fault-injection hook for chaos tests (see
 	// faultinject.NewFlakyConn). Join only.
@@ -280,7 +271,7 @@ func readFrame(r *bufio.Reader) (frame, error) {
 		traceID: le.Uint64(body[5:13]),
 		spanID:  le.Uint64(body[13:21]),
 	}
-	if f.op == 0 || f.op > opRevive {
+	if f.op == 0 || f.op > opError {
 		// On-the-wire corruption: reject the frame so the connection is
 		// declared dead instead of a bogus opcode entering a round.
 		return frame{}, fmt.Errorf("mpinet: bad opcode %d", f.op)
@@ -302,15 +293,14 @@ func readFrame(r *bufio.Reader) (frame, error) {
 	return f, nil
 }
 
-// rankFrame builds a round-abort broadcast (opError or opRevive)
-// carrying one rank identity.
-func rankFrame(op byte, seq uint32, rank int) frame {
+// errorFrame builds the round-abort broadcast naming a failed rank.
+func errorFrame(seq uint32, rank int) frame {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(int32(rank)))
-	return frame{op: op, seq: seq, blobs: [][]byte{b[:]}}
+	return frame{op: opError, seq: seq, blobs: [][]byte{b[:]}}
 }
 
-// frameRank decodes the rank identity of an opError/opRevive frame.
+// frameRank decodes the failed rank of an opError frame.
 func frameRank(f frame) int {
 	if len(f.blobs) < 1 || len(f.blobs[0]) < 4 {
 		return -1
@@ -319,14 +309,11 @@ func frameRank(f frame) int {
 }
 
 // contribution is one rank's collective input arriving at the
-// coordinator. p identifies the connection incarnation it came from, so
-// a stale error from a superseded connection cannot kill a revived
-// rank's fresh one (nil for rank 0's local contributions).
+// coordinator, or the error that ended its connection.
 type contribution struct {
 	rank int
 	f    frame
 	err  error
-	p    *peer
 }
 
 // joinReq is one validated client hello awaiting the run loop's
@@ -334,7 +321,6 @@ type contribution struct {
 type joinReq struct {
 	conn  net.Conn
 	claim int
-	token uint64
 }
 
 // peer is the coordinator's per-client connection state.
@@ -389,11 +375,9 @@ type coordinator struct {
 	mu    sync.Mutex // guards peers slots for the failure detector
 	peers []*peer    // index 0 unused
 
-	// Membership bookkeeping, owned by the run loop.
-	claimed    []bool   // slot has recorded an identity
-	tokens     []uint64 // identity recorded at first claim
-	firstJoins int      // slots filled at least once
-	joinsDone  atomic.Bool
+	joined    int           // slots admitted; owned by the run loop
+	joinsDone atomic.Bool   // every slot joined and the listener is closed
+	expired   chan struct{} // closed when the join window ends first
 
 	contribs  chan contribution
 	joins     chan *joinReq
@@ -419,11 +403,11 @@ func (c *coordinator) stop(err error) {
 	c.teardown()
 }
 
-// Host listens on addr, waits for size-1 ranks to join, and returns the
-// rank-0 Node. Size must be at least 1; with size 1 the transport is
-// fully local. The coordinator keeps accepting connections after the
-// initial join phase so restarted ranks can reclaim their slots (see
-// the package comment on rejoin).
+// Host listens on addr for the size-1 joins and returns the rank-0 Node
+// at once; rounds wait for slots that have not joined yet. Size must be
+// at least 1; with size 1 the transport is fully local. The listener
+// closes when every slot has joined or when the join window
+// (Options.DialTimeout) ends, whichever is first.
 func Host(addr string, size int, opts ...Options) (*Node, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpinet: size must be ≥ 1, got %d", size)
@@ -438,10 +422,10 @@ func Host(addr string, size int, opts ...Options) (*Node, error) {
 		done:     make(chan struct{}),
 		errs:     make(chan error, size),
 	}
-	// replies[0] must absorb one abort broadcast per possible membership
-	// event without blocking the round loop, even if rank 0 is between
-	// collectives at the time (deaths and revivals both broadcast).
-	c.replies[0] = make(chan frame, 2*size+2)
+	// replies[0] must absorb every abort broadcast (at most one per
+	// worker death) plus one round reply without blocking the round
+	// loop, even if rank 0 is between collectives at the time.
+	c.replies[0] = make(chan frame, size)
 	node := &Node{rank: 0, size: size, opts: o, coord: c}
 	if size == 1 {
 		go c.run()
@@ -453,11 +437,7 @@ func Host(addr string, size int, opts ...Options) (*Node, error) {
 	}
 	c.ln = ln
 	c.peers = make([]*peer, size)
-	c.claimed = make([]bool, size)
-	c.tokens = make([]uint64, size)
-	// The initial join phase runs under the dial deadline; once every
-	// slot has joined at least once the run loop clears it and the
-	// listener stays open for rejoins.
+	c.expired = make(chan struct{})
 	if tl, ok := ln.(*net.TCPListener); ok {
 		tl.SetDeadline(time.Now().Add(o.DialTimeout))
 	}
@@ -469,21 +449,17 @@ func Host(addr string, size int, opts ...Options) (*Node, error) {
 	return node, nil
 }
 
-// acceptLoop admits connections for the coordinator's whole lifetime.
-// An accept error during the initial join phase is fatal (some rank
-// never arrived before the join deadline); afterwards it only disables
-// rejoins.
+// acceptLoop admits connections until every slot has joined. Any other
+// accept error — the join deadline above all — ends the join window:
+// the listener closes and the run loop declares the missing slots
+// failed.
 func (c *coordinator) acceptLoop() {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			select {
-			case <-c.done:
-				return
-			default:
-			}
 			if !c.joinsDone.Load() {
-				c.stop(fmt.Errorf("mpinet: accepting joins: %w", err))
+				c.ln.Close()
+				close(c.expired)
 			}
 			return
 		}
@@ -509,12 +485,7 @@ func (c *coordinator) handleHello(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	le := binary.LittleEndian
-	jr := &joinReq{
-		conn:  conn,
-		claim: int(int32(le.Uint32(hello[4:]))),
-		token: le.Uint64(hello[8:]),
-	}
+	jr := &joinReq{conn: conn, claim: int(int32(binary.LittleEndian.Uint32(hello[4:])))}
 	select {
 	case c.joins <- jr:
 	case <-c.done:
@@ -584,7 +555,6 @@ func Join(addr string, opts ...Options) (*Node, error) {
 	var hello [helloSize]byte
 	copy(hello[:4], handshakeMagic)
 	le.PutUint32(hello[4:], uint32(int32(claim)))
-	le.PutUint64(hello[8:], o.ClaimToken)
 	conn.SetWriteDeadline(time.Now().Add(o.IOTimeout))
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
@@ -695,7 +665,7 @@ func (c *coordinator) heartbeatLoop() {
 			if now.Sub(time.Unix(0, p.lastSeen.Load())) > c.opts.HeartbeatTimeout {
 				p.dead.Store(true)
 				select {
-				case c.contribs <- contribution{rank: r, err: errHeartbeatExpired, p: p}:
+				case c.contribs <- contribution{rank: r, err: errHeartbeatExpired}:
 				case <-c.done:
 					return
 				}
@@ -715,7 +685,7 @@ func (c *coordinator) readLoop(rank int, p *peer) {
 		f, err := readFrame(br)
 		if err != nil {
 			select {
-			case c.contribs <- contribution{rank: rank, err: err, p: p}:
+			case c.contribs <- contribution{rank: rank, err: err}:
 			case <-c.done:
 			}
 			return
@@ -725,7 +695,7 @@ func (c *coordinator) readLoop(rank int, p *peer) {
 			continue
 		}
 		select {
-		case c.contribs <- contribution{rank: rank, f: f, p: p}:
+		case c.contribs <- contribution{rank: rank, f: f}:
 		case <-c.done:
 			return
 		}
@@ -742,18 +712,13 @@ func (c *coordinator) currentPeer(rank int) *peer {
 	return c.peers[rank]
 }
 
-// markDead flags a rank's peer and closes its socket (waking its
-// readLoop and failing any in-flight write). When p is non-nil only
-// that incarnation is touched, so a death reported against a superseded
-// connection cannot take down a revived rank's fresh one.
-func (c *coordinator) markDead(rank int, p *peer) {
-	if p == nil {
-		p = c.currentPeer(rank)
-	}
-	if p != nil {
-		if !p.dead.Swap(true) {
-			mRankFailures.Inc()
-		}
+// markDead counts one death the run loop has decided and, if the rank
+// ever joined, flags its peer and closes its socket (waking its
+// readLoop and failing any in-flight write).
+func (c *coordinator) markDead(rank int) {
+	mRankFailures.Inc()
+	if p := c.currentPeer(rank); p != nil {
+		p.dead.Store(true)
 		p.conn.Close()
 	}
 }
@@ -779,83 +744,35 @@ func (c *coordinator) broadcast(alive []bool, f frame) (more []int) {
 		}
 		if err := p.send(f, c.opts.IOTimeout); err != nil {
 			alive[r] = false
-			c.markDead(r, p)
+			c.markDead(r)
 			more = append(more, r)
 		}
 	}
 	return more
 }
 
-// joinClass is the run loop's membership decision for one claim.
-type joinClass int
-
-const (
-	joinReject    joinClass = iota // refused; connection already answered
-	joinFresh                      // new member, no round abort needed
-	joinRevive                     // dead slot reclaimed: abort + opRevive
-	joinSupersede                  // live slot reclaimed: death + revival
-)
-
-// classify decides what a claim means given the current membership.
-// Anonymous claims (claim < 0) get the lowest never-claimed slot.
-// Explicit claims record their token on first use and must match it
-// afterwards. Only the run loop calls this.
-func (c *coordinator) classify(jr *joinReq, alive []bool) joinClass {
-	if jr.claim < 0 {
-		for r := 1; r < c.size; r++ {
-			if !c.claimed[r] {
-				jr.claim = r
-				c.claimed[r] = true
-				c.tokens[r] = jr.token
-				if alive[r] {
-					return joinFresh
-				}
-				return joinRevive // declared dead before ever joining
-			}
-		}
-		c.reject(jr.conn)
-		return joinReject
-	}
-	if jr.claim == 0 || jr.claim >= c.size {
-		c.reject(jr.conn)
-		return joinReject
-	}
+// admit answers one claim. An anonymous claim (-1) takes the lowest live
+// slot that has not joined; an explicit one names its slot. A slot is
+// claimed once: a taken, dead or out-of-range claim is rejected. An
+// admitted joiner gets the handshake reply — its rank, the size, the
+// current round seq and the dead set — and its read loop starts; the
+// round in progress simply waits for its first contribution. If the
+// reply cannot be delivered the slot stays free. Only the run loop
+// calls this.
+func (c *coordinator) admit(jr *joinReq, seq uint32, alive []bool) {
 	r := jr.claim
-	if !c.claimed[r] {
-		c.claimed[r] = true
-		c.tokens[r] = jr.token
-		if alive[r] {
-			return joinFresh
+	if r < 0 {
+		for r = 1; r < c.size && (c.currentPeer(r) != nil || !alive[r]); r++ {
 		}
-		return joinRevive
 	}
-	if c.tokens[r] != jr.token {
+	if r <= 0 || r >= c.size || c.currentPeer(r) != nil || !alive[r] {
 		c.reject(jr.conn)
-		return joinReject
+		return
 	}
-	if !alive[r] {
-		return joinRevive
-	}
-	if c.currentPeer(r) == nil {
-		return joinFresh // claimed but never installed; cannot happen today
-	}
-	// The slot's owner reconnected while its old connection still looks
-	// alive (e.g. half-open after a silent kill): the old incarnation is
-	// implicitly dead.
-	return joinSupersede
-}
-
-// install publishes a joined connection as rank jr.claim: it sends the
-// handshake reply (rank, size, current seq, dead set), registers the
-// peer, and starts its read loop. It returns false if the handshake
-// could not be delivered, in which case the connection is abandoned and
-// the slot keeps its previous state.
-func (c *coordinator) install(jr *joinReq, seq uint32, alive []bool) bool {
-	r := jr.claim
 	le := binary.LittleEndian
 	var deadSet []int
 	for i := range alive {
-		if !alive[i] && i != r {
+		if !alive[i] {
 			deadSet = append(deadSet, i)
 		}
 	}
@@ -871,35 +788,26 @@ func (c *coordinator) install(jr *joinReq, seq uint32, alive []bool) bool {
 	jr.conn.SetWriteDeadline(time.Now().Add(c.opts.IOTimeout))
 	if _, err := jr.conn.Write(buf); err != nil {
 		jr.conn.Close()
-		return false
+		return
 	}
 	jr.conn.SetWriteDeadline(time.Time{})
 	p := &peer{conn: jr.conn, bw: bufio.NewWriterSize(jr.conn, 1<<16)}
 	p.lastSeen.Store(time.Now().UnixNano())
 	c.mu.Lock()
-	first := c.peers[r] == nil
 	c.peers[r] = p
 	c.mu.Unlock()
-	if first {
-		c.firstJoins++
-		if c.firstJoins == c.size-1 {
-			// Initial join phase complete: lift the join deadline and
-			// keep listening for rejoins.
-			c.joinsDone.Store(true)
-			if tl, ok := c.ln.(*net.TCPListener); ok {
-				tl.SetDeadline(time.Time{})
-			}
-		}
+	if c.joined++; c.joined == c.size-1 {
+		c.joinsDone.Store(true)
+		c.ln.Close()
 	}
 	go c.readLoop(r, p)
-	return true
 }
 
 // run processes collective rounds until teardown. Round protocol: one
 // contribution per live rank, all carrying the current sequence number;
-// any membership change aborts the round — survivors get an opError
-// (death) or opRevive (rejoin) frame — and bumps the sequence so stale
-// retransmissions are discarded.
+// a death aborts the round — survivors get an opError frame naming the
+// dead rank — and bumps the sequence so stale retransmissions are
+// discarded.
 func (c *coordinator) run() {
 	size := c.size
 	alive := make([]bool, size)
@@ -908,26 +816,13 @@ func (c *coordinator) run() {
 	}
 	var seq uint32
 	var pendingDead []int
-	var pendingRevive []*joinReq
+	expired := c.expired
 	for {
 		if len(pendingDead) > 0 {
 			f := pendingDead[0]
 			pendingDead = append(pendingDead[:0], pendingDead[1:]...)
-			pendingDead = append(pendingDead, c.broadcast(alive, rankFrame(opError, seq, f))...)
+			pendingDead = append(pendingDead, c.broadcast(alive, errorFrame(seq, f))...)
 			seq++
-			continue
-		}
-		if len(pendingRevive) > 0 {
-			jr := pendingRevive[0]
-			pendingRevive = pendingRevive[1:]
-			// Announce the revival (aborting the round in progress), then
-			// install the rejoiner aligned to the post-abort sequence.
-			pendingDead = append(pendingDead, c.broadcast(alive, rankFrame(opRevive, seq, jr.claim))...)
-			seq++
-			if c.install(jr, seq, alive) {
-				alive[jr.claim] = true
-				mRankRejoins.Inc()
-			}
 			continue
 		}
 		need := 0
@@ -936,11 +831,10 @@ func (c *coordinator) run() {
 				need++
 			}
 		}
-		// Collect one contribution per live rank for round seq.
+		// Collect one contribution per live rank for round seq. Every
+		// death found on the way is queued in pendingDead and aborts it.
 		round := make([]frame, size)
 		have := make([]bool, size)
-		failed := -1
-		var revive *joinReq
 		var roundTimer *time.Timer
 		var timerC <-chan time.Time
 	collect:
@@ -951,12 +845,9 @@ func (c *coordinator) run() {
 					continue // late traffic from an already-dead rank
 				}
 				if ct.err != nil {
-					if ct.p != nil && c.currentPeer(ct.rank) != ct.p {
-						continue // stale incarnation; the slot was reclaimed
-					}
 					alive[ct.rank] = false
-					c.markDead(ct.rank, ct.p)
-					failed = ct.rank
+					c.markDead(ct.rank)
+					pendingDead = append(pendingDead, ct.rank)
 					break collect
 				}
 				if ct.f.seq != seq {
@@ -978,23 +869,20 @@ func (c *coordinator) run() {
 					timerC = roundTimer.C
 				}
 			case jr := <-c.joins:
-				switch c.classify(jr, alive) {
-				case joinFresh:
-					c.install(jr, seq, alive)
-					// No abort: the slot was already counted alive, the
-					// round simply waits for its first contribution.
-				case joinRevive:
-					revive = jr
+				c.admit(jr, seq, alive)
+			case <-expired:
+				// The join window closed first: every slot that never
+				// joined fails like a silent peer.
+				expired = nil
+				for r := 1; r < size; r++ {
+					if alive[r] && c.currentPeer(r) == nil {
+						alive[r] = false
+						c.markDead(r)
+						pendingDead = append(pendingDead, r)
+					}
+				}
+				if len(pendingDead) > 0 {
 					break collect
-				case joinSupersede:
-					old := c.currentPeer(jr.claim)
-					alive[jr.claim] = false
-					c.markDead(jr.claim, old)
-					failed = jr.claim
-					revive = jr
-					break collect
-				case joinReject:
-					// Answered and closed by classify.
 				}
 			case <-timerC:
 				// Per-collective deadline: the slowest live rank (rank 0
@@ -1011,8 +899,8 @@ func (c *coordinator) run() {
 					continue
 				}
 				alive[lag] = false
-				c.markDead(lag, c.currentPeer(lag))
-				failed = lag
+				c.markDead(lag)
+				pendingDead = append(pendingDead, lag)
 				break collect
 			case <-c.done:
 				if roundTimer != nil {
@@ -1024,13 +912,7 @@ func (c *coordinator) run() {
 		if roundTimer != nil {
 			roundTimer.Stop()
 		}
-		if failed >= 0 {
-			pendingDead = append(pendingDead, failed)
-		}
-		if revive != nil {
-			pendingRevive = append(pendingRevive, revive)
-		}
-		if failed >= 0 || revive != nil {
+		if len(pendingDead) > 0 {
 			continue
 		}
 		// Trace context for the replies: the first live contribution
@@ -1072,7 +954,7 @@ func (c *coordinator) run() {
 			}
 			if err := p.send(out[r], c.opts.IOTimeout); err != nil {
 				alive[r] = false
-				c.markDead(r, p)
+				c.markDead(r)
 				pendingDead = append(pendingDead, r)
 			}
 		}
@@ -1107,9 +989,9 @@ func (n *Node) Rank() int { return n.rank }
 func (n *Node) Size() int { return n.size }
 
 // InitialDead returns the ranks that were already declared dead when
-// this node joined (empty for an initial join). It implements
+// this node joined (empty when none had died). It implements
 // mpi.DeadRankser so failure-tolerant callers can seed their survivor
-// set consistently with the incumbents after a rejoin.
+// set consistently with the incumbents after a late join.
 func (n *Node) InitialDead() []int {
 	return append([]int(nil), n.initialDead...)
 }
@@ -1130,8 +1012,7 @@ func ctxErr(op string, err error) error {
 
 // roundTrip submits f for the next round and waits for the reply.
 // Heartbeat frames are skipped; an opError reply is surfaced as a
-// *mpi.RankFailedError naming the dead rank, an opRevive reply as a
-// *mpi.RankRevivedError naming the returning one.
+// *mpi.RankFailedError naming the dead rank.
 //
 // Cancellation joins the existing failure machinery: on the coordinator
 // rank the reply wait selects on ctx.Done alongside the shutdown
@@ -1169,11 +1050,8 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 		}
 		select {
 		case rep := <-n.coord.replies[0]:
-			switch rep.op {
-			case opError:
+			if rep.op == opError {
 				return frame{}, &mpi.RankFailedError{Rank: frameRank(rep), Op: op}
-			case opRevive:
-				return frame{}, &mpi.RankRevivedError{Rank: frameRank(rep), Op: op}
 			}
 			n.noteTrace(rep)
 			return rep, nil
@@ -1223,9 +1101,6 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 		case opError:
 			n.conn.SetReadDeadline(time.Time{})
 			return frame{}, &mpi.RankFailedError{Rank: frameRank(rep), Op: op}
-		case opRevive:
-			n.conn.SetReadDeadline(time.Time{})
-			return frame{}, &mpi.RankRevivedError{Rank: frameRank(rep), Op: op}
 		default:
 			n.conn.SetReadDeadline(time.Time{})
 			n.noteTrace(rep)

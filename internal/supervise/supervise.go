@@ -1,9 +1,8 @@
 // Package supervise runs a set of rank processes as a supervision tree:
 // it spawns each rank of the distributed pipeline as an external OS
-// process, watches their exits, and applies a restart policy with
-// bounded exponential backoff — the glue that turns mpinet's
-// failure-tolerant transport and the eventlog's resumable logs into a
-// run that survives kill -9.
+// process, watches their exits, and applies the recovery each phase
+// needs — the glue that turns mpinet's failure-tolerant transport and
+// the eventlog's resumable logs into a run that survives kill -9.
 //
 // Two supervision modes match the two phases of the pipeline:
 //
@@ -16,18 +15,15 @@
 //     making the finished logs bit-identical to an uninterrupted run.
 //
 //   - Per-rank (RunPerRank): the synthesis phase.
-//     core.SynthesizeDistributed re-stripes work over survivors on a
-//     rank death and absorbs rejoins, so the recovery unit is the
-//     single rank: restart just the dead process, which reclaims its
-//     slot via its mpinet claim token. When a rank exhausts its restart
-//     budget — or restarts storm — the supervisor stops restarting and
-//     lets the cluster degrade gracefully through re-striping; the
-//     output is bit-identical either way.
+//     core.SynthesizeDistributed re-stripes a dead rank's files over
+//     the survivors and produces the same network, so nothing is
+//     restarted: a failed worker is recorded as degraded at once and
+//     the phase goes on without it. Rank 0 decides the phase.
 //
 // Exit codes are the contract between the supervisor and the rank
 // binaries: ExitOK for success, ExitCanceled for a cooperative
-// SIGINT/SIGTERM drain (not a failure, never restarted), ExitFailure
-// for real failures (restart candidates).
+// SIGINT/SIGTERM drain (not a failure), ExitFailure for real failures
+// (a gang relaunch, or a degraded synthesis worker).
 package supervise
 
 import (
@@ -45,22 +41,22 @@ import (
 )
 
 // Exit codes shared by the rank binaries (cmd/chisim, cmd/netsynth) and
-// the supervisor's restart policy.
+// the supervisor.
 const (
 	// ExitOK: the rank completed its work.
 	ExitOK = 0
 	// ExitFailure: a real failure (I/O error, lost coordinator, bad
-	// input). The supervisor may restart the rank.
+	// input). RunGang relaunches the gang; RunPerRank degrades a
+	// worker.
 	ExitFailure = 1
 	// ExitCanceled: the rank drained cleanly after SIGINT/SIGTERM.
-	// Deliberate, so never restarted.
+	// Deliberate, so never a failure.
 	ExitCanceled = 2
 )
 
 // Telemetry series for the supervision layer.
 var (
 	mRestarts  = telemetry.C("supervise_restarts_total")
-	mStorms    = telemetry.C("supervise_storms_total")
 	mDegraded  = telemetry.G("supervise_degraded_ranks")
 	mBackoffNs = telemetry.H("supervise_backoff_seconds")
 )
@@ -69,9 +65,6 @@ var (
 type Spec struct {
 	// Rank is the mpinet rank this process claims.
 	Rank int
-	// Token is the rank claim token (per-rank supervision passes it to
-	// the process so a restart reclaims the same slot).
-	Token uint64
 	// Path is the binary to execute.
 	Path string
 	// Args are the process arguments (argv[1:]).
@@ -81,23 +74,17 @@ type Spec struct {
 	Stdout, Stderr io.Writer
 }
 
-// Policy tunes the restart machinery. Zero values select defaults.
+// Policy tunes the supervisor. Zero values select defaults.
 type Policy struct {
-	// MaxRestartsPerRank bounds restarts per rank (per-rank mode) or
-	// gang relaunches (gang mode). Default 3; negative disables
-	// restarts entirely.
+	// MaxRestartsPerRank is the gang relaunch budget of RunGang.
+	// Default 3; negative disables relaunches. RunPerRank never
+	// restarts a process.
 	MaxRestartsPerRank int
-	// BackoffBase is the first restart delay; each subsequent restart
-	// of the same rank doubles it, with full jitter. Default 250ms.
+	// BackoffBase is the first relaunch delay; each subsequent relaunch
+	// doubles it, with full jitter. Default 250ms.
 	BackoffBase time.Duration
 	// BackoffCap bounds the exponential growth. Default 5s.
 	BackoffCap time.Duration
-	// StormWindow and StormThreshold detect restart storms: when
-	// StormThreshold restarts (across all ranks) land within
-	// StormWindow, the supervisor stops restarting and degrades.
-	// Defaults: 30s window, 2×ranks threshold.
-	StormWindow    time.Duration
-	StormThreshold int
 	// Grace is how long a terminated process gets between SIGTERM and
 	// SIGKILL. Default 5s.
 	Grace time.Duration
@@ -109,11 +96,11 @@ type Policy struct {
 	// Logf receives human-readable supervision events; nil discards.
 	Logf func(format string, args ...any)
 	// OnStart, when non-nil, is called with (rank, pid) each time a
-	// rank process (re)starts — the hook chaos tests use to aim kills.
+	// rank process starts — the hook chaos tests use to aim kills.
 	OnStart func(rank, pid int)
 }
 
-func (p Policy) withDefaults(ranks int) Policy {
+func (p Policy) withDefaults() Policy {
 	if p.MaxRestartsPerRank == 0 {
 		p.MaxRestartsPerRank = 3
 	}
@@ -122,15 +109,6 @@ func (p Policy) withDefaults(ranks int) Policy {
 	}
 	if p.BackoffCap <= 0 {
 		p.BackoffCap = 5 * time.Second
-	}
-	if p.StormWindow <= 0 {
-		p.StormWindow = 30 * time.Second
-	}
-	if p.StormThreshold <= 0 {
-		p.StormThreshold = 2 * ranks
-		if p.StormThreshold < 4 {
-			p.StormThreshold = 4
-		}
 	}
 	if p.Grace <= 0 {
 		p.Grace = 5 * time.Second
@@ -144,9 +122,8 @@ func (p Policy) withDefaults(ranks int) Policy {
 	return p
 }
 
-// backoff returns the delay before restart attempt n (1-based) of one
-// rank: exponential from Base, capped at Cap, with full jitter so
-// simultaneous restarts don't reconnect in lockstep.
+// backoff returns the delay before gang relaunch n (1-based):
+// exponential from Base, capped at Cap, with full jitter.
 func (p Policy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	d := p.BackoffBase
 	for i := 1; i < attempt && d < p.BackoffCap; i++ {
@@ -170,8 +147,8 @@ func (s *Supervisor) newReport(mode string) (*telemetry.SupervisionReport, map[i
 	return rep, byRank
 }
 
-// record folds one incarnation's exit into its rank's entry: the peak
-// RSS over every incarnation and the latest exit code.
+// record folds one process's exit into its rank's entry: the peak RSS
+// over every gang attempt and the latest exit code.
 func record(byRank map[int]*telemetry.SupervisionRank, ev exitEvent) *telemetry.SupervisionRank {
 	st := byRank[ev.rank]
 	if st != nil {
@@ -181,13 +158,13 @@ func record(byRank map[int]*telemetry.SupervisionRank, ev exitEvent) *telemetry.
 	return st
 }
 
-// proc is one running incarnation.
+// proc is one running process.
 type proc struct {
 	cmd  *exec.Cmd
 	rank int
 }
 
-// exitEvent reports one incarnation's end.
+// exitEvent reports one process's end.
 type exitEvent struct {
 	rank     int
 	code     int // ExitCode(); -1 when signaled
@@ -201,16 +178,15 @@ type Supervisor struct {
 	pol   Policy
 	rng   *rand.Rand
 
-	mu       sync.Mutex
-	procs    map[int]*proc // rank → current incarnation
-	stopping bool
+	mu    sync.Mutex
+	procs map[int]*proc // rank → current process
 }
 
 // New builds a Supervisor for the given rank specs.
 func New(specs []Spec, pol Policy) *Supervisor {
 	return &Supervisor{
 		specs: specs,
-		pol:   pol.withDefaults(len(specs)),
+		pol:   pol.withDefaults(),
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 		procs: map[int]*proc{},
 	}
@@ -239,7 +215,7 @@ func (lw *lineWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// start launches one incarnation of spec and watches it.
+// start launches one process for spec and watches it.
 func (s *Supervisor) start(spec Spec, events chan<- exitEvent) error {
 	cmd := exec.Command(spec.Path, spec.Args...)
 	if spec.Stdout != nil {
@@ -274,7 +250,7 @@ func (s *Supervisor) start(spec Spec, events chan<- exitEvent) error {
 	return nil
 }
 
-// terminate stops a single rank's current incarnation: SIGTERM, then
+// terminate stops a single rank's current process: SIGTERM, then
 // SIGKILL after the grace period. Already-exited processes are a no-op.
 func (s *Supervisor) terminate(rank int) {
 	s.mu.Lock()
@@ -289,7 +265,7 @@ func (s *Supervisor) terminate(rank int) {
 	})
 }
 
-// terminateAll signals every live incarnation.
+// terminateAll signals every live process.
 func (s *Supervisor) terminateAll() {
 	s.mu.Lock()
 	ranks := make([]int, 0, len(s.procs))
@@ -302,33 +278,11 @@ func (s *Supervisor) terminateAll() {
 	}
 }
 
-// storm reports whether one more restart would exceed the storm
-// threshold within the window, recording the restart time.
-type stormDetector struct {
-	window    time.Duration
-	threshold int
-	times     []time.Time
-}
-
-func (sd *stormDetector) add(now time.Time) bool {
-	cutoff := now.Add(-sd.window)
-	kept := sd.times[:0]
-	for _, t := range sd.times {
-		if t.After(cutoff) {
-			kept = append(kept, t)
-		}
-	}
-	sd.times = append(kept, now)
-	return len(sd.times) >= sd.threshold
-}
-
-// RunPerRank supervises the specs with per-rank restarts: a worker rank
-// (rank > 0) exiting ExitFailure is relaunched with backoff while its
-// budget lasts — its claim token makes it rejoin the running cluster —
-// and is left dead (graceful degradation via the synthesis layer's
-// re-striping) once the budget or the storm detector trips. The phase
-// succeeds when rank 0 exits ExitOK; rank 0 failing fails the phase
-// (the coordinator cannot be revived into its own cluster).
+// RunPerRank supervises the specs as one process per rank and never
+// restarts one. A worker (rank > 0) that fails is recorded Degraded at
+// once: the synthesis survivors re-stripe its files and produce the
+// same network without it. Rank 0 decides the phase: it succeeds when
+// rank 0 exits ExitOK, and rank 0 failing fails it.
 func (s *Supervisor) RunPerRank(ctx context.Context) (*telemetry.SupervisionReport, error) {
 	start := time.Now()
 	res, byRank := s.newReport("per-rank")
@@ -339,107 +293,54 @@ func (s *Supervisor) RunPerRank(ctx context.Context) (*telemetry.SupervisionRepo
 		return res, err
 	}
 
-	events := make(chan exitEvent, len(s.specs)*4)
-	specByRank := map[int]Spec{}
-	for _, sp := range s.specs {
-		specByRank[sp.Rank] = sp
-	}
-	liveOrPending := 0
+	events := make(chan exitEvent, len(s.specs)) // one exit per process
+	pending := 0
 	for _, sp := range s.specs {
 		if err := s.start(sp, events); err != nil {
-			s.abort(events, &liveOrPending, byRank)
+			s.abort(events, &pending, byRank)
 			return finish(fmt.Errorf("supervise: starting rank %d: %w", sp.Rank, err))
 		}
-		liveOrPending++
+		pending++
 	}
 
-	sd := &stormDetector{window: s.pol.StormWindow, threshold: s.pol.StormThreshold}
 	for {
 		select {
 		case <-ctx.Done():
-			s.abort(events, &liveOrPending, byRank)
+			s.abort(events, &pending, byRank)
 			return finish(ctx.Err())
 		case ev := <-events:
-			liveOrPending--
+			pending--
 			st := record(byRank, ev)
-
 			if ev.rank == 0 {
-				// The coordinator decides the phase.
-				s.setStopping()
 				switch ev.code {
 				case ExitOK:
-					s.pol.Logf("supervise: rank 0 completed; draining %d workers", liveOrPending)
-					s.drainThenTerminate(events, &liveOrPending, byRank)
+					s.pol.Logf("supervise: rank 0 completed; draining %d workers", pending)
+					s.drainThenTerminate(events, &pending, byRank)
 					return finish(nil)
 				case ExitCanceled:
-					s.abort(events, &liveOrPending, byRank)
+					s.abort(events, &pending, byRank)
 					return finish(context.Canceled)
 				default:
-					s.abort(events, &liveOrPending, byRank)
+					s.abort(events, &pending, byRank)
 					return finish(fmt.Errorf("supervise: rank 0 exited %d", ev.code))
 				}
 			}
-
-			switch {
-			case ev.code == ExitOK || ev.code == ExitCanceled:
+			if ev.code == ExitOK || ev.code == ExitCanceled {
 				s.pol.Logf("supervise: rank %d finished (exit %d)", ev.rank, ev.code)
-				continue // worker done; nothing to restart
-			case s.isStopping():
 				continue
 			}
-			// A real worker failure: restart within policy or degrade.
-			if s.pol.MaxRestartsPerRank < 0 || st.Restarts >= s.pol.MaxRestartsPerRank {
-				st.Degraded = true
-				degraded++
-				mDegraded.Set(int64(degraded))
-				s.pol.Logf("supervise: rank %d exit %d; restart budget exhausted (%d) — degrading via re-striping",
-					ev.rank, ev.code, st.Restarts)
-				continue
-			}
-			if sd.add(time.Now()) {
-				if !res.Storm {
-					res.Storm = true
-					mStorms.Inc()
-				}
-				st.Degraded = true
-				degraded++
-				mDegraded.Set(int64(degraded))
-				s.pol.Logf("supervise: restart storm (%d in %s); leaving rank %d dead",
-					s.pol.StormThreshold, s.pol.StormWindow, ev.rank)
-				continue
-			}
-			st.Restarts++
-			mRestarts.Inc()
-			delay := s.pol.backoff(st.Restarts, s.rng)
-			mBackoffNs.Observe(delay)
-			s.pol.Logf("supervise: rank %d exit %d (signaled=%v); restart %d/%d in %s",
-				ev.rank, ev.code, ev.signaled, st.Restarts, s.pol.MaxRestartsPerRank, delay.Round(time.Millisecond))
-			liveOrPending++
-			sp := specByRank[ev.rank]
-			go func() {
-				select {
-				case <-time.After(delay):
-				case <-ctx.Done():
-					events <- exitEvent{rank: sp.Rank, code: ExitCanceled}
-					return
-				}
-				if s.isStopping() {
-					events <- exitEvent{rank: sp.Rank, code: ExitCanceled}
-					return
-				}
-				if err := s.start(sp, events); err != nil {
-					s.pol.Logf("supervise: relaunching rank %d: %v", sp.Rank, err)
-					events <- exitEvent{rank: sp.Rank, code: ExitFailure}
-				}
-			}()
+			st.Degraded = true
+			degraded++
+			mDegraded.Set(int64(degraded))
+			s.pol.Logf("supervise: rank %d exit %d (signaled=%v); degraded — the survivors re-stripe its files",
+				ev.rank, ev.code, ev.signaled)
 		}
 	}
 }
 
-// abort ends the phase early: no more restarts, every live incarnation
-// terminated, and their exits collected by drain.
+// abort ends the phase early: every live process terminated, and their
+// exits collected by drain.
 func (s *Supervisor) abort(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
-	s.setStopping()
 	s.terminateAll()
 	s.drain(events, pending, byRank)
 }
@@ -477,18 +378,6 @@ func (s *Supervisor) drain(events chan exitEvent, pending *int, byRank map[int]*
 	}
 }
 
-func (s *Supervisor) setStopping() {
-	s.mu.Lock()
-	s.stopping = true
-	s.mu.Unlock()
-}
-
-func (s *Supervisor) isStopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopping
-}
-
 // RunGang supervises a phase whose recovery unit is the whole gang:
 // build(attempt) produces the specs for launch attempt N (attempt 0 is
 // the initial launch; restarts typically add a -resume flag), every
@@ -510,7 +399,6 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 		specs := build(attempt)
 		events := make(chan exitEvent, len(specs)*2)
 		s.mu.Lock()
-		s.stopping = false
 		s.procs = map[int]*proc{}
 		s.mu.Unlock()
 		pending := 0

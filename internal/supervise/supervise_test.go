@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ func sh(rank int, script string) Spec {
 	return Spec{Rank: rank, Path: "/bin/sh", Args: []string{"-c", script}}
 }
 
-// fastPolicy keeps test restarts quick.
+// fastPolicy keeps test relaunches quick.
 func fastPolicy() Policy {
 	return Policy{
 		MaxRestartsPerRank: 2,
@@ -40,8 +41,8 @@ func TestRunPerRankSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rs := range res.Ranks {
-		if rs.Restarts != 0 || rs.Degraded {
-			t.Fatalf("healthy run: rank %d restarts=%d degraded=%v", rs.Rank, rs.Restarts, rs.Degraded)
+		if rs.Degraded {
+			t.Fatalf("healthy run: rank %d degraded", rs.Rank)
 		}
 		if rs.ExitCode != ExitOK {
 			t.Fatalf("rank %d exit %d", rs.Rank, rs.ExitCode)
@@ -49,52 +50,35 @@ func TestRunPerRankSuccess(t *testing.T) {
 	}
 }
 
-func TestRunPerRankRestartsFailedWorker(t *testing.T) {
-	marker := filepath.Join(t.TempDir(), "restarted")
+// TestRunPerRankDegradesAfterBudget: a failed worker is recorded
+// degraded at once and never started again, and rank 0 still decides
+// the phase.
+func TestRunPerRankDegradesAfterBudget(t *testing.T) {
+	starts := filepath.Join(t.TempDir(), "starts")
 	specs := []Spec{
 		sh(0, "sleep 1.0; exit 0"),
-		// First incarnation fails; the restarted one succeeds.
-		sh(1, fmt.Sprintf("if [ -f %s ]; then exit 0; else touch %s; exit 1; fi", marker, marker)),
+		sh(1, fmt.Sprintf("echo start >> %s; exit 1", starts)),
 	}
 	s := New(specs, fastPolicy())
 	res, err := s.RunPerRank(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ranks[1].Restarts != 1 {
-		t.Fatalf("worker restarts = %d, want 1", res.Ranks[1].Restarts)
-	}
-	if res.Ranks[1].Degraded {
-		t.Fatal("recovered worker marked degraded")
-	}
-	if res.Ranks[1].ExitCode != ExitOK {
-		t.Fatalf("worker final exit %d", res.Ranks[1].ExitCode)
-	}
-	if _, err := os.Stat(marker); err != nil {
-		t.Fatalf("restart never happened: %v", err)
-	}
-}
-
-func TestRunPerRankDegradesAfterBudget(t *testing.T) {
-	specs := []Spec{
-		sh(0, "sleep 1.0; exit 0"),
-		sh(1, "exit 1"), // always fails
-	}
-	pol := fastPolicy()
-	pol.MaxRestartsPerRank = 2
-	s := New(specs, pol)
-	res, err := s.RunPerRank(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks[1].Restarts != 2 {
-		t.Fatalf("worker restarts = %d, want 2 (the budget)", res.Ranks[1].Restarts)
-	}
 	if !res.Ranks[1].Degraded {
-		t.Fatal("budget-exhausted worker not marked degraded")
+		t.Fatal("failed worker not marked degraded")
+	}
+	if res.Ranks[1].ExitCode != ExitFailure {
+		t.Fatalf("worker exit %d, want %d", res.Ranks[1].ExitCode, ExitFailure)
 	}
 	if res.Ranks[0].Degraded {
 		t.Fatal("coordinator marked degraded")
+	}
+	blob, err := os.ReadFile(starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(blob), "start"); n != 1 {
+		t.Fatalf("worker started %d times, want 1", n)
 	}
 }
 
@@ -108,8 +92,8 @@ func TestRunPerRankCanceledWorkerNotRestarted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ranks[1].Restarts != 0 {
-		t.Fatalf("canceled worker restarted %d times", res.Ranks[1].Restarts)
+	if res.Ranks[1].Degraded {
+		t.Fatal("canceled worker marked degraded")
 	}
 	if res.Ranks[1].ExitCode != ExitCanceled {
 		t.Fatalf("worker exit %d, want %d", res.Ranks[1].ExitCode, ExitCanceled)
@@ -242,7 +226,7 @@ func TestRunGangCancellationIsNotFailure(t *testing.T) {
 }
 
 func TestBackoffBoundedWithJitter(t *testing.T) {
-	pol := Policy{}.withDefaults(4)
+	pol := Policy{}.withDefaults()
 	rng := rand.New(rand.NewSource(1))
 	for attempt := 1; attempt <= 10; attempt++ {
 		d := pol.backoff(attempt, rng)
@@ -257,24 +241,6 @@ func TestBackoffBoundedWithJitter(t *testing.T) {
 	// 1's ceiling.
 	if floor, ceil := pol.BackoffBase*8/2, pol.BackoffBase; floor <= ceil {
 		t.Fatalf("backoff schedule does not grow: floor(4)=%v ceil(1)=%v", floor, ceil)
-	}
-}
-
-func TestStormDetector(t *testing.T) {
-	sd := &stormDetector{window: time.Minute, threshold: 3}
-	now := time.Now()
-	if sd.add(now) || sd.add(now.Add(time.Second)) {
-		t.Fatal("storm before threshold")
-	}
-	if !sd.add(now.Add(2 * time.Second)) {
-		t.Fatal("no storm at threshold")
-	}
-	// Old restarts age out of the window.
-	sd2 := &stormDetector{window: time.Minute, threshold: 3}
-	sd2.add(now.Add(-2 * time.Minute))
-	sd2.add(now.Add(-90 * time.Second))
-	if sd2.add(now) {
-		t.Fatal("aged-out restarts still counted")
 	}
 }
 

@@ -110,47 +110,6 @@ func TestDebugVarsSnapshot(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAlgebra checks the merge laws the cluster roll-up
-// leans on: commutativity, associativity, and agreement with a single
-// histogram that observed every value — quantiles included, since they
-// are recomputed from the exact merged buckets.
-func TestHistogramMergeAlgebra(t *testing.T) {
-	sets := [][]time.Duration{
-		{5 * time.Microsecond, 3 * time.Millisecond, 3 * time.Millisecond},
-		{40 * time.Millisecond, 2 * time.Second},
-		{time.Hour, 700 * time.Nanosecond, 90 * time.Millisecond},
-	}
-	snaps := make([]HistogramSnapshot, len(sets))
-	all := New().Histogram("all")
-	for i, ds := range sets {
-		h := New().Histogram("part")
-		for _, d := range ds {
-			h.Observe(d)
-			all.Observe(d)
-		}
-		reg := h.r.Snapshot()
-		snaps[i] = reg.Histograms["part"]
-	}
-	a, b, c := snaps[0], snaps[1], snaps[2]
-
-	ab, ba := a.Merge(b), b.Merge(a)
-	if !reflect.DeepEqual(ab, ba) {
-		t.Fatalf("merge not commutative:\n a·b %+v\n b·a %+v", ab, ba)
-	}
-	left, right := a.Merge(b).Merge(c), a.Merge(b.Merge(c))
-	if !reflect.DeepEqual(left, right) {
-		t.Fatalf("merge not associative:\n (a·b)·c %+v\n a·(b·c) %+v", left, right)
-	}
-	want := all.r.Snapshot().Histograms["all"]
-	if !reflect.DeepEqual(left, want) {
-		t.Fatalf("merged parts differ from one histogram over all values:\n got %+v\nwant %+v",
-			left, want)
-	}
-	if left.P99Ns == 0 || left.P50Ns > left.P99Ns {
-		t.Fatalf("merged quantiles implausible: p50=%d p99=%d", left.P50Ns, left.P99Ns)
-	}
-}
-
 // TestWriteClusterPrometheus checks the merged exposition: one # TYPE
 // line per metric name, every snapshot's sample present under its own
 // labels, names in lexical order.

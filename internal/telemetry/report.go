@@ -86,31 +86,26 @@ func BusyImbalance(ranks []RankReport) float64 {
 // SupervisionRank is one supervised rank process's lifecycle roll-up.
 type SupervisionRank struct {
 	Rank int `json:"rank"`
-	// Restarts is how many times the supervisor relaunched this rank.
-	Restarts int `json:"restarts"`
-	// Degraded marks a rank whose restart budget ran out; the run
-	// continued without it (the synthesis re-striped its files).
+	// Degraded marks a synthesis worker that failed; the run continued
+	// without it (the survivors re-striped its files).
 	Degraded bool `json:"degraded,omitempty"`
 	// PeakRSSKiB is the maximum resident set size across the rank's
-	// incarnations, in KiB.
+	// processes (one per gang attempt), in KiB.
 	PeakRSSKiB int64 `json:"peak_rss_kib,omitempty"`
-	// ExitCode is the final incarnation's exit code.
+	// ExitCode is the last process's exit code.
 	ExitCode int `json:"exit_code"`
 }
 
 // SupervisionReport summarizes what a supervisor (cmd/netlaunch) did to
-// keep a multi-process run alive: restarts, gang relaunches, storms,
-// and which ranks the run ultimately gave up on.
+// keep a multi-process run alive: gang relaunches, and which ranks the
+// run gave up on.
 type SupervisionReport struct {
 	// Mode is the supervision strategy: "gang" (simulation phase,
-	// restart everyone with -resume) or "per-rank" (synthesis phase,
-	// claim-token rejoin).
+	// relaunch everyone with -resume) or "per-rank" (synthesis phase,
+	// failed workers degrade and the survivors re-stripe).
 	Mode string `json:"mode"`
 	// GangRestarts counts whole-gang relaunches (gang mode only).
 	GangRestarts int `json:"gang_restarts,omitempty"`
-	// Storm marks a restart storm: the supervisor stopped restarting
-	// and let the run degrade.
-	Storm bool `json:"storm,omitempty"`
 	// WallNs is the phase's wall clock under supervision.
 	WallNs int64 `json:"wall_ns"`
 	// Ranks holds the per-rank lifecycle roll-ups.
@@ -129,7 +124,7 @@ type Report struct {
 	// Ranks holds the per-rank roll-ups.
 	Ranks []RankReport `json:"ranks,omitempty"`
 	// Supervision, when present, summarizes the process supervision a
-	// launcher applied to the run (restarts, storms, degraded ranks).
+	// launcher applied to the run (gang relaunches, degraded ranks).
 	Supervision []SupervisionReport `json:"supervision,omitempty"`
 	// Metrics is the full registry snapshot at report time.
 	Metrics Snapshot `json:"metrics"`
@@ -226,20 +221,17 @@ func (rep *Report) Render(w io.Writer) error {
 		if sup.GangRestarts > 0 {
 			fmt.Fprintf(w, ", %d gang restart(s)", sup.GangRestarts)
 		}
-		if sup.Storm {
-			fmt.Fprintf(w, ", restart storm")
-		}
 		fmt.Fprintln(w)
 		if len(sup.Ranks) > 0 {
 			tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-			fmt.Fprintf(tw, "rank\trestarts\tdegraded\tpeak rss\texit\n")
+			fmt.Fprintf(tw, "rank\tdegraded\tpeak rss\texit\n")
 			for _, r := range sup.Ranks {
 				deg := "-"
 				if r.Degraded {
 					deg = "yes"
 				}
-				fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%d\n",
-					r.Rank, r.Restarts, deg, fmtKiB(r.PeakRSSKiB), r.ExitCode)
+				fmt.Fprintf(tw, "%d\t%s\t%s\t%d\n",
+					r.Rank, deg, fmtKiB(r.PeakRSSKiB), r.ExitCode)
 			}
 			if err := tw.Flush(); err != nil {
 				return err

@@ -284,10 +284,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(quantileFromBuckets(counts[:], h.count.Load(), q))
 }
 
-// quantileFromBuckets is the shared quantile estimator over a per-bucket
-// (non-cumulative) count slice — the same math backs live Histograms and
-// merged HistogramSnapshots, so a cluster roll-up reports quantiles the
-// way any single rank would.
+// quantileFromBuckets is Histogram.Quantile's estimator over a
+// per-bucket (non-cumulative) count slice.
 func quantileFromBuckets(counts []int64, total int64, q float64) int64 {
 	if total == 0 {
 		return 0
@@ -411,82 +409,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// Merge combines two histogram snapshots by element-wise bucket
-// addition and recomputes the quantiles from the merged buckets. The
-// bucket boundaries are fixed (BucketBound), so the merge is exact:
-// associative, commutative, and identical to having observed both
-// series into one histogram. Short or missing bucket slices (e.g. a
-// snapshot decoded from an older producer) are treated as zeros.
-func (h HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	m := HistogramSnapshot{
-		Count:        h.Count + o.Count,
-		SumNs:        h.SumNs + o.SumNs,
-		BucketCounts: make([]int64, NumBuckets+1),
-	}
-	for i := range m.BucketCounts {
-		if i < len(h.BucketCounts) {
-			m.BucketCounts[i] += h.BucketCounts[i]
-		}
-		if i < len(o.BucketCounts) {
-			m.BucketCounts[i] += o.BucketCounts[i]
-		}
-	}
-	m.P50Ns = quantileFromBuckets(m.BucketCounts, m.Count, 0.50)
-	m.P95Ns = quantileFromBuckets(m.BucketCounts, m.Count, 0.95)
-	m.P99Ns = quantileFromBuckets(m.BucketCounts, m.Count, 0.99)
-	return m
-}
-
-// Merge combines two registry snapshots: counters and gauges add,
-// histograms merge bucket-exactly. Neither input is mutated. Adding
-// gauges is the useful cluster semantic (armed fault points, staleness
-// milliseconds summed across ranks are still inspectable per rank on
-// the labeled exposition).
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	m := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)+len(o.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)+len(o.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)+len(o.Histograms)),
-	}
-	for k, v := range s.Counters {
-		m.Counters[k] = v
-	}
-	for k, v := range o.Counters {
-		m.Counters[k] += v
-	}
-	for k, v := range s.Gauges {
-		m.Gauges[k] = v
-	}
-	for k, v := range o.Gauges {
-		m.Gauges[k] += v
-	}
-	for k, v := range s.Histograms {
-		m.Histograms[k] = v.Merge(HistogramSnapshot{})
-	}
-	for k, v := range o.Histograms {
-		if prev, ok := m.Histograms[k]; ok {
-			m.Histograms[k] = prev.Merge(v)
-		} else {
-			m.Histograms[k] = HistogramSnapshot{}.Merge(v)
-		}
-	}
-	return m
-}
-
-// MergeSnapshots folds any number of snapshots into one (the netlaunch
-// cluster roll-up). Zero inputs yield an empty, non-nil-map snapshot.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	m := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	for _, s := range snaps {
-		m = m.Merge(s)
-	}
-	return m
 }
 
 // sortedKeys returns the map's keys in lexical order — the exposition

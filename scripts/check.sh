@@ -243,9 +243,10 @@ fi
 # restart with -resume replays the logs, and the synthesized network
 # must not betray that anything happened. The baseline's bytes are also
 # pinned to recorded cksums. A third run kills rank 2 as the synthesis
-# phase starts: it must be restarted once, rejoin with its claim token,
-# and the gathered partials must reproduce the pinned bytes. Skip with
-# SUPSMOKE=0.
+# phase starts: nothing restarts it, so it must be reported as degraded
+# rank 2, and the survivors' re-striped partials must reproduce the
+# pinned bytes. The kill usually lands before rank 2 joins, so this run
+# waits out the coordinator's 15 s join window. Skip with SUPSMOKE=0.
 if [ "${SUPSMOKE:-1}" = "1" ]; then
 	echo "== supervised smoke (netlaunch 4 ranks; kill -9 mid-sim -> identical hashes)"
 	sup_dir=$(mktemp -d)
@@ -289,8 +290,8 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		-kill-rank 2 -kill-after 0s -kill-phase synth)
 	synth_hash=$(cksum "$sup_dir/synth/network.tsv" | cut -d' ' -f1-2)
 	synth_snap=$(cksum "$sup_dir/synth/network.gsnap" | cut -d' ' -f1-2)
-	if ! printf '%s\n' "$synth_log" | grep -qF '(1 restart(s)'; then
-		echo "FAIL: synthesis kill was not recovered by exactly one restart"
+	if ! printf '%s\n' "$synth_log" | grep -qF 'degraded ranks [2]'; then
+		echo "FAIL: synthesis kill did not degrade exactly rank 2"
 		printf '%s\n' "$synth_log" | grep 'synthesis phase' || true
 		rm -rf "$sup_dir"
 		exit 1
@@ -302,7 +303,7 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		rm -rf "$sup_dir"
 		exit 1
 	fi
-	echo "synthesis kill recovered by one restart; edge list and snapshot match the pins"
+	echo "synthesis kill re-striped over the survivors; edge list and snapshot match the pins"
 	# The network is the same under any place assignment
 	# (TestLogIndependentOfAssignment), so the pins above cannot see a
 	# drifted partition; the per-rank logs can. Recorded at commit 255b8de.
