@@ -54,7 +54,7 @@ func main() {
 	snapshot := flag.String("snapshot", "", "binary .gsnap snapshot path (default workdir/network.gsnap)")
 	chisimBin := flag.String("chisim", "", "chisim binary (default: next to this executable, else $PATH)")
 	netsynthBin := flag.String("netsynth", "", "netsynth binary (default: next to this executable, else $PATH)")
-	maxRestarts := flag.Int("max-restarts", 3, "gang relaunch budget of the simulation phase; negative disables relaunches (synthesis ranks are never restarted)")
+	maxRestarts := flag.Int("max-restarts", 3, "budget of gang relaunches in the simulation phase; negative disables them (synthesis ranks are never restarted)")
 	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "first gang relaunch delay (doubles per attempt, full jitter)")
 	backoffCap := flag.Duration("backoff-cap", 5*time.Second, "gang relaunch delay cap")
 	roundTimeout := flag.Duration("round-timeout", 0, "per-collective deadline: declare the slowest rank failed when a round stalls this long (0 = off)")
@@ -120,9 +120,9 @@ func main() {
 		// children as a cooperative drain: they exit ExitCanceled.
 		chaos := &chaosKiller{phase: *killPhase, rank: *killRank, after: *killAfter}
 		pol := supervise.Policy{
-			MaxRestartsPerRank: *maxRestarts,
-			BackoffBase:        *backoffBase,
-			BackoffCap:         *backoffCap,
+			MaxRelaunches: *maxRestarts,
+			BackoffBase:   *backoffBase,
+			BackoffCap:    *backoffCap,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "netlaunch: "+format+"\n", args...)
 			},

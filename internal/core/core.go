@@ -323,7 +323,7 @@ func SynthesizeEntries(ctx context.Context, entries []eventlog.Entry, t0, t1 uin
 		return nil, nil, err
 	}
 	bufs := make([]sparse.Pairs, cfg.workers())
-	stats, err := synthesizeParts(ctx, entries, t0, t1, cfg, bufs)
+	stats, err := synthesizeParts(ctx, heldView(entries), t0, t1, cfg, bufs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,15 +343,16 @@ func reduce(ctx context.Context, workers int, bufs []sparse.Pairs, st *Stats) *s
 	return net
 }
 
-// synthesizeParts runs stages 1b–4 of the synthesis for one batch of
-// log entries: stage-4 worker w appends its raw pair entries, uncoalesced,
-// to bufs[w], which the caller owns (len(bufs) is the worker count).
+// synthesizeParts runs stages 1b–4 of the synthesis over the entries of
+// one held segment: stage-4 worker w appends its raw pair entries,
+// uncoalesced, to bufs[w], which the caller owns (len(bufs) is the
+// worker count).
 // A caller gives each worker slot one buffer per window, has every batch
 // of the window — each segment, and under a budget each place-complete
 // group — append to the same set, and reduces the window once with
 // reduce (SynthesizeEntries, windowAccumulator.Advance): one
 // row-sharded pass, never a merge of per-batch matrices.
-func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint32, cfg Config, bufs []sparse.Pairs) (*Stats, error) {
+func synthesizeParts(ctx context.Context, seg *held, t0, t1 uint32, cfg Config, bufs []sparse.Pairs) (*Stats, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("core: empty time slice [%d,%d)", t0, t1)
 	}
@@ -362,8 +363,8 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 
 	// Stage 1b: sub-set to the slice and group by place. One sort of
 	// place<<32|index keys orders the kept entries by place, each place's
-	// in arrival order, and the per-place buckets are sub-slices of one
-	// backing array in that order.
+	// in arrival order; a place is a run of the sorted keys, and stage 2
+	// reads its entries from where the segment holds them.
 	//
 	// Each stage is measured through a telemetry span; Stats reads the
 	// span walls, so the per-run Stats and the registry's cumulative
@@ -372,30 +373,31 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 	// Counted first: a streamed window keeps only a fraction of the
 	// resident entries.
 	kept := 0
-	for _, e := range entries {
-		if e.Start < t1 && e.Stop > t0 {
-			kept++
+	for _, b := range seg.blocks {
+		for _, e := range b {
+			if e.Start < t1 && e.Stop > t0 {
+				kept++
+			}
 		}
 	}
 	keys := make([]uint64, 0, kept)
-	for i, e := range entries {
-		if e.Start < t1 && e.Stop > t0 {
-			keys = append(keys, uint64(e.Place)<<32|uint64(i))
+	for k, b := range seg.blocks {
+		base := uint64(k) << heldShift
+		for i, e := range b {
+			if e.Start < t1 && e.Stop > t0 {
+				keys = append(keys, uint64(e.Place)<<32|base|uint64(i))
+			}
 		}
 	}
 	keys = sortPlaceKeys(keys, make([]uint64, len(keys)))
 	stats.Entries = len(keys)
-	backing := make([]eventlog.Entry, len(keys))
-	var buckets [][]eventlog.Entry // one place's entries each, in place order
-	start := 0
-	for k, key := range keys {
-		backing[k] = entries[uint32(key)]
-		if k+1 == len(keys) || key>>32 != keys[k+1]>>32 {
-			buckets = append(buckets, backing[start:k+1:k+1])
-			start = k + 1
+	bounds := []int32{0} // place i is keys[bounds[i]:bounds[i+1]]
+	for k := range keys {
+		if k+1 == len(keys) || keys[k]>>32 != keys[k+1]>>32 {
+			bounds = append(bounds, int32(k+1))
 		}
 	}
-	stats.Places = len(buckets)
+	stats.Places = len(bounds) - 1
 	spLoad.AddCount(int64(stats.Entries))
 	stats.Load = spLoad.End()
 	mEntries.Add(int64(stats.Entries))
@@ -403,7 +405,7 @@ func synthesizeParts(ctx context.Context, entries []eventlog.Entry, t0, t1 uint3
 
 	// Stage 2: per-place collocation matrices, built in parallel.
 	_, spBuild := telemetry.StartSpan(ctx, "synth/build")
-	mats, err := buildCollocationMatrices(ctx, buckets, t0, t1, cfg.workers())
+	mats, err := buildCollocationMatrices(ctx, seg, keys, bounds, t0, t1, cfg.workers())
 	if err != nil {
 		spBuild.End()
 		return nil, err
@@ -526,12 +528,13 @@ type placeMatrix struct {
 }
 
 // buildCollocationMatrices runs stage 2 with a bounded worker pool over
-// the per-place entry buckets (buckets[i] holds one place's entries).
+// the places: place i's entries are seg's entries at the indexes in the
+// low halves of keys[bounds[i]:bounds[i+1]].
 // Cancellation is observed between places: on a dead ctx the pool stops
 // handing out work, the matrices built so far are recycled, and a
 // wrapped cancellation error is returned.
-func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, t0, t1 uint32, workers int) ([]placeMatrix, error) {
-	mats := make([]placeMatrix, len(buckets))
+func buildCollocationMatrices(ctx context.Context, seg *held, keys []uint64, bounds []int32, t0, t1 uint32, workers int) ([]placeMatrix, error) {
+	mats := make([]placeMatrix, len(bounds)-1)
 	var canceled atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -539,6 +542,7 @@ func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, t
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var place []eventlog.Entry // the place's entries, gathered
 			for {
 				if canceled.Load() {
 					return
@@ -548,11 +552,19 @@ func buildCollocationMatrices(ctx context.Context, buckets [][]eventlog.Entry, t
 					return
 				}
 				i := int(next.Add(1) - 1)
-				if i >= len(buckets) {
+				if i >= len(mats) {
 					return
 				}
+				// The entries sit scattered over the segment. A loop that
+				// only loads them keeps many loads in flight at once,
+				// where loading each inside the row updates below would
+				// wait for every one in turn.
+				place = place[:0]
+				for _, key := range keys[bounds[i]:bounds[i+1]] {
+					place = append(place, seg.at(uint32(key)))
+				}
 				bm := sparse.GetBitMatrix(int(t1 - t0))
-				for _, e := range buckets[i] {
+				for _, e := range place {
 					lo, hi := e.Start, e.Stop
 					if lo < t0 {
 						lo = t0

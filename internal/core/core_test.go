@@ -68,8 +68,13 @@ func randomTown(seed uint64, n, persons, places int) []eventlog.Entry {
 }
 
 func TestSynthesizeMatchesBruteForce(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
+	for seed := uint64(0); seed < 11; seed++ {
 		entries := randomEntries(seed, 120)
+		if seed == 10 {
+			// Over two held blocks, so places gather entries from
+			// several.
+			entries = randomTown(seed, 2*heldBlock+7, 300, 40)
+		}
 		tri, stats, err := SynthesizeEntries(context.Background(), entries, 0, 48, Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -71,21 +71,20 @@ var (
 type windowAccumulator struct {
 	cfg                Config
 	decayNum, decayDen uint64
-	segs               [][]eventlog.Entry // resident entries per segment
-	buffered           int                // resident entries across all segments
-	net                *sparse.Tri        // running decayed network; nil before the first Advance
-	frontier           uint32             // end of the last advanced window
+	segs               []held      // resident entries per segment
+	buffered           int         // resident entries across all segments
+	net                *sparse.Tri // running decayed network; nil before the first Advance
+	frontier           uint32      // end of the last advanced window
 	late               uint64
 
 	// The spill tier; groupBytes is zero without a budget and nothing
 	// below is ever touched.
-	groupBytes   int64            // resident bytes that trigger a spill, and the size of a merged-back group
-	spillDir     string           // created by the first spill, removed by Close
-	runs         []run            // spilled runs the next Advance merges back
-	written      int              // runs written so far; names the next run file
-	spilledBytes uint64           // run file bytes written since the last Advance
-	spillWall    time.Duration    // wall spent writing them
-	spare        []eventlog.Entry // largest buffer the last spill emptied, for the next segment to fill
+	groupBytes   int64         // resident bytes that trigger a spill, and the size of a merged-back group
+	spillDir     string        // created by the first spill, removed by Close
+	runs         []run         // spilled runs the next Advance merges back
+	written      int           // runs written so far; names the next run file
+	spilledBytes uint64        // run file bytes written since the last Advance
+	spillWall    time.Duration // wall spent writing them
 }
 
 // run is one spilled run: a segment's resident entries at the moment of
@@ -130,15 +129,16 @@ func newWindowAccumulator(segments int, decayNum, decayDen uint64, cfg Config) (
 		cfg:      cfg,
 		decayNum: decayNum,
 		decayDen: decayDen,
-		segs:     make([][]eventlog.Entry, segments),
+		segs:     make([]held, segments),
 	}
 	if cfg.MemBudgetBytes > 0 {
 		// An eighth of the budget: a closing window holds a group, the
-		// kernel's per-place copy of it and the entries carried over to
-		// the next window at once, besides whatever arrived since — half
-		// the budget in entries. The other half is for what rides on top:
-		// collocation bitsets, clique compressions, raw pair entries, the
-		// merge's one chunk per run, and the collector's slack.
+		// kernel's place keys for it (at most 16 B per entry, while they
+		// sort) and the entries carried over to the next window at once,
+		// besides whatever arrived since — at most half the budget. The
+		// other half is for what rides on top: collocation bitsets,
+		// clique compressions, raw pair entries, the merge's one chunk
+		// per run, and the collector's slack.
 		a.groupBytes = max(cfg.MemBudgetBytes/8, eventlog.BaseEntrySize)
 	}
 	return a, nil
@@ -169,15 +169,14 @@ func (a *windowAccumulator) Ingest(seg int, batch []eventlog.Entry) error {
 	return a.hold(seg, batch)
 }
 
-// hold appends a copy of entries to segment seg's resident buffer —
-// fresh from a source or carried over from a closed window alike — and,
-// under a budget, spills the resident set once it outgrows its share.
-func (a *windowAccumulator) hold(seg int, entries []eventlog.Entry) error {
-	if a.segs[seg] == nil {
-		a.segs[seg], a.spare = a.spare, nil
+// hold appends copies of batches to segment seg's held entries — fresh
+// from a source or carried over from a closed window alike — and, under
+// a budget, spills the resident set once it outgrows its share.
+func (a *windowAccumulator) hold(seg int, batches ...[]eventlog.Entry) error {
+	for _, b := range batches {
+		a.segs[seg].append(b)
+		a.buffered += len(b)
 	}
-	a.segs[seg] = append(a.segs[seg], entries...)
-	a.buffered += len(entries)
 	mStreamBuffered.Set(int64(a.buffered))
 	if a.groupBytes > 0 && int64(a.buffered)*eventlog.BaseEntrySize > a.groupBytes {
 		return a.spill()
@@ -185,11 +184,8 @@ func (a *windowAccumulator) hold(seg int, entries []eventlog.Entry) error {
 	return nil
 }
 
-// spill writes every resident segment buffer out as one place-sorted
-// run and releases it — all but the largest, which the next segment to
-// receive entries fills again (Stream pulls one source at a time, so
-// that is usually the only one of any size, and reusing it spares
-// regrowing a buffer per spill).
+// spill writes every resident segment out as one place-sorted run and
+// releases it.
 func (a *windowAccumulator) spill() error {
 	start := time.Now()
 	if a.spillDir == "" {
@@ -200,23 +196,21 @@ func (a *windowAccumulator) spill() error {
 		a.spillDir = dir
 	}
 	var size int64
-	for seg, entries := range a.segs {
-		if len(entries) == 0 {
+	for seg := range a.segs {
+		h := &a.segs[seg]
+		if h.n == 0 {
 			continue
 		}
 		path := filepath.Join(a.spillDir, fmt.Sprintf("run%06d.h5l", a.written))
 		a.written++
-		if err := writeRun(path, entries); err != nil {
+		if err := writeRun(path, h); err != nil {
 			return fmt.Errorf("core: spill run: %w", err)
 		}
 		if fi, err := os.Stat(path); err == nil {
 			size += fi.Size()
 		}
 		a.runs = append(a.runs, run{path: path, seg: seg})
-		if cap(entries) > cap(a.spare) {
-			a.spare = entries[:0]
-		}
-		a.segs[seg] = nil
+		*h = held{}
 	}
 	a.buffered = 0
 	mStreamBuffered.Set(0)
@@ -228,13 +222,16 @@ func (a *windowAccumulator) spill() error {
 	return nil
 }
 
-// writeRun writes entries to a new run file at path in place order.
-// Sorting place<<32|index keys instead of the 20-byte entries keeps the
-// sort cheap and each place's entries in arrival order.
-func writeRun(path string, entries []eventlog.Entry) error {
-	keys := make([]uint64, len(entries))
-	for i, e := range entries {
-		keys[i] = uint64(e.Place)<<32 | uint64(i)
+// writeRun writes a segment's entries to a new run file at path in
+// place order. Sorting place<<32|index keys instead of the 20-byte
+// entries keeps the sort cheap and each place's entries in arrival
+// order.
+func writeRun(path string, h *held) error {
+	keys := make([]uint64, 0, h.n)
+	for k, b := range h.blocks {
+		for i, e := range b {
+			keys = append(keys, uint64(e.Place)<<32|uint64(k)<<heldShift|uint64(i))
+		}
 	}
 	keys = sortPlaceKeys(keys, make([]uint64, len(keys)))
 	w, err := eventlog.Create(path, eventlog.Config{CacheEntries: spillChunkEntries, DisableChecksums: true})
@@ -242,7 +239,7 @@ func writeRun(path string, entries []eventlog.Entry) error {
 		return err
 	}
 	for _, k := range keys {
-		if err := w.Log(entries[uint32(k)]); err != nil {
+		if err := w.Log(h.at(uint32(k))); err != nil {
 			w.Close()
 			return err
 		}
@@ -259,15 +256,14 @@ func writeRun(path string, entries []eventlog.Entry) error {
 // run in turn yields that place's entries whole, per segment and in
 // arrival order — cutting a group whenever groupBytes have gathered.
 // Each gather is one synth/spill span, charged to agg.Spill.
-func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group [][]eventlog.Entry) error) error {
+func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group []held) error) error {
 	if len(a.runs) > 0 {
 		if err := a.spill(); err != nil {
 			return err
 		}
 	}
 	runs, group := a.runs, a.segs
-	a.runs, a.segs, a.buffered = nil, make([][]eventlog.Entry, len(group)), 0
-	a.spare = nil // a closing window needs the memory more than the next spill does
+	a.runs, a.segs, a.buffered = nil, make([]held, len(group)), 0
 	agg.SpilledBytes, agg.Spill = a.spilledBytes, a.spillWall
 	a.spilledBytes, a.spillWall = 0, 0
 	if len(runs) == 0 {
@@ -324,7 +320,7 @@ func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 					for n < len(r.rest) && r.rest[n].Place == place {
 						n++
 					}
-					group[r.seg] = append(group[r.seg], r.rest[:n]...)
+					group[r.seg].append(r.rest[:n])
 					size += int64(n) * eventlog.BaseEntrySize
 					if r.rest = r.rest[n:]; len(r.rest) == 0 {
 						if err := refill(r); err != nil {
@@ -344,7 +340,7 @@ func (a *windowAccumulator) drain(ctx context.Context, agg *Stats, fn func(group
 			return err
 		}
 		for seg := range group {
-			group[seg] = group[seg][:0]
+			group[seg].reset()
 		}
 	}
 	return nil
@@ -371,12 +367,12 @@ func (a *windowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 	// pages are filled up by the next group instead of each keeping a
 	// mostly empty page of its own.
 	bufs := make([]sparse.Pairs, a.cfg.workers())
-	err := a.drain(ctx, agg, func(group [][]eventlog.Entry) error {
-		for seg, entries := range group {
-			if len(entries) == 0 {
+	err := a.drain(ctx, agg, func(group []held) error {
+		for seg := range group {
+			if group[seg].n == 0 {
 				continue
 			}
-			stats, err := synthesizeParts(ctx, entries, w0, w1, a.cfg, bufs)
+			stats, err := synthesizeParts(ctx, &group[seg], w0, w1, a.cfg, bufs)
 			if err != nil {
 				return fmt.Errorf("core: window [%d,%d) segment %d: %w", w0, w1, seg, err)
 			}
@@ -384,15 +380,21 @@ func (a *windowAccumulator) Advance(ctx context.Context, w0, w1 uint32) (*sparse
 		}
 		// Entries that stopped at or before w1 are dropped: no window
 		// [w1, ∞) can overlap them. This eviction is what bounds a
-		// stream's resident set by the window+horizon span.
-		for seg, entries := range group {
-			kept := entries[:0]
-			for _, e := range entries {
-				if e.Stop > w1 {
-					kept = append(kept, e)
+		// stream's resident set by the window+horizon span. The group is
+		// done with, so each block is filtered in place and the kept
+		// entries are copied into the segment's fresh blocks.
+		for seg := range group {
+			blocks := group[seg].blocks
+			for k, b := range blocks {
+				kept := b[:0]
+				for _, e := range b {
+					if e.Stop > w1 {
+						kept = append(kept, e)
+					}
 				}
+				blocks[k] = kept
 			}
-			if err := a.hold(seg, kept); err != nil {
+			if err := a.hold(seg, blocks...); err != nil {
 				return err
 			}
 		}

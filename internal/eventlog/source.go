@@ -92,12 +92,14 @@ func (s *sliceSource) Close() error {
 // chunkCursor decodes the chunks of an h5 reader in order into batches
 // of the entries that overlap [t0, t1). It is the one decoder behind
 // every file-backed source: peak memory is one chunk payload plus one
-// decoded batch, independent of the file size.
+// decoded batch, independent of the file size, and both buffers are
+// reused from chunk to chunk.
 type chunkCursor struct {
-	rd     *h5.Reader
-	t0, t1 uint32
-	chunk  int // next chunk to decode
-	buf    []Entry
+	rd      *h5.Reader
+	t0, t1  uint32
+	chunk   int    // next chunk to decode
+	payload []byte // the last chunk's payload; its buffer is reused for the next
+	buf     []Entry
 }
 
 // next returns the next non-empty batch, or io.EOF once rd's chunks are
@@ -105,10 +107,11 @@ type chunkCursor struct {
 func (c *chunkCursor) next() ([]Entry, error) {
 	rec := c.rd.Schema().RecordSize
 	for c.chunk < c.rd.NumChunks() {
-		payload, err := c.rd.ReadChunk(c.chunk)
+		payload, err := c.rd.ReadChunk(c.chunk, c.payload[:0])
 		if err != nil {
 			return nil, err
 		}
+		c.payload = payload
 		c.chunk++
 		c.buf = c.buf[:0]
 		for off := 0; off < len(payload); off += rec {

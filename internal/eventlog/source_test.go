@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -203,5 +205,50 @@ func TestReadAllDoesNotOverAllocate(t *testing.T) {
 	if cap(got) >= n/4 {
 		t.Fatalf("slice of %d entries allocated capacity %d (file has %d): over-allocation",
 			len(got), cap(got), n)
+	}
+}
+
+// TestOpenSourceReusesChunkPayload: a file source decodes every chunk
+// into the one payload buffer of the first, so draining a 10-chunk log
+// allocates about what draining its first chunk alone does — not nine
+// more payloads — under plain and deflate flags, and still returns every
+// logged entry.
+func TestOpenSourceReusesChunkPayload(t *testing.T) {
+	const chunk = 4096
+	entries := sourceTestEntries(10*chunk, 168)
+	for _, cfg := range []Config{{CacheEntries: chunk}, {CacheEntries: chunk, Compress: true}} {
+		ten := writeSourceLog(t, entries, cfg)
+		one := writeSourceLog(t, entries[:chunk], cfg)
+		// allocated returns the bytes draining path allocates.
+		allocated := func(path string) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			src, err := OpenSource(path, 0, ^uint32(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := src.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			src.Close()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		payload := uint64(chunk * BaseEntrySize)
+		if a1, a10 := allocated(one), allocated(ten); a10 > a1+payload/2 {
+			t.Fatalf("compress %v: 10 chunks allocate %d bytes, 1 chunk %d: more than one %d-byte payload apart",
+				cfg.Compress, a10, a1, payload)
+		}
+		src, err := OpenSource(ten, 0, ^uint32(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, src); !slices.Equal(got, entries) {
+			t.Fatalf("compress %v: entries read back differ from those logged", cfg.Compress)
+		}
 	}
 }

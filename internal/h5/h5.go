@@ -41,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
@@ -305,6 +306,9 @@ func (w *Writer) writeFooter() error {
 }
 
 // Reader provides indexed and sequential access to an H5-lite file.
+//
+// A Reader is not safe for concurrent use: on deflate files ReadChunk
+// reuses the Reader's one inflater.
 type Reader struct {
 	r        io.ReaderAt
 	closer   io.Closer
@@ -313,6 +317,11 @@ type Reader struct {
 	index    []chunkMeta
 	compress bool
 	crc      bool
+
+	// The inflater ReadChunk resets for every deflate chunk, made by the
+	// first one: fr reads from stored.
+	stored bytes.Reader
+	fr     io.ReadCloser
 }
 
 // Open opens path for reading.
@@ -517,15 +526,27 @@ func (r *Reader) NumRecords() uint64 {
 // ChunkRecords returns the record count of chunk i.
 func (r *Reader) ChunkRecords(i int) int { return int(r.index[i].records) }
 
-// ReadChunk returns the decompressed payload of chunk i — the
-// index-based random access that motivated the paper's HDF5 choice.
-func (r *Reader) ReadChunk(i int) ([]byte, error) {
+// ReadChunk appends the decompressed payload of chunk i to dst and
+// returns the extended slice — the index-based random access that
+// motivated the paper's HDF5 choice. A caller that reads chunk after
+// chunk passes its last payload's buffer as dst[:0] and allocates
+// nothing once the buffer has grown to a chunk; a caller that keeps
+// payloads passes nil. On deflate files the stored bytes are staged in
+// dst's capacity past the payload, so one buffer serves both.
+func (r *Reader) ReadChunk(i int, dst []byte) ([]byte, error) {
 	if i < 0 || i >= len(r.index) {
 		return nil, fmt.Errorf("h5: chunk %d out of range [0,%d)", i, len(r.index))
 	}
 	c := r.index[i]
+	raw := 0 // room for the inflated payload ahead of the stored bytes
+	if r.compress {
+		raw = int(c.rawLen)
+	}
 	// The CRC trailer sits right after the payload: one read takes both.
-	stored := make([]byte, chunkStride(c.compLen, r.flags)-chunkHdrSize)
+	n := len(dst)
+	need := raw + int(chunkStride(c.compLen, r.flags)-chunkHdrSize)
+	dst = slices.Grow(dst, need)
+	stored := dst[n+raw : n+need]
 	if _, err := r.r.ReadAt(stored, int64(c.offset)); err != nil {
 		return nil, err
 	}
@@ -538,25 +559,28 @@ func (r *Reader) ReadChunk(i int) ([]byte, error) {
 	mChunksRead.Inc()
 	mBytesRead.Add(int64(c.compLen))
 	if !r.compress {
-		if uint32(len(stored)) != c.rawLen {
+		if c.compLen != c.rawLen {
 			return nil, fmt.Errorf("%w: chunk %d length mismatch", ErrCorrupt, i)
 		}
-		return stored, nil
+		return dst[:n+int(c.compLen)], nil
 	}
-	fr := flate.NewReader(bytes.NewReader(stored))
-	defer fr.Close()
-	raw := make([]byte, c.rawLen)
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	r.stored.Reset(stored)
+	if r.fr == nil {
+		r.fr = flate.NewReader(&r.stored)
+	} else if err := r.fr.(flate.Resetter).Reset(&r.stored, nil); err != nil {
+		return nil, err
+	}
+	if _, err := io.ReadFull(r.fr, dst[n:n+raw]); err != nil {
 		return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, i, err)
 	}
-	return raw, nil
+	return dst[:n+raw], nil
 }
 
 // ForEachChunk invokes fn for every chunk payload in order, stopping and
-// returning the first error.
+// returning the first error. Every payload is fresh, so fn may keep it.
 func (r *Reader) ForEachChunk(fn func(chunk int, payload []byte) error) error {
 	for i := range r.index {
-		p, err := r.ReadChunk(i)
+		p, err := r.ReadChunk(i, nil)
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("flags %d: NumChunks = %d, want %d", flags, r.NumChunks(), len(chunks))
 		}
 		for i, want := range chunks {
-			got, err := r.ReadChunk(i)
+			got, err := r.ReadChunk(i, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestRandomAccessEqualsSequential(t *testing.T) {
 	defer r.Close()
 	// Read in a scrambled order.
 	for _, i := range []int{8, 0, 4, 2, 7, 1, 3, 6, 5} {
-		got, err := r.ReadChunk(i)
+		got, err := r.ReadChunk(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,10 +207,10 @@ func TestReadChunkOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.ReadChunk(-1); err == nil {
+	if _, err := r.ReadChunk(-1, nil); err == nil {
 		t.Error("chunk -1 accepted")
 	}
-	if _, err := r.ReadChunk(2); err == nil {
+	if _, err := r.ReadChunk(2, nil); err == nil {
 		t.Error("chunk past end accepted")
 	}
 }
@@ -370,7 +370,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, want := range chunks {
-			got, err := rd.ReadChunk(i)
+			got, err := rd.ReadChunk(i, nil)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
@@ -457,7 +457,7 @@ func TestWriteChunkIsOneWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, want := range chunks {
-			if got, err := r.ReadChunk(i); err != nil || !bytes.Equal(got, want) {
+			if got, err := r.ReadChunk(i, nil); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("flags %d: chunk %d reads back wrong (err %v)", flags, i, err)
 			}
 		}
@@ -501,12 +501,53 @@ func TestReadChunkIsOneRead(t *testing.T) {
 		}
 		for i, want := range chunks {
 			before := src.calls
-			got, err := r.ReadChunk(i)
+			got, err := r.ReadChunk(i, nil)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("flags %d: chunk %d reads back wrong (err %v)", flags, i, err)
 			}
 			if n := src.calls - before; n != 1 {
 				t.Fatalf("flags %d: chunk %d took %d reads, want 1", flags, i, n)
+			}
+		}
+	}
+}
+
+// TestReadChunkAppends: ReadChunk appends the payload to dst, keeping
+// dst's contents, and a buffer passed back as dst[:0] is reused once it
+// has grown to a chunk, under every flag set.
+func TestReadChunkAppends(t *testing.T) {
+	chunks := randChunks(6, 5)
+	for _, flags := range []uint16{0, FlagCRC32, FlagDeflate, FlagDeflate | FlagCRC32} {
+		var out bytes.Buffer
+		w, err := NewWriter(&out, testSchema, flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chunks {
+			if err := w.WriteChunk(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(out.Bytes()), int64(out.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("keep")
+		got, err := r.ReadChunk(1, prefix)
+		if err != nil || !bytes.Equal(got, append([]byte("keep"), chunks[1]...)) {
+			t.Fatalf("flags %d: ReadChunk(1, prefix) = %q, %v", flags, got, err)
+		}
+		buf := make([]byte, 0, 1<<16)
+		for i, want := range chunks {
+			got, err := r.ReadChunk(i, buf[:0])
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("flags %d: chunk %d reads back wrong (err %v)", flags, i, err)
+			}
+			if &got[:1][0] != &buf[:1][0] {
+				t.Fatalf("flags %d: chunk %d not read into the buffer passed in", flags, i)
 			}
 		}
 	}

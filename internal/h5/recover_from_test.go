@@ -43,7 +43,7 @@ func TestRecoverFromCursor(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 0; k < s.Chunks(); k++ {
-				got, err := r.ReadChunk(k)
+				got, err := r.ReadChunk(k, nil)
 				if err != nil || !bytes.Equal(got, chunks[i+1+k]) {
 					t.Fatalf("flags %#x from chunk %d end: chunk %d mismatch: %v", flags, i, k, err)
 				}
@@ -101,7 +101,7 @@ func TestRecoverFromTornFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 2; k++ {
-			got, err := r.ReadChunk(k)
+			got, err := r.ReadChunk(k, nil)
 			if err != nil || !bytes.Equal(got, chunks[2+k]) {
 				t.Fatalf("flags %#x: salvaged chunk %d mismatch: %v", flags, k, err)
 			}

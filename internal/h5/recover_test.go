@@ -58,7 +58,7 @@ func TestRecoverCompleteFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, want := range chunks {
-			got, err := r.ReadChunk(i)
+			got, err := r.ReadChunk(i, nil)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("flags %#x: chunk %d: %v", flags, i, err)
 			}
@@ -119,7 +119,7 @@ func TestRecoverTruncatedAtEveryByte(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < want; i++ {
-				got, err := r.ReadChunk(i)
+				got, err := r.ReadChunk(i, nil)
 				if err != nil || !bytes.Equal(got, chunks[i]) {
 					t.Fatalf("flags %#x cut %d: salvaged chunk %d corrupt: %v", flags, cut, i, err)
 				}
@@ -164,10 +164,10 @@ func TestReadChunkDetectsCorruptionViaCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadChunk(0); err != nil {
+	if _, err := r.ReadChunk(0, nil); err != nil {
 		t.Fatalf("intact chunk rejected: %v", err)
 	}
-	if _, err := r.ReadChunk(1); !errors.Is(err, ErrCorrupt) {
+	if _, err := r.ReadChunk(1, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt chunk read succeeded: %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestRecoverResumeAppend(t *testing.T) {
 			t.Fatalf("flags %#x: %d chunks, want %d", flags, r.NumChunks(), len(want))
 		}
 		for i, wc := range want {
-			got, err := r.ReadChunk(i)
+			got, err := r.ReadChunk(i, nil)
 			if err != nil || !bytes.Equal(got, wc) {
 				t.Fatalf("flags %#x chunk %d: %v", flags, i, err)
 			}
@@ -377,7 +377,7 @@ func TestNewReaderRandomMutationsNeverPanic(t *testing.T) {
 		}
 		// Opened: every chunk read must either succeed or error cleanly.
 		for i := 0; i < rd.NumChunks(); i++ {
-			rd.ReadChunk(i) //nolint:errcheck
+			rd.ReadChunk(i, nil) //nolint:errcheck
 		}
 	}
 }
@@ -425,7 +425,7 @@ func TestWriterCrashMidChunkSalvage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			got, err := r.ReadChunk(i)
+			got, err := r.ReadChunk(i, nil)
 			if err != nil || !bytes.Equal(got, chunks[i]) {
 				t.Fatalf("flags %#x: salvaged chunk %d wrong: %v", flags, i, err)
 			}

@@ -29,31 +29,38 @@ import (
 // BitMatrix is a binary matrix over rows of fixed bit-width, used as the
 // per-place person×time collocation matrix. Rows are added lazily: a
 // person gets a row on first Set.
+//
+// A matrix holds a place in a few allocations and, once pooled (see
+// GetBitMatrix), in none: the person→row index and the row bits share
+// one slab, the row IDs another, and the clique compression (clique.go)
+// carves its arrays from scratch the matrix keeps.
 type BitMatrix struct {
 	cols  int      // number of time slots t
 	words int      // ceil(cols/64)
 	ids   []uint32 // global person ID per local row
-	rows  [][]uint64
-	// index maps global person ID -> epoch<<32 | local row. Entries from
-	// earlier epochs are stale and treated as absent, which lets a pooled
-	// matrix reset in O(1) (bump epoch) instead of clearing the map —
-	// clear(map) sweeps bucket capacity, which for a recycled matrix
-	// reflects the largest place it ever held, not the current one.
-	index map[uint32]uint64
-	epoch uint32
+	// index maps a global person ID to its local row: an open-addressed
+	// table with linear probing, each slot person<<32 | row+1 and 0 for
+	// empty. Its length is a power of two at least twice the row count,
+	// sized to the place being built and grown by rehashing within its
+	// capacity, so a pooled matrix never probes a table sized for the
+	// largest place it ever held.
+	index []uint64
+	// bits is the row arena: row r is bits[r*words : (r+1)*words]. The
+	// backing array beyond len is kept zero, so a new row is carved by
+	// extending len, and reset clears only the rows in use.
+	bits []uint64
 
-	// grp caches the row-group compression (identical bitsets deduped)
-	// computed by compress; any mutation invalidates it.
-	grp *rowGroups
-
-	// Row storage is carved from arena blocks rather than allocated per
-	// row: cur is the active block (len = words in use) and blocks holds
-	// filled predecessors. Carving keeps rows contiguous in memory for
-	// the Gram kernels and lets reset() reclaim all rows with one memclr
-	// per block instead of one per row.
-	cur    []uint64
-	blocks [][]uint64
+	// grp is the row-group compression (identical bitsets deduped)
+	// computed by compress, valid while grouped is set; any mutation
+	// clears grouped. Its arrays are carved from scratch, which every
+	// compression of the matrix reuses.
+	grp     rowGroups
+	grouped bool
+	scratch []int32
 }
+
+// minRows is the row capacity of a new matrix: most places (homes) fit.
+const minRows = 4
 
 // NewBitMatrix returns an empty matrix with the given number of columns
 // (time slots). Columns must be positive.
@@ -61,21 +68,74 @@ func NewBitMatrix(cols int) *BitMatrix {
 	if cols <= 0 {
 		panic("sparse: NewBitMatrix with non-positive cols")
 	}
-	return &BitMatrix{
-		cols:  cols,
-		words: (cols + 63) / 64,
-		index: make(map[uint32]uint64),
-		epoch: 1, // 0 is never a live epoch, so zero map values are stale
-	}
+	return &BitMatrix{cols: cols, words: (cols + 63) / 64}
+}
+
+// tableLen returns the person→row table length for rows rows: the
+// smallest power of two at least 2·rows.
+func tableLen(rows int) int {
+	return max(2, 1<<bits.Len(uint(2*rows-1)))
+}
+
+// slot returns the first index slot to probe for person in a table of
+// length n (a power of two): Fibonacci hashing of the ID.
+func slot(person uint32, n int) int {
+	return int((uint64(person) * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(n-1))))
 }
 
 // lookup returns person's local row index, or -1 if the person has no
-// row in the current epoch.
+// row.
 func (m *BitMatrix) lookup(person uint32) int {
-	if v, ok := m.index[person]; ok && uint32(v>>32) == m.epoch {
-		return int(uint32(v))
+	n := len(m.index)
+	if n == 0 {
+		return -1
 	}
-	return -1
+	for i := slot(person, n); ; i = (i + 1) & (n - 1) {
+		v := m.index[i]
+		if v == 0 {
+			return -1
+		}
+		if uint32(v>>32) == person {
+			return int(uint32(v)) - 1
+		}
+	}
+}
+
+// insert records person → row in the index, which must have a free
+// slot and no entry for person.
+func (m *BitMatrix) insert(person uint32, row int) {
+	n := len(m.index)
+	i := slot(person, n)
+	for m.index[i] != 0 {
+		i = (i + 1) & (n - 1)
+	}
+	m.index[i] = uint64(person)<<32 | uint64(row+1)
+}
+
+// reserve makes room for rows rows. The person→row table grows by
+// rehashing the existing rows from ids, inside its capacity when that
+// suffices; otherwise both it and the arena move to a new slab with
+// room for twice the rows, and the IDs to an array as long.
+func (m *BitMatrix) reserve(rows int) {
+	n := tableLen(rows)
+	if n <= len(m.index) && rows*m.words <= cap(m.bits) {
+		return
+	}
+	if n > cap(m.index) || rows*m.words > cap(m.bits) {
+		c := max(minRows, 2*rows)
+		tab := tableLen(c)
+		slab := make([]uint64, tab+c*m.words)
+		m.index = slab[:0:tab]
+		m.bits = append(slab[tab:tab], m.bits...)
+		m.ids = append(make([]uint32, 0, c), m.ids...)
+	}
+	if n > len(m.index) {
+		m.index = m.index[:n]
+		clear(m.index)
+		for r, p := range m.ids {
+			m.insert(p, r)
+		}
+	}
 }
 
 // Cols returns the number of time-slot columns.
@@ -88,35 +148,26 @@ func (m *BitMatrix) Rows() int { return len(m.ids) }
 // by the matrix and must not be modified.
 func (m *BitMatrix) IDs() []uint32 { return m.ids }
 
-func (m *BitMatrix) row(person uint32) []uint64 {
-	m.grp = nil // any write invalidates the cached compression
-	if i := m.lookup(person); i >= 0 {
-		return m.rows[i]
-	}
-	r := m.newRow()
-	m.index[person] = uint64(m.epoch)<<32 | uint64(uint32(len(m.ids)))
-	m.ids = append(m.ids, person)
-	m.rows = append(m.rows, r)
-	return r
+// rowBits returns local row r's bitset, a sub-slice of the arena.
+func (m *BitMatrix) rowBits(r int) []uint64 {
+	return m.bits[r*m.words : (r+1)*m.words : (r+1)*m.words]
 }
 
-// newRow carves a zeroed words-wide row from the arena, growing it with
-// doubling blocks as needed. Existing rows keep pointing into earlier
-// blocks, so growth never invalidates them.
-func (m *BitMatrix) newRow() []uint64 {
-	if len(m.cur)+m.words > cap(m.cur) {
-		size := 2 * cap(m.cur)
-		if min := 16 * m.words; size < min {
-			size = min
-		}
-		if m.cur != nil {
-			m.blocks = append(m.blocks, m.cur)
-		}
-		m.cur = make([]uint64, 0, size)
+// row returns person's bitset for writing, adding a zeroed row to the
+// arena on the person's first write. The slice is valid until the next
+// row is added.
+func (m *BitMatrix) row(person uint32) []uint64 {
+	m.grouped = false // any write invalidates the cached compression
+	if i := m.lookup(person); i >= 0 {
+		return m.rowBits(i)
 	}
-	n := len(m.cur)
-	m.cur = m.cur[:n+m.words]
-	return m.cur[n : n+m.words : n+m.words]
+	r := len(m.ids)
+	m.reserve(r + 1)
+	m.insert(person, r)
+	m.ids = append(m.ids, person)
+	// The arena beyond len is zero, so extending it yields a zeroed row.
+	m.bits = m.bits[:len(m.bits)+m.words]
+	return m.rowBits(r)
 }
 
 // Set marks person as present during time slot t. It panics if t is out
@@ -171,17 +222,15 @@ func (m *BitMatrix) Get(person uint32, t int) bool {
 	if i < 0 {
 		return false
 	}
-	return m.rows[i][t>>6]&(1<<(uint(t)&63)) != 0
+	return m.bits[i*m.words+t>>6]&(1<<(uint(t)&63)) != 0
 }
 
 // NNZ returns the total number of set bits — the matrix's nonzero count,
 // which the paper uses as the load-balancing weight for a place.
 func (m *BitMatrix) NNZ() int {
 	n := 0
-	for _, r := range m.rows {
-		for _, w := range r {
-			n += bits.OnesCount64(w)
-		}
+	for _, w := range m.bits {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -194,7 +243,7 @@ func (m *BitMatrix) RowNNZ(person uint32) int {
 		return 0
 	}
 	n := 0
-	for _, w := range m.rows[i] {
+	for _, w := range m.rowBits(i) {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -218,15 +267,10 @@ type Entry struct {
 // omitted: the collocation network has no self-loops.
 func (m *BitMatrix) Gram() []Entry {
 	var out []Entry
-	n := len(m.rows)
+	n := len(m.ids)
 	for a := 0; a < n; a++ {
-		ra := m.rows[a]
 		for b := a + 1; b < n; b++ {
-			rb := m.rows[b]
-			w := 0
-			for k := 0; k < m.words; k++ {
-				w += bits.OnesCount64(ra[k] & rb[k])
-			}
+			w := andPop(m.rowBits(a), m.rowBits(b))
 			if w == 0 {
 				continue
 			}
@@ -251,6 +295,6 @@ func (m *BitMatrix) Gram() []Entry {
 // workers also makes the cached compression safe to share.
 func (m *BitMatrix) GramCost() int {
 	g := m.compress().groups()
-	p := len(m.rows)
+	p := len(m.ids)
 	return g*(g-1)/2*m.words + p*(p-1)/2
 }

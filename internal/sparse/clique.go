@@ -1,9 +1,8 @@
 package sparse
 
 import (
-	"encoding/binary"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // rowGroups is the clique compression of a BitMatrix: rows with identical
@@ -32,47 +31,93 @@ type rowGroups struct {
 // groups returns the number of distinct bitsets.
 func (g *rowGroups) groups() int { return len(g.rep) }
 
-// compress computes (and caches) the row-group clique compression. The
-// result is invalidated by any subsequent Set/SetRange. Callers that
-// share a BitMatrix across goroutines must call GramCost (which
-// compresses) before the concurrent phase, since the lazy computation is
-// not synchronized.
+// compress computes (and caches) the row-group clique compression into
+// the matrix's own scratch, so a pooled matrix compresses without
+// allocating. The result is invalidated by any subsequent Set/SetRange.
+// Callers that share a BitMatrix across goroutines must call GramCost
+// (which compresses) before the concurrent phase, since the lazy
+// computation is not synchronized.
+//
+// Rows are grouped through an open-addressed table keyed by a hash of
+// their words; every hit is confirmed by comparing the words exactly,
+// so bitsets whose hashes collide never share a group. Groups are
+// numbered in order of first appearance, and a counting pass lays each
+// group's members out contiguously in ascending row order.
 func (m *BitMatrix) compress() *rowGroups {
-	if m.grp != nil {
-		return m.grp
+	g := &m.grp
+	if m.grouped {
+		return g
 	}
-	g := &rowGroups{order: make([]int32, len(m.rows))}
-	idx := make(map[string]int32, len(m.rows))
-	buf := make([]byte, 8*m.words)
-	members := make([][]int32, 0, len(m.rows))
-	for r, row := range m.rows {
-		for k, w := range row {
-			binary.LittleEndian.PutUint64(buf[8*k:], w)
-		}
-		gi, ok := idx[string(buf)]
-		if !ok {
-			gi = int32(len(g.rep))
-			idx[string(buf)] = gi
-			g.rep = append(g.rep, int32(r))
-			pop := 0
-			for _, w := range row {
-				pop += bits.OnesCount64(w)
+	rows := len(m.ids)
+	n := tableLen(rows)
+	shift := 64 - bits.Len(uint(n-1))
+	// Carve the group table, each row's group and the four result
+	// arrays from one scratch slab.
+	need := n + 5*rows + 1
+	if cap(m.scratch) < need {
+		m.scratch = make([]int32, need)
+	}
+	s := m.scratch[:need]
+	gtab, gid := s[:n], s[n:n+rows] // bitset hash → group+1 (0 empty); group of each row
+	clear(gtab)
+	s = s[n+rows:]
+	g.rep, g.pop = s[:0:rows], s[rows:rows:2*rows]
+	g.order, g.start = s[2*rows:3*rows], s[3*rows:]
+	for r := 0; r < rows; r++ {
+		row := m.rowBits(r)
+		for i := int(hashWords(row) >> shift); ; i = (i + 1) & (n - 1) {
+			v := gtab[i]
+			if v == 0 {
+				gtab[i] = int32(len(g.rep)) + 1
+				gid[r] = int32(len(g.rep))
+				g.rep = append(g.rep, int32(r))
+				pop := 0
+				for _, w := range row {
+					pop += bits.OnesCount64(w)
+				}
+				g.pop = append(g.pop, int32(pop))
+				break
 			}
-			g.pop = append(g.pop, int32(pop))
-			members = append(members, nil)
+			if slices.Equal(m.rowBits(int(g.rep[v-1])), row) {
+				gid[r] = v - 1
+				break
+			}
 		}
-		members[gi] = append(members[gi], int32(r))
 	}
-	g.start = make([]int32, len(g.rep)+1)
-	pos := int32(0)
-	for gi, ms := range members {
-		g.start[gi] = pos
-		copy(g.order[pos:], ms)
-		pos += int32(len(ms))
+	// Counting pass: count each group's members, turn the counts into
+	// group ends, then place the rows from last to first so every group
+	// fills its span backwards — ascending within the group — and its
+	// end moves down to its start.
+	groups := len(g.rep)
+	g.start = g.start[:groups+1]
+	clear(g.start)
+	for _, gi := range gid {
+		g.start[gi]++
 	}
-	g.start[len(g.rep)] = pos
-	m.grp = g
+	end := int32(0)
+	for gi := range groups {
+		end += g.start[gi]
+		g.start[gi] = end
+	}
+	g.start[groups] = int32(rows)
+	for r := rows - 1; r >= 0; r-- {
+		gi := gid[r]
+		g.start[gi]--
+		g.order[g.start[gi]] = int32(r)
+	}
+	m.grouped = true
 	return g
+}
+
+// hashWords hashes a row bitset for compress's group table; the table
+// indexes by the top bits.
+func hashWords(ws []uint64) uint64 {
+	h := uint64(len(ws))
+	for _, w := range ws {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h * 0x9e3779b97f4a7c15
 }
 
 // NumGroups returns the number of distinct row bitsets (the g of the
@@ -100,7 +145,7 @@ func andPop(ra, rb []uint64) int {
 // with the weight Gram gives it.
 func (m *BitMatrix) GramTileAppend(dst *Pairs, p0, p1, q0, q1 int) {
 	g := m.compress()
-	n := len(m.rows)
+	n := len(m.ids)
 	p0, p1 = clampRange(p0, p1, n)
 	q0, q1 = clampRange(q0, q1, n)
 	if p0 >= p1 || q0 >= q1 {
@@ -113,7 +158,7 @@ func (m *BitMatrix) GramTileAppend(dst *Pairs, p0, p1, q0, q1 int) {
 		if aLo >= aHi {
 			continue
 		}
-		ra := m.rows[g.rep[ga]]
+		ra := m.rowBits(int(g.rep[ga]))
 		// Intra-group clique: pairs inside ga restricted to the tile.
 		// Both halves of the pair must come from this tile's spans with
 		// πa < πb; the diagonal tile contributes the (aLo..aHi) triangle,
@@ -138,7 +183,7 @@ func (m *BitMatrix) GramTileAppend(dst *Pairs, p0, p1, q0, q1 int) {
 			if bLo >= bHi {
 				continue
 			}
-			w := uint32(andPop(ra, m.rows[g.rep[gb]]))
+			w := uint32(andPop(ra, m.rowBits(int(g.rep[gb]))))
 			if w == 0 {
 				continue
 			}
@@ -173,9 +218,18 @@ func intersect(lo, hi, p0, p1 int) (int, int) {
 // findGroup returns the index of the group whose π span contains p (or
 // the first group starting at/after p when p is a span boundary).
 func findGroup(g *rowGroups, p int) int {
-	// start is sorted; find the last group with start <= p.
-	i := sort.Search(g.groups(), func(k int) bool { return int(g.start[k+1]) > p })
-	return i
+	// start is sorted: binary search for the first group whose span
+	// ends after p.
+	lo, hi := 0, g.groups()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(g.start[mid+1]) > p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // GramTileCost estimates the work of GramTileAppend over the same tile,
@@ -183,7 +237,7 @@ func findGroup(g *rowGroups, p int) int {
 // entries. The balancer uses it to weigh split work units.
 func (m *BitMatrix) GramTileCost(p0, p1, q0, q1 int) int {
 	g := m.compress()
-	n := len(m.rows)
+	n := len(m.ids)
 	p0, p1 = clampRange(p0, p1, n)
 	q0, q1 = clampRange(q0, q1, n)
 	if p0 >= p1 || q0 >= q1 {

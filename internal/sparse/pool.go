@@ -14,7 +14,8 @@ package sparse
 
 import "sync"
 
-// matrixPool recycles whole BitMatrices including their row bitsets.
+// matrixPool recycles whole BitMatrices: their row arenas, person→row
+// tables and compression scratch.
 var matrixPool = sync.Pool{}
 
 // GetBitMatrix returns an empty BitMatrix with the given column count,
@@ -30,41 +31,27 @@ func GetBitMatrix(cols int) *BitMatrix {
 	return NewBitMatrix(cols)
 }
 
-// Recycle clears the matrix and returns it (and its row bitsets) to the
-// pool. The caller must not use the matrix, its IDs slice, or any slice
+// Recycle returns the matrix, with its arena and scratch, to the pool.
+// The caller must not use the matrix, its IDs slice, or any slice
 // previously obtained from it afterwards.
 func (m *BitMatrix) Recycle() {
 	matrixPool.Put(m)
 }
 
 // reset restores the matrix to the empty state for the given column
-// count, recycling the row arena. Because rows are carved from shared
-// blocks, reclaiming them is one memclr per block — not one per row —
-// and the blocks are width-agnostic, so a column-count change reuses
-// them too.
+// count. It clears only what the last place used — its rows in the
+// arena — and keeps every backing array, so a column-count change
+// reuses them too; the person→row table starts small again and is
+// cleared as it grows (see reserve).
 func (m *BitMatrix) reset(cols int) {
 	if cols <= 0 {
 		panic("sparse: reset with non-positive cols")
 	}
-	// cur always has the largest capacity (blocks double), so keeping
-	// just cur converges to a single right-sized block after a few uses.
-	clear(m.cur)
-	m.cur = m.cur[:0]
-	for i := range m.blocks {
-		m.blocks[i] = nil
-	}
-	m.blocks = m.blocks[:0]
-	m.rows = m.rows[:0]
+	clear(m.bits)
+	m.bits = m.bits[:0]
 	m.ids = m.ids[:0]
-	// Bumping the epoch invalidates every index entry in O(1); see the
-	// index field's doc comment. On the (practically unreachable) wrap to
-	// 0, fall back to clearing so stale epoch-0 values cannot alias.
-	m.epoch++
-	if m.epoch == 0 {
-		clear(m.index)
-		m.epoch = 1
-	}
-	m.grp = nil
+	m.index = m.index[:0]
+	m.grouped = false
 	m.cols = cols
 	m.words = (cols + 63) / 64
 }

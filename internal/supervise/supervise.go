@@ -76,10 +76,10 @@ type Spec struct {
 
 // Policy tunes the supervisor. Zero values select defaults.
 type Policy struct {
-	// MaxRestartsPerRank is the gang relaunch budget of RunGang.
+	// MaxRelaunches is the gang relaunch budget of RunGang.
 	// Default 3; negative disables relaunches. RunPerRank never
 	// restarts a process.
-	MaxRestartsPerRank int
+	MaxRelaunches int
 	// BackoffBase is the first relaunch delay; each subsequent relaunch
 	// doubles it, with full jitter. Default 250ms.
 	BackoffBase time.Duration
@@ -101,8 +101,8 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.MaxRestartsPerRank == 0 {
-		p.MaxRestartsPerRank = 3
+	if p.MaxRelaunches == 0 {
+		p.MaxRelaunches = 3
 	}
 	if p.BackoffBase <= 0 {
 		p.BackoffBase = 250 * time.Millisecond
@@ -447,7 +447,7 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		if s.pol.MaxRestartsPerRank < 0 || res.GangRestarts >= s.pol.MaxRestartsPerRank {
+		if s.pol.MaxRelaunches < 0 || res.GangRestarts >= s.pol.MaxRelaunches {
 			return finish(fmt.Errorf("supervise: gang failed after %d relaunches", res.GangRestarts))
 		}
 		res.GangRestarts++
@@ -455,7 +455,7 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 		delay := s.pol.backoff(res.GangRestarts, s.rng)
 		mBackoffNs.Observe(delay)
 		s.pol.Logf("supervise: gang relaunch %d/%d in %s",
-			res.GangRestarts, s.pol.MaxRestartsPerRank, delay.Round(time.Millisecond))
+			res.GangRestarts, s.pol.MaxRelaunches, delay.Round(time.Millisecond))
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():

@@ -21,11 +21,11 @@ func sh(rank int, script string) Spec {
 // fastPolicy keeps test relaunches quick.
 func fastPolicy() Policy {
 	return Policy{
-		MaxRestartsPerRank: 2,
-		BackoffBase:        10 * time.Millisecond,
-		BackoffCap:         50 * time.Millisecond,
-		Grace:              500 * time.Millisecond,
-		DrainTimeout:       2 * time.Second,
+		MaxRelaunches: 2,
+		BackoffBase:   10 * time.Millisecond,
+		BackoffCap:    50 * time.Millisecond,
+		Grace:         500 * time.Millisecond,
+		DrainTimeout:  2 * time.Second,
 	}
 }
 
@@ -198,7 +198,7 @@ func TestRunGangBudgetExhausted(t *testing.T) {
 		return []Spec{sh(0, "exit 0"), sh(1, "exit 1")}
 	}
 	pol := fastPolicy()
-	pol.MaxRestartsPerRank = 1
+	pol.MaxRelaunches = 1
 	s := New(build(0), pol)
 	res, err := s.RunGang(context.Background(), build)
 	if err == nil {
