@@ -726,11 +726,12 @@ func balance(mats []placeMatrix, workers int, mode BalanceMode) ([][]workUnit, i
 // and the merged result is bit-identical to a healthy run — provided the
 // dead rank's files remain reachable by the survivors (e.g. on shared
 // storage). A dead rank never comes back, so each retry removes a
-// distinct rank and at most size−1 retries happen. A rank that joins
-// late seeds its dead set from the transport's mpi.DeadRankser view, so
-// it stripes like the incumbents. Unattributable failures (the
-// coordinator itself is gone) and a second report of an already-dead
-// rank are returned as-is.
+// distinct rank and at most size−1 retries happen. Membership settles
+// before the first collective, so every rank starts from the same empty
+// dead set and learns each loss — a slot that never joined included —
+// from the same aborted round as the others. Unattributable failures
+// (the coordinator itself is gone) and a second report of an
+// already-dead rank are returned as-is.
 //
 // Cancelling ctx aborts the local synthesis within one work unit and
 // the gather collective at the transport's cancellation granularity;
@@ -769,16 +770,6 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		}
 	}
 	dead := make([]bool, size)
-	// A rank that joined after an early death learns the already-dead
-	// membership from its join handshake; seeding from it makes this
-	// rank's first stripe agree with the incumbents'.
-	if dr, ok := t.(mpi.DeadRankser); ok {
-		for _, r := range dr.InitialDead() {
-			if r >= 0 && r < size {
-				dead[r] = true
-			}
-		}
-	}
 	failures := 0
 	for {
 		if err := ctxErr(ctx, "distributed synthesis"); err != nil {

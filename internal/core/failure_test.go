@@ -148,7 +148,7 @@ func TestSynthesizeDistributedSurvivesMidGatherDeath(t *testing.T) {
 	defer survivor.Close()
 
 	victimOpts := opts
-	victimOpts.DisableHeartbeat = true // all written bytes budget to the torn frame
+	victimOpts.HeartbeatInterval = time.Hour // all written bytes budget to the torn frame
 	victimOpts.WrapConn = func(c net.Conn) net.Conn {
 		// The Gather frame (header + marshaled partial matrix) is far
 		// larger than 64 bytes, so the cut tears it mid-frame.

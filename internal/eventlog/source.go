@@ -236,19 +236,30 @@ func (s *filesSource) Close() error {
 	return nil
 }
 
-// ReadAll drains src into a slice, growing it normally. It does not
-// close src. Prefer batch-wise consumption via Next for bounded memory;
-// ReadAll exists for callers that genuinely need the whole slice.
+// ReadAll drains src into one slice of exactly the entries it yields.
+// Each batch is copied aside as it arrives (a source may reuse a
+// batch's memory) and the copies are joined once at the end, so the
+// result costs about twice its size in allocation, not the repeated
+// regrowth of appending. It does not close src. Prefer batch-wise
+// consumption via Next for bounded memory; ReadAll exists for callers
+// that genuinely need the whole slice.
 func ReadAll(src EntrySource) ([]Entry, error) {
-	var out []Entry
+	var batches [][]Entry
+	total := 0
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
-			return out, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, batch...)
+		batches = append(batches, append([]Entry(nil), batch...))
+		total += len(batch)
 	}
+	out := make([]Entry, 0, total)
+	for _, b := range batches {
+		out = append(out, b...)
+	}
+	return out, nil
 }

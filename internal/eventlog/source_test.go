@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -205,6 +206,32 @@ func TestReadAllDoesNotOverAllocate(t *testing.T) {
 	if cap(got) >= n/4 {
 		t.Fatalf("slice of %d entries allocated capacity %d (file has %d): over-allocation",
 			len(got), cap(got), n)
+	}
+}
+
+// TestReadAllAllocatesTwiceTheResult: draining 100k entries allocates
+// at most 2.5× the result's bytes (a copy of each batch, then the result
+// once), not the ≈ 5× that growing the result by append costs.
+func TestReadAllAllocatesTwiceTheResult(t *testing.T) {
+	const n = 100000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Start: uint32(i), Stop: uint32(i) + 1, Person: uint32(i)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadAll(SliceSource(context.Background(), entries, 0, n+1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n || got[n-1] != entries[n-1] {
+		t.Fatalf("got %d entries, want %d", len(got), n)
+	}
+	result := uint64(n) * uint64(unsafe.Sizeof(Entry{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc*2 > result*5 {
+		t.Fatalf("ReadAll of %d B allocated %d B (%.2f×), want ≤ 2.5×",
+			result, alloc, float64(alloc)/float64(result))
 	}
 }
 

@@ -72,7 +72,7 @@ type LinkFaults struct {
 // per-direction fault schedule to every proxied connection.
 //
 // It understands just enough of the mpinet wire protocol to pass the
-// variable-length join handshake through untouched and then operate on
+// fixed-size join handshake through untouched and then operate on
 // whole frames, so a fault lands on an exact protocol unit (e.g.
 // "corrupt the 3rd heartbeat") rather than an arbitrary byte offset.
 type Proxy struct {
@@ -154,40 +154,19 @@ func (p *Proxy) acceptLoop() {
 // mpinet handshake geometry (mirrored here so the proxy can skip it;
 // the transport owns the format).
 const (
-	proxyHelloSize    = 8  // magic | claim i32
-	proxyReplyHdrSize = 20 // magic | rank u32 | size u32 | seq u32 | ndead u32
+	proxyHelloSize = 8  // magic | claim i32
+	proxyReplySize = 12 // magic | rank u32 | size u32
 )
 
-// passHandshake forwards the direction's handshake bytes verbatim:
-// the fixed-size client hello, or the reply header plus its
-// ndead-dependent dead-rank list.
+// passHandshake forwards the direction's fixed-size handshake message
+// verbatim: the client hello, or the coordinator's reply.
 func passHandshake(dst io.Writer, src io.Reader, clientToServer bool) error {
+	n := int64(proxyReplySize)
 	if clientToServer {
-		var hello [proxyHelloSize]byte
-		if _, err := io.ReadFull(src, hello[:]); err != nil {
-			return err
-		}
-		_, err := dst.Write(hello[:])
-		return err
+		n = proxyHelloSize
 	}
-	var hdr [proxyReplyHdrSize]byte
-	if _, err := io.ReadFull(src, hdr[:]); err != nil {
-		return err
-	}
-	if _, err := dst.Write(hdr[:]); err != nil {
-		return err
-	}
-	ndead := binary.LittleEndian.Uint32(hdr[16:])
-	if ndead > 0 && ndead < 1<<16 {
-		rest := make([]byte, 4*ndead)
-		if _, err := io.ReadFull(src, rest); err != nil {
-			return err
-		}
-		if _, err := dst.Write(rest); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.CopyN(dst, src, n)
+	return err
 }
 
 // pipe forwards src→dst frame by frame, applying faults.

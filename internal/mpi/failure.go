@@ -49,13 +49,3 @@ func AsRankFailed(err error) (*RankFailedError, bool) {
 	}
 	return nil, false
 }
-
-// DeadRankser is the optional transport extension reporting ranks that
-// were already declared dead when this process joined the cluster (a
-// rank that joins late learns the membership view from its join
-// handshake). Failure-tolerant callers seed their survivor set from it
-// so a late joiner agrees with the incumbents about work distribution.
-type DeadRankser interface {
-	// InitialDead returns the ranks dead at join time, ascending.
-	InitialDead() []int
-}

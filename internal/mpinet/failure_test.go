@@ -249,7 +249,7 @@ func TestTwoDeathsNearSimultaneous(t *testing.T) {
 }
 
 // TestSilentRankDetectedByHeartbeat joins a rank that never sends
-// anything (heartbeats disabled on its side) and verifies the
+// anything (its heartbeat interval is an hour) and verifies the
 // coordinator's failure detector declares it dead rather than letting
 // the survivors hang.
 func TestSilentRankDetectedByHeartbeat(t *testing.T) {
@@ -260,7 +260,7 @@ func TestSilentRankDetectedByHeartbeat(t *testing.T) {
 	}
 	defer host.Close()
 	silent := opts
-	silent.DisableHeartbeat = true
+	silent.HeartbeatInterval = time.Hour
 	client, err := Join(host.Addr(), silent)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestFlakyConnTornFrame(t *testing.T) {
 	defer host.Close()
 
 	victimOpts := opts
-	victimOpts.DisableHeartbeat = true // all written bytes budget to the torn frame
+	victimOpts.HeartbeatInterval = time.Hour // all written bytes budget to the torn frame
 	var flaky *faultinject.FlakyConn
 	victimOpts.WrapConn = func(c net.Conn) net.Conn {
 		// The 16-byte join hello goes through intact; the cut lands 6

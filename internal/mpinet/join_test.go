@@ -1,9 +1,16 @@
 package mpinet
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 // claimOpts returns fastOpts pinning a rank claim.
@@ -27,10 +34,11 @@ func joinRank(t *testing.T, addr string, rank int) *Node {
 	return n
 }
 
-// TestRejoinHandshakeCarriesDeadSet: a worker that joins for the first
-// time after another rank has died learns the dead set from its
-// handshake, so its view of the survivors matches the incumbents'.
-func TestRejoinHandshakeCarriesDeadSet(t *testing.T) {
+// TestEarlyDeathReachesLastJoiner: rank 1 joins and dies before rank 3
+// joins. No round runs before membership settles, so rank 3 starts at
+// round 0 like everyone else and learns of the death from the same
+// aborted round as ranks 0 and 2; the next round completes.
+func TestEarlyDeathReachesLastJoiner(t *testing.T) {
 	const size = 4
 	host, err := Host("127.0.0.1:0", size, fastOpts())
 	if err != nil {
@@ -41,33 +49,80 @@ func TestRejoinHandshakeCarriesDeadSet(t *testing.T) {
 	defer one.Close()
 	two := joinRank(t, host.Addr(), 2)
 	defer two.Close()
-
-	// Rank 1 dies while rank 3 has not joined yet; the round in progress
-	// aborts for both survivors.
 	one.conn.Close()
-	errs := barrierAll([]*Node{host, nil, two, nil})
-	wantRankFailed(t, errs[0], 1)
-	wantRankFailed(t, errs[2], 1)
-
+	time.Sleep(50 * time.Millisecond) // the coordinator sees the death first
 	three := joinRank(t, host.Addr(), 3)
 	defer three.Close()
-	if got := three.InitialDead(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("InitialDead = %v, want [1]", got)
+
+	// A bounded first round: a rank that missed the abort would wait for
+	// a round nobody else enters.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	nodes := []*Node{host, two, three}
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = barrier(ctx, n)
+		}()
 	}
-	if got := two.InitialDead(); len(got) != 0 {
-		t.Fatalf("incumbent InitialDead = %v, want empty", got)
+	wg.Wait()
+	for i, err := range errs {
+		if rf, ok := mpi.AsRankFailed(err); !ok || rf.Rank != 1 {
+			t.Fatalf("rank %d's first round: %v, want rank 1 failed", nodes[i].Rank(), err)
+		}
 	}
-	for r, err := range barrierAll([]*Node{host, nil, two, three}) {
-		if r != 1 && err != nil {
-			t.Fatalf("rank %d after the late join: %v", r, err)
+	for r, err := range barrierAll(nodes) {
+		if err != nil {
+			t.Fatalf("rank %d after the abort: %v", r, err)
 		}
 	}
 }
 
-// TestClaimRejected: a slot is claimed once. A taken, out-of-range or
-// dead slot is refused with ErrClaimRejected without disturbing the
-// cluster, an anonymous join skips the dead slot, and once every slot
-// has joined the listener is gone.
+// TestSlowJoinerDeclaresNobodyDead: a slot that joins after twice
+// HeartbeatTimeout, while rank 1 is blocked in its first collective,
+// costs only time: heartbeats flow during the join phase, nobody is
+// declared dead and the round completes.
+func TestSlowJoinerDeclaresNobodyDead(t *testing.T) {
+	opts := fastOpts()
+	host, err := Host("127.0.0.1:0", 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	one := joinRank(t, host.Addr(), 1)
+	defer one.Close()
+	failures := mRankFailures.Value()
+
+	errs := make(chan error, 3)
+	enter := func(n *Node) { errs <- barrier(context.Background(), n) }
+	go enter(host)
+	go enter(one)
+	time.Sleep(2 * opts.HeartbeatTimeout)
+	select {
+	case err := <-errs:
+		t.Fatalf("first round ended before the last slot joined: %v", err)
+	default:
+	}
+	two := joinRank(t, host.Addr(), 2)
+	defer two.Close()
+	go enter(two)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("first round: %v", err)
+		}
+	}
+	if n := mRankFailures.Value() - failures; n != 0 {
+		t.Fatalf("%d ranks declared dead during the join phase", n)
+	}
+}
+
+// TestClaimRejected: a slot is claimed once. A taken or out-of-range
+// slot is refused with ErrClaimRejected without disturbing the cluster,
+// an anonymous join takes the lowest free slot, and once every slot has
+// joined the listener is gone.
 func TestClaimRejected(t *testing.T) {
 	const size = 3
 	host, err := Host("127.0.0.1:0", size, fastOpts())
@@ -86,12 +141,6 @@ func TestClaimRejected(t *testing.T) {
 		t.Fatalf("out-of-range claim: want ErrClaimRejected, got %v", err)
 	}
 
-	one.conn.Close()
-	wantRankFailed(t, barrierAll([]*Node{host})[0], 1)
-	if _, err := Join(addr, claimOpts(1)); !errors.Is(err, ErrClaimRejected) {
-		t.Fatalf("dead slot: want ErrClaimRejected, got %v", err)
-	}
-
 	anon, err := Join(addr, fastOpts())
 	if err != nil {
 		t.Fatalf("anonymous join: %v", err)
@@ -100,8 +149,8 @@ func TestClaimRejected(t *testing.T) {
 	if anon.Rank() != 2 {
 		t.Fatalf("anonymous join got rank %d, want 2", anon.Rank())
 	}
-	for r, err := range barrierAll([]*Node{host, nil, anon}) {
-		if r != 1 && err != nil {
+	for r, err := range barrierAll([]*Node{host, one, anon}) {
+		if err != nil {
 			t.Fatalf("rank %d after rejected claims: %v", r, err)
 		}
 	}
@@ -141,5 +190,39 @@ func TestUnjoinedSlotFailsWhenJoinWindowCloses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d after the join window: %v", r, err)
 		}
+	}
+}
+
+// TestHelloAfterJoinWindowRejected: a connection accepted during the
+// join window whose hello arrives after it closed is refused at once
+// with the reject magic, not left waiting for a join phase that is over.
+func TestHelloAfterJoinWindowRejected(t *testing.T) {
+	opts := fastOpts()
+	opts.DialTimeout = 200 * time.Millisecond
+	host, err := Host("127.0.0.1:0", 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	conn, err := net.Dial("tcp", host.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wantRankFailed(t, barrier(context.Background(), host), 1)
+
+	var hello [helloSize]byte
+	copy(hello[:4], handshakeMagic)
+	binary.LittleEndian.PutUint32(hello[4:], uint32(1))
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var reply [replyHdrSize]byte
+	if _, err := io.ReadFull(conn, reply[:]); err != nil {
+		t.Fatalf("no reply to a late hello: %v", err)
+	}
+	if string(reply[:4]) != rejectMagic {
+		t.Fatalf("late hello answered %q, want %q", reply[:4], rejectMagic)
 	}
 }

@@ -40,20 +40,19 @@
 //
 // # Rank discovery
 //
-// Host opens one join window, Options.DialTimeout long, and every joiner
-// presents a claim: -1 takes the lowest free slot, a positive rank pins
-// that slot. A slot is claimed once; a claim on a taken, dead or
-// out-of-range slot is rejected with ErrClaimRejected. The listener
-// closes as soon as every slot has joined. If the window closes first,
-// every slot that never joined is declared failed exactly like a silent
-// peer, so the survivors get a *mpi.RankFailedError for it and can
-// re-stripe its work.
-//
-// Rounds may start before every slot has joined. A joiner's handshake
-// reply carries the coordinator's current round sequence and the set of
-// ranks already declared dead, so a worker that joins after an early
-// death is round-aligned and stripes like the incumbents from its first
-// collective (Node.InitialDead / mpi.DeadRankser).
+// Membership settles before the first round. Host opens one join
+// window, Options.DialTimeout long, and every joiner presents a claim:
+// -1 takes the lowest free slot, a positive rank pins that slot. A slot
+// is claimed once; a claim on a taken or out-of-range slot, or a hello
+// that arrives after the window, is rejected with ErrClaimRejected. The
+// coordinator admits claims until every slot has joined or the window
+// closes, closes the listener, and only then starts the round loop:
+// collectives entered meanwhile wait, and heartbeats flow both ways so
+// nobody blocked in its first round is taken for dead. Every slot that
+// never joined is declared failed exactly like a silent peer: each
+// survivor gets one *mpi.RankFailedError per missing slot, from the
+// first round on, and can re-stripe its work. Every joiner therefore
+// starts at round 0 with no dead ranks.
 //
 // # Wire format
 //
@@ -64,8 +63,7 @@
 // with all integers little-endian. The join handshake is client-first:
 //
 //	client → coordinator: magic "CSIM" | claim i32
-//	coordinator → client: magic "CSIM" | rank u32 | size u32 | seq u32 |
-//	                      ndead u32 | { deadRank u32 }*
+//	coordinator → client: magic "CSIM" | rank u32 | size u32
 //
 // A rejected claim is answered with magic "CNO!" in the reply header.
 package mpinet
@@ -105,13 +103,13 @@ const (
 // helloSize is the client hello: magic, claim i32.
 const helloSize = 4 + 4
 
-// replyHdrSize is the coordinator reply header: magic, rank, size, seq,
-// ndead. A dead-rank list of ndead u32s follows.
-const replyHdrSize = 4 + 4 + 4 + 4 + 4
+// replyHdrSize is the coordinator reply: magic, rank, size.
+const replyHdrSize = 4 + 4 + 4
 
 // ErrClaimRejected is returned by Join when the coordinator refuses the
-// presented rank claim (the slot is taken, dead or out of range, or no
-// slot is free for an anonymous join). The rejection is permanent:
+// presented rank claim (the slot is taken or out of range, no slot is
+// free for an anonymous join, or the join window has closed). The
+// rejection is permanent:
 // retrying the same claim cannot succeed.
 var ErrClaimRejected = errors.New("mpinet: join claim rejected")
 
@@ -139,8 +137,9 @@ const frameHdrSize = 1 + 4 + 8 + 8 + 4
 type Options struct {
 	// DialTimeout is Join's total retry budget when the coordinator is
 	// not yet listening (exponential backoff with jitter underneath) and
-	// the coordinator's join window: a slot that has not joined when it
-	// closes is declared failed. Default 15s.
+	// the coordinator's join window: no round runs before it closes or
+	// every slot has joined, and a slot that has not joined by then is
+	// declared failed. Default 15s.
 	DialTimeout time.Duration
 	// IOTimeout is the per-frame write deadline and the handshake read
 	// deadline. Default 30s.
@@ -159,9 +158,6 @@ type Options struct {
 	// tolerates between ranks, so set it well above the slowest rank's
 	// longest inter-collective stretch. Zero disables (default).
 	RoundTimeout time.Duration
-	// DisableHeartbeat turns the failure detector off entirely; dead
-	// ranks are then only detected by connection errors.
-	DisableHeartbeat bool
 	// ClaimRank, when positive, pins the rank this Join claims instead
 	// of accepting coordinator assignment, so a supervisor knows which
 	// process holds which slot. Zero joins anonymously. Join only.
@@ -316,7 +312,7 @@ type contribution struct {
 	err  error
 }
 
-// joinReq is one validated client hello awaiting the run loop's
+// joinReq is one validated client hello awaiting the join phase's
 // membership decision.
 type joinReq struct {
 	conn  net.Conn
@@ -355,13 +351,12 @@ type Node struct {
 	spanID  atomic.Uint64
 
 	// Client side (rank > 0).
-	conn        net.Conn
-	br          *bufio.Reader
-	bw          *bufio.Writer
-	wmu         sync.Mutex // serializes collective and heartbeat writes
-	hbStop      chan struct{}
-	hbOnce      sync.Once
-	initialDead []int
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	wmu    sync.Mutex // serializes collective and heartbeat writes
+	hbStop chan struct{}
+	hbOnce sync.Once
 
 	// Coordinator side (rank 0).
 	coord *coordinator
@@ -373,15 +368,12 @@ type coordinator struct {
 	opts Options
 
 	mu    sync.Mutex // guards peers slots for the failure detector
-	peers []*peer    // index 0 unused
-
-	joined    int           // slots admitted; owned by the run loop
-	joinsDone atomic.Bool   // every slot joined and the listener is closed
-	expired   chan struct{} // closed when the join window ends first
+	peers []*peer    // index 0 unused; fixed once the join phase ends
 
 	contribs  chan contribution
-	joins     chan *joinReq
-	replies   []chan frame // only [0] is used: rank 0's local delivery
+	joins     chan *joinReq // unbuffered: only the join phase receives
+	joinEnd   chan struct{} // closed when the join phase ends
+	replies   []chan frame  // only [0] is used: rank 0's local delivery
 	done      chan struct{}
 	closeOnce sync.Once
 	errs      chan error
@@ -404,20 +396,24 @@ func (c *coordinator) stop(err error) {
 }
 
 // Host listens on addr for the size-1 joins and returns the rank-0 Node
-// at once; rounds wait for slots that have not joined yet. Size must be
-// at least 1; with size 1 the transport is fully local. The listener
-// closes when every slot has joined or when the join window
-// (Options.DialTimeout) ends, whichever is first.
+// at once; rounds wait until the join phase ends. Size must be at least
+// 1; with size 1 the transport is fully local. The listener closes when
+// every slot has joined or when the join window (Options.DialTimeout)
+// ends, whichever is first.
 func Host(addr string, size int, opts ...Options) (*Node, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpinet: size must be ≥ 1, got %d", size)
 	}
 	o := withDefaults(opts)
 	c := &coordinator{
-		size:     size,
-		opts:     o,
-		contribs: make(chan contribution, 2*size+2),
-		joins:    make(chan *joinReq, size),
+		size: size,
+		opts: o,
+		// Nothing posted during the join phase may block: per peer one
+		// frame, one read error and one heartbeat expiry, plus rank 0's
+		// frame.
+		contribs: make(chan contribution, 3*size-2),
+		joins:    make(chan *joinReq),
+		joinEnd:  make(chan struct{}),
 		replies:  make([]chan frame, size),
 		done:     make(chan struct{}),
 		errs:     make(chan error, size),
@@ -427,40 +423,26 @@ func Host(addr string, size int, opts ...Options) (*Node, error) {
 	// loop, even if rank 0 is between collectives at the time.
 	c.replies[0] = make(chan frame, size)
 	node := &Node{rank: 0, size: size, opts: o, coord: c}
-	if size == 1 {
-		go c.run()
-		return node, nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c.ln = ln
-	c.peers = make([]*peer, size)
-	c.expired = make(chan struct{})
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now().Add(o.DialTimeout))
-	}
-	go c.acceptLoop()
-	go c.run()
-	if !o.DisableHeartbeat {
+	if size > 1 {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		c.ln = ln
+		c.peers = make([]*peer, size)
+		go c.acceptLoop()
 		go c.heartbeatLoop()
 	}
+	go c.run()
 	return node, nil
 }
 
-// acceptLoop admits connections until every slot has joined. Any other
-// accept error — the join deadline above all — ends the join window:
-// the listener closes and the run loop declares the missing slots
-// failed.
+// acceptLoop hands each connection to its own hello reader until the
+// join phase closes the listener.
 func (c *coordinator) acceptLoop() {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			if !c.joinsDone.Load() {
-				c.ln.Close()
-				close(c.expired)
-			}
 			return
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
@@ -472,7 +454,8 @@ func (c *coordinator) acceptLoop() {
 
 // handleHello reads one client hello off its own goroutine (so a stalled
 // joiner cannot head-of-line block other joins) and posts the claim to
-// the run loop, which owns membership.
+// the join phase, which owns membership; a hello that arrives after it
+// is refused.
 func (c *coordinator) handleHello(conn net.Conn) {
 	var hello [helloSize]byte
 	conn.SetReadDeadline(time.Now().Add(c.opts.IOTimeout))
@@ -488,6 +471,8 @@ func (c *coordinator) handleHello(conn net.Conn) {
 	jr := &joinReq{conn: conn, claim: int(int32(binary.LittleEndian.Uint32(hello[4:])))}
 	select {
 	case c.joins <- jr:
+	case <-c.joinEnd:
+		c.reject(conn)
 	case <-c.done:
 		conn.Close()
 	}
@@ -562,8 +547,7 @@ func Join(addr string, opts ...Options) (*Node, error) {
 	}
 	conn.SetWriteDeadline(time.Time{})
 
-	// Coordinator reply: assigned rank, cluster geometry, round
-	// alignment, and the current dead set.
+	// Coordinator reply: assigned rank and cluster size.
 	var hdr [replyHdrSize]byte
 	conn.SetReadDeadline(time.Now().Add(o.IOTimeout))
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -582,40 +566,17 @@ func Join(addr string, opts ...Options) (*Node, error) {
 		conn.Close()
 		return nil, fmt.Errorf("mpinet: bad handshake magic %q", hdr[:4])
 	}
-	rank := int(le.Uint32(hdr[4:]))
-	size := int(le.Uint32(hdr[8:]))
-	seq := le.Uint32(hdr[12:])
-	ndead := int(le.Uint32(hdr[16:]))
-	if ndead < 0 || ndead > size {
-		conn.Close()
-		return nil, fmt.Errorf("mpinet: handshake reports %d dead ranks of %d", ndead, size)
-	}
-	var initialDead []int
-	if ndead > 0 {
-		buf := make([]byte, 4*ndead)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("mpinet: handshake dead set: %w", err)
-		}
-		for i := 0; i < ndead; i++ {
-			initialDead = append(initialDead, int(le.Uint32(buf[4*i:])))
-		}
-	}
 	conn.SetReadDeadline(time.Time{})
 	n := &Node{
-		rank:        rank,
-		size:        size,
-		opts:        o,
-		seq:         seq,
-		conn:        conn,
-		br:          bufio.NewReaderSize(conn, 1<<16),
-		bw:          bufio.NewWriterSize(conn, 1<<16),
-		hbStop:      make(chan struct{}),
-		initialDead: initialDead,
+		rank:   int(le.Uint32(hdr[4:])),
+		size:   int(le.Uint32(hdr[8:])),
+		opts:   o,
+		conn:   conn,
+		br:     bufio.NewReaderSize(conn, 1<<16),
+		bw:     bufio.NewWriterSize(conn, 1<<16),
+		hbStop: make(chan struct{}),
 	}
-	if !o.DisableHeartbeat {
-		go n.heartbeatLoop()
-	}
+	go n.heartbeatLoop()
 	return n, nil
 }
 
@@ -751,44 +712,30 @@ func (c *coordinator) broadcast(alive []bool, f frame) (more []int) {
 	return more
 }
 
-// admit answers one claim. An anonymous claim (-1) takes the lowest live
-// slot that has not joined; an explicit one names its slot. A slot is
-// claimed once: a taken, dead or out-of-range claim is rejected. An
-// admitted joiner gets the handshake reply — its rank, the size, the
-// current round seq and the dead set — and its read loop starts; the
-// round in progress simply waits for its first contribution. If the
-// reply cannot be delivered the slot stays free. Only the run loop
-// calls this.
-func (c *coordinator) admit(jr *joinReq, seq uint32, alive []bool) {
+// admit answers one claim and reports whether it filled a slot. An
+// anonymous claim (-1) takes the lowest slot that has not joined; an
+// explicit one names its slot. A slot is claimed once: a taken or
+// out-of-range claim is rejected. An admitted joiner gets the handshake
+// reply — its rank and the size — and its read loop starts. If the
+// reply cannot be delivered the slot stays free.
+func (c *coordinator) admit(jr *joinReq) bool {
 	r := jr.claim
 	if r < 0 {
-		for r = 1; r < c.size && (c.currentPeer(r) != nil || !alive[r]); r++ {
+		for r = 1; r < c.size && c.currentPeer(r) != nil; r++ {
 		}
 	}
-	if r <= 0 || r >= c.size || c.currentPeer(r) != nil || !alive[r] {
+	if r <= 0 || r >= c.size || c.currentPeer(r) != nil {
 		c.reject(jr.conn)
-		return
+		return false
 	}
-	le := binary.LittleEndian
-	var deadSet []int
-	for i := range alive {
-		if !alive[i] {
-			deadSet = append(deadSet, i)
-		}
-	}
-	buf := make([]byte, replyHdrSize+4*len(deadSet))
+	var buf [replyHdrSize]byte
 	copy(buf[:4], handshakeMagic)
-	le.PutUint32(buf[4:], uint32(r))
-	le.PutUint32(buf[8:], uint32(c.size))
-	le.PutUint32(buf[12:], seq)
-	le.PutUint32(buf[16:], uint32(len(deadSet)))
-	for i, d := range deadSet {
-		le.PutUint32(buf[replyHdrSize+4*i:], uint32(d))
-	}
+	binary.LittleEndian.PutUint32(buf[4:], uint32(r))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(c.size))
 	jr.conn.SetWriteDeadline(time.Now().Add(c.opts.IOTimeout))
-	if _, err := jr.conn.Write(buf); err != nil {
+	if _, err := jr.conn.Write(buf[:]); err != nil {
 		jr.conn.Close()
-		return
+		return false
 	}
 	jr.conn.SetWriteDeadline(time.Time{})
 	p := &peer{conn: jr.conn, bw: bufio.NewWriterSize(jr.conn, 1<<16)}
@@ -796,27 +743,56 @@ func (c *coordinator) admit(jr *joinReq, seq uint32, alive []bool) {
 	c.mu.Lock()
 	c.peers[r] = p
 	c.mu.Unlock()
-	if c.joined++; c.joined == c.size-1 {
-		c.joinsDone.Store(true)
-		c.ln.Close()
-	}
 	go c.readLoop(r, p)
+	return true
 }
 
-// run processes collective rounds until teardown. Round protocol: one
-// contribution per live rank, all carrying the current sequence number;
-// a death aborts the round — survivors get an opError frame naming the
-// dead rank — and bumps the sequence so stale retransmissions are
-// discarded.
+// join is the join phase: it admits claims until every slot has joined
+// or the join window ends, then closes the listener and refuses any
+// hello still in flight.
+func (c *coordinator) join() {
+	window := time.NewTimer(c.opts.DialTimeout)
+	defer window.Stop()
+	defer close(c.joinEnd)
+	defer c.ln.Close()
+	for joined := 0; joined < c.size-1; {
+		select {
+		case jr := <-c.joins:
+			if c.admit(jr) {
+				joined++
+			}
+		case <-window.C:
+			return
+		case <-c.done:
+			return
+		}
+	}
+}
+
+// run settles membership, then processes collective rounds until
+// teardown. Every slot that never joined is a pending death before the
+// first round. Round protocol: one contribution per live rank, all
+// carrying the current sequence number; a death aborts the round —
+// survivors get an opError frame naming the dead rank — and bumps the
+// sequence so stale retransmissions are discarded.
 func (c *coordinator) run() {
 	size := c.size
 	alive := make([]bool, size)
 	for i := range alive {
 		alive[i] = true
 	}
-	var seq uint32
 	var pendingDead []int
-	expired := c.expired
+	if size > 1 {
+		c.join()
+		for r := 1; r < size; r++ {
+			if c.currentPeer(r) == nil {
+				alive[r] = false
+				c.markDead(r)
+				pendingDead = append(pendingDead, r)
+			}
+		}
+	}
+	var seq uint32
 	for {
 		if len(pendingDead) > 0 {
 			f := pendingDead[0]
@@ -867,22 +843,6 @@ func (c *coordinator) run() {
 				if got == 1 && c.opts.RoundTimeout > 0 {
 					roundTimer = time.NewTimer(c.opts.RoundTimeout)
 					timerC = roundTimer.C
-				}
-			case jr := <-c.joins:
-				c.admit(jr, seq, alive)
-			case <-expired:
-				// The join window closed first: every slot that never
-				// joined fails like a silent peer.
-				expired = nil
-				for r := 1; r < size; r++ {
-					if alive[r] && c.currentPeer(r) == nil {
-						alive[r] = false
-						c.markDead(r)
-						pendingDead = append(pendingDead, r)
-					}
-				}
-				if len(pendingDead) > 0 {
-					break collect
 				}
 			case <-timerC:
 				// Per-collective deadline: the slowest live rank (rank 0
@@ -988,14 +948,6 @@ func (n *Node) Rank() int { return n.rank }
 // Size returns the number of participating ranks.
 func (n *Node) Size() int { return n.size }
 
-// InitialDead returns the ranks that were already declared dead when
-// this node joined (empty when none had died). It implements
-// mpi.DeadRankser so failure-tolerant callers can seed their survivor
-// set consistently with the incumbents after a late join.
-func (n *Node) InitialDead() []int {
-	return append([]int(nil), n.initialDead...)
-}
-
 // failErr wraps a transport-level failure where no specific rank can be
 // blamed (from this node's point of view the coordinator is gone).
 func failErr(op string, err error) error {
@@ -1082,12 +1034,10 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 		return frame{}, failErr(op, err)
 	}
 	for {
-		if !n.opts.DisableHeartbeat {
-			// The coordinator heartbeats at HeartbeatInterval, so a
-			// healthy link always delivers SOMETHING well within the
-			// timeout, no matter how slow the other ranks are.
-			n.conn.SetReadDeadline(time.Now().Add(n.opts.HeartbeatTimeout))
-		}
+		// The coordinator heartbeats at HeartbeatInterval, so a healthy
+		// link always delivers SOMETHING well within the timeout, no
+		// matter how slow the other ranks are.
+		n.conn.SetReadDeadline(time.Now().Add(n.opts.HeartbeatTimeout))
 		rep, err := readFrame(n.br)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {

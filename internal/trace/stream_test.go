@@ -39,9 +39,9 @@ func writeTraceLog(t *testing.T, entries []eventlog.Entry) string {
 	return path
 }
 
-// TestNewIndexFromReaderMatchesNewIndex: the streaming constructor must
-// answer queries identically to the materialize-everything one.
-func TestNewIndexFromReaderMatchesNewIndex(t *testing.T) {
+// TestReaderSourceIndexMatchesNewIndex: an index streamed from an open
+// log must answer queries identically to the materialize-everything one.
+func TestReaderSourceIndexMatchesNewIndex(t *testing.T) {
 	entries := streamTestEntries()
 	path := writeTraceLog(t, entries)
 
@@ -52,7 +52,7 @@ func TestNewIndexFromReaderMatchesNewIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := NewIndexFromReader(r, 0, ^uint32(0))
+	got, err := NewIndexFromSource(r.Source(0, ^uint32(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +66,16 @@ func TestNewIndexFromReaderMatchesNewIndex(t *testing.T) {
 	}
 }
 
-// TestNewIndexFromReaderWindow: the [t0, t1) window restricts which
-// entries are indexed.
-func TestNewIndexFromReaderWindow(t *testing.T) {
+// TestReaderSourceIndexWindow: the source's [t0, t1) window restricts
+// which entries are indexed.
+func TestReaderSourceIndexWindow(t *testing.T) {
 	path := writeTraceLog(t, streamTestEntries())
 	r, err := eventlog.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	ix, err := NewIndexFromReader(r, 0, 10)
+	ix, err := NewIndexFromSource(r.Source(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

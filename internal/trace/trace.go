@@ -37,12 +37,6 @@ type Index struct {
 }
 
 // NewIndex builds an index over already-materialized entries.
-//
-// Deprecated-style note: callers holding a log file (or a time window of
-// one) should prefer NewIndexFromSource or NewIndexFromReader, which
-// stream entries batch-by-batch into the index instead of requiring the
-// whole []Entry slice up front. NewIndex remains for in-memory entry
-// sets (e.g. test fixtures).
 func NewIndex(entries []eventlog.Entry) *Index {
 	ix := newEmptyIndex()
 	ix.addAll(entries)
@@ -92,15 +86,6 @@ func NewIndexFromSource(src eventlog.EntrySource) (*Index, error) {
 	}
 	ix.finish()
 	return ix, nil
-}
-
-// NewIndexFromReader builds an index over the [t0, t1) slice of an open
-// log file without materializing the slice first. Pass t0=0,
-// t1=^uint32(0) to index the whole file.
-func NewIndexFromReader(r *eventlog.Reader, t0, t1 uint32) (*Index, error) {
-	src := r.Source(t0, t1)
-	defer src.Close()
-	return NewIndexFromSource(src)
 }
 
 // FromFiles builds an index over all entries of the given log files,

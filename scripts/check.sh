@@ -43,6 +43,17 @@ if [ "${FUZZ:-1}" = "1" ]; then
 	done
 fi
 
+# Rank-transport stress: the join phase, heartbeats, aborted rounds and
+# the in-process transport are timing-dependent, so one race run can
+# miss an interleaving. Five more race runs of both transports, then of
+# the distributed synthesis that re-stripes over them (about 30 s).
+# Skip with MPISTRESS=0.
+if [ "${MPISTRESS:-1}" = "1" ]; then
+	echo "== mpi stress (mpinet + mpi -race -count=5; core -run Distributed -race -count=5)"
+	go test -race -count=5 ./internal/mpinet ./internal/mpi
+	go test -race -count=5 -run Distributed ./internal/core
+fi
+
 # Telemetry overhead guard (DESIGN.md §10): enabled telemetry may not
 # slow the synthesis hot path by more than 5% versus disabled. Compares
 # the best (minimum) ns/op of BenchmarkT3Synthesis against the
