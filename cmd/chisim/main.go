@@ -8,11 +8,15 @@
 //	chisim -persons 20000 -days 28 -ranks 16 -logdir logs
 //
 // Distributed usage (one OS process per rank, TCP transport; every
-// process must receive identical -persons/-days/-seed values, which make
-// them generate identical populations, schedules and place partitions):
+// process must receive identical -persons/-days/-seed/-ranks values,
+// which make them generate identical populations, schedules and place
+// partitions):
 //
 //	chisim -persons 20000 -days 28 -ranks 4 -dist-host :7946 ...   # rank 0
 //	chisim -persons 20000 -days 28 -ranks 4 -dist-join host:7946   # ranks 1..3
+//
+// Both run the same rank program (abm.RunOn) and differ only in the
+// transport; rank 0 prints the summary of the whole run.
 //
 // Under a supervisor (cmd/netlaunch), each worker additionally pins its
 // rank with -dist-rank and discovers the coordinator through -dist-join
@@ -39,15 +43,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro"
 	"repro/internal/abm"
 	"repro/internal/cmdrun"
 	"repro/internal/eventlog"
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -82,47 +83,50 @@ func main() {
 		}
 		fmt.Printf("population: %d persons, %d places, %d neighborhoods\n",
 			p.Pop.NumPersons(), p.Pop.NumPlaces(), p.Pop.Neighborhoods())
-		if dist.Enabled() {
-			err = runDistributed(ctx, p, dist, tel, *ranks, *logdir, *resume, abm.RankConfig{
-				Log:        eventlog.Config{CacheEntries: *cache, Compress: *compress},
-				HourDelay:  *hourDelay,
-				FlushEvery: uint32(*flushEvery),
-			})
-		} else {
-			err = runLocal(ctx, p, tel, *logdir, *resume)
-		}
+		start := time.Now()
+		res, reports, err := simulate(ctx, p, dist, *logdir, *resume)
 		if errors.Is(err, context.Canceled) {
 			// An interrupted run is a stopped run: every log has a valid
 			// footer, so the supervisor must not charge it as a failure.
 			return fmt.Errorf("logs in %s are intact — rerun with -resume to continue: %w", *logdir, err)
 		}
-		return err
+		if err != nil || res == nil {
+			return err // res is nil on the ranks other than 0
+		}
+		printResumeReport(reports)
+		fmt.Printf("simulated %d hours on %d ranks in %s\n", res.Steps, len(res.PerRank), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("events logged: %d (%.2f per person-day), %d chunked writes\n",
+			res.Entries, float64(res.Entries)/float64(p.Pop.NumPersons()*p.Days()), res.Flushes)
+		fmt.Printf("log volume: %.2f MB across %d files in %s\n",
+			float64(res.LogBytes)/(1<<20), len(res.LogPaths), *logdir)
+		fmt.Printf("agent moves: %d local, %d inter-rank migrations\n", res.LocalMoves, res.Migrations)
+		return tel.WriteReport(runReport(res.PerRank))
 	})
 }
 
-// runLocal simulates every rank as a goroutine of this process.
-func runLocal(ctx context.Context, p *repro.Pipeline, tel *cmdrun.Telemetry, logdir string, resume bool) error {
-	start := time.Now()
-	var res *abm.Result
-	var err error
-	if resume {
-		var reports []*abm.ResumeReport
-		res, reports, err = p.Resume(ctx, logdir)
-		if err != nil {
-			return err
+// simulate runs the simulation's rank program on every rank as a
+// goroutine of this process or, under -dist-host/-dist-join, on this
+// process's one rank of a TCP cluster. Either way rank 0 returns the
+// Result of the whole run and the other ranks a nil one.
+func simulate(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, logdir string, resume bool) (*abm.Result, []*abm.ResumeReport, error) {
+	if !dist.Enabled() {
+		if resume {
+			return p.Resume(ctx, logdir)
 		}
-		printResumeReport(reports)
-	} else if res, err = p.Simulate(ctx, logdir); err != nil {
-		return err
+		res, err := p.Simulate(ctx, logdir)
+		return res, nil, err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("simulated %d hours on %d ranks in %s\n", res.Steps, len(res.PerRank), elapsed.Round(time.Millisecond))
-	fmt.Printf("events logged: %d (%.2f per person-day), %d chunked writes\n",
-		res.Entries, float64(res.Entries)/float64(p.Pop.NumPersons()*p.Days()), res.Flushes)
-	fmt.Printf("log volume: %.2f MB across %d files in %s\n",
-		float64(res.LogBytes)/(1<<20), len(res.LogPaths), logdir)
-	fmt.Printf("agent moves: %d local, %d inter-rank migrations\n", res.LocalMoves, res.Migrations)
-	return tel.WriteReport(runReport(res.PerRank))
+	cfg := p.SimConfig(logdir)
+	node, err := dist.Open(cfg.Ranks)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer node.Close()
+	if resume {
+		return abm.ResumeOn(ctx, node, cfg)
+	}
+	res, err := abm.RunOn(ctx, node, cfg)
+	return res, nil, err
 }
 
 // runReport is the chisim run report with the per-rank roll-ups.
@@ -158,66 +162,4 @@ func printResumeReport(reports []*abm.ResumeReport) {
 	}
 	fmt.Printf("resume: continued at hour %d (%d entries salvaged, %d beyond the boundary regenerated)\n",
 		reports[0].StartHour, recovered, dropped)
-}
-
-// runDistributed executes one rank of the simulation in this process
-// over the TCP transport, then gathers and prints the combined summary
-// on rank 0. cfg carries the logging and pacing options; the rest of
-// the rank's configuration is derived here.
-func runDistributed(ctx context.Context, p *repro.Pipeline, dist *cmdrun.Dist, tel *cmdrun.Telemetry, ranks int, logdir string, resume bool, cfg abm.RankConfig) error {
-	node, err := dist.Open(ranks)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	if err := os.MkdirAll(logdir, 0o755); err != nil {
-		return err
-	}
-	// Every process derives the identical spatial partition from the
-	// shared seed; no partition data crosses the wire.
-	cfg.Pop, cfg.Gen, cfg.Days = p.Pop, p.Gen, p.Days()
-	if cfg.Assign, err = p.SpatialAssignment(node.Size()); err != nil {
-		return err
-	}
-	cfg.LogPath = filepath.Join(logdir, fmt.Sprintf("rank%04d.h5l", node.Rank()))
-	start := time.Now()
-	var rr abm.RankResult
-	if resume {
-		var rep *abm.ResumeReport
-		rr, rep, err = abm.ResumeRank(ctx, node, cfg)
-		if err == nil && rep != nil {
-			printResumeReport([]*abm.ResumeReport{rep})
-		}
-	} else {
-		rr, err = abm.RunRank(ctx, node, cfg)
-	}
-	if err != nil {
-		// A cooperative cancellation still leaves every rank's log with
-		// a valid footer; skipping the summary gather is consistent
-		// across ranks because they all observed the same cancel flag.
-		return err
-	}
-	fmt.Printf("rank %d: %d entries, %d migrations out, wall %s\n",
-		node.Rank(), rr.Entries, rr.Migrations, time.Since(start).Round(time.Millisecond))
-
-	all, err := mpi.Gather(ctx, node, rr.Encode())
-	if err != nil || node.Rank() != 0 {
-		return err
-	}
-	var entries, bytes, migrations uint64
-	perRank := make([]abm.RankResult, 0, len(all))
-	for _, blob := range all {
-		r, err := abm.DecodeRankResult(blob)
-		if err != nil {
-			return err
-		}
-		entries += r.Entries
-		bytes += r.LogBytes
-		migrations += r.Migrations
-		perRank = append(perRank, r)
-	}
-	fmt.Printf("cluster total: %d entries, %.2f MB of logs, %d migrations across %d ranks\n",
-		entries, float64(bytes)/(1<<20), migrations, node.Size())
-	return tel.WriteReport(runReport(perRank))
 }

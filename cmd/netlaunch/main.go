@@ -10,7 +10,7 @@
 // The recovery strategy differs per phase. A simulation rank dying
 // (even kill -9) aborts the gang promptly via mpinet's failure
 // detector; netlaunch relaunches every rank with -resume, and
-// abm.ResumeRank replays the logs to a state bit-identical to an
+// abm.ResumeOn replays the logs to a state bit-identical to an
 // uninterrupted run. A synthesis rank dying — or never joining within
 // the coordinator's join window — is not restarted: the survivors
 // re-stripe its files (graceful degradation) and the output network is
@@ -255,49 +255,30 @@ func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, p
 		// A stale address file would point relaunched workers at the
 		// dead coordinator; remove it before rank 0 rebinds.
 		os.Remove(addrFile)
-		common := []string{
-			"-persons", fmt.Sprint(a.Persons),
-			"-days", fmt.Sprint(a.Days),
-			"-seed", fmt.Sprint(a.Seed),
-			"-ranks", fmt.Sprint(a.Ranks),
-			"-logdir", logsDir,
-		}
-		if a.HourDelay > 0 {
-			common = append(common, "-hour-delay", a.HourDelay.String())
-		}
-		if attempt > 0 {
-			common = append(common, "-resume")
-		}
-		specs := make([]supervise.Spec, a.Ranks)
-		for r := 0; r < a.Ranks; r++ {
-			args := append([]string(nil), common...)
-			if obs != nil {
-				args = append(args,
-					"-telemetry-addr", "127.0.0.1:0",
-					"-telemetry-addr-file", obs.telemetryAddrFile(r))
-			}
-			if r == 0 {
-				args = append(args,
-					"-dist-host", "127.0.0.1:0",
-					"-dist-addr-file", addrFile)
-				if a.RoundTimeout > 0 {
-					args = append(args, "-dist-round-timeout", a.RoundTimeout.String())
-				}
-			} else {
-				args = append(args,
-					"-dist-join", "@"+addrFile,
-					"-dist-rank", fmt.Sprint(r))
-			}
-			specs[r] = supervise.Spec{
-				Rank: r, Path: bin, Args: args,
-				Stdout: os.Stdout, Stderr: os.Stderr,
-			}
-		}
-		return specs
+		return simSpecs(bin, logsDir, addrFile, a, obs, attempt)
 	}
 	pol.OnStart = chaos.hook("sim")
 	s := supervise.New(build(0), pol)
 	return s.RunGang(ctx, build)
+}
+
+// simSpecs is the simulation's command line per rank; every attempt
+// after the first resumes.
+func simSpecs(bin, logsDir, addrFile string, a simArgs, obs *observer, attempt int) []supervise.Spec {
+	common := []string{
+		"-persons", fmt.Sprint(a.Persons),
+		"-days", fmt.Sprint(a.Days),
+		"-seed", fmt.Sprint(a.Seed),
+		"-ranks", fmt.Sprint(a.Ranks),
+		"-logdir", logsDir,
+	}
+	if a.HourDelay > 0 {
+		common = append(common, "-hour-delay", a.HourDelay.String())
+	}
+	if attempt > 0 {
+		common = append(common, "-resume")
+	}
+	return rankSpecs(bin, a.Ranks, common, addrFile, a.RoundTimeout, obs, func(int) []string { return nil })
 }
 
 // runSynthPhase supervises the synthesis one process per rank: a dead
@@ -305,12 +286,38 @@ func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, p
 func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a synthArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
 	addrFile := filepath.Join(workdir, "synth.addr")
 	os.Remove(addrFile)
+	pol.OnStart = chaos.hook("synth")
+	s := supervise.New(synthSpecs(bin, addrFile, paths, a, obs), pol)
+	return s.RunPerRank(ctx)
+}
+
+// synthSpecs is the synthesis's command line per rank: rank 0 sizes
+// the cluster and writes the outputs, and every rank lists the logs.
+func synthSpecs(bin, addrFile string, paths []string, a synthArgs, obs *observer) []supervise.Spec {
 	common := []string{
 		"-t0", fmt.Sprint(a.T0),
 		"-t1", fmt.Sprint(a.T1),
 	}
-	specs := make([]supervise.Spec, a.Ranks)
-	for r := 0; r < a.Ranks; r++ {
+	return rankSpecs(bin, a.Ranks, common, addrFile, a.RoundTimeout, obs, func(r int) []string {
+		var own []string
+		if r == 0 {
+			own = []string{"-dist-size", fmt.Sprint(a.Ranks), "-o", a.Out, "-snapshot", a.Snapshot}
+			if a.ReportPath != "" {
+				own = append(own, "-report", a.ReportPath)
+			}
+		}
+		return append(own, paths...)
+	})
+}
+
+// rankSpecs builds one spec per rank of a phase whose rank 0 hosts the
+// coordinator and publishes its address to addrFile, and whose other
+// ranks join through that file under a pinned rank. A rank's arguments
+// are common, the telemetry pair when the observe plane is on, the
+// hosting or joining flags, then the phase's own(r).
+func rankSpecs(bin string, ranks int, common []string, addrFile string, roundTimeout time.Duration, obs *observer, own func(r int) []string) []supervise.Spec {
+	specs := make([]supervise.Spec, ranks)
+	for r := range specs {
 		args := append([]string(nil), common...)
 		if obs != nil {
 			args = append(args,
@@ -320,30 +327,21 @@ func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a s
 		if r == 0 {
 			args = append(args,
 				"-dist-host", "127.0.0.1:0",
-				"-dist-size", fmt.Sprint(a.Ranks),
-				"-dist-addr-file", addrFile,
-				"-o", a.Out,
-				"-snapshot", a.Snapshot)
-			if a.RoundTimeout > 0 {
-				args = append(args, "-dist-round-timeout", a.RoundTimeout.String())
-			}
-			if a.ReportPath != "" {
-				args = append(args, "-report", a.ReportPath)
+				"-dist-addr-file", addrFile)
+			if roundTimeout > 0 {
+				args = append(args, "-dist-round-timeout", roundTimeout.String())
 			}
 		} else {
 			args = append(args,
 				"-dist-join", "@"+addrFile,
 				"-dist-rank", fmt.Sprint(r))
 		}
-		args = append(args, paths...)
 		specs[r] = supervise.Spec{
-			Rank: r, Path: bin, Args: args,
+			Rank: r, Path: bin, Args: append(args, own(r)...),
 			Stdout: os.Stdout, Stderr: os.Stderr,
 		}
 	}
-	pol.OnStart = chaos.hook("synth")
-	s := supervise.New(specs, pol)
-	return s.RunPerRank(ctx)
+	return specs
 }
 
 // chaosKiller aims one kill -9 at a configured rank in a configured

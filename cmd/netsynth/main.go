@@ -58,23 +58,24 @@ import (
 )
 
 // parseBytes parses a byte size with an optional K/M/G suffix (powers
-// of 1024), e.g. "64M" or "2G" or a plain byte count.
+// of 1024), e.g. "64M" or "2G" or a plain byte count. A negative size
+// or one beyond int64 is an error.
 func parseBytes(s string) (int64, error) {
-	if s == "" || s == "0" {
+	if s == "" {
 		return 0, nil
 	}
-	mult := int64(1)
+	num, mult := s, int64(1)
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<10
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<20
 	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<30
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid byte size %q", s)
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("invalid byte size %q: want a non-negative count below 2^63 bytes, with an optional K, M or G suffix", s)
 	}
 	return n * mult, nil
 }

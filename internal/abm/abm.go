@@ -9,6 +9,9 @@
 // its places, and agents migrate between ranks when their next activity's
 // place is owned elsewhere. One event logger per rank records activity
 // changes (Section III), so log files shard naturally across ranks.
+// Every rank runs one program, RunOn, whatever the transport: Run is that
+// program on the goroutine ranks of mpi.Run, and a chisim process runs it
+// on its mpinet node.
 //
 // The simulation steps hourly, but like the logger an agent acts only
 // when its activity changes: each rank files its residents in an agenda
@@ -31,6 +34,7 @@ package abm
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,11 +68,13 @@ type InteractFunc func(rank int, hour uint32, place uint32, occupants []uint32)
 type Config struct {
 	Pop *synthpop.Population
 	Gen *schedule.Generator
-	// Ranks is the number of simulated compute processes. Must be
-	// positive.
+	// Ranks is the number of simulated compute processes. Run and
+	// Resume start that many goroutine ranks and need it positive;
+	// RunOn and ResumeOn take the count from the transport and reject a
+	// nonzero Ranks that disagrees.
 	Ranks int
 	// Assign maps each place to its owning rank. If nil, a spatial
-	// partition is computed from a schedule sample.
+	// partition is computed from a schedule sample (partition.Default).
 	Assign partition.Assignment
 	// Days is the simulated duration in days. Must be positive.
 	Days int
@@ -92,12 +98,50 @@ type Config struct {
 	// rank's goroutine at the moment the entry is written; the returned
 	// slice length must match Log.ExtColumns.
 	LogExt func(person uint32, stopHour uint32) []uint32
-	// HourDelay stretches the wall clock for chaos tests; see
-	// RankConfig.HourDelay.
+	// HourDelay, when positive, sleeps this long at the top of every
+	// simulated hour. It exists for chaos testing: tiny populations
+	// finish in milliseconds, too fast for an external fault (kill -9,
+	// link cut) to reliably land mid-run, so the supervised smoke tests
+	// stretch the wall clock deterministically with it.
 	HourDelay time.Duration
-	// FlushEvery makes each rank flush its log cache to a durable chunk
-	// every N simulated hours; see RankConfig.FlushEvery.
+	// FlushEvery, when positive, flushes each rank's log cache to a
+	// durable chunk every FlushEvery simulated hours (in addition to the
+	// cache-full and close-time flushes). A live consumer tailing the
+	// log (eventlog.OpenTail) then sees entries at a bounded simulated
+	// lag instead of waiting for the cache to fill; the cost is smaller
+	// chunks. Zero keeps the batch behavior: flush only when the cache
+	// fills or the run ends. The logged entries are identical either
+	// way — only the chunk boundaries differ.
 	FlushEvery uint32
+}
+
+// prepare validates cfg for a run on size ranks and fills in the
+// default partition when Assign is nil.
+func (cfg *Config) prepare(size int) error {
+	if cfg.Pop == nil || cfg.Gen == nil {
+		return fmt.Errorf("abm: Pop and Gen are required")
+	}
+	if cfg.Days <= 0 {
+		return fmt.Errorf("abm: Days must be positive, got %d", cfg.Days)
+	}
+	if cfg.Assign == nil {
+		var err error
+		if cfg.Assign, err = partition.Default(cfg.Pop, cfg.Gen, cfg.Days, size); err != nil {
+			return err
+		}
+	}
+	if len(cfg.Assign) != cfg.Pop.NumPlaces() {
+		return fmt.Errorf("abm: assignment covers %d places, population has %d", len(cfg.Assign), cfg.Pop.NumPlaces())
+	}
+	return cfg.Assign.Validate(size)
+}
+
+// logPath is rank's event log under LogDir, "" when logging is off.
+func (cfg *Config) logPath(rank int) string {
+	if cfg.LogDir == "" {
+		return ""
+	}
+	return filepath.Join(cfg.LogDir, fmt.Sprintf("rank%04d.h5l", rank))
 }
 
 // Result summarizes a run.
@@ -121,159 +165,6 @@ type Result struct {
 	PerRank []RankResult
 }
 
-// agent is the per-rank state of one person: the index of their current
-// activity segment in the rank's held arena for that segment's day (see
-// RunRank). The next segment of the same day is the one after it.
-type agent struct {
-	person uint32
-	seg    uint32
-}
-
-// Run executes the simulation and returns aggregate statistics.
-//
-// Cancelling ctx stops every rank at the next hour boundary — logs are
-// flushed and closed with valid footers, so the run remains resumable —
-// and Run returns an error wrapping context.Canceled. A rank that fails
-// (an error or a panic) makes its peers' next exchange fail too, and Run
-// returns the failed rank's own error.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	res, _, err := run(ctx, cfg, false)
-	return res, err
-}
-
-// run is the shared engine behind Run and Resume: it validates the
-// configuration, derives the partition and per-rank log paths, and
-// executes one goroutine per rank. When resume is true each rank goes
-// through ResumeRank instead of RunRank and the per-rank salvage
-// reports are returned alongside the result.
-func run(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport, error) {
-	if cfg.Pop == nil || cfg.Gen == nil {
-		return nil, nil, fmt.Errorf("abm: Pop and Gen are required")
-	}
-	if cfg.Ranks <= 0 {
-		return nil, nil, fmt.Errorf("abm: Ranks must be positive, got %d", cfg.Ranks)
-	}
-	if cfg.Days <= 0 {
-		return nil, nil, fmt.Errorf("abm: Days must be positive, got %d", cfg.Days)
-	}
-	if resume && cfg.LogDir == "" {
-		return nil, nil, fmt.Errorf("abm: Resume requires a LogDir")
-	}
-	assign := cfg.Assign
-	if assign == nil {
-		var err error
-		if assign, err = partition.Default(cfg.Pop, cfg.Gen, cfg.Days, cfg.Ranks); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(assign) != cfg.Pop.NumPlaces() {
-		return nil, nil, fmt.Errorf("abm: assignment covers %d places, population has %d", len(assign), cfg.Pop.NumPlaces())
-	}
-	if err := assign.Validate(cfg.Ranks); err != nil {
-		return nil, nil, err
-	}
-
-	res := &Result{Steps: cfg.Days * schedule.HoursPerDay}
-	logging := cfg.LogDir != ""
-	if logging {
-		if err := os.MkdirAll(cfg.LogDir, 0o755); err != nil {
-			return nil, nil, err
-		}
-		res.LogPaths = make([]string, cfg.Ranks)
-		for r := range res.LogPaths {
-			res.LogPaths[r] = filepath.Join(cfg.LogDir, fmt.Sprintf("rank%04d.h5l", r))
-		}
-	}
-
-	results := make([]RankResult, cfg.Ranks)
-	var reports []*ResumeReport
-	if resume {
-		reports = make([]*ResumeReport, cfg.Ranks)
-	}
-	err := mpi.Run(cfg.Ranks, func(t mpi.Transport) error {
-		logPath := ""
-		if logging {
-			logPath = res.LogPaths[t.Rank()]
-		}
-		rc := RankConfig{
-			Pop: cfg.Pop, Gen: cfg.Gen, Days: cfg.Days, Assign: assign,
-			LogPath: logPath, Log: cfg.Log, FullStateLog: cfg.FullStateLog,
-			Interact: cfg.Interact, LogExt: cfg.LogExt,
-			HourDelay: cfg.HourDelay, FlushEvery: cfg.FlushEvery,
-		}
-		var rr RankResult
-		var err error
-		if resume {
-			var rep *ResumeReport
-			rr, rep, err = ResumeRank(ctx, t, rc)
-			reports[t.Rank()] = rep
-		} else {
-			rr, err = RunRank(ctx, t, rc)
-		}
-		if err != nil {
-			return err
-		}
-		results[t.Rank()] = rr
-		return nil
-	})
-	if err != nil {
-		return nil, reports, err
-	}
-
-	res.PerRank = results
-	for _, rr := range results {
-		res.Entries += rr.Entries
-		res.Flushes += rr.Flushes
-		res.Migrations += rr.Migrations
-		res.LocalMoves += rr.LocalMoves
-		res.LogBytes += rr.LogBytes
-	}
-	return res, reports, nil
-}
-
-// RankConfig configures a single rank's simulation for RunRank. Unlike
-// Config it names the rank's own log file explicitly (empty disables
-// logging on this rank) because in a distributed deployment each process
-// owns exactly one file.
-type RankConfig struct {
-	Pop          *synthpop.Population
-	Gen          *schedule.Generator
-	Days         int
-	Assign       partition.Assignment
-	LogPath      string
-	Log          eventlog.Config
-	FullStateLog bool
-	Interact     InteractFunc
-	LogExt       func(person uint32, stopHour uint32) []uint32
-
-	// StartHour resumes the simulation at the given hour instead of 0:
-	// the state at StartHour is reconstructed deterministically from the
-	// schedule generator (each agent's segment is the one active at hour
-	// StartHour-1) and only entries with Stop >= StartHour are logged.
-	// Used by ResumeRank; must not exceed Days*24.
-	StartHour uint32
-	// Logger, when non-nil, is used instead of creating a fresh log at
-	// LogPath — typically a logger returned by eventlog.ResumeBefore so
-	// a crashed rank appends to its salvaged file. RunRank takes
-	// ownership and closes it.
-	Logger *eventlog.Logger
-	// HourDelay, when positive, sleeps this long at the top of every
-	// simulated hour. It exists for chaos testing: tiny populations
-	// finish in milliseconds, too fast for an external fault (kill -9,
-	// link cut) to reliably land mid-run, so the supervised smoke tests
-	// stretch the wall clock deterministically with it.
-	HourDelay time.Duration
-	// FlushEvery, when positive, flushes the rank's log cache to a
-	// durable chunk every FlushEvery simulated hours (in addition to the
-	// cache-full and close-time flushes). A live consumer tailing the
-	// log (eventlog.OpenTail) then sees entries at a bounded simulated
-	// lag instead of waiting for the cache to fill; the cost is smaller
-	// chunks. Zero keeps the batch behavior: flush only when the cache
-	// fills or the run ends. The logged entries are identical either
-	// way — only the chunk boundaries differ.
-	FlushEvery uint32
-}
-
 // RankResult is one rank's counters.
 type RankResult struct {
 	Entries    uint64
@@ -284,42 +175,144 @@ type RankResult struct {
 	// StoppedAt is the hour the run ended: Days*24 for a complete run,
 	// the hour every rank left the loop at when the run was canceled.
 	StoppedAt uint32
-	// WallNs is the rank's end-to-end wall clock in nanoseconds,
-	// measured by RunRank/ResumeRank; per-rank walls expose simulation
-	// load imbalance the summed counters hide.
+	// WallNs is the rank's end-to-end wall clock in nanoseconds; per-rank
+	// walls expose simulation load imbalance the summed counters hide.
 	WallNs  uint64
 	LogPath string
 }
 
-// Encode serializes the result for transport to rank 0 in a distributed
-// deployment.
-func (rr RankResult) Encode() []byte {
-	out := make([]byte, 0, 7*8+len(rr.LogPath))
-	var u [8]byte
-	le := binary.LittleEndian
-	for _, v := range [7]uint64{rr.Entries, rr.Flushes, rr.LogBytes, rr.Migrations, rr.LocalMoves, uint64(rr.StoppedAt), rr.WallNs} {
-		le.PutUint64(u[:], v)
-		out = append(out, u[:]...)
-	}
-	return append(out, rr.LogPath...)
+// agent is the per-rank state of one person: the index of their current
+// activity segment in the rank's held arena for that segment's day (see
+// runRank). The next segment of the same day is the one after it.
+type agent struct {
+	person uint32
+	seg    uint32
 }
 
-// DecodeRankResult reverses Encode.
-func DecodeRankResult(b []byte) (RankResult, error) {
-	if len(b) < 7*8 {
-		return RankResult{}, fmt.Errorf("abm: rank result blob of %d bytes too short", len(b))
+// Run executes the simulation on cfg.Ranks goroutine ranks of mpi.Run,
+// each running RunOn's rank program, and returns the aggregate
+// statistics.
+//
+// Cancelling ctx stops every rank at the next hour boundary — logs are
+// flushed and closed with valid footers, so the run remains resumable —
+// and Run returns an error wrapping context.Canceled. A rank that fails
+// (an error or a panic) makes its peers' next exchange fail too, and Run
+// returns the failed rank's own error.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
+	res, _, err := inProcess(ctx, cfg, false)
+	return res, err
+}
+
+// inProcess runs the rank program on cfg.Ranks goroutine ranks and
+// returns rank 0's outcome. The default partition is computed here,
+// once, rather than by every rank.
+func inProcess(ctx context.Context, cfg Config, resume bool) (*Result, []*ResumeReport, error) {
+	if cfg.Ranks <= 0 {
+		return nil, nil, fmt.Errorf("abm: Ranks must be positive, got %d", cfg.Ranks)
 	}
-	le := binary.LittleEndian
-	return RankResult{
-		Entries:    le.Uint64(b[0:]),
-		Flushes:    le.Uint64(b[8:]),
-		LogBytes:   le.Uint64(b[16:]),
-		Migrations: le.Uint64(b[24:]),
-		LocalMoves: le.Uint64(b[32:]),
-		StoppedAt:  uint32(le.Uint64(b[40:])),
-		WallNs:     le.Uint64(b[48:]),
-		LogPath:    string(b[56:]),
-	}, nil
+	if err := cfg.prepare(cfg.Ranks); err != nil {
+		return nil, nil, err
+	}
+	var res *Result
+	var reports []*ResumeReport
+	err := mpi.Run(cfg.Ranks, func(t mpi.Transport) error {
+		r, reps, err := rankProgram(ctx, t, cfg, resume)
+		if t.Rank() == 0 {
+			res, reports = r, reps
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, reports, nil
+}
+
+// RunOn runs this rank of the simulation over t — one goroutine of
+// mpi.Run or one process of an mpinet cluster. Every rank calls it with
+// the same Pop, Gen, Days and Assign; determinism of the schedule
+// generator makes them agree on every agent's behavior without further
+// coordination, and an arrival that contradicts the receiver's own
+// schedule fails the run. The rank writes LogDir/rankNNNN.h5l for its
+// own rank number.
+//
+// On success the ranks gather their counters on rank 0, which returns
+// the aggregate Result; the other ranks return a nil Result. Cancelling
+// ctx stops every rank at the same hour boundary with resumable logs
+// and an error wrapping context.Canceled, and skips the gather.
+//
+// Interact and LogExt hooks run with process-local state only: in a
+// distributed deployment each process sees just the agents it hosts.
+func RunOn(ctx context.Context, t mpi.Transport, cfg Config) (*Result, error) {
+	res, _, err := rankProgram(ctx, t, cfg, false)
+	return res, err
+}
+
+// rankOutcome is what every rank sends rank 0 at the end of a run.
+type rankOutcome struct {
+	Result RankResult
+	Report *ResumeReport `json:",omitempty"`
+}
+
+// rankProgram is the simulation as every rank runs it, on any
+// transport: it runs or resumes this rank, then gathers every rank's
+// outcome on rank 0, which sums them into the Result.
+func rankProgram(ctx context.Context, t mpi.Transport, cfg Config, resume bool) (*Result, []*ResumeReport, error) {
+	if cfg.Ranks != 0 && cfg.Ranks != t.Size() {
+		return nil, nil, fmt.Errorf("abm: Ranks is %d but the transport has %d ranks", cfg.Ranks, t.Size())
+	}
+	if err := cfg.prepare(t.Size()); err != nil {
+		return nil, nil, err
+	}
+	if cfg.LogDir != "" {
+		if err := os.MkdirAll(cfg.LogDir, 0o755); err != nil {
+			return nil, nil, err
+		}
+	}
+	var mine rankOutcome
+	var err error
+	if resume {
+		mine.Result, mine.Report, err = resumeRank(ctx, t, cfg)
+	} else {
+		mine.Result, err = runRank(ctx, t, cfg, 0, nil)
+	}
+	if err != nil {
+		// Every rank saw the same cancel flag, so skipping the gather
+		// after a cancellation is consistent across ranks.
+		return nil, nil, err
+	}
+	blob, err := json.Marshal(mine)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The run is over on every rank, so the gather completes even if
+	// ctx dies now, as the hourly alignment exchange does.
+	all, err := mpi.Gather(context.WithoutCancel(ctx), t, blob)
+	if err != nil || t.Rank() != 0 {
+		return nil, nil, err
+	}
+	res := &Result{Steps: cfg.Days * schedule.HoursPerDay, PerRank: make([]RankResult, len(all))}
+	var reports []*ResumeReport
+	for r, b := range all {
+		var o rankOutcome
+		if err := json.Unmarshal(b, &o); err != nil {
+			return nil, nil, fmt.Errorf("abm: outcome of rank %d: %w", r, err)
+		}
+		rr := o.Result
+		res.PerRank[r] = rr
+		res.Entries += rr.Entries
+		res.Flushes += rr.Flushes
+		res.Migrations += rr.Migrations
+		res.LocalMoves += rr.LocalMoves
+		res.LogBytes += rr.LogBytes
+		if cfg.LogDir != "" {
+			res.LogPaths = append(res.LogPaths, rr.LogPath)
+		}
+		if resume {
+			reports = append(reports, o.Report)
+		}
+	}
+	return res, reports, nil
 }
 
 // agentBytes is the wire size of one migrating agent: person ID plus the
@@ -410,22 +403,21 @@ func (s *personSorter) sort(a []agent) []agent {
 	return src
 }
 
-// RunRank executes one rank of the simulation over any Transport — the
-// in-process ranks of mpi.Run or the TCP-based mpinet for true
-// multi-process deployment. All ranks must use identical Pop, Gen, Days
-// and Assign values; determinism of the schedule generator guarantees
-// they agree on every agent's behavior without further coordination.
+// runRank simulates this rank from startHour to the end of the run.
+// cfg must be prepared for t.Size() ranks. At startHour 0 the rank
+// claims the agents at home at the first hour; a later startHour
+// reconstructs the state at startHour deterministically from the
+// schedule generator (each agent's segment is the one active at hour
+// startHour-1) and logs only entries with Stop >= startHour. logger,
+// when non-nil, is used instead of a fresh log at cfg.logPath — the
+// salvaged log resumeRank reopens — and runRank closes it.
 //
-// Cancelling ctx is the one way to stop a run early. It is observed at
-// the next hour boundary: all ranks leave the loop together (via the
-// hourly flag exchange), the logger is flushed and closed with a valid
-// footer that ends at that hour, and RunRank returns the partial
-// RankResult alongside an error wrapping context.Canceled. The log can
-// be continued with ResumeRank.
-//
-// Interact and LogExt hooks run with process-local state only: in a
-// distributed deployment each process sees just the agents it hosts.
-func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResult, err error) {
+// Cancelling ctx is observed at the next hour boundary: all ranks leave
+// the loop together (via the hourly flag exchange), the logger is
+// flushed and closed with a valid footer that ends at that hour, and
+// runRank returns the partial RankResult alongside an error wrapping
+// context.Canceled.
+func runRank(ctx context.Context, t mpi.Transport, cfg Config, startHour uint32, logger *eventlog.Logger) (rr RankResult, err error) {
 	rank, size := t.Rank(), t.Size()
 	// The rank span always measures wall time (even with telemetry
 	// disabled) so RankResult.WallNs is unconditionally populated; the
@@ -435,47 +427,32 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		spRank.AddCount(int64(rr.Entries))
 		rr.WallNs = uint64(spRank.End())
 		mRankRuns.Inc()
-		if hours := int64(rr.StoppedAt) - int64(cfg.StartHour); hours > 0 {
+		if hours := int64(rr.StoppedAt) - int64(startHour); hours > 0 {
 			mHours.Add(hours)
 		}
 		mMigrations.Add(int64(rr.Migrations))
 		mLocalMoves.Add(int64(rr.LocalMoves))
 	}()
 	if err := ctx.Err(); err != nil {
+		if logger != nil {
+			logger.Close()
+		}
 		return rr, fmt.Errorf("abm: run canceled before start: %w", err)
-	}
-	if cfg.Pop == nil || cfg.Gen == nil {
-		return rr, fmt.Errorf("abm: Pop and Gen are required")
-	}
-	if cfg.Days <= 0 {
-		return rr, fmt.Errorf("abm: Days must be positive")
-	}
-	if err := cfg.Assign.Validate(size); err != nil {
-		return rr, err
-	}
-	if len(cfg.Assign) != cfg.Pop.NumPlaces() {
-		return rr, fmt.Errorf("abm: assignment covers %d places, population has %d", len(cfg.Assign), cfg.Pop.NumPlaces())
 	}
 	assign := cfg.Assign
 	endHour := uint32(cfg.Days * schedule.HoursPerDay)
-	if cfg.StartHour > endHour {
-		return rr, fmt.Errorf("abm: StartHour %d beyond end of run (%d hours)", cfg.StartHour, endHour)
-	}
-	if cfg.StartHour > 0 && cfg.FullStateLog {
-		return rr, fmt.Errorf("abm: resume (StartHour > 0) is not supported with FullStateLog")
-	}
 
-	logger := cfg.Logger
-	if logger == nil && cfg.LogPath != "" {
+	logPath := cfg.logPath(rank)
+	if logger == nil && logPath != "" {
 		var err error
-		logger, err = eventlog.Create(cfg.LogPath, cfg.Log)
+		logger, err = eventlog.Create(logPath, cfg.Log)
 		if err != nil {
 			return rr, err
 		}
 	}
 	if logger != nil {
 		defer logger.Close()
-		rr.LogPath = cfg.LogPath
+		rr.LogPath = logPath
 	}
 	logSegment := func(person uint32, s schedule.Segment, stop uint32) error {
 		if logger == nil {
@@ -563,11 +540,11 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	// segment is at one of its places. For a fresh run that is the first
 	// segment of day 0, which is at the person's home (every day opens
 	// there), so a rank generates day 0 only for the persons it claims.
-	// For a resumed run it is the segment active at hour StartHour-1,
+	// For a resumed run it is the segment active at hour startHour-1,
 	// which fully reconstructs the pre-crash state because schedules are
 	// deterministic per (person, day); every rank generates that day for
 	// every person and keeps only its own.
-	if cfg.StartHour == 0 {
+	if startHour == 0 {
 		for p := range cfg.Pop.Persons {
 			if assign[cfg.Pop.Persons[p].Home] == rank {
 				a := agent{person: uint32(p), seg: hold(uint32(p), 0)}
@@ -575,7 +552,7 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 			}
 		}
 	} else {
-		base := cfg.StartHour - 1
+		base := startHour - 1
 		arena := heldAt(base)
 		for p := range cfg.Pop.Persons {
 			n := len(*arena)
@@ -619,7 +596,7 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 	// may keep reading one hour's blobs until the next collective returns.
 	send := [2][][]byte{make([][]byte, size), make([][]byte, size)}
 	rr.StoppedAt = endHour
-	for hour := cfg.StartHour; hour < endHour; hour++ {
+	for hour := startHour; hour < endHour; hour++ {
 		if cfg.HourDelay > 0 {
 			time.Sleep(cfg.HourDelay)
 		}
@@ -756,7 +733,7 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 
 	// Close out the final in-progress segments. After a cancel the
 	// in-progress segments are NOT logged: the log then ends at an hour
-	// boundary, exactly the shape ResumeRank restarts from.
+	// boundary, exactly the shape resumeRank restarts from.
 	if !cfg.FullStateLog && !canceled {
 		last := *heldAt(endHour - 1)
 		for _, a := range residents() {
@@ -775,7 +752,7 @@ func RunRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (rr RankResul
 		if err := logger.Close(); err != nil {
 			return rr, err
 		}
-		if st, err := os.Stat(cfg.LogPath); err == nil {
+		if st, err := os.Stat(logPath); err == nil {
 			rr.LogBytes = uint64(st.Size())
 		}
 	}

@@ -244,8 +244,8 @@ func TestAgentsAreWhereSchedulesSay(t *testing.T) {
 	}
 }
 
-func TestSpatialAssignmentReducesMigrations(t *testing.T) {
-	pop, err := synthpop.Generate(synthpop.Config{Persons: 4000, Seed: 5, Neighborhoods: 8})
+func TestSpatialPartitionReducesMigrations(t *testing.T) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 4000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

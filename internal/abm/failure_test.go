@@ -80,12 +80,11 @@ func TestRanksWithDifferentSchedulesFail(t *testing.T) {
 	assign := partition.Random(pop.NumPlaces(), 2)
 	dir := t.TempDir()
 	err := mpi.Run(2, func(tr mpi.Transport) error {
-		cfg := RankConfig{Pop: pop, Gen: gen, Days: 2, Assign: assign,
-			LogPath: filepath.Join(dir, fmt.Sprintf("rank%d.h5l", tr.Rank()))}
+		cfg := Config{Pop: pop, Gen: gen, Days: 2, Assign: assign, LogDir: dir}
 		if tr.Rank() == 1 {
 			cfg.Gen = other
 		}
-		_, err := RunRank(context.Background(), tr, cfg)
+		_, err := RunOn(context.Background(), tr, cfg)
 		return err
 	})
 	if err == nil {
@@ -104,7 +103,7 @@ func TestRanksWithDifferentSchedulesFail(t *testing.T) {
 }
 
 // TestArrivalBeyondPopulationFails: a peer with a larger population can
-// ship a person this rank does not have. RunRank must report it rather
+// ship a person this rank does not have. The rank must report it rather
 // than index past its persons. Rank 1 is a bare transport that sends one
 // such agent at hour 1 and then follows rank 0's hourly exchanges.
 func TestArrivalBeyondPopulationFails(t *testing.T) {
@@ -112,7 +111,7 @@ func TestArrivalBeyondPopulationFails(t *testing.T) {
 	stranger := appendAgent(nil, uint32(pop.NumPersons()), schedule.Segment{Start: 1, Stop: 2, Place: 0})
 	err := mpi.Run(2, func(tr mpi.Transport) error {
 		if tr.Rank() == 0 {
-			_, err := RunRank(context.Background(), tr, RankConfig{
+			_, err := RunOn(context.Background(), tr, Config{
 				Pop: pop, Gen: gen, Days: 1, Assign: make(partition.Assignment, pop.NumPlaces())})
 			return err
 		}

@@ -1,7 +1,7 @@
 // Crash recovery for simulation ranks.
 //
 // A killed run leaves each rank's event log without a footer and with up
-// to one cache-worth of entries missing from its tail. ResumeRank turns
+// to one cache-worth of entries missing from its tail. Resuming turns
 // that wreckage back into a running simulation:
 //
 //  1. Each rank salvages its own log (eventlog.Inspect) and finds the
@@ -12,14 +12,14 @@
 //     rank provably holds ALL entries with Stop < M.
 //  3. Each rank trims its log back to the boundary
 //     (eventlog.ResumeBefore with Stop >= M) and re-enters the hourly
-//     loop at StartHour = M. Agent state at hour M-1 is reconstructed
+//     loop at hour M. Agent state at hour M-1 is reconstructed
 //     from the deterministic schedule generator, so the rerun regenerates
 //     exactly the trimmed-and-lost entries — no duplicates, no gaps — and
 //     the finished logs are bit-equivalent in content to an uninterrupted
 //     run.
 //
 // A canceled run produces logs that end cleanly at an hour boundary;
-// ResumeRank continues them with zero dropped entries.
+// resuming continues them with zero dropped entries.
 package abm
 
 import (
@@ -38,7 +38,7 @@ import (
 // a crashed rank's log counts as one recovered fault.
 var mRecovered = telemetry.C("fault_recovered_total")
 
-// ResumeReport describes what ResumeRank salvaged and where it resumed.
+// ResumeReport describes what one rank salvaged and where it resumed.
 type ResumeReport struct {
 	// StartHour is the agreed global resume boundary M: simulation
 	// recommenced at this hour on every rank.
@@ -56,36 +56,37 @@ type ResumeReport struct {
 	Restarted bool
 }
 
-// Resume continues a crashed or canceled multi-goroutine run
-// previously started by Run with the same Config (including LogDir,
-// which must still hold the per-rank logs). It returns the aggregate
-// result of the continued run plus one salvage report per rank.
+// Resume continues a crashed or canceled run previously started by Run
+// with the same Config (including LogDir, which must still hold the
+// per-rank logs), on cfg.Ranks goroutine ranks. It returns the
+// aggregate result of the continued run plus one salvage report per
+// rank.
 func Resume(ctx context.Context, cfg Config) (*Result, []*ResumeReport, error) {
-	return run(ctx, cfg, true)
+	return inProcess(ctx, cfg, true)
 }
 
-// ResumeRank continues a crashed or canceled simulation rank.
-// It must be called collectively: every rank of the transport enters
-// ResumeRank with identical Pop/Gen/Days/Assign (as for RunRank) and its
-// own LogPath. See the package comment of this file for the protocol.
-// Cancellation semantics match RunRank: a canceled ctx stops the rerun
-// at the next hour boundary with resumable logs.
-func ResumeRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (RankResult, *ResumeReport, error) {
+// ResumeOn is RunOn for a crashed or canceled run: every rank of the
+// transport calls it with the Config of the original run, and rank 0
+// returns the aggregate Result and every rank's salvage report. See the
+// comment at the top of this file for the protocol. Cancellation
+// semantics match RunOn.
+func ResumeOn(ctx context.Context, t mpi.Transport, cfg Config) (*Result, []*ResumeReport, error) {
+	return rankProgram(ctx, t, cfg, true)
+}
+
+// resumeRank salvages this rank's log, agrees on the resume hour with
+// the other ranks and runs the rank from there.
+func resumeRank(ctx context.Context, t mpi.Transport, cfg Config) (RankResult, *ResumeReport, error) {
 	var rr RankResult
 	if err := ctx.Err(); err != nil {
 		return rr, nil, fmt.Errorf("abm: resume canceled before start: %w", err)
 	}
-	if cfg.LogPath == "" {
-		return rr, nil, fmt.Errorf("abm: ResumeRank requires a LogPath")
+	logPath := cfg.logPath(t.Rank())
+	if logPath == "" {
+		return rr, nil, fmt.Errorf("abm: Resume requires a LogDir")
 	}
 	if cfg.FullStateLog {
-		return rr, nil, fmt.Errorf("abm: ResumeRank does not support FullStateLog")
-	}
-	if cfg.Logger != nil || cfg.StartHour != 0 {
-		return rr, nil, fmt.Errorf("abm: ResumeRank computes Logger and StartHour itself")
-	}
-	if cfg.Days <= 0 {
-		return rr, nil, fmt.Errorf("abm: Days must be positive")
+		return rr, nil, fmt.Errorf("abm: Resume does not support FullStateLog")
 	}
 	endHour := uint32(cfg.Days * schedule.HoursPerDay)
 
@@ -93,11 +94,11 @@ func ResumeRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (RankResul
 	// file, torn header, wrong schema — degrades to "nothing salvaged",
 	// which forces a global restart rather than an inconsistent resume.
 	var localMax uint32
-	if info, err := eventlog.Inspect(cfg.LogPath); err == nil {
+	if info, err := eventlog.Inspect(logPath); err == nil {
 		localMax = info.MaxStop
 	}
 	if localMax > endHour {
-		return rr, nil, fmt.Errorf("abm: log %s reaches hour %d, beyond the configured %d-hour run", cfg.LogPath, localMax, endHour)
+		return rr, nil, fmt.Errorf("abm: log %s reaches hour %d, beyond the configured %d-hour run", logPath, localMax, endHour)
 	}
 
 	// Step 2: agree on the boundary M = min over ranks.
@@ -109,7 +110,7 @@ func ResumeRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (RankResul
 	}
 	// The boundary agreement must complete collectively even if ctx dies
 	// between the entry check above and here, or the ranks would desync;
-	// RunRank observes the cancellation at its first hourly alignment.
+	// runRank observes the cancellation at its first hourly alignment.
 	in, err := t.Exchange(context.WithoutCancel(ctx), out)
 	if err != nil {
 		return rr, nil, fmt.Errorf("abm: resume boundary agreement: %w", err)
@@ -132,12 +133,12 @@ func ResumeRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (RankResul
 		// Nothing salvageable somewhere: restart everywhere, truncating
 		// whatever partial logs exist.
 		report.Restarted = true
-		logger, err = eventlog.Create(cfg.LogPath, cfg.Log)
+		logger, err = eventlog.Create(logPath, cfg.Log)
 		if err != nil {
 			return rr, report, err
 		}
 	} else {
-		lg, info, err := eventlog.ResumeBefore(cfg.LogPath, cfg.Log, func(e eventlog.Entry, _ []uint32) bool {
+		lg, info, err := eventlog.ResumeBefore(logPath, cfg.Log, func(e eventlog.Entry, _ []uint32) bool {
 			return e.Stop >= m
 		})
 		if err != nil {
@@ -148,9 +149,7 @@ func ResumeRank(ctx context.Context, t mpi.Transport, cfg RankConfig) (RankResul
 		report.DroppedEntries = info.DroppedEntries
 	}
 
-	cfg.Logger = logger
-	cfg.StartHour = m
-	rr, err = RunRank(ctx, t, cfg)
+	rr, err = runRank(ctx, t, cfg, m, logger)
 	if err == nil && !report.Restarted {
 		mRecovered.Inc()
 	}

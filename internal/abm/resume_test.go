@@ -3,10 +3,7 @@ package abm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/eventlog"
@@ -40,31 +37,33 @@ func newResumeFixture(t *testing.T, seed uint64, ranks, days int) *resumeFixture
 	return &resumeFixture{pop: pop, gen: gen, assign: assign, ranks: ranks, days: days}
 }
 
-func (f *resumeFixture) rankConfig(logPath string) RankConfig {
-	return RankConfig{
-		Pop: f.pop, Gen: f.gen, Days: f.days, Assign: f.assign,
-		LogPath: logPath,
-		Log:     eventlog.Config{CacheEntries: 64},
+func (f *resumeFixture) config(logDir string) Config {
+	return Config{
+		Pop: f.pop, Gen: f.gen, Ranks: f.ranks, Days: f.days, Assign: f.assign,
+		LogDir: logDir,
+		Log:    eventlog.Config{CacheEntries: 64},
 	}
+}
+
+// logPaths names the per-rank logs a run writes under dir.
+func (f *resumeFixture) logPaths(dir string) []string {
+	cfg := f.config(dir)
+	paths := make([]string, f.ranks)
+	for r := range paths {
+		paths[r] = cfg.logPath(r)
+	}
+	return paths
 }
 
 // reference runs the full healthy simulation and returns one log path
 // per rank.
 func (f *resumeFixture) reference(t *testing.T) []string {
 	t.Helper()
-	dir := t.TempDir()
-	paths := make([]string, f.ranks)
-	for r := range paths {
-		paths[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
-	}
-	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
-		_, err := RunRank(context.Background(), tr, f.rankConfig(paths[tr.Rank()]))
-		return err
-	})
+	res, err := Run(context.Background(), f.config(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return paths
+	return res.LogPaths
 }
 
 type loggedEntry struct {
@@ -133,19 +132,11 @@ func truncateCopy(t *testing.T, src, dst string, frac float64) {
 	}
 }
 
-// resumeAll collectively resumes every rank and returns the per-rank
-// reports.
-func (f *resumeFixture) resumeAll(t *testing.T, paths []string) []*ResumeReport {
+// resumeAll resumes the run whose logs are in dir and returns the
+// per-rank reports.
+func (f *resumeFixture) resumeAll(t *testing.T, dir string) []*ResumeReport {
 	t.Helper()
-	reports := make([]*ResumeReport, f.ranks)
-	var mu sync.Mutex
-	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
-		_, rep, err := ResumeRank(context.Background(), tr, f.rankConfig(paths[tr.Rank()]))
-		mu.Lock()
-		reports[tr.Rank()] = rep
-		mu.Unlock()
-		return err
-	})
+	_, reports, err := Resume(context.Background(), f.config(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,21 +145,20 @@ func (f *resumeFixture) resumeAll(t *testing.T, paths []string) []*ResumeReport 
 
 // TestResumeRankAfterTruncation is the headline crash test: every
 // rank's log is torn at a different byte offset (as a kill -9 mid-run
-// would leave them), and ResumeRank must regenerate logs bit-identical
-// to an uninterrupted run.
+// would leave them), and Resume must regenerate logs bit-identical to
+// an uninterrupted run.
 func TestResumeRankAfterTruncation(t *testing.T) {
 	f := newResumeFixture(t, 41, 3, 2)
 	ref := f.reference(t)
 
 	dir := t.TempDir()
-	crashed := make([]string, f.ranks)
+	crashed := f.logPaths(dir)
 	fracs := []float64{0.55, 0.8, 0.35}
 	for r := range crashed {
-		crashed[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
 		truncateCopy(t, ref[r], crashed[r], fracs[r])
 	}
 
-	reports := f.resumeAll(t, crashed)
+	reports := f.resumeAll(t, dir)
 
 	endHour := uint32(f.days * schedule.HoursPerDay)
 	m := reports[0].StartHour
@@ -197,12 +187,10 @@ func TestResumeRankAfterCrashFlush(t *testing.T) {
 	f := newResumeFixture(t, 42, 1, 2)
 	ref := f.reference(t)
 
-	path := filepath.Join(t.TempDir(), "crashed.h5l")
+	dir := t.TempDir()
+	path := f.logPaths(dir)[0]
 	faultinject.Arm(eventlog.CrashFlush, 3, faultinject.ErrInjected)
-	err := mpi.Run(1, func(tr mpi.Transport) error {
-		_, err := RunRank(context.Background(), tr, f.rankConfig(path))
-		return err
-	})
+	_, err := Run(context.Background(), f.config(dir))
 	faultinject.Reset()
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("crashed run error = %v, want injected crash", err)
@@ -211,7 +199,7 @@ func TestResumeRankAfterCrashFlush(t *testing.T) {
 		t.Fatal("crashed log unexpectedly has a valid footer")
 	}
 
-	reports := f.resumeAll(t, []string{path})
+	reports := f.resumeAll(t, dir)
 	if reports[0].Restarted {
 		t.Fatal("restarted; two full flushes should have been salvageable")
 	}
@@ -229,9 +217,8 @@ func TestResumeRankRestartsWhenOneLogIsGone(t *testing.T) {
 	ref := f.reference(t)
 
 	dir := t.TempDir()
-	crashed := make([]string, f.ranks)
+	crashed := f.logPaths(dir)
 	for r := range crashed {
-		crashed[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
 		copyFile(t, ref[r], crashed[r])
 	}
 	// Rank 1's log is wiped out entirely.
@@ -239,7 +226,7 @@ func TestResumeRankRestartsWhenOneLogIsGone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reports := f.resumeAll(t, crashed)
+	reports := f.resumeAll(t, dir)
 	for r, rep := range reports {
 		if !rep.Restarted || rep.StartHour != 0 {
 			t.Fatalf("rank %d: report %+v, want full restart at hour 0", r, rep)
@@ -256,13 +243,12 @@ func TestResumeRankOnCompletedRun(t *testing.T) {
 	ref := f.reference(t)
 
 	dir := t.TempDir()
-	crashed := make([]string, f.ranks)
+	crashed := f.logPaths(dir)
 	for r := range crashed {
-		crashed[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
 		copyFile(t, ref[r], crashed[r])
 	}
 
-	reports := f.resumeAll(t, crashed)
+	reports := f.resumeAll(t, dir)
 	endHour := uint32(f.days * schedule.HoursPerDay)
 	for r, rep := range reports {
 		if rep.StartHour != endHour {
@@ -272,7 +258,7 @@ func TestResumeRankOnCompletedRun(t *testing.T) {
 	expectSameLogs(t, ref, crashed)
 }
 
-// TestRankCancelThenResume cancels a RunRank run mid-flight, checks all
+// TestRankCancelThenResume cancels a run mid-flight, checks all
 // ranks leave at the same hour with valid footers, and then resumes to a
 // bit-identical finish.
 func TestRankCancelThenResume(t *testing.T) {
@@ -280,10 +266,7 @@ func TestRankCancelThenResume(t *testing.T) {
 	ref := f.reference(t)
 
 	dir := t.TempDir()
-	paths := make([]string, f.ranks)
-	for r := range paths {
-		paths[r] = filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r))
-	}
+	paths := f.logPaths(dir)
 
 	// The cancel fires deterministically from inside the simulation: the
 	// first logged entry whose activity ends at or after hour 30 (on any
@@ -297,15 +280,14 @@ func TestRankCancelThenResume(t *testing.T) {
 		return nil
 	}
 
+	// The ranks run bare, without the gather that a cancel skips, so
+	// each one's StoppedAt is visible.
 	results := make([]RankResult, f.ranks)
-	var mu sync.Mutex
+	cfg := f.config(dir)
+	cfg.LogExt = logExt
 	err := mpi.Run(f.ranks, func(tr mpi.Transport) error {
-		cfg := f.rankConfig(paths[tr.Rank()])
-		cfg.LogExt = logExt
-		rr, err := RunRank(ctx, tr, cfg)
-		mu.Lock()
+		rr, err := runRank(ctx, tr, cfg, 0, nil)
 		results[tr.Rank()] = rr
-		mu.Unlock()
 		return err
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -331,7 +313,7 @@ func TestRankCancelThenResume(t *testing.T) {
 		r.Close()
 	}
 
-	reports := f.resumeAll(t, paths)
+	reports := f.resumeAll(t, dir)
 	for r, rep := range reports {
 		if rep.Restarted {
 			t.Fatalf("rank %d restarted after a cancel", r)
@@ -343,36 +325,37 @@ func TestRankCancelThenResume(t *testing.T) {
 	expectSameLogs(t, ref, paths)
 }
 
-// TestResumeRankValidation covers the misuse guards.
+// TestResumeRankValidation covers the misuse guards of the rank
+// program, resuming on one transport rank.
 func TestResumeRankValidation(t *testing.T) {
 	f := newResumeFixture(t, 46, 1, 1)
-	run := func(mutate func(*RankConfig)) error {
-		cfg := f.rankConfig(filepath.Join(t.TempDir(), "log.h5l"))
+	run := func(mutate func(*Config)) error {
+		cfg := f.config(t.TempDir())
 		mutate(&cfg)
 		return mpi.Run(1, func(tr mpi.Transport) error {
-			_, _, err := ResumeRank(context.Background(), tr, cfg)
+			_, _, err := ResumeOn(context.Background(), tr, cfg)
 			return err
 		})
 	}
-	if err := run(func(c *RankConfig) { c.LogPath = "" }); err == nil {
-		t.Error("no error for missing LogPath")
+	if err := run(func(c *Config) { c.LogDir = "" }); err == nil {
+		t.Error("no error for missing LogDir")
 	}
-	if err := run(func(c *RankConfig) { c.FullStateLog = true }); err == nil {
+	if err := run(func(c *Config) { c.FullStateLog = true }); err == nil {
 		t.Error("no error for FullStateLog")
 	}
-	if err := run(func(c *RankConfig) { c.StartHour = 5 }); err == nil {
-		t.Error("no error for preset StartHour")
+	if err := run(func(c *Config) { c.Ranks = 2 }); err == nil {
+		t.Error("no error for Ranks disagreeing with the transport")
 	}
-	if err := run(func(c *RankConfig) { c.Days = 0 }); err == nil {
+	if err := run(func(c *Config) { c.Days = 0 }); err == nil {
 		t.Error("no error for zero Days")
 	}
 }
 
-// TestRunRankFromAnyStartHour starts RunRank cold at hours on both sides
+// TestRunRankFromAnyStartHour starts runRank cold at hours on both sides
 // of each midnight of a three-day run, on one and two ranks: each rank
-// must log exactly the uninterrupted run's entries with Stop >= StartHour,
-// in the same order. The start-up state at StartHour-1 and the day arenas
-// it leaves behind are what a resume depends on.
+// must log exactly the uninterrupted run's entries with Stop >= the
+// start hour, in the same order. The start-up state at the hour before
+// it and the day arenas it leaves behind are what a resume depends on.
 func TestRunRankFromAnyStartHour(t *testing.T) {
 	pop, gen := testWorld(t, 400)
 	for _, ranks := range []int{1, 2} {
@@ -385,14 +368,13 @@ func TestRunRankFromAnyStartHour(t *testing.T) {
 		}
 		for _, start := range []uint32{1, 23, 24, 25, 47, 48, 71} {
 			dir := t.TempDir()
+			cfg := f.config(dir)
 			err := mpi.Run(ranks, func(tr mpi.Transport) error {
-				cfg := f.rankConfig(filepath.Join(dir, fmt.Sprintf("rank%d.h5l", tr.Rank())))
-				cfg.StartHour = start
-				_, err := RunRank(context.Background(), tr, cfg)
+				_, err := runRank(context.Background(), tr, cfg, start, nil)
 				return err
 			})
 			if err != nil {
-				t.Fatalf("ranks=%d StartHour=%d: %v", ranks, start, err)
+				t.Fatalf("ranks=%d start=%d: %v", ranks, start, err)
 			}
 			for r := range ranks {
 				var want []eventlog.Entry
@@ -401,13 +383,13 @@ func TestRunRankFromAnyStartHour(t *testing.T) {
 						want = append(want, e)
 					}
 				}
-				got := readLog(t, filepath.Join(dir, fmt.Sprintf("rank%d.h5l", r)))
+				got := readLog(t, cfg.logPath(r))
 				if len(got) != len(want) {
-					t.Fatalf("ranks=%d StartHour=%d rank %d: %d entries, want %d", ranks, start, r, len(got), len(want))
+					t.Fatalf("ranks=%d start=%d rank %d: %d entries, want %d", ranks, start, r, len(got), len(want))
 				}
 				for i, le := range got {
 					if le.e != want[i] {
-						t.Fatalf("ranks=%d StartHour=%d rank %d entry %d: %+v, want %+v", ranks, start, r, i, le.e, want[i])
+						t.Fatalf("ranks=%d start=%d rank %d entry %d: %+v, want %+v", ranks, start, r, i, le.e, want[i])
 					}
 				}
 			}

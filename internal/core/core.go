@@ -757,17 +757,12 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 	rankStart := time.Now()
 	var comm time.Duration
 	size := t.Size()
-	// Rank 0 roots the distributed trace and advertises its span context
-	// on the transport, which piggybacks it on every collective reply;
-	// worker ranks stamp their local span trees with the learned context
-	// and ship them home inside their rank reports, so the whole cluster
-	// round renders as one tree under this span.
+	// Rank 0 roots the distributed trace; worker ranks ship their local
+	// span trees home inside their rank reports, and rank 0 grafts them
+	// under this span, so the whole cluster round renders as one tree.
 	var rootSpan *telemetry.Span
 	if t.Rank() == 0 {
 		ctx, rootSpan = telemetry.StartSpan(ctx, "synth/distributed")
-		if tc, ok := t.(mpi.TraceCarrier); ok {
-			tc.SetTraceContext(rootSpan.TraceID(), rootSpan.SpanID())
-		}
 	}
 	dead := make([]bool, size)
 	failures := 0
@@ -851,17 +846,10 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		local.FaultsInjected = telemetry.C("fault_injected_total").Value()
 		local.FaultsRecovered = telemetry.C("fault_recovered_total").Value()
 		if t.Rank() != 0 && attemptSpan.SpanID() != 0 {
-			// The result gather's reply delivered the coordinator's trace
-			// context; stamp it onto the local span tree and ship the tree
-			// with the rank report. Rank 0's tree is already rooted locally.
+			// Ship the local span tree with the rank report; rank 0's tree
+			// is already rooted locally.
 			rep := attemptSpan.Report()
 			rep.Rank = t.Rank()
-			if tc, ok := t.(mpi.TraceCarrier); ok {
-				tid, sid := tc.TraceContext()
-				rep.TraceID = telemetry.FormatID(tid)
-				rep.ParentID = telemetry.FormatID(sid)
-				local.TraceID = rep.TraceID
-			}
 			local.Spans = []telemetry.SpanReport{rep}
 		}
 		var repBlob []byte
@@ -900,17 +888,22 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 			report = telemetry.Default.Report("synthesize-distributed")
 			report.Stages = stats.StageReports()
 			report.TraceID = telemetry.FormatID(rootSpan.TraceID())
+			rootID := telemetry.FormatID(rootSpan.SpanID())
 			var remote []telemetry.SpanReport
 			for _, r := range alive {
 				rr, err := telemetry.DecodeRank(repGathered[r])
 				if err != nil {
 					continue // a rank's report is best-effort
 				}
-				remote = append(remote, rr.Spans...)
+				// Each worker tree joins this trace under the root span.
+				for _, sp := range rr.Spans {
+					sp.TraceID, sp.ParentID = report.TraceID, rootID
+					remote = append(remote, sp)
+				}
 				rr.Spans = nil // the trees live in report.Spans, stitched
 				report.Ranks = append(report.Ranks, rr)
 			}
-			report.AttachRemoteSpans(telemetry.FormatID(rootSpan.SpanID()), remote)
+			report.AttachRemoteSpans(rootID, remote)
 		}
 		return total, report, nil
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/sparse"
 	"repro/internal/synthpop"
+	"repro/internal/telemetry"
 )
 
 // bruteForce computes pair weights by simulating occupancy hour by hour.
@@ -560,6 +561,59 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 	}
 	if results[0] == nil || !results[0].Equal(serial) {
 		t.Fatal("distributed synthesis differs from serial")
+	}
+}
+
+// TestSynthesizeDistributedGraftsWorkerTraces: rank 0's report carries
+// every worker rank's span tree under its root span, each stamped with
+// the root's trace and span ids, whatever the transport.
+func TestSynthesizeDistributedGraftsWorkerTraces(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(true)
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 300, Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := abm.Run(context.Background(), abm.Config{Pop: pop, Gen: schedule.NewGenerator(pop, 53), Ranks: 3, Days: 1, LogDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 3
+	var report *telemetry.Report
+	err = mpi.Run(size, func(tr mpi.Transport) error {
+		_, rep, err := SynthesizeDistributed(context.Background(), tr, res.LogPaths, 0, 24, Config{Workers: 1})
+		if tr.Rank() == 0 {
+			report = rep
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report == nil || report.TraceID == "" {
+		t.Fatalf("rank 0 report %+v carries no trace", report)
+	}
+	var root *telemetry.SpanReport
+	for i, sp := range report.Spans {
+		if sp.Name == "synth/distributed" && sp.TraceID == report.TraceID {
+			root = &report.Spans[i]
+		}
+	}
+	if root == nil {
+		t.Fatal("no synth/distributed root span in the report")
+	}
+	workers := map[int]bool{}
+	for _, sp := range root.Children {
+		if sp.Rank == 0 {
+			continue
+		}
+		workers[sp.Rank] = true
+		if sp.ParentID != root.SpanID || sp.TraceID != report.TraceID {
+			t.Errorf("rank %d tree: trace %q parent %q, want trace %q parent %q", sp.Rank, sp.TraceID, sp.ParentID, report.TraceID, root.SpanID)
+		}
+	}
+	if len(workers) != size-1 {
+		t.Fatalf("root span holds trees of worker ranks %v, want 1..%d", workers, size-1)
 	}
 }
 

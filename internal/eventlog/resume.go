@@ -11,7 +11,7 @@
 // ResumeBefore additionally trims a suffix of recovered entries chosen
 // by a predicate. Deterministic re-simulation uses it to cut the log at
 // a simulation-hour boundary so the rerun can regenerate exactly the
-// missing entries without duplicating the survivors (see abm.ResumeRank).
+// missing entries without duplicating the survivors (see abm.ResumeOn).
 package eventlog
 
 import (

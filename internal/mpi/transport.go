@@ -64,22 +64,3 @@ func Gather(ctx context.Context, t Transport, blob []byte) ([][]byte, error) {
 	}
 	return in, nil
 }
-
-// TraceCarrier is an optional Transport extension for cross-process
-// trace propagation: a transport that implements it piggybacks the set
-// trace context (trace id + parent span id) on every Exchange it
-// initiates, and records the last nonzero context it observes on
-// replies. Rank 0 sets the context from its root span; worker ranks
-// read it back after their first Exchange and stamp it onto the span
-// reports they ship to rank 0, so a distributed run stitches into one
-// trace tree with no extra communication rounds. Run's in-process ranks
-// do not implement it — in-process spans already nest through
-// context.Context.
-type TraceCarrier interface {
-	// SetTraceContext sets the (traceID, spanID) pair stamped on
-	// outgoing rounds. Zero traceID clears it.
-	SetTraceContext(traceID, spanID uint64)
-	// TraceContext returns the current pair: what was Set locally, or
-	// the last nonzero pair observed from the wire.
-	TraceContext() (traceID, spanID uint64)
-}

@@ -124,12 +124,8 @@ const (
 // prefixes (256 MiB is far above any batch the simulation exchanges).
 const maxFrame = 256 << 20
 
-// frameHdrSize is op + seq + traceID + spanID + nblobs. The two 64-bit
-// trace fields piggyback span context on every collective (zero when
-// telemetry is off); both sides of a launch run the same binary (the
-// supervisor builds once and spawns), so the header change is lockstep
-// by construction.
-const frameHdrSize = 1 + 4 + 8 + 8 + 4
+// frameHdrSize is op + seq + nblobs.
+const frameHdrSize = 1 + 4 + 4
 
 // Options tunes the transport's robustness machinery. The zero value of
 // each field selects its default; use Host(addr, size, opts) / Join(addr,
@@ -188,17 +184,11 @@ func withDefaults(opts []Options) Options {
 	return o
 }
 
-// frame is one collective contribution or reply. traceID/spanID carry
-// the distributed trace context (zero when untraced): contributions are
-// stamped from the sending node's trace state, and the coordinator
-// copies the initiator's context onto every reply so worker ranks learn
-// the coordinator's root span without an extra round.
+// frame is one collective contribution or reply.
 type frame struct {
-	op      byte
-	seq     uint32
-	traceID uint64
-	spanID  uint64
-	blobs   [][]byte
+	op    byte
+	seq   uint32
+	blobs [][]byte
 }
 
 func writeFrame(w *bufio.Writer, f frame) error {
@@ -210,7 +200,6 @@ func writeFrame(w *bufio.Writer, f frame) error {
 		return fmt.Errorf("mpinet: frame of %d bytes exceeds limit", total)
 	}
 	var u32 [4]byte
-	var u64 [8]byte
 	le := binary.LittleEndian
 	le.PutUint32(u32[:], uint32(total))
 	if _, err := w.Write(u32[:]); err != nil {
@@ -221,14 +210,6 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	}
 	le.PutUint32(u32[:], f.seq)
 	if _, err := w.Write(u32[:]); err != nil {
-		return err
-	}
-	le.PutUint64(u64[:], f.traceID)
-	if _, err := w.Write(u64[:]); err != nil {
-		return err
-	}
-	le.PutUint64(u64[:], f.spanID)
-	if _, err := w.Write(u64[:]); err != nil {
 		return err
 	}
 	le.PutUint32(u32[:], uint32(len(f.blobs)))
@@ -261,18 +242,13 @@ func readFrame(r *bufio.Reader) (frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
-	f := frame{
-		op:      body[0],
-		seq:     le.Uint32(body[1:5]),
-		traceID: le.Uint64(body[5:13]),
-		spanID:  le.Uint64(body[13:21]),
-	}
+	f := frame{op: body[0], seq: le.Uint32(body[1:5])}
 	if f.op == 0 || f.op > opError {
 		// On-the-wire corruption: reject the frame so the connection is
 		// declared dead instead of a bogus opcode entering a round.
 		return frame{}, fmt.Errorf("mpinet: bad opcode %d", f.op)
 	}
-	n := le.Uint32(body[21:25])
+	n := le.Uint32(body[5:9])
 	off := uint32(frameHdrSize)
 	for i := uint32(0); i < n; i++ {
 		if off+4 > total {
@@ -338,17 +314,11 @@ func (p *peer) send(f frame, timeout time.Duration) error {
 	return err
 }
 
-// Node is one rank's handle; it implements mpi.Transport and
-// mpi.TraceCarrier.
+// Node is one rank's handle; it implements mpi.Transport.
 type Node struct {
 	rank, size int
 	opts       Options
 	seq        uint32 // next collective round number
-
-	// Distributed trace context (mpi.TraceCarrier): stamped on outgoing
-	// contributions, refreshed from nonzero reply headers.
-	traceID atomic.Uint64
-	spanID  atomic.Uint64
 
 	// Client side (rank > 0).
 	conn   net.Conn
@@ -875,16 +845,6 @@ func (c *coordinator) run() {
 		if len(pendingDead) > 0 {
 			continue
 		}
-		// Trace context for the replies: the first live contribution
-		// carrying one (in practice rank 0, the round initiator). Worker
-		// ranks pick it up from the reply header.
-		var tID, sID uint64
-		for r := 0; r < size; r++ {
-			if alive[r] && round[r].traceID != 0 {
-				tID, sID = round[r].traceID, round[r].spanID
-				break
-			}
-		}
 		// Route. Dead ranks contribute nil blobs and receive nothing.
 		out := make([]frame, size)
 		for dst := 0; dst < size; dst++ {
@@ -897,7 +857,7 @@ func (c *coordinator) run() {
 					blobs[src] = round[src].blobs[dst]
 				}
 			}
-			out[dst] = frame{op: opExchange, seq: seq, traceID: tID, spanID: sID, blobs: blobs}
+			out[dst] = frame{op: opExchange, seq: seq, blobs: blobs}
 		}
 		// Deliver. A failed delivery marks the rank dead; the round
 		// still counts as complete for everyone else, and the death is
@@ -990,8 +950,6 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 	defer sw.Observe(mRoundSeconds)
 	f.seq = n.seq
 	n.seq++ // one round consumed per call, successful or aborted
-	f.traceID = n.traceID.Load()
-	f.spanID = n.spanID.Load()
 	if n.coord != nil {
 		select {
 		case n.coord.contribs <- contribution{rank: 0, f: f}:
@@ -1005,7 +963,6 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 			if rep.op == opError {
 				return frame{}, &mpi.RankFailedError{Rank: frameRank(rep), Op: op}
 			}
-			n.noteTrace(rep)
 			return rep, nil
 		case <-ctx.Done():
 			return frame{}, ctxErr(op, ctx.Err())
@@ -1053,34 +1010,9 @@ func (n *Node) roundTrip(ctx context.Context, f frame) (frame, error) {
 			return frame{}, &mpi.RankFailedError{Rank: frameRank(rep), Op: op}
 		default:
 			n.conn.SetReadDeadline(time.Time{})
-			n.noteTrace(rep)
 			return rep, nil
 		}
 	}
-}
-
-// noteTrace records the trace context carried by a reply frame.
-// Replies echo the round initiator's context, so after its first
-// collective every worker knows the coordinator's live root span.
-func (n *Node) noteTrace(rep frame) {
-	if rep.traceID != 0 {
-		n.traceID.Store(rep.traceID)
-		n.spanID.Store(rep.spanID)
-	}
-}
-
-// SetTraceContext sets the span context stamped on this node's
-// outgoing collectives (mpi.TraceCarrier). Rank 0 calls it with its
-// root span; zero traceID clears.
-func (n *Node) SetTraceContext(traceID, spanID uint64) {
-	n.traceID.Store(traceID)
-	n.spanID.Store(spanID)
-}
-
-// TraceContext returns the node's current trace context: what was set
-// locally, or the last nonzero context observed on a reply.
-func (n *Node) TraceContext() (traceID, spanID uint64) {
-	return n.traceID.Load(), n.spanID.Load()
 }
 
 func (n *Node) coordErr() error {

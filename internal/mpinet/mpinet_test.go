@@ -5,14 +5,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/abm"
 	"repro/internal/eventlog"
 	"repro/internal/mpi"
-	"repro/internal/partition"
 	"repro/internal/schedule"
 	"repro/internal/synthpop"
 )
@@ -288,60 +288,60 @@ func TestMixedCollectiveSequence(t *testing.T) {
 	})
 }
 
-// TestABMOverTCPMatchesInProcess runs the same simulation through the
-// in-process transport and through real TCP loopback connections, and
-// requires bit-identical event logs.
+// TestABMOverTCPMatchesInProcess runs the simulation's rank program on
+// the same config through the in-process transport and through real TCP
+// loopback connections, each rank deriving the default partition on its
+// own as a chisim process does. The logs must be byte-identical and
+// rank 0's Result must carry the same counters; only walls and log
+// directories differ.
 func TestABMOverTCPMatchesInProcess(t *testing.T) {
 	pop, err := synthpop.Generate(synthpop.Config{Persons: 800, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := schedule.NewGenerator(pop, 77)
 	const ranks = 4
-	const days = 2
-	edges, loads := partition.TransitionGraph(pop, gen, days, pop.NumPersons())
-	assign := partition.Spatial(pop, edges, loads, ranks)
+	config := func(dir string) abm.Config {
+		return abm.Config{
+			Pop: pop, Gen: schedule.NewGenerator(pop, 77), Ranks: ranks, Days: 2,
+			LogDir: dir, Log: eventlog.Config{CacheEntries: 64},
+		}
+	}
 
 	// Reference: in-process run.
-	ref, err := abm.Run(context.Background(), abm.Config{
-		Pop: pop, Gen: gen, Ranks: ranks, Days: days, Assign: assign,
-		LogDir: t.TempDir(), Log: eventlog.Config{CacheEntries: 64},
-	})
+	ref, err := abm.Run(context.Background(), config(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ref.Entries == 0 || ref.Migrations == 0 {
+		t.Fatalf("reference run logged %d entries and %d migrations; the comparison needs both", ref.Entries, ref.Migrations)
+	}
 
 	// Distributed: each rank a goroutine with its own TCP connection.
-	dir := t.TempDir()
 	host, err := Host("127.0.0.1:0", ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := host.Addr()
-	results := make([]abm.RankResult, ranks)
+	cfg := config(t.TempDir())
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
-	runRank := func(n *Node) (abm.RankResult, error) {
-		return abm.RunRank(context.Background(), n, abm.RankConfig{
-			Pop: pop, Gen: gen, Days: days, Assign: assign,
-			LogPath: filepath.Join(dir, fmt.Sprintf("rank%04d.h5l", n.Rank())),
-			Log:     eventlog.Config{CacheEntries: 64},
-		})
-	}
 	for r := 1; r < ranks; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			n, err := Join(addr)
+			n, err := Join(host.Addr())
 			if err != nil {
 				errs[r] = err
 				return
 			}
 			defer n.Close()
-			results[n.Rank()], errs[r] = runRank(n)
+			var res *abm.Result
+			if res, errs[r] = abm.RunOn(context.Background(), n, cfg); res != nil {
+				errs[r] = fmt.Errorf("rank %d got a Result; only rank 0 should", n.Rank())
+			}
 		}(r)
 	}
-	results[0], errs[0] = runRank(host)
+	got, err := abm.RunOn(context.Background(), host, cfg)
+	errs[0] = err
 	wg.Wait()
 	host.Close()
 	for r, err := range errs {
@@ -350,42 +350,33 @@ func TestABMOverTCPMatchesInProcess(t *testing.T) {
 		}
 	}
 
-	// Compare event multisets.
-	read := func(paths []string) map[eventlog.Entry]int {
-		got := map[eventlog.Entry]int{}
-		for _, p := range paths {
-			rd, err := eventlog.Open(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rd.ForEach(func(e eventlog.Entry, _ []uint32) error {
-				got[e]++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			rd.Close()
+	if len(got.LogPaths) != ranks {
+		t.Fatalf("TCP run names %d logs, want %d", len(got.LogPaths), ranks)
+	}
+	for r := range ranks {
+		a, err := os.ReadFile(ref.LogPaths[r])
+		if err != nil {
+			t.Fatal(err)
 		}
-		return got
-	}
-	var tcpPaths []string
-	var totalMig uint64
-	for _, rr := range results {
-		tcpPaths = append(tcpPaths, rr.LogPath)
-		totalMig += rr.Migrations
-	}
-	a := read(ref.LogPaths)
-	b := read(tcpPaths)
-	if len(a) != len(b) {
-		t.Fatalf("distinct entries differ: %d vs %d", len(a), len(b))
-	}
-	for e, nExpect := range a {
-		if b[e] != nExpect {
-			t.Fatalf("entry %+v: in-process %d, TCP %d", e, nExpect, b[e])
+		b, err := os.ReadFile(got.LogPaths[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("rank %d: TCP log (%d bytes) differs from in-process log (%d bytes)", r, len(b), len(a))
 		}
 	}
-	if totalMig != ref.Migrations {
-		t.Fatalf("migrations differ: TCP %d, in-process %d", totalMig, ref.Migrations)
+	counters := func(res *abm.Result) abm.Result {
+		c := *res
+		c.LogPaths = nil
+		c.PerRank = append([]abm.RankResult(nil), res.PerRank...)
+		for r := range c.PerRank {
+			c.PerRank[r].WallNs, c.PerRank[r].LogPath = 0, ""
+		}
+		return c
+	}
+	if a, b := counters(ref), counters(got); !reflect.DeepEqual(a, b) {
+		t.Fatalf("TCP result %+v, in-process %+v", b, a)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 	"repro/internal/synthpop"
 )
 
-// setup generates a population with enough neighborhoods for the rank
-// counts under test — as in the paper's deployment, spatial units
-// outnumber compute processes.
+// setup generates a population of the given size, with one neighborhood
+// per 2000 persons, and its transition graph. Tests that want spatial
+// units to outnumber compute processes, as in the paper's deployment,
+// pass 32000 persons for 16 neighborhoods.
 func setup(t testing.TB, persons int) (*synthpop.Population, []Edge, []uint64) {
 	t.Helper()
-	pop, err := synthpop.Generate(synthpop.Config{Persons: persons, Seed: 3, Neighborhoods: 16})
+	pop, err := synthpop.Generate(synthpop.Config{Persons: persons, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestTransitionGraphBasics(t *testing.T) {
 	}
 }
 
-func TestSpatialAssignmentValidAndBalanced(t *testing.T) {
-	pop, edges, loads := setup(t, 8000)
+func TestSpatialPartitionValidAndBalanced(t *testing.T) {
+	pop, edges, loads := setup(t, 32000)
 	for _, ranks := range []int{2, 4, 8} {
 		a := Spatial(pop, edges, loads, ranks)
 		if err := a.Validate(ranks); err != nil {
@@ -95,7 +96,7 @@ func TestSpatialAssignmentValidAndBalanced(t *testing.T) {
 }
 
 func TestSpatialBeatsRandomOnCut(t *testing.T) {
-	pop, edges, loads := setup(t, 8000)
+	pop, edges, loads := setup(t, 32000)
 	const ranks = 8
 	spatial := Spatial(pop, edges, loads, ranks)
 	random := Random(pop.NumPlaces(), ranks)
@@ -112,7 +113,7 @@ func TestSpatialBeatsRandomOnCut(t *testing.T) {
 func TestSpatialStillHelpsWhenRanksExceedNeighborhoods(t *testing.T) {
 	// Oversubscribed case: more ranks than neighborhoods forces
 	// neighborhood splits; spatial should still not lose to random.
-	pop, err := synthpop.Generate(synthpop.Config{Persons: 6000, Seed: 3, Neighborhoods: 3})
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 6000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,14 @@
 //
 // Two supervision modes match the two phases of the pipeline:
 //
-//   - Gang (RunGang): the simulation phase. abm.RunRank is not
-//     failure-tolerant — any rank death aborts every survivor promptly
-//     with a typed error — but every rank's eventlog keeps a valid
-//     footer (or salvageable prefix), so the recovery unit is the whole
-//     gang: kill the stragglers, back off, and relaunch every rank with
-//     -resume. abm.ResumeRank replays to the canonical per-hour order,
-//     making the finished logs bit-identical to an uninterrupted run.
+//   - Gang (RunGang): the simulation phase, one chisim process per
+//     rank running abm.RunOn. The simulation is not failure-tolerant —
+//     any rank death aborts every survivor promptly with a typed error
+//     — but every rank's eventlog keeps a valid footer (or salvageable
+//     prefix), so the recovery unit is the whole gang: kill the
+//     stragglers, back off, and relaunch every rank with -resume.
+//     abm.ResumeOn replays to the canonical per-hour order, making the
+//     finished logs bit-identical to an uninterrupted run.
 //
 //   - Per-rank (RunPerRank): the synthesis phase.
 //     core.SynthesizeDistributed re-stripes a dead rank's files over

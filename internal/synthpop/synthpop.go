@@ -130,20 +130,6 @@ type Config struct {
 	Persons int
 	// Seed drives all randomness.
 	Seed uint64
-	// Neighborhoods overrides the neighborhood count; zero derives
-	// one neighborhood per ~2000 persons (minimum 1).
-	Neighborhoods int
-}
-
-func (c *Config) neighborhoods() int {
-	if c.Neighborhoods > 0 {
-		return c.Neighborhoods
-	}
-	n := c.Persons / 2000
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Population is the generated synthetic population.
@@ -195,7 +181,7 @@ func Generate(cfg Config) (*Population, error) {
 		return nil, fmt.Errorf("synthpop: Persons must be positive, got %d", cfg.Persons)
 	}
 	r := rng.New(cfg.Seed)
-	nNeigh := cfg.neighborhoods()
+	nNeigh := max(cfg.Persons/2000, 1) // one neighborhood per 2000 persons
 
 	pop := &Population{cfg: cfg}
 

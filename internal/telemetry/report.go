@@ -45,12 +45,10 @@ type RankReport struct {
 	FaultsInjected  int64 `json:"faults_injected,omitempty"`
 	FaultsRecovered int64 `json:"faults_recovered,omitempty"`
 
-	// TraceID is the cluster trace this rank participated in (FormatID
-	// hex), and Spans are the rank's completed local span subtrees for
-	// that trace — shipped over the same best-effort report gather and
-	// grafted under the coordinator's root span.
-	TraceID string       `json:"trace_id,omitempty"`
-	Spans   []SpanReport `json:"spans,omitempty"`
+	// Spans are the rank's completed local span subtrees — shipped over
+	// the same best-effort report gather and grafted under the
+	// coordinator's root span.
+	Spans []SpanReport `json:"spans,omitempty"`
 }
 
 // EncodeRank serializes a RankReport for a transport gather.

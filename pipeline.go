@@ -30,7 +30,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/graph"
 	"repro/internal/netstat"
-	"repro/internal/partition"
 	"repro/internal/schedule"
 	"repro/internal/sparse"
 	"repro/internal/synthpop"
@@ -54,8 +53,6 @@ type Config struct {
 	CacheEntries int
 	// Compress enables DEFLATE compression of log chunks.
 	Compress bool
-	// Neighborhoods overrides the population's neighborhood count.
-	Neighborhoods int
 	// MemBudgetBytes bounds the bytes of log entries the synthesis
 	// stage materializes at once; zero means unlimited. See
 	// core.Config.MemBudgetBytes.
@@ -98,9 +95,6 @@ func (c *Config) validate() error {
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("repro: CacheEntries must be non-negative, got %d", c.CacheEntries)
 	}
-	if c.Neighborhoods < 0 {
-		return fmt.Errorf("repro: Neighborhoods must be non-negative, got %d", c.Neighborhoods)
-	}
 	if c.MemBudgetBytes < 0 {
 		return fmt.Errorf("repro: MemBudgetBytes must be non-negative, got %d", c.MemBudgetBytes)
 	}
@@ -129,11 +123,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pop, err := synthpop.Generate(synthpop.Config{
-		Persons:       cfg.Persons,
-		Seed:          cfg.Seed,
-		Neighborhoods: cfg.Neighborhoods,
-	})
+	pop, err := synthpop.Generate(synthpop.Config{Persons: cfg.Persons, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +134,10 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}, nil
 }
 
-// simConfig is the one place the pipeline's configuration becomes an
-// abm.Config, so Simulate and Resume run the same simulation.
-func (p *Pipeline) simConfig(logDir string) abm.Config {
+// SimConfig is the one place the pipeline's configuration becomes an
+// abm.Config, so Simulate, Resume and a process rank's abm.RunOn or
+// abm.ResumeOn run the same simulation.
+func (p *Pipeline) SimConfig(logDir string) abm.Config {
 	return abm.Config{
 		Pop:        p.Pop,
 		Gen:        p.Gen,
@@ -173,7 +164,7 @@ func (p *Pipeline) synthConfig() core.Config {
 func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
 	defer sp.End()
-	return abm.Run(ctx, p.simConfig(logDir))
+	return abm.Run(ctx, p.SimConfig(logDir))
 }
 
 // Resume continues a crashed or canceled simulation whose
@@ -184,7 +175,7 @@ func (p *Pipeline) Simulate(ctx context.Context, logDir string) (*abm.Result, er
 func (p *Pipeline) Resume(ctx context.Context, logDir string) (*abm.Result, []*abm.ResumeReport, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "pipeline/simulate")
 	defer sp.End()
-	return abm.Resume(ctx, p.simConfig(logDir))
+	return abm.Resume(ctx, p.SimConfig(logDir))
 }
 
 // Network is a synthesized collocation network together with the person
@@ -310,10 +301,3 @@ func (p *Pipeline) AgeGroupNetworks(n *Network) []*Network {
 
 // Days returns the configured simulation duration.
 func (p *Pipeline) Days() int { return p.cfg.Days }
-
-// SpatialAssignment computes the locality-aware place partition used by
-// default when simulating (partition.Default); every chisim process of a
-// distributed run derives it on its own. It fails for ranks < 1.
-func (p *Pipeline) SpatialAssignment(ranks int) (partition.Assignment, error) {
-	return partition.Default(p.Pop, p.Gen, p.cfg.Days, ranks)
-}

@@ -168,29 +168,6 @@ func TestAgeGroupNetworksPartitionEdges(t *testing.T) {
 	}
 }
 
-func TestSpatialAssignmentCoversAllPlaces(t *testing.T) {
-	p, err := NewPipeline(Config{Persons: 1000, Days: 2, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.SpatialAssignment(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != p.Pop.NumPlaces() {
-		t.Fatalf("assignment covers %d of %d places", len(a), p.Pop.NumPlaces())
-	}
-	if err := a.Validate(4); err != nil {
-		t.Fatal(err)
-	}
-	// Zero ranks used to divide by zero inside partition.Spatial.
-	for _, ranks := range []int{0, -1} {
-		if _, err := p.SpatialAssignment(ranks); err == nil {
-			t.Errorf("SpatialAssignment(%d) returned no error", ranks)
-		}
-	}
-}
-
 // TestConfigRejectsNegativeFields: every numeric Config field errors on
 // a negative value instead of being coerced to its default.
 func TestConfigRejectsNegativeFields(t *testing.T) {
@@ -200,7 +177,6 @@ func TestConfigRejectsNegativeFields(t *testing.T) {
 		{Persons: 10, Days: 1, Ranks: -2},
 		{Persons: 10, Days: 1, Workers: -1},
 		{Persons: 10, Days: 1, CacheEntries: -5},
-		{Persons: 10, Days: 1, Neighborhoods: -1},
 		{Persons: 10, Days: 1, MemBudgetBytes: -64},
 	}
 	for i, cfg := range bad {

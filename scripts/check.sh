@@ -260,7 +260,9 @@ fi
 # phase starts: nothing restarts it, so it must be reported as degraded
 # rank 2, and the survivors' re-striped partials must reproduce the
 # pinned bytes. The kill usually lands before rank 2 joins, so this run
-# waits out the coordinator's 15 s join window. Skip with SUPSMOKE=0.
+# waits out the coordinator's 15 s join window. Last, chisim runs the
+# same simulation on four goroutine ranks of one process, whose logs
+# must match the process ranks' pinned cksums. Skip with SUPSMOKE=0.
 if [ "${SUPSMOKE:-1}" = "1" ]; then
 	echo "== supervised smoke (netlaunch 4 ranks; kill -9 mid-sim -> identical hashes)"
 	sup_dir=$(mktemp -d)
@@ -336,6 +338,21 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		exit 1
 	fi
 	echo "baseline per-rank logs match the pinned cksums"
+	# The same rank program on goroutine ranks of one process: the four
+	# logs must be the process ranks' bytes.
+	echo "-- in-process ranks (chisim -ranks 4, one process)"
+	"$sup_dir/chisim" -persons 2000 -days 2 -ranks 4 -logdir "$sup_dir/local" >/dev/null
+	local_logs=$(for r in 0 1 2 3; do
+		cksum "$sup_dir/local/rank000$r.h5l" | cut -d' ' -f1-2
+	done)
+	if [ "$local_logs" != "$pin_logs" ]; then
+		echo "FAIL: in-process per-rank logs moved from the pinned cksums"
+		echo "  got:    $(echo $local_logs)"
+		echo "  pinned: $(echo $pin_logs)"
+		rm -rf "$sup_dir"
+		exit 1
+	fi
+	echo "in-process per-rank logs match the pinned cksums"
 	rm -rf "$sup_dir"
 fi
 
