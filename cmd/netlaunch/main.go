@@ -1,43 +1,47 @@
 // Command netlaunch runs the distributed pipeline as a supervised tree
-// of OS processes: it spawns one chisim process per rank for the
-// simulation phase and one netsynth process per rank for the synthesis
-// phase, watches their exits, and applies the recovery policy from
-// internal/supervise — gang relaunches with bounded exponential backoff
-// and jitter for the simulation, graceful degradation for the synthesis.
+// of OS processes: it spawns one chisim process per rank, each of which
+// simulates (abm.RunOn) and then synthesizes (core.SynthesizeDistributed)
+// on the same transport, watches their exits, and applies the one
+// recovery rule of internal/supervise — rank 0 decides the run — with
+// bounded exponential backoff and jitter between gang relaunches.
 //
 //	netlaunch -ranks 4 -persons 20000 -days 7 -workdir out
 //
-// The recovery strategy differs per phase. A simulation rank dying
-// (even kill -9) aborts the gang promptly via mpinet's failure
-// detector; netlaunch relaunches every rank with -resume, and
-// abm.ResumeOn replays the logs to a state bit-identical to an
-// uninterrupted run. A synthesis rank dying — or never joining within
-// the coordinator's join window — is not restarted: the survivors
-// re-stripe its files (graceful degradation) and the output network is
-// bit-identical to an unfailed run.
+// A rank dying in the simulation (even kill -9) fails rank 0 promptly
+// via mpinet's failure detector; netlaunch relaunches every rank with
+// -resume, and abm.ResumeOn replays the logs to a state bit-identical
+// to an uninterrupted run. A worker dying in the synthesis is not
+// restarted: the survivors see its death at their next round and
+// re-stripe its files, rank 0 writes the same network, and the worker
+// is recorded degraded. If rank 0 dies in the synthesis, the relaunch
+// resumes the complete logs straight into the synthesis.
 //
 // Chaos testing is built in: -kill-rank/-kill-after/-kill-phase aim a
-// kill -9 at a rank a fixed delay after it starts, which is how
+// kill -9 at a rank a fixed delay after its process starts (sim) or
+// after it prints that its synthesis begins (synth), which is how
 // scripts/check.sh proves crash-recovery end to end. -bench writes a
-// machine-readable scale record (agent-steps/sec, phase walls, peak
-// RSS per rank), and -report writes a run report whose supervision
-// section `netstat report` renders.
+// machine-readable scale record (agent-steps/sec, the simulation and
+// synthesis walls from rank 0's spans, peak RSS per rank), and -report
+// writes a run report whose supervision section `netstat report`
+// renders and whose cluster trace `netstat trace` renders.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cmdrun"
 	"repro/internal/faultinject"
+	"repro/internal/schedule"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
@@ -46,22 +50,18 @@ func main() {
 	persons := flag.Int("persons", 20000, "synthetic population size")
 	days := flag.Int("days", 7, "simulated days")
 	seed := flag.Uint64("seed", 2017, "root random seed")
-	ranks := flag.Int("ranks", 4, "rank process count (one OS process per rank, both phases)")
-	t0 := flag.Uint("t0", 0, "synthesis slice start hour (inclusive)")
-	t1 := flag.Uint("t1", 0, "synthesis slice end hour (exclusive; 0 = full run)")
+	ranks := flag.Int("ranks", 4, "rank process count (one OS process per rank)")
 	workdir := flag.String("workdir", "netlaunch-out", "working directory for logs, address files and outputs")
 	out := flag.String("o", "", "output edge-list path (default workdir/network.tsv)")
 	snapshot := flag.String("snapshot", "", "binary .gsnap snapshot path (default workdir/network.gsnap)")
 	chisimBin := flag.String("chisim", "", "chisim binary (default: next to this executable, else $PATH)")
-	netsynthBin := flag.String("netsynth", "", "netsynth binary (default: next to this executable, else $PATH)")
-	maxRestarts := flag.Int("max-restarts", 3, "budget of gang relaunches in the simulation phase; negative disables them (synthesis ranks are never restarted)")
+	maxRestarts := flag.Int("max-restarts", 3, "budget of gang relaunches after rank 0 fails; negative disables them")
 	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "first gang relaunch delay (doubles per attempt, full jitter)")
 	backoffCap := flag.Duration("backoff-cap", 5*time.Second, "gang relaunch delay cap")
 	roundTimeout := flag.Duration("round-timeout", 0, "per-collective deadline: declare the slowest rank failed when a round stalls this long (0 = off)")
 	hourDelay := flag.Duration("hour-delay", 0, "slow the simulation by this much per simulated hour (chaos/testing aid)")
-	skipSim := flag.Bool("skip-sim", false, "reuse the event logs already in workdir/logs and run only the synthesis phase")
 	killRank := flag.Int("kill-rank", -1, "chaos: kill -9 this rank once (-1 = off)")
-	killAfter := flag.Duration("kill-after", 2*time.Second, "chaos: delay between the victim starting and the kill")
+	killAfter := flag.Duration("kill-after", 2*time.Second, "chaos: delay between the victim's process start (sim) or synthesis start (synth) and the kill")
 	killPhase := flag.String("kill-phase", "sim", "chaos: phase to kill in (sim or synth)")
 	benchPath := flag.String("bench", "", "write a JSON scale record (agent-steps/sec, walls, peak RSS per rank) to this path")
 	reportPath := flag.String("report", "", "write a JSON run report with the supervision section to this path (render with `netstat report` / `netstat trace`)")
@@ -77,9 +77,6 @@ func main() {
 		if *killPhase != "sim" && *killPhase != "synth" {
 			return fmt.Errorf("-kill-phase must be sim or synth, got %q", *killPhase)
 		}
-		if *t1 == 0 {
-			*t1 = uint(*days) * 24
-		}
 		if *out == "" {
 			*out = filepath.Join(*workdir, "network.tsv")
 		}
@@ -90,11 +87,7 @@ func main() {
 		if err := os.MkdirAll(logsDir, 0o755); err != nil {
 			return err
 		}
-		simBin, err := resolveBin(*chisimBin, "chisim")
-		if err != nil {
-			return err
-		}
-		synthBin, err := resolveBin(*netsynthBin, "netsynth")
+		bin, err := resolveChisim(*chisimBin)
 		if err != nil {
 			return err
 		}
@@ -116,9 +109,22 @@ func main() {
 			defer obs.close()
 		}
 
+		// Rank 0's run report — its simulation span, the cluster trace
+		// of the synthesis and the per-rank walls — feeds -bench,
+		// -report and /cluster.
+		g := &gang{
+			bin: bin, persons: *persons, days: *days, ranks: *ranks, seed: *seed,
+			hourDelay: *hourDelay, roundTimeout: *roundTimeout,
+			logsDir: logsDir, addrFile: filepath.Join(*workdir, "coord.addr"),
+			out: *out, snapshot: *snapshot, obs: obs,
+			chaos: &chaosKiller{phase: *killPhase, rank: *killRank, after: *killAfter},
+		}
+		if *benchPath != "" || *reportPath != "" || obs != nil {
+			g.report = filepath.Join(*workdir, "rank0-report.json")
+			os.Remove(g.report)
+		}
 		// A canceled ctx (the first SIGINT/SIGTERM) propagates to the
 		// children as a cooperative drain: they exit ExitCanceled.
-		chaos := &chaosKiller{phase: *killPhase, rank: *killRank, after: *killAfter}
 		pol := supervise.Policy{
 			MaxRelaunches: *maxRestarts,
 			BackoffBase:   *backoffBase,
@@ -126,86 +132,43 @@ func main() {
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "netlaunch: "+format+"\n", args...)
 			},
+			OnStart: g.chaos.started,
 		}
-
-		var supervision []telemetry.SupervisionReport
-		var simWall time.Duration
-
-		if !*skipSim {
+		build := func(attempt int) []supervise.Spec {
+			// A stale address file would point relaunched workers at the
+			// dead coordinator; remove it before rank 0 rebinds.
+			os.Remove(g.addrFile)
 			if obs != nil {
 				obs.setPhase("sim")
 			}
-			simStart := time.Now()
-			simRes, err := runSimPhase(ctx, simBin, logsDir, *workdir, simArgs{
-				Persons: *persons, Days: *days, Seed: *seed, Ranks: *ranks,
-				HourDelay: *hourDelay, RoundTimeout: *roundTimeout,
-			}, pol, chaos, obs)
-			simWall = time.Since(simStart)
-			if simRes != nil {
-				supervision = append(supervision, *simRes)
-				if obs != nil {
-					obs.addSupervision(*simRes)
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("simulation phase: %w", err)
-			}
-			fmt.Printf("netlaunch: simulation phase done in %s (%d gang restart(s))\n",
-				simWall.Round(time.Millisecond), simRes.GangRestarts)
+			return g.specs(attempt)
 		}
-
-		paths, err := filepath.Glob(filepath.Join(logsDir, "rank*.h5l"))
-		if err != nil || len(paths) == 0 {
-			return fmt.Errorf("no event logs in %s (err=%v)", logsDir, err)
-		}
-		sort.Strings(paths)
-
+		start := time.Now()
+		sup, err := supervise.New(pol).RunGang(ctx, build)
+		wall := time.Since(start)
+		// nil when there is none: no -bench/-report/-observe-addr, or
+		// rank 0 died.
+		rankRep, _ := telemetry.ReadReportFile(g.report)
 		if obs != nil {
-			obs.setPhase("synth")
-		}
-		// Rank 0 of the synthesis writes its run report — per-rank
-		// busy/comm/idle walls, the cluster trace id, and every rank's
-		// span trees — which netlaunch folds into its own report and
-		// /cluster summary after the phase.
-		synthReportPath := ""
-		if obs != nil || *reportPath != "" {
-			synthReportPath = filepath.Join(*workdir, "synth-report.json")
-			os.Remove(synthReportPath)
-		}
-		synthStart := time.Now()
-		synthRes, err := runSynthPhase(ctx, synthBin, *workdir, paths, synthArgs{
-			T0: uint32(*t0), T1: uint32(*t1), Ranks: *ranks,
-			Out: *out, Snapshot: *snapshot, RoundTimeout: *roundTimeout,
-			ReportPath: synthReportPath,
-		}, pol, chaos, obs)
-		synthWall := time.Since(synthStart)
-		if synthRes != nil {
-			supervision = append(supervision, *synthRes)
-			if obs != nil {
-				obs.addSupervision(*synthRes)
+			obs.addSupervision(*sup)
+			if rankRep != nil {
+				obs.setSynthReport(rankRep)
 			}
 		}
-		synthRep := readSynthReport(synthReportPath)
-		if obs != nil && synthRep != nil {
-			obs.setSynthReport(synthRep)
-		}
-		// The artifacts are written on synthesis failure too, so a chaos
-		// run that degrades still leaves its record.
-		writeArtifacts(*benchPath, *reportPath, supervision, synthRep, benchInputs{
-			Persons: *persons, Days: *days, Ranks: *ranks,
-			SimWall: simWall, SynthWall: synthWall, SkippedSim: *skipSim,
-		})
+		// The artifacts are written on failure too, so a chaos run that
+		// gave up still leaves its record.
+		writeArtifacts(*benchPath, *reportPath, *sup, rankRep, *persons, *days, *ranks)
 		if err != nil {
-			return fmt.Errorf("synthesis phase: %w", err)
+			return err
 		}
 		degraded := []int{}
-		for _, r := range synthRes.Ranks {
+		for _, r := range sup.Ranks {
 			if r.Degraded {
 				degraded = append(degraded, r.Rank)
 			}
 		}
-		fmt.Printf("netlaunch: synthesis phase done in %s (degraded ranks %v)\n",
-			synthWall.Round(time.Millisecond), degraded)
+		fmt.Printf("netlaunch: run done in %s (%d gang restart(s), degraded ranks %v)\n",
+			wall.Round(time.Millisecond), sup.GangRestarts, degraded)
 		fmt.Printf("netlaunch: network → %s (snapshot %s)\n", *out, *snapshot)
 		if obs != nil {
 			obs.setPhase("done")
@@ -214,167 +177,127 @@ func main() {
 	})
 }
 
-// readSynthReport loads rank 0's synthesis run report, nil when the
-// phase did not produce one (no -report/-observe-addr, or rank 0 died).
-func readSynthReport(path string) *telemetry.Report {
-	if path == "" {
-		return nil
-	}
-	rep, err := telemetry.ReadReportFile(path)
-	if err != nil {
-		return nil
-	}
-	return rep
+// gang is the run's one command line, per rank and launch attempt.
+type gang struct {
+	bin                     string
+	persons, days, ranks    int
+	seed                    uint64
+	hourDelay, roundTimeout time.Duration
+	logsDir, addrFile       string
+	// out, snapshot and report are rank 0's outputs; report may be "".
+	out, snapshot, report string
+	obs                   *observer
+	chaos                 *chaosKiller
 }
 
-// simArgs/synthArgs carry the per-phase parameters into the spec
-// builders.
-type simArgs struct {
-	Persons, Days, Ranks int
-	Seed                 uint64
-	HourDelay            time.Duration
-	RoundTimeout         time.Duration
-}
-
-type synthArgs struct {
-	T0, T1        uint32
-	Ranks         int
-	Out, Snapshot string
-	RoundTimeout  time.Duration
-	// ReportPath, when set, makes rank 0 write its run report (rank
-	// walls, trace id, span trees) there for netlaunch to fold in.
-	ReportPath string
-}
-
-// runSimPhase supervises the simulation as a gang: any rank dying
-// triggers a full relaunch with -resume, which replays every log to the
-// canonical state.
-func runSimPhase(ctx context.Context, bin, logsDir, workdir string, a simArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
-	addrFile := filepath.Join(workdir, "sim.addr")
-	build := func(attempt int) []supervise.Spec {
-		// A stale address file would point relaunched workers at the
-		// dead coordinator; remove it before rank 0 rebinds.
-		os.Remove(addrFile)
-		return simSpecs(bin, logsDir, addrFile, a, obs, attempt)
-	}
-	pol.OnStart = chaos.hook("sim")
-	s := supervise.New(build(0), pol)
-	return s.RunGang(ctx, build)
-}
-
-// simSpecs is the simulation's command line per rank; every attempt
-// after the first resumes.
-func simSpecs(bin, logsDir, addrFile string, a simArgs, obs *observer, attempt int) []supervise.Spec {
+// specs is every rank's process for a launch attempt: every attempt
+// after the first resumes. Rank 0 hosts the coordinator, publishes its
+// address to addrFile and writes the outputs; the other ranks join
+// through that file under a pinned rank.
+func (g *gang) specs(attempt int) []supervise.Spec {
 	common := []string{
-		"-persons", fmt.Sprint(a.Persons),
-		"-days", fmt.Sprint(a.Days),
-		"-seed", fmt.Sprint(a.Seed),
-		"-ranks", fmt.Sprint(a.Ranks),
-		"-logdir", logsDir,
+		"-persons", fmt.Sprint(g.persons),
+		"-days", fmt.Sprint(g.days),
+		"-seed", fmt.Sprint(g.seed),
+		"-ranks", fmt.Sprint(g.ranks),
+		"-logdir", g.logsDir,
 	}
-	if a.HourDelay > 0 {
-		common = append(common, "-hour-delay", a.HourDelay.String())
+	if g.hourDelay > 0 {
+		common = append(common, "-hour-delay", g.hourDelay.String())
 	}
 	if attempt > 0 {
 		common = append(common, "-resume")
 	}
-	return rankSpecs(bin, a.Ranks, common, addrFile, a.RoundTimeout, obs, func(int) []string { return nil })
-}
-
-// runSynthPhase supervises the synthesis one process per rank: a dead
-// worker stays dead while the survivors re-stripe its files.
-func runSynthPhase(ctx context.Context, bin, workdir string, paths []string, a synthArgs, pol supervise.Policy, chaos *chaosKiller, obs *observer) (*telemetry.SupervisionReport, error) {
-	addrFile := filepath.Join(workdir, "synth.addr")
-	os.Remove(addrFile)
-	pol.OnStart = chaos.hook("synth")
-	s := supervise.New(synthSpecs(bin, addrFile, paths, a, obs), pol)
-	return s.RunPerRank(ctx)
-}
-
-// synthSpecs is the synthesis's command line per rank: rank 0 sizes
-// the cluster and writes the outputs, and every rank lists the logs.
-func synthSpecs(bin, addrFile string, paths []string, a synthArgs, obs *observer) []supervise.Spec {
-	common := []string{
-		"-t0", fmt.Sprint(a.T0),
-		"-t1", fmt.Sprint(a.T1),
-	}
-	return rankSpecs(bin, a.Ranks, common, addrFile, a.RoundTimeout, obs, func(r int) []string {
-		var own []string
-		if r == 0 {
-			own = []string{"-dist-size", fmt.Sprint(a.Ranks), "-o", a.Out, "-snapshot", a.Snapshot}
-			if a.ReportPath != "" {
-				own = append(own, "-report", a.ReportPath)
-			}
-		}
-		return append(own, paths...)
-	})
-}
-
-// rankSpecs builds one spec per rank of a phase whose rank 0 hosts the
-// coordinator and publishes its address to addrFile, and whose other
-// ranks join through that file under a pinned rank. A rank's arguments
-// are common, the telemetry pair when the observe plane is on, the
-// hosting or joining flags, then the phase's own(r).
-func rankSpecs(bin string, ranks int, common []string, addrFile string, roundTimeout time.Duration, obs *observer, own func(r int) []string) []supervise.Spec {
-	specs := make([]supervise.Spec, ranks)
+	specs := make([]supervise.Spec, g.ranks)
 	for r := range specs {
 		args := append([]string(nil), common...)
-		if obs != nil {
+		if g.obs != nil {
 			args = append(args,
 				"-telemetry-addr", "127.0.0.1:0",
-				"-telemetry-addr-file", obs.telemetryAddrFile(r))
+				"-telemetry-addr-file", g.obs.telemetryAddrFile(r))
 		}
 		if r == 0 {
 			args = append(args,
 				"-dist-host", "127.0.0.1:0",
-				"-dist-addr-file", addrFile)
-			if roundTimeout > 0 {
-				args = append(args, "-dist-round-timeout", roundTimeout.String())
+				"-dist-addr-file", g.addrFile)
+			if g.roundTimeout > 0 {
+				args = append(args, "-dist-round-timeout", g.roundTimeout.String())
+			}
+			args = append(args, "-o", g.out, "-snapshot", g.snapshot)
+			if g.report != "" {
+				args = append(args, "-report", g.report)
 			}
 		} else {
 			args = append(args,
-				"-dist-join", "@"+addrFile,
+				"-dist-join", "@"+g.addrFile,
 				"-dist-rank", fmt.Sprint(r))
 		}
 		specs[r] = supervise.Spec{
-			Rank: r, Path: bin, Args: append(args, own(r)...),
-			Stdout: os.Stdout, Stderr: os.Stderr,
+			Rank: r, Path: g.bin, Args: args,
+			Stdout: g.stdout(r), Stderr: os.Stderr,
 		}
 	}
 	return specs
 }
 
-// chaosKiller aims one kill -9 at a configured rank in a configured
-// phase, a fixed delay after that rank's process starts. It fires at
-// most once per netlaunch run, so a relaunched gang survives.
+// stdout is rank r's output sink. The line a rank prints as its
+// synthesis begins moves /cluster's phase (rank 0) and fires a
+// synthesis kill (the victim).
+func (g *gang) stdout(r int) io.Writer {
+	phase := r == 0 && g.obs != nil
+	kill := g.chaos.phase == "synth" && r == g.chaos.rank
+	if !phase && !kill {
+		return os.Stdout
+	}
+	return synthWatch(func(p []byte) (int, error) {
+		if bytes.Contains(p, []byte(supervise.SynthesisLine)) {
+			if phase {
+				g.obs.setPhase("synth")
+			}
+			if kill {
+				g.chaos.fire()
+			}
+		}
+		return os.Stdout.Write(p)
+	})
+}
+
+// synthWatch is a rank's watched output; the supervisor writes it one
+// line per Write.
+type synthWatch func(p []byte) (int, error)
+
+func (w synthWatch) Write(p []byte) (int, error) { return w(p) }
+
+// chaosKiller aims one kill -9 at a configured rank, a fixed delay
+// after its process starts (sim) or after it says its synthesis begins
+// (synth). It fires at most once per netlaunch run, so a relaunched
+// gang survives.
 type chaosKiller struct {
 	phase string
 	rank  int
 	after time.Duration
+	pid   atomic.Int64 // the victim's current process
 	fired atomic.Bool
 }
 
-func (c *chaosKiller) hook(phase string) func(rank, pid int) {
-	if c == nil || c.rank < 0 || c.phase != phase {
-		return nil
+// started is the supervisor's OnStart hook.
+func (c *chaosKiller) started(rank, pid int) {
+	if rank != c.rank {
+		return
 	}
-	return func(rank, pid int) {
-		if rank != c.rank {
-			return
-		}
-		if !c.fired.CompareAndSwap(false, true) {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "netlaunch: chaos: kill -9 rank %d (pid %d) in %s\n", rank, pid, c.after)
-		faultinject.KillAfter(pid, c.after)
+	c.pid.Store(int64(pid))
+	if c.phase == "sim" {
+		c.fire()
 	}
 }
 
-// benchInputs feeds the BENCH_scale record.
-type benchInputs struct {
-	Persons, Days, Ranks int
-	SimWall, SynthWall   time.Duration
-	SkippedSim           bool
+func (c *chaosKiller) fire() {
+	if !c.fired.CompareAndSwap(false, true) {
+		return
+	}
+	pid := int(c.pid.Load())
+	fmt.Fprintf(os.Stderr, "netlaunch: chaos: kill -9 rank %d (pid %d) in %s\n", c.rank, pid, c.after)
+	faultinject.KillAfter(pid, c.after)
 }
 
 // benchRecord is the machine-readable scale record (-bench): the
@@ -385,40 +308,58 @@ type benchRecord struct {
 	Persons       int                 `json:"persons"`
 	Days          int                 `json:"days"`
 	Ranks         int                 `json:"ranks"`
-	// SimWallNs is the supervised simulation phase wall (0 when the
-	// phase was skipped).
+	// SimWallNs is rank 0's abm/rank span: its simulation of the last
+	// attempt, after population generation and the join.
 	SimWallNs int64 `json:"sim_wall_ns"`
 	// AgentStepsPerSec is persons × simulated hours / sim wall — the
 	// simulator's aggregate throughput under supervision.
 	AgentStepsPerSec float64 `json:"agent_steps_per_sec"`
-	// SynthWallNs is the supervised synthesis phase wall.
+	// SynthWallNs is rank 0's synth/distributed span: the distributed
+	// synthesis up to the merged network, before the outputs are
+	// written.
 	SynthWallNs int64 `json:"synth_wall_ns"`
-	// Supervision repeats the per-phase supervision outcome, including
-	// peak RSS per rank.
+	// Supervision is the run's supervision outcome, including peak RSS
+	// per rank.
 	Supervision []telemetry.SupervisionReport `json:"supervision,omitempty"`
+}
+
+// phaseWalls reads the simulation and synthesis walls off rank 0's
+// spans; both are 0 without its report.
+func phaseWalls(rep *telemetry.Report) (sim, synth int64) {
+	if rep == nil {
+		return 0, 0
+	}
+	for _, sp := range rep.Spans {
+		switch {
+		case sp.Name == "abm/rank" && sp.Rank == 0:
+			sim = sp.WallNs
+		case sp.Name == "synth/distributed":
+			synth = sp.WallNs
+		}
+	}
+	return sim, synth
 }
 
 // writeArtifacts writes the -bench and -report outputs (either may be
 // disabled).
-func writeArtifacts(benchPath, reportPath string, supervision []telemetry.SupervisionReport, synthRep *telemetry.Report, in benchInputs) {
+func writeArtifacts(benchPath, reportPath string, sup telemetry.SupervisionReport, rankRep *telemetry.Report, persons, days, ranks int) {
 	if benchPath != "" {
 		rec := benchRecord{
 			Meta: telemetry.NewBenchMeta("netlaunch", map[string]string{
-				"persons": fmt.Sprint(in.Persons),
-				"days":    fmt.Sprint(in.Days),
-				"ranks":   fmt.Sprint(in.Ranks),
+				"persons": fmt.Sprint(persons),
+				"days":    fmt.Sprint(days),
+				"ranks":   fmt.Sprint(ranks),
 			}),
 			CreatedUnixNs: time.Now().UnixNano(),
-			Persons:       in.Persons,
-			Days:          in.Days,
-			Ranks:         in.Ranks,
-			SimWallNs:     int64(in.SimWall),
-			SynthWallNs:   int64(in.SynthWall),
-			Supervision:   supervision,
+			Persons:       persons,
+			Days:          days,
+			Ranks:         ranks,
+			Supervision:   []telemetry.SupervisionReport{sup},
 		}
-		if !in.SkippedSim && in.SimWall > 0 {
-			steps := float64(in.Persons) * float64(in.Days) * 24
-			rec.AgentStepsPerSec = steps / in.SimWall.Seconds()
+		rec.SimWallNs, rec.SynthWallNs = phaseWalls(rankRep)
+		if rec.SimWallNs > 0 {
+			steps := float64(persons) * float64(days*schedule.HoursPerDay)
+			rec.AgentStepsPerSec = steps / time.Duration(rec.SimWallNs).Seconds()
 		}
 		blob, err := json.MarshalIndent(rec, "", "  ")
 		if err == nil {
@@ -432,15 +373,15 @@ func writeArtifacts(benchPath, reportPath string, supervision []telemetry.Superv
 	}
 	if reportPath != "" {
 		rep := telemetry.Default.Report("netlaunch")
-		rep.Supervision = supervision
-		if synthRep != nil {
-			// Fold the rank-0 synthesis report in so one file carries the
-			// whole run: netlaunch's own metrics plus the distributed
-			// trace (rank walls, trace id, cross-rank spans).
-			rep.TraceID = synthRep.TraceID
-			rep.Ranks = synthRep.Ranks
-			rep.Spans = append(rep.Spans, synthRep.Spans...)
-			rep.Stages = append(rep.Stages, synthRep.Stages...)
+		rep.Supervision = []telemetry.SupervisionReport{sup}
+		if rankRep != nil {
+			// Fold rank 0's report in so one file carries the whole run:
+			// netlaunch's own metrics plus the cluster trace (rank walls,
+			// trace id, rank 0's simulation span, every rank's synthesis).
+			rep.TraceID = rankRep.TraceID
+			rep.Ranks = rankRep.Ranks
+			rep.Spans = append(rep.Spans, rankRep.Spans...)
+			rep.Stages = append(rep.Stages, rankRep.Stages...)
 		}
 		if err := rep.WriteFile(reportPath); err != nil {
 			fmt.Fprintf(os.Stderr, "netlaunch: writing report: %v\n", err)
@@ -450,22 +391,22 @@ func writeArtifacts(benchPath, reportPath string, supervision []telemetry.Superv
 	}
 }
 
-// resolveBin finds a rank binary: an explicit flag wins; otherwise try
-// next to this executable (the `go build -o bin/ ./...` layout), then
-// fall back to $PATH.
-func resolveBin(explicit, name string) (string, error) {
+// resolveChisim finds the rank binary: -chisim wins; otherwise try next
+// to this executable (the `go build -o bin/ ./...` layout), then fall
+// back to $PATH.
+func resolveChisim(explicit string) (string, error) {
 	if explicit != "" {
 		return explicit, nil
 	}
 	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), name)
+		cand := filepath.Join(filepath.Dir(self), "chisim")
 		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
 			return cand, nil
 		}
 	}
-	path, err := exec.LookPath(name)
+	path, err := exec.LookPath("chisim")
 	if err != nil {
-		return "", fmt.Errorf("%s not found next to this executable or in $PATH (use -%s)", name, name)
+		return "", fmt.Errorf("chisim not found next to this executable or in $PATH (use -chisim)")
 	}
 	return path, nil
 }

@@ -6,51 +6,45 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/supervise"
 )
 
-// TestRankCommandLines pins what each rank process of both phases is
-// started with, with the observe plane and a round timeout on.
+// TestRankCommandLines pins what each rank process of the one gang is
+// started with, on the first launch and on a relaunch, with the observe
+// plane, a round timeout and rank 0's run report on.
 func TestRankCommandLines(t *testing.T) {
-	obs := newObserver("w", 2, time.Second)
-	sim := simArgs{Persons: 2000, Days: 2, Ranks: 2, Seed: 7, RoundTimeout: time.Minute}
+	g := &gang{
+		bin: "chisim", persons: 2000, days: 2, ranks: 2, seed: 7,
+		roundTimeout: time.Minute, logsDir: "w/logs", addrFile: "w/coord.addr",
+		out: "w/n.tsv", snapshot: "w/n.gsnap", report: "w/r.json",
+		obs: newObserver("w", 2, time.Second), chaos: &chaosKiller{rank: -1},
+	}
 	got := map[string][]string{}
-	add := func(phase string, specs []supervise.Spec) {
-		for r, s := range specs {
+	add := func(attempt string, n int) {
+		for r, s := range g.specs(n) {
 			if s.Rank != r {
-				t.Errorf("%s spec %d is for rank %d", phase, r, s.Rank)
+				t.Errorf("%s spec %d is for rank %d", attempt, r, s.Rank)
 			}
-			got[fmt.Sprintf("%s %s %d", phase, s.Path, r)] = s.Args
+			got[fmt.Sprintf("%s %s %d", attempt, s.Path, r)] = s.Args
 		}
 	}
-	add("first", simSpecs("chisim", "w/logs", "w/sim.addr", sim, obs, 0))
-	sim.HourDelay = 20 * time.Millisecond
-	add("relaunch", simSpecs("chisim", "w/logs", "w/sim.addr", sim, obs, 1))
-	add("synth", synthSpecs("netsynth", "w/synth.addr", []string{"a.h5l", "b.h5l"}, synthArgs{
-		T0: 0, T1: 48, Ranks: 2, Out: "w/n.tsv", Snapshot: "w/n.gsnap",
-		RoundTimeout: time.Minute, ReportPath: "w/r.json",
-	}, obs))
+	add("first", 0)
+	g.hourDelay = 20 * time.Millisecond
+	add("relaunch", 1)
 	want := map[string][]string{
 		"first chisim 0": strings.Fields(`-persons 2000 -days 2 -seed 7 -ranks 2 -logdir w/logs
 			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank0.addr
-			-dist-host 127.0.0.1:0 -dist-addr-file w/sim.addr -dist-round-timeout 1m0s`),
+			-dist-host 127.0.0.1:0 -dist-addr-file w/coord.addr -dist-round-timeout 1m0s
+			-o w/n.tsv -snapshot w/n.gsnap -report w/r.json`),
 		"first chisim 1": strings.Fields(`-persons 2000 -days 2 -seed 7 -ranks 2 -logdir w/logs
 			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank1.addr
-			-dist-join @w/sim.addr -dist-rank 1`),
+			-dist-join @w/coord.addr -dist-rank 1`),
 		"relaunch chisim 0": strings.Fields(`-persons 2000 -days 2 -seed 7 -ranks 2 -logdir w/logs -hour-delay 20ms -resume
 			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank0.addr
-			-dist-host 127.0.0.1:0 -dist-addr-file w/sim.addr -dist-round-timeout 1m0s`),
+			-dist-host 127.0.0.1:0 -dist-addr-file w/coord.addr -dist-round-timeout 1m0s
+			-o w/n.tsv -snapshot w/n.gsnap -report w/r.json`),
 		"relaunch chisim 1": strings.Fields(`-persons 2000 -days 2 -seed 7 -ranks 2 -logdir w/logs -hour-delay 20ms -resume
 			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank1.addr
-			-dist-join @w/sim.addr -dist-rank 1`),
-		"synth netsynth 0": strings.Fields(`-t0 0 -t1 48
-			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank0.addr
-			-dist-host 127.0.0.1:0 -dist-addr-file w/synth.addr -dist-round-timeout 1m0s
-			-dist-size 2 -o w/n.tsv -snapshot w/n.gsnap -report w/r.json a.h5l b.h5l`),
-		"synth netsynth 1": strings.Fields(`-t0 0 -t1 48
-			-telemetry-addr 127.0.0.1:0 -telemetry-addr-file w/telemetry-rank1.addr
-			-dist-join @w/synth.addr -dist-rank 1 a.h5l b.h5l`),
+			-dist-join @w/coord.addr -dist-rank 1`),
 	}
 	for k, w := range want {
 		if !reflect.DeepEqual(got[k], w) {

@@ -12,11 +12,12 @@ package main
 //     registry as rank="launcher"). A dead or restarting rank keeps
 //     serving its last good snapshot, marked stale via
 //     netlaunch_scrape_age_seconds.
-//   - /cluster  — a JSON roll-up: current phase, per-rank scrape
-//     health, the supervision reports (gang relaunches, degraded
-//     ranks), and — once the synthesis report lands — per-rank
-//     busy/comm/idle walls with min/max/mean busy and the Fig.-style
-//     imbalance ratio.
+//   - /cluster  — a JSON roll-up: the phase ("sim" from each launch
+//     attempt, "synth" once rank 0 says its synthesis begins, "done"
+//     once the run succeeded), per-rank scrape health, the supervision
+//     report (gang relaunches, degraded ranks), and — once rank 0's
+//     report lands — per-rank synthesis busy/comm/idle walls with
+//     min/max/mean busy and the Fig.-style imbalance ratio.
 //
 // Scrapes are best-effort by design: a rank between death and restart
 // refuses connections, and a rank that has not bound yet has no
@@ -84,9 +85,9 @@ func newObserver(workdir string, ranks int, interval time.Duration) *observer {
 }
 
 // telemetryAddrFile is the per-rank address file the observer polls.
-// Both phases use the same name: the file always points at the rank's
-// most recently bound telemetry server (restarts rewrite it), and a
-// briefly stale address just yields one failed scrape.
+// It always points at the rank's most recently bound telemetry server
+// (relaunches rewrite it), and a briefly stale address just yields one
+// failed scrape.
 func (o *observer) telemetryAddrFile(rank int) string {
 	return fmt.Sprintf("%s/telemetry-rank%d.addr", o.workdir, rank)
 }
@@ -238,7 +239,7 @@ type clusterRank struct {
 }
 
 // clusterSynthesis is the post-synthesis roll-up of the /cluster
-// summary, built from the rank-0 run report.
+// summary, built from rank 0's run report.
 type clusterSynthesis struct {
 	TraceID       string                 `json:"trace_id,omitempty"`
 	Ranks         []telemetry.RankReport `json:"ranks"`

@@ -8,22 +8,12 @@
 //
 //	netsynth -t0 504 -t1 672 -o network.tsv logs/rank*.h5l
 //
-// Distributed usage (the paper runs the synthesis as batches of log
-// files across cluster jobs): give every process the identical file
-// list; files are striped across processes, partial networks are merged
-// on rank 0, which writes the output.
-//
-//	netsynth -dist-host :7947 -dist-size 4 -o network.tsv logs/*.h5l  # rank 0
-//	netsynth -dist-join host:7947 logs/*.h5l                          # ranks 1..3
-//
-// Under a supervisor (cmd/netlaunch), workers pin their rank with
-// -dist-rank and discover the coordinator with -dist-join @file (the
-// address file rank 0 publishes with -dist-addr-file). A worker that
-// dies, or never joins within the coordinator's join window, is not
-// restarted: the survivors re-stripe its files and rank 0 still writes
-// the same network. Exit codes
-// tell the supervisor what happened: 0 success, 2 cooperative drain
-// after SIGINT/SIGTERM, 1 real failure.
+// It runs in one process, as a batch over closed logs or, with -follow,
+// tailing the logs of a running simulation. The paper's distributed
+// synthesis runs inside the simulation's own ranks instead (chisim -o,
+// supervised by cmd/netlaunch); netsynth cuts any other slice of those
+// logs after the fact. Exit codes: 0 success, 2 cooperative drain after
+// SIGINT/SIGTERM, 1 real failure.
 //
 // The output is a three-column TSV (person_i, person_j, hours) holding
 // the strict upper triangle of the adjacency matrix.
@@ -99,8 +89,6 @@ func main() {
 	workers := flag.Int("workers", 0, "synthesis workers (0 = all CPUs)")
 	balance := flag.String("balance", "nnz", "load balancing: nnz (paper) or none (naive)")
 	memBudget := flag.String("mem-budget", "", "cap on buffered log-entry bytes, e.g. 64M or 2G (empty = unlimited), with and without -follow; entries beyond it spill to place-sorted temp files")
-	dist := cmdrun.DistFlags()
-	distSize := flag.Int("dist-size", 0, "total process count when hosting")
 	follow := flag.Bool("follow", false, "tail the logs of a running simulation and publish one snapshot generation per window (requires -snapshot; -t1 0 means open-ended)")
 	windowHours := flag.Uint("window", 24, "streaming window width in simulated hours (with -follow)")
 	horizonHours := flag.Uint("horizon", core.DefaultStreamHorizon, "activity-span horizon in hours: a window closes once every log reaches window-end+horizon (with -follow)")
@@ -161,15 +149,12 @@ func main() {
 			return err
 		}
 		cfg := core.Config{Workers: *workers, Balance: mode, MemBudgetBytes: budget}
-		switch {
-		case *follow:
+		if *follow {
 			return runFollow(ctx, paths, uint32(*t0), uint32(*t1), cfg, followOptions{
 				Window: uint32(*windowHours), Horizon: uint32(*horizonHours),
 				Decay: *decay, Poll: *pollInterval, History: *history,
 				Snapshot: *snapshot, Out: *out,
 			}, tel)
-		case dist.Enabled():
-			return runDistributed(ctx, paths, uint32(*t0), uint32(*t1), cfg, dist, *distSize, *out, *snapshot, tel)
 		}
 		return runBatch(ctx, paths, uint32(*t0), uint32(*t1), cfg, *out, *snapshot, *showStats, tel)
 	})
@@ -197,10 +182,7 @@ func runBatch(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Confi
 		return err
 	}
 	elapsed := time.Since(start)
-	if err := writeEdgeList(out, tri); err != nil {
-		return err
-	}
-	if err := writeSnapshot(snapshot, tri); err != nil {
+	if err := cmdrun.WriteNetwork(out, snapshot, tri); err != nil {
 		return err
 	}
 
@@ -261,42 +243,6 @@ func printStats(s *core.Stats) {
 		fmt.Fprintf(w, "%d\t%d\t%s\n", i, s.WorkerCost[i], s.WorkerBusy[i].Round(time.Microsecond))
 	}
 	w.Flush()
-}
-
-// runDistributed stripes the log files across the processes of a TCP
-// cluster; rank 0 merges the partial networks and writes the edge list.
-func runDistributed(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Config, dist *cmdrun.Dist, size int, out, snapshot string, tel *cmdrun.Telemetry) error {
-	node, err := dist.Open(size)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	start := time.Now()
-	tri, rep, err := core.SynthesizeDistributed(ctx, node, paths, t0, t1, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rank %d done in %s\n", node.Rank(), time.Since(start).Round(time.Millisecond))
-	if node.Rank() != 0 {
-		return nil
-	}
-	if err := writeEdgeList(out, tri); err != nil {
-		return err
-	}
-	fmt.Printf("network: %d vertices, %d edges, total weight %d → %s\n",
-		tri.Vertices(), tri.NNZ(), tri.TotalWeight(), out)
-	if err := writeSnapshot(snapshot, tri); err != nil {
-		return err
-	}
-	if rep == nil {
-		if tel.Report != "" {
-			fmt.Fprintln(os.Stderr, "netsynth: rank report gather failed; no run report written")
-		}
-		return nil
-	}
-	rep.Command = "netsynth"
-	return tel.WriteReport(rep)
 }
 
 // followOptions bundles the streaming-mode flags so runFollow's
@@ -374,7 +320,7 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 		return err
 	}
 	if lastNet != nil {
-		if err := writeEdgeList(opt.Out, lastNet); err != nil {
+		if err := cmdrun.WriteNetwork(opt.Out, "", lastNet); err != nil {
 			return err
 		}
 		fmt.Printf("final network: %d vertices, %d edges, total weight %d → %s\n",
@@ -384,38 +330,4 @@ func runFollow(ctx context.Context, paths []string, t0, t1 uint32, cfg core.Conf
 		st.Windows, st.Entries, st.LateEntries, st.PeakBuffered, st.MaxStop,
 		time.Since(start).Round(time.Millisecond))
 	return tel.WriteReport(telemetry.Default.Report("netsynth"))
-}
-
-// writeEdgeList writes tri as a three-column TSV edge list to path.
-func writeEdgeList(path string, tri *sparse.Tri) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteEdgeList(f, tri); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSnapshot additionally persists the synthesized network as a
-// binary .gsnap snapshot when -snapshot is given — the format netserve
-// loads without re-parsing TSV. Snapshots are written as v2 with the
-// precomputed index sections baked in, so the daemon's hot endpoints
-// serve them as O(1) mmap reads with no warmup pass.
-func writeSnapshot(path string, tri *sparse.Tri) error {
-	if path == "" {
-		return nil
-	}
-	g := graph.FromTri(tri, 0)
-	if err := gstore.WriteFileIndexed(path, g, gstore.IndexOptions{}); err != nil {
-		return err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("snapshot: %d bytes (v%d, indexed) → %s\n", fi.Size(), gstore.Version, path)
-	return nil
 }

@@ -141,7 +141,12 @@ func (cfg *Config) logPath(rank int) string {
 	if cfg.LogDir == "" {
 		return ""
 	}
-	return filepath.Join(cfg.LogDir, fmt.Sprintf("rank%04d.h5l", rank))
+	return LogPath(cfg.LogDir, rank)
+}
+
+// LogPath names rank's event log in dir: dir/rankNNNN.h5l.
+func LogPath(dir string, rank int) string {
+	return filepath.Join(dir, fmt.Sprintf("rank%04d.h5l", rank))
 }
 
 // Result summarizes a run.
@@ -423,6 +428,7 @@ func runRank(ctx context.Context, t mpi.Transport, cfg Config, startHour uint32,
 	// disabled) so RankResult.WallNs is unconditionally populated; the
 	// roll-up counters are one batch add per rank run.
 	_, spRank := telemetry.StartSpan(ctx, "abm/rank")
+	spRank.SetRank(rank)
 	defer func() {
 		spRank.AddCount(int64(rr.Entries))
 		rr.WallNs = uint64(spRank.End())

@@ -10,6 +10,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/schedule"
 	"repro/internal/synthpop"
+	"repro/internal/telemetry"
 )
 
 func testWorld(t testing.TB, persons int) (*synthpop.Population, *schedule.Generator) {
@@ -336,6 +337,26 @@ func TestSingleRankRuns(t *testing.T) {
 	}
 	if res.Entries == 0 {
 		t.Fatal("no entries logged")
+	}
+}
+
+// TestRankSpansNameTheirRank: every rank's abm/rank span carries its
+// own rank, so a run report's trace tells the simulation ranks apart.
+func TestRankSpansNameTheirRank(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(true)
+	pop, gen := testWorld(t, 300)
+	if _, err := Run(context.Background(), Config{Pop: pop, Gen: gen, Ranks: 3, Days: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]bool{}
+	for _, sp := range telemetry.Default.RootSpans() {
+		if sp.Name == "abm/rank" {
+			got[sp.Rank] = true
+		}
+	}
+	if len(got) != 3 || !got[0] || !got[1] || !got[2] {
+		t.Fatalf("abm/rank roots for ranks %v, want {0, 1, 2}", got)
 	}
 }
 

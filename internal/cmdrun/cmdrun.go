@@ -1,6 +1,7 @@
 // Package cmdrun is the runtime the repository's binaries share: how a
 // command stops on a signal and which code it exits with, its telemetry
-// flags and server, and how it joins an mpinet cluster.
+// flags and server, how it joins an mpinet cluster, and how it writes a
+// synthesized network.
 //
 // Exit codes are the contract a supervisor (cmd/netlaunch) reads: 0 is
 // success, supervise.ExitCanceled (2) is work that stopped because the
@@ -20,7 +21,10 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/mpinet"
+	"repro/internal/sparse"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
@@ -185,4 +189,37 @@ func (d *Dist) Open(size int) (*mpinet.Node, error) {
 		}
 	}
 	return node, nil
+}
+
+// WriteNetwork writes a synthesized network: the three-column TSV edge
+// list (person_i, person_j, hours; the strict upper triangle) to out,
+// and the .gsnap snapshot to snapshot — v2 with the index sections
+// baked in, so netserve serves it as mmap reads with no warmup pass.
+// An empty path skips that output.
+func WriteNetwork(out, snapshot string, tri *sparse.Tri) error {
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
+			return err
+		}
+		if err := graph.WriteEdgeList(f, tri); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	if snapshot == "" {
+		return nil
+	}
+	if err := gstore.WriteFileIndexed(snapshot, graph.FromTri(tri, 0), gstore.IndexOptions{}); err != nil {
+		return err
+	}
+	fi, err := os.Stat(snapshot)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("snapshot: %d bytes (v%d, indexed) → %s\n", fi.Size(), gstore.Version, snapshot)
+	return nil
 }

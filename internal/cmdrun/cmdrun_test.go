@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gstore"
+	"repro/internal/sparse"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
@@ -212,5 +214,38 @@ func TestDistOpenJoinsThroughAddrFile(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal("joiner:", err)
+	}
+}
+
+// TestWriteNetwork: the edge list is the triangle's TSV rows, the
+// snapshot opens as the same graph, and an empty path writes nothing.
+func TestWriteNetwork(t *testing.T) {
+	dir := t.TempDir()
+	tri := sparse.Coalesce(1, []sparse.Entry{{I: 0, J: 1, W: 3}, {I: 1, J: 2, W: 5}})
+	out, snap := filepath.Join(dir, "n.tsv"), filepath.Join(dir, "n.gsnap")
+	if err := WriteNetwork(out, snap, tri); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "# person_i\tperson_j\tcollocated_hours\n0\t1\t3\n1\t2\t5\n"; string(blob) != want {
+		t.Fatalf("edge list %q, want %q", blob, want)
+	}
+	s, err := gstore.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if g := s.Graph(); g.NumVertices() != 3 || g.NumEdges() != 2 {
+		t.Fatalf("snapshot has %d vertices, %d edges; want 3, 2", g.NumVertices(), g.NumEdges())
+	}
+	only := filepath.Join(dir, "only.gsnap")
+	if err := WriteNetwork("", only, tri); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 3 {
+		t.Fatalf("%d files after a snapshot-only write, want 3", len(entries))
 	}
 }

@@ -1,30 +1,23 @@
 // Package supervise runs a set of rank processes as a supervision tree:
 // it spawns each rank of the distributed pipeline as an external OS
-// process, watches their exits, and applies the recovery each phase
-// needs — the glue that turns mpinet's failure-tolerant transport and
-// the eventlog's resumable logs into a run that survives kill -9.
+// process, watches their exits, and applies one recovery rule — the
+// glue that turns mpinet's failure-tolerant transport and the
+// eventlog's resumable logs into a run that survives kill -9.
 //
-// Two supervision modes match the two phases of the pipeline:
-//
-//   - Gang (RunGang): the simulation phase, one chisim process per
-//     rank running abm.RunOn. The simulation is not failure-tolerant —
-//     any rank death aborts every survivor promptly with a typed error
-//     — but every rank's eventlog keeps a valid footer (or salvageable
-//     prefix), so the recovery unit is the whole gang: kill the
-//     stragglers, back off, and relaunch every rank with -resume.
-//     abm.ResumeOn replays to the canonical per-hour order, making the
-//     finished logs bit-identical to an uninterrupted run.
-//
-//   - Per-rank (RunPerRank): the synthesis phase.
-//     core.SynthesizeDistributed re-stripes a dead rank's files over
-//     the survivors and produces the same network, so nothing is
-//     restarted: a failed worker is recorded as degraded at once and
-//     the phase goes on without it. Rank 0 decides the phase.
+// Every rank is one chisim process that simulates (abm.RunOn) and then
+// synthesizes (core.SynthesizeDistributed) on the same transport, so
+// one gang covers the whole run and rank 0 decides it (RunGang). If
+// rank 0 succeeds, the run succeeds, and a worker that failed is
+// recorded degraded: it died in the synthesis, where the survivors
+// re-striped its files. If rank 0 fails — which a worker dying in the
+// simulation causes through the transport — every rank is relaunched
+// with -resume: each eventlog keeps a valid footer or a salvageable
+// prefix, abm.ResumeOn replays to the canonical per-hour order, and a
+// complete simulation resumes straight into the synthesis.
 //
 // Exit codes are the contract between the supervisor and the rank
 // binaries: ExitOK for success, ExitCanceled for a cooperative
-// SIGINT/SIGTERM drain (not a failure), ExitFailure for real failures
-// (a gang relaunch, or a degraded synthesis worker).
+// SIGINT/SIGTERM drain (not a failure), ExitFailure for real failures.
 package supervise
 
 import (
@@ -41,19 +34,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Exit codes shared by the rank binaries (cmd/chisim, cmd/netsynth) and
+// Exit codes shared by the binaries (cmd/chisim, cmd/netsynth, ...) and
 // the supervisor.
 const (
 	// ExitOK: the rank completed its work.
 	ExitOK = 0
 	// ExitFailure: a real failure (I/O error, lost coordinator, bad
-	// input). RunGang relaunches the gang; RunPerRank degrades a
-	// worker.
+	// input). From rank 0 it relaunches the gang; from a worker of a
+	// run rank 0 completes, it marks the worker degraded.
 	ExitFailure = 1
 	// ExitCanceled: the rank drained cleanly after SIGINT/SIGTERM.
 	// Deliberate, so never a failure.
 	ExitCanceled = 2
 )
+
+// SynthesisLine is what a rank prints on stdout as its synthesis begins,
+// after its simulation: the one event of a run a supervisor reads from
+// a rank's output (netlaunch's /cluster phase and its synthesis kill).
+const SynthesisLine = "synthesis begins"
 
 // Telemetry series for the supervision layer.
 var (
@@ -78,8 +76,7 @@ type Spec struct {
 // Policy tunes the supervisor. Zero values select defaults.
 type Policy struct {
 	// MaxRelaunches is the gang relaunch budget of RunGang.
-	// Default 3; negative disables relaunches. RunPerRank never
-	// restarts a process.
+	// Default 3; negative disables relaunches.
 	MaxRelaunches int
 	// BackoffBase is the first relaunch delay; each subsequent relaunch
 	// doubles it, with full jitter. Default 250ms.
@@ -89,10 +86,9 @@ type Policy struct {
 	// Grace is how long a terminated process gets between SIGTERM and
 	// SIGKILL. Default 5s.
 	Grace time.Duration
-	// DrainTimeout bounds how long the supervisor waits for the rest of
-	// the gang to exit on its own after a failure (gang mode) or for
-	// worker ranks to finish after rank 0 succeeded (per-rank mode)
-	// before terminating them. Default 10s.
+	// DrainTimeout bounds how long the supervisor waits for the workers
+	// to exit on their own after rank 0 succeeded before terminating
+	// them. Default 10s.
 	DrainTimeout time.Duration
 	// Logf receives human-readable supervision events; nil discards.
 	Logf func(format string, args ...any)
@@ -136,12 +132,12 @@ func (p Policy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
-// newReport starts a phase's supervision record — one entry per spec,
+// newReport starts the run's supervision record — one entry per spec,
 // exit code -1 until that rank's first exit — and indexes it by rank.
-func (s *Supervisor) newReport(mode string) (*telemetry.SupervisionReport, map[int]*telemetry.SupervisionRank) {
-	rep := &telemetry.SupervisionReport{Mode: mode, Ranks: make([]telemetry.SupervisionRank, len(s.specs))}
+func newReport(specs []Spec) (*telemetry.SupervisionReport, map[int]*telemetry.SupervisionRank) {
+	rep := &telemetry.SupervisionReport{Mode: "gang", Ranks: make([]telemetry.SupervisionRank, len(specs))}
 	byRank := map[int]*telemetry.SupervisionRank{}
-	for i, sp := range s.specs {
+	for i, sp := range specs {
 		rep.Ranks[i] = telemetry.SupervisionRank{Rank: sp.Rank, ExitCode: -1}
 		byRank[sp.Rank] = &rep.Ranks[i]
 	}
@@ -150,13 +146,11 @@ func (s *Supervisor) newReport(mode string) (*telemetry.SupervisionReport, map[i
 
 // record folds one process's exit into its rank's entry: the peak RSS
 // over every gang attempt and the latest exit code.
-func record(byRank map[int]*telemetry.SupervisionRank, ev exitEvent) *telemetry.SupervisionRank {
-	st := byRank[ev.rank]
-	if st != nil {
+func record(byRank map[int]*telemetry.SupervisionRank, ev exitEvent) {
+	if st := byRank[ev.rank]; st != nil {
 		st.PeakRSSKiB = max(st.PeakRSSKiB, ev.rssKiB)
 		st.ExitCode = ev.code
 	}
-	return st
 }
 
 // proc is one running process.
@@ -173,20 +167,18 @@ type exitEvent struct {
 	signaled bool
 }
 
-// Supervisor drives one phase of supervised rank processes.
+// Supervisor drives one gang of supervised rank processes.
 type Supervisor struct {
-	specs []Spec
-	pol   Policy
-	rng   *rand.Rand
+	pol Policy
+	rng *rand.Rand
 
 	mu    sync.Mutex
 	procs map[int]*proc // rank → current process
 }
 
-// New builds a Supervisor for the given rank specs.
-func New(specs []Spec, pol Policy) *Supervisor {
+// New builds a Supervisor under pol.
+func New(pol Policy) *Supervisor {
 	return &Supervisor{
-		specs: specs,
 		pol:   pol.withDefaults(),
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 		procs: map[int]*proc{},
@@ -279,67 +271,7 @@ func (s *Supervisor) terminateAll() {
 	}
 }
 
-// RunPerRank supervises the specs as one process per rank and never
-// restarts one. A worker (rank > 0) that fails is recorded Degraded at
-// once: the synthesis survivors re-stripe its files and produce the
-// same network without it. Rank 0 decides the phase: it succeeds when
-// rank 0 exits ExitOK, and rank 0 failing fails it.
-func (s *Supervisor) RunPerRank(ctx context.Context) (*telemetry.SupervisionReport, error) {
-	start := time.Now()
-	res, byRank := s.newReport("per-rank")
-	degraded := 0
-	finish := func(err error) (*telemetry.SupervisionReport, error) {
-		res.WallNs = int64(time.Since(start))
-		mDegraded.Set(int64(degraded))
-		return res, err
-	}
-
-	events := make(chan exitEvent, len(s.specs)) // one exit per process
-	pending := 0
-	for _, sp := range s.specs {
-		if err := s.start(sp, events); err != nil {
-			s.abort(events, &pending, byRank)
-			return finish(fmt.Errorf("supervise: starting rank %d: %w", sp.Rank, err))
-		}
-		pending++
-	}
-
-	for {
-		select {
-		case <-ctx.Done():
-			s.abort(events, &pending, byRank)
-			return finish(ctx.Err())
-		case ev := <-events:
-			pending--
-			st := record(byRank, ev)
-			if ev.rank == 0 {
-				switch ev.code {
-				case ExitOK:
-					s.pol.Logf("supervise: rank 0 completed; draining %d workers", pending)
-					s.drainThenTerminate(events, &pending, byRank)
-					return finish(nil)
-				case ExitCanceled:
-					s.abort(events, &pending, byRank)
-					return finish(context.Canceled)
-				default:
-					s.abort(events, &pending, byRank)
-					return finish(fmt.Errorf("supervise: rank 0 exited %d", ev.code))
-				}
-			}
-			if ev.code == ExitOK || ev.code == ExitCanceled {
-				s.pol.Logf("supervise: rank %d finished (exit %d)", ev.rank, ev.code)
-				continue
-			}
-			st.Degraded = true
-			degraded++
-			mDegraded.Set(int64(degraded))
-			s.pol.Logf("supervise: rank %d exit %d (signaled=%v); degraded — the survivors re-stripe its files",
-				ev.rank, ev.code, ev.signaled)
-		}
-	}
-}
-
-// abort ends the phase early: every live process terminated, and their
+// abort ends an attempt early: every live process terminated, and their
 // exits collected by drain.
 func (s *Supervisor) abort(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
 	s.terminateAll()
@@ -348,7 +280,7 @@ func (s *Supervisor) abort(events chan exitEvent, pending *int, byRank map[int]*
 
 // drainThenTerminate waits DrainTimeout for the remaining processes to
 // exit on their own (they should: the collective that completed the
-// phase has released them), then escalates.
+// run has released them), then escalates.
 func (s *Supervisor) drainThenTerminate(events chan exitEvent, pending *int, byRank map[int]*telemetry.SupervisionRank) {
 	deadline := time.After(s.pol.DrainTimeout)
 	for *pending > 0 {
@@ -379,26 +311,38 @@ func (s *Supervisor) drain(events chan exitEvent, pending *int, byRank map[int]*
 	}
 }
 
-// RunGang supervises a phase whose recovery unit is the whole gang:
+// RunGang supervises the gang under one rule: rank 0 decides the run.
 // build(attempt) produces the specs for launch attempt N (attempt 0 is
-// the initial launch; restarts typically add a -resume flag), every
-// rank must exit ExitOK for success, and any ExitFailure triggers a
-// full relaunch after terminating the stragglers and backing off.
-// A rank exiting ExitCanceled (cooperative drain) fails the attempt
-// without consuming the restart budget — the caller interrupted the
-// run, the supervisor reports context.Canceled. A rank that cannot be
-// started fails the phase: the ranks already started are terminated.
+// the initial launch; a relaunch adds -resume).
+//
+//   - Rank 0 exits ExitOK: the run succeeds. The workers still running
+//     get DrainTimeout to exit before they are terminated, and every
+//     worker of the attempt that exited with a failure is recorded
+//     Degraded.
+//   - Rank 0 fails: the rest are terminated and, after a backoff, the
+//     whole gang is relaunched, at most MaxRelaunches times.
+//   - Rank 0 exits ExitCanceled (a cooperative drain): the run ends
+//     with context.Canceled and consumes no budget.
+//
+// A worker's exit alone never acts: a worker that dies in the
+// simulation makes rank 0 fail through the transport, and one that
+// dies in the synthesis is re-striped over by the survivors. A rank
+// that cannot be started fails the run: the ranks already started are
+// terminated.
 func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec) (*telemetry.SupervisionReport, error) {
 	start := time.Now()
-	res, byRank := s.newReport("gang")
+	specs := build(0)
+	res, byRank := newReport(specs)
 	finish := func(err error) (*telemetry.SupervisionReport, error) {
 		res.WallNs = int64(time.Since(start))
 		return res, err
 	}
 
 	for attempt := 0; ; attempt++ {
-		specs := build(attempt)
-		events := make(chan exitEvent, len(specs)*2)
+		if attempt > 0 {
+			specs = build(attempt)
+		}
+		events := make(chan exitEvent, len(specs)) // one exit per process
 		s.mu.Lock()
 		s.procs = map[int]*proc{}
 		s.mu.Unlock()
@@ -410,9 +354,8 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 			}
 			pending++
 		}
-		sawFailure, sawCancel := false, false
-		var deadline <-chan time.Time
-		for pending > 0 {
+		var lead exitEvent // rank 0's exit
+		for waiting := true; waiting; {
 			select {
 			case <-ctx.Done():
 				s.abort(events, &pending, byRank)
@@ -420,31 +363,34 @@ func (s *Supervisor) RunGang(ctx context.Context, build func(attempt int) []Spec
 			case ev := <-events:
 				pending--
 				record(byRank, ev)
-				switch ev.code {
-				case ExitOK:
-				case ExitCanceled:
-					sawCancel = true
-				default:
-					if !sawFailure {
-						sawFailure = true
-						s.pol.Logf("supervise: rank %d exit %d (signaled=%v); gang will relaunch after stragglers drain",
-							ev.rank, ev.code, ev.signaled)
-						// Survivors abort their collectives promptly; give
-						// them the drain window, then escalate.
-						deadline = time.After(s.pol.DrainTimeout)
-					}
+				if ev.rank == 0 {
+					lead, waiting = ev, false
+				} else if ev.code != ExitOK && ev.code != ExitCanceled {
+					s.pol.Logf("supervise: rank %d exit %d (signaled=%v); rank 0 decides the run",
+						ev.rank, ev.code, ev.signaled)
 				}
-			case <-deadline:
-				deadline = nil
-				s.terminateAll()
 			}
 		}
-		if sawCancel && !sawFailure {
+		switch lead.code {
+		case ExitOK:
+			s.pol.Logf("supervise: rank 0 completed; draining %d worker(s)", pending)
+			s.drainThenTerminate(events, &pending, byRank)
+			degraded := 0
+			for i := range res.Ranks {
+				r := &res.Ranks[i]
+				r.Degraded = r.Rank != 0 && r.ExitCode != ExitOK && r.ExitCode != ExitCanceled
+				if r.Degraded {
+					degraded++
+				}
+			}
+			mDegraded.Set(int64(degraded))
+			return finish(nil)
+		case ExitCanceled:
+			s.abort(events, &pending, byRank)
 			return finish(context.Canceled)
 		}
-		if !sawFailure {
-			return finish(nil)
-		}
+		s.pol.Logf("supervise: rank 0 exit %d (signaled=%v); terminating the gang", lead.code, lead.signaled)
+		s.abort(events, &pending, byRank)
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}

@@ -29,16 +29,24 @@ func fastPolicy() Policy {
 	}
 }
 
-func TestRunPerRankSuccess(t *testing.T) {
-	specs := []Spec{
+// once returns build for a gang that runs specs on every attempt.
+func once(specs ...Spec) func(int) []Spec {
+	return func(int) []Spec { return specs }
+}
+
+func TestRunGangSuccess(t *testing.T) {
+	build := once(
 		sh(0, "sleep 0.2; exit 0"),
 		sh(1, "exit 0"),
 		sh(2, "exit 0"),
-	}
-	s := New(specs, fastPolicy())
-	res, err := s.RunPerRank(context.Background())
+	)
+	s := New(fastPolicy())
+	res, err := s.RunGang(context.Background(), build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Mode != "gang" || res.GangRestarts != 0 {
+		t.Fatalf("mode %q, %d gang restarts; want gang, 0", res.Mode, res.GangRestarts)
 	}
 	for _, rs := range res.Ranks {
 		if rs.Degraded {
@@ -47,22 +55,30 @@ func TestRunPerRankSuccess(t *testing.T) {
 		if rs.ExitCode != ExitOK {
 			t.Fatalf("rank %d exit %d", rs.Rank, rs.ExitCode)
 		}
+		if rs.PeakRSSKiB <= 0 {
+			t.Fatalf("rank %d peak RSS not captured: %d KiB", rs.Rank, rs.PeakRSSKiB)
+		}
 	}
 }
 
-// TestRunPerRankDegradesAfterBudget: a failed worker is recorded
-// degraded at once and never started again, and rank 0 still decides
-// the phase.
-func TestRunPerRankDegradesAfterBudget(t *testing.T) {
+// TestRunGangWorkerFailureDegrades: a worker that fails while rank 0
+// goes on to exit 0 — a death in the synthesis, which the survivors
+// re-stripe — is recorded degraded, started once, and costs no
+// relaunch.
+func TestRunGangWorkerFailureDegrades(t *testing.T) {
 	starts := filepath.Join(t.TempDir(), "starts")
-	specs := []Spec{
+	build := once(
 		sh(0, "sleep 1.0; exit 0"),
 		sh(1, fmt.Sprintf("echo start >> %s; exit 1", starts)),
-	}
-	s := New(specs, fastPolicy())
-	res, err := s.RunPerRank(context.Background())
+		sh(2, "exit 0"),
+	)
+	s := New(fastPolicy())
+	res, err := s.RunGang(context.Background(), build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.GangRestarts != 0 {
+		t.Fatalf("gang restarts = %d, want 0", res.GangRestarts)
 	}
 	if !res.Ranks[1].Degraded {
 		t.Fatal("failed worker not marked degraded")
@@ -70,8 +86,8 @@ func TestRunPerRankDegradesAfterBudget(t *testing.T) {
 	if res.Ranks[1].ExitCode != ExitFailure {
 		t.Fatalf("worker exit %d, want %d", res.Ranks[1].ExitCode, ExitFailure)
 	}
-	if res.Ranks[0].Degraded {
-		t.Fatal("coordinator marked degraded")
+	if res.Ranks[0].Degraded || res.Ranks[2].Degraded {
+		t.Fatal("a rank that exited 0 is marked degraded")
 	}
 	blob, err := os.ReadFile(starts)
 	if err != nil {
@@ -82,15 +98,20 @@ func TestRunPerRankDegradesAfterBudget(t *testing.T) {
 	}
 }
 
-func TestRunPerRankCanceledWorkerNotRestarted(t *testing.T) {
-	specs := []Spec{
+// TestRunGangCanceledWorkerNotDegraded: a worker that drained after a
+// signal is neither degraded nor relaunched.
+func TestRunGangCanceledWorkerNotDegraded(t *testing.T) {
+	build := once(
 		sh(0, "sleep 0.4; exit 0"),
-		sh(1, "exit 2"), // cooperative drain: deliberate, never restarted
-	}
-	s := New(specs, fastPolicy())
-	res, err := s.RunPerRank(context.Background())
+		sh(1, "exit 2"),
+	)
+	s := New(fastPolicy())
+	res, err := s.RunGang(context.Background(), build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.GangRestarts != 0 {
+		t.Fatalf("gang restarts = %d, want 0", res.GangRestarts)
 	}
 	if res.Ranks[1].Degraded {
 		t.Fatal("canceled worker marked degraded")
@@ -100,42 +121,16 @@ func TestRunPerRankCanceledWorkerNotRestarted(t *testing.T) {
 	}
 }
 
-func TestRunPerRankCoordinatorFailureFailsPhase(t *testing.T) {
-	specs := []Spec{
-		sh(0, "exit 1"),
-		sh(1, "sleep 5; exit 0"), // would linger; must be terminated
-	}
-	s := New(specs, fastPolicy())
-	start := time.Now()
-	_, err := s.RunPerRank(context.Background())
-	if err == nil {
-		t.Fatal("phase succeeded despite rank 0 failing")
-	}
-	if time.Since(start) > 4*time.Second {
-		t.Fatalf("straggler termination took %v", time.Since(start))
-	}
-}
-
-func TestRunPerRankPeakRSSRecorded(t *testing.T) {
-	specs := []Spec{sh(0, "exit 0")}
-	s := New(specs, fastPolicy())
-	res, err := s.RunPerRank(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks[0].PeakRSSKiB <= 0 {
-		t.Fatalf("peak RSS not captured: %d KiB", res.Ranks[0].PeakRSSKiB)
-	}
-}
-
+// TestRunGangRelaunchesWholeGang: rank 0 failing terminates the
+// straggler at once and relaunches every rank.
 func TestRunGangRelaunchesWholeGang(t *testing.T) {
 	dir := t.TempDir()
 	marker := filepath.Join(dir, "attempt1")
 	build := func(attempt int) []Spec {
 		if attempt == 0 {
 			return []Spec{
-				sh(0, "sleep 0.1; exit 0"),
-				sh(1, fmt.Sprintf("touch %s.first; exit 1", marker)),
+				sh(0, "sleep 0.1; exit 1"),
+				sh(1, "sleep 5; exit 0"), // would linger; must be terminated
 			}
 		}
 		return []Spec{
@@ -143,10 +138,15 @@ func TestRunGangRelaunchesWholeGang(t *testing.T) {
 			sh(1, "exit 0"),
 		}
 	}
-	s := New(build(0), fastPolicy())
+	pol := fastPolicy()
+	s := New(pol)
+	start := time.Now()
 	res, err := s.RunGang(context.Background(), build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall > pol.Grace+pol.DrainTimeout {
+		t.Fatalf("RunGang returned after %v: the straggler was waited out", wall)
 	}
 	if res.GangRestarts != 1 {
 		t.Fatalf("gang restarts = %d, want 1", res.GangRestarts)
@@ -163,6 +163,9 @@ func TestRunGangRelaunchesWholeGang(t *testing.T) {
 		if rs.PeakRSSKiB <= 0 {
 			t.Fatalf("rank %d peak RSS not recorded", rs.Rank)
 		}
+		if rs.Degraded {
+			t.Fatalf("rank %d degraded by an earlier attempt", rs.Rank)
+		}
 	}
 }
 
@@ -176,7 +179,7 @@ func TestRunGangStartErrorTerminatesStarted(t *testing.T) {
 		}
 	}
 	pol := fastPolicy()
-	s := New(build(0), pol)
+	s := New(pol)
 	start := time.Now()
 	res, err := s.RunGang(context.Background(), build)
 	if err == nil {
@@ -194,12 +197,10 @@ func TestRunGangStartErrorTerminatesStarted(t *testing.T) {
 }
 
 func TestRunGangBudgetExhausted(t *testing.T) {
-	build := func(int) []Spec {
-		return []Spec{sh(0, "exit 0"), sh(1, "exit 1")}
-	}
+	build := once(sh(0, "exit 1"), sh(1, "exit 0"))
 	pol := fastPolicy()
 	pol.MaxRelaunches = 1
-	s := New(build(0), pol)
+	s := New(pol)
 	res, err := s.RunGang(context.Background(), build)
 	if err == nil {
 		t.Fatal("gang succeeded despite a permanently failing rank")
@@ -212,10 +213,8 @@ func TestRunGangBudgetExhausted(t *testing.T) {
 func TestRunGangCancellationIsNotFailure(t *testing.T) {
 	// Ranks exiting ExitCanceled (cooperative SIGTERM drain) must not
 	// consume the restart budget; the caller interrupted the run.
-	build := func(int) []Spec {
-		return []Spec{sh(0, "exit 2"), sh(1, "exit 2")}
-	}
-	s := New(build(0), fastPolicy())
+	build := once(sh(0, "exit 2"), sh(1, "exit 2"))
+	s := New(fastPolicy())
 	res, err := s.RunGang(context.Background(), build)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

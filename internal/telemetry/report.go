@@ -84,8 +84,8 @@ func BusyImbalance(ranks []RankReport) float64 {
 // SupervisionRank is one supervised rank process's lifecycle roll-up.
 type SupervisionRank struct {
 	Rank int `json:"rank"`
-	// Degraded marks a synthesis worker that failed; the run continued
-	// without it (the survivors re-striped its files).
+	// Degraded marks a worker that failed in a run rank 0 completed: it
+	// died in the synthesis, and the survivors re-striped its files.
 	Degraded bool `json:"degraded,omitempty"`
 	// PeakRSSKiB is the maximum resident set size across the rank's
 	// processes (one per gang attempt), in KiB.
@@ -98,13 +98,12 @@ type SupervisionRank struct {
 // keep a multi-process run alive: gang relaunches, and which ranks the
 // run gave up on.
 type SupervisionReport struct {
-	// Mode is the supervision strategy: "gang" (simulation phase,
-	// relaunch everyone with -resume) or "per-rank" (synthesis phase,
-	// failed workers degrade and the survivors re-stripe).
+	// Mode is the supervision strategy, "gang": rank 0 decides the run,
+	// and its failure relaunches every rank with -resume.
 	Mode string `json:"mode"`
-	// GangRestarts counts whole-gang relaunches (gang mode only).
+	// GangRestarts counts whole-gang relaunches.
 	GangRestarts int `json:"gang_restarts,omitempty"`
-	// WallNs is the phase's wall clock under supervision.
+	// WallNs is the run's wall clock under supervision.
 	WallNs int64 `json:"wall_ns"`
 	// Ranks holds the per-rank lifecycle roll-ups.
 	Ranks []SupervisionRank `json:"ranks,omitempty"`

@@ -249,77 +249,91 @@ if [ "${SMOKE:-1}" = "1" ]; then
 	rm -rf "$smoke_dir"
 fi
 
-# Supervised smoke (DESIGN.md §12): run the full two-phase pipeline
-# under cmd/netlaunch twice — once unfailed, once with a kill -9 aimed
-# at rank 2 mid-simulation (the -hour-delay widens the window so the
-# kill lands mid-run) — and require bit-identical edge lists and
-# snapshots. This is the crash-recovery contract end to end: gang
-# restart with -resume replays the logs, and the synthesized network
-# must not betray that anything happened. The baseline's bytes are also
-# pinned to recorded cksums. A third run kills rank 2 as the synthesis
-# phase starts: nothing restarts it, so it must be reported as degraded
-# rank 2, and the survivors' re-striped partials must reproduce the
-# pinned bytes. The kill usually lands before rank 2 joins, so this run
-# waits out the coordinator's 15 s join window. Last, chisim runs the
-# same simulation on four goroutine ranks of one process, whose logs
-# must match the process ranks' pinned cksums. Skip with SUPSMOKE=0.
+# Supervised smoke (DESIGN.md §12): run the whole pipeline under
+# cmd/netlaunch — one gang, every rank simulates and then synthesizes on
+# the same transport — and require the same edge list and snapshot from
+# every run. The baseline runs unfailed, with a run report whose
+# `netstat trace` must cover all 4 ranks; its bytes are pinned to
+# recorded cksums. Three chaos runs aim a kill -9:
+#   - at rank 2 mid-simulation (the -hour-delay widens the window so the
+#     kill lands mid-run): rank 0 fails through the transport, and the
+#     gang relaunch with -resume replays the logs;
+#   - at rank 2 as its synthesis begins: nothing restarts it, so it must
+#     be reported as degraded rank 2 with no gang restart. The
+#     survivors see the death at their next round and re-stripe its
+#     files, so the run must finish in under 10 s with the pinned bytes;
+#   - at rank 0 as its synthesis begins: the gang relaunches once, and
+#     -resume takes the complete logs straight into the synthesis.
+# Last, chisim runs the same simulation and synthesis on four goroutine
+# ranks of one process, whose logs and network must match the pins.
+# Skip with SUPSMOKE=0.
 if [ "${SUPSMOKE:-1}" = "1" ]; then
-	echo "== supervised smoke (netlaunch 4 ranks; kill -9 mid-sim -> identical hashes)"
+	echo "== supervised smoke (netlaunch 4 ranks; kill -9 in either phase -> identical hashes)"
 	sup_dir=$(mktemp -d)
-	go build -o "$sup_dir/" ./cmd/chisim ./cmd/netsynth ./cmd/netlaunch
+	go build -o "$sup_dir/" ./cmd/chisim ./cmd/netlaunch ./cmd/netstat
+	# Every run below comes from the same code, so a change that moved
+	# the bytes everywhere would still agree with itself. Pin the bytes
+	# to the values recorded at commit 18e5202; update them only for a
+	# deliberate format or model change.
+	pin_tsv="1841790360 516289"
+	pin_snap="2819928085 1143272"
+	# sup_pins LEG DIR: DIR's edge list and snapshot must match the pins.
+	sup_pins() {
+		got_tsv=$(cksum "$2/network.tsv" | cut -d' ' -f1-2)
+		got_snap=$(cksum "$2/network.gsnap" | cut -d' ' -f1-2)
+		if [ "$got_tsv" != "$pin_tsv" ] || [ "$got_snap" != "$pin_snap" ]; then
+			echo "FAIL: $1 moved from the pinned cksums"
+			echo "  network.tsv:   $got_tsv, pinned $pin_tsv"
+			echo "  network.gsnap: $got_snap, pinned $pin_snap"
+			rm -rf "$sup_dir"
+			exit 1
+		fi
+	}
+	# sup_says LEG TEXT LOG: the netlaunch output LOG must contain TEXT.
+	sup_says() {
+		if ! printf '%s\n' "$3" | grep -qF "$2"; then
+			echo "FAIL: $1 did not report '$2'"
+			printf '%s\n' "$3" | grep 'run done' || true
+			rm -rf "$sup_dir"
+			exit 1
+		fi
+	}
 	echo "-- baseline (no faults)"
 	"$sup_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
-		-workdir "$sup_dir/base" >/dev/null
+		-workdir "$sup_dir/base" -report "$sup_dir/base.json" >/dev/null
+	sup_pins "baseline" "$sup_dir/base"
+	echo "baseline edge list and snapshot match the pinned cksums"
+	base_trace=$("$sup_dir/netstat" trace "$sup_dir/base.json")
+	sup_says "baseline trace" "across 4 rank(s)" "$base_trace"
+	echo "baseline trace covers all 4 ranks"
 	echo "-- chaos (kill -9 rank 2 mid-simulation)"
 	"$sup_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
 		-workdir "$sup_dir/chaos" -hour-delay 20ms \
 		-kill-rank 2 -kill-after 300ms -kill-phase sim >/dev/null
-	base_hash=$(cksum "$sup_dir/base/network.tsv" | cut -d' ' -f1-2)
-	chaos_hash=$(cksum "$sup_dir/chaos/network.tsv" | cut -d' ' -f1-2)
-	base_snap=$(cksum "$sup_dir/base/network.gsnap" | cut -d' ' -f1-2)
-	chaos_snap=$(cksum "$sup_dir/chaos/network.gsnap" | cut -d' ' -f1-2)
-	if [ "$base_hash" != "$chaos_hash" ] || [ "$base_snap" != "$chaos_snap" ]; then
-		echo "FAIL: chaos run diverged from baseline"
-		echo "  edge list: $base_hash vs $chaos_hash"
-		echo "  snapshot:  $base_snap vs $chaos_snap"
-		rm -rf "$sup_dir"
-		exit 1
-	fi
-	echo "edge lists and snapshots bit-identical across kill -9 recovery"
-	# Both runs above come from the same code, so a change that moved the
-	# bytes everywhere would still agree with itself. Pin the baseline's
-	# bytes to the values recorded at commit 18e5202; update them only for
-	# a deliberate format or model change.
-	pin_tsv="1841790360 516289"
-	pin_snap="2819928085 1143272"
-	if [ "$base_hash" != "$pin_tsv" ] || [ "$base_snap" != "$pin_snap" ]; then
-		echo "FAIL: baseline bytes moved from the pinned cksums"
-		echo "  network.tsv:   $base_hash, pinned $pin_tsv"
-		echo "  network.gsnap: $base_snap, pinned $pin_snap"
-		rm -rf "$sup_dir"
-		exit 1
-	fi
-	echo "baseline edge list and snapshot match the pinned cksums"
-	echo "-- chaos (kill -9 rank 2 as the synthesis starts)"
+	sup_pins "simulation-kill run" "$sup_dir/chaos"
+	echo "edge list and snapshot bit-identical across kill -9 recovery"
+	echo "-- chaos (kill -9 rank 2 as its synthesis begins)"
+	synth_start=$(date +%s%N)
 	synth_log=$("$sup_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
 		-workdir "$sup_dir/synth" \
 		-kill-rank 2 -kill-after 0s -kill-phase synth)
-	synth_hash=$(cksum "$sup_dir/synth/network.tsv" | cut -d' ' -f1-2)
-	synth_snap=$(cksum "$sup_dir/synth/network.gsnap" | cut -d' ' -f1-2)
-	if ! printf '%s\n' "$synth_log" | grep -qF 'degraded ranks [2]'; then
-		echo "FAIL: synthesis kill did not degrade exactly rank 2"
-		printf '%s\n' "$synth_log" | grep 'synthesis phase' || true
+	synth_ms=$((($(date +%s%N) - synth_start) / 1000000))
+	sup_says "synthesis kill" "degraded ranks [2]" "$synth_log"
+	sup_says "synthesis kill" "0 gang restart(s)" "$synth_log"
+	if [ "$synth_ms" -ge 10000 ]; then
+		echo "FAIL: synthesis-kill run took ${synth_ms} ms, want < 10000"
 		rm -rf "$sup_dir"
 		exit 1
 	fi
-	if [ "$synth_hash" != "$pin_tsv" ] || [ "$synth_snap" != "$pin_snap" ]; then
-		echo "FAIL: synthesis-kill run moved from the pinned cksums"
-		echo "  network.tsv:   $synth_hash, pinned $pin_tsv"
-		echo "  network.gsnap: $synth_snap, pinned $pin_snap"
-		rm -rf "$sup_dir"
-		exit 1
-	fi
-	echo "synthesis kill re-striped over the survivors; edge list and snapshot match the pins"
+	sup_pins "synthesis-kill run" "$sup_dir/synth"
+	echo "synthesis kill re-striped over the survivors in ${synth_ms} ms; edge list and snapshot match the pins"
+	echo "-- chaos (kill -9 rank 0 as its synthesis begins)"
+	lead_log=$("$sup_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
+		-workdir "$sup_dir/lead" \
+		-kill-rank 0 -kill-after 0s -kill-phase synth)
+	sup_says "rank-0 synthesis kill" "1 gang restart(s)" "$lead_log"
+	sup_pins "rank-0 synthesis-kill run" "$sup_dir/lead"
+	echo "rank 0 killed in the synthesis: one relaunch resumed into the synthesis; edge list and snapshot match the pins"
 	# The network is the same under any place assignment
 	# (TestLogIndependentOfAssignment), so the pins above cannot see a
 	# drifted partition; the per-rank logs can. Recorded at commit 255b8de.
@@ -339,11 +353,12 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 	fi
 	echo "baseline per-rank logs match the pinned cksums"
 	# The same rank program on goroutine ranks of one process: the four
-	# logs must be the process ranks' bytes.
-	echo "-- in-process ranks (chisim -ranks 4, one process)"
-	"$sup_dir/chisim" -persons 2000 -days 2 -ranks 4 -logdir "$sup_dir/local" >/dev/null
+	# logs and the network must be the process ranks' bytes.
+	echo "-- in-process ranks (chisim -ranks 4 -o -snapshot, one process)"
+	"$sup_dir/chisim" -persons 2000 -days 2 -ranks 4 -logdir "$sup_dir/local/logs" \
+		-o "$sup_dir/local/network.tsv" -snapshot "$sup_dir/local/network.gsnap" >/dev/null
 	local_logs=$(for r in 0 1 2 3; do
-		cksum "$sup_dir/local/rank000$r.h5l" | cut -d' ' -f1-2
+		cksum "$sup_dir/local/logs/rank000$r.h5l" | cut -d' ' -f1-2
 	done)
 	if [ "$local_logs" != "$pin_logs" ]; then
 		echo "FAIL: in-process per-rank logs moved from the pinned cksums"
@@ -352,7 +367,8 @@ if [ "${SUPSMOKE:-1}" = "1" ]; then
 		rm -rf "$sup_dir"
 		exit 1
 	fi
-	echo "in-process per-rank logs match the pinned cksums"
+	sup_pins "in-process run" "$sup_dir/local"
+	echo "in-process per-rank logs, edge list and snapshot match the pinned cksums"
 	rm -rf "$sup_dir"
 fi
 
@@ -367,8 +383,8 @@ fi
 if [ "${OBSERVE:-1}" = "1" ]; then
 	echo "== observability smoke (netlaunch observe plane; merged /metrics + cluster trace)"
 	obs_dir=$(mktemp -d)
-	go build -o "$obs_dir/" ./cmd/chisim ./cmd/netsynth ./cmd/netlaunch \
-		./cmd/netserve ./cmd/netstat
+	go build -o "$obs_dir/" ./cmd/chisim ./cmd/netlaunch ./cmd/netserve \
+		./cmd/netstat
 	# The hour delay stretches the simulation so every rank is scraped at
 	# least once while the run is live.
 	"$obs_dir/netlaunch" -persons 2000 -days 2 -ranks 4 \
