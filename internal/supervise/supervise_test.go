@@ -34,7 +34,9 @@ func once(specs ...Spec) func(int) []Spec {
 	return func(int) []Spec { return specs }
 }
 
-func TestRunGangSuccess(t *testing.T) {
+// TestRunPerRankSuccess: a healthy gang records every rank's own
+// outcome — exit 0, not degraded — and costs no relaunch.
+func TestRunPerRankSuccess(t *testing.T) {
 	build := once(
 		sh(0, "sleep 0.2; exit 0"),
 		sh(1, "exit 0"),
@@ -48,6 +50,9 @@ func TestRunGangSuccess(t *testing.T) {
 	if res.Mode != "gang" || res.GangRestarts != 0 {
 		t.Fatalf("mode %q, %d gang restarts; want gang, 0", res.Mode, res.GangRestarts)
 	}
+	if len(res.Ranks) != 3 {
+		t.Fatalf("%d rank records, want 3", len(res.Ranks))
+	}
 	for _, rs := range res.Ranks {
 		if rs.Degraded {
 			t.Fatalf("healthy run: rank %d degraded", rs.Rank)
@@ -55,9 +60,44 @@ func TestRunGangSuccess(t *testing.T) {
 		if rs.ExitCode != ExitOK {
 			t.Fatalf("rank %d exit %d", rs.Rank, rs.ExitCode)
 		}
-		if rs.PeakRSSKiB <= 0 {
-			t.Fatalf("rank %d peak RSS not captured: %d KiB", rs.Rank, rs.PeakRSSKiB)
-		}
+	}
+}
+
+// TestRunPerRankCoordinatorFailureFailsPhase: with relaunches disabled,
+// rank 0 failing fails the run, and the straggler is terminated rather
+// than waited out.
+func TestRunPerRankCoordinatorFailureFailsPhase(t *testing.T) {
+	build := once(
+		sh(0, "exit 1"),
+		sh(1, "sleep 5; exit 0"), // would linger; must be terminated
+	)
+	pol := fastPolicy()
+	pol.MaxRelaunches = -1
+	s := New(pol)
+	start := time.Now()
+	res, err := s.RunGang(context.Background(), build)
+	if err == nil {
+		t.Fatal("run succeeded despite rank 0 failing")
+	}
+	if wall := time.Since(start); wall > pol.Grace+pol.DrainTimeout {
+		t.Fatalf("straggler termination took %v", wall)
+	}
+	if res.GangRestarts != 0 {
+		t.Fatalf("gang restarts = %d with relaunches disabled", res.GangRestarts)
+	}
+	if res.Ranks[0].ExitCode != ExitFailure {
+		t.Fatalf("rank 0 recorded exit %d, want %d", res.Ranks[0].ExitCode, ExitFailure)
+	}
+}
+
+func TestRunPerRankPeakRSSRecorded(t *testing.T) {
+	s := New(fastPolicy())
+	res, err := s.RunGang(context.Background(), once(sh(0, "exit 0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ranks[0].PeakRSSKiB <= 0 {
+		t.Fatalf("peak RSS not captured: %d KiB", res.Ranks[0].PeakRSSKiB)
 	}
 }
 
