@@ -760,9 +760,15 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 	// Rank 0 roots the distributed trace; worker ranks ship their local
 	// span trees home inside their rank reports, and rank 0 grafts them
 	// under this span, so the whole cluster round renders as one tree.
+	// A worker's trees therefore start on a registry of the rank's own:
+	// ranks that share a process would otherwise retain them as roots of
+	// the one registry rank 0 reports from, beside their grafted copies.
+	reg := telemetry.FromContext(ctx)
 	var rootSpan *telemetry.Span
 	if t.Rank() == 0 {
-		ctx, rootSpan = telemetry.StartSpan(ctx, "synth/distributed")
+		ctx, rootSpan = reg.StartSpan(ctx, "synth/distributed")
+	} else {
+		ctx = telemetry.WithRegistry(ctx, reg.Fork())
 	}
 	dead := make([]bool, size)
 	failures := 0
@@ -885,7 +891,7 @@ func SynthesizeDistributed(ctx context.Context, t mpi.Transport, paths []string,
 		rootSpan.End()
 		var report *telemetry.Report
 		if repErr == nil {
-			report = telemetry.Default.Report("synthesize-distributed")
+			report = reg.Report("synthesize-distributed")
 			report.Stages = stats.StageReports()
 			report.TraceID = telemetry.FormatID(rootSpan.TraceID())
 			rootID := telemetry.FormatID(rootSpan.SpanID())

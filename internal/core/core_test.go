@@ -564,12 +564,11 @@ func TestSynthesizeDistributedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSynthesizeDistributedGraftsWorkerTraces: rank 0's report carries
-// every worker rank's span tree under its root span, each stamped with
-// the root's trace and span ids, whatever the transport.
-func TestSynthesizeDistributedGraftsWorkerTraces(t *testing.T) {
+// distributedReport synthesizes a one-day run's logs over size
+// in-process ranks with spans on and returns rank 0's report.
+func distributedReport(t *testing.T, size int) *telemetry.Report {
+	t.Helper()
 	defer telemetry.SetEnabled(telemetry.Enabled())
-	telemetry.SetEnabled(true)
 	pop, err := synthpop.Generate(synthpop.Config{Persons: 300, Seed: 53})
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +577,7 @@ func TestSynthesizeDistributedGraftsWorkerTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size = 3
+	telemetry.SetEnabled(true)
 	var report *telemetry.Report
 	err = mpi.Run(size, func(tr mpi.Transport) error {
 		_, rep, err := SynthesizeDistributed(context.Background(), tr, res.LogPaths, 0, 24, Config{Workers: 1})
@@ -593,6 +592,46 @@ func TestSynthesizeDistributedGraftsWorkerTraces(t *testing.T) {
 	if report == nil || report.TraceID == "" {
 		t.Fatalf("rank 0 report %+v carries no trace", report)
 	}
+	return report
+}
+
+// TestSynthesizeDistributedReportsEachTreeOnce: in-process ranks share
+// one process registry, yet rank 0's report holds each rank's synthesis
+// span tree once — grafted under the root span, never also as a root
+// of its own — and every span in the report once.
+func TestSynthesizeDistributedReportsEachTreeOnce(t *testing.T) {
+	report := distributedReport(t, 3)
+	roots := 0
+	seen := map[string]int{}
+	var walk func(sp telemetry.SpanReport)
+	walk = func(sp telemetry.SpanReport) {
+		seen[sp.SpanID]++
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	for _, sp := range report.Spans {
+		if (sp.Name == "synth/distributed" && sp.TraceID == report.TraceID) || sp.Name == "synth/rank" {
+			roots++
+		}
+		walk(sp)
+	}
+	if roots != 1 {
+		t.Errorf("report has %d synthesis root trees, want 1 (synth/distributed)", roots)
+	}
+	for id, n := range seen {
+		if n > 1 {
+			t.Errorf("span %s appears %d times in the report", id, n)
+		}
+	}
+}
+
+// TestSynthesizeDistributedGraftsWorkerTraces: rank 0's report carries
+// every worker rank's span tree under its root span, each stamped with
+// the root's trace and span ids, whatever the transport.
+func TestSynthesizeDistributedGraftsWorkerTraces(t *testing.T) {
+	const size = 3
+	report := distributedReport(t, size)
 	var root *telemetry.SpanReport
 	for i, sp := range report.Spans {
 		if sp.Name == "synth/distributed" && sp.TraceID == report.TraceID {

@@ -2,11 +2,15 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
@@ -215,6 +219,53 @@ func TestWriteReadEdgeListRoundTrip(t *testing.T) {
 		bi, bw := b.Neighbors(uint32(v))
 		if !reflect.DeepEqual(ai, bi) || !reflect.DeepEqual(aw, bw) {
 			t.Fatalf("vertex %d rows differ after round trip", v)
+		}
+	}
+}
+
+// fmtEdgeList is the fmt-based writer WriteEdgeList's bytes are held
+// to: the header line, then one Fprintf line per entry.
+func fmtEdgeList(t *sparse.Tri) string {
+	var sb strings.Builder
+	fmt.Fprintln(&sb, "# person_i\tperson_j\tcollocated_hours")
+	for k := range t.I {
+		fmt.Fprintf(&sb, "%d\t%d\t%d\n", t.I[k], t.J[k], t.W[k])
+	}
+	return sb.String()
+}
+
+// TestWriteEdgeListMatchesFmt: the strconv writer's bytes equal the fmt
+// form on random Tris whose IDs and weights reach 0 and math.MaxUint32,
+// on the empty Tri, and across many buffer refills.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	src := rng.New(17)
+	tris := []*sparse.Tri{
+		{},
+		{I: []uint32{0, math.MaxUint32 - 1}, J: []uint32{math.MaxUint32, math.MaxUint32}, W: []uint32{math.MaxUint32, 0}},
+	}
+	for range 8 {
+		n := 2 + src.Intn(5000)
+		tris = append(tris, randomTri(src, n, src.Intn(8*n)))
+	}
+	for i, tri := range tris {
+		var sb strings.Builder
+		if err := WriteEdgeList(&sb, tri); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sb.String(), fmtEdgeList(tri); got != want {
+			t.Fatalf("tri %d (%d entries): %d bytes written, the fmt form has %d", i, tri.NNZ(), len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkWriteEdgeList times the edge list of a collocation-sized Tri
+// (≈ 800 000 entries) to io.Discard.
+func BenchmarkWriteEdgeList(b *testing.B) {
+	tri := randomTri(rng.New(7), 20000, 800000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteEdgeList(io.Discard, tri); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -34,43 +35,112 @@ type Graph struct {
 // FromTri builds a Graph from a sparse upper-triangular adjacency
 // matrix. n is the vertex-space size; pass 0 to size it from the largest
 // referenced ID. Vertices with no edges are retained as isolated.
+//
+// The build is a parallel transpose over runtime.GOMAXPROCS(0)
+// goroutines: the entries are cut into one contiguous chunk per worker,
+// each worker counts the row slots its chunk fills (a run of equal I at
+// once, every J singly), one prefix pass turns the counts into the row
+// offsets and each worker's first slot in every row, and the workers
+// then fill their slots: a run's J column is copied into row I whole,
+// and each entry's I lands in row J at the worker's cursor. Chunk w's
+// slots in a row follow chunk w−1's, so every row holds its entries in
+// Tri order, exactly as one serial scatter would leave them. The result
+// does not depend on the worker count.
 func FromTri(t *sparse.Tri, n int) *Graph {
+	return fromTri(t, n, min(runtime.GOMAXPROCS(0), 1+t.NNZ()/minTransposeChunk))
+}
+
+// minTransposeChunk is the fewest entries worth a goroutine of their
+// own in FromTri's transpose.
+const minTransposeChunk = 1 << 15
+
+// fromTri is FromTri on an explicit number of workers.
+func fromTri(t *sparse.Tri, n, workers int) *Graph {
 	sw := telemetry.Clock()
 	defer func() {
 		sw.Observe(mBuildSeconds)
 		mGraphBuilds.Inc()
 		mGraphEdges.Add(int64(t.NNZ()))
 	}()
-	if n == 0 && t.NNZ() > 0 {
+	nnz := t.NNZ()
+	if n == 0 && nnz > 0 {
 		n = int(t.MaxVertex()) + 1
 	}
-	deg := make([]int64, n)
-	for k := range t.I {
-		deg[t.I[k]]++
-		deg[t.J[k]]++
-	}
+	workers = max(workers, 1)
 	g := &Graph{
 		offsets: make([]int64, n+1),
-		nbrs:    make([]uint32, 2*t.NNZ()),
-		weights: make([]uint32, 2*t.NNZ()),
+		nbrs:    make([]uint32, 2*nnz),
+		weights: make([]uint32, 2*nnz),
 	}
+	chunk := func(w int) (lo, hi int) { return w * nnz / workers, (w + 1) * nnz / workers }
+
+	// Count: cursor[w][v] is the number of row-v slots chunk w fills.
+	// Each worker also checks that its chunk keeps the Tri contract —
+	// strictly increasing (I, J) with I < J — which makes every row come
+	// out sorted.
+	cursor := make([][]int64, workers)
+	sorted := make([]bool, workers)
+	shard(workers, workers, 1, func(_, w int) {
+		cur := make([]int64, n)
+		lo, hi := chunk(w)
+		ok := true
+		for k := lo; k < hi; {
+			i, e := t.I[k], k+1
+			for e < hi && t.I[e] == i {
+				e++
+			}
+			cur[i] += int64(e - k)
+			prev := i
+			for _, j := range t.J[k:e] {
+				cur[j]++
+				ok = ok && j > prev
+				prev = j
+			}
+			if k > 0 { // the entry before the run: another run's, or the previous chunk's
+				pi := t.I[k-1]
+				ok = ok && (pi < i || pi == i && k == lo && t.J[k-1] < t.J[k])
+			}
+			k = e
+		}
+		cursor[w], sorted[w] = cur, ok
+	})
+
+	// Prefix: row offsets, and chunk w's first slot in every row after
+	// the slots of chunks 0 … w−1.
 	for v := 0; v < n; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
+		at := g.offsets[v]
+		for _, cur := range cursor {
+			at, cur[v] = at+cur[v], at
+		}
+		g.offsets[v+1] = at
 	}
-	cursor := make([]int64, n)
-	copy(cursor, g.offsets[:n])
-	for k := range t.I {
-		i, j, w := t.I[k], t.J[k], t.W[k]
-		g.nbrs[cursor[i]], g.weights[cursor[i]] = j, w
-		cursor[i]++
-		g.nbrs[cursor[j]], g.weights[cursor[j]] = i, w
-		cursor[j]++
+
+	// Scatter.
+	shard(workers, workers, 1, func(_, w int) {
+		cur := cursor[w]
+		lo, hi := chunk(w)
+		for k := lo; k < hi; {
+			i, e := t.I[k], k+1
+			for e < hi && t.I[e] == i {
+				e++
+			}
+			at := cur[i]
+			copy(g.nbrs[at:], t.J[k:e])
+			copy(g.weights[at:], t.W[k:e])
+			cur[i] = at + int64(e-k)
+			for ; k < e; k++ {
+				j := t.J[k]
+				at := cur[j]
+				g.nbrs[at], g.weights[at] = i, t.W[k]
+				cur[j] = at + 1
+			}
+		}
+	})
+
+	// Only a row built from a Tri that breaks the contract needs sorting.
+	if !slices.Contains(sorted, false) {
+		return g
 	}
-	// Tri entries are sorted by (I, J) with I < J, so every row comes out
-	// of the scatter sorted: v's lower neighbors arrive (as I of entries
-	// (I, v)) in ascending I before its higher ones (as J of entries
-	// (v, J)) in ascending J. Only a row built from a Tri that breaks the
-	// contract needs sorting.
 	for v := 0; v < n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		if row := g.nbrs[lo:hi]; !slices.IsSorted(row) {

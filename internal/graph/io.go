@@ -12,19 +12,30 @@ import (
 )
 
 // WriteEdgeList writes the strict upper triangle of t as a three-column
-// TSV (person_i, person_j, weight) with a comment header.
+// TSV (person_i, person_j, weight) with a comment header. Each line is
+// formatted straight into the buffered writer's free space.
 func WriteEdgeList(w io.Writer, t *sparse.Tri) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# person_i\tperson_j\tcollocated_hours"); err != nil {
+	if _, err := bw.WriteString(edgeListHeader); err != nil {
 		return err
 	}
 	for k := range t.I {
-		if _, err := fmt.Fprintf(bw, "%d\t%d\t%d\n", t.I[k], t.J[k], t.W[k]); err != nil {
+		line := bw.AvailableBuffer()
+		line = strconv.AppendUint(line, uint64(t.I[k]), 10)
+		line = append(line, '\t')
+		line = strconv.AppendUint(line, uint64(t.J[k]), 10)
+		line = append(line, '\t')
+		line = strconv.AppendUint(line, uint64(t.W[k]), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
+
+// edgeListHeader is WriteEdgeList's first line.
+const edgeListHeader = "# person_i\tperson_j\tcollocated_hours\n"
 
 // edgeListBufSize is the read-ahead of ReadEdgeList's streaming reader —
 // large enough that multi-GB edge lists are consumed in few syscalls,

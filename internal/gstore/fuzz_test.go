@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
@@ -141,6 +144,38 @@ func FuzzOpen(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzBakeIndex bakes random small graphs with random weights — zero,
+// below and past the row pass's counting bound, up to math.MaxUint32 —
+// at a random k and worker count, and holds every section to the
+// straight-line referenceIndexData.
+func FuzzBakeIndex(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(3), uint8(2), uint32(8))
+	f.Add(uint64(2), uint8(90), uint8(32), uint8(1), uint32(countLimit+1))
+	f.Add(uint64(3), uint8(12), uint8(1), uint8(4), uint32(1))
+	f.Add(uint64(4), uint8(200), uint8(7), uint8(3), uint32(math.MaxUint32))
+	f.Fuzz(func(t *testing.T, seed uint64, n, k, workers uint8, spread uint32) {
+		src := rng.New(seed)
+		draw := func() uint32 {
+			switch src.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return math.MaxUint32 - uint32(src.Intn(2))
+			case 2:
+				return countLimit - 1 + uint32(src.Intn(3))
+			}
+			return uint32(src.Uint64n(uint64(spread) + 1))
+		}
+		g := weightedGraph(src, 5+int(n), draw)
+		topK := 1 + int(k)%40
+		want := referenceIndexData(g, topK)
+		got := BuildIndexData(g, IndexOptions{TopK: topK, Workers: 1 + int(workers)%4})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d vertices, k %d: BuildIndexData differs from the reference", g.NumVertices(), topK)
 		}
 	})
 }

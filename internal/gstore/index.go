@@ -189,12 +189,15 @@ func bakeIndex(g *graph.Graph, opts IndexOptions, tri []int64) *Index {
 	}
 
 	// Strengths + top-k rows: the row pass, sharded over the workers in
-	// blocks of rows taken off an atomic counter. Each row becomes packed
-	// keys ^w<<32 | id, whose ascending order is weight-descending then
-	// ID-ascending; a row longer than k first selects its k smallest keys,
-	// and only those are sorted. The keys are totally ordered, so a row's
-	// content does not depend on which worker did it or on how the
-	// selection partitioned it.
+	// blocks of rows taken off an atomic counter. A CSR row is sorted by
+	// ID, so its top k in (weight descending, ID ascending) order is a
+	// stable counting sort by weight: topKRow histograms the weights in a
+	// small per-worker table, walks down from the largest weight to the
+	// k-th, and places each kept neighbor in ID order. A row whose
+	// largest weight does not fit the table becomes packed keys
+	// ^w<<32 | id instead, whose ascending order is the same, selects its
+	// k smallest keys and sorts only those. Either way a row's content
+	// does not depend on which worker did it.
 	d.TopKPairs = make([]uint32, 2*totalPairs)
 	const block = 1024
 	var next atomic.Int64
@@ -203,7 +206,7 @@ func bakeIndex(g *graph.Graph, opts IndexOptions, tri []int64) *Index {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var keys []uint64
+			var rs rowScratch
 			for {
 				lo := int(next.Add(block) - block)
 				if lo >= n {
@@ -211,21 +214,7 @@ func bakeIndex(g *graph.Graph, opts IndexOptions, tri []int64) *Index {
 				}
 				for v := lo; v < min(lo+block, n); v++ {
 					ids, wts := g.Neighbors(uint32(v))
-					var s uint64
-					keys = keys[:0]
-					for k, id := range ids {
-						s += uint64(wts[k])
-						keys = append(keys, uint64(^wts[k])<<32|uint64(id))
-					}
-					d.Strengths[v] = s
-					out := d.TopKPairs[2*d.TopKOff[v] : 2*d.TopKOff[v+1]]
-					top := keys[:len(out)/2]
-					selectSmallest(keys, len(top))
-					slices.Sort(top)
-					for k, key := range top {
-						out[2*k] = uint32(key)
-						out[2*k+1] = ^uint32(key >> 32)
-					}
+					d.Strengths[v] = rs.topKRow(ids, wts, d.TopKPairs[2*d.TopKOff[v]:2*d.TopKOff[v+1]])
 				}
 			}
 		}()
@@ -239,6 +228,96 @@ func bakeIndex(g *graph.Graph, opts IndexOptions, tri []int64) *Index {
 		MaxDegree:         uint64(maxDeg),
 	}
 	return d
+}
+
+// countLimit bounds the weights the row pass sorts by counting: a row
+// whose largest weight is countLimit or more takes the key sort.
+const countLimit = 1024
+
+// rowScratch is one row-pass worker's reusable state: the weight
+// histogram, all zero between rows, and the key buffer of the sort.
+type rowScratch struct {
+	hist [countLimit]int
+	keys []uint64
+}
+
+// topKRow fills out with the len(out)/2 strongest (id, weight) pairs of
+// the ID-sorted row ids/wts, weight descending then ID ascending, and
+// returns the row's strength.
+func (rs *rowScratch) topKRow(ids, wts []uint32, out []uint32) uint64 {
+	var s uint64
+	var top uint32
+	for _, w := range wts {
+		s += uint64(w)
+		top = max(top, w)
+		if w < countLimit {
+			rs.hist[w]++
+		}
+	}
+	if top >= countLimit {
+		rs.clear(wts, top)
+		rs.keys = rs.keys[:0]
+		for k, id := range ids {
+			rs.keys = append(rs.keys, uint64(^wts[k])<<32|uint64(id))
+		}
+		keep := rs.keys[:len(out)/2]
+		selectSmallest(rs.keys, len(keep))
+		slices.Sort(keep)
+		for k, key := range keep {
+			out[2*k] = uint32(key)
+			out[2*k+1] = ^uint32(key >> 32)
+		}
+		return s
+	}
+	if need := len(out) / 2; need > 0 {
+		// Walk down from the largest weight, turning each count into the
+		// first slot of its weight, until the k-th slot is reached: every
+		// weight above cut is kept whole, and the first quota
+		// neighbors of weight cut in ID order.
+		cut, at := top, 0
+		for {
+			c := rs.hist[cut]
+			if c == 0 { // a weight the row lacks keeps its zero
+				cut--
+				continue
+			}
+			rs.hist[cut] = at
+			if at+c >= need {
+				break
+			}
+			at += c
+			cut--
+		}
+		quota := need - at
+		for k, id := range ids {
+			w := wts[k]
+			if w < cut || w == cut && quota == 0 {
+				continue
+			}
+			if w == cut {
+				quota--
+			}
+			p := rs.hist[w]
+			rs.hist[w] = p + 1
+			out[2*p], out[2*p+1] = id, w
+		}
+	}
+	rs.clear(wts, top)
+	return s
+}
+
+// clear zeroes the histogram slots the row wts touched; top is the
+// row's largest weight.
+func (rs *rowScratch) clear(wts []uint32, top uint32) {
+	if int(top) < min(len(wts), countLimit) {
+		clear(rs.hist[:top+1])
+		return
+	}
+	for _, w := range wts {
+		if w < countLimit {
+			rs.hist[w] = 0
+		}
+	}
 }
 
 // selectSmallest partially orders keys so that keys[:k] holds its k

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -303,6 +304,63 @@ func TestBuildIndexDataMatchesReference(t *testing.T) {
 				got := BuildIndexData(g, IndexOptions{TopK: k, Workers: workers})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d, k %d, %d workers: BuildIndexData differs from the reference", seed, k, workers)
+				}
+			}
+		}
+	}
+}
+
+// weightedGraph builds a graph on n vertices whose edges draw their
+// weights from draw: hubs 0 … 3 of degree 2 … 60, so every row length
+// sits below, at and above small k, plus random chords between the
+// leaves, whose rows collect weights from several hubs.
+func weightedGraph(src *rng.Source, n int, draw func() uint32) *graph.Graph {
+	var es []sparse.Entry
+	for hub := range 4 {
+		for _, v := range src.Perm(n)[:min(n-1, 2+src.Intn(59))] {
+			if v != hub {
+				es = append(es, sparse.Entry{I: uint32(hub), J: uint32(v), W: draw()})
+			}
+		}
+	}
+	for k := src.Intn(2 * n); k > 0; k-- {
+		es = append(es, sparse.Entry{I: uint32(src.Intn(n)), J: uint32(src.Intn(n)), W: draw()})
+	}
+	t := sparse.Coalesce(1, es)
+	for k := range t.W { // Coalesce sums repeats; give every edge one draw
+		t.W[k] = draw()
+	}
+	return graph.FromTri(t, n)
+}
+
+// TestBakeRowPassMatchesReference: the row pass sorts by counting only
+// while a row's weights fit its table, and by keys past it. Both must
+// equal the reference on rows whose weights straddle the bound — within
+// one row and across rows — on all-equal and all-zero rows, and on rows
+// shorter than, as long as and longer than k.
+func TestBakeRowPassMatchesReference(t *testing.T) {
+	src := rng.New(29)
+	near := []uint32{countLimit - 2, countLimit - 1, countLimit, countLimit + 1}
+	draws := map[string]func() uint32{
+		"straddle": func() uint32 { return near[src.Intn(len(near))] },
+		"small-and-huge": func() uint32 {
+			return [...]uint32{0, 1, 2, 3, math.MaxUint32, math.MaxUint32 - 1}[src.Intn(6)]
+		},
+		"below-bound": func() uint32 { return uint32(src.Intn(countLimit)) },
+		"above-bound": func() uint32 { return countLimit + uint32(src.Intn(3)) },
+		"all-equal":   func() uint32 { return 7 },
+		"all-zero":    func() uint32 { return 0 },
+		"wide":        func() uint32 { return uint32(src.Uint64()) },
+	}
+	for name, draw := range draws {
+		for range 6 {
+			g := weightedGraph(src, 8+src.Intn(120), draw)
+			for _, k := range []int{1, 2, 3, 8, DefaultTopK, g.MaxDegree(), g.MaxDegree() + 1} {
+				want := referenceIndexData(g, k)
+				for _, workers := range []int{1, 3} {
+					if got := BuildIndexData(g, IndexOptions{TopK: k, Workers: workers}); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, k %d, %d workers: BuildIndexData differs from the reference", name, k, workers)
+					}
 				}
 			}
 		}
@@ -702,5 +760,19 @@ func TestForgedIndexRejected(t *testing.T) {
 		if snap != nil {
 			t.Errorf("%s: fail-closed violated: non-nil snapshot", name)
 		}
+	}
+}
+
+// BenchmarkBakeIndex times the bake without the triangle count — the
+// row pass, the degree columns and the coefficients — as a Publisher
+// pays it, on the same graph as BenchmarkBuildIndexData.
+func BenchmarkBakeIndex(b *testing.B) {
+	g := collocationGraph(20000, 5)
+	opts := IndexOptions{}.withDefaults()
+	tri := g.TriangleCounts(opts.Workers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = bakeIndex(g, opts, tri)
 	}
 }

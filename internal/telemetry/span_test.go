@@ -114,3 +114,36 @@ func TestHistName(t *testing.T) {
 		t.Fatalf("HistName = %q", got)
 	}
 }
+
+// TestForkKeepsItsOwnRoots: StartSpan begins on the registry the
+// context carries, and a fork shares its parent's switch and series —
+// span histograms included — but retains its own root spans.
+func TestForkKeepsItsOwnRoots(t *testing.T) {
+	r := New()
+	f := r.Fork()
+	ctx := WithRegistry(context.Background(), f)
+	if FromContext(ctx) != f || FromContext(context.Background()) != Default {
+		t.Fatal("FromContext does not return the registry the context carries, or Default")
+	}
+	cctx, root := StartSpan(ctx, "synth/rank")
+	_, child := StartSpan(cctx, "synth/gram")
+	child.End()
+	root.End()
+	if got := f.RootSpans(); len(got) != 1 || got[0].Name != "synth/rank" || len(got[0].Children) != 1 {
+		t.Fatalf("fork retains roots %+v, want the one synth/rank tree", got)
+	}
+	if got := r.RootSpans(); len(got) != 0 {
+		t.Fatalf("parent retains the fork's roots %+v", got)
+	}
+	if n := r.Histogram(HistName("synth/gram")).Count(); n != 1 {
+		t.Fatalf("parent's synth_gram_seconds holds %d observations, want the fork's 1", n)
+	}
+	f.Counter("c_total").Inc()
+	if r.Counter("c_total").Value() != 1 {
+		t.Fatal("a fork's counter is not its parent's")
+	}
+	r.SetEnabled(false)
+	if f.Enabled() {
+		t.Fatal("a fork does not share its parent's switch")
+	}
+}

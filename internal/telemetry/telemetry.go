@@ -46,18 +46,25 @@ import (
 // it with SetEnabled(true) when -telemetry-addr or -report is given.
 var Default = newRegistry(false)
 
-// Registry holds a process's metric series and completed root spans.
-// All methods are safe for concurrent use.
+// Registry holds a process's metric series and completed root spans;
+// a Fork shares the series and keeps roots of its own. All methods are
+// safe for concurrent use.
 type Registry struct {
+	*series
+
+	rootMu sync.Mutex
+	roots  []*Span
+}
+
+// series is a registry's switch and metric series, shared with the
+// registries forked from it.
+type series struct {
 	enabled atomic.Bool
 
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	rootMu sync.Mutex
-	roots  []*Span
 }
 
 // New returns a fresh, enabled registry — the form tests use so they
@@ -65,14 +72,20 @@ type Registry struct {
 func New() *Registry { return newRegistry(true) }
 
 func newRegistry(enabled bool) *Registry {
-	r := &Registry{
+	r := &Registry{series: &series{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-	}
+	}}
 	r.enabled.Store(enabled)
 	return r
 }
+
+// Fork returns a registry that shares r's switch and metric series but
+// retains its own completed root spans: the registry of one rank among
+// several in a process, whose span trees must not mix with the other
+// ranks' (see WithRegistry).
+func (r *Registry) Fork() *Registry { return &Registry{series: r.series} }
 
 // SetEnabled turns the registry's instrumentation on or off. Metric
 // handles stay valid either way; disabled handles are no-ops.
@@ -94,7 +107,7 @@ func Enabled() bool { return Default.Enabled() }
 // Add on a disabled registry is one atomic load and a branch.
 type Counter struct {
 	name string
-	r    *Registry
+	r    *series
 	v    atomic.Int64
 }
 
@@ -111,7 +124,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok = r.counters[name]; ok {
 		return c
 	}
-	c = &Counter{name: name, r: r}
+	c = &Counter{name: name, r: r.series}
 	r.counters[name] = c
 	return c
 }
@@ -142,7 +155,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a series that can go up and down (e.g. armed fault points).
 type Gauge struct {
 	name string
-	r    *Registry
+	r    *series
 	v    atomic.Int64
 }
 
@@ -159,7 +172,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok = r.gauges[name]; ok {
 		return g
 	}
-	g = &Gauge{name: name, r: r}
+	g = &Gauge{name: name, r: r.series}
 	r.gauges[name] = g
 	return g
 }
@@ -208,7 +221,7 @@ func BucketBound(i int) int64 { return int64(1000) << uint(i) }
 // atomic add plus sum/count atomic adds.
 type Histogram struct {
 	name    string
-	r       *Registry
+	r       *series
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	buckets [NumBuckets + 1]atomic.Int64
@@ -227,7 +240,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok = r.hists[name]; ok {
 		return h
 	}
-	h = &Histogram{name: name, r: r}
+	h = &Histogram{name: name, r: r.series}
 	r.hists[name] = h
 	return h
 }
