@@ -93,7 +93,9 @@ func (s *sliceSource) Close() error {
 // of the entries that overlap [t0, t1). It is the one decoder behind
 // every file-backed source: peak memory is one chunk payload plus one
 // decoded batch, independent of the file size, and both buffers are
-// reused from chunk to chunk.
+// reused from chunk to chunk. A record's Start and Stop are read first
+// and only the records that overlap the window are decoded, so a
+// narrow slice of a long log costs two loads per record it drops.
 type chunkCursor struct {
 	rd      *h5.Reader
 	t0, t1  uint32
@@ -115,9 +117,9 @@ func (c *chunkCursor) next() ([]Entry, error) {
 		c.chunk++
 		c.buf = c.buf[:0]
 		for off := 0; off < len(payload); off += rec {
-			e := decodeEntry(payload[off:])
-			if e.Start < c.t1 && e.Stop > c.t0 {
-				c.buf = append(c.buf, e)
+			b := payload[off : off+BaseEntrySize]
+			if le.Uint32(b[0:4]) < c.t1 && le.Uint32(b[4:8]) > c.t0 {
+				c.buf = append(c.buf, decodeEntry(b))
 			}
 		}
 		if len(c.buf) > 0 {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -28,6 +29,8 @@ func sourceTestEntries(n int, hours uint32) []Entry {
 	return entries
 }
 
+// writeSourceLog logs entries under cfg, with extFor's values in any
+// extension columns.
 func writeSourceLog(t *testing.T, entries []Entry, cfg Config) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "src.h5l")
@@ -35,8 +38,8 @@ func writeSourceLog(t *testing.T, entries []Entry, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if err := l.Log(e); err != nil {
+	for i, e := range entries {
+		if err := l.Log(e, extFor(i, len(cfg.ExtColumns))...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,5 +280,190 @@ func TestOpenSourceReusesChunkPayload(t *testing.T) {
 		if got := drain(t, src); !slices.Equal(got, entries) {
 			t.Fatalf("compress %v: entries read back differ from those logged", cfg.Compress)
 		}
+	}
+}
+
+// extFor returns record i's n extension values, i and ^i in turn, so
+// the bytes past a record's first 20 differ from record to record.
+func extFor(i, n int) []uint32 {
+	ext := make([]uint32, n)
+	for k := range ext {
+		ext[k] = uint32(i) ^ -uint32(k%2)
+	}
+	return ext
+}
+
+// boundaryPerson numbers the four records boundaryEntries puts on the
+// window's bounds, above every random entry's person.
+const boundaryPerson = 1 << 20
+
+// boundaryEntries returns random entries around the window [t0, t1)
+// after four that sit exactly on its bounds: Start = t1 and Stop = t0
+// fall outside it, Start = t1−1 and Stop = t0+1 inside.
+func boundaryEntries(t0, t1 uint32) []Entry {
+	es := []Entry{
+		{Start: t1, Stop: t1 + 5, Person: boundaryPerson},
+		{Start: t0 - 3, Stop: t0, Person: boundaryPerson + 1},
+		{Start: t1 - 1, Stop: t1 + 2, Person: boundaryPerson + 2},
+		{Start: t0 - 4, Stop: t0 + 1, Person: boundaryPerson + 3},
+	}
+	return append(es, sourceTestEntries(3000, t1+20)...)
+}
+
+// referenceSlice decodes every record of the log at path, then keeps
+// the entries that overlap [t0, t1).
+func referenceSlice(t *testing.T, path string, t0, t1 uint32) []Entry {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var all []Entry
+	if err := r.ForEach(func(e Entry, _ []uint32) error {
+		all = append(all, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sliceFilter(all, t0, t1)
+}
+
+// sliceConfigs are the record layouts the slice filter must read: the
+// 20-byte base record, records widened by extension columns, and both
+// under per-chunk deflate.
+var sliceConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"plain", Config{CacheEntries: 128}},
+	{"ext", Config{CacheEntries: 128, ExtColumns: []string{"disease", "dose"}}},
+	{"deflate", Config{CacheEntries: 128, Compress: true}},
+	{"ext+deflate", Config{CacheEntries: 97, ExtColumns: []string{"disease"}, Compress: true}},
+}
+
+// TestSliceFilterMatchesDecodeAll: a file source and a tail over the
+// closed file keep exactly the entries that decoding every record and
+// then filtering keeps — records on the window's bounds included — for
+// every record layout.
+func TestSliceFilterMatchesDecodeAll(t *testing.T) {
+	const t0, t1 = 40, 80
+	entries := boundaryEntries(t0, t1)
+	for _, c := range sliceConfigs {
+		path := writeSourceLog(t, entries, c.cfg)
+		want := referenceSlice(t, path, t0, t1)
+		var onBounds []uint32
+		for _, e := range want {
+			if e.Person >= boundaryPerson {
+				onBounds = append(onBounds, e.Person-boundaryPerson)
+			}
+		}
+		if !slices.Equal(onBounds, []uint32{2, 3}) {
+			t.Fatalf("%s: the reference keeps boundary records %v, want [2 3]", c.name, onBounds)
+		}
+		src, err := OpenSource(path, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, src); !slices.Equal(got, want) {
+			t.Fatalf("%s: file source kept %d entries, decode-all-then-filter %d, or they differ", c.name, len(got), len(want))
+		}
+		src.Close()
+		tail := OpenTail(context.Background(), path, t0, t1, TailOptions{Poll: fastPoll})
+		if got := drain(t, tail); !slices.Equal(got, want) {
+			t.Fatalf("%s: tail kept %d entries, decode-all-then-filter %d, or they differ", c.name, len(got), len(want))
+		}
+		tail.Close()
+	}
+}
+
+// TestTailSliceOverLiveLog: a tail opened before its log exists, over a
+// log written and flushed while it polls, keeps what decoding the
+// finished file and then filtering keeps, for every record layout.
+func TestTailSliceOverLiveLog(t *testing.T) {
+	const t0, t1 = 40, 80
+	entries := boundaryEntries(t0, t1)
+	for _, c := range sliceConfigs {
+		path := filepath.Join(t.TempDir(), "live.h5l")
+		src := OpenTail(context.Background(), path, t0, t1, TailOptions{Poll: fastPoll})
+		out, errc := drainAsync(src)
+		l, err := Create(path, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries {
+			if err := l.Log(e, extFor(i, len(c.cfg.ExtColumns))...); err != nil {
+				t.Fatal(err)
+			}
+			if i%1000 == 999 {
+				if err := l.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(3 * fastPoll) // let the tail read a log without a footer
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := <-out
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		if want := referenceSlice(t, path, t0, t1); !slices.Equal(got, want) {
+			t.Fatalf("%s: tail kept %d entries, decode-all-then-filter %d, or they differ", c.name, len(got), len(want))
+		}
+	}
+}
+
+var entrySink []Entry
+
+// BenchmarkSliceSource drains a synthetic 14-day log — 736 000 records,
+// about what a 20 000-person simulation logs over two weeks, in
+// nondecreasing Stop order as the simulator writes them — once for its
+// last day and once whole.
+func BenchmarkSliceSource(b *testing.B) {
+	const hours, perHour = 14 * 24, 736000 / (14 * 24)
+	path := filepath.Join(b.TempDir(), "week2.h5l")
+	l, err := Create(path, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(17)
+	for stop := uint32(1); stop <= hours; stop++ {
+		for k := 0; k < perHour; k++ {
+			start := stop - 1 - min(uint32(r.Intn(8)), stop-1)
+			e := Entry{Start: start, Stop: stop, Person: uint32(r.Intn(20000)), Activity: uint32(r.Intn(6)), Place: uint32(r.Intn(5000))}
+			if err := l.Log(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name   string
+		t0, t1 uint32
+	}{{"last-day", hours - 24, hours}, {"all", 0, ^uint32(0)}} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				src, err := OpenSource(path, w.t0, w.t1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					batch, err := src.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					entrySink = batch
+				}
+				src.Close()
+			}
+		})
 	}
 }

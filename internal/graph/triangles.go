@@ -12,11 +12,13 @@ import (
 // enumeration. The forward set of v is the tail of its sorted row, the
 // neighbors with a higher ID; each triangle v < u < x is found once,
 // from v, by marking v's forward set and walking the forward set of
-// each marked u, and is credited to all three corners. Workers take
-// blocks of v off an atomic counter (shard) and count into private
-// arrays that are summed afterwards, so the counts do not depend on the
-// worker count. Self-loops (which only a hand-built Tri can carry) close no
-// triangle.
+// each marked u, and is credited to all three corners. A mark is a 0/1
+// byte that the walk adds into the counts instead of branching on it:
+// about half the probes hit, the worst case for a branch predictor.
+// Workers take blocks of v off an atomic counter (shard) and count into
+// private arrays that are summed afterwards, so the counts do not depend
+// on the worker count. Self-loops (which only a hand-built Tri can
+// carry) close no triangle.
 func (g *Graph) TriangleCounts(workers int) []int64 {
 	workers = max(workers, 1)
 	n := g.NumVertices()
@@ -29,10 +31,10 @@ func (g *Graph) TriangleCounts(workers int) []int64 {
 	}
 
 	counts := make([][]int64, workers)
-	marks := make([][]bool, workers)
+	marks := make([][]uint8, workers)
 	for w := range counts {
 		counts[w] = make([]int64, n)
-		marks[w] = make([]bool, n)
+		marks[w] = make([]uint8, n)
 	}
 	shard(workers, n, 1024, func(w, v int) {
 		fv := g.nbrs[fwd[v]:g.offsets[v+1]]
@@ -41,23 +43,22 @@ func (g *Graph) TriangleCounts(workers int) []int64 {
 		}
 		tri, mark := counts[w], marks[w]
 		for _, u := range fv {
-			mark[u] = true
+			mark[u] = 1
 		}
 		var tv int64
 		for _, u := range fv {
 			var tu int64
 			for _, x := range g.nbrs[fwd[u]:g.offsets[u+1]] {
-				if mark[x] {
-					tu++
-					tri[x]++
-				}
+				m := int64(mark[x])
+				tu += m
+				tri[x] += m
 			}
 			tri[u] += tu
 			tv += tu
 		}
 		tri[v] += tv
 		for _, u := range fv {
-			mark[u] = false
+			mark[u] = 0
 		}
 	})
 	sumInto(counts[0], counts[1:])

@@ -260,6 +260,108 @@ func TestTriangleCountsKnown(t *testing.T) {
 	}
 }
 
+// bruteTriangles counts, for every vertex v, the pairs of its neighbors
+// (self-loops aside) that are adjacent to each other.
+func bruteTriangles(g *Graph) []int64 {
+	tri := make([]int64, g.NumVertices())
+	for v := range tri {
+		row, _ := g.Neighbors(uint32(v))
+		for i, u := range row {
+			for _, x := range row[i+1:] {
+				if u != uint32(v) && x != uint32(v) && g.HasEdge(u, x) {
+					tri[v]++
+				}
+			}
+		}
+	}
+	return tri
+}
+
+// cliqueUnion returns n vertices carrying cliques of 2–12 random members,
+// a hub joined to a quarter of the vertices, and some random edges; the
+// top tenth of the IDs is left isolated.
+func cliqueUnion(r *rng.Source, n int) *edgeSet {
+	s := &edgeSet{w: map[[2]uint32]uint32{}}
+	used := max(n-n/10, 2)
+	for c := 0; c < used/4; c++ {
+		members := make([]uint32, 2+r.Intn(11))
+		for k := range members {
+			members[k] = uint32(r.Intn(used))
+		}
+		for i := range members {
+			for j := i + 1; j < len(members); j++ {
+				if members[i] != members[j] {
+					s.set(members[i], members[j], 1)
+				}
+			}
+		}
+	}
+	hub := uint32(r.Intn(used))
+	for m := used / 4; m > 0; m-- {
+		if u := uint32(r.Intn(used)); u != hub {
+			s.set(hub, u, 1)
+		}
+	}
+	s.addRandom(r, used, used/2)
+	s.n = n
+	return s
+}
+
+// TestTriangleCountsMatchesBruteForce holds TriangleCounts to the
+// brute-force count at 1 to 8 workers on random clique unions (hubs and
+// isolated vertices included; the larger ones span several 1024-vertex
+// blocks, so every worker counts) and on a hand-built Tri whose I = J
+// self-loops close no triangle.
+func TestTriangleCountsMatchesBruteForce(t *testing.T) {
+	var graphs []*Graph
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, n := range []int{3, 40, 300, 3000} {
+			graphs = append(graphs, cliqueUnion(rng.New(seed), n).graph())
+		}
+	}
+	loops := cliqueUnion(rng.New(9), 200)
+	for v := uint32(0); v < 200; v += 3 {
+		loops.set(v, v, 1)
+	}
+	graphs = append(graphs, loops.graph())
+	for i, g := range graphs {
+		want := bruteTriangles(g)
+		for workers := 1; workers <= 8; workers++ {
+			if got := g.TriangleCounts(workers); !slices.Equal(got, want) {
+				t.Fatalf("graph %d (%d vertices), %d workers: TriangleCounts differs from the brute-force count", i, g.NumVertices(), workers)
+			}
+		}
+	}
+}
+
+// FuzzTriangleCounts decodes a graph from the fuzz bytes — the first
+// byte sets the vertex count, every later pair of bytes is an edge, a
+// self-loop when both name one vertex — and holds TriangleCounts at 1
+// and 3 workers to the brute-force count.
+func FuzzTriangleCounts(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 5})
+	f.Add([]byte{255, 7, 9, 9, 11, 7, 11, 200, 201})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		s := &edgeSet{w: map[[2]uint32]uint32{}}
+		n := 1 + int(raw[0])
+		for off := 1; off+2 <= len(raw); off += 2 {
+			s.set(uint32(int(raw[off])%n), uint32(int(raw[off+1])%n), 1)
+		}
+		s.n = n
+		g := s.graph()
+		want := bruteTriangles(g)
+		for _, workers := range []int{1, 3} {
+			if got := g.TriangleCounts(workers); !slices.Equal(got, want) {
+				t.Fatalf("%d vertices, %d edges, %d workers: TriangleCounts = %v, want %v", n, len(s.w), workers, got, want)
+			}
+		}
+	})
+}
+
 var triSink []int64
 
 // BenchmarkUpdateTriangleCounts times the update on a collocation-shaped
@@ -297,4 +399,32 @@ func BenchmarkUpdateTriangleCounts(b *testing.B) {
 			triSink = g.TriangleCounts(2)
 		}
 	})
+}
+
+// BenchmarkTriangleCounts times the full count on a collocation-shaped
+// 20 000-vertex graph: three layers of places, each a clique of 10–50
+// members. About half the probes of its forward walk hit a mark, where
+// a uniform random graph (BenchmarkClusteringAll) has almost no
+// triangles and so almost no hits.
+func BenchmarkTriangleCounts(b *testing.B) {
+	const n = 20000
+	r := rng.New(9)
+	var es []sparse.Entry
+	for layer := 0; layer < 3; layer++ {
+		perm := r.Perm(n)
+		for lo := 0; lo < n; {
+			hi := min(lo+10+r.Intn(41), n)
+			for i := lo; i < hi; i++ {
+				for j := i + 1; j < hi; j++ {
+					es = append(es, sparse.Entry{I: uint32(perm[i]), J: uint32(perm[j]), W: 1})
+				}
+			}
+			lo = hi
+		}
+	}
+	g := FromTri(sparse.Coalesce(1, es), n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		triSink = g.TriangleCounts(2)
+	}
 }

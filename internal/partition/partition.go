@@ -16,13 +16,17 @@
 //
 // Every process of a distributed run derives the assignment on its own,
 // so each step is a pure function of its inputs: integer counts over
-// sorted keys and fixed-order scans, with no map and no dependence on
-// the process's core count.
+// sorted keys and fixed-order scans, with no map. The transition sample
+// is built on every core, but its shards merge exactly (integer sums
+// over a total order), so there is still no dependence on the process's
+// core count.
 package partition
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/schedule"
 	"repro/internal/synthpop"
@@ -82,15 +86,56 @@ func Default(pop *synthpop.Population, gen *schedule.Generator, days, ranks int)
 // given days and returns the undirected place transition edges, sorted
 // by (A, B), and the per-place occupancy load in person-hours.
 //
+// The persons are cut into contiguous ranges, one per worker
+// (GOMAXPROCS workers, at most one per shardPersons persons), and each
+// worker builds its range's edges and loads alone (samplePersons). The
+// loads are then summed and the edge lists merged (mergeEdges). Both
+// are integer sums over a total order, so the result does not depend on
+// the worker count.
+func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {
+	sample = max(min(sample, pop.NumPersons()), 0)
+	return transitionGraph(pop, gen, days, sample, min(runtime.GOMAXPROCS(0), (sample+shardPersons-1)/shardPersons))
+}
+
+// shardPersons is the fewest persons TransitionGraph gives a worker of
+// its own.
+const shardPersons = 4096
+
+// transitionGraph is TransitionGraph on the given number of workers
+// (0 → 1), which may exceed the sampled persons.
+func transitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample, workers int) ([]Edge, []uint64) {
+	sample = max(min(sample, pop.NumPersons()), 0)
+	workers = max(workers, 1)
+	edges := make([][]Edge, workers)
+	loads := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			edges[w], loads[w] = samplePersons(pop, gen, days, sample*w/workers, sample*(w+1)/workers)
+		}()
+	}
+	wg.Wait()
+	for _, l := range loads[1:] {
+		for p, x := range l {
+			loads[0][p] += x
+		}
+	}
+	return mergeEdges(edges), loads[0]
+}
+
+// samplePersons returns the transition edges, sorted by (A, B), and the
+// per-place loads of persons [lo, hi) over the given days.
+//
 // Each transition is recorded as a packed A<<32|B key; the keys are
 // radix-sorted and run-length counted into edges, so the edges come out
 // in (A, B) order without a comparison sort.
-func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {
-	sample = min(sample, pop.NumPersons())
+func samplePersons(pop *synthpop.Population, gen *schedule.Generator, days, lo, hi int) ([]Edge, []uint64) {
 	loads := make([]uint64, pop.NumPlaces())
 	var keys []uint64
 	var day []schedule.Segment // scratch, reused across every (person, day)
-	for p := 0; p < sample; p++ {
+	for p := lo; p < hi; p++ {
 		prev := synthpop.NoPlace
 		for d := 0; d < days; d++ {
 			day = gen.AppendDay(day[:0], uint32(p), d)
@@ -110,6 +155,49 @@ func TransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sa
 		}
 	}
 	return countKeys(sortKeys(keys, make([]uint64, len(keys)))), loads
+}
+
+// mergeEdges merges edge lists sorted by (A, B) into one, adding the
+// weights of equal pairs. The lists are merged pairwise, round by round,
+// so each edge is copied about log2(len(parts)) times.
+func mergeEdges(parts [][]Edge) []Edge {
+	for len(parts) > 1 {
+		next := parts[:0] // round r writes slot i/2 after reading slots i and i+1
+		for i := 0; i < len(parts); i += 2 {
+			if i+1 == len(parts) {
+				next = append(next, parts[i])
+			} else {
+				next = append(next, merge2(parts[i], parts[i+1]))
+			}
+		}
+		parts = next
+	}
+	return parts[0]
+}
+
+// merge2 merges two edge lists sorted by (A, B), adding the weights of
+// equal pairs.
+func merge2(a, b []Edge) []Edge {
+	key := func(e Edge) uint64 { return uint64(e.A)<<32 | uint64(e.B) }
+	out := make([]Edge, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ka, kb := key(a[i]), key(b[j])
+		switch {
+		case ka < kb:
+			out = append(out, a[i])
+			i++
+		case kb < ka:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, Edge{A: a[i].A, B: a[i].B, W: a[i].W + b[j].W})
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // sortKeys sorts keys ascending with an LSD radix sort on 16-bit digits,

@@ -275,6 +275,32 @@ func TestPartitionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTransitionGraphShardsMatchReference: however the sampled persons
+// are cut into worker ranges — 1 to 8 workers, samples that do not
+// divide evenly, more workers than persons (empty ranges), an empty
+// sample — the merged edges and summed loads equal the reference.
+func TestTransitionGraphShardsMatchReference(t *testing.T) {
+	pop, err := synthpop.Generate(synthpop.Config{Persons: 3000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := schedule.NewGenerator(pop, 5)
+	for _, sample := range []int{0, 1, 5, 7, 1001, 3000} {
+		for _, days := range []int{1, 3} {
+			wantE, wantL := referenceTransitionGraph(pop, gen, days, sample)
+			for workers := 1; workers <= 8; workers++ {
+				edges, loads := transitionGraph(pop, gen, days, sample, workers)
+				if !reflect.DeepEqual(edges, wantE) {
+					t.Fatalf("sample=%d days=%d workers=%d: %d edges differ from the reference's %d", sample, days, workers, len(edges), len(wantE))
+				}
+				if !reflect.DeepEqual(loads, wantL) {
+					t.Fatalf("sample=%d days=%d workers=%d: loads differ from the reference", sample, days, workers)
+				}
+			}
+		}
+	}
+}
+
 // referenceTransitionGraph is TransitionGraph as a map increment per
 // transition followed by a comparison sort of the edges.
 func referenceTransitionGraph(pop *synthpop.Population, gen *schedule.Generator, days, sample int) ([]Edge, []uint64) {

@@ -25,7 +25,7 @@ echo "== go test -race ./... $*"
 go test -race "$@" ./...
 
 # Fuzz smoke: the plain test run above replays only each fuzzer's seed
-# corpus. Here the six fuzzers that guard the network's own bytes run
+# corpus. Here the seven fuzzers that guard the network's own bytes run
 # for 10 s each: Coalesce against its comparison-sort reference
 # (FuzzTriFromEntries), Reduce over buffers with random page and chunk
 # lengths against the same reference (FuzzReduce), the Tri transport
@@ -34,13 +34,16 @@ go test -race "$@" ./...
 # index bake's counting and key-sorting row pass against the
 # straight-line reference bake (FuzzBakeIndex), and the collocation
 # matrix's row index and clique compression against a map-of-bitsets
-# reference over pooled reuse (FuzzBitMatrix).
+# reference over pooled reuse (FuzzBitMatrix), and the clustering bake's
+# triangle count against a brute-force count at 1 and 3 workers
+# (FuzzTriangleCounts).
 # Skip with FUZZ=0.
 if [ "${FUZZ:-1}" = "1" ]; then
-	echo "== fuzz smoke (FuzzTriFromEntries, FuzzReduce, FuzzTriBinaryRoundTrip, FuzzOpen, FuzzBakeIndex, FuzzBitMatrix; 10 s each)"
+	echo "== fuzz smoke (FuzzTriFromEntries, FuzzReduce, FuzzTriBinaryRoundTrip, FuzzOpen, FuzzBakeIndex, FuzzBitMatrix, FuzzTriangleCounts; 10 s each)"
 	for target in internal/sparse:FuzzTriFromEntries internal/sparse:FuzzReduce \
 		internal/sparse:FuzzTriBinaryRoundTrip internal/gstore:FuzzOpen \
-		internal/gstore:FuzzBakeIndex internal/sparse:FuzzBitMatrix; do
+		internal/gstore:FuzzBakeIndex internal/sparse:FuzzBitMatrix \
+		internal/graph:FuzzTriangleCounts; do
 		go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./${target%%:*}"
 	done
 fi
